@@ -3,8 +3,10 @@
 A TSan-instrumented ``.so`` cannot be dlopened into an uninstrumented
 Python, so this script builds a *pure C executable*: the generated
 kernel source (with the pthread task pool) plus a generated ``main()``
-that fills the data arrays deterministically, runs the same interior
-subtree through ``walk_subtree`` (serial) and ``walk_subtree_par``
+that fills the data arrays deterministically, runs the same
+boundary-touching subtree (its recursion reaches both the interior and
+the row-peeled boundary leaf) through ``walk_subtree`` (serial) and
+``walk_subtree_par``
 (4 pool threads, data copies), and memcmps the results.  Compiled with
 ``-fsanitize=thread -pthread`` and run under
 ``TSAN_OPTIONS=halt_on_error=1``, it fails on
@@ -48,12 +50,14 @@ TSAN_FLAGS = (
 
 PROBE = "#include <pthread.h>\nint main(void){return 0;}\n"
 
-#: The subtree under test: whole-lifetime interior on a 24x24 grid,
-#: shrinking box (slopes 1), thresholds small enough that the recursion
-#: spawns many same-level tasks for the 4-thread pool.
+#: The subtree under test: a shrinking box (slopes 1) on a 24x24
+#: periodic grid that wraps across the x0 seam and touches the x1 edge,
+#: so the walk classifies zoids itself and runs both fused leaves, with
+#: thresholds small enough that the recursion spawns many same-level
+#: tasks for the 4-thread pool.
 GRID = (24, 24)
 TA, TB = 1, 6
-LO, HI = (2, 2), (22, 22)
+LO, HI = (-3, 0), (17, 20)
 DLO, DHI = (1, 1), (-1, -1)
 SLOPES, THRESH = (1, 1), (3, 3)
 DT_TH, HYPER, NTHREADS = 1, 1, 4
@@ -160,7 +164,7 @@ def main() -> int:
         return 0
     st_, u, k = make_heat_problem(GRID, seed=11)
     ir = build_ir(st_.prepare(TB, k))
-    source = generate_c_source(ir, include_boundary=False,
+    source = generate_c_source(ir, include_boundary=True,
                                include_parallel=True)
     source += "\n" + generate_main(ir)
     with tempfile.TemporaryDirectory(prefix="repro_tsan_") as workdir:

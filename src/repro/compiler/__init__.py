@@ -23,8 +23,9 @@ Four backends generate these clones:
                     optimized postsource
 ==================  ========================================================
 
-``mode="auto"`` picks ``split_pointer`` (always available); ``"c"`` is an
-explicit opt-in since it shells out to a toolchain.
+``mode="auto"`` picks ``c`` when a C toolchain is found (the paper's
+path: compiled clones plus the compiled trapezoidal walk) and
+``split_pointer`` otherwise (always available; not a degradation).
 """
 
 from repro.compiler.frontend import KernelIR, build_ir

@@ -20,12 +20,19 @@ Five clones are generated per kernel, mirroring and extending the
   mapping is exact for any virtual box, the C fused boundary leaf never
   declines a region — unlike the NumPy snapshot leaf, which must fall
   back for wrapped home ranges under clip/fill boundaries.
-* ``walk_subtree`` — the compiled *interior recursion*: trisection
-  space cuts, hyperspace level grouping, and time cuts, bottoming out
-  in ``leaf``, so one ctypes call executes an entire interior subtree
-  of the trapezoidal decomposition with the GIL released.  Coarsening
-  thresholds and slopes arrive as scalar arguments, so tuned configs
-  apply without recompiling.
+* ``walk_subtree`` — the compiled *recursion*: trisection space cuts,
+  hyperspace level grouping, time cuts and the per-zoid interior test,
+  bottoming out in ``leaf`` or ``leaf_boundary``, so one ctypes call
+  executes an entire subtree of the trapezoidal decomposition — boundary
+  zoids included — with the GIL released.  Coarsening thresholds and
+  slopes arrive as scalar arguments, so tuned configs apply without
+  recompiling.
+
+The fused boundary leaf is *row-peeled*: only the points whose reads
+leave the grid pay for MOD/CLAMP/fill; the rest of each row runs the
+interior body, so a zoid that merely touches the boundary — every zoid
+of a >=3D grid, whose unit-stride rows are never cut — runs at interior
+speed.
 
 Every clone takes its bounds as *scalar* ``i64`` arguments (the
 dimensionality is a codegen-time constant), so a call marshals a handful
@@ -331,6 +338,24 @@ def _slot_lines(ir: KernelIR, indent: str) -> list[str]:
     ]
 
 
+def _stmt_lines(ir: KernelIR, gen: _CCodegen, indent: str) -> list[str]:
+    """The kernel body for the point ``(x0, ..)`` (true coordinates)."""
+    lines: list[str] = []
+    for st in ir.statements:
+        if isinstance(st, Let):
+            lines.append(f"{indent}const double L_{st.name} = {gen.val(st.expr)};")
+        elif isinstance(st, Assign):
+            arr_name = st.target.array
+            arr = ir.arrays[arr_name]
+            coords = [f"x{i}" for i in range(ir.ndim)]
+            flat = gen._flat_index(arr_name, coords)
+            lines.append(
+                f"{indent}D_{arr_name}[s_{arr_name}_{_slot_tag(0)}*"
+                f"{arr.spatial_points}L + {flat}] = {gen.val(st.expr)};"
+            )
+    return lines
+
+
 def _body_lines(
     ir: KernelIR, gen: _CCodegen, indent: str, *, boundary_mode: bool
 ) -> list[str]:
@@ -351,35 +376,97 @@ def _body_lines(
         indent += "  "
         if boundary_mode:
             lines.append(f"{indent}const i64 x{i} = MOD(v{i}, {ir.sizes[i]}L);")
-    for st in ir.statements:
-        if isinstance(st, Let):
-            lines.append(f"{indent}const double L_{st.name} = {gen.val(st.expr)};")
-        elif isinstance(st, Assign):
-            arr_name = st.target.array
-            arr = ir.arrays[arr_name]
-            coords = [f"x{i}" for i in range(d)]
-            flat = gen._flat_index(arr_name, coords)
-            lines.append(
-                f"{indent}D_{arr_name}[s_{arr_name}_{_slot_tag(0)}*"
-                f"{arr.spatial_points}L + {flat}] = {gen.val(st.expr)};"
-            )
+    lines.extend(_stmt_lines(ir, gen, indent))
     for _ in range(d):
         indent = indent[:-2]
         lines.append(f"{indent}}}")
     return lines
 
 
+def _peeled_body_lines(ir: KernelIR, indent: str) -> list[str]:
+    """The row-peeled loop nest of the fused ``leaf_boundary``.
+
+    Outer dimensions loop virtual ``v{i}`` reduced by MOD, as in the
+    per-point clone, and track whether the row's outer coordinates keep
+    every read in-domain (at least the stencil reach from every edge).
+    The unit-stride row is split at each periodic seam into spans of
+    true coordinates; on such a row, the points whose own reads stay
+    in-domain run the *interior* body (raw indexing) and only the
+    <= reach head and tail points run the per-point body.  For in-domain
+    reads both bodies evaluate the same expression tree, and the points
+    are visited in the same order, so the split is bitwise invisible.
+    """
+    d = ir.ndim
+    last = d - 1
+    n = ir.sizes[last]
+    min_off, max_off = ir.reach()
+    interior = _CCodegen(ir, boundary_mode=False)
+    boundary = _CCodegen(ir, boundary_mode=True)
+    lines: list[str] = []
+    ok = "1"
+    for i in range(last):
+        lines.append(f"{indent}for (i64 v{i} = l{i}; v{i} < h{i}; ++v{i}) {{")
+        indent += "  "
+        lines.append(f"{indent}const i64 x{i} = MOD(v{i}, {ir.sizes[i]}L);")
+        cond = f"x{i} >= {-min_off[i]}L && x{i} < {ir.sizes[i] - max_off[i]}L"
+        lines.append(
+            f"{indent}const int ok{i} = {cond if i == 0 else f'ok{i - 1} && {cond}'};"
+        )
+        ok = f"ok{i}"
+    x = f"x{last}"
+    lines += [
+        f"{indent}for (i64 va = l{last}, vb; va < h{last}; va = vb) {{",
+        f"{indent}  /* one seam-free span [xs, xe) of true coordinates */",
+        f"{indent}  i64 k = va / {n}L;",
+        f"{indent}  if (va - k * {n}L < 0) k -= 1;",
+        f"{indent}  vb = (k + 1) * {n}L;",
+        f"{indent}  if (vb > h{last}) vb = h{last};",
+        f"{indent}  const i64 xs = va - k * {n}L, xe = vb - k * {n}L;",
+        f"{indent}  i64 ilo = xe, ihi = xe;",
+        f"{indent}  if ({ok}) {{",
+        f"{indent}    ilo = xs > {-min_off[last]}L ? xs : {-min_off[last]}L;",
+        f"{indent}    ihi = xe < {n - max_off[last]}L ? xe : {n - max_off[last]}L;",
+        f"{indent}    if (ilo >= ihi) ilo = ihi = xe;",
+        f"{indent}  }}",
+        f"{indent}  for (i64 {x} = xs; {x} < xe; ++{x}) {{",
+        f"{indent}    if ({x} == ilo) {{",
+        f"{indent}      for (; {x} < ihi; ++{x}) {{",
+        *_stmt_lines(ir, interior, indent + "        "),
+        f"{indent}      }}",
+        f"{indent}      if ({x} == xe) break;",
+        f"{indent}    }}",
+        *_stmt_lines(ir, boundary, indent + "    "),
+        f"{indent}  }}",
+        f"{indent}}}",
+    ]
+    for _ in range(last):
+        indent = indent[:-2]
+        lines.append(f"{indent}}}")
+    return lines
+
+
 def _fn_source(ir: KernelIR, *, boundary_mode: bool) -> str:
-    """One-time-step clone: ``(ptrs..., t, l0.., h0..)``, scalar bounds."""
-    gen = _CCodegen(ir, boundary_mode)
+    """One-time-step clone: ``(ptrs..., t, l0.., h0..)``, scalar bounds.
+
+    ``interior_step`` is the fused ``leaf`` at height one — the same
+    body, so one copy fewer for cc to compile.  ``boundary_step`` keeps
+    its own per-point loop: it is the reference the row-peeled
+    ``leaf_boundary`` is checked against.
+    """
     d = ir.ndim
     name = "boundary_step" if boundary_mode else "interior_step"
     args = _ptr_args(ir) + ["i64 t"]
     args += [f"i64 l{i}" for i in range(d)]
     args += [f"i64 h{i}" for i in range(d)]
     lines = [f"void {name}({', '.join(args)}) {{"]
-    lines.extend(_slot_lines(ir, "  "))
-    lines.extend(_body_lines(ir, gen, "  ", boundary_mode=boundary_mode))
+    if boundary_mode:
+        gen = _CCodegen(ir, boundary_mode)
+        lines.extend(_slot_lines(ir, "  "))
+        lines.extend(_body_lines(ir, gen, "  ", boundary_mode=True))
+    else:
+        bounds = [f"{v}{i}" for v in ("l", "h") for i in range(d)]
+        leaf_args = [*_ptr_names(ir), "t", "t + 1", *bounds, *["0"] * (2 * d)]
+        lines.append(f"  leaf({', '.join(leaf_args)});")
     lines.append("}")
     return "\n".join(lines)
 
@@ -392,9 +479,10 @@ def _leaf_fn_source(ir: KernelIR, *, boundary_mode: bool) -> str:
     after every step (Figure 2, lines 20-28).  Slot arithmetic is
     re-derived per step (the ping-pong MOD); an empty shifted box costs
     one loop-bound test.  Bounds arrive by value, so the slope shift
-    mutates the parameters directly.
+    mutates the parameters directly.  The boundary clone is row-peeled
+    (:func:`_peeled_body_lines`): it runs at interior speed except on
+    the points whose reads actually leave the grid.
     """
-    gen = _CCodegen(ir, boundary_mode)
     d = ir.ndim
     name = "leaf_boundary" if boundary_mode else "leaf"
     args = _ptr_args(ir) + ["i64 ta", "i64 tb"]
@@ -405,7 +493,11 @@ def _leaf_fn_source(ir: KernelIR, *, boundary_mode: bool) -> str:
     lines = [f"void {name}({', '.join(args)}) {{"]
     lines.append("  for (i64 t = ta; t < tb; ++t) {")
     lines.extend(_slot_lines(ir, "    "))
-    lines.extend(_body_lines(ir, gen, "    ", boundary_mode=boundary_mode))
+    if boundary_mode:
+        lines.extend(_peeled_body_lines(ir, "    "))
+    else:
+        gen = _CCodegen(ir, boundary_mode=False)
+        lines.extend(_body_lines(ir, gen, "    ", boundary_mode=False))
     shift = " ".join(f"l{i} += dl{i}; h{i} += dh{i};" for i in range(d))
     lines.append(f"    {shift}")
     lines.append("  }")
@@ -413,18 +505,60 @@ def _leaf_fn_source(ir: KernelIR, *, boundary_mode: bool) -> str:
     return "\n".join(lines)
 
 
-def _walk_fn_source(ir: KernelIR) -> str:
-    """The compiled interior recursion: ``walk_subtree`` + its helper.
+def _leaf_dispatch(ir: KernelIR, ptrs: str, include_boundary: bool) -> str:
+    """The walk's base case: the interior or boundary fused leaf for the
+    zoid ``(ta, tb, xa.., dxb..)``, by the inherited classification
+    ``inter``.  Without C boundary clones only interior zoids ever reach
+    the walk, so the base case is always ``leaf``."""
+    d = ir.ndim
+    args = ", ".join(
+        [ptrs, "ta", "tb"]
+        + [f"{v}[{i}]" for v in ("xa", "xb", "dxa", "dxb") for i in range(d)]
+    )
+    if not include_boundary:
+        return f"  leaf({args});"
+    return f"  if (inter) leaf({args}); else leaf_boundary({args});"
+
+
+def _interior_test_source(ir: KernelIR) -> str:
+    """``walk_interior``: :meth:`repro.trap.walker.WalkSpec.is_interior`
+    in C, with the kernel's reach and grid baked in — every read of
+    every point stays in-domain at both end slices (extents are linear
+    in t).  Virtual coordinates past the seam fail the test, so a
+    wrapped zoid is always boundary."""
+    min_off, max_off = ir.reach()
+    lines = [
+        "static int walk_interior(i64 ta, i64 tb, const i64* xa,",
+        "    const i64* xb, const i64* dxa, const i64* dxb) {",
+        "  const i64 s = tb - 1 - ta;",
+    ]
+    for i, n in enumerate(ir.sizes):
+        lo, hi = -min_off[i], n - max_off[i]
+        lines.append(
+            f"  if (xa[{i}] < {lo}L || xa[{i}] + dxa[{i}] * s < {lo}L) return 0;"
+        )
+        lines.append(
+            f"  if (xb[{i}] > {hi}L || xb[{i}] + dxb[{i}] * s > {hi}L) return 0;"
+        )
+    lines += ["  return 1;", "}"]
+    return "\n".join(lines)
+
+
+def _walk_fn_source(ir: KernelIR, include_boundary: bool) -> str:
+    """The compiled recursion: ``walk_subtree`` + its helpers.
 
     ``walk_rec`` is a self-contained C implementation of the TRAP/STRAP
-    control flow for *interior* zoids (Figure 2 minus the boundary
-    classification, which the planner already resolved): per-dimension
-    trisection space cuts combined into level-ordered hyperspace cuts
-    (Lemma 1), then time cuts, bottoming out in the already-generated
-    fused ``leaf`` clone.  Circular cuts are deliberately absent — a
-    full-circumference extent with nonzero slope always reads across the
-    seam, so it can never be interior, and the planner additionally
-    guards the corner case (:func:`repro.trap.walker._fits_walk_grain`).
+    control flow of Figure 2: per-dimension trisection space cuts
+    combined into level-ordered hyperspace cuts (Lemma 1), then time
+    cuts.  Like Pochoir's generated code it asks "interior?" of each
+    zoid (``walk_interior``) until the answer is yes — every subzoid of
+    an interior zoid is interior, so the flag ``inter`` is inherited —
+    and bottoms out in the fused ``leaf`` or, for zoids that touch the
+    boundary, the row-peeled ``leaf_boundary``.  Without C boundary
+    clones the planner hands it interior zoids only and the test is not
+    generated.  Circular cuts are deliberately absent: the planner never
+    delegates a zoid that could need one
+    (:func:`repro.trap.walker._fits_walk_grain`).
 
     Coarsening thresholds, slopes, and the hyperspace flag arrive as
     scalar ``i64`` arguments, so tuned configurations from the autotune
@@ -439,13 +573,7 @@ def _walk_fn_source(ir: KernelIR) -> str:
     ptr_names = _ptr_names(ir)
     pa = ", ".join(ptr_args)
     pn = ", ".join(ptr_names)
-    leaf_call = ", ".join(
-        [pn, "ta", "tb"]
-        + [f"xa[{i}]" for i in range(d)]
-        + [f"xb[{i}]" for i in range(d)]
-        + [f"dxa[{i}]" for i in range(d)]
-        + [f"dxb[{i}]" for i in range(d)]
-    )
+    classify = _classify_lines(include_boundary)
     lines = [
         "/* Per-dimension trisection cuts: fills the piece lists (np,",
         "   pxa..pbit) and returns whether anything cut.  Shared by the",
@@ -531,7 +659,8 @@ def _walk_fn_source(ir: KernelIR) -> str:
         "",
         f"static void walk_rec({pa}, i64 ta, i64 tb,",
         "    const i64* xa, const i64* xb, const i64* dxa, const i64* dxb,",
-        "    const i64* sl, const i64* th, i64 dt_th, i64 hyper) {",
+        "    const i64* sl, const i64* th, i64 dt_th, i64 hyper, i64 inter) {",
+        *classify,
         "  const i64 h = tb - ta;",
         f"  i64 pxa[{d}][3], pxb[{d}][3], pdxa[{d}][3], pdxb[{d}][3];",
         f"  i64 pbit[{d}][3];",
@@ -552,7 +681,7 @@ def _walk_fn_source(ir: KernelIR) -> str:
         "            walk_piece(h, xa, xb, dxa, dxb, np, idx,",
         "                       pxa, pxb, pdxa, pdxb, cxa, cxb, cdxa, cdxb))",
         f"          walk_rec({pn}, ta, tb, cxa, cxb, cdxa, cdxb,",
-        "                   sl, th, dt_th, hyper);",
+        "                   sl, th, dt_th, hyper, inter);",
         "        /* odometer over the cut dimensions */",
         "        int carry = 1;",
         f"        for (int i = 0; i < {d} && carry; ++i) {{",
@@ -567,23 +696,41 @@ def _walk_fn_source(ir: KernelIR) -> str:
         "  if (h > dt_th && h >= 2) {",
         "    /* time cut at the midpoint (Fig. 7(c)) */",
         "    const i64 tm = ta + h / 2;",
-        f"    walk_rec({pn}, ta, tm, xa, xb, dxa, dxb, sl, th, dt_th, hyper);",
+        f"    walk_rec({pn}, ta, tm, xa, xb, dxa, dxb, sl, th, dt_th, hyper,",
+        "             inter);",
         f"    i64 nxa[{d}], nxb[{d}];",
         "    const i64 s = tm - ta;",
         f"    for (int i = 0; i < {d}; ++i) {{",
         "      nxa[i] = xa[i] + dxa[i] * s; nxb[i] = xb[i] + dxb[i] * s;",
         "    }",
-        f"    walk_rec({pn}, tm, tb, nxa, nxb, dxa, dxb, sl, th, dt_th, hyper);",
+        f"    walk_rec({pn}, tm, tb, nxa, nxb, dxa, dxb, sl, th, dt_th, hyper,",
+        "             inter);",
         "    return;",
         "  }",
-        f"  leaf({leaf_call});",
+        _leaf_dispatch(ir, pn, include_boundary),
         "}",
     ]
+    if include_boundary:
+        lines[:0] = [_interior_test_source(ir), ""]
     # The exported entry point: scalar bounds in, arrays packed here.
     args = _ptr_args(ir) + ["i64 ta", "i64 tb"]
     for prefix in ("l", "h", "dl", "dh", "s", "th"):
         args += [f"i64 {prefix}{i}" for i in range(d)]
     args += ["i64 dt_th", "i64 hyper"]
+    lines += [
+        "",
+        f"void walk_subtree({', '.join(args)}) {{",
+        *_walk_entry_pack(d),
+        f"  walk_rec({pn}, ta, tb, xa, xb, dxa, dxb, sl, thr, dt_th, hyper,",
+        f"           {_root_inter(include_boundary)});",
+        "}",
+    ]
+    return "\n".join(lines)
+
+
+def _walk_entry_pack(d: int) -> list[str]:
+    """Pack a walk entry point's scalar bounds into the arrays
+    ``walk_rec`` takes."""
     pack = []
     for name, prefix in (
         ("xa", "l"),
@@ -595,17 +742,24 @@ def _walk_fn_source(ir: KernelIR) -> str:
     ):
         init = ", ".join(f"{prefix}{i}" for i in range(d))
         pack.append(f"  i64 {name}[{d}] = {{{init}}};")
-    lines += [
-        "",
-        f"void walk_subtree({', '.join(args)}) {{",
-        *pack,
-        f"  walk_rec({pn}, ta, tb, xa, xb, dxa, dxb, sl, thr, dt_th, hyper);",
-        "}",
-    ]
-    return "\n".join(lines)
+    return pack
 
 
-def _walk_par_source(ir: KernelIR) -> str:
+def _classify_lines(include_boundary: bool) -> list[str]:
+    """The head of ``walk_rec``/``walk_rec_par``: classify a zoid whose
+    parent was not interior (nothing to test without boundary clones)."""
+    if not include_boundary:
+        return []
+    return ["  if (!inter) inter = walk_interior(ta, tb, xa, xb, dxa, dxb);"]
+
+
+def _root_inter(include_boundary: bool) -> str:
+    """The classification a walk root starts from: unknown (0, tested in
+    ``walk_rec``) when boundary zoids may arrive, else interior."""
+    return "0" if include_boundary else "1"
+
+
+def _walk_par_source(ir: KernelIR, include_boundary: bool) -> str:
     """The parallel compiled recursion: ``walk_subtree_par`` + its pool.
 
     A shared-deque pthread task pool lives inside the generated ``.so``:
@@ -649,13 +803,7 @@ def _walk_par_source(ir: KernelIR) -> str:
     field_decls = [f"  double* D_{info.name};" for info in ir.array_infos]
     field_decls += [f"  const double* C_{c};" for c in sorted(ir.const_arrays)]
     jp = ", ".join(f"job->{n}" for n in ptr_names)
-    leaf_call = ", ".join(
-        [jp, "ta", "tb"]
-        + [f"xa[{i}]" for i in range(d)]
-        + [f"xb[{i}]" for i in range(d)]
-        + [f"dxa[{i}]" for i in range(d)]
-        + [f"dxb[{i}]" for i in range(d)]
-    )
+    classify = _classify_lines(include_boundary)
     lines = [
         "/* ---- parallel walk: shared-deque pthread task pool ---- */",
         "#include <pthread.h>",
@@ -678,7 +826,7 @@ def _walk_par_source(ir: KernelIR) -> str:
         "typedef struct {",
         "  wjob* job;",
         "  i64* sync;",
-        "  i64 ta, tb;",
+        "  i64 ta, tb, inter;",
         f"  i64 xa[{d}], xb[{d}], dxa[{d}], dxb[{d}];",
         "} wtask;",
         "",
@@ -693,10 +841,11 @@ def _walk_par_source(ir: KernelIR) -> str:
         "static int wq_failed = 0;",
         "",
         "static void walk_rec_par(wjob* job, i64 ta, i64 tb,",
-        "    const i64* xa, const i64* xb, const i64* dxa, const i64* dxb);",
+        "    const i64* xa, const i64* xb, const i64* dxa, const i64* dxb,",
+        "    i64 inter);",
         "",
         "static void wq_run_task(wtask t, int stolen) {",
-        "  walk_rec_par(t.job, t.ta, t.tb, t.xa, t.xb, t.dxa, t.dxb);",
+        "  walk_rec_par(t.job, t.ta, t.tb, t.xa, t.xb, t.dxa, t.dxb, t.inter);",
         "  pthread_mutex_lock(&wq_mu);",
         "  *t.sync -= 1;",
         "  if (stolen) t.job->stolen += 1;",
@@ -721,7 +870,8 @@ def _walk_par_source(ir: KernelIR) -> str:
         "/* Enqueue one piece; returns 0 when the arena is full (the",
         "   caller then runs the piece inline — graceful, not an error). */",
         "static int wq_spawn(wjob* job, i64 ta, i64 tb, const i64* cxa,",
-        "    const i64* cxb, const i64* cdxa, const i64* cdxb, i64* sync) {",
+        "    const i64* cxb, const i64* cdxa, const i64* cdxb, i64 inter,",
+        "    i64* sync) {",
         "  pthread_mutex_lock(&wq_mu);",
         "  if (wq_tail - wq_head >= WQ_CAP) {",
         "    pthread_mutex_unlock(&wq_mu);",
@@ -729,6 +879,7 @@ def _walk_par_source(ir: KernelIR) -> str:
         "  }",
         "  wtask* t = &wq_ring[wq_tail % WQ_CAP];",
         "  t->job = job; t->sync = sync; t->ta = ta; t->tb = tb;",
+        "  t->inter = inter;",
         f"  for (int i = 0; i < {d}; ++i) {{",
         "    t->xa[i] = cxa[i]; t->xb[i] = cxb[i];",
         "    t->dxa[i] = cdxa[i]; t->dxb[i] = cdxb[i];",
@@ -787,7 +938,9 @@ def _walk_par_source(ir: KernelIR) -> str:
         "}",
         "",
         "static void walk_rec_par(wjob* job, i64 ta, i64 tb,",
-        "    const i64* xa, const i64* xb, const i64* dxa, const i64* dxb) {",
+        "    const i64* xa, const i64* xb, const i64* dxa, const i64* dxb,",
+        "    i64 inter) {",
+        *classify,
         "  const i64 h = tb - ta;",
         f"  i64 pxa[{d}][3], pxb[{d}][3], pdxa[{d}][3], pdxb[{d}][3];",
         f"  i64 pbit[{d}][3];",
@@ -826,14 +979,14 @@ def _walk_par_source(ir: KernelIR) -> str:
         "      for (i64 c = 0; c + 1 < ncombo; ++c) {",
         "        (void)walk_piece(h, xa, xb, dxa, dxb, np, combos[c],",
         "                         pxa, pxb, pdxa, pdxb, cxa, cxb, cdxa, cdxb);",
-        "        if (wq_spawn(job, ta, tb, cxa, cxb, cdxa, cdxb, &sync))",
+        "        if (wq_spawn(job, ta, tb, cxa, cxb, cdxa, cdxb, inter, &sync))",
         "          spawned_here += 1;",
         "        else",
-        "          walk_rec_par(job, ta, tb, cxa, cxb, cdxa, cdxb);",
+        "          walk_rec_par(job, ta, tb, cxa, cxb, cdxa, cdxb, inter);",
         "      }",
         "      (void)walk_piece(h, xa, xb, dxa, dxb, np, combos[ncombo - 1],",
         "                       pxa, pxb, pdxa, pdxb, cxa, cxb, cdxa, cdxb);",
-        "      walk_rec_par(job, ta, tb, cxa, cxb, cdxa, cdxb);",
+        "      walk_rec_par(job, ta, tb, cxa, cxb, cdxa, cdxb, inter);",
         "      if (spawned_here > 0) wq_join(job, &sync);",
         "    }",
         "    return;",
@@ -841,16 +994,16 @@ def _walk_par_source(ir: KernelIR) -> str:
         "  if (h > job->dt_th && h >= 2) {",
         "    /* time cut: strictly sequential halves, same as the serial walk */",
         "    const i64 tm = ta + h / 2;",
-        "    walk_rec_par(job, ta, tm, xa, xb, dxa, dxb);",
+        "    walk_rec_par(job, ta, tm, xa, xb, dxa, dxb, inter);",
         f"    i64 nxa[{d}], nxb[{d}];",
         "    const i64 s = tm - ta;",
         f"    for (int i = 0; i < {d}; ++i) {{",
         "      nxa[i] = xa[i] + dxa[i] * s; nxb[i] = xb[i] + dxb[i] * s;",
         "    }",
-        "    walk_rec_par(job, tm, tb, nxa, nxb, dxa, dxb);",
+        "    walk_rec_par(job, tm, tb, nxa, nxb, dxa, dxb, inter);",
         "    return;",
         "  }",
-        f"  leaf({leaf_call});",
+        _leaf_dispatch(ir, jp, include_boundary),
         "}",
     ]
     # The exported entry point mirrors walk_subtree plus nthreads and an
@@ -859,26 +1012,17 @@ def _walk_par_source(ir: KernelIR) -> str:
     for prefix in ("l", "h", "dl", "dh", "s", "th"):
         args += [f"i64 {prefix}{i}" for i in range(d)]
     args += ["i64 dt_th", "i64 hyper", "i64 nthreads", "i64* restrict wstats"]
-    pack = []
-    for name, prefix in (
-        ("xa", "l"),
-        ("xb", "h"),
-        ("dxa", "dl"),
-        ("dxb", "dh"),
-        ("sl", "s"),
-        ("thr", "th"),
-    ):
-        init = ", ".join(f"{prefix}{i}" for i in range(d))
-        pack.append(f"  i64 {name}[{d}] = {{{init}}};")
+    root = _root_inter(include_boundary)
     job_fill = [f"  job.{n} = {n};" for n in ptr_names]
     lines += [
         "",
         f"void walk_subtree_par({', '.join(args)}) {{",
-        *pack,
+        *_walk_entry_pack(d),
         "  if (wq_ensure_pool(nthreads) <= 0) {",
         "    /* nthreads<=1, pool-init failure, or the test hook: the",
         "       serial clone, bit for bit */",
-        f"    walk_rec({pn}, ta, tb, xa, xb, dxa, dxb, sl, thr, dt_th, hyper);",
+        f"    walk_rec({pn}, ta, tb, xa, xb, dxa, dxb, sl, thr, dt_th, hyper,",
+        f"             {root});",
         "    return;",
         "  }",
         "  wjob job;",
@@ -886,7 +1030,7 @@ def _walk_par_source(ir: KernelIR) -> str:
         f"  for (int i = 0; i < {d}; ++i) {{ job.sl[i] = sl[i]; job.th[i] = thr[i]; }}",
         "  job.dt_th = dt_th; job.hyper = hyper;",
         "  job.spawned = 0; job.stolen = 0; job.barriers = 0;",
-        "  walk_rec_par(&job, ta, tb, xa, xb, dxa, dxb);",
+        f"  walk_rec_par(&job, ta, tb, xa, xb, dxa, dxb, {root});",
         "  /* All spawns joined: counters are final (the joins' mutex",
         "     hand-offs order every worker write before these reads). */",
         "  if (wstats) {",
@@ -974,20 +1118,20 @@ def generate_c_source(
     include_parallel: bool = False,
 ) -> str:
     """The full postsource: prelude, per-step and fused clone pairs, the
-    compiled interior recursion (``walk_subtree``) and the batched
+    compiled recursion (``walk_subtree``) and the batched
     wrappers over all of them, plus — when ``include_parallel`` — the
     pthread task pool and ``walk_subtree_par``."""
     parts = [
         _PRELUDE,
-        _fn_source(ir, boundary_mode=False),
         _leaf_fn_source(ir, boundary_mode=False),
-        _walk_fn_source(ir),
+        _fn_source(ir, boundary_mode=False),
     ]
-    if include_parallel:
-        parts.append(_walk_par_source(ir))
     if include_boundary:
         parts.append(_fn_source(ir, boundary_mode=True))
         parts.append(_leaf_fn_source(ir, boundary_mode=True))
+    parts.append(_walk_fn_source(ir, include_boundary))
+    if include_parallel:
+        parts.append(_walk_par_source(ir, include_boundary))
     parts.append(_batch_fn_source(ir, include_boundary=include_boundary))
     return "\n\n".join(parts) + "\n"
 
@@ -1173,7 +1317,7 @@ def load_shared_object(
 
 #: The compiled-walk entry point: (ta, tb, lo, hi, dlo, dhi, slopes,
 #: thresholds, dt_threshold, hyperspace) — one call runs a whole
-#: interior subtree of the recursion with the GIL released.  The
+#: subtree of the recursion with the GIL released.  The
 #: parallel variant additionally takes a thread count:
 #: (..., hyperspace, nthreads).
 WalkFn = Callable[..., None]
@@ -1187,8 +1331,9 @@ class CClones:
     boundary kind C cannot express (PythonBoundary); the pipeline
     substitutes the per-point Python boundary clone and per-step
     fallback, same as the NumPy backend.  ``walk`` (the compiled
-    interior recursion) exists regardless: it only ever touches interior
-    zoids, which no boundary kind can reach.  ``walk_par`` is the
+    recursion) exists regardless: without C boundary clones it is built
+    without the interior test and only ever receives interior zoids,
+    which no boundary kind can reach.  ``walk_par`` is the
     pthread-pool variant; it is None when the parallel source fails to
     build (e.g. a toolchain without pthread support), in which case
     everything degrades to the serial walk.  ``walk_stats`` is the

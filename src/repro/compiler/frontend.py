@@ -52,6 +52,15 @@ class KernelIR:
     depth: int
     unbound_params: frozenset[str]
 
+    def reach(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per-dim extreme read offsets widened to include the home point
+        (every write lands at offset 0): the footprint interior tests use,
+        so a point they accept is written and read in-domain."""
+        return (
+            tuple(min(o, 0) for o in self.min_off),
+            tuple(max(o, 0) for o in self.max_off),
+        )
+
     def cache_key(self) -> tuple:
         """Hashable identity for the compiled-kernel cache."""
         return (

@@ -2,11 +2,13 @@
 
 ``compile_kernel`` is what the execution driver calls.  Mode semantics:
 
-* ``"auto"`` — ``split_pointer`` (vectorized NumPy; always available).
-* ``"c"`` — C per-step *and fused leaf* clones when every boundary kind
-  is expressible, else C interior with the per-point Python boundary
-  clone and per-step fallback (the paper's design survives: the boundary
-  clone is allowed to be slow).
+* ``"auto"`` — ``"c"`` when a C toolchain is found, else
+  ``split_pointer`` (:func:`resolve_mode`; the no-toolchain fallback is
+  the documented default there, not a degradation).
+* ``"c"`` — C per-step *and fused leaf* clones plus the compiled walk
+  when every boundary kind is expressible, else C interior with the
+  per-point Python boundary clone and per-step fallback (the paper's
+  design survives: the boundary clone is allowed to be slow).
 * ``"split_pointer"`` — NumPy clones, falling back to the per-point
   boundary clone for non-vectorizable boundary kinds.
 * ``"macro_shadow"`` / ``"interp"`` — per-point clones.
@@ -56,10 +58,12 @@ class CompiledKernel:
     sources: dict[str, str] = field(default_factory=dict)
     leaf: LeafFn | None = None
     leaf_boundary: LeafFn | None = None
-    #: The compiled interior recursion (``walk_subtree``): one call runs
-    #: a whole interior subtree of the trapezoidal decomposition, GIL
-    #: released.  Only the ``c`` backend generates it; executors fall
-    #: back to the Python walk for subtree tasks when it is None.
+    #: The compiled recursion (``walk_subtree``): one call runs a whole
+    #: subtree of the trapezoidal decomposition, GIL released, testing
+    #: each zoid for "interior?" itself when ``boundary_mode == "c"``
+    #: (else it only ever receives interior zoids).  Only the ``c``
+    #: backend generates it; executors fall back to the Python walk for
+    #: subtree tasks it cannot take.
     walk: Callable[..., None] | None = None
     #: The parallel compiled recursion (``walk_subtree_par``): same
     #: contract as ``walk`` plus a trailing thread count; a pthread task
@@ -124,11 +128,26 @@ def clear_cache() -> None:
 def resolve_mode(mode: str) -> str:
     """The concrete backend a requested mode compiles with.
 
-    The single source of ``"auto"`` dispatch: ``compile_kernel`` and the
-    coarsening-default selection in the walk driver both consult it, so
-    the thresholds chosen for a run always match the backend that runs.
+    The single source of ``"auto"`` dispatch — the paper's path, C, when
+    a toolchain is found, else the always-available NumPy backend.
+    ``compile_kernel``, the walk driver's coarsening defaults, the batch
+    compiler, the autotuner and the server all consult it, so the
+    thresholds chosen for a run always match the backend that runs.
     """
-    return "split_pointer" if mode == "auto" else mode
+    if mode != "auto":
+        return mode
+    return "c" if codegen_c.find_c_compiler() is not None else "split_pointer"
+
+
+def walks_boundary(problem: Problem, mode: str) -> bool:
+    """Whether ``mode``'s compiled walk for ``problem`` also takes
+    boundary zoids: true exactly when the kernel compiles to C with C
+    boundary clones (every boundary kind expressible), whose walk
+    classifies each zoid itself and bottoms out in ``leaf_boundary``."""
+    return resolve_mode(mode) == "c" and all(
+        codegen_numpy.is_vectorizable_boundary(a.boundary)
+        for a in problem.arrays.values()
+    )
 
 
 def compile_kernel(problem: Problem, mode: str = "auto") -> CompiledKernel:
@@ -177,9 +196,9 @@ def compile_kernel_resilient(
 
     resolved = resolve_mode(mode)
     if resolved != "c":
-        return compile_kernel(problem, mode)
+        return compile_kernel(problem, resolved)
     try:
-        return compile_kernel(problem, mode)
+        return compile_kernel(problem, resolved)
     except CompileError:
         degradations.note("cc:compile-failed->split_pointer")
         return compile_kernel(problem, "split_pointer")

@@ -32,6 +32,7 @@ buffer the array no longer owns.
 from __future__ import annotations
 
 import itertools
+import mmap
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -78,6 +79,31 @@ class GridAccess(GridRead):
         return Assign(GridWrite(self.array, self.dt), as_expr(value))
 
 
+def _grid_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed grid buffer on base-size (4 KiB) pages.
+
+    NumPy asks for transparent huge pages on arrays of 4 MiB and more.  A
+    stencil's rows and planes sit a power-of-two stride apart on typical
+    grids, and inside one physically contiguous 2 MiB page those strides
+    map to the same sets of the physically indexed L2: a 128^3 wave leaf
+    ran 5-6x slower on huge pages than on 4 KiB pages on the benchmark
+    host.  Scattered 4 KiB frames hide the aliasing, so large grids get an
+    anonymous mapping advised ``MADV_NOHUGEPAGE``; small ones (and hosts
+    without that advice) get ``np.zeros``.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    advice = getattr(mmap, "MADV_NOHUGEPAGE", None)
+    if advice is None or nbytes < (4 << 20):
+        return np.zeros(shape, dtype=dtype)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    try:
+        buf.madvise(advice)
+    except OSError:  # pragma: no cover - kernels built without THP
+        pass
+    return np.frombuffer(buf, dtype=dtype).reshape(shape)
+
+
 def _is_symbolic(args: Sequence[object]) -> bool:
     return any(isinstance(a, (Axis, AffineIndex)) for a in args)
 
@@ -122,7 +148,7 @@ class PochoirArray:
         self.ndim = len(sizes)
         self.depth = depth
         self.slots = depth + 1
-        self.data = np.zeros((self.slots, *sizes), dtype=dtype)
+        self.data = _grid_zeros((self.slots, *sizes), dtype)
         self.boundary: Boundary | None = None
         #: Process-unique, never-reused identity for compiled-kernel
         #: caching.  ``id(self.data)`` is NOT usable for that purpose: CPython
@@ -182,7 +208,9 @@ class PochoirArray:
         shm, owner = self._shm, self._shm_owner
         self._shm = None
         self._shm_owner = False
-        self.data = self.data.copy()  # private again, contents preserved
+        private = _grid_zeros(self.data.shape, self.data.dtype)
+        private[...] = self.data  # private again, contents preserved
+        self.data = private
         self.cache_token = next(PochoirArray._token_counter)
         try:
             shm.close()

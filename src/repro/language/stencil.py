@@ -43,8 +43,9 @@ class RunOptions:
         ``"split_pointer"`` (vectorized NumPy slice kernels — the
         ``-split-pointer`` analogue), ``"c"`` (generated C compiled with
         the system compiler: per-step *and* fused-leaf clones, invoked
-        with the GIL released), or ``"auto"`` (the NumPy backend —
-        always available; see ``pipeline.resolve_mode``).
+        with the GIL released), or ``"auto"`` (the default: ``"c"`` when a
+        C toolchain is found, else ``"split_pointer"`` with no
+        degradation recorded; see ``pipeline.resolve_mode``).
     ``dt_threshold`` / ``space_thresholds``:
         base-case coarsening (Section 4); ``None`` applies the paper's
         heuristics (2D: 100x100x5; >=3D: never cut the unit-stride
@@ -80,20 +81,21 @@ class RunOptions:
         and C-backend benchmarks and the equivalence tests use.  Modes
         without a leaf clone (``interp``, ``macro_shadow``) ignore it.
     ``compiled_walk``:
-        subtree-task planning over the compiled interior recursion.
+        subtree-task planning over the compiled trapezoidal recursion.
         ``None`` (default) resolves to *on* exactly when the resolved
         codegen mode is ``"c"`` (the only backend that compiles a
         ``walk_subtree`` clone) and ``fuse_leaves`` is on; ``False``
         forces it off, ``True`` forces it on — except under
         ``fuse_leaves=False``, which always wins: the per-step ablation
         must measure per-step dispatch, and the walk bottoms out in the
-        fused leaf it just disabled.  When on, interior zoids that fit the walk
+        fused leaf it just disabled.  When on, zoids that fit the walk
         grain are planned as single atomic tasks whose execution is one
-        GIL-released C call running every cut and fused leaf below the
-        subtree root; when the backend lacks a walk clone the same plan
-        degrades to a Python replay of the recursion (bitwise
-        identical).  Forcing ``True`` without the C backend therefore
-        changes granularity, never results.
+        GIL-released C call running every cut, interior test and fused
+        leaf below the subtree root — boundary zoids too, when every
+        boundary kind compiles to C.  When the backend lacks a walk
+        clone the same plan degrades to a Python replay of the
+        recursion (bitwise identical).  Forcing ``True`` without the C
+        backend therefore changes granularity, never results.
     ``walk_threads``:
         thread count for the compiled walk's embedded pthread pool
         (``walk_subtree_par``): same-level hyperspace-cut pieces of each

@@ -429,16 +429,13 @@ class StencilServer:
             # Supervised jobs keep their full fault-tolerance semantics;
             # those run per-job (the worker pool is warm either way).
             return False, options.mode, "serve:supervised->unbatched"
-        mode = options.mode
-        if mode == "auto":
-            from repro.compiler.codegen_c import find_c_compiler
+        from repro.compiler.pipeline import resolve_mode
 
-            if find_c_compiler() is not None:
-                # The server's auto rule differs from a single run's:
-                # batched compiled dispatch is the whole point, and the
-                # .so is amortized across the server's lifetime.
-                return True, "c", None
-            return False, "split_pointer", "serve:no-cc->unbatched-numpy"
+        mode = resolve_mode(options.mode)
+        if options.mode == "auto" and mode != "c":
+            # Batched compiled dispatch is the point of serving: without
+            # a toolchain, jobs run one by one on NumPy, and say so.
+            return False, mode, "serve:no-cc->unbatched-numpy"
         if mode in ("c", "split_pointer"):
             return True, mode, None
         return False, mode, "serve:mode-cannot-batch->unbatched"

@@ -60,7 +60,7 @@ from repro.trap.zoid import full_grid_zoid
 
 def _walk_setup(problem: Problem, options: RunOptions):
     """Shared geometry for both walker output paths."""
-    from repro.compiler.pipeline import resolve_mode
+    from repro.compiler.pipeline import resolve_mode, walks_boundary
 
     if options.algorithm not in ("trap", "strap"):
         raise SpecificationError(
@@ -80,10 +80,12 @@ def _walk_setup(problem: Problem, options: RunOptions):
         # leaves want smaller zoids than the NumPy leaves (and the extra
         # base cases feed the DAG runtime's parallelism).
         codegen_mode=resolved,
-        # Subtree-task planning: interior zoids that fit the walk grain
-        # become single tasks executed by the compiled walk_subtree
-        # clone (or its Python replay), one GIL-released call each.
+        # Subtree-task planning: zoids that fit the walk grain become
+        # single tasks executed by the compiled walk_subtree clone (or
+        # its Python replay), one GIL-released call each — boundary
+        # zoids too when that clone can classify and run them.
         compiled_walk=options.resolve_compiled_walk(resolved),
+        walk_boundary=walks_boundary(problem, resolved),
         # Rides along in the emitted WalkParams; the executor only acts
         # on it when the compiled kernel has a parallel walk clone.
         walk_threads=options.resolve_walk_threads(),

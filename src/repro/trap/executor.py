@@ -260,30 +260,31 @@ def run_bounded(
 
 
 def _run_subtree_python(region: BaseRegion, compiled: "CompiledKernel") -> None:
-    """The compiled-walk degradation path: replay the interior recursion
-    in Python from the region's carried :data:`~repro.trap.plan.WalkParams`
-    and run each produced base case.
+    """The compiled-walk degradation path: replay the recursion in Python
+    from the region's carried :data:`~repro.trap.plan.WalkParams` and run
+    each produced base case.
 
-    Exercised when a subtree-task plan meets a kernel without a walk
-    clone — the ``fuse_leaves=False`` ablation, a NumPy-compiled kernel
-    handed a C-planned tree, or a toolchain that vanished between
-    planning and execution.  Bitwise identical to the compiled walk: the
-    decomposition logic is the same and every point is written once from
-    fully-computed neighbors.
+    Exercised when a subtree-task plan meets a kernel whose walk clone
+    cannot take it — no walk clone at all (a NumPy-compiled kernel
+    handed a C-planned tree, a toolchain that vanished between planning
+    and execution), or a boundary subtree for a kernel without C
+    boundary clones.  Boundary subtrees are re-classified per zoid with
+    the kernel's real read offsets, exactly as the compiled walk does.
+    Bitwise identical to the compiled walk: the decomposition logic is
+    the same and every point is written once from fully-computed
+    neighbors.
     """
     from repro.trap.walker import WalkOptions, WalkSpec, _events
 
     degradations.note("compiled-walk:python-replay")
     assert region.walk is not None
     slopes, thresholds, dt_threshold, hyperspace = region.walk[:4]
-    ndim = len(slopes)
-    # min/max offsets are irrelevant below a known-interior root (the
-    # classification is inherited), so zeros suffice.
+    min_off, max_off = compiled.ir.reach()
     spec = WalkSpec(
         sizes=compiled.ir.sizes,
         slopes=slopes,
-        min_off=(0,) * ndim,
-        max_off=(0,) * ndim,
+        min_off=min_off,
+        max_off=max_off,
     )
     opts = WalkOptions(
         dt_threshold=dt_threshold,
@@ -292,7 +293,9 @@ def _run_subtree_python(region: BaseRegion, compiled: "CompiledKernel") -> None:
         hyperspace=hyperspace,
         compiled_walk=False,  # decompose fully: no re-delegation loop
     )
-    for sub in iter_base_events(_events(region.zoid(), spec, opts, True)):
+    for sub in iter_base_events(
+        _events(region.zoid(), spec, opts, region.interior)
+    ):
         run_base_region(sub, compiled)
 
 
@@ -300,10 +303,12 @@ def run_base_region(region: BaseRegion, compiled: "CompiledKernel") -> None:
     """Execute one base case: step time forward, shifting the box by the
     zoid slopes after each step (Figure 2, lines 20–28).
 
-    Subtree tasks (``region.walk`` set) run their whole interior subtree
-    through the backend's compiled ``walk_subtree`` clone — one
-    GIL-released ctypes call executes every cut and fused leaf below the
-    root — or through the Python replay when no walk clone exists.
+    Subtree tasks (``region.walk`` set) run their whole subtree through
+    the backend's compiled ``walk_subtree`` clone — one GIL-released
+    ctypes call executes every cut, interior test and fused leaf below
+    the root — or through the Python replay when that clone cannot take
+    the region (none exists, or the region touches the boundary and the
+    kernel has no C boundary clones).
 
     When the backend generated a fused leaf clone (``split_pointer``'s
     NumPy leaves or ``c``'s compiled leaves) the whole time loop runs
@@ -315,7 +320,9 @@ def run_base_region(region: BaseRegion, compiled: "CompiledKernel") -> None:
     """
     if region.walk is not None:
         walk = compiled.walk
-        if walk is not None:
+        # Only a walk built with C boundary clones can classify zoids.
+        takes_region = region.interior or compiled.boundary_mode == "c"
+        if walk is not None and takes_region:
             slopes, thresholds, dt_threshold, hyperspace = region.walk[:4]
             threads = region.walk[4] if len(region.walk) > 4 else 1
             lo, hi, dlo, dhi = zip(*region.dims)

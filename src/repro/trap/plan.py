@@ -69,12 +69,13 @@ class BaseRegion:
     grid size and resolves off-domain reads through boundary functions.
 
     ``walk`` marks a *subtree task* (compiled-walk planning): the region
-    is not a coarsening base case but a whole interior subtree of the
-    trapezoid recursion, scheduled as one atomic unit.  Its executor
-    either hands the zoid to the backend's compiled ``walk_subtree``
-    clone (one GIL-released call runs every cut and leaf below it) or,
-    when no walk clone exists, re-runs the Python walk with the carried
-    :data:`WalkParams` — bitwise the same either way.
+    is not a coarsening base case but a whole subtree of the trapezoid
+    recursion, scheduled as one atomic unit; ``interior`` then classifies
+    its root only.  Its executor either hands the zoid to the backend's
+    compiled ``walk_subtree`` clone (one GIL-released call runs every
+    cut, interior test and leaf below it) or, when that clone cannot
+    take it, re-runs the Python walk with the carried :data:`WalkParams`
+    — bitwise the same either way.
     """
 
     ta: int
@@ -243,8 +244,8 @@ class PlanStats:
     base_cases: int = 0
     interior_base_cases: int = 0
     boundary_base_cases: int = 0
-    #: How many of the interior tasks are compiled-walk subtree tasks
-    #: (each one stands for a whole interior subtree of the recursion).
+    #: How many of the tasks are compiled-walk subtree tasks (each one
+    #: stands for a whole subtree of the recursion).
     subtree_tasks: int = 0
     seq_nodes: int = 0
     par_nodes: int = 0

@@ -67,8 +67,8 @@ class WalkSpec:
 #: small enough to fit a C ``i64`` argument.
 NEVER_CUT = 1 << 62
 
-#: Compiled-walk grain: an interior zoid is handed to the compiled
-#: walker as one subtree task once every spatial width fits within
+#: Compiled-walk grain: a zoid is handed to the compiled walker as one
+#: subtree task once every spatial width fits within
 #: ``WALK_GRAIN_SPACE`` coarsening thresholds and its height within
 #: ``WALK_GRAIN_TIME`` time thresholds.  Each subtree then contains up
 #: to ``WALK_GRAIN_SPACE^d * WALK_GRAIN_TIME`` base cases whose cuts and
@@ -93,7 +93,10 @@ class WalkOptions:
     fit the walk grain are emitted as single atomic regions carrying
     their recursion parameters (see :class:`repro.trap.plan.BaseRegion`)
     instead of being decomposed here.  The driver turns it on only when
-    the backend compiles a ``walk_subtree`` clone.
+    the backend compiles a ``walk_subtree`` clone.  ``walk_boundary``
+    extends it to boundary (and wrapped) zoids: the driver sets it when
+    that clone classifies zoids itself and bottoms out in a C
+    ``leaf_boundary``, i.e. when every boundary kind is C-expressible.
 
     ``walk_threads`` is the thread count the compiled walk's embedded
     pthread pool runs with (1 = the serial clone, unchanged).  It rides
@@ -106,6 +109,7 @@ class WalkOptions:
     protect_unit_stride: bool = False
     hyperspace: bool = True
     compiled_walk: bool = False
+    walk_boundary: bool = False
     walk_threads: int = 1
 
     def protect_flags(self, ndim: int) -> tuple[bool, ...]:
@@ -151,6 +155,7 @@ def default_options(
     hyperspace: bool = True,
     codegen_mode: str | None = None,
     compiled_walk: bool = False,
+    walk_boundary: bool = False,
     walk_threads: int = 1,
 ) -> WalkOptions:
     """Fill unset knobs with the Section-4 style coarsening heuristics.
@@ -176,6 +181,7 @@ def default_options(
         protect_unit_stride=bool(protect_unit_stride),
         hyperspace=hyperspace,
         compiled_walk=bool(compiled_walk),
+        walk_boundary=bool(walk_boundary),
         walk_threads=max(1, int(walk_threads)),
     )
 
@@ -213,10 +219,13 @@ def _fits_walk_grain(z: Zoid, spec: WalkSpec, opts: WalkOptions) -> bool:
     The subtree must fit the walk grain (a few coarsening thresholds per
     axis — see :data:`WALK_GRAIN_SPACE`), and no dimension may qualify
     for a *circular* cut anywhere below it: the compiled walker
-    implements trisection and time cuts only.  An interior zoid can
-    never need a circular cut (a full-circumference extent with nonzero
-    slope always reads off-domain), so the check is a belt-and-braces
-    guard, not a planning constraint.
+    implements trisection and time cuts only.  A full-circumference
+    flat extent is where a circular cut applies, but only a dimension
+    wider than its threshold is ever cut, and such an extent keeps its
+    width below this zoid — so protected (never-cut) dimensions and
+    narrow ones are exempt, and a >=3D zoid spanning its whole
+    unit-stride row can still be delegated.  Interior zoids never span a
+    circumference, so the guard only ever rejects boundary zoids.
     """
     if z.height > WALK_GRAIN_TIME * max(1, opts.dt_threshold):
         return False
@@ -226,14 +235,16 @@ def _fits_walk_grain(z: Zoid, spec: WalkSpec, opts: WalkOptions) -> bool:
             continue
         if z.width(i) > WALK_GRAIN_SPACE * max(1, opts.space_thresholds[i]):
             return False
+    thresholds = opts.effective_thresholds(z.ndim)
     for i, (xa, xb, dxa, dxb) in enumerate(z.dims):
         if (
             spec.slopes[i] > 0
             and (xb - xa) == spec.sizes[i]
             and dxa == 0
             and dxb == 0
+            and z.width(i) > thresholds[i]
         ):
-            return False  # pragma: no cover - impossible for interior zoids
+            return False
     return True
 
 
@@ -252,22 +263,22 @@ def _events(
     )
     if (
         decision.kind != "base"
-        and interior
         and opts.compiled_walk
+        and (interior or opts.walk_boundary)
         and _fits_walk_grain(z, spec, opts)
     ):
-        # A whole interior subtree becomes one atomic task; the
-        # recursion below it runs inside the compiled walk clone (or
-        # the Python fallback replays it from these params).  A zoid
-        # that is already a base case stays a plain region — one leaf
-        # call needs no recursion.
+        # A whole subtree becomes one atomic task; the recursion below
+        # it (interior classification included) runs inside the
+        # compiled walk clone, or the Python fallback replays it from
+        # these params.  A zoid that is already a base case stays a
+        # plain region — one leaf call needs no recursion.
         yield (
             "base",
             BaseRegion(
                 ta=z.ta,
                 tb=z.tb,
                 dims=z.dims,
-                interior=True,
+                interior=interior,
                 walk=(
                     spec.slopes,
                     opts.effective_thresholds(z.ndim),

@@ -14,6 +14,7 @@ from repro.compiler.pipeline import (
     available_modes,
     clear_cache,
     compile_kernel,
+    resolve_mode,
 )
 from repro.errors import CompileError
 from tests.conftest import has_c_backend, make_heat_problem
@@ -38,10 +39,23 @@ def test_available_modes_includes_auto():
         RunOptions(mode=mode)
 
 
-def test_auto_is_split_pointer():
+@pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
+def test_auto_is_c_with_a_toolchain():
     st, u, k = make_heat_problem((8, 8))
+    assert resolve_mode("auto") == "c"
     compiled = compile_kernel(st.prepare(1, k), "auto")
-    assert compiled.mode == "split_pointer"
+    assert compiled.mode == "c"
+
+
+def test_auto_is_split_pointer_without_a_toolchain(monkeypatch):
+    """No toolchain is the documented default path for ``auto``, not a
+    fallback: the run lands on NumPy and records no degradation."""
+    monkeypatch.setenv("REPRO_NO_CC", "1")
+    assert resolve_mode("auto") == "split_pointer"
+    st, u, k = make_heat_problem((8, 8))
+    report = st.run(2, k)
+    assert report.mode == "split_pointer"
+    assert report.degradations == []
 
 
 def test_unknown_mode_rejected():

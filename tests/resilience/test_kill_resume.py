@@ -82,19 +82,31 @@ def test_kill_then_resume_bitwise_identical(app_name, mode, tmp_path):
 
 
 _SIGTERM_CHILD = """\
+import glob
 import os
 import signal
 import sys
 import threading
+import time
 from repro.apps.registry import build
 from repro import CheckpointPolicy
 
-app_name, mode, ckpt_dir, every_dt, scale, delay = sys.argv[1:7]
+app_name, mode, ckpt_dir, every_dt, scale = sys.argv[1:6]
 app = build(app_name, scale=scale)
 
-# Deliver SIGTERM from a thread once the run is underway; the runner's
-# handler must turn it into a flush-and-exit, not a traceback.
-threading.Timer(float(delay), os.kill, (os.getpid(), signal.SIGTERM)).start()
+
+def deliver():
+    # Signal only once the runner's handler is installed and the first
+    # durable checkpoint has landed: no wall-clock race with the run.
+    while signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
+        time.sleep(0.001)
+    print("HANDLER-INSTALLED", flush=True)
+    while not glob.glob(os.path.join(ckpt_dir, "*.rpck")):
+        time.sleep(0.001)
+    os.kill(os.getpid(), signal.SIGTERM)
+
+
+threading.Thread(target=deliver, daemon=True).start()
 app.run(
     mode=mode,
     checkpoint=CheckpointPolicy(dir=ckpt_dir, every_dt=int(every_dt), keep=10),
@@ -105,7 +117,11 @@ print("COMPLETED-WITHOUT-SIGNAL")
 
 def test_sigterm_flushes_final_checkpoint_and_resumes(tmp_path):
     """Graceful shutdown: SIGTERM mid-run exits ``128+15``, leaves a
-    valid durable history, and a resumed run finishes bitwise equal."""
+    valid durable history, and a resumed run finishes bitwise equal.
+
+    The child signals itself once the shutdown handler is installed and
+    the first checkpoint is durable, so the signal always lands mid-run;
+    a run that finishes without it is a failure, not a skip."""
     ref_app = build("heat2d", scale="small")
     ref_app.run(mode="auto")
     ref = ref_app.result()
@@ -117,14 +133,16 @@ def test_sigterm_flushes_final_checkpoint_and_resumes(tmp_path):
     )
     proc = subprocess.run(
         [sys.executable, "-c", _SIGTERM_CHILD, "heat2d", "auto",
-         str(tmp_path), "1", "small", "1.5"],
+         str(tmp_path), "1", "small"],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
-    if "COMPLETED-WITHOUT-SIGNAL" in proc.stdout:
-        pytest.skip("run finished before the signal landed")
+    assert "HANDLER-INSTALLED" in proc.stdout, proc.stderr
+    assert "COMPLETED-WITHOUT-SIGNAL" not in proc.stdout, (
+        "the run finished before the signal landed"
+    )
     assert proc.returncode == 128 + signal.SIGTERM, (
         f"graceful shutdown must exit 128+SIGTERM, got rc={proc.returncode}\n"
         f"stdout: {proc.stdout}\nstderr: {proc.stderr}"

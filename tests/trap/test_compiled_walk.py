@@ -1,19 +1,19 @@
 """Compiled-walk subtree tasks: planning, execution, and degradation.
 
-The walker (``WalkOptions.compiled_walk``) plans whole interior
-subtrees as single atomic tasks; ``run_base_region`` executes one
-either through the C ``walk_subtree`` clone (one GIL-released call) or
-through the Python replay of the identical recursion when no walk
-clone exists.  Three properties anchor this suite:
+The walker (``WalkOptions.compiled_walk``) plans whole subtrees as
+single atomic tasks; ``run_base_region`` executes one either through
+the C ``walk_subtree`` clone (one GIL-released call) or through the
+Python replay of the identical recursion when that clone cannot take
+it.  Three properties anchor this suite:
 
 * **Equivalence** — compiled-walk on must be bitwise identical to off,
   for randomized interior zoids (C walk vs Python replay vs per-step),
   for every registered app under every executor, and for every heat
-  boundary kind.
-* **Eligibility** — only whole-lifetime-interior zoids are ever
-  delegated: a wrapped (virtual-coordinate) home range or any
-  boundary-touching zoid must keep the per-leaf path, mirroring the
-  decline discipline of ``tests/trap/test_c_leaf_fusion.py``.
+  boundary kind.  Boundary subtrees have their own generated sweep in
+  ``tests/trap/test_boundary_walk.py``.
+* **Eligibility** — boundary and wrapped (virtual-coordinate) zoids are
+  delegated only when the kernel has a C ``leaf_boundary``; a NumPy or
+  ``PythonBoundary`` kernel keeps them on the per-leaf path.
 * **Degradation** — without a walk clone (``fuse_leaves=False``, the
   NumPy backend, or a hidden toolchain) subtree plans still run, via
   the Python walk, with identical results.
@@ -24,11 +24,15 @@ planning and degradation tests run everywhere.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import PochoirArray, PythonBoundary, Stencil
 from repro.apps import available_apps, build
+from repro.apps.heat import heat_kernel, heat_shape
 from repro.compiler.pipeline import compile_kernel
 from repro.language.stencil import RunOptions
 from repro.trap.driver import build_events, build_plan
@@ -56,6 +60,18 @@ def _fresh_compiled(sizes, boundary="periodic"):
     stencil, u, kern = make_heat_problem(sizes, boundary=boundary, seed=11)
     problem = stencil.prepare(T_MAX, kern)
     return u, compile_kernel(problem, "c")
+
+
+def _python_boundary_problem(sizes, steps):
+    """A 2D heat problem whose boundary is an arbitrary Python function —
+    no backend can compile its boundary clone."""
+    u = PochoirArray("u", sizes).register_boundary(
+        PythonBoundary(lambda arr, t, *X: 0.5 + 0.01 * t)
+    )
+    u.set_initial(np.random.default_rng(3).random(sizes))
+    stencil = Stencil(2, heat_shape(2))
+    stencil.register_array(u)
+    return stencil.prepare(steps, heat_kernel(u, (0.1, 0.1)))
 
 
 @st.composite
@@ -120,8 +136,6 @@ class TestRandomSubtrees:
         got_walk = u_c.data.copy()
 
         u_py, compiled_py = _fresh_compiled(sizes)
-        from dataclasses import replace
-
         run_base_region(region, replace(compiled_py, walk=None))
         assert np.array_equal(got_walk, u_py.data)
 
@@ -139,7 +153,8 @@ class TestRandomSubtrees:
 
 
 class TestEligibility:
-    """Only whole-lifetime-interior zoids are ever delegated."""
+    """Boundary and wrapped zoids are delegated only to a walk clone that
+    can run them: one with a C ``leaf_boundary``."""
 
     def _subtree_regions(self, options, sizes=(24, 24), boundary="periodic"):
         stencil, u, kern = make_heat_problem(sizes, boundary=boundary)
@@ -149,11 +164,11 @@ class TestEligibility:
 
     @pytest.mark.parametrize("boundary", ["periodic", "neumann", "dirichlet"])
     def test_subtrees_are_interior_and_in_domain(self, boundary):
-        """No subtree task may be boundary-classified or carry a wrapped
-        (virtual-coordinate) home range: the compiled walker has no MOD
-        resolution, so delegation of either would read garbage.  This is
-        the compiled-walk counterpart of the NumPy snapshot leaf's
-        wrapped-home-range decline."""
+        """Without a C boundary leaf (here: NumPy planning with the walk
+        forced on) no subtree task may be boundary-classified or carry a
+        wrapped (virtual-coordinate) home range: the kernel's walk, or
+        its Python replay of an interior root, has no boundary clone to
+        resolve them with."""
         options = RunOptions(
             mode="split_pointer",
             compiled_walk=True,  # force planning even without C
@@ -173,7 +188,30 @@ class TestEligibility:
                         f"{n}-wide domain (wrapped/virtual coordinates)"
                     )
 
+    @pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
+    @pytest.mark.parametrize("boundary", ["periodic", "neumann", "dirichlet"])
+    def test_c_boundary_leaf_takes_boundary_and_wrapped_subtrees(self, boundary):
+        """With a C ``leaf_boundary`` the walk classifies zoids itself, so
+        boundary and wrapped zoids under the grain are subtree tasks too
+        and no boundary base case is left to Python dispatch."""
+        options = RunOptions(
+            mode="c", dt_threshold=2, space_thresholds=(6, 6)
+        )
+        sizes, regions = self._subtree_regions(options, boundary=boundary)
+        boundary_subtrees = [
+            r for r in regions if r.walk is not None and not r.interior
+        ]
+        assert boundary_subtrees
+        assert any(
+            hi > n
+            for r in boundary_subtrees
+            for (lo, hi), n in zip(r.zoid().bounds_at(r.tb - 1), sizes)
+        ), "no wrapped subtree task"
+
     def test_boundary_regions_never_delegated(self):
+        """Kernels without a C boundary leaf — NumPy, or C with a
+        ``PythonBoundary`` — keep every boundary zoid on the per-leaf
+        path."""
         options = RunOptions(
             mode="split_pointer",
             compiled_walk=True,
@@ -181,9 +219,34 @@ class TestEligibility:
             space_thresholds=(6, 6),
         )
         _, regions = self._subtree_regions(options)
+        python_boundary = _python_boundary_problem((24, 24), 12)
+        regions += iter_base_events(
+            build_events(python_boundary, replace(options, mode="c"))
+        )
+        assert any(r.walk is not None for r in regions)
         for r in regions:
             if not r.interior:
                 assert r.walk is None
+
+    @pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
+    def test_python_boundary_kernel_runs_boundary_subtrees_by_replay(self):
+        """A boundary subtree handed to a kernel without C boundary clones
+        replays in Python, classifying with the kernel's real offsets —
+        bitwise equal to the per-leaf path."""
+        problem = _python_boundary_problem((13, 11), 6)
+        compiled = compile_kernel(problem, "c")
+        assert compiled.walk is not None and compiled.leaf_boundary is None
+        u = problem.arrays["u"]
+        start = u.data.copy()
+        region = BaseRegion(
+            1, 5, ((9, 16, 0, 0), (0, 11, 0, 0)), interior=False,
+            walk=((1, 1), (3, 3), 1, True),
+        )
+        run_base_region(region, compiled)
+        got = u.data.copy()
+        u.data[...] = start
+        run_base_region(replace(region, walk=None), compiled)
+        assert np.array_equal(got, u.data)
 
     def test_compiled_walk_off_emits_no_subtrees(self):
         options = RunOptions(
@@ -221,6 +284,30 @@ class TestEligibility:
 
         with pytest.raises(SpecificationError):
             RunOptions(compiled_walk=bad)
+
+    def test_walk_grain_guard_exempts_protected_dims(self):
+        """The full-circumference guard exists because the compiled walk
+        has no circular cut; a protected dimension is never cut at all,
+        so a >=3D zoid spanning its whole unit-stride row is eligible,
+        while an unprotected full-circumference dimension still is not."""
+        from repro.trap.walker import _fits_walk_grain
+        from repro.trap.zoid import Zoid
+
+        spec = WalkSpec(
+            sizes=(8, 8, 64), slopes=(1, 1, 1),
+            min_off=(-1, -1, -1), max_off=(1, 1, 1),
+        )
+        opts = WalkOptions(
+            dt_threshold=2,
+            space_thresholds=(4, 4, 64),
+            protect_unit_stride=True,
+            compiled_walk=True,
+            walk_boundary=True,
+        )
+        row = Zoid(0, 4, ((0, 4, 1, -1), (2, 6, 0, 0), (0, 64, 0, 0)))
+        assert _fits_walk_grain(row, spec, opts)
+        ring = Zoid(0, 4, ((0, 8, 0, 0), (2, 6, 0, 0), (0, 64, 0, 0)))
+        assert not _fits_walk_grain(ring, spec, opts)
 
     def test_protected_dims_ride_as_never_cut_thresholds(self):
         opts = WalkOptions(

@@ -100,7 +100,11 @@ class TestExecutors:
 
             interior = boundary = property(lambda self: self._fail)
 
-        opts = RunOptions(dt_threshold=2, space_thresholds=(5, 5))
+        # The stub has no walk clone, so plan per-leaf regions (NumPy
+        # planning) rather than the default C plan's subtree tasks.
+        opts = RunOptions(
+            mode="split_pointer", dt_threshold=2, space_thresholds=(5, 5)
+        )
         graph = build_task_graph(build_events(problem, opts))
         with pytest.raises(Boom):
             execute_dag(graph, BrokenKernel(), 3)
