@@ -34,8 +34,7 @@ def _prepared():
     # Strip the fused leaves: this ablation isolates the cloning decision
     # at per-step granularity, and the snapshot-based fused boundary leaf
     # pays no per-index modulo — with it, the strawman would dodge the
-    # very cost the experiment measures (fusion has its own benchmark,
-    # bench_leaf_fusion).
+    # very cost the experiment measures.
     compiled = compile_kernel(problem, "auto").without_fused_leaves()
     plan = build_plan(problem, RunOptions(algorithm="trap"))
     return problem, compiled, plan, u

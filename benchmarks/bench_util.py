@@ -13,8 +13,6 @@ import os
 import time
 from typing import Callable
 
-from repro.util.timing import measure
-
 
 def bench_scale() -> str:
     return os.environ.get("REPRO_BENCH_SCALE", "small")
@@ -40,12 +38,6 @@ def wall(fn: Callable[[], object]) -> float:
     return time.perf_counter() - t0
 
 
-def best_of(fn: Callable[[], object], reps: int = 3) -> float:
-    """Best-of-N wall time — the standard repeatable-timing mode for the
-    machine-readable benchmark records."""
-    return min(wall(fn) for _ in range(max(1, reps)))
-
-
 def machine_record() -> dict:
     """The machine fingerprint stamped into every benchmark record.
 
@@ -65,31 +57,11 @@ def machine_record() -> dict:
     }
 
 
-def worker_sweep(counts: tuple[int, ...]) -> tuple[tuple[int, ...], str | None]:
-    """(worker counts to sweep, explanatory note or None) for this host.
-
-    On a single-core host a worker sweep cannot show scaling — extra
-    workers only add scheduling overhead, and the resulting slowdowns
-    read as a (bogus) parallelism regression in the perf trajectory.
-    Such hosts measure 1 worker only, with a note saying why; every
-    benchmark with a sweep shares this policy so the records agree.
-    """
-    from repro.util import detect_cpu_count
-
-    if detect_cpu_count() > 1:
-        return counts, None
-    return (1,), (
-        "single-core host: worker sweep limited to 1 worker "
-        "(multi-worker timings would measure contention, not scaling)"
-    )
-
-
 def write_bench_json(name: str, payload: dict) -> str:
     """Write ``BENCH_<name>.json`` at the repo root and return its path.
 
-    The machine-readable perf trajectory: every benchmark that measures
-    something records its numbers here, so successive PRs can be compared
-    without re-parsing printed tables.  ``scale``, a timestamp, and the
+    The machine-readable record of a paper-figure sweep, so successive
+    runs can be compared without re-parsing printed tables.  ``scale``, a timestamp, and the
     :func:`machine_record` fingerprint are stamped automatically; the
     payload should carry sizes/steps/timings.
     """
@@ -112,12 +84,9 @@ def write_bench_json(name: str, payload: dict) -> str:
 
 __all__ = [
     "bench_scale",
-    "best_of",
     "is_tiny",
     "machine_record",
-    "measure",
     "once",
     "wall",
-    "worker_sweep",
     "write_bench_json",
 ]

@@ -11,9 +11,10 @@ run next to the paper's reported numbers.  (pytest-benchmark timing
 statistics live in ``pytest benchmarks/ --benchmark-only``; this script
 is the narrative, one-shot view.)  Every section also returns its
 numbers as a dict, and a full (all-sections) run writes them to
-``BENCH_harness.json`` at the repo root — the machine-readable perf
-trajectory compared across PRs.  Partial runs and ``--no-json`` leave
-the record untouched.
+``BENCH_harness.json`` at the repo root — the machine-readable record
+of the paper's figures at laptop scale.  Partial runs and ``--no-json``
+leave the record untouched.  End-to-end performance is measured
+separately, by ``benchmarks/e2e/run.py`` (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -309,8 +310,7 @@ def run_sec4() -> dict:
     # The ablation isolates Section 4's *cloning* decision at per-step
     # granularity, so strip the fused leaves from both runs: a fused
     # snapshot leaf pays no per-index modulo and would let the strawman
-    # dodge the cost this experiment measures (leaf fusion itself is
-    # measured by bench_leaf_fusion).
+    # dodge the cost this experiment measures.
     compiled = compile_kernel(problem, "auto").without_fused_leaves()
     plan = build_plan(problem, RunOptions(algorithm="trap"))
     t_cloned = wall(lambda: execute_serial(plan, compiled))
@@ -347,53 +347,6 @@ def run_sec4() -> dict:
     return out
 
 
-BACKEND_APPS = ("heat2d", "life", "wave3d", "lbm", "psa")
-
-
-def run_backends() -> dict:
-    """Backend trajectory: Mpoints/s per app, split_pointer vs c.
-
-    Feeds the ``backends`` section of BENCH_harness.json so the C-vs-
-    NumPy ratio per app is tracked across PRs (BENCH_c_backend.json has
-    the deeper single-PR view: microbench, per-step ablation, worker
-    scaling).  Skips the ``c`` column when no toolchain exists.
-    """
-    modes = ["split_pointer"]
-    if "c" in available_modes():
-        modes.append("c")
-    print(f"\n== Backends: Mpoints/s by codegen mode ({', '.join(modes)})")
-    out: dict = {}
-    for name in BACKEND_APPS:
-        pts = 0
-        entry = {}
-        for mode in modes:
-            warm = build(name, scale())
-            warm.stencil.run(1, warm.kernel, mode=mode)  # warm kernel cache / cc
-            if not pts:
-                pts = warm.steps
-                for s in warm.sizes:
-                    pts *= s
-            app = build(name, scale())
-            elapsed = wall(lambda: app.run(mode=mode))
-            entry[f"{mode}_mpts"] = round(pts / elapsed / 1e6, 3)
-        if len(modes) == 2:
-            entry["c_over_numpy"] = round(
-                entry["c_mpts"] / entry["split_pointer_mpts"], 3
-            )
-        out[name] = entry
-        print(
-            "   "
-            + f"{name:8s} "
-            + "  ".join(f"{m}: {entry[f'{m}_mpts']:8.2f}" for m in modes)
-            + (
-                f"  (c/numpy {entry['c_over_numpy']:.2f}x)"
-                if "c_over_numpy" in entry
-                else ""
-            )
-        )
-    return out
-
-
 SECTIONS = {
     "intro": run_intro,
     "fig3": run_fig3,
@@ -402,7 +355,6 @@ SECTIONS = {
     "fig10": run_fig10,
     "fig13": run_fig13,
     "sec4": run_sec4,
-    "backends": run_backends,
 }
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 from repro.autotune.registry import TunedConfig
 from repro.errors import AutotuneError
 from repro.language.kernel import Kernel
-from repro.language.stencil import Problem, RunOptions, Stencil
+from repro.language.stencil import EXECUTORS, Problem, RunOptions, Stencil
 
 
 class _Memo:
@@ -301,7 +301,7 @@ def tune_dispatch(
     axes.append(("workers", tuple(worker_candidates)))
     start["workers"] = worker_candidates[0]
     for cand in executor_candidates:
-        if cand is not None and cand not in ("serial", "threads", "dag", "procs"):
+        if cand is not None and cand not in EXECUTORS:
             raise AutotuneError(f"unknown executor candidate {cand!r}")
     axes.append(("executor", tuple(executor_candidates)))
     start["executor"] = executor_candidates[0]

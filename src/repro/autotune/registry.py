@@ -47,6 +47,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.language.stencil import EXECUTORS
 from repro.resilience import degradations, faults
 from repro.util import atomic_write_text, interprocess_lock
 
@@ -133,7 +134,9 @@ class TunedConfig:
         executor = obj.get("executor")
         if executor is not None:
             executor = str(executor)
-            if executor not in ("serial", "threads", "dag", "procs"):
+            # Also drops, per entry, configs tuned for an executor that
+            # no longer exists (the removed barrier-wave executor).
+            if executor not in EXECUTORS:
                 raise ValueError(f"bad executor {executor!r}")
         return TunedConfig(
             space_thresholds=space,

@@ -25,6 +25,10 @@ from repro.language.array import ConstArray, PochoirArray
 from repro.language.kernel import BuiltKernel, Kernel
 from repro.language.shape import Shape
 
+#: The concrete executors a run (or a tuned registry entry) may name;
+#: ``RunOptions`` additionally accepts ``"auto"``.
+EXECUTORS = ("serial", "dag", "procs")
+
 
 @dataclass
 class RunOptions:
@@ -52,8 +56,7 @@ class RunOptions:
         dimension, small blocks, 3 time steps).
     ``executor``:
         ``"serial"`` (serial elision, streamed off the walker),
-        ``"threads"`` (thread pool over barrier-separated waves),
-        ``"dag"`` (ready-queue task-DAG runtime: no inter-wave barriers),
+        ``"dag"`` (ready-queue task-DAG runtime on the shared thread pool),
         ``"procs"`` (the supervised out-of-process executor: worker
         subprocesses attach zero-copy views onto shared-memory grid
         segments and a driver-side supervisor enforces heartbeats, hang
@@ -62,9 +65,7 @@ class RunOptions:
         job; degrades to ``"dag"`` with a recorded note when shared
         memory or subprocess spawn is unavailable),
         or ``"auto"`` (the default: ``"procs"`` when ``supervise`` is
-        set, else ``"dag"`` for ``algorithm="trap"`` with
-        ``n_workers > 1``, ``"threads"`` for other plan algorithms
-        with ``n_workers > 1``, else ``"serial"``).
+        set, else ``"dag"`` with ``n_workers > 1``, else ``"serial"``).
     ``supervise``:
         a :class:`repro.supervise.SuperviseOptions` tuning the
         supervised executor's policy (heartbeat cadence, task-deadline
@@ -167,7 +168,7 @@ class RunOptions:
             raise SpecificationError(
                 f"unknown mode {self.mode!r}; choose from {modes}"
             )
-        executors = ("auto", "serial", "threads", "dag", "procs")
+        executors = ("auto",) + EXECUTORS
         if self.executor not in executors:
             raise SpecificationError(
                 f"unknown executor {self.executor!r}; choose from {executors}"
@@ -258,8 +259,8 @@ class RunOptions:
         """Concrete (executor, worker count) for this option set.
 
         ``"auto"`` picks the supervised out-of-process executor when
-        ``supervise`` is set, else the task-DAG runtime for TRAP
-        whenever more than one worker is requested; with ``n_workers``
+        ``supervise`` is set, else the task-DAG runtime whenever more
+        than one worker is requested; with ``n_workers``
         unset the serial elision runs (parallel execution is opt-in via
         ``n_workers`` or ``supervise``).
         """
@@ -271,7 +272,7 @@ class RunOptions:
             if self.supervise is not None:
                 executor = "procs"
             elif requested is not None and requested > 1:
-                executor = "dag" if self.algorithm == "trap" else "threads"
+                executor = "dag"
             else:
                 executor = "serial"
         if executor == "serial":

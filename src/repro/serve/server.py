@@ -143,6 +143,10 @@ class _Job:
     #: at batch launch: still-queued jobs past it are shed with
     #: :class:`JobExpired`, never silently run.
     deadline: float | None = None
+    #: The deadline's shed-while-queued timer.  Cancelled the moment the
+    #: job leaves its queue (flushed, shed or drained): a live timer
+    #: holds the job — and its arrays — until the deadline.
+    expiry: asyncio.TimerHandle | None = None
 
 
 def _options_token(options: RunOptions) -> str:
@@ -369,9 +373,9 @@ class StencilServer:
         group = self._pending.setdefault(key, [])
         group.append(job)
         if timeout is not None:
-            # Fires only if the job is *still queued* then: a flushed
-            # job is out of its pending group and the timer no-ops.
-            self._loop.call_later(timeout, self._expire_queued, key, job)
+            job.expiry = self._loop.call_later(
+                timeout, self._expire_queued, key, job
+            )
         if len(group) >= self.options.max_batch:
             self._flush(key)
         elif key not in self._flush_handles:
@@ -385,8 +389,15 @@ class StencilServer:
         self._in_system_jobs -= 1
         self._in_system_points -= job._points  # type: ignore[attr-defined]
 
+    @staticmethod
+    def _cancel_expiry(job: _Job) -> None:
+        if job.expiry is not None:
+            job.expiry.cancel()
+            job.expiry = None
+
     def _expire_job(self, job: _Job) -> None:
         """Fail one shed job with the typed error (accounting released)."""
+        self._cancel_expiry(job)
         self.stats["expired"] += 1
         self._release_job(job)
         if not job.future.done():
@@ -418,6 +429,8 @@ class StencilServer:
         jobs = self._pending.pop(key, None)
         if not jobs:
             return
+        for job in jobs:
+            self._cancel_expiry(job)
         assert self._loop is not None
         task = self._loop.create_task(self._run_batch(key, jobs))
         self._inflight.add(task)

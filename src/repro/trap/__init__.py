@@ -10,13 +10,14 @@ This package implements Section 3 of the paper:
 * :mod:`repro.trap.walker` — the recursive TRAP decomposition (hyperspace
   cuts) and the STRAP variant (serial space cuts) that Figure 9 compares.
 * :mod:`repro.trap.plan` — decomposition trees (Seq/Par/Base) and their
-  flat event-stream form, plus wave linearization.
+  flat event-stream form, plus Lemma 1's wave linearization (the
+  analysis model behind the schedule simulators).
 * :mod:`repro.trap.graph` — dependency-counted task DAGs built
   incrementally from the event stream (predecessor counts + successor
   lists, with join-node edge contraction).
 * :mod:`repro.trap.loops` — the LOOPS baseline of Figure 1.
-* :mod:`repro.trap.executor` — serial (streaming), barrier-wave, and
-  ready-queue task-DAG plan execution over a shared worker pool.
+* :mod:`repro.trap.executor` — serial (streaming) and ready-queue
+  task-DAG plan execution over a shared worker pool.
 * :mod:`repro.trap.driver` — glue from a language-level Problem to a
   compiled, decomposed, executed run.
 """
@@ -45,8 +46,6 @@ from repro.trap.loops import run_loops
 from repro.trap.executor import (
     acquire_pool,
     execute_dag,
-    execute_plan,
-    get_pool,
     release_pool,
     shutdown_pool,
 )
@@ -68,10 +67,8 @@ __all__ = [
     "decompose_events",
     "dependency_graph",
     "execute_dag",
-    "execute_plan",
     "execute_problem",
     "full_grid_zoid",
-    "get_pool",
     "iter_base_serial",
     "linearize_waves",
     "plan_events",

@@ -14,20 +14,22 @@ paper's exact constants remain available via :func:`paper_thresholds` and
 are exercised by the coarsening ablation benchmark; the ISAT-style
 autotuner (:mod:`repro.autotune.isat`) searches around either default.
 
-The current defaults were retuned (bench_sec4_coarsening /
-bench_leaf_fusion ablation on 2D heat at 256^2..1024^2) after the fused
-leaf clones landed: fusion amortizes per-step dispatch inside one
-generated call and assembles boundary halos blockwise, which moves the
-optimum toward *larger* tiles and taller time blocks than the per-step
-clones preferred (2D: 128^2 x 16 -> 256^2 x 24, ~1.4x end-to-end).
+The current defaults were retuned (bench_sec4_coarsening and a
+fused-vs-per-step ablation on 2D heat at 256^2..1024^2; CHANGES.md, the
+fused-leaf entry) after the fused leaf clones landed: fusion amortizes
+per-step dispatch inside one generated call and assembles boundary halos
+blockwise, which moves the optimum toward *larger* tiles and taller time
+blocks than the per-step clones preferred (2D: 128^2 x 16 -> 256^2 x 24,
+~1.4x end-to-end).
 
 The thresholds are now *backend-aware* (``codegen_mode``): the fused C
 leaves pay roughly one microsecond of ctypes dispatch per base case and
 a few nanoseconds per point, so the optimum sits at markedly *smaller*
 zoids than the NumPy leaves want — small enough to stay cache-resident
 and to hand the task-DAG runtime real parallelism, large enough that the
-Python-side walker/plan overhead stays amortized (bench_c_backend on 2D
-heat at 512^2 x 64: 128^2 x 16 beats the NumPy-tuned 256^2 x 24 tiles).
+Python-side walker/plan overhead stays amortized (2D heat at
+512^2 x 64: 128^2 x 16 beats the NumPy-tuned 256^2 x 24 tiles;
+CHANGES.md, the fused-C-leaf entry).
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ Executor dispatch (``RunOptions.resolve_executor``):
 
 * ``"serial"`` — streams base regions straight off the walker's event
   generator; no plan or graph is ever materialized.
-* ``"threads"`` — materializes the plan tree and runs barrier waves.
 * ``"dag"`` — folds the event stream into a dependency-counted
   :class:`~repro.trap.graph.TaskGraph` (still no tree) and runs the
   ready-queue executor.
@@ -45,10 +44,9 @@ from repro.trap.executor import (
     default_workers,
     execute_dag,
     execute_serial_stream,
-    execute_waves,
 )
 from repro.trap.graph import build_task_graph
-from repro.trap.plan import plan_stats, stats_from_regions
+from repro.trap.plan import stats_from_regions
 from repro.trap.walker import (
     decompose,
     decompose_events,
@@ -232,9 +230,6 @@ def _execute_range(
         # builds the graph and supervises.
         graph = build_task_graph(build_events(problem, options))
         stats = session.run_graph(graph)
-    elif executor == "threads":
-        plan = build_plan(problem, options)
-        stats = execute_waves(plan, compiled, n_workers)
     else:  # pragma: no cover - resolve_executor guarantees the above
         raise SpecificationError(f"unknown executor {executor!r}")
     elapsed = time.perf_counter() - t0
@@ -244,10 +239,7 @@ def _execute_range(
     # only once, so its (cheap) accounting runs inline above.
     region_stats = stats.region_stats
     if region_stats is None and options.collect_stats:
-        if executor in ("dag", "procs"):
-            region_stats = stats_from_regions(graph.iter_regions())
-        elif executor == "threads":
-            region_stats = plan_stats(plan)
+        region_stats = stats_from_regions(graph.iter_regions())
 
     report.executor = stats.executor
     # max, not last-wins: a short final block may degenerate to the

@@ -1,19 +1,19 @@
-"""Plan executors: serial elision, barrier waves, and the task-DAG runtime.
+"""Plan executors: the serial elision and the task-DAG runtime.
 
 The Cilk runtime of the paper schedules the spawned subzoids with work
-stealing.  Three executors approximate it at different fidelities:
+stealing.  Two in-process executors run the decomposition:
 
 * ``"serial"`` — the serial elision: depth-first, one thread, streamed
   straight off the walker's event generator (no plan materialized).
-* ``"threads"`` — the barrier-wave executor: the plan's dependency-safe
-  *waves* (:func:`repro.trap.plan.linearize_waves`) on a thread pool with
-  a barrier between waves — Lemma 1's "k+1 parallel steps" model.  Each
-  wave waits for its slowest zoid; retained as the comparison baseline.
 * ``"dag"`` — the ready-queue task-DAG runtime: workers pull any region
   whose predecessor count (:class:`repro.trap.graph.TaskGraph`) hits
-  zero.  No inter-wave barriers — a region runs the moment its actual
-  dependencies finish, the closest analogue of Cilk's greedy execution
-  of the spawn tree.
+  zero.  A region runs the moment its actual dependencies finish, the
+  closest analogue of Cilk's greedy execution of the spawn tree.
+
+Lemma 1's barrier-separated *waves*
+(:func:`repro.trap.plan.linearize_waves`) are how the paper analyses
+that tree, not a runtime: they survive only as the schedule model
+behind :func:`repro.runtime.scheduler.simulate_greedy`.
 
 NumPy kernels release the GIL for the bulk of their work and the C
 backend's fused leaves release it for the *entire* base-case trapezoid
@@ -24,9 +24,9 @@ work/span analyzer
 (:mod:`repro.runtime.scheduler`), mirroring how the paper separates
 Cilkview measurements from runtime measurements.
 
-Worker threads live in one process-wide pool (:func:`get_pool`) that
-repeated ``Stencil.run`` calls reuse; it grows on demand and is never
-recreated per call.
+Worker threads live in one process-wide pool, leased per run through
+:func:`acquire_pool`/:func:`release_pool`; repeated ``Stencil.run``
+calls reuse it, it grows on demand, and it is never recreated per call.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ExecutionError
 from repro.resilience import degradations, faults
-from repro.trap.graph import TaskGraph, build_task_graph
+from repro.trap.graph import TaskGraph
 from repro.trap.plan import (
     BaseRegion,
     PlanEvent,
@@ -49,8 +48,6 @@ from repro.trap.plan import (
     PlanStats,
     iter_base_events,
     iter_base_serial,
-    linearize_waves,
-    plan_events,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,72 +82,46 @@ _retired_pools: list[ThreadPoolExecutor] = []
 #: pool -> number of executors currently using it (the lease window
 #: spans acquire_pool .. release_pool, covering every submit).
 _pool_leases: dict[ThreadPoolExecutor, int] = {}
-#: Pools handed out via bare :func:`get_pool` (no lease, so no signal
-#: for when the caller is done).  These keep the old conservative
-#: never-shutdown-until-shutdown_pool guarantee; only pools used purely
-#: through the lease API are eligible for drain-time shutdown.
-_bare_pools: set[ThreadPoolExecutor] = set()
-
-
-def _get_pool_locked(n_workers: int) -> ThreadPoolExecutor:
-    """Grow/return the shared pool; caller holds ``_pool_lock``."""
-    global _pool, _pool_size
-    if _pool is None or _pool_size < n_workers:
-        if _pool is not None:
-            if _pool_leases.get(_pool, 0) > 0 or _pool in _bare_pools:
-                _retired_pools.append(_pool)
-            else:
-                _pool.shutdown(wait=False)
-        _pool = ThreadPoolExecutor(
-            max_workers=n_workers, thread_name_prefix="repro-worker"
-        )
-        _pool_size = n_workers
-    return _pool
-
-
-def get_pool(n_workers: int) -> ThreadPoolExecutor:
-    """The process-wide worker pool, grown to at least ``n_workers``.
-
-    Hoisted out of the executors so repeated runs reuse threads instead
-    of paying pool construction per call.  A pool returned here is never
-    shut down before :func:`shutdown_pool` (there is no signal for when
-    a bare caller is done with it), so the executors use
-    :func:`acquire_pool`/:func:`release_pool` instead — the lease tells
-    the retirement logic exactly when an outgrown pool has drained.
-    """
-    if n_workers < 1:
-        raise ExecutionError(f"n_workers must be >= 1, got {n_workers}")
-    with _pool_lock:
-        pool = _get_pool_locked(n_workers)
-        _bare_pools.add(pool)
-        return pool
 
 
 def acquire_pool(n_workers: int) -> ThreadPoolExecutor:
-    """``get_pool`` plus a lease: the pool cannot be shut down (even if
-    a concurrent run outgrows it) until the matching
-    :func:`release_pool`."""
+    """Lease the process-wide worker pool, grown to at least
+    ``n_workers``.
+
+    Repeated runs reuse threads instead of paying pool construction per
+    call.  The lease keeps the pool alive (even if a concurrent run
+    outgrows it) until the matching :func:`release_pool`, which tells
+    the retirement logic exactly when an outgrown pool has drained.
+    """
+    global _pool, _pool_size
     if n_workers < 1:
         raise ExecutionError(f"n_workers must be >= 1, got {n_workers}")
     with _pool_lock:
-        pool = _get_pool_locked(n_workers)
-        _pool_leases[pool] = _pool_leases.get(pool, 0) + 1
-        return pool
+        if _pool is None or _pool_size < n_workers:
+            if _pool is not None:
+                if _pool_leases.get(_pool, 0) > 0:
+                    _retired_pools.append(_pool)
+                else:
+                    _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(
+                max_workers=n_workers, thread_name_prefix="repro-worker"
+            )
+            _pool_size = n_workers
+        _pool_leases[_pool] = _pool_leases.get(_pool, 0) + 1
+        return _pool
 
 
 def release_pool(pool: ThreadPoolExecutor) -> None:
     """Release a lease; the last release of a *retired* pool shuts it
     down and drops it, so outgrown pools stop holding threads the
-    moment their in-flight work drains.  A pool some caller also holds
-    bare (via :func:`get_pool`) is exempt — it waits for
-    :func:`shutdown_pool` like it always did."""
+    moment their in-flight work drains."""
     with _pool_lock:
         remaining = _pool_leases.get(pool, 0) - 1
         if remaining > 0:
             _pool_leases[pool] = remaining
             return
         _pool_leases.pop(pool, None)
-        if pool in _retired_pools and pool not in _bare_pools:
+        if pool in _retired_pools:
             _retired_pools.remove(pool)
             pool.shutdown(wait=False)
 
@@ -163,7 +134,6 @@ def shutdown_pool() -> None:
             old.shutdown(wait=True)
         _retired_pools.clear()
         _pool_leases.clear()
-        _bare_pools.clear()
         if _pool is not None:
             _pool.shutdown(wait=True)
         _pool = None
@@ -411,60 +381,6 @@ def execute_serial_stream(
     )
 
 
-# -- barrier waves ------------------------------------------------------------
-
-
-def execute_threads(
-    plan: PlanNode, compiled: "CompiledKernel", n_workers: int
-) -> int:
-    """Wave-parallel execution with a barrier between waves."""
-    return execute_waves(plan, compiled, n_workers).base_cases
-
-
-def execute_waves(
-    plan: PlanNode, compiled: "CompiledKernel", n_workers: int
-) -> ExecStats:
-    """Wave-parallel execution (barrier between waves) with stats."""
-    if n_workers < 1:
-        raise ExecutionError(f"n_workers must be >= 1, got {n_workers}")
-    waves = linearize_waves(plan)
-    count = 0
-    busy = 0.0
-    # Honest reporting for degenerate runs: when every wave is a single
-    # region, or this is a nested run inside a worker thread, execution
-    # is effectively serial — report one worker, like execute_dag does.
-    widest = max((len(w) for w in waves), default=1)
-    eff_workers = 1 if (_in_worker_thread() or widest <= 1) else n_workers
-    pool = acquire_pool(n_workers) if eff_workers > 1 else None
-
-    def timed(region: BaseRegion) -> float:
-        t0 = time.perf_counter()
-        run_base_region(region, compiled)
-        return time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        for wave in waves:
-            count += len(wave)
-            if pool is None:
-                busy += sum(timed(region) for region in wave)
-            else:
-                busy += run_bounded(
-                    pool, [partial(timed, region) for region in wave], n_workers
-                )
-    finally:
-        if pool is not None:
-            release_pool(pool)
-    wall = time.perf_counter() - t0
-    return ExecStats(
-        executor="threads",
-        n_workers=eff_workers,
-        base_cases=count,
-        wall_time=wall,
-        busy_time=busy,
-    )
-
-
 # -- the task-DAG runtime -----------------------------------------------------
 
 
@@ -582,24 +498,3 @@ def execute_dag(
         wall_time=wall,
         busy_time=busy,
     )
-
-
-# -- dispatch -----------------------------------------------------------------
-
-
-def execute_plan(
-    plan: PlanNode,
-    compiled: "CompiledKernel",
-    *,
-    executor: str = "serial",
-    n_workers: int | None = None,
-) -> ExecStats:
-    """Run a materialized plan with the selected executor."""
-    if executor == "serial":
-        return execute_serial_stream(plan_events(plan), compiled)
-    if executor in ("threads", "dag"):
-        workers = default_workers(n_workers)
-        if executor == "threads":
-            return execute_waves(plan, compiled, workers)
-        return execute_dag(build_task_graph(plan_events(plan)), compiled, workers)
-    raise ExecutionError(f"unknown executor {executor!r}")

@@ -1,8 +1,9 @@
 """Task DAGs over base-case regions: the no-barrier dependency structure.
 
-The barrier-wave executor runs a plan as Lemma 1's "k+1 parallel steps":
-global fronts separated by barriers, each front waiting for its slowest
-zoid.  The paper's Cilk runtime has no such barriers — it executes the
+Lemma 1 analyses a plan as "k+1 parallel steps": global fronts
+separated by barriers, each front waiting for its slowest zoid (the
+wave model of :func:`repro.trap.plan.linearize_waves`).  The paper's
+Cilk runtime has no such barriers — it executes the
 spawn tree greedily, and a subzoid becomes runnable the instant its
 *actual* predecessors finish.  :class:`TaskGraph` captures exactly those
 predecessors, derived from the Seq/Par structure:

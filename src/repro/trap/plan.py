@@ -16,14 +16,15 @@ tree into events and :func:`plan_from_events` folds events back into a
 tree; :func:`repro.trap.walker.decompose_events` produces the stream
 directly so huge plans never materialize.
 
-Two execution-facing flattenings exist:
+Two scheduling-facing flattenings exist:
 
 * :func:`linearize_waves` — *waves*: a list of lists of base regions such
   that every dependency of wave ``i`` lives in a wave ``< i``.  Waves are
-  what the threaded wave executor runs with barriers between them — the
-  "k+1 parallel steps" execution model of Lemma 1.  Merging Par branches
-  wave-by-wave is safe exactly because Par children are independent, but
-  the barrier serializes each wave behind its slowest zoid.
+  the "k+1 parallel steps" analysis model of Lemma 1, simulated with
+  barriers between them by :func:`repro.runtime.scheduler.simulate_greedy`.
+  Merging Par branches wave-by-wave is safe exactly because Par children
+  are independent, but a barrier serializes each wave behind its slowest
+  zoid.
 * :func:`dependency_graph` — the *task DAG*: per-base-region predecessor
   counts and successor lists derived from the Seq/Par structure (built by
   :mod:`repro.trap.graph`).  A Seq boundary orders only the *sinks* of

@@ -16,8 +16,8 @@ The walker has two output paths over one recursion:
   (:mod:`repro.trap.graph`) both consume this stream, so huge plans run
   with O(frontier) memory instead of O(plan).
 * :func:`decompose` — folds the same event stream into a materialized
-  :class:`~repro.trap.plan.PlanNode` tree (wave executor, cache tracer,
-  schedule simulators).
+  :class:`~repro.trap.plan.PlanNode` tree (cache tracer, schedule
+  simulators, the Section 4 cloning ablation).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The trapezoidal decomposition partitions space-time and each point is
 written exactly once from reads of strictly earlier levels, so *any*
-dependency-respecting schedule — serial elision, barrier waves, or the
-ready-queue task DAG — must produce bit-identical grids and run the
+dependency-respecting schedule — serial elision or the ready-queue
+task DAG — must produce bit-identical grids and run the
 identical set of base cases.  This is the safety net for the task-DAG
 runtime: a missing dependency edge would show up here as a bitwise
 mismatch on some app.
@@ -23,7 +23,7 @@ from repro.apps import available_apps, build
 from repro.autotune import registry
 from repro.autotune.registry import TunedConfig
 
-EXECUTORS = ("serial", "threads", "dag")
+EXECUTORS = ("serial", "dag")
 
 
 @pytest.mark.parametrize("name", available_apps())

@@ -122,6 +122,13 @@ class TestDispatchTuner:
         with pytest.raises(AutotuneError):
             tune_dispatch(_maker(), 4, modes=())
 
+    @pytest.mark.parametrize("executor", ["threads", "quantum"])
+    def test_unknown_executor_candidate_rejected(self, executor):
+        with pytest.raises(AutotuneError, match="executor candidate"):
+            tune_dispatch(
+                _maker(), 4, executor_candidates=(None, "dag", executor)
+            )
+
 
 class TestBerkeleyComparator:
     def test_blocked_loops_match_reference(self):

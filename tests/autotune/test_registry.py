@@ -221,7 +221,7 @@ class TestEquivalence:
         assert report.mode == mode
         assert np.array_equal(u.snapshot(st.cursor), ref)
 
-    @pytest.mark.parametrize("executor", ["serial", "threads", "dag"])
+    @pytest.mark.parametrize("executor", ["serial", "dag"])
     def test_all_executors_under_tuned_config(self, executor):
         ref_st, ref_u, ref_k = make_heat_problem((32, 32))
         ref_st.run(8, ref_k)
@@ -376,6 +376,52 @@ class TestSchemaMigration:
         assert doc["schema"] == SCHEMA_VERSION
         got = registry.lookup(problem, "auto")
         assert got is not None and got.space_thresholds == (10, 10)
+
+    def test_removed_executor_entry_dropped_without_schema_bump(
+        self, isolated_registry
+    ):
+        """A v4 file written while the barrier-wave executor existed
+        stays readable: its ``"threads"`` entry is dropped on its own,
+        the neighboring ``"dag"`` entry still applies, and the next store
+        rewrites the file without the dead entry."""
+        st, u, k, problem = _heat_problem()
+        sig = registry.problem_signature(problem)
+
+        def entry(executor):
+            return {
+                "space_thresholds": [12, 12],
+                "dt_threshold": 3,
+                "n_workers": 2,
+                "executor": executor,
+            }
+
+        threads_key = registry.registry_key(sig, "auto")
+        dag_key = registry.registry_key(sig, "split_pointer")
+        isolated_registry.write_text(
+            json.dumps(
+                {
+                    "schema": 4,
+                    "entries": {
+                        threads_key: entry("threads"),
+                        dag_key: entry("dag"),
+                    },
+                }
+            )
+        )
+        assert SCHEMA_VERSION == 4
+        assert registry.lookup(problem, "auto") is None
+        got = registry.lookup(problem, "split_pointer")
+        assert got is not None and got.executor == "dag"
+        assert list(registry.entries()) == [dag_key]
+
+        report = st.run(6, k, mode="split_pointer", autotune="use")
+        assert report.autotune_source == "registry"
+        assert report.executor == "dag"
+
+        registry.store(problem, "c", TunedConfig((10, 10), 2))
+        doc = json.loads(isolated_registry.read_text())
+        assert threads_key not in doc["entries"]
+        assert dag_key in doc["entries"]
 
     def test_walk_threads_roundtrips_through_json(self):
         """The schema-3 knob survives serialization for every shape it

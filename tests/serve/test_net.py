@@ -111,6 +111,30 @@ def test_submit_many_pipelines_into_one_batched_dispatch():
             assert np.array_equal(app.result(), _ref(s))
 
 
+def test_no_toolchain_remote_jobs_degrade_unbatched(monkeypatch):
+    # The wire keeps working when the backend degrades: remote jobs run
+    # unbatched on NumPy, say so, and still land bitwise-equal locally.
+    from repro.compiler import codegen_c
+
+    monkeypatch.setattr(codegen_c, "find_c_compiler", lambda: None)
+    K = 3
+    with LoopbackServer(ServeOptions(max_batch=K, batch_window=0.1)) as lb:
+        apps = [_build(s) for s in range(K)]
+        with _client(lb) as client:
+            reports = client.submit_many(
+                [(a.stencil, a.steps, a.kernel) for a in apps]
+            )
+        assert lb.server.stats["completed"] == K
+        assert lb.server.stats["unbatched_jobs"] == K
+    for s, (app, rep) in enumerate(zip(apps, reports)):
+        ref = _build(s)
+        ref.run(mode="split_pointer")
+        assert np.array_equal(app.result(), ref.result())
+        assert rep.transport == "tcp"
+        assert rep.mode == "split_pointer"
+        assert "serve:no-cc->unbatched-numpy" in rep.degradations
+
+
 def test_health_probe():
     with LoopbackServer() as lb:
         with _client(lb) as client:

@@ -13,6 +13,8 @@ per-job telemetry fields are populated.
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -257,6 +259,25 @@ def test_submit_timeout_sheds_queued_job_typed():
     srv, rep = asyncio.run(main())
     assert srv.stats["completed"] == 1
     assert rep.batch_size == 1
+
+
+def test_dispatched_job_is_collectable_before_its_deadline():
+    # The deadline timer must not pin a job (and its arrays) once the job
+    # has left its queue: the report resolving is the end of its life.
+    app = build_heat((16, 16), 4, seed=0)
+
+    async def main():
+        async with StencilServer(ServeOptions(batch_window=0.01)) as srv:
+            problem = app.stencil.prepare(app.steps, app.kernel)
+            ref = weakref.ref(problem)
+            await srv.submit_problem(
+                problem, timeout=60.0, stencil=app.stencil
+            )
+            del problem
+            gc.collect()
+            assert ref() is None, "deadline timer still holds the job"
+
+    asyncio.run(main())
 
 
 def test_nonpositive_timeout_expires_at_admission():

@@ -370,6 +370,32 @@ class TestDegradation:
             monkeypatch.delenv("REPRO_NO_CC")
             clear_cache()
 
+    def test_no_cc_forced_walk_replays_in_python(self, monkeypatch):
+        """With the toolchain hidden, a *forced* ``compiled_walk=True``
+        still plans subtree tasks; with no walk clone to take them they
+        replay in Python — recorded, and bitwise equal to the auto run."""
+        from repro.compiler.pipeline import clear_cache
+
+        monkeypatch.setenv("REPRO_NO_CC", "1")
+        clear_cache()
+        try:
+            th = dict(dt_threshold=2, space_thresholds=(8, 8))
+            st_a, u_a, k_a = make_heat_problem((32, 32), seed=4)
+            rep_a = st_a.run(12, k_a, **th)
+            assert rep_a.mode == "split_pointer"
+            assert rep_a.subtree_tasks == 0
+            st_b, u_b, k_b = make_heat_problem((32, 32), seed=4)
+            rep_b = st_b.run(12, k_b, compiled_walk=True, **th)
+            assert rep_b.mode == "split_pointer"
+            assert rep_b.subtree_tasks > 0
+            assert "compiled-walk:python-replay" in rep_b.degradations
+            assert np.array_equal(
+                u_a.snapshot(st_a.cursor), u_b.snapshot(st_b.cursor)
+            )
+        finally:
+            monkeypatch.delenv("REPRO_NO_CC")
+            clear_cache()
+
     def test_fuse_leaves_off_disables_delegation(self):
         stencil, u, kern = make_heat_problem((24, 24))
         problem = stencil.prepare(12, kern)
@@ -384,7 +410,7 @@ class TestDegradation:
         assert all(r.walk is None for r in iter_base_serial(plan))
 
 
-EXECUTORS = ("serial", "threads", "dag")
+EXECUTORS = ("serial", "dag")
 
 
 @pytest.mark.skipif(not has_c_backend(), reason="no C compiler")

@@ -1,12 +1,12 @@
-"""Tests for plan executors (serial, waves, task DAG) and the driver."""
+"""Tests for plan executors (serial, task DAG) and the driver."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, SpecificationError
 from repro.language.stencil import RunOptions
 from repro.trap.driver import build_plan
-from repro.trap.executor import execute_plan, get_pool
+from repro.trap.executor import acquire_pool, release_pool
 from tests.conftest import ALL_MODES, make_heat_problem, run_reference
 
 
@@ -25,7 +25,7 @@ class _CountingKernel:
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("executor", ["serial", "threads", "dag"])
+    @pytest.mark.parametrize("executor", ["serial", "dag"])
     @pytest.mark.parametrize("algorithm", ["trap", "strap"])
     def test_matches_reference(self, executor, algorithm):
         sizes, T = (15, 14), 7
@@ -45,21 +45,18 @@ class TestExecutors:
         assert rep.n_workers == (1 if executor == "serial" else 3)
 
     def test_unknown_executor_rejected(self):
-        from repro.trap.plan import PlanNode, BaseRegion
+        with pytest.raises(SpecificationError, match="unknown executor"):
+            RunOptions(executor="quantum")
 
-        plan = PlanNode.base(
-            BaseRegion(0, 1, ((0, 1, 0, 0),), interior=True)
-        )
-        with pytest.raises(ExecutionError):
-            execute_plan(plan, compiled=None, executor="quantum")
+    def test_threads_executor_rejected(self):
+        """The barrier-wave executor is gone; naming it is an error, not
+        a silent fallback."""
+        with pytest.raises(SpecificationError, match="unknown executor"):
+            RunOptions(executor="threads")
 
     def test_thread_worker_validation(self):
-        from repro.trap.executor import execute_threads
-        from repro.trap.plan import PlanNode, BaseRegion
-
-        plan = PlanNode.base(BaseRegion(0, 1, ((0, 1, 0, 0),), interior=True))
         with pytest.raises(ExecutionError):
-            execute_threads(plan, None, 0)
+            acquire_pool(0)
 
     def test_dag_worker_validation(self):
         from repro.trap.executor import execute_dag
@@ -118,17 +115,15 @@ class TestAutoExecutor:
     def test_auto_picks_dag_for_parallel_trap(self):
         assert RunOptions(n_workers=4).resolve_executor() == ("dag", 4)
 
-    def test_auto_picks_waves_for_parallel_strap(self):
+    def test_auto_picks_dag_for_parallel_strap(self):
         opts = RunOptions(algorithm="strap", n_workers=4)
-        assert opts.resolve_executor() == ("threads", 4)
+        assert opts.resolve_executor() == ("dag", 4)
 
     def test_explicit_executor_wins(self):
-        opts = RunOptions(executor="threads", n_workers=2)
-        assert opts.resolve_executor() == ("threads", 2)
+        opts = RunOptions(executor="serial", n_workers=2)
+        assert opts.resolve_executor() == ("serial", 1)
 
     def test_invalid_options_rejected(self):
-        from repro.errors import SpecificationError
-
         with pytest.raises(SpecificationError):
             RunOptions(executor="quantum")
         with pytest.raises(SpecificationError):
@@ -148,64 +143,58 @@ class TestAutoExecutor:
 
 
 class TestSharedPool:
-    def test_wave_executor_respects_worker_cap(self):
+    def test_run_bounded_respects_worker_cap(self):
         """The shared pool may be wider than this run's request (it holds
         the largest count ever asked for); the per-run n_workers cap must
         still bind."""
         import threading
         import time as _time
 
-        from repro.trap.executor import execute_waves
-        from repro.trap.plan import BaseRegion, PlanNode
-
-        get_pool(6)  # an earlier run grew the pool
+        from repro.trap.executor import run_bounded
 
         lock = threading.Lock()
         state = {"now": 0, "max": 0}
 
-        class SlowKernel:
-            leaf = leaf_boundary = None
+        def slow() -> float:
+            with lock:
+                state["now"] += 1
+                state["max"] = max(state["max"], state["now"])
+            _time.sleep(0.01)
+            with lock:
+                state["now"] -= 1
+            return 0.01
 
-            def interior(self, t, lo, hi):
-                with lock:
-                    state["now"] += 1
-                    state["max"] = max(state["max"], state["now"])
-                _time.sleep(0.01)
-                with lock:
-                    state["now"] -= 1
-
-            boundary = interior
-
-        wave = PlanNode.par(
-            [
-                PlanNode.base(
-                    BaseRegion(0, 1, ((4 * i, 4 * i + 4, 0, 0),), interior=True)
-                )
-                for i in range(8)
-            ]
-        )
-        stats = execute_waves(wave, SlowKernel(), 2)
-        assert stats.base_cases == 8
+        pool = acquire_pool(6)  # an earlier run grew the pool
+        try:
+            busy = run_bounded(pool, [slow] * 8, 2)
+        finally:
+            release_pool(pool)
+        assert busy == pytest.approx(0.08)
         assert state["max"] <= 2
 
-
     def test_pool_reused_across_runs(self):
-        p1 = get_pool(2)
-        p2 = get_pool(2)
+        p1 = acquire_pool(2)
+        release_pool(p1)
+        p2 = acquire_pool(2)
+        release_pool(p2)
         assert p1 is p2
 
     def test_pool_grows_when_needed(self):
-        p_small = get_pool(1)
-        p_big = get_pool(max(3, p_small._max_workers + 1))
+        p_small = acquire_pool(1)
+        release_pool(p_small)
+        p_big = acquire_pool(max(3, p_small._max_workers + 1))
+        release_pool(p_big)
         assert p_big._max_workers >= 3
-        assert get_pool(2) is p_big  # smaller requests keep the big pool
+        p_again = acquire_pool(2)
+        release_pool(p_again)
+        assert p_again is p_big  # smaller requests keep the big pool
 
     def test_nested_parallel_run_does_not_deadlock(self):
         """A kernel/boundary callback may invoke Stencil.run; a nested
         parallel run must not wait on the pool that is executing it."""
         from concurrent.futures import TimeoutError as FuturesTimeout
 
-        from repro.trap.executor import execute_dag, execute_waves
+        from repro.trap.executor import execute_dag
         from repro.trap.graph import build_task_graph
         from repro.trap.plan import BaseRegion, PlanNode, plan_events
 
@@ -220,33 +209,38 @@ class TestSharedPool:
         graph = build_task_graph(plan_events(plan))
         kernel = _CountingKernel()
 
-        def nested_waves():
-            return execute_waves(plan, kernel, 2).base_cases
-
         def nested_dag():
             return execute_dag(graph, kernel, 2).base_cases
 
-        pool = get_pool(2)
-        futures = [pool.submit(nested_waves), pool.submit(nested_dag)]
+        pool = acquire_pool(2)
         try:
+            futures = [pool.submit(nested_dag), pool.submit(nested_dag)]
             results = [f.result(timeout=30) for f in futures]
         except FuturesTimeout:
             pytest.fail("nested parallel run deadlocked on the shared pool")
+        finally:
+            release_pool(pool)
         assert results == [4, 4]
 
     def test_repeated_runs_share_threads(self):
+        import repro.trap.executor as ex
+
+        ex.shutdown_pool()
         st_, u, k = make_heat_problem((16, 16))
-        st_.run(2, k, executor="threads", n_workers=2)
-        pool = get_pool(2)
-        st_.run(2, k, executor="threads", n_workers=2)
-        assert get_pool(2) is pool
+        fine = dict(executor="dag", n_workers=2, dt_threshold=1,
+                    space_thresholds=(4, 4), compiled_walk=False)
+        rep = st_.run(2, k, **fine)
+        assert rep.n_workers == 2  # the run really used the pool
+        pool = ex._pool
+        st_.run(2, k, **fine)
+        assert pool is not None and ex._pool is pool
+        ex.shutdown_pool()
 
     def test_retired_pools_do_not_accumulate(self):
         """Regression: outgrown pools used to pile up in _retired_pools
         (threads stranded until interpreter exit).  With no lease held,
         growth must shut the old pool down and drop it immediately."""
         import repro.trap.executor as ex
-        from repro.trap.executor import acquire_pool, release_pool
 
         ex.shutdown_pool()
         pools = []
@@ -260,32 +254,15 @@ class TestSharedPool:
         assert not pools[-1]._shutdown
         ex.shutdown_pool()
 
-    def test_bare_get_pool_survives_growth(self):
-        """A pool handed out via bare get_pool has no lease to signal
-        drain, so growth must retire it intact (never shut it down);
-        only shutdown_pool may reclaim it."""
-        import repro.trap.executor as ex
-
-        ex.shutdown_pool()
-        bare = get_pool(2)
-        bigger = get_pool(4)
-        assert bigger is not bare
-        assert bare in ex._retired_pools
-        assert not bare._shutdown
-        assert bare.submit(lambda: 42).result(timeout=10) == 42
-        ex.shutdown_pool()
-        assert bare._shutdown
-
     def test_leased_pool_survives_growth_until_drained(self):
         """A pool leased by an in-flight run must stay usable across a
         concurrent regrowth, and be shut down + dropped by its final
         release (the in-flight work has drained)."""
         import repro.trap.executor as ex
-        from repro.trap.executor import acquire_pool, release_pool
 
         ex.shutdown_pool()
         small = acquire_pool(2)
-        big = get_pool(small._max_workers + 2)  # concurrent run outgrows it
+        big = acquire_pool(small._max_workers + 2)  # a concurrent run outgrows it
         assert big is not small
         assert small in ex._retired_pools
         assert not small._shutdown
@@ -295,6 +272,8 @@ class TestSharedPool:
         release_pool(small)
         assert small._shutdown
         assert small not in ex._retired_pools
+        release_pool(big)
+        assert not big._shutdown  # the live pool outlasts its leases
         ex.shutdown_pool()
 
     def test_parallel_runs_drain_retired_pools(self):
@@ -313,8 +292,6 @@ class TestSharedPool:
 
 class TestDriver:
     def test_build_plan_rejects_loops(self):
-        from repro.errors import SpecificationError
-
         st_, u, k = make_heat_problem((8, 8))
         problem = st_.prepare(2, k)
         with pytest.raises(SpecificationError):

@@ -118,7 +118,7 @@ class TestRandomZoids:
         assert compiled.leaf_boundary(1, 3, (0,), (8,), (0,), (0,))
 
 
-EXECUTORS = ("serial", "threads", "dag")
+EXECUTORS = ("serial", "dag")
 
 
 @pytest.mark.parametrize("name", available_apps())

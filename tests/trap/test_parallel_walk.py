@@ -192,9 +192,9 @@ def test_heat_boundary_kinds_parallel_equals_serial(boundary, threads):
 
 
 @pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
-@pytest.mark.parametrize("executor", ["serial", "threads", "dag"])
+@pytest.mark.parametrize("executor", ["serial", "dag"])
 def test_executors_compose_with_parallel_walk(executor):
-    """Outer DAG/wave workers and the inner pool are independent layers;
+    """Outer DAG workers and the inner pool are independent layers;
     stacking them must not change results."""
     st_ref, u_ref, k_ref = make_heat_problem((32, 32), seed=7)
     st_ref.run(10, k_ref, mode="c", dt_threshold=2, space_thresholds=(8, 8),
