@@ -5,9 +5,10 @@ Python, so this script builds a *pure C executable*: the generated
 kernel source (with the pthread task pool) plus a generated ``main()``
 that fills the data arrays deterministically, runs the same
 boundary-touching subtree (its recursion reaches both the interior and
-the row-peeled boundary leaf) through ``walk_subtree`` (serial) and
-``walk_subtree_par``
-(4 pool threads, data copies), and memcmps the results.  Compiled with
+the row-peeled boundary leaf) through the exported entry points Python
+binds, ``walk_subtree_batch`` (serial) and ``walk_subtree_par_batch``
+(4 pool threads, data copies), each with ``nb=1``, and memcmps the
+results.  Compiled with
 ``-fsanitize=thread -pthread`` and run under
 ``TSAN_OPTIONS=halt_on_error=1``, it fails on
 
@@ -131,8 +132,8 @@ def generate_main(ir) -> str:
     )
     lines += [
         "  long long wstats[3] = {0, 0, 0};",
-        f"  walk_subtree({a_ptrs}, {scalar});",
-        f"  walk_subtree_par({b_ptrs}, {scalar}, {NTHREADS}, wstats);",
+        f"  walk_subtree_batch({a_ptrs}, 1, {scalar});",
+        f"  walk_subtree_par_batch({b_ptrs}, 1, {scalar}, {NTHREADS}, wstats);",
         '  printf("spawned=%lld stolen=%lld barriers=%lld\\n",',
         "         wstats[0], wstats[1], wstats[2]);",
         "  if (wstats[0] == 0) {",

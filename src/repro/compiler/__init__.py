@@ -26,6 +26,12 @@ Four backends generate these clones:
 ``mode="auto"`` picks ``c`` when a C toolchain is found (the paper's
 path: compiled clones plus the compiled trapezoidal walk) and
 ``split_pointer`` otherwise (always available; not a degradation).
+
+The ``split_pointer`` and ``c`` clones are generated once per kernel,
+as one family over a stack of jobs ``(nb, slots, *sizes)``: a local
+run binds a stack of one (views of its own arrays), a served batch a
+stack of K (:mod:`repro.compiler.batch`).  A C kernel's library is
+loaded once per process and bound per run.
 """
 
 from repro.compiler.frontend import KernelIR, build_ir

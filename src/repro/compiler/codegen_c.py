@@ -34,6 +34,15 @@ interior body, so a zoid that merely touches the boundary — every zoid
 of a >=3D grid, whose unit-stride rows are never cut — runs at interior
 speed.
 
+Every clone body is ``static``.  The ``.so`` exports exactly one
+entry point per clone (``leaf_batch``, ``walk_subtree_batch``, ...)
+that runs the body over ``nb`` jobs stacked contiguously as
+``(nb, slots, *sizes)``: a served batch is a stack of K jobs, a local
+run a stack of one.  Loading is kept apart from binding:
+:func:`load_c_kernel` builds, loads (``dlopen``) and prebinds a kernel's
+library once per process, and :func:`bind_c_clones` closes it over one
+job stack.
+
 Every clone takes its bounds as *scalar* ``i64`` arguments (the
 dimensionality is a codegen-time constant), so a call marshals a handful
 of ints: no per-call ctypes array construction, no shared argument
@@ -59,6 +68,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -458,7 +468,7 @@ def _fn_source(ir: KernelIR, *, boundary_mode: bool) -> str:
     args = _ptr_args(ir) + ["i64 t"]
     args += [f"i64 l{i}" for i in range(d)]
     args += [f"i64 h{i}" for i in range(d)]
-    lines = [f"void {name}({', '.join(args)}) {{"]
+    lines = [f"static void {name}({', '.join(args)}) {{"]
     if boundary_mode:
         gen = _CCodegen(ir, boundary_mode)
         lines.extend(_slot_lines(ir, "  "))
@@ -490,7 +500,7 @@ def _leaf_fn_source(ir: KernelIR, *, boundary_mode: bool) -> str:
     args += [f"i64 h{i}" for i in range(d)]
     args += [f"i64 dl{i}" for i in range(d)]
     args += [f"i64 dh{i}" for i in range(d)]
-    lines = [f"void {name}({', '.join(args)}) {{"]
+    lines = [f"static void {name}({', '.join(args)}) {{"]
     lines.append("  for (i64 t = ta; t < tb; ++t) {")
     lines.extend(_slot_lines(ir, "    "))
     if boundary_mode:
@@ -712,14 +722,14 @@ def _walk_fn_source(ir: KernelIR, include_boundary: bool) -> str:
     ]
     if include_boundary:
         lines[:0] = [_interior_test_source(ir), ""]
-    # The exported entry point: scalar bounds in, arrays packed here.
+    # The per-job entry: scalar bounds in, arrays packed here.
     args = _ptr_args(ir) + ["i64 ta", "i64 tb"]
     for prefix in ("l", "h", "dl", "dh", "s", "th"):
         args += [f"i64 {prefix}{i}" for i in range(d)]
     args += ["i64 dt_th", "i64 hyper"]
     lines += [
         "",
-        f"void walk_subtree({', '.join(args)}) {{",
+        f"static void walk_subtree({', '.join(args)}) {{",
         *_walk_entry_pack(d),
         f"  walk_rec({pn}, ta, tb, xa, xb, dxa, dxb, sl, thr, dt_th, hyper,",
         f"           {_root_inter(include_boundary)});",
@@ -1006,7 +1016,7 @@ def _walk_par_source(ir: KernelIR, include_boundary: bool) -> str:
         _leaf_dispatch(ir, jp, include_boundary),
         "}",
     ]
-    # The exported entry point mirrors walk_subtree plus nthreads and an
+    # The per-job entry mirrors walk_subtree plus nthreads and an
     # optional i64[3] stats buffer (spawned, stolen, level barriers).
     args = _ptr_args(ir) + ["i64 ta", "i64 tb"]
     for prefix in ("l", "h", "dl", "dh", "s", "th"):
@@ -1016,7 +1026,7 @@ def _walk_par_source(ir: KernelIR, include_boundary: bool) -> str:
     job_fill = [f"  job.{n} = {n};" for n in ptr_names]
     lines += [
         "",
-        f"void walk_subtree_par({', '.join(args)}) {{",
+        f"static void walk_subtree_par({', '.join(args)}) {{",
         *_walk_entry_pack(d),
         "  if (wq_ensure_pool(nthreads) <= 0) {",
         "    /* nthreads<=1, pool-init failure, or the test hook: the",
@@ -1060,15 +1070,16 @@ def _const_stride(ir: KernelIR, name: str) -> int:
     return points
 
 
-def _batch_fn_source(ir: KernelIR, *, include_boundary: bool) -> str:
-    """Batched entry points: each wraps its single-job clone in a loop
-    over ``nb`` jobs laid out contiguously, offsetting every data pointer
-    by the job's codegen-constant stride.  One GIL-released call then
-    runs a whole batch of same-shape problems.  Bounds pass by value, so
-    every job sees fresh copies (the fused leaf mutates its own).  These
-    wrappers are always emitted, keeping the source digest — and thus
-    the ``.so`` cache entry — shared between batched and single-job
-    users of the same kernel."""
+def _entry_fn_source(
+    ir: KernelIR, *, include_boundary: bool, include_parallel: bool
+) -> str:
+    """The exported entry points, one per clone: each wraps its
+    ``static`` per-job body in a loop over ``nb`` jobs laid out
+    contiguously, offsetting every data pointer by the job's
+    codegen-constant stride.  One GIL-released call then runs a whole
+    stack of same-shape problems — a local run is a stack of one.
+    Bounds pass by value, so every job sees fresh copies (the fused leaf
+    mutates its own)."""
     d = ir.ndim
     pa = ", ".join(_ptr_args(ir))
     offs = [
@@ -1108,6 +1119,12 @@ def _batch_fn_source(ir: KernelIR, *, include_boundary: bool) -> str:
     if include_boundary:
         parts.append(wrapper("boundary_step_batch", "boundary_step", step_scalars))
         parts.append(wrapper("leaf_boundary_batch", "leaf_boundary", leaf_scalars))
+    if include_parallel:
+        # Every job's walk adds its pool counters into the one wstats.
+        par_scalars = walk_scalars + ["i64 nthreads", "i64* restrict wstats"]
+        parts.append(
+            wrapper("walk_subtree_par_batch", "walk_subtree_par", par_scalars)
+        )
     return "\n\n".join(parts)
 
 
@@ -1118,9 +1135,10 @@ def generate_c_source(
     include_parallel: bool = False,
 ) -> str:
     """The full postsource: prelude, per-step and fused clone pairs, the
-    compiled recursion (``walk_subtree``) and the batched
-    wrappers over all of them, plus — when ``include_parallel`` — the
-    pthread task pool and ``walk_subtree_par``."""
+    compiled recursion (``walk_subtree``) plus — when
+    ``include_parallel`` — the pthread task pool and
+    ``walk_subtree_par``, all ``static``, and the exported nb-taking
+    entry points over them."""
     parts = [
         _PRELUDE,
         _leaf_fn_source(ir, boundary_mode=False),
@@ -1132,7 +1150,13 @@ def generate_c_source(
     parts.append(_walk_fn_source(ir, include_boundary))
     if include_parallel:
         parts.append(_walk_par_source(ir, include_boundary))
-    parts.append(_batch_fn_source(ir, include_boundary=include_boundary))
+    parts.append(
+        _entry_fn_source(
+            ir,
+            include_boundary=include_boundary,
+            include_parallel=include_parallel,
+        )
+    )
     return "\n\n".join(parts) + "\n"
 
 
@@ -1315,278 +1339,213 @@ def load_shared_object(
             ) from exc
 
 
-#: The compiled-walk entry point: (ta, tb, lo, hi, dlo, dhi, slopes,
-#: thresholds, dt_threshold, hyperspace) — one call runs a whole
-#: subtree of the recursion with the GIL released.  The
-#: parallel variant additionally takes a thread count:
-#: (..., hyperspace, nthreads).
-WalkFn = Callable[..., None]
-
-
-@dataclass
-class CClones:
-    """The compiled C entry points for one kernel.
+@dataclass(frozen=True)
+class CLibrary:
+    """One kernel's loaded ``.so``: its exported nb-taking entry points,
+    ``argtypes``/``restype`` prebound, and the source they were built
+    from.  It holds no buffer (:func:`bind_c_clones` closes it over a
+    job stack), so one load serves every run, batch and server prewarm
+    of the kernel in the process.
 
     ``boundary``/``leaf_boundary`` are None when some array uses a
-    boundary kind C cannot express (PythonBoundary); the pipeline
-    substitutes the per-point Python boundary clone and per-step
-    fallback, same as the NumPy backend.  ``walk`` (the compiled
-    recursion) exists regardless: without C boundary clones it is built
-    without the interior test and only ever receives interior zoids,
-    which no boundary kind can reach.  ``walk_par`` is the
-    pthread-pool variant; it is None when the parallel source fails to
-    build (e.g. a toolchain without pthread support), in which case
-    everything degrades to the serial walk.  ``walk_stats`` is the
-    shared ``i64[3]`` counter buffer (spawned, stolen, level barriers)
-    the parallel walk accumulates into with atomic adds.
+    boundary kind C cannot express (PythonBoundary).  ``walk`` exists
+    regardless: without C boundary clones it is built without the
+    interior test and only ever receives interior zoids.  ``walk_par``
+    is None when the source embedding the pthread pool failed to build.
     """
 
-    interior: CloneFn
-    boundary: CloneFn | None
-    leaf: LeafFn
-    leaf_boundary: LeafFn | None
-    walk: WalkFn
     source: str
-    walk_par: WalkFn | None = None
-    walk_stats: np.ndarray | None = None
+    interior: Callable[..., None]
+    leaf: Callable[..., None]
+    walk: Callable[..., None]
+    boundary: Callable[..., None] | None
+    leaf_boundary: Callable[..., None] | None
+    walk_par: Callable[..., None] | None
 
 
-def make_c_clones(ir: KernelIR) -> CClones:
-    """Compile all five clones to C and bind them through ctypes.
+#: (IR source key, $REPRO_CC_CACHE, compiler identity) -> CLibrary.
+_LIBRARIES: dict[tuple, CLibrary] = {}
+_LIBRARIES_LOCK = threading.Lock()
 
-    ``argtypes``/``restype`` are prebound here, once per compiled clone;
-    calls then marshal plain Python ints into scalar ``i64`` parameters.
-    There are no per-call ctypes arrays and no mutable shared argument
-    buffers, so DAG workers invoke the same clone concurrently without
-    contending — and ctypes drops the GIL for the duration of each call,
-    which is what lets the task-DAG runtime scale on multicore hosts.
+
+def clear_library_cache() -> None:
+    with _LIBRARIES_LOCK:
+        _LIBRARIES.clear()
+
+
+def load_c_kernel(ir: KernelIR) -> CLibrary:
+    """The load-once half: generate, build, ``dlopen`` and prebind the
+    kernel library for ``ir``, once per process.
+
+    Cached on what determines the ``.so``: the IR's source key (which
+    also fixes whether boundary clones are emitted), the
+    ``$REPRO_CC_CACHE`` directory and the compiler identity — so a fresh
+    cache directory or another toolchain reaches cc and ``dlopen``, and
+    their fault sites, again.  Failures are not cached.
     """
+    cc = find_c_compiler()
+    if cc is None:
+        raise CompileError("no C compiler found (tried $CC, cc, gcc, clang)")
+    key = (
+        ir.cache_key(),
+        os.environ.get("REPRO_CC_CACHE"),
+        compiler_identity(cc),
+    )
+    with _LIBRARIES_LOCK:
+        cached = _LIBRARIES.get(key)
+    if cached is not None:
+        return cached
+    loaded = _load_library(ir)
+    with _LIBRARIES_LOCK:
+        return _LIBRARIES.setdefault(key, loaded)
+
+
+def _load_library(ir: KernelIR) -> CLibrary:
     boundary_ok = all(
         is_vectorizable_boundary(a.boundary) for a in ir.arrays.values()
     )
     # Prefer the source with the embedded pthread pool; if it fails to
     # build (a toolchain without working pthreads), fall back to the
-    # serial-only source so the five existing clones survive unchanged.
+    # serial-only source so every other clone survives unchanged.
     source = generate_c_source(
         ir, include_boundary=boundary_ok, include_parallel=True
     )
     try:
         lib = load_shared_object(source, extra_flags=_PTHREAD_FLAGS)
-        has_parallel = True
+        parallel = True
     except CompileError:
         degradations.note("cc:parallel-source-failed->serial-clones")
         source = generate_c_source(ir, include_boundary=boundary_ok)
         lib = load_shared_object(source)
-        has_parallel = False
+        parallel = False
 
     d = ir.ndim
-    n_ptr_args = len(ir.array_infos) + len(ir.const_arrays)
-    ptr_types = [ctypes.POINTER(ctypes.c_double)] * n_ptr_args
-    step_argtypes = ptr_types + [ctypes.c_longlong] * (1 + 2 * d)
-    leaf_argtypes = ptr_types + [ctypes.c_longlong] * (2 + 4 * d)
-    walk_argtypes = ptr_types + [ctypes.c_longlong] * (4 + 6 * d)
-    walk_par_argtypes = (
-        ptr_types
-        + [ctypes.c_longlong] * (5 + 6 * d)
-        + [ctypes.POINTER(ctypes.c_longlong)]
+    n_ptrs = len(ir.array_infos) + len(ir.const_arrays)
+    ptr_types = [ctypes.POINTER(ctypes.c_double)] * n_ptrs
+    i64 = ctypes.c_longlong
+
+    def entry(name: str, n_scalars: int, *tail) -> Callable[..., None]:
+        fn = getattr(lib, name)
+        # nb, then the per-job clone's scalar arguments.
+        fn.argtypes = ptr_types + [i64] * (1 + n_scalars) + list(tail)
+        fn.restype = None
+        return fn
+
+    step, leaf, walk = 1 + 2 * d, 2 + 4 * d, 4 + 6 * d
+    return CLibrary(
+        source=source,
+        interior=entry("interior_step_batch", step),
+        leaf=entry("leaf_batch", leaf),
+        walk=entry("walk_subtree_batch", walk),
+        boundary=entry("boundary_step_batch", step) if boundary_ok else None,
+        leaf_boundary=entry("leaf_boundary_batch", leaf) if boundary_ok else None,
+        walk_par=(
+            entry("walk_subtree_par_batch", walk + 1, ctypes.POINTER(i64))
+            if parallel
+            else None
+        ),
     )
 
-    arr_ptrs = [
-        ir.arrays[info.name].data.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+
+def _checked_buffer(name: str, buf: np.ndarray, shape: tuple) -> np.ndarray:
+    if buf.dtype != np.float64 or not buf.flags["C_CONTIGUOUS"] or buf.shape != shape:
+        raise CompileError(
+            f"stacked buffer for {name!r} must be a C-contiguous float64 "
+            f"array of shape {shape}, got {buf.dtype} {buf.shape}"
+        )
+    return buf
+
+
+def bind_c_clones(
+    lib: CLibrary,
+    ir: KernelIR,
+    stacked: dict[str, np.ndarray],
+    stacked_consts: dict[str, np.ndarray],
+    nb: int,
+) -> dict:
+    """The bind-per-buffers half: close ``lib``'s entry points over one
+    job stack; returns the :class:`~repro.compiler.pipeline.CompiledKernel`
+    clone fields.
+
+    ``stacked[name]`` is a C-contiguous float64 ``(nb, slots, *sizes)``
+    buffer whose slab ``[b]`` is job ``b``'s modular time buffer (a
+    local run passes a zero-copy view of its own array with ``nb=1``);
+    ``stacked_consts[name]`` stacks each job's const array likewise.
+    Each returned clone has the ordinary call shape and runs every job
+    of the stack per call.  Calls marshal plain Python ints into scalar
+    ``i64`` parameters — no per-call ctypes arrays, no shared mutable
+    argument buffers — so DAG workers invoke one clone concurrently
+    without contending, and ctypes drops the GIL for each call.
+    """
+    nb = int(nb)
+    bufs = [
+        _checked_buffer(
+            info.name, stacked[info.name], (nb, info.slots, *info.sizes)
+        )
         for info in ir.array_infos
     ]
-    # Keep contiguous const buffers alive for the lifetime of the clones:
-    # ctypes pointers do not hold a reference to their source array.
-    const_bufs = [
-        np.ascontiguousarray(ir.const_arrays[n].values)
-        for n in sorted(ir.const_arrays)
-    ]
-    ptrs = tuple(arr_ptrs) + tuple(
-        buf.ctypes.data_as(ctypes.POINTER(ctypes.c_double)) for buf in const_bufs
-    )
+    for name in sorted(ir.const_arrays):
+        buf = np.ascontiguousarray(stacked_consts[name], dtype=np.float64)
+        bufs.append(
+            _checked_buffer(name, buf, (nb, *ir.const_arrays[name].sizes))
+        )
+    # ctypes pointers do not keep their arrays alive: every closure
+    # below holds ``bufs`` for as long as it may be called.
+    ptrs = tuple(b.ctypes.data_as(ctypes.POINTER(ctypes.c_double)) for b in bufs)
 
     def bind_step(fn) -> CloneFn:
-        fn.argtypes = step_argtypes
-        fn.restype = None
-
-        def clone(t, lo, hi, _keepalive=const_bufs):
-            fn(*ptrs, t, *lo, *hi)
+        def clone(t, lo, hi, _keepalive=bufs):
+            fn(*ptrs, nb, t, *lo, *hi)
 
         return clone
 
     def bind_leaf(fn) -> LeafFn:
-        fn.argtypes = leaf_argtypes
-        fn.restype = None
-
-        def leaf(ta, tb, lo, hi, dlo, dhi, _keepalive=const_bufs):
-            fn(*ptrs, ta, tb, *lo, *hi, *dlo, *dhi)
+        def leaf(ta, tb, lo, hi, dlo, dhi, _keepalive=bufs):
+            fn(*ptrs, nb, ta, tb, *lo, *hi, *dlo, *dhi)
             # Per-point MOD/CLAMP/fill resolution is exact for any
             # virtual box, so the C leaf never declines a region.
             return True
 
         return leaf
 
-    def bind_walk(fn) -> WalkFn:
-        fn.argtypes = walk_argtypes
-        fn.restype = None
+    walk_fn = lib.walk
 
-        def walk(
-            ta, tb, lo, hi, dlo, dhi, slopes, thresholds, dt_th, hyper,
-            _keepalive=const_bufs,
-        ):
-            fn(
-                *ptrs, ta, tb, *lo, *hi, *dlo, *dhi, *slopes, *thresholds,
-                dt_th, 1 if hyper else 0,
-            )
+    def walk(
+        ta, tb, lo, hi, dlo, dhi, slopes, thresholds, dt_th, hyper,
+        _keepalive=bufs,
+    ):
+        walk_fn(
+            *ptrs, nb, ta, tb, *lo, *hi, *dlo, *dhi, *slopes, *thresholds,
+            dt_th, 1 if hyper else 0,
+        )
 
-        return walk
-
-    # One persistent stats buffer per compiled kernel; concurrent calls
-    # from DAG workers accumulate into it with C atomic adds, and the
-    # driver diffs snapshots around a run to report per-run counters.
-    walk_stats = np.zeros(3, dtype=np.int64)
-    walk_stats_ptr = walk_stats.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
-
-    def bind_walk_par(fn) -> WalkFn:
-        fn.argtypes = walk_par_argtypes
-        fn.restype = None
+    has_boundary = lib.boundary is not None
+    clones = {
+        "interior": bind_step(lib.interior),
+        "boundary": bind_step(lib.boundary) if has_boundary else None,
+        "leaf": bind_leaf(lib.leaf),
+        "leaf_boundary": bind_leaf(lib.leaf_boundary) if has_boundary else None,
+        "walk": walk,
+        "walk_par": None,
+        "walk_stats": None,
+        "sources": {"c": lib.source},
+    }
+    if lib.walk_par is not None:
+        par_fn = lib.walk_par
+        # One counter buffer per binding; concurrent calls from DAG
+        # workers accumulate into it with C atomic adds, and the driver
+        # diffs snapshots around a run to report per-run counters.
+        stats = np.zeros(3, dtype=np.int64)
+        stats_ptr = stats.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
 
         def walk_par(
             ta, tb, lo, hi, dlo, dhi, slopes, thresholds, dt_th, hyper,
-            nthreads, _keepalive=(const_bufs, walk_stats),
+            nthreads, _keepalive=(bufs, stats),
         ):
-            fn(
-                *ptrs, ta, tb, *lo, *hi, *dlo, *dhi, *slopes, *thresholds,
-                dt_th, 1 if hyper else 0, nthreads, walk_stats_ptr,
-            )
-
-        return walk_par
-
-    interior = bind_step(lib.interior_step)
-    leaf = bind_leaf(lib.leaf)
-    walk = bind_walk(lib.walk_subtree)
-    walk_par: WalkFn | None = None
-    if has_parallel:
-        walk_par = bind_walk_par(lib.walk_subtree_par)
-    boundary: CloneFn | None = None
-    leaf_boundary: LeafFn | None = None
-    if boundary_ok:
-        boundary = bind_step(lib.boundary_step)
-        leaf_boundary = bind_leaf(lib.leaf_boundary)
-    return CClones(
-        interior,
-        boundary,
-        leaf,
-        leaf_boundary,
-        walk,
-        source,
-        walk_par=walk_par,
-        walk_stats=walk_stats if has_parallel else None,
-    )
-
-
-def make_c_batch_clones(
-    ir: KernelIR,
-    stacked: dict[str, np.ndarray],
-    stacked_consts: dict[str, np.ndarray],
-    nb: int,
-) -> CClones:
-    """Bind the batched entry points against stacked job buffers.
-
-    ``stacked[name]`` is a C-contiguous ``(nb, slots, *sizes)`` float64
-    buffer whose slab ``[b]`` is laid out exactly like the single-job
-    modular time buffer; ``stacked_consts[name]`` likewise stacks each
-    job's const array.  The generated wrappers offset the base pointers
-    by codegen-constant strides, so the only extra runtime argument is
-    ``nb`` — baked into the returned closures, which therefore satisfy
-    the ordinary :class:`CClones` call shapes (and run *every* job per
-    call).  The source digest matches :func:`make_c_clones` for the same
-    kernel, so a warm ``.so`` cache serves both without recompiling.
-
-    ``walk_par`` stays None: batching already amortizes dispatch, and
-    jobs within a call run serially for bitwise reproducibility.
-    """
-    boundary_ok = all(
-        is_vectorizable_boundary(a.boundary) for a in ir.arrays.values()
-    )
-    source = generate_c_source(
-        ir, include_boundary=boundary_ok, include_parallel=True
-    )
-    try:
-        lib = load_shared_object(source, extra_flags=_PTHREAD_FLAGS)
-    except CompileError:
-        degradations.note("cc:parallel-source-failed->serial-clones")
-        source = generate_c_source(ir, include_boundary=boundary_ok)
-        lib = load_shared_object(source)
-
-    d = ir.ndim
-    n_ptr_args = len(ir.array_infos) + len(ir.const_arrays)
-    ptr_types = [ctypes.POINTER(ctypes.c_double)] * n_ptr_args
-    step_argtypes = ptr_types + [ctypes.c_longlong] * (2 + 2 * d)
-    leaf_argtypes = ptr_types + [ctypes.c_longlong] * (3 + 4 * d)
-    walk_argtypes = ptr_types + [ctypes.c_longlong] * (5 + 6 * d)
-
-    for info in ir.array_infos:
-        buf = stacked[info.name]
-        if not buf.flags["C_CONTIGUOUS"] or buf.dtype != np.float64:
-            raise CompileError(f"stacked buffer for {info.name!r} must be "
-                               f"C-contiguous float64")
-    const_bufs = [
-        np.ascontiguousarray(stacked_consts[n], dtype=np.float64)
-        for n in sorted(ir.const_arrays)
-    ]
-    ptrs = tuple(
-        stacked[info.name].ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-        for info in ir.array_infos
-    ) + tuple(
-        buf.ctypes.data_as(ctypes.POINTER(ctypes.c_double)) for buf in const_bufs
-    )
-    nb = int(nb)
-
-    def bind_step(fn) -> CloneFn:
-        fn.argtypes = step_argtypes
-        fn.restype = None
-
-        def clone(t, lo, hi, _keepalive=const_bufs):
-            fn(*ptrs, nb, t, *lo, *hi)
-
-        return clone
-
-    def bind_leaf(fn) -> LeafFn:
-        fn.argtypes = leaf_argtypes
-        fn.restype = None
-
-        def leaf(ta, tb, lo, hi, dlo, dhi, _keepalive=const_bufs):
-            fn(*ptrs, nb, ta, tb, *lo, *hi, *dlo, *dhi)
-            return True
-
-        return leaf
-
-    def bind_walk(fn) -> WalkFn:
-        fn.argtypes = walk_argtypes
-        fn.restype = None
-
-        def walk(
-            ta, tb, lo, hi, dlo, dhi, slopes, thresholds, dt_th, hyper,
-            _keepalive=const_bufs,
-        ):
-            fn(
+            par_fn(
                 *ptrs, nb, ta, tb, *lo, *hi, *dlo, *dhi, *slopes,
-                *thresholds, dt_th, 1 if hyper else 0,
+                *thresholds, dt_th, 1 if hyper else 0, nthreads, stats_ptr,
             )
 
-        return walk
-
-    boundary: CloneFn | None = None
-    leaf_boundary: LeafFn | None = None
-    if boundary_ok:
-        boundary = bind_step(lib.boundary_step_batch)
-        leaf_boundary = bind_leaf(lib.leaf_boundary_batch)
-    return CClones(
-        bind_step(lib.interior_step_batch),
-        boundary,
-        bind_leaf(lib.leaf_batch),
-        leaf_boundary,
-        bind_walk(lib.walk_subtree_batch),
-        source,
-    )
+        clones.update(walk_par=walk_par, walk_stats=stats)
+    return clones

@@ -19,6 +19,12 @@ Three clones are generated:
   with the slope-shifted bounds, slot arithmetic, a single ``errstate``
   context, and coordinate vectors hoisted around the loop.
 
+Every clone body runs inside a job loop over stacked ``(nb, slots,
+*sizes)`` buffers, rebinding the ``D_``/``C_`` names to job ``_b``'s
+slab: a served batch is a stack of K jobs, a local run a stack of one
+(zero-copy views of its own arrays).  :func:`make_numpy_clones` binds
+one stack.
+
 All clone bodies are lowered to **three-address code**: the kernel AST is
 first run through common-subexpression elimination
 (:func:`repro.expr.transform.cse_statements`) and then flattened into
@@ -69,7 +75,6 @@ from repro.language.boundary import (
     PeriodicBoundary,
 )
 
-CloneFn = Callable[[int, tuple[int, ...], tuple[int, ...]], None]
 #: The fused base-case clone: (ta, tb, lo, hi, dlo, dhi) -> ran?  False
 #: means the leaf declined and the caller must step the per-step clones.
 LeafFn = Callable[
@@ -149,15 +154,6 @@ def boundary_fill_expr(b: Boundary, dt: int) -> str | None:
 def is_vectorizable_boundary(b: Boundary | None) -> bool:
     """True when the NumPy boundary clone can handle this boundary kind."""
     return b is None or b.is_index_remap or b.is_fill
-
-
-def _check_vectorizable(ir: KernelIR) -> None:
-    for arr in ir.arrays.values():
-        if not is_vectorizable_boundary(arr.boundary):
-            raise CompileError(
-                f"array {arr.name!r} uses non-vectorizable boundary "
-                f"{arr.boundary.describe() if arr.boundary else None}"
-            )
 
 
 def _woff_name(i: int, off: int) -> str:
@@ -604,16 +600,18 @@ def _w_lines(ir: KernelIR, em: _Emitter, indent: str) -> list[str]:
     return lines
 
 
-def _batch_bind_lines(ir: KernelIR, indent: str) -> list[str]:
-    """Rebind every ``D_``/``C_`` name to job ``_b``'s slab of the
-    stacked buffers — the whole batching transform for the clone bodies,
-    which reference arrays only through these names."""
-    lines = [f"{indent}D_{name} = BD_{name}[_b]" for name in ir.arrays]
+def _job_lines(ir: KernelIR, indent: str) -> list[str]:
+    """The job loop's head: bind every ``D_``/``C_`` name to job
+    ``_b``'s slab of the stacked buffers — the clone bodies reference
+    arrays only through these names."""
+    lines = [f"{indent}for _b in range(NB):"]
+    indent += "    "
+    lines.extend(f"{indent}D_{name} = BD_{name}[_b]" for name in ir.arrays)
     lines.extend(f"{indent}C_{name} = BC_{name}[_b]" for name in ir.const_arrays)
     return lines
 
 
-def _interior_source(ir: KernelIR, batch: bool = False) -> str:
+def _interior_source(ir: KernelIR) -> str:
     em = _lower(ir, boundary_mode=False)
     d = ir.ndim
     lines = ["def interior(t, lo, hi):"]
@@ -633,18 +631,14 @@ def _interior_source(ir: KernelIR, batch: bool = False) -> str:
         )
     lines.extend(_pool_lines(ir, em, "    "))
     lines.append("    with np.errstate(divide='ignore', invalid='ignore'):")
-    ind = "        "
-    if batch:
-        # Everything geometric (slots, axes, pool views) is shared; only
-        # the data bindings differ per job.
-        lines.append(f"{ind}for _b in range(NB):")
-        ind += "    "
-        lines.extend(_batch_bind_lines(ir, ind))
-    lines.extend(f"{ind}{b}" for b in em.lines)
+    # Everything geometric (slots, axes, pool views) is shared; only the
+    # data bindings differ per job.
+    lines.extend(_job_lines(ir, "        "))
+    lines.extend(f"            {b}" for b in em.lines)
     return "\n".join(lines)
 
 
-def _boundary_source(ir: KernelIR, batch: bool = False) -> str:
+def _boundary_source(ir: KernelIR) -> str:
     em = _lower(ir, boundary_mode=True)
     d = ir.ndim
     lines = ["def boundary(t, lo, hi):"]
@@ -659,16 +653,12 @@ def _boundary_source(ir: KernelIR, batch: bool = False) -> str:
     lines.extend(_w_lines(ir, em, "    "))
     lines.extend(_pool_lines(ir, em, "    "))
     lines.append("    with np.errstate(divide='ignore', invalid='ignore'):")
-    ind = "        "
-    if batch:
-        lines.append(f"{ind}for _b in range(NB):")
-        ind += "    "
-        lines.extend(_batch_bind_lines(ir, ind))
-    lines.extend(f"{ind}{b}" for b in em.lines)
+    lines.extend(_job_lines(ir, "        "))
+    lines.extend(f"            {b}" for b in em.lines)
     return "\n".join(lines)
 
 
-def _leaf_source(ir: KernelIR, boundary_mode: bool, batch: bool = False) -> str:
+def _leaf_source(ir: KernelIR, boundary_mode: bool) -> str:
     """The fused base-case clone (see module docstring).
 
     Runs ``[ta, tb)`` time steps over a box whose per-dim bounds shift by
@@ -718,26 +708,22 @@ def _leaf_source(ir: KernelIR, boundary_mode: bool, batch: bool = False) -> str:
         )
         lines.append(f"    POOL.require({cap})")
     # Per-dimension coordinate caches (IndexValue uses only): rebuilt per
-    # step only when the slopes actually move the bounds.  In batch mode
-    # they stay valid *across* jobs too — every job restarts from the
-    # same bounds, and nonzero slopes force the per-step recompute.
+    # step only when the slopes actually move the bounds.  They stay
+    # valid *across* jobs too — every job restarts from the same bounds,
+    # and nonzero slopes force the per-step recompute.
     for i in sorted(em.used_axes):
         lines.append(f"    AX{i}R = None")
     empty = " or ".join(f"h{i} <= l{i}" for i in range(d))
     lines.append("    with np.errstate(divide='ignore', invalid='ignore'):")
-    off = ""
-    if batch:
-        # The decline checks above ran once for the whole batch (pure
-        # geometry, before any write), so a False here is all-or-none.
-        lines.append("        for _b in range(NB):")
-        off = "    "
-        lines.extend(_batch_bind_lines(ir, "        " + off))
-        for i in range(d):
-            # Re-unpack: the time loop below mutates the bounds in place.
-            lines.append(f"        {off}l{i} = lo[{i}]; h{i} = hi[{i}]")
-    lines.append(f"    {off}    for t in range(ta, tb):")
-    lines.append(f"    {off}        if not ({empty}):")
-    ind = "            " + off + "    "
+    # The decline checks above ran once for the whole stack (pure
+    # geometry, before any write), so a False return is all-or-none.
+    lines.extend(_job_lines(ir, "        "))
+    for i in range(d):
+        # Re-unpack: the time loop below mutates the bounds in place.
+        lines.append(f"            l{i} = lo[{i}]; h{i} = hi[{i}]")
+    lines.append("            for t in range(ta, tb):")
+    lines.append(f"                if not ({empty}):")
+    ind = "                    "
     lines.extend(_slot_lines(ir, ind))
     for i in sorted(em.used_axes):
         shape = ["1"] * d
@@ -752,12 +738,18 @@ def _leaf_source(ir: KernelIR, boundary_mode: bool, batch: bool = False) -> str:
     lines.extend(_pool_lines(ir, em, ind))
     lines.extend(f"{ind}{b}" for b in em.lines)
     for i in range(d):
-        lines.append(f"    {off}        l{i} += d_l{i}; h{i} += d_h{i}")
+        lines.append(f"                l{i} += d_l{i}; h{i} += d_h{i}")
     lines.append("    return True")
     return "\n".join(lines)
 
 
-def _namespace(ir: KernelIR) -> dict:
+def _namespace(
+    stacked: dict[str, np.ndarray],
+    stacked_consts: dict[str, np.ndarray],
+    nb: int,
+) -> dict:
+    """One clone's globals: the runtime helpers, a private scratch pool,
+    and the stacked ``(nb, ...)`` buffers its ``_b`` job loop reads."""
     ns: dict = {
         "np": np,
         "GR": runtime_support.gather_remap,
@@ -768,122 +760,42 @@ def _namespace(ir: KernelIR) -> dict:
         "SBF": runtime_support.snapshot_fill,
         "SC": runtime_support.scatter_box,
         "P": runtime_support.LocalPools(),
+        "NB": int(nb),
     }
-    for arr_name, arr in ir.arrays.items():
-        ns[f"D_{arr_name}"] = arr.data
-    for c_name, c in ir.const_arrays.items():
-        ns[f"C_{c_name}"] = c.values
+    ns.update((f"BD_{name}", buf) for name, buf in stacked.items())
+    ns.update((f"BC_{name}", buf) for name, buf in stacked_consts.items())
     return ns
 
 
-def _batch_namespace(
+def make_numpy_clones(
     ir: KernelIR,
     stacked: dict[str, np.ndarray],
     stacked_consts: dict[str, np.ndarray],
     nb: int,
 ) -> dict:
-    """The clone namespace for batched execution: the usual helpers plus
-    the stacked ``(nb, slots, *sizes)`` buffers the generated ``_b`` loop
-    rebinds per job.  The template ``D_``/``C_`` bindings from
-    :func:`_namespace` are shadowed by the loop before any use."""
-    ns = _namespace(ir)
-    for name, buf in stacked.items():
-        ns[f"BD_{name}"] = buf
-    for name, buf in stacked_consts.items():
-        ns[f"BC_{name}"] = buf
-    ns["NB"] = int(nb)
-    return ns
-
-
-def _compile(src: str, tag: str, ir: KernelIR, fn_name: str, ns: dict | None = None):
-    if ns is None:
-        ns = _namespace(ir)
-    exec(compile(src, f"<{tag}:{'_'.join(ir.write_arrays)}>", "exec"), ns)
-    return ns[fn_name]
-
-
-def make_numpy_interior(ir: KernelIR) -> tuple[CloneFn, str]:
-    """Generate and compile the vectorized interior clone."""
-    src = _interior_source(ir)
-    return _compile(src, "split_pointer", ir, "interior"), src
-
-
-def make_numpy_boundary(ir: KernelIR) -> tuple[CloneFn, str]:
-    """Generate and compile the vectorized boundary clone.
-
-    Raises :class:`CompileError` if any array's boundary kind is not
-    vectorizable (callers fall back to the per-point boundary clone).
-    """
-    _check_vectorizable(ir)
-    src = _boundary_source(ir)
-    return _compile(src, "split_pointer_bnd", ir, "boundary"), src
-
-
-def make_numpy_leaf(ir: KernelIR) -> tuple[LeafFn, str]:
-    """Generate and compile the fused interior base-case clone."""
-    src = _leaf_source(ir, boundary_mode=False)
-    return _compile(src, "split_pointer_leaf", ir, "leaf"), src
-
-
-def make_numpy_leaf_boundary(ir: KernelIR) -> tuple[LeafFn, str]:
-    """Generate and compile the fused boundary base-case clone.
-
-    Raises :class:`CompileError` for non-vectorizable boundary kinds
-    (callers fall back to per-step execution of the per-point clone).
-    """
-    _check_vectorizable(ir)
-    src = _leaf_source(ir, boundary_mode=True)
-    return _compile(src, "split_pointer_leaf_bnd", ir, "leaf_boundary"), src
-
-
-@dataclass
-class NumpyBatchClones:
-    """Batched split_pointer clones: each call runs every job in the
-    stack over the same region/trapezoid, identical geometry and
-    identical op sequence to the single-job clones per slab."""
-
-    interior: CloneFn
-    boundary: CloneFn
-    leaf: LeafFn
-    leaf_boundary: LeafFn
-    sources: dict[str, str]
-
-
-def make_numpy_batch_clones(
-    ir: KernelIR,
-    stacked: dict[str, np.ndarray],
-    stacked_consts: dict[str, np.ndarray],
-    nb: int,
-) -> NumpyBatchClones:
-    """Generate and compile the four clones with an outer batch loop.
+    """Generate the clones and bind them to one job stack; returns the
+    :class:`~repro.compiler.pipeline.CompiledKernel` clone fields.
 
     ``stacked``/``stacked_consts`` map array name to an ``(nb, ...)``
-    stacked buffer whose slab ``[b]`` matches the single-job layout
-    exactly — so job ``b`` of a batched call is bitwise the single-job
-    clone applied to that slab.  Raises :class:`CompileError` for
-    non-vectorizable boundary kinds (callers run the jobs unbatched).
+    buffer whose slab ``[b]`` has the single-job layout exactly (a local
+    run passes zero-copy views of its own arrays with ``nb=1``).  Every
+    clone body runs inside a job loop, so job ``b`` of a call executes
+    the same op sequence on its slab as it would alone.
+    ``boundary``/``leaf_boundary`` are None when some array's boundary
+    kind is not vectorizable; callers substitute the per-point clone.
     """
-    _check_vectorizable(ir)
     sources = {
-        "interior": _interior_source(ir, batch=True),
-        "boundary": _boundary_source(ir, batch=True),
-        "leaf": _leaf_source(ir, boundary_mode=False, batch=True),
-        "leaf_boundary": _leaf_source(ir, boundary_mode=True, batch=True),
+        "interior": _interior_source(ir),
+        "leaf": _leaf_source(ir, boundary_mode=False),
     }
-    fns = {
-        name: _compile(
-            src,
-            f"split_pointer_batch_{name}",
-            ir,
-            name,
-            ns=_batch_namespace(ir, stacked, stacked_consts, nb),
-        )
-        for name, src in sources.items()
-    }
-    return NumpyBatchClones(
-        interior=fns["interior"],
-        boundary=fns["boundary"],
-        leaf=fns["leaf"],
-        leaf_boundary=fns["leaf_boundary"],
-        sources=sources,
-    )
+    if all(is_vectorizable_boundary(a.boundary) for a in ir.arrays.values()):
+        sources["boundary"] = _boundary_source(ir)
+        sources["leaf_boundary"] = _leaf_source(ir, boundary_mode=True)
+    clones: dict = {"boundary": None, "leaf_boundary": None, "sources": sources}
+    for name, src in sources.items():
+        # A namespace per clone: each gets its own scratch pool.
+        ns = _namespace(stacked, stacked_consts, nb)
+        tag = f"split_pointer_{name}:{'_'.join(ir.write_arrays)}"
+        exec(compile(src, f"<{tag}>", "exec"), ns)
+        clones[name] = ns[name]
+    return clones

@@ -62,12 +62,20 @@ class KernelIR:
         )
 
     def cache_key(self) -> tuple:
-        """Hashable identity for the compiled-kernel cache."""
+        """Hashable identity of the generated source: equal keys generate
+        the same code in every backend.  C bakes each const array's
+        strides and clamp bounds into the source, and NumPy its scratch
+        dtype, so shapes and dtypes are part of the key; values are not.
+        """
         return (
             self.statements,
             self.sizes,
             self.array_infos,
-            tuple(sorted(self.const_arrays)),
+            tuple(self.arrays[i.name].data.dtype.str for i in self.array_infos),
+            tuple(
+                (name, c.values.shape, c.values.dtype.str)
+                for name, c in sorted(self.const_arrays.items())
+            ),
         )
 
 

@@ -1,4 +1,4 @@
-"""The compile driver: pick a backend, build both clones, cache results.
+"""The compile driver: pick a backend, bind its clones, cache results.
 
 ``compile_kernel`` is what the execution driver calls.  Mode semantics:
 
@@ -13,9 +13,17 @@
   boundary clone for non-vectorizable boundary kinds.
 * ``"macro_shadow"`` / ``"interp"`` — per-point clones.
 
-Compiled kernels are cached per (kernel AST, array metadata, mode): the
-generated code bakes in array identities, sizes and boundary kinds, so
-those form the cache key.
+A job is a batch of one.  The ``c`` and ``split_pointer`` clones always
+run over a stack of jobs, ``(nb, slots, *sizes)``, and
+:func:`bind_kernel` is their one binding path: ``compile_kernel`` binds
+a stack of one made of zero-copy views of the problem's own arrays,
+:func:`repro.compiler.batch.compile_batch_kernel` a stack of K.  A C
+kernel's library is built and loaded once per process
+(:func:`repro.compiler.codegen_c.load_c_kernel`) and only bound here.
+
+Compiled kernels are cached per (kernel IR, mode, array identities): the
+generated code bakes in sizes and boundary kinds, and the bound clones
+close over the arrays' buffers.
 """
 
 from __future__ import annotations
@@ -121,8 +129,12 @@ def available_modes() -> tuple[str, ...]:
 
 
 def clear_cache() -> None:
+    """Drop every compiled kernel and every loaded C kernel library, so
+    the next compile reaches ``dlopen`` (and cc on a cold ``.so``
+    cache) again."""
     with _CACHE_LOCK:
         _CACHE.clear()
+    codegen_c.clear_library_cache()
 
 
 def resolve_mode(mode: str) -> str:
@@ -151,14 +163,15 @@ def walks_boundary(problem: Problem, mode: str) -> bool:
 
 
 def compile_kernel(problem: Problem, mode: str = "auto") -> CompiledKernel:
-    """Compile the problem's kernel into interior/boundary clones."""
+    """Compile the problem's kernel into interior/boundary clones bound
+    to the problem's own arrays (a stack of one)."""
     mode = resolve_mode(mode)
     ir = build_ir(problem)
     # Keyed on each array's monotonic cache_token, not id(a.data): object
     # ids are reused after garbage collection, and a reused id would
     # silently return a stale kernel closed over a dead array's buffer.
     # Const arrays need the same treatment — kernels close over their
-    # values, and ir.cache_key() carries only their names.
+    # values, which ir.cache_key() does not carry.
     key = (
         ir.cache_key(),
         mode,
@@ -205,78 +218,67 @@ def compile_kernel_resilient(
 
 
 def _compile_ir(ir: KernelIR, mode: str) -> CompiledKernel:
-    sources: dict[str, str] = {}
     if mode == "interp":
-        interior = codegen_python.make_interp_interior(ir)
-        boundary = codegen_python.make_interp_boundary(ir)
         return CompiledKernel(
-            interior=interior,
-            boundary=boundary,
+            interior=codegen_python.make_interp_interior(ir),
+            boundary=codegen_python.make_interp_boundary(ir),
             mode="interp",
             boundary_mode="interp",
             ir=ir,
-            sources=sources,
         )
     if mode == "macro_shadow":
         interior, src_i = codegen_python.make_macro_shadow_interior(ir)
         boundary, src_b = codegen_python.make_macro_shadow_boundary(ir)
-        sources["interior"] = src_i
-        sources["boundary"] = src_b
         return CompiledKernel(
             interior=interior,
             boundary=boundary,
             mode="macro_shadow",
             boundary_mode="macro_shadow",
             ir=ir,
-            sources=sources,
+            sources={"interior": src_i, "boundary": src_b},
         )
-    if mode == "split_pointer":
-        interior, src_i = codegen_numpy.make_numpy_interior(ir)
-        sources["interior"] = src_i
-        leaf, src_l = codegen_numpy.make_numpy_leaf(ir)
-        sources["leaf"] = src_l
-        leaf_boundary = None
-        try:
-            boundary, src_b = codegen_numpy.make_numpy_boundary(ir)
-            boundary_mode = "split_pointer"
-            sources["boundary"] = src_b
-            leaf_boundary, src_lb = codegen_numpy.make_numpy_leaf_boundary(ir)
-            sources["leaf_boundary"] = src_lb
-        except CompileError:
-            boundary, src_b = codegen_python.make_macro_shadow_boundary(ir)
-            boundary_mode = "macro_shadow"
-            sources["boundary"] = src_b
-        return CompiledKernel(
-            interior=interior,
-            boundary=boundary,
-            mode="split_pointer",
-            boundary_mode=boundary_mode,
-            ir=ir,
-            sources=sources,
-            leaf=leaf,
-            leaf_boundary=leaf_boundary,
-        )
+    # A local run is a batch of one, bound in place: (1, ...) views of
+    # the job's own buffers, so nothing is copied in or out.
+    compiled = bind_kernel(
+        ir,
+        mode,
+        {name: arr.data[None] for name, arr in ir.arrays.items()},
+        {name: c.values[None] for name, c in ir.const_arrays.items()},
+        1,
+    )
+    if compiled.boundary is None:
+        # A boundary kind the backend cannot express: the paper's design
+        # survives with the per-point boundary clone (allowed to be
+        # slow) and per-step stepping in place of the fused boundary leaf.
+        boundary, src_b = codegen_python.make_macro_shadow_boundary(ir)
+        compiled.boundary = boundary
+        compiled.boundary_mode = "macro_shadow"
+        compiled.sources["boundary"] = src_b
+    return compiled
+
+
+def bind_kernel(
+    ir: KernelIR,
+    mode: str,
+    stacked: dict,
+    stacked_consts: dict,
+    nb: int,
+) -> CompiledKernel:
+    """The one binding path of the ``c`` and ``split_pointer`` backends:
+    their clones closed over a stack of ``nb`` jobs (``stacked[name]`` is
+    ``(nb, slots, *sizes)``; see :mod:`repro.compiler.batch`).
+
+    ``c`` binds the process-wide loaded library
+    (:func:`~repro.compiler.codegen_c.load_c_kernel`); nothing here is
+    cached, since the result holds the buffers.  ``boundary`` and
+    ``leaf_boundary`` are None for boundary kinds the backend cannot
+    express.
+    """
     if mode == "c":
-        clones = codegen_c.make_c_clones(ir)
-        sources["c"] = clones.source
-        boundary = clones.boundary
-        if boundary is None:
-            boundary, src_b = codegen_python.make_macro_shadow_boundary(ir)
-            boundary_mode = "macro_shadow"
-            sources["boundary"] = src_b
-        else:
-            boundary_mode = "c"
-        return CompiledKernel(
-            interior=clones.interior,
-            boundary=boundary,
-            mode="c",
-            boundary_mode=boundary_mode,
-            ir=ir,
-            sources=sources,
-            leaf=clones.leaf,
-            leaf_boundary=clones.leaf_boundary,
-            walk=clones.walk,
-            walk_par=clones.walk_par,
-            walk_stats=clones.walk_stats,
-        )
-    raise CompileError(f"unknown codegen mode {mode!r}")
+        lib = codegen_c.load_c_kernel(ir)
+        clones = codegen_c.bind_c_clones(lib, ir, stacked, stacked_consts, nb)
+    elif mode == "split_pointer":
+        clones = codegen_numpy.make_numpy_clones(ir, stacked, stacked_consts, nb)
+    else:
+        raise CompileError(f"unknown codegen mode {mode!r}")
+    return CompiledKernel(mode=mode, boundary_mode=mode, ir=ir, **clones)

@@ -12,13 +12,15 @@ that turns those from per-process caches into serving infrastructure:
   signature (and time range); a group launches when it reaches
   ``max_batch`` or its ``batch_window`` expires, and runs as ONE
   batched compiled dispatch (:func:`repro.trap.driver.execute_batch`):
-  the generated clones carry an outer batch loop, so K small jobs cost
-  one GIL-released call per region instead of K.
-* **warm-state serving** — compilation is single-flight (concurrent
-  requesters of one kernel await the same in-process flight, and the
-  ``.so`` cache's per-digest file lock extends the dedup across
-  processes) and tuned configs are served from the autotune registry on
-  the request path (``RunOptions(autotune="use")``).
+  every generated clone runs over a stack of jobs (a local run is a
+  batch of one), so K small jobs cost one GIL-released call per region
+  instead of K.
+* **warm-state serving** — a kernel's library is loaded once per
+  process, single-flight (concurrent requesters of one kernel await
+  the same in-process flight, and the ``.so`` cache's per-digest file
+  lock extends the dedup across processes), and binds no job's buffers
+  until its batch runs; tuned configs are served from the autotune
+  registry on the request path (``RunOptions(autotune="use")``).
 * **control** — bounded admission (job count and point volume) rejects
   with :class:`ServerBusy` instead of queueing unboundedly or dropping;
   :meth:`StencilServer.drain` (wired to SIGTERM via

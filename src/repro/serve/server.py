@@ -544,13 +544,14 @@ class StencilServer:
     ) -> bool:
         """Single-flight kernel prewarm; returns whether it was warm.
 
-        The expensive artifact is the ``.so`` (shared by digest between
-        batched and single-job clones): one flight per (signature, mode)
-        builds it while concurrent batches of the same kernel await the
-        same future instead of racing into cc.  Cross-process, the
-        per-digest compile lock extends the same guarantee.  Prewarm
-        failures are swallowed — the batch run itself will degrade (or
-        raise) with full reporting.
+        The expensive artifact is the kernel library (one ``.so`` per
+        kernel, loaded once per process): one flight per (signature,
+        mode) builds and loads it while concurrent batches of the same
+        kernel await the same future instead of racing into cc.
+        Cross-process, the per-digest compile lock extends the same
+        guarantee.  The prewarm binds no buffers, so it pins no job.
+        Prewarm failures are swallowed — the batch run itself will
+        degrade (or raise) with full reporting.
         """
         if mode != "c":
             return key[:1] + (mode,) in self._warm_kernels
@@ -562,10 +563,13 @@ class StencilServer:
             assert self._loop is not None
             flight = self._loop.create_future()
             self._compile_flights[fkey] = flight
-            from repro.compiler.pipeline import compile_kernel_resilient
+            from repro.compiler.codegen_c import load_c_kernel
+            from repro.compiler.frontend import build_ir
 
             try:
-                await asyncio.to_thread(compile_kernel_resilient, template, mode)
+                await asyncio.to_thread(
+                    lambda: load_c_kernel(build_ir(template))
+                )
             except Exception:
                 pass
             finally:

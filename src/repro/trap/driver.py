@@ -394,8 +394,8 @@ def execute_batch(
     """Run K same-signature problems through ONE decomposition.
 
     The batch path of the serving layer: the jobs' arrays are stacked
-    into contiguous per-array buffers, the template job's kernel is
-    compiled with batched clones bound against the stack
+    into contiguous per-array buffers (a lone job runs in place), the
+    template job's clones are bound against the stack
     (:mod:`repro.compiler.batch`), and a single serial event stream then
     executes every region once — each leaf/step/walk call covering all K
     jobs, GIL-released for the C backend.  Results are scattered back

@@ -248,7 +248,7 @@ def _run_subtree_python(region: BaseRegion, compiled: "CompiledKernel") -> None:
 
     degradations.note("compiled-walk:python-replay")
     assert region.walk is not None
-    slopes, thresholds, dt_threshold, hyperspace = region.walk[:4]
+    slopes, thresholds, dt_threshold, hyperspace, _ = region.walk
     min_off, max_off = compiled.ir.reach()
     spec = WalkSpec(
         sizes=compiled.ir.sizes,
@@ -293,8 +293,7 @@ def run_base_region(region: BaseRegion, compiled: "CompiledKernel") -> None:
         # Only a walk built with C boundary clones can classify zoids.
         takes_region = region.interior or compiled.boundary_mode == "c"
         if walk is not None and takes_region:
-            slopes, thresholds, dt_threshold, hyperspace = region.walk[:4]
-            threads = region.walk[4] if len(region.walk) > 4 else 1
+            slopes, thresholds, dt_threshold, hyperspace, threads = region.walk
             lo, hi, dlo, dhi = zip(*region.dims)
             if threads > 1 and compiled.walk_par is not None:
                 # The in-.so pthread pool runs the subtree's same-level

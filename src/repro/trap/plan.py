@@ -55,8 +55,7 @@ PlanEvent = tuple
 #: dt threshold, hyperspace flag, walk threads).  Protected dimensions
 #: are encoded as a huge threshold (never cuttable), so no separate
 #: protect flags ride along.  ``walk_threads`` > 1 selects the parallel
-#: compiled walk (the in-.so pthread pool) when the backend built one;
-#: consumers tolerate the historical 4-tuple (threads default to 1).
+#: compiled walk (the in-.so pthread pool) when the backend built one.
 WalkParams = tuple
 
 

@@ -6,6 +6,8 @@ of the Pochoir Guarantee.  A hypothesis test builds random arithmetic
 kernels and checks all backends against the interpreter.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,9 +268,13 @@ class TestGeneratedSources:
 
         st_, u, k = make_heat_problem((8, 8))
         ir = build_ir(st_.prepare(1, k))
-        _, src = codegen_numpy.make_numpy_interior(ir)
+        stacked = {name: a.data[None] for name, a in ir.arrays.items()}
+        src = codegen_numpy.make_numpy_clones(ir, stacked, {}, 1)["sources"][
+            "interior"
+        ]
         assert "l0:h0" in src or "l0+1:h0+1" in src
-        assert "for " not in src  # fully vectorized: no python loops
+        # fully vectorized: the job loop is the only python loop
+        assert src.count("for ") == 1 and "for _b in range(NB):" in src
 
     @pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
     def test_c_source_structure(self):
@@ -278,7 +284,15 @@ class TestGeneratedSources:
         st_, u, k = make_heat_problem((8, 8))
         ir = build_ir(st_.prepare(1, k))
         src = generate_c_source(ir)
-        assert "void interior_step(" in src
-        assert "void boundary_step(" in src
+        assert "static void interior_step(" in src
+        assert "static void boundary_step(" in src
         assert "#define MOD" in src
         assert "for (i64 x0" in src
+        # the only exported symbols: one nb-taking entry point per clone
+        assert set(re.findall(r"^void (\w+)\(", src, re.M)) == {
+            "interior_step_batch",
+            "boundary_step_batch",
+            "leaf_batch",
+            "leaf_boundary_batch",
+            "walk_subtree_batch",
+        }

@@ -11,6 +11,9 @@ identity and self-heals on load failure.
 from __future__ import annotations
 
 import ctypes
+import re
+import shutil
+import subprocess
 
 import pytest
 
@@ -40,11 +43,50 @@ def cc_cache(tmp_path, monkeypatch):
     return tmp_path
 
 
+#: One exported nb-taking entry point per clone.
+ENTRY_POINTS = {
+    "interior_step_batch",
+    "boundary_step_batch",
+    "leaf_batch",
+    "leaf_boundary_batch",
+    "walk_subtree_batch",
+    "walk_subtree_par_batch",
+}
+
+
+def _exported(src):
+    """Names of the non-static functions a source defines."""
+    return set(re.findall(r"^void (\w+)\(", src, re.M))
+
+
 class TestGeneratedSource:
     def test_all_four_clones_present(self):
         src = generate_c_source(_heat_ir())
         for name in ("interior_step", "boundary_step", "leaf", "leaf_boundary"):
-            assert f"void {name}(" in src
+            assert f"static void {name}(" in src
+
+    def test_exports_one_nb_entry_point_per_clone(self):
+        """Every clone body is ``static``; the source exports exactly one
+        entry point per clone, each taking the job count ``nb``."""
+        par = generate_c_source(_heat_ir(), include_parallel=True)
+        assert _exported(par) == ENTRY_POINTS
+        for name in ENTRY_POINTS:
+            assert re.search(rf"^void {name}\([^)]*, i64 nb, ", par, re.M)
+        serial = generate_c_source(_heat_ir(), include_boundary=False)
+        assert _exported(serial) == {
+            "interior_step_batch", "leaf_batch", "walk_subtree_batch"
+        }
+
+    @pytest.mark.skipif(shutil.which("nm") is None, reason="no nm")
+    def test_built_object_exports_only_the_entry_points(self, cc_cache):
+        src = generate_c_source(_heat_ir(), include_parallel=True)
+        so = build_shared_object(src, extra_flags=("-pthread",))
+        out = subprocess.run(
+            ["nm", "-D", "--defined-only", str(so)],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        text = {line.split()[-1] for line in out.splitlines() if " T " in line}
+        assert text == ENTRY_POINTS
 
     def test_leaf_fuses_whole_trapezoid(self):
         """The fused clone owns the time loop, the per-step slot
@@ -80,7 +122,7 @@ class TestGeneratedSource:
         and a bottom-out into the fused leaf."""
         src = generate_c_source(_heat_ir())
         assert "static void walk_rec(" in src
-        assert "void walk_subtree(" in src
+        assert "static void walk_subtree(" in src
         assert "i64 th0" in src and "i64 s0" in src and "i64 hyper" in src
         assert "leaf(D_u," in src  # recursion bottoms out in the fused leaf
         # walk is generated even when the boundary clones are not: it
@@ -98,7 +140,7 @@ class TestGeneratedSource:
         assert "walk_subtree_par" not in src
         assert "pthread.h" not in src
         par = generate_c_source(_heat_ir(), include_parallel=True)
-        assert "void walk_subtree_par(" in par
+        assert "static void walk_subtree_par(" in par
         assert "#include <pthread.h>" in par
         assert "static void walk_rec_par(" in par
         assert "wq_ensure_pool" in par
@@ -120,7 +162,7 @@ class TestGeneratedSource:
 
         region = BaseRegion(
             1, 4, ((1, 7, 0, 0), (1, 7, 1, -1)), interior=True,
-            walk=((1, 1), (2, 2), 1, True),
+            walk=((1, 1), (2, 2), 1, True, 1),
         )
         st_a, u_a, k_a = make_heat_problem((8, 8), seed=3)
         compiled = compile_kernel(st_a.prepare(5, k_a), "c")

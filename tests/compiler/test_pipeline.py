@@ -261,3 +261,70 @@ def test_no_compiler_degrades_to_split_pointer(monkeypatch):
     st, u, k = make_heat_problem((8, 8))
     compiled = compile_kernel(st.prepare(1, k), "auto")
     assert compiled.mode == "split_pointer"
+
+
+def _bound_buffers(clone):
+    """The stacked buffers a bound clone reads and writes: a generated
+    NumPy clone's ``BD_`` globals, or a C clone's kept-alive buffers."""
+    if "NB" in clone.__globals__:
+        return [v for k, v in clone.__globals__.items() if k.startswith("BD_")]
+    return clone.__defaults__[-1]
+
+
+@pytest.mark.parametrize(
+    "mode", ["split_pointer"] + (["c"] if has_c_backend() else [])
+)
+def test_a_local_run_binds_its_own_buffers(mode):
+    """A job is a batch of one: ``compile_kernel`` and
+    ``stack_problems([p])`` bind views of the job's arrays, and
+    scattering such a stack copies nothing."""
+    from repro.compiler.batch import (
+        compile_batch_kernel,
+        scatter_results,
+        stack_problems,
+    )
+
+    st, u, k = make_heat_problem((8, 8))
+    problem = st.prepare(3, k)
+    compiled = compile_kernel(problem, mode)
+    for clone in (compiled.interior, compiled.leaf):
+        (buf,) = _bound_buffers(clone)
+        assert np.shares_memory(buf, u.data)
+
+    stack = stack_problems([problem])
+    assert np.shares_memory(stack.stacked["u"], u.data)
+    batched = compile_batch_kernel(stack, mode)
+    before = u.data.copy()
+    batched.leaf(1, 2, (1, 1), (7, 7), (0, 0), (0, 0))
+    assert not np.array_equal(u.data, before)  # written in place
+    after = u.data.copy()
+    scatter_results(stack)
+    assert np.array_equal(u.data, after)
+
+
+@pytest.mark.parametrize(
+    "mode", ["split_pointer"] + (["c"] if has_c_backend() else [])
+)
+def test_const_array_shape_is_part_of_the_kernel(mode):
+    """C bakes const strides and clamp bounds into the source: two
+    problems differing only in a const array's shape, run back to back,
+    must each get their own code."""
+    from repro import ConstArray, run_phase1
+
+    def make(const_shape):
+        u = PochoirArray("u", (6, 6))
+        u.set_initial(np.arange(36.0).reshape(6, 6))
+        c = ConstArray("c", np.arange(np.prod(const_shape), dtype=float)
+                       .reshape(const_shape))
+        st = Stencil(2)
+        st.register_array(u)
+        st.register_const_array(c)
+        k = Kernel(2, lambda t, x, y: u(t + 1, x, y) << u(t, x, y) + c(x, y))
+        return st, u, k
+
+    for const_shape in ((6, 6), (6, 9)):
+        st, u, k = make(const_shape)
+        st.run(3, k, mode=mode)
+        st_ref, u_ref, k_ref = make(const_shape)
+        run_phase1(st_ref, 3, k_ref)
+        assert np.array_equal(u.snapshot(st.cursor), u_ref.snapshot(3))

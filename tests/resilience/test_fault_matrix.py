@@ -181,9 +181,9 @@ def test_dag_worker_death_propagates_without_policy():
 def test_cc_timeout_retry_then_success(tmp_path, monkeypatch):
     """One hung cc invocation: the timeout + retry path still delivers
     the C backend."""
+    ref = reference("heat2d")
     monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "cc"))
     monkeypatch.setenv("REPRO_CC_TIMEOUT", "2")
-    ref = reference("heat2d")
     app = build("heat2d", scale="tiny")
     with faults.injected("cc.hang", times=1):
         report = app.run(mode="c")
@@ -195,9 +195,9 @@ def test_cc_timeout_retry_then_success(tmp_path, monkeypatch):
 @pytest.mark.skipif(not has_c_backend(), reason="needs a C toolchain")
 def test_cc_persistent_hang_degrades_to_numpy(tmp_path, monkeypatch):
     """Both attempts hang: CompileError inside, NumPy backend outside."""
+    ref = reference("heat2d")
     monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "cc"))
     monkeypatch.setenv("REPRO_CC_TIMEOUT", "1")
-    ref = reference("heat2d")
     app = build("heat2d", scale="tiny")
     with faults.injected("cc.hang"):
         report = app.run(mode="c")
@@ -209,11 +209,31 @@ def test_cc_persistent_hang_degrades_to_numpy(tmp_path, monkeypatch):
 @pytest.mark.skipif(not has_c_backend(), reason="needs a C toolchain")
 def test_so_load_evict_rebuild(tmp_path, monkeypatch):
     """One load failure: evicted and rebuilt, C backend survives."""
-    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "cc"))
     ref = reference("heat2d")
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "cc"))
     app = build("heat2d", scale="tiny")
     with faults.injected("so.load", times=1):
         report = app.run(mode="c")
     assert report.mode == "c"
     assert "so-cache:evicted-rebuilt" in report.degradations
     np.testing.assert_array_equal(app.result(), ref)
+
+
+@pytest.mark.skipif(not has_c_backend(), reason="needs a C toolchain")
+def test_so_load_reachable_past_the_library_cache(tmp_path, monkeypatch):
+    """A kernel's library is loaded once per process, keyed on the
+    ``.so`` cache directory among others: a fresh directory — or
+    ``clear_cache()`` — reaches ``dlopen``, and its fault site, again."""
+    from repro.compiler.pipeline import clear_cache
+
+    ref = reference("heat2d")
+    assert build("heat2d", scale="tiny").run(mode="c").mode == "c"
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "cc"))
+    for _ in range(2):
+        app = build("heat2d", scale="tiny")
+        with faults.injected("so.load", times=1):
+            report = app.run(mode="c")
+        assert report.mode == "c"
+        assert "so-cache:evicted-rebuilt" in report.degradations
+        np.testing.assert_array_equal(app.result(), ref)
+        clear_cache()  # the second pass: same directory, library dropped

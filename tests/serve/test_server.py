@@ -280,6 +280,55 @@ def test_dispatched_job_is_collectable_before_its_deadline():
     asyncio.run(main())
 
 
+@pytest.mark.skipif(not has_c_backend(), reason="only C kernels are prewarmed")
+def test_served_job_arrays_collectable_after_report():
+    # The compile prewarm loads the kernel library and binds no buffers,
+    # so once a job's report resolves nothing pins its arrays.
+    app = build_heat((16, 16), 4, seed=0)
+    refs = [weakref.ref(a) for a in app.stencil.arrays.values()]
+
+    async def main():
+        async with StencilServer(ServeOptions(batch_window=0.01)) as srv:
+            await srv.submit(
+                app.stencil, app.steps, app.kernel, RunOptions(mode="c")
+            )
+
+    asyncio.run(main())
+    del app
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
+
+
+@pytest.mark.skipif(not has_c_backend(), reason="needs a C toolchain")
+def test_local_run_and_served_batches_load_the_kernel_once(
+    tmp_path, monkeypatch
+):
+    import ctypes
+
+    count_file = tmp_path / "cc_count"
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "cc"))
+    monkeypatch.setenv("REPRO_CC_COUNT_FILE", str(count_file))
+    loads = []
+    cdll = ctypes.CDLL
+
+    def counting_cdll(*args, **kwargs):
+        loads.append(args[0])
+        return cdll(*args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", counting_cdll)
+    build_heat((20, 20), 8, seed=0).run(mode="c")
+    for seeds in ((1, 2), (3, 4)):
+        srv, reports = _serve(
+            [build_heat((20, 20), 8, seed=s) for s in seeds],
+            ServeOptions(max_batch=2, batch_window=0.05),
+            RunOptions(mode="c"),
+        )
+        assert [r.batch_size for r in reports] == [2, 2]
+        assert all(r.mode == "c" for r in reports)
+    assert len(count_file.read_text().splitlines()) == 1
+    assert len(loads) == 1
+
+
 def test_nonpositive_timeout_expires_at_admission():
     app = build_heat((16, 16), 4, seed=0)
 

@@ -117,7 +117,7 @@ def _interior_subtrees(draw):
         ta + h,
         tuple(dims),
         interior=True,
-        walk=((1,) * ndim, th, dt_th, hyper),
+        walk=((1,) * ndim, th, dt_th, hyper, 1),
     )
     return sizes, region
 
@@ -240,7 +240,7 @@ class TestEligibility:
         start = u.data.copy()
         region = BaseRegion(
             1, 5, ((9, 16, 0, 0), (0, 11, 0, 0)), interior=False,
-            walk=((1, 1), (3, 3), 1, True),
+            walk=((1, 1), (3, 3), 1, True, 1),
         )
         run_base_region(region, compiled)
         got = u.data.copy()

@@ -56,8 +56,8 @@ def _fresh_compiled(sizes, boundary="periodic", seed=11):
 
 
 def _with_threads(region: BaseRegion, threads: int) -> BaseRegion:
-    """The same subtree task with the thread count swapped in the
-    5-tuple WalkParams (4-tuple regions read as serial)."""
+    """The same subtree task with the thread count swapped in its
+    WalkParams."""
     walk = region.walk[:4] + (threads,)
     return replace(region, walk=walk)
 
@@ -326,20 +326,3 @@ class TestOptionSurface:
     def test_explicit_count_resolves_verbatim(self):
         assert RunOptions(walk_threads=5).resolve_walk_threads() == 5
         assert RunOptions(walk_threads=1).resolve_walk_threads() == 1
-
-    def test_four_tuple_walk_params_read_as_serial(self):
-        """Pre-knob WalkParams (4-tuple) must keep executing — the
-        executor reads a missing fifth element as one thread."""
-        if not has_c_backend():
-            pytest.skip("no C compiler")
-        region = BaseRegion(
-            1, 4, ((1, 7, 0, 0), (1, 7, 1, -1)), interior=True,
-            walk=((1, 1), (2, 2), 1, True),
-        )
-        u_old, compiled = _fresh_compiled(GRIDS[2])
-        before = compiled.walk_stats_snapshot()
-        run_base_region(region, compiled)
-        assert compiled.walk_stats_snapshot() == before
-        u_new, compiled_n = _fresh_compiled(GRIDS[2])
-        run_base_region(_with_threads(region, 1), compiled_n)
-        assert np.array_equal(u_old.data, u_new.data)
