@@ -8,8 +8,9 @@ and the tuner's results now *persist*:
 
 * :mod:`repro.autotune.isat` — coordinate descent over the coarsening
   thresholds (:func:`tune_coarsening`) and over the full dispatch space
-  — per-dimension space thresholds, dt threshold, codegen mode, leaf
-  fusion, worker count (:func:`tune_dispatch`) — timing real TRAP runs.
+  — per-dimension space thresholds, dt threshold, codegen mode, walk
+  threads, worker count, executor (:func:`tune_dispatch`) — timing real
+  TRAP runs.
 * :mod:`repro.autotune.registry` — the on-disk registry keyed on
   (problem signature, backend, machine fingerprint) that
   ``Stencil.run(options=RunOptions(autotune="use"))`` consults.

@@ -3,20 +3,23 @@
 The paper: "Since choosing the optimal size of the base case can be
 difficult, we integrated the ISAT autotuner into Pochoir … this autotuning
 process can take hours", hence the shipped heuristics.  This module
-reproduces the autotuner's role at laptop scale with two searches:
+reproduces the autotuner's role at laptop scale with two searches, both
+one memoized coordinate descent (:func:`_descent`) over different axes:
 
-* :func:`tune_coarsening` — the original coordinate descent over the
-  (space threshold, time threshold) grid, each candidate evaluated by
-  timing a real TRAP run of a small representative problem.
-* :func:`tune_dispatch` — the same descent extended to the *full*
-  dispatch space: per-dimension space thresholds, the dt threshold, the
-  codegen mode, leaf fusion, and the worker count.  Its result is a
+* :func:`tune_coarsening` — the (space threshold, time threshold) grid,
+  each candidate evaluated by timing a real TRAP run of a small
+  representative problem.
+* :func:`tune_dispatch` — the *full* dispatch space: per-dimension space
+  thresholds, the dt threshold, the codegen mode, the compiled walk's
+  thread count, the worker count and the executor.  Its result is a
   :class:`~repro.autotune.registry.TunedConfig`, ready to persist in the
-  on-disk registry that ``Stencil.run`` consults.
+  on-disk registry that ``Stencil.run`` consults.  Leaf fusion and the
+  compiled walk are not axes: the run always takes them where the
+  backend has them.
 
-Both searches memoize evaluated points (coordinate descent revisits the
-incumbent on every sweep; re-timing it would waste most of the budget),
-so a tune costs tens of runs, not hours.  :func:`tune_problem` is the
+The memo matters: coordinate descent revisits the incumbent on every
+sweep, and re-timing it would waste most of the budget, so a tune costs
+tens of runs, not hours.  :func:`tune_problem` is the
 driver-level glue for ``RunOptions(autotune="tune-on-miss")``: it tunes
 on *cloned* arrays so the user's grids are untouched.
 """
@@ -57,6 +60,35 @@ class _Memo:
     @property
     def unique(self) -> int:
         return len(self._timings)
+
+
+def _descent(
+    evaluate: _Memo,
+    start: dict,
+    axes: list[tuple[str, Sequence]],
+    max_sweeps: int,
+) -> tuple[dict, float]:
+    """Generic coordinate descent: sweep each axis, keep improvements,
+    stop when a full sweep changes nothing.  ``start`` is always
+    evaluated first, so the heuristic default can never lose to noise
+    without being measured."""
+    config = dict(start)
+
+    def key(cfg: dict) -> tuple:
+        return tuple(cfg[name] for name, _ in axes)
+
+    best_time = evaluate(key(config))
+    for _ in range(max_sweeps):
+        improved = False
+        for name, candidates in axes:
+            for cand in candidates:
+                trial = {**config, name: cand}
+                t = evaluate(key(trial))
+                if t < best_time:
+                    best_time, config, improved = t, trial, True
+        if not improved:
+            break
+    return config, best_time
 
 
 @dataclass
@@ -118,7 +150,6 @@ def tune_coarsening(
                 mode=mode,
                 space_thresholds=(space,) * ndim,
                 dt_threshold=dt,
-                collect_stats=False,
             )
             t0 = time.perf_counter()
             stencil.run(steps, kernel, opts)
@@ -127,26 +158,13 @@ def tune_coarsening(
         return best
 
     evaluate = _Memo(run_point)
-    space = space_candidates[len(space_candidates) // 2]
-    dt = dt_candidates[len(dt_candidates) // 2]
-    best_time = evaluate((space, dt))
-
-    for _ in range(max_sweeps):
-        improved = False
-        for cand in space_candidates:
-            t = evaluate((cand, dt))
-            if t < best_time:
-                best_time, space, improved = t, cand, True
-        for cand in dt_candidates:
-            t = evaluate((space, cand))
-            if t < best_time:
-                best_time, dt, improved = t, cand, True
-        if not improved:
-            break
+    axes = [("space", tuple(space_candidates)), ("dt", tuple(dt_candidates))]
+    start = {name: cands[len(cands) // 2] for name, cands in axes}
+    best, best_time = _descent(evaluate, start, axes, max_sweeps)
 
     return CoarseningResult(
-        space_threshold=space,
-        dt_threshold=dt,
+        space_threshold=best["space"],
+        dt_threshold=best["dt"],
         best_time=best_time,
         evaluations=evaluate.unique,
         history=history,
@@ -177,35 +195,6 @@ def _geometric_candidates(center: int, *, floor: int = 1) -> tuple[int, ...]:
     return tuple(sorted({max(floor, center // 2), center, center * 2}))
 
 
-def _descent(
-    evaluate: _Memo,
-    start: dict,
-    axes: list[tuple[str, Sequence]],
-    max_sweeps: int,
-) -> tuple[dict, float]:
-    """Generic coordinate descent: sweep each axis, keep improvements,
-    stop when a full sweep changes nothing.  ``start`` is always
-    evaluated first, so the heuristic default can never lose to noise
-    without being measured."""
-    config = dict(start)
-
-    def key(cfg: dict) -> tuple:
-        return tuple(cfg[name] for name, _ in axes)
-
-    best_time = evaluate(key(config))
-    for _ in range(max_sweeps):
-        improved = False
-        for name, candidates in axes:
-            for cand in candidates:
-                trial = {**config, name: cand}
-                t = evaluate(key(trial))
-                if t < best_time:
-                    best_time, config, improved = t, trial, True
-        if not improved:
-            break
-    return config, best_time
-
-
 def tune_dispatch(
     make_problem: Callable[[], tuple[Stencil, Kernel]],
     steps: int,
@@ -213,9 +202,7 @@ def tune_dispatch(
     modes: Sequence[str] | None = None,
     space_candidates: Sequence[int] | None = None,
     dt_candidates: Sequence[int] | None = None,
-    fuse_candidates: Sequence[bool] = (True, False),
     worker_candidates: Sequence[int | None] | None = None,
-    cwalk_candidates: Sequence[bool | None] = (None, False),
     wthreads_candidates: Sequence[int | None] | None = None,
     executor_candidates: Sequence[str | None] = (None,),
     repeats: int = 1,
@@ -226,10 +213,7 @@ def tune_dispatch(
 
     Axes: codegen mode, each dimension's space threshold (independently —
     unlike :func:`tune_coarsening`'s single shared threshold), the dt
-    threshold, ``fuse_leaves``, ``compiled_walk`` (``None`` = the auto
-    rule — on for the C backend — vs forced off; subtree-task planning
-    shifts the optimum toward finer base cases, so the axis earns its
-    evaluations), ``walk_threads`` (``None`` = auto: the detected core
+    threshold, ``walk_threads`` (``None`` = auto: the detected core
     count for the compiled walk's in-.so pthread pool, vs pinned serial —
     in-walk threads compete with DAG workers for the same cores, so the
     right split is workload-dependent and worth measuring),
@@ -250,6 +234,7 @@ def tune_dispatch(
         default_dt_threshold,
         default_space_thresholds,
     )
+    from repro.util import detect_cpu_count
 
     probe_stencil, _ = make_problem()
     ndim = probe_stencil.ndim
@@ -280,22 +265,14 @@ def tune_dispatch(
         )
     axes.append(("dt", tuple(dt_candidates)))
     start["dt"] = default_dt if default_dt in dt_candidates else dt_candidates[0]
-    axes.append(("fuse", tuple(fuse_candidates)))
-    start["fuse"] = fuse_candidates[0]
-    axes.append(("cwalk", tuple(cwalk_candidates)))
-    start["cwalk"] = cwalk_candidates[0]
     if wthreads_candidates is None:
         # None = auto (detected core count), 1 = pinned serial walk; on
         # multi-core hosts both deserve a timing, on single-core they
         # coincide so one candidate suffices.
-        from repro.util import detect_cpu_count
-
         wthreads_candidates = (None, 1) if detect_cpu_count() > 1 else (None,)
     axes.append(("wthreads", tuple(wthreads_candidates)))
     start["wthreads"] = wthreads_candidates[0]
     if worker_candidates is None:
-        from repro.util import detect_cpu_count
-
         cpus = detect_cpu_count()
         worker_candidates = tuple(sorted({1, min(4, cpus), cpus}))
     axes.append(("workers", tuple(worker_candidates)))
@@ -314,9 +291,7 @@ def tune_dispatch(
             space_thresholds=tuple(cfg[f"space{i}"] for i in range(ndim)),
             dt_threshold=cfg["dt"],
             mode=cfg["mode"],
-            fuse_leaves=cfg["fuse"],
             n_workers=cfg["workers"],
-            compiled_walk=cfg["cwalk"],
             walk_threads=cfg["wthreads"],
             executor=cfg["executor"],
         )
@@ -331,12 +306,9 @@ def tune_dispatch(
                 mode=config.mode,
                 space_thresholds=config.space_thresholds,
                 dt_threshold=config.dt_threshold,
-                fuse_leaves=config.fuse_leaves,
                 executor=config.executor or "auto",
                 n_workers=config.n_workers,
-                compiled_walk=config.compiled_walk,
                 walk_threads=config.walk_threads,
-                collect_stats=False,
                 autotune="off",
             )
             t0 = time.perf_counter()

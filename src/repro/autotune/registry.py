@@ -26,10 +26,11 @@ An entry is keyed on three components, any of which invalidates it:
   that has since vanished never gets applied.
 
 Robustness mirrors the ``.so`` cache's discipline: the registry file
-carries a schema version; a corrupt file is evicted (renamed aside) and
-treated as empty; individual entries that fail validation are dropped on
-load; all I/O failures degrade to "no tuned config" — no exception from
-this module ever reaches ``Stencil.run``.
+carries a schema version (older layouts are read tolerantly, a newer one
+reads as empty — see :data:`SCHEMA_VERSION`); a corrupt file is evicted
+(renamed aside) and treated as empty; individual entries that fail
+validation are dropped on load; all I/O failures degrade to "no tuned
+config" — no exception from this module ever reaches ``Stencil.run``.
 
 The file lives at ``$REPRO_TUNE_REGISTRY`` or
 ``<tempdir>/repro_autotune/registry.json``; wipe it with
@@ -51,17 +52,10 @@ from repro.language.stencil import EXECUTORS
 from repro.resilience import degradations, faults
 from repro.util import atomic_write_text, interprocess_lock
 
-#: Bump when the entry layout changes; a mismatched file is discarded
-#: wholesale (stale tunings are worthless, silently misreading them is
-#: worse).  History: 1 — original dispatch space; 2 — ``compiled_walk``
-#: knob added (subtree-task planning over the compiled interior
-#: recursion); 3 — ``walk_threads`` knob added (the in-.so pthread pool
-#: of the parallel compiled walk); 4 — ``executor`` knob added (which
-#: task runner dispatches base cases, including the supervised
-#: out-of-process ``"procs"`` executor).  There is no in-place
-#: migration: a pre-bump file reads as empty and the next tune-on-miss
-#: rewrites it at the current version — re-tuning is cheap, misapplying
-#: a config tuned without the new knob is not.
+#: The layout version written by :func:`store`.  The reader accepts any
+#: schema from 1 up to this one: unknown keys are ignored and missing
+#: knobs default to ``None``, the run's auto rule, so adding or dropping
+#: a knob needs no bump.  A file from a *newer* schema reads as empty.
 SCHEMA_VERSION = 4
 
 _REGISTRY_LOCK = threading.Lock()
@@ -74,8 +68,7 @@ class TunedConfig:
 
     ``mode`` is a concrete codegen mode (or ``"auto"`` meaning "no
     preference"); ``n_workers`` ``None`` keeps the run's default,
-    ``compiled_walk`` ``None`` keeps the run's auto rule (on for the C
-    backend), ``walk_threads`` ``None`` keeps the run's auto rule
+    ``walk_threads`` ``None`` keeps the run's auto rule
     (detected core count), and ``executor`` ``None`` keeps the run's
     auto rule (a tuned ``"procs"`` is applied only when the run's
     options already permit supervision).  ``best_time``/
@@ -86,9 +79,7 @@ class TunedConfig:
     space_thresholds: tuple[int, ...]
     dt_threshold: int
     mode: str = "auto"
-    fuse_leaves: bool = True
     n_workers: int | None = None
-    compiled_walk: bool | None = None
     walk_threads: int | None = None
     executor: str | None = None
     best_time: float = 0.0
@@ -103,7 +94,8 @@ class TunedConfig:
     @staticmethod
     def from_json(obj: Any) -> "TunedConfig":
         """Parse and validate one registry entry; raises on anything
-        malformed (the loader turns that into entry eviction)."""
+        malformed (the loader turns that into entry eviction).  Keys this
+        layout does not know are ignored."""
         if not isinstance(obj, dict):
             raise ValueError(f"entry is not an object: {obj!r}")
         space = tuple(int(s) for s in obj["space_thresholds"])
@@ -120,12 +112,6 @@ class TunedConfig:
             workers = int(workers)
             if workers < 1:
                 raise ValueError(f"bad n_workers {workers}")
-        cwalk = obj.get("compiled_walk")
-        # isinstance, not `in (None, True, False)`: a hand-edited file
-        # may carry 0/1, which equality would admit but the consumer's
-        # `is False`/`is None` dispatch would misread as "on".
-        if cwalk is not None and not isinstance(cwalk, bool):
-            raise ValueError(f"bad compiled_walk {cwalk!r}")
         wthreads = obj.get("walk_threads")
         if wthreads is not None:
             wthreads = int(wthreads)
@@ -142,9 +128,7 @@ class TunedConfig:
             space_thresholds=space,
             dt_threshold=dt,
             mode=mode,
-            fuse_leaves=bool(obj.get("fuse_leaves", True)),
             n_workers=workers,
-            compiled_walk=cwalk,
             walk_threads=wthreads,
             executor=executor,
             best_time=float(obj.get("best_time", 0.0)),
@@ -244,8 +228,9 @@ _LOAD_CACHE_LIMIT = 32
 
 
 def _load(path: Path) -> dict[str, dict]:
-    """Entries from disk; {} on any damage (file-level eviction) or
-    schema mismatch.  Entry-level damage drops just that entry."""
+    """Entries from disk; {} on any damage (file-level eviction) or a
+    schema outside ``1..SCHEMA_VERSION``.  Entry-level damage drops just
+    that entry."""
     try:
         stat = path.stat()
         tag = (stat.st_mtime_ns, stat.st_size)
@@ -267,7 +252,9 @@ def _load(path: Path) -> dict[str, dict]:
         degradations.note("registry:corrupt-evicted")
         _evict_corrupt(path)
         return {}
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
+    if not isinstance(doc, dict) or doc.get("schema") not in range(
+        1, SCHEMA_VERSION + 1
+    ):
         return {}
     entries = doc.get("entries")
     if not isinstance(entries, dict):

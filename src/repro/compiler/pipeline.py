@@ -95,8 +95,8 @@ class CompiledKernel:
     def without_fused_leaves(self) -> "CompiledKernel":
         """A copy with every fused clone stripped, so base cases step
         through the per-step clones — the per-step reference used by the
-        ``fuse_leaves=False`` ablation knob, the leaf-fusion benchmark,
-        and the equivalence tests.  The compiled walk goes with them (it
+        Section-4 cloning benchmarks and the equivalence tests.  The
+        compiled walk goes with them (it
         bottoms out in the fused leaf body).  (A copy: the cached
         original keeps its clones.)"""
         return replace(

@@ -73,30 +73,17 @@ class RunOptions:
         implies ``executor="procs"`` when the executor is left at
         ``"auto"``; ``executor="procs"`` with ``supervise=None`` uses
         the defaults.  Ignored (harmlessly) by in-process executors.
-    ``fuse_leaves``:
-        run base cases through the backend's fused leaf clone (the whole
-        trapezoid time loop inside generated code — NumPy three-address
-        bodies in ``split_pointer``, one GIL-released compiled call in
-        ``c``) when one exists.  On by default; ``False`` forces
-        per-step clone invocation — the ablation knob the leaf-fusion
-        and C-backend benchmarks and the equivalence tests use.  Modes
-        without a leaf clone (``interp``, ``macro_shadow``) ignore it.
     ``compiled_walk``:
-        subtree-task planning over the compiled trapezoidal recursion.
-        ``None`` (default) resolves to *on* exactly when the resolved
-        codegen mode is ``"c"`` (the only backend that compiles a
-        ``walk_subtree`` clone) and ``fuse_leaves`` is on; ``False``
-        forces it off, ``True`` forces it on — except under
-        ``fuse_leaves=False``, which always wins: the per-step ablation
-        must measure per-step dispatch, and the walk bottoms out in the
-        fused leaf it just disabled.  When on, zoids that fit the walk
-        grain are planned as single atomic tasks whose execution is one
-        GIL-released C call running every cut, interior test and fused
-        leaf below the subtree root — boundary zoids too, when every
-        boundary kind compiles to C.  When the backend lacks a walk
-        clone the same plan degrades to a Python replay of the
-        recursion (bitwise identical).  Forcing ``True`` without the C
-        backend therefore changes granularity, never results.
+        subtree-task planning over the compiled trapezoidal recursion,
+        on (default) whenever the resolved codegen mode is ``"c"``: zoids
+        that fit the walk grain are planned as single atomic tasks whose
+        execution is one GIL-released C call running every cut, interior
+        test and fused leaf below the subtree root — boundary zoids too,
+        when every boundary kind compiles to C.  ``False`` plans per
+        leaf; backends without a walk clone ignore the field.  Base
+        cases always run through the backend's fused leaf clone when it
+        has one (``CompiledKernel.without_fused_leaves`` is the per-step
+        reference).
     ``walk_threads``:
         thread count for the compiled walk's embedded pthread pool
         (``walk_subtree_par``): same-level hyperspace-cut pieces of each
@@ -116,9 +103,9 @@ class RunOptions:
         a short dispatch-space tune on a miss (against *cloned* arrays
         — user state is untouched), stores the result, and applies it.
         Tuned values fill only knobs left at their defaults: explicit
-        ``space_thresholds``/``dt_threshold``/``mode``/``n_workers``
-        always win, and ``fuse_leaves=False`` (the ablation setting) is
-        never overridden.  ``RunReport.autotune_source`` records which
+        ``space_thresholds``/``dt_threshold``/``mode``/``n_workers``/
+        ``walk_threads``/``executor`` always win.
+        ``RunReport.autotune_source`` records which
         source won.  Registry damage of any kind degrades silently to
         the heuristics — no exception from the registry reaches
         ``run``.
@@ -148,9 +135,7 @@ class RunOptions:
     protect_unit_stride: bool | None = None
     executor: str = "auto"
     n_workers: int | None = None
-    collect_stats: bool = True
-    fuse_leaves: bool = True
-    compiled_walk: bool | None = None
+    compiled_walk: bool = True
     walk_threads: int | None = None
     autotune: str = "off"
     checkpoint: object | None = None
@@ -211,34 +196,6 @@ class RunOptions:
             raise SpecificationError(
                 "resume_from is not supported under algorithm='phase1'"
             )
-        # Identity-checked, not `in (None, True, False)`: 0 == False, so
-        # an equality test would admit int 0 here while the `is False`
-        # dispatch below treated it as "not explicitly off" — silently
-        # forcing the walk ON for a caller who asked for it off.
-        if self.compiled_walk is not None and not isinstance(
-            self.compiled_walk, bool
-        ):
-            raise SpecificationError(
-                f"compiled_walk must be None (auto), True or False, "
-                f"got {self.compiled_walk!r}"
-            )
-
-    def resolve_compiled_walk(self, resolved_mode: str) -> bool:
-        """Concrete compiled-walk setting for a resolved codegen mode.
-
-        The single source of the ``None``-means-auto rule: on exactly
-        when the backend that will run base cases compiles a
-        ``walk_subtree`` clone (mode ``"c"``) and fused leaves (which
-        the walk bottoms out in) are enabled.  An explicit ``False``
-        always wins; an explicit ``True`` is still gated on
-        ``fuse_leaves`` — the per-step ablation must measure per-step
-        dispatch, not a compiled recursion.
-        """
-        if not self.fuse_leaves or self.compiled_walk is False:
-            return False
-        if self.compiled_walk is None:
-            return resolved_mode == "c"
-        return True
 
     def resolve_walk_threads(self) -> int:
         """Concrete thread count for the compiled walk's pthread pool.
@@ -320,7 +277,7 @@ class RunReport:
     boundary_base_cases: int = 0
     interior_base_cases: int = 0
     #: Scheduled tasks that were whole compiled-walk subtrees (each one
-    #: covers many would-be base cases; requires ``collect_stats``).
+    #: covers many would-be base cases).
     subtree_tasks: int = 0
     executor: str = "serial"
     n_workers: int = 1

@@ -539,7 +539,7 @@ class SupervisedSession:
 
 
 def open_session(
-    problem, supervise, fuse_leaves: bool, mode: str, n_workers: int, report
+    problem, supervise, mode: str, n_workers: int, report
 ) -> SupervisedSession | None:
     """Create a supervised session, or ``None`` (with a degradation note)
     when out-of-process execution is unavailable.
@@ -575,7 +575,7 @@ def open_session(
         return None
     try:
         blob = pickle.dumps(
-            {"problem": problem, "mode": mode, "fuse_leaves": fuse_leaves},
+            {"problem": problem, "mode": mode},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
     except Exception:

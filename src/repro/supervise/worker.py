@@ -98,8 +98,6 @@ class _Attached:
         init = pickle.loads(blob)
         self.problem = init["problem"]
         self.compiled = compile_kernel_resilient(self.problem, init["mode"])
-        if not init["fuse_leaves"]:
-            self.compiled = self.compiled.without_fused_leaves()
 
     def release(self) -> bool:
         """Drop every reference to the shared views and close the

@@ -78,11 +78,11 @@ def _walk_setup(problem: Problem, options: RunOptions):
         # leaves want smaller zoids than the NumPy leaves (and the extra
         # base cases feed the DAG runtime's parallelism).
         codegen_mode=resolved,
-        # Subtree-task planning: zoids that fit the walk grain become
-        # single tasks executed by the compiled walk_subtree clone (or
-        # its Python replay), one GIL-released call each — boundary
-        # zoids too when that clone can classify and run them.
-        compiled_walk=options.resolve_compiled_walk(resolved),
+        # Subtree-task planning under C, the one backend with a
+        # walk_subtree clone: zoids that fit the walk grain become single
+        # tasks, one GIL-released call each — boundary zoids too when
+        # that clone can classify and run them.
+        compiled_walk=options.compiled_walk and resolved == "c",
         walk_boundary=walks_boundary(problem, resolved),
         # Rides along in the emitted WalkParams; the executor only acts
         # on it when the compiled kernel has a parallel walk clone.
@@ -111,13 +111,11 @@ def _apply_tuned(problem: Problem, options: RunOptions, tuned) -> RunOptions:
 
     Only knobs still at their defaults are filled: explicit
     ``space_thresholds``/``dt_threshold``/``mode``/``n_workers``/
-    ``compiled_walk``/``executor`` win over the tuned values, and
-    ``fuse_leaves=False`` (the ablation setting) is never overridden.  Threshold merging (including the
-    grid clamp) lives in :func:`repro.trap.coarsening.tuned_thresholds`
-    so the walker and the registry agree on the final geometry.
+    ``walk_threads``/``executor`` win over the tuned values.  Threshold
+    merging (including the grid clamp) lives in
+    :func:`repro.trap.coarsening.tuned_thresholds` so the walker and the
+    registry agree on the final geometry.
     """
-    from dataclasses import replace as _replace
-
     from repro.compiler.pipeline import available_modes
     from repro.trap.coarsening import tuned_thresholds
 
@@ -137,15 +135,11 @@ def _apply_tuned(problem: Problem, options: RunOptions, tuned) -> RunOptions:
         updates["mode"] = tuned.mode
     if options.n_workers is None and tuned.n_workers is not None:
         updates["n_workers"] = tuned.n_workers
-    if options.fuse_leaves and not tuned.fuse_leaves:
-        updates["fuse_leaves"] = False
-    if options.compiled_walk is None and tuned.compiled_walk is not None:
-        updates["compiled_walk"] = tuned.compiled_walk
     if options.walk_threads is None and tuned.walk_threads is not None:
         updates["walk_threads"] = tuned.walk_threads
     if options.executor == "auto" and tuned.executor is not None:
         updates["executor"] = tuned.executor
-    return _replace(options, **updates) if updates else options
+    return _dc_replace(options, **updates) if updates else options
 
 
 def _consult_registry(
@@ -216,11 +210,7 @@ def _execute_range(
     # executors is what keeps `elapsed` comparable across them.
     t0 = time.perf_counter()
     if executor == "serial":
-        stats = execute_serial_stream(
-            build_events(problem, options),
-            compiled,
-            collect_stats=options.collect_stats,
-        )
+        stats = execute_serial_stream(build_events(problem, options), compiled)
     elif executor == "dag":
         graph = build_task_graph(build_events(problem, options))
         stats = execute_dag(graph, compiled, n_workers)
@@ -238,7 +228,7 @@ def _execute_range(
     # are collected outside the timed window; the serial stream exists
     # only once, so its (cheap) accounting runs inline above.
     region_stats = stats.region_stats
-    if region_stats is None and options.collect_stats:
+    if region_stats is None:
         region_stats = stats_from_regions(graph.iter_regions())
 
     report.executor = stats.executor
@@ -247,16 +237,11 @@ def _execute_range(
     report.n_workers = max(report.n_workers, stats.n_workers)
     report.elapsed += elapsed
     report.busy_time += stats.busy_time
-    base_cases = stats.base_cases
-    if options.collect_stats and region_stats is not None:
-        report.points_updated += region_stats.points
-        base_cases = region_stats.base_cases
-        report.interior_base_cases += region_stats.interior_base_cases
-        report.boundary_base_cases += region_stats.boundary_base_cases
-        report.subtree_tasks += region_stats.subtree_tasks
-    else:
-        report.points_updated += problem.total_points
-    report.base_cases += base_cases
+    report.points_updated += region_stats.points
+    report.base_cases += region_stats.base_cases
+    report.interior_base_cases += region_stats.interior_base_cases
+    report.boundary_base_cases += region_stats.boundary_base_cases
+    report.subtree_tasks += region_stats.subtree_tasks
 
 
 def execute_problem(problem: Problem, options: RunOptions) -> RunReport:
@@ -290,8 +275,6 @@ def execute_problem(problem: Problem, options: RunOptions) -> RunReport:
             # resolution, and any later per-block compile all follow
             # the backend that will actually run.
             options = _dc_replace(options, mode=compiled.mode)
-        if not options.fuse_leaves:
-            compiled = compiled.without_fused_leaves()
 
         if options.algorithm in ("loops", "serial_loops"):
             parallel = options.algorithm == "loops"
@@ -335,18 +318,11 @@ def execute_problem(problem: Problem, options: RunOptions) -> RunReport:
             from repro.supervise.session import open_session
 
             session = open_session(
-                problem,
-                options.supervise,
-                options.fuse_leaves,
-                compiled.mode,
-                n_workers,
-                report,
+                problem, options.supervise, compiled.mode, n_workers, report
             )
             if session is None:
                 executor = "dag"
                 compiled = compile_kernel_resilient(problem, options.mode)
-                if not options.fuse_leaves:
-                    compiled = compiled.without_fused_leaves()
         if compiled.walk_par is not None:
             report.walk_threads = options.resolve_walk_threads()
         # Pool counters are accumulated in a per-kernel C buffer; diffing
@@ -446,14 +422,8 @@ def execute_batch(
         compiled = compile_batch_kernel(stack, options.mode)
         if resolve_mode(options.mode) != compiled.mode:
             options = _dc_replace(options, mode=compiled.mode)
-        if not options.fuse_leaves:
-            compiled = compiled.without_fused_leaves()
         t0 = time.perf_counter()
-        stats = execute_serial_stream(
-            build_events(template, options),
-            compiled,
-            collect_stats=options.collect_stats,
-        )
+        stats = execute_serial_stream(build_events(template, options), compiled)
         elapsed = time.perf_counter() - t0
         scatter_results(stack)
     for p, report in zip(problems, reports):

@@ -349,31 +349,24 @@ def execute_serial(plan: PlanNode, compiled: "CompiledKernel") -> int:
 
 
 def execute_serial_stream(
-    events: Iterable[PlanEvent],
-    compiled: "CompiledKernel",
-    *,
-    collect_stats: bool = True,
+    events: Iterable[PlanEvent], compiled: "CompiledKernel"
 ) -> ExecStats:
     """Serial elision straight off an event stream: regions execute as the
     walker produces them, so the plan is never materialized.
 
-    With ``collect_stats`` the per-region accounting runs inline (the
-    stream exists only once, so it cannot happen outside the timed
-    window); ``collect_stats=False`` pays only a counter.
+    The per-region accounting runs inline: the stream exists only once,
+    so it cannot happen outside the timed window.
     """
-    stats = PlanStats() if collect_stats else None
-    count = 0
+    stats = PlanStats()
     t0 = time.perf_counter()
     for region in iter_base_events(events):
         run_base_region(region, compiled)
-        count += 1
-        if stats is not None:
-            stats.note_region(region)
+        stats.note_region(region)
     wall = time.perf_counter() - t0
     return ExecStats(
         executor="serial",
         n_workers=1,
-        base_cases=count,
+        base_cases=stats.base_cases,
         wall_time=wall,
         busy_time=wall,
         region_stats=stats,

@@ -80,7 +80,6 @@ def test_tuned_config_bit_identical_across_executors(
             int(rng.integers(3, 16)) for _ in range(seeded_app.stencil.ndim)
         ),
         dt_threshold=int(rng.integers(1, 5)),
-        fuse_leaves=bool(rng.integers(0, 2)),
         n_workers=int(rng.integers(1, 4)),
     )
     assert registry.store(problem, "auto", config)

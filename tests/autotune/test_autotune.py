@@ -86,7 +86,6 @@ class TestDispatchTuner:
         assert cfg.space_thresholds[1] in (8, 16)
         assert cfg.dt_threshold in (2, 4)
         assert cfg.mode == "split_pointer"
-        assert cfg.fuse_leaves in (True, False)
         assert cfg.n_workers in (1, 2)
         assert cfg.best_time == result.best_time > 0
         assert result.visits > result.evaluations  # memo served the sweeps
@@ -102,7 +101,6 @@ class TestDispatchTuner:
             space_candidates=(8, 32),
             dt_candidates=(4,),
             worker_candidates=(1,),
-            fuse_candidates=(True,),
             max_sweeps=1,
         )
         assert len(result.config.space_thresholds) == 2

@@ -3,7 +3,7 @@
 Two properties anchor this suite:
 
 * **Equivalence** — a tuned config only moves *dispatch* knobs
-  (thresholds, mode, fusion, workers), never semantics, so a run under
+  (thresholds, mode, workers), never semantics, so a run under
   any valid tuned config must be bitwise identical to the
   heuristic-default run.  Randomized configs (seeded RNG) sweep every
   registered app, every executor, and every concrete backend.
@@ -49,7 +49,6 @@ def _random_config(rng, ndim, *, modes=("auto",)) -> TunedConfig:
         space_thresholds=tuple(int(rng.integers(3, 20)) for _ in range(ndim)),
         dt_threshold=int(rng.integers(1, 6)),
         mode=str(rng.choice(list(modes))),
-        fuse_leaves=bool(rng.integers(0, 2)),
         n_workers=int(rng.integers(1, 4)),
     )
 
@@ -60,7 +59,6 @@ class TestTunedConfig:
             space_thresholds=(128, 64),
             dt_threshold=16,
             mode="c",
-            fuse_leaves=False,
             n_workers=3,
             best_time=0.25,
             evaluations=17,
@@ -258,11 +256,11 @@ class TestEquivalence:
         registry.store(
             st.prepare(8, k),
             "auto",
-            TunedConfig((4, 4), 1, fuse_leaves=True, n_workers=3),
+            TunedConfig((4, 4), 1, n_workers=3),
         )
         report = st.run(
             8, k, autotune="use", mode="split_pointer", n_workers=1,
-            fuse_leaves=False, space_thresholds=(16, 16), dt_threshold=4,
+            space_thresholds=(16, 16), dt_threshold=4,
         )
         # every knob the entry covers was pinned by the caller, so the
         # registry applied nothing and must not claim the run
@@ -315,67 +313,61 @@ class TestTuneOnMiss:
         assert st.cursor is None  # tuning never advances the stencil
 
 
+def _write_entries(path, schema, entries):
+    path.write_text(json.dumps({"schema": schema, "entries": entries}))
+
+
 class TestSchemaMigration:
-    """The schema-2 bump (``compiled_walk`` knob): old files read as
-    empty, new entries round-trip, and the knob actually steers runs."""
+    """The tolerant reader: any schema up to the current one is read,
+    unknown keys are ignored, and missing knobs keep the run's auto
+    rule; only a file from a *newer* schema reads as empty."""
 
-    def test_compiled_walk_roundtrips_through_json(self):
-        for cw in (None, True, False):
-            cfg = TunedConfig((8, 8), 2, compiled_walk=cw)
-            assert TunedConfig.from_json(cfg.to_json()).compiled_walk == cw
-
-    def test_compiled_walk_roundtrips_through_store(self):
+    @pytest.mark.parametrize("old_schema", [1, 2, 3])
+    def test_older_schema_file_applies(self, isolated_registry, old_schema):
+        """Each older layout, with the keys it carried (schema 1 had
+        ``fuse_leaves``; 2 added ``compiled_walk``; 3 ``walk_threads``),
+        still applies its thresholds; the next store rewrites the file
+        at the current schema."""
         st, u, k, problem = _heat_problem()
-        registry.store(
-            problem, "auto", TunedConfig((12, 12), 3, compiled_walk=False)
-        )
+        entry = {"space_thresholds": [12, 12], "dt_threshold": 3,
+                 "fuse_leaves": True}
+        if old_schema >= 2:
+            entry["compiled_walk"] = None
+        if old_schema >= 3:
+            entry["walk_threads"] = None
+        key = registry.registry_key(registry.problem_signature(problem), "auto")
+        _write_entries(isolated_registry, old_schema, {key: entry})
         got = registry.lookup(problem, "auto")
-        assert got is not None and got.compiled_walk is False
-
-    @pytest.mark.parametrize("bad", ["yes", 0, 1])
-    def test_bad_compiled_walk_rejected(self, bad):
-        """Non-bool values are rejected — including 0/1, which equality
-        checks would admit (0 == False) while the consumer's identity
-        dispatch (`is False`) silently misread them as 'on'."""
-        with pytest.raises(ValueError):
-            TunedConfig.from_json(
-                {
-                    "space_thresholds": [8, 8],
-                    "dt_threshold": 2,
-                    "compiled_walk": bad,
-                }
-            )
-
-    @pytest.mark.parametrize("old_schema", [1, 2])
-    def test_pre_bump_file_reads_empty_then_rewrites_at_current(
-        self, isolated_registry, old_schema
-    ):
-        """The migration contract: a pre-bump registry is discarded
-        wholesale (its configs were tuned without the new knob in the
-        search space), and the next store rewrites the file at the
-        current schema.  Covers both historical layouts: schema 1
-        (no ``compiled_walk``) and schema 2 (no ``walk_threads``)."""
-        st, u, k, problem = _heat_problem()
-        registry.store(problem, "auto", TunedConfig((12, 12), 3))
-        doc = json.loads(isolated_registry.read_text())
-        assert doc["schema"] == SCHEMA_VERSION
-        # Rewrite the same entries as the older layout: each bump only
-        # added a key, so dropping the newer keys reproduces it exactly.
-        for entry in doc["entries"].values():
-            entry.pop("walk_threads", None)
-            if old_schema < 2:
-                entry.pop("compiled_walk", None)
-        doc["schema"] = old_schema
-        isolated_registry.write_text(json.dumps(doc))
-        assert registry.lookup(problem, "auto") is None
+        assert got == TunedConfig((12, 12), 3)
         report = st.run(6, k, autotune="use")
-        assert report.autotune_source == "heuristic"
+        assert report.autotune_source == "registry"
         # the next store migrates the file forward
         registry.store(problem, "auto", TunedConfig((10, 10), 2))
         doc = json.loads(isolated_registry.read_text())
         assert doc["schema"] == SCHEMA_VERSION
         got = registry.lookup(problem, "auto")
         assert got is not None and got.space_thresholds == (10, 10)
+
+    @pytest.mark.skipif("c" not in ALL_MODES, reason="no C compiler")
+    def test_stored_fusion_and_walk_keys_are_ignored(self, isolated_registry):
+        """A v4 entry tuned while leaf fusion and the compiled walk were
+        still settable may carry both switched off.  The reader ignores
+        them: the thresholds apply, and the C run still plans subtree
+        tasks, bitwise equal to the heuristic run."""
+        ref_st, ref_u, ref_k = make_heat_problem((32, 32))
+        ref_st.run(8, ref_k, mode="c")
+        st, u, k = make_heat_problem((32, 32))
+        problem = st.prepare(8, k)
+        key = registry.registry_key(registry.problem_signature(problem), "c")
+        entry = {"space_thresholds": [8, 8], "dt_threshold": 2, "mode": "c",
+                 "fuse_leaves": False, "compiled_walk": False}
+        _write_entries(isolated_registry, 4, {key: entry})
+        report = st.run(8, k, mode="c", autotune="use")
+        assert report.autotune_source == "registry"
+        assert report.subtree_tasks > 0
+        assert np.array_equal(
+            u.snapshot(st.cursor), ref_u.snapshot(ref_st.cursor)
+        )
 
     def test_removed_executor_entry_dropped_without_schema_bump(
         self, isolated_registry
@@ -397,16 +389,10 @@ class TestSchemaMigration:
 
         threads_key = registry.registry_key(sig, "auto")
         dag_key = registry.registry_key(sig, "split_pointer")
-        isolated_registry.write_text(
-            json.dumps(
-                {
-                    "schema": 4,
-                    "entries": {
-                        threads_key: entry("threads"),
-                        dag_key: entry("dag"),
-                    },
-                }
-            )
+        _write_entries(
+            isolated_registry,
+            4,
+            {threads_key: entry("threads"), dag_key: entry("dag")},
         )
         assert SCHEMA_VERSION == 4
         assert registry.lookup(problem, "auto") is None
@@ -472,34 +458,6 @@ class TestSchemaMigration:
         report2 = st2.run(8, k2, mode="c", autotune="use", walk_threads=1)
         assert report2.walk_threads == 1
 
-    @pytest.mark.skipif("c" not in ALL_MODES, reason="no C compiler")
-    def test_tuned_compiled_walk_off_steers_the_planner(self):
-        """A stored ``compiled_walk=False`` must reach the walker: the
-        C-mode run plans no subtree tasks, while the default rule (knob
-        unset) plans some on the same problem."""
-        st, u, k = make_heat_problem((32, 32))
-        problem = st.prepare(8, k)
-        cfg = TunedConfig((8, 8), 2, mode="c", compiled_walk=False)
-        registry.store(problem, "c", cfg)
-        report = st.run(8, k, mode="c", autotune="use")
-        assert report.autotune_source == "registry"
-        assert report.subtree_tasks == 0
-
-        st2, u2, k2 = make_heat_problem((32, 32))
-        report2 = st2.run(
-            8, k2, mode="c", space_thresholds=(8, 8), dt_threshold=2
-        )
-        assert report2.subtree_tasks > 0
-
-
-KNOB_PROCESS_SCRIPT = """
-from tests.conftest import make_heat_problem
-st, u, k = make_heat_problem((32, 32))
-report = st.run(8, k, mode="c", autotune="use")
-print("SOURCE=" + report.autotune_source)
-print("SUBTREES=%d" % report.subtree_tasks)
-"""
-
 
 WTHREADS_PROCESS_SCRIPT = """
 from tests.conftest import make_heat_problem
@@ -520,6 +478,27 @@ print("CHECKSUM=%.17g" % float(np.sum(u.snapshot(st.cursor))))
 """
 
 
+def _run_fresh_process(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter rooted at the repo (the
+    registry path travels in the inherited environment)."""
+    root = os.path.dirname(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src"), root]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=root,
+        timeout=120,
+    )
+
+
 class TestCrossProcess:
     def test_config_tuned_here_applies_in_a_fresh_process(
         self, isolated_registry
@@ -531,60 +510,11 @@ class TestCrossProcess:
         assert report.autotune_source == "tuned"
         checksum = float(np.sum(u.snapshot(st.cursor)))
 
-        root = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(root, "src"), root]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", FRESH_PROCESS_SCRIPT],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=root,
-            timeout=120,
-        )
+        proc = _run_fresh_process(FRESH_PROCESS_SCRIPT)
         assert proc.returncode == 0, proc.stderr
         assert "SOURCE=registry" in proc.stdout, proc.stdout
         line = [l for l in proc.stdout.splitlines() if l.startswith("CHECKSUM=")]
         assert line and float(line[0].split("=")[1]) == pytest.approx(checksum)
-
-    @pytest.mark.skipif("c" not in ALL_MODES, reason="no C compiler")
-    def test_compiled_walk_knob_roundtrips_across_processes(
-        self, isolated_registry
-    ):
-        """The schema-2 acceptance criterion: a config carrying the new
-        ``compiled_walk`` knob, stored here, must load and *steer the
-        planner* in a fresh interpreter."""
-        st, u, k = make_heat_problem((32, 32))
-        problem = st.prepare(8, k)
-        registry.store(
-            problem,
-            "c",
-            TunedConfig((8, 8), 2, mode="c", compiled_walk=False),
-        )
-        root = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(root, "src"), root]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", KNOB_PROCESS_SCRIPT],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=root,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "SOURCE=registry" in proc.stdout, proc.stdout
-        assert "SUBTREES=0" in proc.stdout, proc.stdout
 
     @pytest.mark.skipif("c" not in ALL_MODES, reason="no C compiler")
     def test_walk_threads_knob_roundtrips_across_processes(
@@ -600,22 +530,7 @@ class TestCrossProcess:
             "c",
             TunedConfig((8, 8), 2, mode="c", walk_threads=2),
         )
-        root = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(root, "src"), root]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", WTHREADS_PROCESS_SCRIPT],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=root,
-            timeout=120,
-        )
+        proc = _run_fresh_process(WTHREADS_PROCESS_SCRIPT)
         assert proc.returncode == 0, proc.stderr
         assert "SOURCE=registry" in proc.stdout, proc.stdout
         assert "WTHREADS=2" in proc.stdout, proc.stdout

@@ -51,6 +51,25 @@ def make_heat_problem(
     return st, u, kern
 
 
+def run_per_step(stencil, steps, kernel, **options):
+    """The per-step reference run: compile, strip the fused clones
+    (``CompiledKernel.without_fused_leaves``), and stream a per-leaf
+    plan serially through the per-step clones.  Advances the stencil
+    exactly as ``Stencil.run`` would."""
+    from repro.compiler.pipeline import compile_kernel
+    from repro.language.stencil import RunOptions
+    from repro.trap.driver import build_events
+    from repro.trap.executor import execute_serial_stream
+
+    opts = RunOptions(compiled_walk=False, **options)
+    problem = stencil.prepare(steps, kernel)
+    compiled = compile_kernel(problem, opts.mode).without_fused_leaves()
+    execute_serial_stream(build_events(problem, opts), compiled)
+    for arr in problem.arrays.values():
+        arr.note_written_through(problem.t_end - 1)
+    stencil.advance_cursor(problem)
+
+
 def run_reference(sizes, steps, *, boundary="periodic", seed=0):
     """Phase-1 reference result for a heat problem."""
     from repro import run_phase1

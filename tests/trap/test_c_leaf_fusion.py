@@ -24,7 +24,7 @@ from repro.apps import available_apps, build
 from repro.compiler.pipeline import compile_kernel
 from repro.trap.executor import run_base_region
 from repro.trap.plan import BaseRegion
-from tests.conftest import has_c_backend, make_heat_problem
+from tests.conftest import has_c_backend, make_heat_problem, run_per_step
 
 pytestmark = pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
 
@@ -139,8 +139,8 @@ class TestCrossBackend:
             u_c.snapshot(st_c.cursor), u_n.snapshot(st_n.cursor)
         ), f"c diverged from split_pointer under {boundary}"
         st_s, u_s, k_s = make_heat_problem(sizes, boundary=boundary, seed=5)
-        st_s.run(T, k_s, mode="c", fuse_leaves=False, dt_threshold=2,
-                 space_thresholds=(5, 5))
+        run_per_step(st_s, T, k_s, mode="c", dt_threshold=2,
+                     space_thresholds=(5, 5))
         assert np.array_equal(
             u_c.snapshot(st_c.cursor), u_s.snapshot(st_s.cursor)
         ), f"fused c diverged from per-step c under {boundary}"
@@ -155,7 +155,9 @@ def test_all_apps_c_fused_equals_per_step_and_numpy(name):
     per-step C path and the split_pointer backend bit for bit, under
     every executor."""
     ref_app = build(name, "tiny")
-    ref_app.run(dt_threshold=2, mode="c", fuse_leaves=False)
+    run_per_step(
+        ref_app.stencil, ref_app.steps, ref_app.kernel, mode="c", dt_threshold=2
+    )
     ref = ref_app.result()
 
     np_app = build(name, "tiny")

@@ -14,9 +14,10 @@ it.  Three properties anchor this suite:
 * **Eligibility** — boundary and wrapped (virtual-coordinate) zoids are
   delegated only when the kernel has a C ``leaf_boundary``; a NumPy or
   ``PythonBoundary`` kernel keeps them on the per-leaf path.
-* **Degradation** — without a walk clone (``fuse_leaves=False``, the
+* **Degradation** — without a walk clone (the per-step reference, the
   NumPy backend, or a hidden toolchain) subtree plans still run, via
-  the Python walk, with identical results.
+  the Python walk, with identical results.  The run plans subtree tasks
+  only under C, so these tests force them on through ``WalkOptions``.
 
 The C-specific tests skip cleanly when no C compiler is present; the
 planning and degradation tests run everywhere.
@@ -35,10 +36,10 @@ from repro.apps import available_apps, build
 from repro.apps.heat import heat_kernel, heat_shape
 from repro.compiler.pipeline import compile_kernel
 from repro.language.stencil import RunOptions
-from repro.trap.driver import build_events, build_plan
-from repro.trap.executor import run_base_region
+from repro.trap.driver import build_events
+from repro.trap.executor import execute_serial_stream, run_base_region
 from repro.trap.graph import build_task_graph
-from repro.trap.plan import BaseRegion, iter_base_events, iter_base_serial
+from repro.trap.plan import BaseRegion, iter_base_events
 from repro.trap.walker import (
     NEVER_CUT,
     WALK_GRAIN_SPACE,
@@ -46,7 +47,9 @@ from repro.trap.walker import (
     WalkOptions,
     WalkSpec,
     decompose_events,
+    walk_spec_for,
 )
+from repro.trap.zoid import full_grid_zoid
 from tests.conftest import has_c_backend, make_heat_problem
 
 T_MAX = 8
@@ -60,6 +63,19 @@ def _fresh_compiled(sizes, boundary="periodic"):
     stencil, u, kern = make_heat_problem(sizes, boundary=boundary, seed=11)
     problem = stencil.prepare(T_MAX, kern)
     return u, compile_kernel(problem, "c")
+
+
+def _forced_walk_events(problem, thresholds=(6, 6)):
+    """The problem's plan with subtree-task planning forced on, whatever
+    the backend: interior zoids that fit the walk grain become subtree
+    tasks (boundary zoids never do — no C boundary clone is assumed)."""
+    min_off, max_off = problem.shape.min_max_offsets
+    spec = walk_spec_for(problem.sizes, problem.slopes, min_off, max_off)
+    opts = WalkOptions(
+        dt_threshold=2, space_thresholds=thresholds, compiled_walk=True
+    )
+    top = full_grid_zoid(problem.t_start, problem.t_end, problem.sizes)
+    return decompose_events(top, spec, opts)
 
 
 def _python_boundary_problem(sizes, steps):
@@ -156,26 +172,27 @@ class TestEligibility:
     """Boundary and wrapped zoids are delegated only to a walk clone that
     can run them: one with a C ``leaf_boundary``."""
 
-    def _subtree_regions(self, options, sizes=(24, 24), boundary="periodic"):
+    def _problem(self, sizes=(24, 24), boundary="periodic"):
         stencil, u, kern = make_heat_problem(sizes, boundary=boundary)
-        problem = stencil.prepare(12, kern)
-        events = build_events(problem, options)
+        return stencil.prepare(12, kern)
+
+    def _subtree_regions(self, options, sizes=(24, 24), boundary="periodic"):
+        events = build_events(self._problem(sizes, boundary), options)
         return sizes, list(iter_base_events(events))
+
+    def _forced_regions(self, boundary="periodic"):
+        events = _forced_walk_events(self._problem(boundary=boundary))
+        return list(iter_base_events(events))
 
     @pytest.mark.parametrize("boundary", ["periodic", "neumann", "dirichlet"])
     def test_subtrees_are_interior_and_in_domain(self, boundary):
-        """Without a C boundary leaf (here: NumPy planning with the walk
-        forced on) no subtree task may be boundary-classified or carry a
-        wrapped (virtual-coordinate) home range: the kernel's walk, or
-        its Python replay of an interior root, has no boundary clone to
-        resolve them with."""
-        options = RunOptions(
-            mode="split_pointer",
-            compiled_walk=True,  # force planning even without C
-            dt_threshold=2,
-            space_thresholds=(6, 6),
-        )
-        sizes, regions = self._subtree_regions(options, boundary=boundary)
+        """Without a C boundary leaf (here: the walk forced on with
+        boundary delegation off) no subtree task may be
+        boundary-classified or carry a wrapped (virtual-coordinate) home
+        range: the kernel's walk, or its Python replay of an interior
+        root, has no boundary clone to resolve them with."""
+        sizes = (24, 24)  # _problem's default grid
+        regions = self._forced_regions(boundary)
         subtrees = [r for r in regions if r.walk is not None]
         assert subtrees, "plan produced no subtree tasks to check"
         for r in subtrees:
@@ -212,17 +229,10 @@ class TestEligibility:
         """Kernels without a C boundary leaf — NumPy, or C with a
         ``PythonBoundary`` — keep every boundary zoid on the per-leaf
         path."""
-        options = RunOptions(
-            mode="split_pointer",
-            compiled_walk=True,
-            dt_threshold=2,
-            space_thresholds=(6, 6),
-        )
-        _, regions = self._subtree_regions(options)
+        regions = self._forced_regions()
         python_boundary = _python_boundary_problem((24, 24), 12)
-        regions += iter_base_events(
-            build_events(python_boundary, replace(options, mode="c"))
-        )
+        options = RunOptions(mode="c", dt_threshold=2, space_thresholds=(6, 6))
+        regions += iter_base_events(build_events(python_boundary, options))
         assert any(r.walk is not None for r in regions)
         for r in regions:
             if not r.interior:
@@ -249,23 +259,18 @@ class TestEligibility:
         assert np.array_equal(got, u.data)
 
     def test_compiled_walk_off_emits_no_subtrees(self):
-        options = RunOptions(
-            mode="split_pointer",
-            compiled_walk=False,
-            dt_threshold=2,
-            space_thresholds=(6, 6),
-        )
-        _, regions = self._subtree_regions(options)
-        assert all(r.walk is None for r in regions)
+        for mode in ("c", "split_pointer"):
+            options = RunOptions(
+                mode=mode,
+                compiled_walk=False,
+                dt_threshold=2,
+                space_thresholds=(6, 6),
+            )
+            _, regions = self._subtree_regions(options)
+            assert all(r.walk is None for r in regions), mode
 
     def test_subtrees_respect_the_walk_grain(self):
-        options = RunOptions(
-            mode="split_pointer",
-            compiled_walk=True,
-            dt_threshold=2,
-            space_thresholds=(6, 6),
-        )
-        _, regions = self._subtree_regions(options)
+        regions = self._forced_regions()
         for r in regions:
             if r.walk is None:
                 continue
@@ -273,17 +278,6 @@ class TestEligibility:
             assert z.height <= WALK_GRAIN_TIME * 2
             for i in range(z.ndim):
                 assert z.width(i) <= WALK_GRAIN_SPACE * 6
-
-    @pytest.mark.parametrize("bad", ["yes", 0, 1, 2])
-    def test_non_bool_knob_rejected(self, bad):
-        """0/1 must be rejected, not coerced: RunOptions validation
-        would pass them under an equality check (0 == False) while
-        resolve_compiled_walk's identity test (`is False`) then forced
-        the walk ON for a caller who asked for it off."""
-        from repro.errors import SpecificationError
-
-        with pytest.raises(SpecificationError):
-            RunOptions(compiled_walk=bad)
 
     def test_walk_grain_guard_exempts_protected_dims(self):
         """The full-circumference guard exists because the compiled walk
@@ -319,15 +313,7 @@ class TestEligibility:
         assert opts.effective_thresholds(3) == (4, 4, NEVER_CUT)
 
     def test_graph_counts_subtree_tasks(self):
-        stencil, u, kern = make_heat_problem((24, 24))
-        problem = stencil.prepare(12, kern)
-        options = RunOptions(
-            mode="split_pointer",
-            compiled_walk=True,
-            dt_threshold=2,
-            space_thresholds=(6, 6),
-        )
-        graph = build_task_graph(build_events(problem, options))
+        graph = build_task_graph(_forced_walk_events(self._problem()))
         n = sum(1 for r in graph.iter_regions() if r.walk is not None)
         assert graph.n_subtree_tasks == n > 0
 
@@ -336,22 +322,29 @@ class TestDegradation:
     """Subtree plans execute without a walk clone, bitwise identically."""
 
     def test_numpy_backend_replays_subtrees_in_python(self):
+        """A subtree-task plan handed to a NumPy kernel (no walk clone)
+        replays the recursion in Python, bitwise equal to the per-leaf
+        run — the path a supervised worker takes when its own compile
+        degraded, covered here with or without a toolchain."""
         st_ref, u_ref, k_ref = make_heat_problem((32, 32), seed=7)
-        st_ref.run(12, k_ref, mode="split_pointer", compiled_walk=False,
+        st_ref.run(12, k_ref, mode="split_pointer",
                    dt_threshold=2, space_thresholds=(8, 8))
-        ref = u_ref.snapshot(st_ref.cursor)
 
         st_w, u_w, k_w = make_heat_problem((32, 32), seed=7)
-        report = st_w.run(12, k_w, mode="split_pointer", compiled_walk=True,
-                          dt_threshold=2, space_thresholds=(8, 8))
-        assert report.subtree_tasks > 0  # the plan really was coarse
-        assert np.array_equal(u_w.snapshot(st_w.cursor), ref)
+        problem = st_w.prepare(12, k_w)
+        stats = execute_serial_stream(
+            _forced_walk_events(problem, thresholds=(8, 8)),
+            compile_kernel(problem, "split_pointer"),
+        )
+        assert stats.region_stats.subtree_tasks > 0  # the plan was coarse
+        assert np.array_equal(u_w.data, u_ref.data)
 
     def test_no_cc_degrades_cleanly(self, monkeypatch):
         """With the toolchain hidden, ``auto`` resolves to split_pointer
-        and the auto rule keeps compiled_walk off — the run must succeed
-        and match the C-planned result bitwise (same points, same
-        arithmetic).  This is the REPRO_NO_CC CI leg's contract."""
+        and no subtree task is planned (only C has a walk) — the run
+        must succeed and match the C-planned result bitwise (same
+        points, same arithmetic).  This is the REPRO_NO_CC CI leg's
+        contract."""
         st_ref, u_ref, k_ref = make_heat_problem((32, 32), seed=9)
         st_ref.run(10, k_ref, dt_threshold=2)
         ref = u_ref.snapshot(st_ref.cursor)
@@ -369,45 +362,6 @@ class TestDegradation:
         finally:
             monkeypatch.delenv("REPRO_NO_CC")
             clear_cache()
-
-    def test_no_cc_forced_walk_replays_in_python(self, monkeypatch):
-        """With the toolchain hidden, a *forced* ``compiled_walk=True``
-        still plans subtree tasks; with no walk clone to take them they
-        replay in Python — recorded, and bitwise equal to the auto run."""
-        from repro.compiler.pipeline import clear_cache
-
-        monkeypatch.setenv("REPRO_NO_CC", "1")
-        clear_cache()
-        try:
-            th = dict(dt_threshold=2, space_thresholds=(8, 8))
-            st_a, u_a, k_a = make_heat_problem((32, 32), seed=4)
-            rep_a = st_a.run(12, k_a, **th)
-            assert rep_a.mode == "split_pointer"
-            assert rep_a.subtree_tasks == 0
-            st_b, u_b, k_b = make_heat_problem((32, 32), seed=4)
-            rep_b = st_b.run(12, k_b, compiled_walk=True, **th)
-            assert rep_b.mode == "split_pointer"
-            assert rep_b.subtree_tasks > 0
-            assert "compiled-walk:python-replay" in rep_b.degradations
-            assert np.array_equal(
-                u_a.snapshot(st_a.cursor), u_b.snapshot(st_b.cursor)
-            )
-        finally:
-            monkeypatch.delenv("REPRO_NO_CC")
-            clear_cache()
-
-    def test_fuse_leaves_off_disables_delegation(self):
-        stencil, u, kern = make_heat_problem((24, 24))
-        problem = stencil.prepare(12, kern)
-        options = RunOptions(
-            mode="split_pointer",
-            compiled_walk=True,
-            fuse_leaves=False,
-            dt_threshold=2,
-            space_thresholds=(6, 6),
-        )
-        plan = build_plan(problem, options)
-        assert all(r.walk is None for r in iter_base_serial(plan))
 
 
 EXECUTORS = ("serial", "dag")

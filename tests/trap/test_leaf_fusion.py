@@ -20,7 +20,7 @@ from repro.apps import available_apps, build
 from repro.compiler.pipeline import compile_kernel
 from repro.trap.executor import run_base_region
 from repro.trap.plan import BaseRegion
-from tests.conftest import make_heat_problem
+from tests.conftest import make_heat_problem, run_per_step
 
 T_MAX = 8  # time window prepared for region-level tests
 
@@ -126,7 +126,7 @@ def test_all_apps_fused_equals_per_step(name):
     """Every registered app, every executor: fused leaves on (default)
     must reproduce the per-step clone path bit for bit."""
     ref_app = build(name, "tiny")
-    ref_app.run(dt_threshold=2, fuse_leaves=False)
+    run_per_step(ref_app.stencil, ref_app.steps, ref_app.kernel, dt_threshold=2)
     ref = ref_app.result()
     for executor in EXECUTORS:
         app = build(name, "tiny")

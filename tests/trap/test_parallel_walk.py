@@ -38,7 +38,7 @@ from repro.errors import SpecificationError
 from repro.language.stencil import RunOptions
 from repro.trap.executor import run_base_region
 from repro.trap.plan import BaseRegion
-from tests.conftest import has_c_backend, make_heat_problem
+from tests.conftest import has_c_backend, make_heat_problem, run_per_step
 
 T_MAX = 8
 
@@ -298,13 +298,13 @@ class TestDegradation:
             clear_cache()
 
     def test_fuse_leaves_off_composes_with_walk_threads(self):
-        """``fuse_leaves=False`` strips every walk clone; the thread
-        knob must ride along harmlessly."""
+        """The per-step reference (fused leaves off) strips every walk
+        clone; the thread knob must ride along harmlessly."""
         st_ref, u_ref, k_ref = make_heat_problem((24, 24), seed=4)
-        st_ref.run(8, k_ref, dt_threshold=2, fuse_leaves=False)
+        run_per_step(st_ref, 8, k_ref, dt_threshold=2)
         ref = u_ref.snapshot(st_ref.cursor)
         st_x, u_x, k_x = make_heat_problem((24, 24), seed=4)
-        st_x.run(8, k_x, dt_threshold=2, fuse_leaves=False, walk_threads=3)
+        run_per_step(st_x, 8, k_x, dt_threshold=2, walk_threads=3)
         assert np.array_equal(u_x.snapshot(st_x.cursor), ref)
 
 
