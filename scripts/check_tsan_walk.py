@@ -7,8 +7,9 @@ that fills the data arrays deterministically, runs the same
 boundary-touching subtree (its recursion reaches both the interior and
 the row-peeled boundary leaf) through the exported entry points Python
 binds, ``walk_subtree_batch`` (serial) and ``walk_subtree_par_batch``
-(4 pool threads, data copies), each with ``nb=1``, and memcmps the
-results.  Compiled with
+(4 pool threads, data copies), each over a stack of ``NB=2`` jobs with
+different data in each slab — the shape of a served batch — and memcmps
+every slab.  Compiled with
 ``-fsanitize=thread -pthread`` and run under
 ``TSAN_OPTIONS=halt_on_error=1``, it fails on
 
@@ -62,6 +63,8 @@ LO, HI = (-3, 0), (17, 20)
 DLO, DHI = (1, 1), (-1, -1)
 SLOPES, THRESH = (1, 1), (3, 3)
 DT_TH, HYPER, NTHREADS = 1, 1, 4
+#: Jobs per stack: each array and const array holds NB slabs back to back.
+NB = 2
 
 
 def tsan_supported(cc: str, workdir: str) -> bool:
@@ -78,7 +81,7 @@ def tsan_supported(cc: str, workdir: str) -> bool:
 
 
 def generate_main(ir) -> str:
-    """A main() that exercises both walks on identical inputs."""
+    """A main() that exercises both walks on identical NB-job stacks."""
     names = [info.name for info in ir.array_infos]
     consts = sorted(ir.const_arrays)
     lines = [
@@ -96,23 +99,26 @@ def generate_main(ir) -> str:
         "",
         "int main(void) {",
     ]
+    # One job's elements per array; the LCG runs on across the slabs, so
+    # every slab holds different data.
     for info in ir.array_infos:
         n = info.slots
         for s in info.sizes:
             n *= s
         lines += [
             f"  const long long n_{info.name} = {n}LL;",
-            f"  double* a_{info.name} = malloc(n_{info.name}"
+            f"  const long long all_{info.name} = {NB}LL * n_{info.name};",
+            f"  double* a_{info.name} = malloc(all_{info.name}"
             " * sizeof(double));",
-            f"  double* b_{info.name} = malloc(n_{info.name}"
+            f"  double* b_{info.name} = malloc(all_{info.name}"
             " * sizeof(double));",
-            f"  for (long long i = 0; i < n_{info.name}; ++i)"
+            f"  for (long long i = 0; i < all_{info.name}; ++i)"
             f" a_{info.name}[i] = lcg();",
-            f"  memcpy(b_{info.name}, a_{info.name}, n_{info.name}"
+            f"  memcpy(b_{info.name}, a_{info.name}, all_{info.name}"
             " * sizeof(double));",
         ]
     for c in consts:
-        size = 1
+        size = NB
         for s in ir.const_arrays[c].values.shape:
             size *= s
         lines += [
@@ -132,8 +138,9 @@ def generate_main(ir) -> str:
     )
     lines += [
         "  long long wstats[3] = {0, 0, 0};",
-        f"  walk_subtree_batch({a_ptrs}, 1, {scalar});",
-        f"  walk_subtree_par_batch({b_ptrs}, 1, {scalar}, {NTHREADS}, wstats);",
+        f"  walk_subtree_batch({a_ptrs}, {NB}, {scalar});",
+        f"  walk_subtree_par_batch({b_ptrs}, {NB}, {scalar}, {NTHREADS},"
+        " wstats);",
         '  printf("spawned=%lld stolen=%lld barriers=%lld\\n",',
         "         wstats[0], wstats[1], wstats[2]);",
         "  if (wstats[0] == 0) {",
@@ -144,10 +151,13 @@ def generate_main(ir) -> str:
     ]
     for n in names:
         lines += [
-            f"  if (memcmp(a_{n}, b_{n}, n_{n} * sizeof(double)) != 0) {{",
-            f'    fprintf(stderr, "parallel walk diverged on {n}\\n");',
-            "    return 1;",
-            "  }",
+            f"  for (long long j = 0; j < {NB}; ++j)",
+            f"    if (memcmp(a_{n} + j * n_{n}, b_{n} + j * n_{n},"
+            f" n_{n} * sizeof(double)) != 0) {{",
+            f'      fprintf(stderr, "parallel walk diverged on {n}, job %lld\\n",'
+            " j);",
+            "      return 1;",
+            "    }",
         ]
     lines += [
         '  printf("tsan walk check ok: serial == parallel, no races'

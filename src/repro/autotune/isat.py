@@ -407,7 +407,7 @@ def tune_problem(
             for name, arr in clones.items():
                 arr.data[...] = saved[name]
                 arr._latest = saved_latest[name]
-            return execute_problem(tuning_problem, options)
+            return execute_problem([tuning_problem], options)[0]
 
     runner = _ProblemRunner()
     return tune_dispatch(

@@ -5,7 +5,8 @@ dispatches per region — it should run one compiled call whose innermost
 loop runs over the jobs.  Every ``c`` and ``split_pointer`` clone already
 has that loop (a local run is simply a batch of one), so this module
 only stacks the jobs and binds the same clones to the stack.  The three
-pieces the driver's :func:`repro.trap.driver.execute_batch` composes:
+pieces :func:`repro.trap.driver.execute_problem` composes for a group of
+K > 1 jobs:
 
 * :func:`stack_problems` — validate that the jobs are batchable (same
   problem signature, same time range) and copy each job's arrays into
@@ -15,8 +16,9 @@ pieces the driver's :func:`repro.trap.driver.execute_batch` composes:
 * :func:`compile_batch_kernel` — bind the template job's clones to the
   stack through :func:`repro.compiler.pipeline.bind_kernel`, the path
   ``compile_kernel`` takes with a stack of one, packaged as an ordinary
-  :class:`~repro.compiler.pipeline.CompiledKernel` — so the existing
-  event-stream executor runs a whole batch without knowing it;
+  :class:`~repro.compiler.pipeline.CompiledKernel` — so the executors,
+  the compiled walk and its thread pool run a whole batch without
+  knowing it;
 * :func:`scatter_results` — copy the stacked slabs back into each job's
   own arrays after the run (nothing to do for views).
 
@@ -35,7 +37,7 @@ process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,9 +137,9 @@ def compile_batch_kernel(stack: BatchStack, mode: str = "auto") -> CompiledKerne
     ``cc:compile-failed->split_pointer`` note); modes without stacked
     clones (``interp``/``macro_shadow``) and non-vectorizable boundaries
     raise :class:`CompileError` — callers run those jobs unbatched
-    instead.  The kernel carries the serial compiled walk only: the jobs
-    of a call run one after another, and batches do not use the walk's
-    thread pool.
+    instead.  The kernel carries every clone a lone job's kernel has,
+    the parallel walk included: each call runs the jobs one after
+    another.
     """
     resolved = resolve_mode(mode)
     if resolved not in ("c", "split_pointer"):
@@ -147,8 +149,7 @@ def compile_batch_kernel(stack: BatchStack, mode: str = "auto") -> CompiledKerne
     buffers = (stack.stacked, stack.stacked_consts, stack.nb)
     if resolved == "c":
         try:
-            compiled = bind_kernel(ir, "c", *buffers)
-            return replace(compiled, walk_par=None, walk_stats=None)
+            return bind_kernel(ir, "c", *buffers)
         except CompileError:
             degradations.note("cc:compile-failed->split_pointer")
     return bind_kernel(ir, "split_pointer", *buffers)

@@ -23,7 +23,7 @@ kernel's library is built and loaded once per process
 
 Compiled kernels are cached per (kernel IR, mode, array identities): the
 generated code bakes in sizes and boundary kinds, and the bound clones
-close over the arrays' buffers.
+close over the arrays' buffers (:func:`evict` drops a served job's).
 """
 
 from __future__ import annotations
@@ -135,6 +135,21 @@ def clear_cache() -> None:
     with _CACHE_LOCK:
         _CACHE.clear()
     codegen_c.clear_library_cache()
+
+
+def evict(problem: Problem) -> None:
+    """Drop every cached kernel bound to one of ``problem``'s arrays, so
+    the cache does not keep a served job's grid alive after it ran.
+    Matches by identity: kernels bound before a ``share()`` go too."""
+    ids = {id(a) for a in problem.arrays.values()}
+    with _CACHE_LOCK:
+        stale = [
+            key
+            for key, compiled in _CACHE.items()
+            if any(id(a) in ids for a in compiled.ir.arrays.values())
+        ]
+        for key in stale:
+            del _CACHE[key]
 
 
 def resolve_mode(mode: str) -> str:

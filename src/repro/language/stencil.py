@@ -311,14 +311,12 @@ class RunReport:
     #: Serving telemetry (filled by :mod:`repro.serve`; defaults for
     #: direct runs): seconds the job waited in the admission queue
     #: before its batch launched, how many same-signature jobs shared
-    #: the compiled dispatch that ran it, whether its kernel was already
-    #: warm (served from the in-process compile cache / a prior flight
-    #: instead of compiled for this request), and whether a tuned config
-    #: from the autotune registry was applied.
+    #: the compiled dispatch that ran it, and whether its kernel was
+    #: already warm (served from the in-process compile cache / a prior
+    #: flight instead of compiled for this request).
     queue_wait: float = 0.0
     batch_size: int = 1
     compile_cache_hit: bool = False
-    registry_hit: bool = False
     #: Networked-serving telemetry (filled by :mod:`repro.serve.client`;
     #: defaults for local runs): which transport served the job
     #: (``"local"`` in-process, ``"tcp"`` over the framed socket
@@ -329,6 +327,11 @@ class RunReport:
     transport: str = "local"
     attempts: int = 1
     replayed: bool = False
+
+    @property
+    def registry_hit(self) -> bool:
+        """Whether a tuned config from the autotune registry was applied."""
+        return self.autotune_source == "registry"
 
     @property
     def points_per_second(self) -> float:
@@ -550,7 +553,7 @@ class Stencil:
         from repro.trap.driver import execute_problem
 
         problem = self.prepare(steps, kernel)
-        report = execute_problem(problem, options)
+        report = execute_problem([problem], options)[0]
         for arr in problem.arrays.values():
             arr.note_written_through(problem.t_end - 1)
         self.advance_cursor(problem)

@@ -10,11 +10,12 @@ that turns those from per-process caches into serving infrastructure:
 
 * **admission/batching** — submitted jobs are grouped by problem
   signature (and time range); a group launches when it reaches
-  ``max_batch`` or its ``batch_window`` expires, and runs as ONE
-  batched compiled dispatch (:func:`repro.trap.driver.execute_batch`):
+  ``max_batch`` or its ``batch_window`` expires, and runs through the
+  local driver (:func:`repro.trap.driver.execute_problem`) as ONE run:
   every generated clone runs over a stack of jobs (a local run is a
   batch of one), so K small jobs cost one GIL-released call per region
-  instead of K.
+  instead of K, under the executor, workers and walk threads a local
+  run of one job would use.
 * **warm-state serving** — a kernel's library is loaded once per
   process, single-flight (concurrent requesters of one kernel await
   the same in-process flight, and the ``.so`` cache's per-digest file

@@ -454,7 +454,8 @@ class StencilServer:
         return False, mode, "serve:mode-cannot-batch->unbatched"
 
     async def _run_batch(self, key: tuple, jobs: list[_Job]) -> None:
-        from repro.trap.driver import execute_batch
+        from repro.compiler import pipeline
+        from repro.trap.driver import execute_problem
 
         started = time.perf_counter()
         # Deadline shedding happens HERE, at the last instant before
@@ -479,7 +480,7 @@ class StencilServer:
                 was_warm = await self._ensure_compiled(key, jobs[0].problem, mode)
                 try:
                     reports = await asyncio.to_thread(
-                        execute_batch, [j.problem for j in jobs], run_options
+                        execute_problem, [j.problem for j in jobs], run_options
                     )
                     self.stats["batches"] += 1
                     self.stats["batched_jobs"] += len(jobs)
@@ -515,17 +516,18 @@ class StencilServer:
         finally:
             for job in jobs:
                 self._release_job(job)
+                pipeline.evict(job.problem)
 
     def _run_sequential(
         self, jobs: list[_Job], options: RunOptions
     ) -> list[RunReport]:
-        """The unbatched path (one thread, jobs in order): plain
+        """The unbatched path (one thread, jobs in order): one
         ``execute_problem`` per job — the degraded-but-correct serving
         mode for toolchain-less hosts and unbatchable configurations."""
         from repro.trap.driver import execute_problem
 
         self.stats["unbatched_jobs"] += len(jobs)
-        return [execute_problem(job.problem, options) for job in jobs]
+        return [execute_problem([job.problem], options)[0] for job in jobs]
 
     @staticmethod
     def _finish_job(job: _Job) -> None:

@@ -1,9 +1,12 @@
-"""Execution driver: Problem + RunOptions -> compiled, decomposed, run.
+"""Execution driver: Problems + RunOptions -> compiled, decomposed, run.
 
-This is the glue :meth:`repro.language.Stencil.run` calls for Phase-2
-execution.  It owns nothing algorithmic — it wires the compiler pipeline,
-the walkers, the loop baseline and the executors together and fills in a
-:class:`~repro.language.stencil.RunReport`.
+The one execute path: :meth:`repro.language.Stencil.run`, the autotuner
+and the job server all call :func:`execute_problem`.  It owns nothing
+algorithmic — it wires the compiler pipeline, the walkers, the loop
+baseline and the executors together and fills in one
+:class:`~repro.language.stencil.RunReport` per job.  A local run is a
+group of one job; a server batch stacks K (:mod:`repro.compiler.batch`)
+and runs exactly like one.
 
 Executor dispatch (``RunOptions.resolve_executor``):
 
@@ -244,196 +247,168 @@ def _execute_range(
     report.subtree_tasks += region_stats.subtree_tasks
 
 
-def execute_problem(problem: Problem, options: RunOptions) -> RunReport:
-    """Compile, decompose (or loop), execute; return the run report.
+def execute_problem(
+    problems: list[Problem], options: RunOptions
+) -> list[RunReport]:
+    """Run same-signature jobs as one run; return one report per job.
+
+    The registry is consulted once, on the first job.  A lone job
+    compiles through the cache, bound to its own arrays; K > 1 jobs are
+    stacked, bound to the stack and scattered back, bitwise identical to
+    running them one at a time.  Subtree tasks and DAG regions do not
+    depend on the job, so executor, workers and walk threads resolve as
+    for a lone job.  Every report carries the run's counters (points are
+    per job) and ``batch_size=K``.
 
     Degradation notes fired anywhere below (compiler fallbacks, cache
     evictions, registry damage, checkpoint skips, executor retries) are
     collected into ``report.degradations``; under a
     ``RunOptions.checkpoint`` policy (or ``resume_from``) the time range
     runs as checkpointed blocks via
-    :func:`repro.resilience.runner.execute_blocks`.
-    """
-    from repro.compiler.pipeline import compile_kernel_resilient, resolve_mode
-
-    report = RunReport(
-        algorithm=options.algorithm,
-        mode="",
-        t_start=problem.t_start,
-        t_end=problem.t_end,
-    )
-    if problem.steps == 0:
-        return report
-    with degradations.collect(report.degradations):
-        options, report.autotune_source = _consult_registry(problem, options)
-
-        compiled = compile_kernel_resilient(problem, options.mode)
-        report.mode = compiled.mode
-        if resolve_mode(options.mode) != compiled.mode:
-            # The compile degraded (C backend unusable): rewrite the
-            # requested mode so coarsening geometry, compiled-walk
-            # resolution, and any later per-block compile all follow
-            # the backend that will actually run.
-            options = _dc_replace(options, mode=compiled.mode)
-
-        if options.algorithm in ("loops", "serial_loops"):
-            parallel = options.algorithm == "loops"
-            if parallel:
-                report.n_workers = default_workers(options.n_workers)
-            report.executor = "loops" if parallel else "serial"
-
-            def run_loop_range(a: int, b: int) -> None:
-                sub = _dc_replace(problem, t_start=a, t_end=b)
-                t0 = time.perf_counter()
-                invocations, busy = run_loops(
-                    sub,
-                    compiled,
-                    parallel=parallel,
-                    n_workers=options.n_workers,
-                )
-                report.elapsed += time.perf_counter() - t0
-                report.busy_time += busy
-                report.points_updated += sub.total_points
-                report.base_cases += invocations
-
-            execute_blocks(
-                problem,
-                report,
-                run_loop_range,
-                policy=options.checkpoint,
-                resume_from=options.resume_from,
-            )
-            return report
-
-        executor, n_workers = options.resolve_executor()
-        session = None
-        if executor == "procs":
-            # Promote the grid into shared segments and lease worker
-            # subprocesses.  On any unavailability (no shm, spawn
-            # blocked, unpicklable problem) this returns None with a
-            # recorded note and the run degrades to the in-process DAG
-            # executor.  Either way the arrays may have been rebound
-            # (share bumps cache tokens), so recompile on the degrade
-            # path — a no-op cache hit when nothing was rebound.
-            from repro.supervise.session import open_session
-
-            session = open_session(
-                problem, options.supervise, compiled.mode, n_workers, report
-            )
-            if session is None:
-                executor = "dag"
-                compiled = compile_kernel_resilient(problem, options.mode)
-        if compiled.walk_par is not None:
-            report.walk_threads = options.resolve_walk_threads()
-        # Pool counters are accumulated in a per-kernel C buffer; diffing
-        # a snapshot around the run yields this run's share (best-effort
-        # under concurrent runs of the same kernel, exact otherwise;
-        # supervised runs execute the walk in worker processes, so their
-        # pool counters stay zero here).
-        walk_stats0 = compiled.walk_stats_snapshot()
-
-        def run_range(a: int, b: int) -> None:
-            sub = _dc_replace(problem, t_start=a, t_end=b)
-            _execute_range(
-                sub, options, compiled, report, executor, n_workers,
-                session=session,
-            )
-
-        try:
-            execute_blocks(
-                problem,
-                report,
-                run_range,
-                policy=options.checkpoint,
-                resume_from=options.resume_from,
-            )
-        finally:
-            if session is not None:
-                session.close()
-
-        walk_stats1 = compiled.walk_stats_snapshot()
-        report.walk_spawned = walk_stats1[0] - walk_stats0[0]
-        report.walk_stolen = walk_stats1[1] - walk_stats0[1]
-        report.walk_barriers = walk_stats1[2] - walk_stats0[2]
-        if report.walk_threads > 1 and os.environ.get("REPRO_WALK_POOL_FAIL"):
-            # The generated pool reads this env at start and degrades to
-            # the serial recursion inside the .so; Python only sees the
-            # env, so record the fallback here (covers both direct env
-            # arming and the faults registry's walk.pool site).
-            degradations.note("walk-pool:start-failed->serial")
-    return report
-
-
-def execute_batch(
-    problems: list[Problem], options: RunOptions
-) -> list[RunReport]:
-    """Run K same-signature problems through ONE decomposition.
-
-    The batch path of the serving layer: the jobs' arrays are stacked
-    into contiguous per-array buffers (a lone job runs in place), the
-    template job's clones are bound against the stack
-    (:mod:`repro.compiler.batch`), and a single serial event stream then
-    executes every region once — each leaf/step/walk call covering all K
-    jobs, GIL-released for the C backend.  Results are scattered back
-    into each job's own arrays, bitwise identical to running the jobs
-    one at a time.
-
-    Returns one :class:`RunReport` per job, in order.  ``elapsed`` /
-    ``base_cases`` describe the shared batched run (identical across
-    the reports, with ``batch_size`` recording the sharing);
-    ``points_updated`` is per job.  A ``"c"`` request degrades to
-    batched NumPy with the usual note; a mode/boundary that cannot
-    batch raises :class:`~repro.errors.CompileError` — the serving
-    layer falls back to unbatched sequential execution instead of
-    calling this.  Checkpointing, resume, and the parallel executors
-    are deliberately unsupported here: batches are small and short, and
-    the per-job supervised path remains available unbatched.
+    :func:`repro.resilience.runner.execute_blocks`.  K > 1 jobs with
+    either, or under ``procs``, raise :class:`SpecificationError`.
     """
     from repro.compiler.batch import (
         compile_batch_kernel,
         scatter_results,
         stack_problems,
     )
-    from repro.compiler.pipeline import resolve_mode
+    from repro.compiler.pipeline import compile_kernel_resilient
 
-    if not problems:
-        return []
-    if options.checkpoint is not None or options.resume_from is not None:
-        raise SpecificationError(
-            "batched execution does not support checkpoint/resume"
-        )
-    template = problems[0]
-    reports = [
-        RunReport(
-            algorithm=options.algorithm,
-            mode="",
-            t_start=p.t_start,
-            t_end=p.t_end,
-            batch_size=len(problems),
-        )
-        for p in problems
+    problem = problems[0]
+    report = RunReport(
+        algorithm=options.algorithm,
+        mode="",
+        t_start=problem.t_start,
+        t_end=problem.t_end,
+        batch_size=len(problems),
+    )
+    if problem.steps > 0:
+        with degradations.collect(report.degradations):
+            options, report.autotune_source = _consult_registry(problem, options)
+            if len(problems) == 1:
+                # Not stacked: ``procs`` may rebind the arrays to shared
+                # memory, and a stack of views would then scatter stale data.
+                compiled = compile_kernel_resilient(problem, options.mode)
+                _run(problem, options, compiled, report)
+            else:
+                if (
+                    options.checkpoint is not None
+                    or options.resume_from is not None
+                    or options.resolve_executor()[0] == "procs"
+                ):
+                    raise SpecificationError(
+                        "a batch of jobs runs in process without checkpoints; "
+                        "run checkpointed, resumed or supervised jobs one at "
+                        "a time"
+                    )
+                stack = stack_problems(problems)
+                compiled = compile_batch_kernel(stack, options.mode)
+                _run(problem, options, compiled, report)
+                scatter_results(stack)
+    return [report] + [
+        _dc_replace(report, degradations=list(report.degradations))
+        for _ in problems[1:]
     ]
-    if template.steps == 0:
-        return reports
-    shared_degradations: list[str] = []
-    with degradations.collect(shared_degradations):
-        options, autotune_source = _consult_registry(template, options)
-        stack = stack_problems(problems)
-        compiled = compile_batch_kernel(stack, options.mode)
-        if resolve_mode(options.mode) != compiled.mode:
-            options = _dc_replace(options, mode=compiled.mode)
-        t0 = time.perf_counter()
-        stats = execute_serial_stream(build_events(template, options), compiled)
-        elapsed = time.perf_counter() - t0
-        scatter_results(stack)
-    for p, report in zip(problems, reports):
-        report.mode = compiled.mode
-        report.autotune_source = autotune_source
-        report.registry_hit = autotune_source == "registry"
-        report.executor = stats.executor
-        report.elapsed = elapsed
-        report.busy_time = stats.busy_time
-        report.base_cases = stats.base_cases
-        report.points_updated = p.total_points
-        report.degradations = list(shared_degradations)
-    return reports
+
+
+def _run(
+    problem: Problem, options: RunOptions, compiled, report: RunReport
+) -> None:
+    """Execute ``problem``'s time range with ``compiled`` (bound to the
+    problem's arrays or to a stack of jobs), filling ``report``."""
+    from repro.compiler.pipeline import compile_kernel_resilient, resolve_mode
+
+    report.mode = compiled.mode
+    if resolve_mode(options.mode) != compiled.mode:
+        # The compile degraded (C backend unusable): rewrite the
+        # requested mode so coarsening geometry, compiled-walk
+        # resolution, and any later per-block compile all follow
+        # the backend that will actually run.
+        options = _dc_replace(options, mode=compiled.mode)
+
+    if options.algorithm in ("loops", "serial_loops"):
+        parallel = options.algorithm == "loops"
+        if parallel:
+            report.n_workers = default_workers(options.n_workers)
+        report.executor = "loops" if parallel else "serial"
+
+        def run_loop_range(a: int, b: int) -> None:
+            sub = _dc_replace(problem, t_start=a, t_end=b)
+            t0 = time.perf_counter()
+            invocations, busy = run_loops(
+                sub,
+                compiled,
+                parallel=parallel,
+                n_workers=options.n_workers,
+            )
+            report.elapsed += time.perf_counter() - t0
+            report.busy_time += busy
+            report.points_updated += sub.total_points
+            report.base_cases += invocations
+
+        execute_blocks(
+            problem,
+            report,
+            run_loop_range,
+            policy=options.checkpoint,
+            resume_from=options.resume_from,
+        )
+        return
+
+    executor, n_workers = options.resolve_executor()
+    session = None
+    if executor == "procs":
+        # Promote the grid into shared segments and lease worker
+        # subprocesses.  On any unavailability (no shm, spawn
+        # blocked, unpicklable problem) this returns None with a
+        # recorded note and the run degrades to the in-process DAG
+        # executor.  Either way the arrays may have been rebound
+        # (share bumps cache tokens), so recompile on the degrade
+        # path — a no-op cache hit when nothing was rebound.
+        from repro.supervise.session import open_session
+
+        session = open_session(
+            problem, options.supervise, compiled.mode, n_workers, report
+        )
+        if session is None:
+            executor = "dag"
+            compiled = compile_kernel_resilient(problem, options.mode)
+    if compiled.walk_par is not None:
+        report.walk_threads = options.resolve_walk_threads()
+    # Pool counters are accumulated in a per-kernel C buffer; diffing
+    # a snapshot around the run yields this run's share (best-effort
+    # under concurrent runs of the same kernel, exact otherwise;
+    # supervised runs execute the walk in worker processes, so their
+    # pool counters stay zero here).
+    walk_stats0 = compiled.walk_stats_snapshot()
+
+    def run_range(a: int, b: int) -> None:
+        sub = _dc_replace(problem, t_start=a, t_end=b)
+        _execute_range(
+            sub, options, compiled, report, executor, n_workers,
+            session=session,
+        )
+
+    try:
+        execute_blocks(
+            problem,
+            report,
+            run_range,
+            policy=options.checkpoint,
+            resume_from=options.resume_from,
+        )
+    finally:
+        if session is not None:
+            session.close()
+
+    walk_stats1 = compiled.walk_stats_snapshot()
+    report.walk_spawned = walk_stats1[0] - walk_stats0[0]
+    report.walk_stolen = walk_stats1[1] - walk_stats0[1]
+    report.walk_barriers = walk_stats1[2] - walk_stats0[2]
+    if report.walk_threads > 1 and os.environ.get("REPRO_WALK_POOL_FAIL"):
+        # The generated pool reads this env at start and degrades to
+        # the serial recursion inside the .so; Python only sees the
+        # env, so record the fallback here (covers both direct env
+        # arming and the faults registry's walk.pool site).
+        degradations.note("walk-pool:start-failed->serial")

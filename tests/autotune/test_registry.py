@@ -119,6 +119,14 @@ class TestStoreLookup:
         sig_b = registry.problem_signature(st.prepare(9, k))
         assert sig_a == sig_b
 
+    def test_local_run_reports_registry_hit(self):
+        st, u, k, problem = _heat_problem()
+        registry.store(problem, "auto", TunedConfig((12, 12), 3))
+        report = st.run(6, k, autotune="use")
+        assert report.autotune_source == "registry"
+        assert report.registry_hit
+        assert not st.run(6, k).registry_hit
+
     def test_clear_registry(self, isolated_registry):
         st, u, k, problem = _heat_problem()
         registry.store(problem, "auto", TunedConfig((12, 12), 3))

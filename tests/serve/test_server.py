@@ -30,7 +30,7 @@ from repro.serve import (
     ServerClosed,
     StencilServer,
 )
-from repro.trap.driver import execute_batch
+from repro.trap.driver import execute_problem
 from tests.conftest import has_c_backend
 
 BATCH_MODES = ["split_pointer"] + (["c"] if has_c_backend() else [])
@@ -57,12 +57,12 @@ def _finish(app, problem):
 
 @pytest.mark.parametrize("mode", BATCH_MODES)
 @pytest.mark.parametrize("app_name", sorted(APP_BUILDERS))
-def test_execute_batch_bitwise_equivalence(app_name, mode):
+def test_batched_run_bitwise_equivalence(app_name, mode):
     K = 3
     build = APP_BUILDERS[app_name]
     apps = [build(seed) for seed in range(K)]
     problems = [a.stencil.prepare(a.steps, a.kernel) for a in apps]
-    reports = execute_batch(problems, RunOptions(mode=mode))
+    reports = execute_problem(problems, RunOptions(mode=mode))
     for a, p in zip(apps, problems):
         _finish(a, p)
     refs = [build(seed) for seed in range(K)]
@@ -78,11 +78,11 @@ def test_execute_batch_bitwise_equivalence(app_name, mode):
         assert not rep.degradations
 
 
-def test_execute_batch_rejects_mixed_signatures():
+def test_batched_run_rejects_mixed_signatures():
     a = build_heat((20, 20), 8, seed=0)
     b = build_heat((24, 24), 8, seed=0)
     with pytest.raises(SpecificationError):
-        execute_batch(
+        execute_problem(
             [
                 a.stencil.prepare(a.steps, a.kernel),
                 b.stencil.prepare(b.steps, b.kernel),
@@ -91,18 +91,41 @@ def test_execute_batch_rejects_mixed_signatures():
         )
 
 
-def test_execute_batch_rejects_checkpoint_options(tmp_path):
+@pytest.mark.parametrize("option", ["checkpoint", "resume_from", "procs"])
+def test_batch_of_two_rejects_checkpoint_resume_and_procs(option, tmp_path):
+    from repro import CheckpointPolicy
+
+    extra = {
+        "checkpoint": {"checkpoint": CheckpointPolicy(dir=tmp_path, every_dt=4)},
+        "resume_from": {"resume_from": tmp_path},
+        "procs": {"executor": "procs"},
+    }[option]
+    apps = [build_heat((20, 20), 8, seed=s) for s in range(2)]
+    with pytest.raises(SpecificationError):
+        execute_problem(
+            [a.stencil.prepare(a.steps, a.kernel) for a in apps],
+            RunOptions(mode="split_pointer", **extra),
+        )
+
+
+def test_batch_of_one_runs_checkpointed(tmp_path):
     from repro import CheckpointPolicy
 
     a = build_heat((20, 20), 8, seed=0)
-    with pytest.raises(SpecificationError):
-        execute_batch(
-            [a.stencil.prepare(a.steps, a.kernel)],
-            RunOptions(
-                mode="split_pointer",
-                checkpoint=CheckpointPolicy(dir=tmp_path, every_dt=4),
-            ),
-        )
+    problem = a.stencil.prepare(a.steps, a.kernel)
+    (report,) = execute_problem(
+        [problem],
+        RunOptions(
+            mode="split_pointer",
+            checkpoint=CheckpointPolicy(dir=tmp_path, every_dt=4),
+        ),
+    )
+    _finish(a, problem)
+    assert report.checkpoints_written > 0
+    assert list(tmp_path.glob("*.rpck"))
+    ref = build_heat((20, 20), 8, seed=0)
+    ref.run(mode="split_pointer")
+    assert np.array_equal(a.result(), ref.result())
 
 
 # -- the server end to end -----------------------------------------------
@@ -168,16 +191,51 @@ def test_server_telemetry_and_registry_hit():
         registry.clear_registry()
 
 
-def test_server_mixed_signatures_form_separate_batches():
+@pytest.mark.parametrize("mode", BATCH_MODES)
+def test_server_mixed_signatures_form_separate_batches(mode):
+    # Small thresholds plan subtree tasks, so under C the two batches run
+    # the parallel walk's pool concurrently.
+    options = RunOptions(mode=mode, space_thresholds=(4, 4), dt_threshold=1)
     small = [build_heat((16, 16), 6, seed=s) for s in range(2)]
     large = [build_heat((24, 24), 6, seed=s) for s in range(2)]
     srv, reports = _serve(
-        small + large,
-        ServeOptions(max_batch=8, batch_window=0.05),
-        RunOptions(mode=BATCH_MODES[0]),
+        small + large, ServeOptions(max_batch=8, batch_window=0.05), options
     )
     assert srv.stats["batches"] == 2
     assert [r.batch_size for r in reports] == [2, 2, 2, 2]
+    if mode == "c":
+        assert all(r.walk_spawned > 0 for r in reports)
+    refs = [build_heat((n, n), 6, seed=s) for n in (16, 24) for s in range(2)]
+    for a, ref in zip(small + large, refs):
+        ref.run(options=options)
+        assert np.array_equal(a.result(), ref.result())
+
+
+@pytest.mark.skipif(not has_c_backend(), reason="needs a C toolchain")
+@pytest.mark.parametrize("K", [1, 3])
+def test_served_job_reports_what_a_local_run_reports(K):
+    # Thresholds small enough that the plan hands subtree tasks to the
+    # compiled walk.
+    options = RunOptions(mode="c", space_thresholds=(8, 8), dt_threshold=2)
+    apps = [build_heat((64, 64), 16, seed=s) for s in range(K)]
+    srv, reports = _serve(
+        apps, ServeOptions(max_batch=K, batch_window=0.05), options
+    )
+    assert [r.batch_size for r in reports] == [K] * K
+    for seed, (app, served) in enumerate(zip(apps, reports)):
+        ref = build_heat((64, 64), 16, seed=seed)
+        local = ref.run(options=options)
+        assert local.subtree_tasks > 0
+        for name in (
+            "executor",
+            "base_cases",
+            "interior_base_cases",
+            "boundary_base_cases",
+            "subtree_tasks",
+            "walk_threads",
+        ):
+            assert getattr(served, name) == getattr(local, name), name
+        assert app.result().tobytes() == ref.result().tobytes()
 
 
 def test_backpressure_rejects_but_never_drops():

@@ -12,8 +12,9 @@ generated C, and each distinct catalog entry costs one ``cc`` run:
 * the row-peeled ``leaf_boundary`` against stepping ``boundary_step``
   (the per-point clone) on random, possibly wrapped, boxes;
 * whole runs against ``run_phase1`` through the serial walk, the
-  parallel walk at 1/2/4 threads, the ``*_batch`` twin, and the Python
-  replay of the same subtree plan.
+  parallel walk at 1/2/4 threads, a two-job stack (serial stream or DAG,
+  serial or parallel walk), and the Python replay of the same subtree
+  plan.
 
 The catalog spans 1-4D grids; periodic, Neumann, Dirichlet (constant and
 time-dependent) and mixed per-dimension boundaries; 1-wide grids; grids
@@ -45,7 +46,7 @@ from repro.apps.wave import build_wave, wave_kernel, wave_shape
 from repro.compiler.pipeline import compile_kernel
 from repro.expr.builder import sum_of
 from repro.language.stencil import RunOptions
-from repro.trap.driver import build_events, execute_batch
+from repro.trap.driver import build_events, execute_problem
 from repro.trap.executor import execute_serial_stream, run_base_region
 from repro.trap.plan import BaseRegion, iter_base_events
 from tests.conftest import has_c_backend
@@ -225,14 +226,27 @@ class TestBoundarySubtreeRuns:
         )
         assert _result(stencil) == _phase1(name, 1, steps)
 
-    @settings(max_examples=15, deadline=None, derandomize=True)
-    @given(_runs())
-    def test_batch_twin_matches_phase1(self, case):
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        _runs(),
+        st.sampled_from([("serial", None), ("dag", 2)]),
+        st.sampled_from([1, 2]),
+    )
+    def test_batch_twin_matches_phase1(self, case, executor, walk_threads):
+        """A stack of two jobs through the driver, under the serial
+        stream or the DAG, and the serial or the parallel walk."""
         name, steps, options = case
+        options = replace(
+            options,
+            executor=executor[0],
+            n_workers=executor[1],
+            walk_threads=walk_threads,
+        )
         built = [_build(name, seed) for seed in (1, 2)]
         problems = [s.prepare(steps, k) for s, k in built]
-        reports = execute_batch(problems, options)
+        reports = execute_problem(problems, options)
         assert all(r.degradations == [] for r in reports)
+        assert all(r.walk_threads == walk_threads for r in reports)
         for seed, (stencil, _) in zip((1, 2), built):
             assert _result(stencil) == _phase1(name, seed, steps)
 
