@@ -34,12 +34,15 @@ Degradation follows the house rules: no C toolchain (or an unbatchable
 mode/boundary) never fails a job — it runs unbatched on the NumPy
 backend with a ``serve:*`` tag in ``report.degradations``.
 
-PR 10 adds the **network transport**: :func:`repro.serve.net.serve_tcp`
-exposes a running server over a length-prefixed framed TCP protocol
-(:mod:`repro.serve.protocol`), and :class:`repro.serve.client.
-StencilClient` is the robust caller — connect/request deadlines,
-exponential backoff with jitter, and idempotency keys deduplicated
-against the server's bounded result journal, so every accepted job
+The **network transport**: :func:`repro.serve.net.serve_tcp` exposes a
+running server over a length-prefixed framed TCP protocol
+(:mod:`repro.serve.protocol`).  Its payloads carry every array out of
+band: sent from the live arrays, received in place and run on where
+they landed, so a grid crosses the wire once each way.
+:class:`repro.serve.client.StencilClient` is the robust caller —
+connect/request deadlines, exponential backoff with jitter, and
+idempotency keys deduplicated against the server's result journal
+(bounded by entries and by bytes), so every accepted job
 executes exactly once with bitwise-identical results no matter how the
 wire misbehaves (the ``net.*`` fault sites prove it).  Per-job
 deadlines (``submit(..., timeout=)`` / :class:`JobExpired`) and the

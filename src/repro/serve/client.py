@@ -24,6 +24,14 @@ local ``stencil.run`` — the response carries the server-side modular
 buffers verbatim, and the client performs the same post-run
 bookkeeping (``note_written_through`` + cursor advance) locally.
 
+Grids cross the wire without a copy on this side either: a submit frame
+is a list of parts whose buffers are views of the live arrays, sent with
+one ``sendmsg`` loop (and re-sent from the same views on a retry); a
+response is received into one buffer, and copying its arrays back into
+the stencil is the only copy.  A response whose arrays do not match the
+stencil's (unknown name, wrong dtype or byte size) raises
+:class:`~repro.serve.protocol.ProtocolError` before anything is written.
+
 ``submit_many`` pipelines K jobs over one connection (all requests
 ship before the first response is awaited), which is what lets the
 server batch same-signature remote jobs into one compiled dispatch —
@@ -86,7 +94,9 @@ class _PendingJob:
     key: str
     stencil: Stencil
     problem: Problem
-    frame: bytes
+    #: The submit frame as ``protocol.frame_parts``: header bytes, then
+    #: views of the live arrays.
+    frame: list
     report: RunReport | None = None
 
 
@@ -186,16 +196,14 @@ class StencilClient:
         for stencil, steps, kernel in jobs:
             problem = stencil.prepare(steps, kernel)
             key = uuid.uuid4().hex
-            frame = protocol.encode_frame(
+            frame = protocol.frame_parts(
                 T_SUBMIT,
-                protocol.pack(
-                    {
-                        "key": key,
-                        "deadline": budget,
-                        "problem": problem,
-                        "options": options,
-                    }
-                ),
+                {
+                    "key": key,
+                    "deadline": budget,
+                    "problem": problem,
+                    "options": options,
+                },
             )
             pending[key] = _PendingJob(
                 key=key, stencil=stencil, problem=problem, frame=frame
@@ -233,7 +241,7 @@ class StencilClient:
         )
         sock.settimeout(timeout)
         try:
-            sock.sendall(protocol.encode_frame(T_HEALTH, protocol.pack({})))
+            protocol.send_parts(sock, protocol.frame_parts(T_HEALTH, {}))
             ftype, payload = protocol.recv_frame(sock, max_frame=self.max_frame)
         except (ConnectionError, TimeoutError, OSError):
             self.close()
@@ -258,7 +266,7 @@ class StencilClient:
         unanswered = [j for j in pending.values() if j.report is None]
         for job in unanswered:
             sock.settimeout(self._remaining(deadline))
-            sock.sendall(job.frame)
+            protocol.send_parts(sock, job.frame)
         while any(j.report is None for j in pending.values()):
             sock.settimeout(self._remaining(deadline))
             try:
@@ -293,13 +301,28 @@ class StencilClient:
 
     def _apply_result(self, job: _PendingJob, msg: dict, attempt: int) -> None:
         """Copy the server-side buffers into the local arrays and do the
-        post-run bookkeeping — the bitwise twin of a local run."""
-        report: RunReport = msg["report"]
-        for name, buf in msg["arrays"].items():
+        post-run bookkeeping — the bitwise twin of a local run.  Every
+        array is checked before any is written."""
+        report = msg.get("report")
+        arrays = msg.get("arrays")
+        if not isinstance(report, RunReport) or not isinstance(arrays, dict):
+            raise ProtocolError("result without a report and arrays")
+        for name, buf in arrays.items():
+            arr = job.stencil.arrays.get(name)
+            if arr is None:
+                raise ProtocolError(f"result carries unknown array {name!r}")
+            if not isinstance(buf, np.ndarray) or buf.dtype != arr.data.dtype:
+                raise ProtocolError(
+                    f"result array {name!r} is not {arr.data.dtype} data"
+                )
+            if buf.nbytes != arr.data.nbytes:
+                raise ProtocolError(
+                    f"result array {name!r} holds {buf.nbytes} bytes, "
+                    f"expected {arr.data.nbytes}"
+                )
+        for name, buf in arrays.items():
             arr = job.stencil.arrays[name]
-            arr.data[...] = np.frombuffer(buf, dtype=arr.data.dtype).reshape(
-                arr.data.shape
-            )
+            arr.data[...] = buf.reshape(arr.data.shape)
             arr.note_written_through(job.problem.t_end - 1)
         job.stencil.advance_cursor(job.problem)
         report.transport = "tcp"

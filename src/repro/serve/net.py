@@ -5,11 +5,20 @@ The network boundary is where every new failure mode of the serving
 story lives — torn frames, dropped connections, slow peers, duplicated
 retries — so this module treats each as a first-class design input:
 
+* **in-place receive** — each connection is a small
+  :class:`asyncio.BufferedProtocol`: a payload too large for its staging
+  buffer is received straight into one ``bytearray``, the submitted
+  arrays unpickle as views into it (:func:`repro.serve.protocol.unpack`),
+  a job of one runs on them in place (a batch scatters back into them),
+  and the response sends those same arrays out of band — an unbatched
+  grid is never copied between the socket reads and the socket writes.
 * **idempotent replay** — every submit carries a client idempotency
-  key; completed responses live in a bounded LRU **result journal**, so
-  a retry after a dropped response replays the recorded bytes instead
-  of executing the job again.  Accepted jobs execute exactly once
-  (within the journal's capacity), bitwise-identical to a local run.
+  key; completed responses live in a **result journal**, LRU-bounded
+  both by entry count (``journal_limit``) and by result-array bytes
+  (:data:`JOURNAL_BYTES`), so a retry after a dropped response replays
+  the recorded response instead of executing the job again.  Accepted
+  jobs execute exactly once (within the journal's capacity),
+  bitwise-identical to a local run.
 * **deadline propagation** — a submit's remaining time budget rides in
   the frame; a job still queued past it is shed with a typed
   ``expired`` error before dispatch (:class:`~repro.serve.server.
@@ -39,7 +48,7 @@ from __future__ import annotations
 import asyncio
 import signal as _signal
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Iterable
 
 from repro.errors import SpecificationError
@@ -66,6 +75,21 @@ SLOW_PEER_STALL = 0.35
 
 #: Default bound on remembered responses (idempotent replay window).
 JOURNAL_LIMIT = 256
+
+#: Bound on the result-array bytes the journal pins, whatever its entry
+#: count: a completed entry's size is the sum of its out-of-band buffers.
+JOURNAL_BYTES = 1 << 30
+
+#: Frames that fit in a staging buffer of this size are parsed whole out
+#: of it, so a pipelined burst of small frames costs one ``recv`` (the
+#: transport's own read size), not several per frame.  Reading pauses
+#: while more than this many payload bytes wait for the handler.
+_STAGE = 1 << 18
+
+#: Large response frames go to the transport in slices of this size, each
+#: followed by a ``drain()``: the transport copies what the socket does
+#: not take at once, so a slice bounds that copy.
+_WRITE_SLICE = 1 << 20
 
 
 def error_payload(key: str | None, exc: BaseException) -> dict:
@@ -95,6 +119,131 @@ def error_payload(key: str | None, exc: BaseException) -> dict:
         "message": str(exc) or type(exc).__name__,
         "remote_type": type(exc).__name__,
     }
+
+
+class _FrameConnection(
+    asyncio.streams.FlowControlMixin, asyncio.BufferedProtocol
+):
+    """One connection's receive side: frames with their payloads
+    received in place.
+
+    Bytes land in a staging buffer, and every frame that fits in it is
+    copied out once complete.  A larger payload gets its own
+    ``bytearray(length)``, seeded with what the stage already holds, and
+    the socket fills the rest of it directly — a large grid is copied out
+    of the kernel once and never again.  Parsed frames (or the error that
+    ended the stream) queue for :meth:`next_frame`; reading pauses while
+    they hold more than :data:`_STAGE` bytes.  ``writer`` is a
+    :class:`asyncio.StreamWriter` over the same transport.
+    """
+
+    def __init__(self, net: "NetServer"):
+        super().__init__()
+        self._net = net
+        self._stage = bytearray(_STAGE)
+        self._staged = 0
+        self._body: memoryview | None = None
+        self._filled = 0
+        self._ftype = 0
+        self._frames: deque = deque()
+        self._queued = 0
+        self._waiter: asyncio.Future | None = None
+        self._reading_paused = False
+        self._dead = False
+        self._closed = self._loop.create_future()
+        self.transport: asyncio.Transport | None = None
+        self.writer: asyncio.StreamWriter | None = None
+        self.task: asyncio.Task | None = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.writer = asyncio.StreamWriter(transport, self, None, self._loop)
+        # Held here: the loop keeps only a weak reference to its tasks.
+        self.task = self._loop.create_task(self._net._on_connection(self))
+
+    def connection_lost(self, exc) -> None:
+        super().connection_lost(exc)
+        self._push(ConnectionError("connection closed"))
+        if not self._closed.done():
+            self._closed.set_result(None)
+
+    def _get_close_waiter(self, stream) -> asyncio.Future:
+        return self._closed
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._body is not None:
+            return self._body[self._filled:]
+        return memoryview(self._stage)[self._staged:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._body is not None:
+            self._filled += nbytes
+            if self._filled == len(self._body):
+                self._push((self._ftype, self._body.obj))
+                self._body = None
+        else:
+            self._staged += nbytes
+            self._parse()
+        if self._queued > _STAGE and not self._reading_paused:
+            self._reading_paused = True
+            self.transport.pause_reading()
+
+    def _parse(self) -> None:
+        """Take every complete frame out of the stage, and start the
+        in-place receive of one too large for it; keep a partial frame
+        that fits for the next read."""
+        stage, pos = self._stage, 0
+        while not self._dead and self._staged - pos >= protocol.HEADER.size:
+            end = pos + protocol.HEADER.size
+            try:
+                ftype, length = protocol.parse_header(
+                    stage[pos:end], max_frame=self._net.max_frame
+                )
+            except protocol.ProtocolError as exc:
+                # Nothing after a bad header can be framed: stop reading.
+                self._dead = True
+                self._push(exc)
+                self.transport.pause_reading()
+                break
+            have = self._staged - end
+            if have < length and protocol.HEADER.size + length <= _STAGE:
+                break
+            body = bytearray(length)
+            take = min(length, have)
+            body[:take] = memoryview(stage)[end:end + take]
+            pos = end + take
+            if take < length:
+                self._ftype, self._filled = ftype, take
+                self._body = memoryview(body)
+                break
+            self._push((ftype, body))
+        rest = self._staged - pos
+        if pos and rest:
+            stage[:rest] = stage[pos:self._staged]
+        self._staged = rest
+
+    def _push(self, item) -> None:
+        if isinstance(item, tuple):
+            self._queued += len(item[1])
+        self._frames.append(item)
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    async def next_frame(self) -> tuple[int, bytearray]:
+        """The next frame; raises what ended the stream instead
+        (:class:`ConnectionError` on EOF or a torn frame,
+        :class:`~repro.serve.protocol.ProtocolError` on a bad header)."""
+        while not self._frames:
+            self._waiter = self._loop.create_future()
+            await self._waiter
+        item = self._frames.popleft()
+        if isinstance(item, BaseException):
+            raise item
+        self._queued -= len(item[1])
+        if self._reading_paused and self._queued <= _STAGE and not self._dead:
+            self._reading_paused = False
+            self.transport.resume_reading()
+        return item
 
 
 class NetServer:
@@ -130,9 +279,13 @@ class NetServer:
         self._requested = (host, port)
         self._aio_server: asyncio.base_events.Server | None = None
         #: key -> completed response ``(ftype, payload dict)`` or an
-        #: in-flight future resolving to one.  Bounded LRU over the
-        #: completed entries; in-flight futures are never evicted.
-        self._journal: OrderedDict[str, object] = OrderedDict()
+        #: in-flight future resolving to one.  In-flight futures are never
+        #: evicted; completed entries are, least recently used first.
+        self._journal: dict[str, object] = {}
+        #: The completed keys in LRU order, each with its result-array
+        #: bytes, and their total.
+        self._completed: OrderedDict[str, int] = OrderedDict()
+        self._journal_bytes = 0
         self._inflight: set[asyncio.Task] = set()
         self._conn_tasks: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
@@ -142,8 +295,8 @@ class NetServer:
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "NetServer":
         host, port = self._requested
-        self._aio_server = await asyncio.start_server(
-            self._on_connection, host, port
+        self._aio_server = await asyncio.get_running_loop().create_server(
+            lambda: _FrameConnection(self), host, port
         )
         return self
 
@@ -206,9 +359,8 @@ class NetServer:
         await self._closed.wait()
 
     # -- connection handling ----------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _on_connection(self, conn: _FrameConnection) -> None:
+        writer = conn.writer
         self.stats["connections"] += 1
         task = asyncio.current_task()
         if task is not None:
@@ -224,10 +376,8 @@ class NetServer:
         try:
             while True:
                 try:
-                    ftype, payload = await protocol.read_frame(
-                        reader, max_frame=self.max_frame
-                    )
-                except (asyncio.IncompleteReadError, ConnectionError):
+                    ftype, payload = await conn.next_frame()
+                except ConnectionError:
                     break  # peer went away — nothing to answer
                 except protocol.ProtocolError as exc:
                     # Malformed/oversized frame: poison THIS connection
@@ -278,7 +428,7 @@ class NetServer:
 
     async def _handle_submit(
         self,
-        payload: bytes,
+        payload: bytearray,
         writer: asyncio.StreamWriter,
         lock: asyncio.Lock,
     ) -> None:
@@ -312,7 +462,7 @@ class NetServer:
             if isinstance(entry, asyncio.Future):
                 ftype, body = await entry
             else:
-                self._journal.move_to_end(key)
+                self._completed.move_to_end(key)
                 ftype, body = entry  # type: ignore[misc]
             await self._send(
                 writer, lock, ftype, {**body, "replayed": True}, inject=True
@@ -345,9 +495,7 @@ class NetServer:
                 raise
             return
         report.transport = "tcp"
-        arrays = {
-            name: arr.data.tobytes() for name, arr in problem.arrays.items()
-        }
+        arrays = {name: arr.data for name, arr in problem.arrays.items()}
         response = (
             T_RESULT,
             {"key": key, "report": report, "arrays": arrays, "replayed": False},
@@ -358,19 +506,23 @@ class NetServer:
     def _record(
         self, key: str, response: tuple, flight: asyncio.Future
     ) -> None:
-        """Journal a completed response (bounded LRU) and wake duplicates."""
+        """Journal a completed response and wake duplicates; evict the
+        least recently used completed entries while the journal holds
+        more than ``journal_limit`` of them or more than
+        :data:`JOURNAL_BYTES` of result arrays."""
         self._journal[key] = response
-        self._journal.move_to_end(key)
         if not flight.done():
             flight.set_result(response)
-        completed = [
-            k
-            for k, v in self._journal.items()
-            if not isinstance(v, asyncio.Future)
-        ]
-        overflow = len(completed) - self.journal_limit
-        for k in completed[:max(0, overflow)]:
-            del self._journal[k]
+        size = sum(a.nbytes for a in response[1].get("arrays", {}).values())
+        self._completed[key] = size
+        self._journal_bytes += size
+        while self._completed and (
+            len(self._completed) > self.journal_limit
+            or self._journal_bytes > JOURNAL_BYTES
+        ):
+            old, size = self._completed.popitem(last=False)
+            del self._journal[old]
+            self._journal_bytes -= size
 
     # -- writing (where the wire faults live) ------------------------------
     async def _send(
@@ -382,9 +534,15 @@ class NetServer:
         *,
         inject: bool = False,
     ) -> None:
-        """Serialize under the connection's write lock; apply armed
-        ``net.*`` response faults (submit responses only)."""
-        frame = protocol.encode_frame(ftype, protocol.pack(body))
+        """Serialize, then write under the connection's write lock; apply
+        armed ``net.*`` response faults (submit responses only).
+
+        A frame under :data:`_WRITE_SLICE` goes out as one joined write;
+        a larger one part by part, its buffers straight from the arrays
+        in slices of at most that size.
+        """
+        parts = protocol.frame_parts(ftype, body)
+        size = sum(len(p) for p in parts)
         async with lock:
             try:
                 if inject and faults.fire("net.slow"):
@@ -398,11 +556,18 @@ class NetServer:
                 if inject and faults.fire("net.torn"):
                     # Half a frame, then the connection dies.
                     self.stats["wire_faults"] += 1
-                    writer.write(frame[: max(1, len(frame) // 2)])
+                    frame = b"".join(parts)
+                    writer.write(frame[: max(1, size // 2)])
                     await writer.drain()
                     writer.close()
                     return
-                writer.write(frame)
+                if size < _WRITE_SLICE:
+                    writer.write(b"".join(parts))
+                else:
+                    for part in parts:
+                        for at in range(0, len(part), _WRITE_SLICE):
+                            writer.write(part[at:at + _WRITE_SLICE])
+                            await writer.drain()
                 await writer.drain()
             except (ConnectionError, RuntimeError, OSError):
                 # Client gone mid-write: the response is journaled;

@@ -7,18 +7,24 @@ took.  Around that core: health probes answer, deadlines shed typed,
 ``ServerBusy`` crosses the wire with its backpressure fields, malformed
 or oversized frames poison one connection but never the server, and the
 bounded result journal deduplicates retried idempotency keys so a job
-executes exactly once.
+executes exactly once.  A hostile buffer table gets a typed answer and
+kills only its own connection; a client refuses result arrays that do
+not fit its stencil.
 """
 
 from __future__ import annotations
 
+import asyncio
 import socket
+import struct
+import threading
 
 import numpy as np
 import pytest
 
 from repro import RunOptions
 from repro.apps.heat import build_heat
+from repro.language.stencil import RunReport
 from repro.serve import (
     DeadlineExceeded,
     JobExpired,
@@ -27,8 +33,8 @@ from repro.serve import (
     ServerBusy,
     StencilClient,
 )
-from repro.serve import protocol
-from repro.serve.protocol import T_ERROR, T_RESULT, T_SUBMIT
+from repro.serve import net, protocol
+from repro.serve.protocol import ProtocolError, T_ERROR, T_RESULT, T_SUBMIT
 from tests.conftest import has_c_backend
 
 MODE = "c" if has_c_backend() else "split_pointer"
@@ -279,6 +285,64 @@ def test_garbage_payload_in_valid_frame_poisons_connection_only():
         _assert_poisoned_then_healthy(lb, frame)
 
 
+def _hostile_payload(case):
+    """A SUBMIT payload whose buffer table lies about the payload."""
+    table = protocol.TABLE
+    valid = protocol.pack({"key": "hostile", "a": np.arange(8.0)})
+    meta_len, n_buf = table.unpack_from(valid)
+    (size,) = struct.unpack_from("!Q", valid, table.size)
+    sizes_at = slice(table.size, table.size + 8)
+    if case == "truncated-table":
+        return valid[: table.size - 3]
+    if case == "truncated-sizes":
+        return table.pack(0, 2) + struct.pack("!Q", 8)
+    if case == "n_buf-beyond-payload":
+        return table.pack(meta_len, 2**32 - 1) + valid[table.size:]
+    if case in ("sizes-sum-over", "sizes-sum-under"):
+        wrong = size + 8 if case == "sizes-sum-over" else size - 8
+        out = bytearray(valid)
+        out[sizes_at] = struct.pack("!Q", wrong)
+        return bytes(out)
+    assert case == "meta-overruns"
+    return table.pack(len(valid), n_buf) + valid[table.size:]
+
+
+HOSTILE_TABLES = [
+    "truncated-table",
+    "truncated-sizes",
+    "n_buf-beyond-payload",
+    "sizes-sum-over",
+    "sizes-sum-under",
+    "meta-overruns",
+]
+
+
+@pytest.mark.parametrize("case", HOSTILE_TABLES)
+def test_hostile_buffer_table_poisons_connection_only(case):
+    payload = _hostile_payload(case)
+    with pytest.raises(ProtocolError):
+        protocol.unpack(payload)
+    with LoopbackServer(ServeOptions(max_batch=4, batch_window=0.1)) as lb:
+        _, good_frame = _submit_frame(_build(0), "neighbor-good")
+        healthy, poisoned = _raw(lb), _raw(lb)
+        try:
+            healthy.sendall(good_frame)
+            poisoned.sendall(protocol.encode_frame(T_SUBMIT, payload))
+            ftype, reply = protocol.recv_frame(poisoned)
+            assert ftype == T_ERROR
+            assert protocol.unpack(reply)["code"] == "protocol"
+            with pytest.raises((ConnectionError, TimeoutError, OSError)):
+                protocol.recv_frame(poisoned)
+            ftype, reply = protocol.recv_frame(healthy)
+            assert ftype == T_RESULT
+            assert protocol.unpack(reply)["key"] == "neighbor-good"
+        finally:
+            healthy.close()
+            poisoned.close()
+        assert lb.net.stats["protocol_errors"] == 1
+        assert lb.server.stats["completed"] == 1
+
+
 def test_poisoned_connection_leaves_neighbor_untouched():
     with LoopbackServer(ServeOptions(max_batch=4, batch_window=0.1)) as lb:
         app = _build(0)
@@ -323,7 +387,9 @@ def test_duplicate_key_replays_without_reexecution():
         finally:
             sock.close()
         assert second["replayed"] is True
-        assert second["arrays"] == first["arrays"]
+        assert first["arrays"].keys() == second["arrays"].keys()
+        for name, arr in first["arrays"].items():
+            assert np.array_equal(second["arrays"][name], arr)
         assert lb.server.stats["completed"] == 1
         assert lb.net.stats["requests"] == 2
         assert lb.net.stats["replayed"] == 1
@@ -379,3 +445,151 @@ def test_busy_rejection_is_not_journaled():
         finally:
             sock.close()
         assert lb.server.stats["completed"] == 2
+
+
+def test_journal_is_bounded_by_bytes(monkeypatch):
+    # Room for two and a half results: the third evicts the oldest by
+    # bytes alone (the entry bound is the default 256).
+    nbytes = _build(0).stencil.arrays["u"].data.nbytes
+    monkeypatch.setattr(net, "JOURNAL_BYTES", int(2.5 * nbytes))
+    opts = ServeOptions(max_batch=1, batch_window=0.01)
+    with LoopbackServer(opts) as lb:
+        frames = {}
+        sock = _raw(lb)
+        try:
+            for i, key in enumerate(["b-1", "b-2", "b-3"]):
+                _, frames[key] = _submit_frame(_build(i), key)
+                sock.sendall(frames[key])
+                ftype, _ = protocol.recv_frame(sock)
+                assert ftype == T_RESULT
+            sock.sendall(frames["b-3"])
+            ftype, payload = protocol.recv_frame(sock)
+            assert protocol.unpack(payload)["replayed"] is True
+            sock.sendall(frames["b-1"])
+            ftype, payload = protocol.recv_frame(sock)
+            assert protocol.unpack(payload)["replayed"] is False
+        finally:
+            sock.close()
+        assert lb.server.stats["completed"] == 4
+        assert lb.net.stats["replayed"] == 1
+
+
+# -- the client checks what comes back -------------------------------------
+
+
+def _stub_server(arrays_for):
+    """A one-connection server thread: it answers the first SUBMIT with
+    a RESULT whose arrays are ``arrays_for(submitted_u)``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(15)
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(15)
+            _, payload = protocol.recv_frame(conn)
+            msg = protocol.unpack(payload)
+            problem = msg["problem"]
+            body = {
+                "key": msg["key"],
+                "report": RunReport(
+                    "trap", MODE, problem.t_start, problem.t_end
+                ),
+                "arrays": arrays_for(problem.arrays["u"].data),
+                "replayed": False,
+            }
+            protocol.send_parts(conn, protocol.frame_parts(T_RESULT, body))
+            conn.recv(1)  # until the client hangs up
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener, thread
+
+
+@pytest.mark.parametrize(
+    "arrays_for",
+    [
+        lambda u: {"v": u},
+        lambda u: {"u": u.view(np.int64)},
+        lambda u: {"u": u[:1]},
+    ],
+    ids=["unknown-name", "wrong-dtype", "wrong-size"],
+)
+def test_client_rejects_mismatched_result_arrays(arrays_for):
+    listener, thread = _stub_server(arrays_for)
+    app = _build(0)
+    before = app.stencil.arrays["u"].data.copy()
+    try:
+        with StencilClient(
+            "127.0.0.1", listener.getsockname()[1], retries=0,
+            request_timeout=15.0,
+        ) as client:
+            with pytest.raises(ProtocolError):
+                client.submit(app.stencil, app.steps, app.kernel)
+    finally:
+        thread.join(timeout=15)
+        listener.close()
+    assert np.array_equal(app.stencil.arrays["u"].data, before)
+    assert app.stencil.cursor is None
+
+
+# -- the server's in-place frame reader ------------------------------------
+
+
+class _FakeTransport:
+    def __init__(self):
+        self.paused = False
+
+    def pause_reading(self):
+        self.paused = True
+
+    def resume_reading(self):
+        self.paused = False
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096, (1 << 18) + 3, 1 << 30])
+def test_frame_reader_survives_any_split(chunk):
+    # Small frames parse out of the stage (compacting partial ones), a
+    # payload larger than the stage fills its own buffer in place, and
+    # an empty payload is a frame too — however the reads are split.
+    big = np.arange(1 << 16, dtype=np.float64)  # 512 KiB, above the stage
+    bodies = [
+        {"n": 0},
+        {"n": 1, "a": big},
+        {},
+        {"n": 2, "a": np.arange(9.0)},
+        {"n": 3, "a": big[::-1].copy()},
+    ]
+    frames = [protocol.frame_parts(T_SUBMIT, b) for b in bodies]
+    frames.insert(2, [protocol.encode_frame(protocol.T_HEALTH, b"")])
+    stream = b"".join(b"".join(f) for f in frames)
+
+    class _Net:
+        max_frame = protocol.MAX_FRAME
+
+    async def feed():
+        conn = net._FrameConnection(_Net())
+        conn.transport = _FakeTransport()
+        out, at = [], 0
+        while at < len(stream):
+            buf = conn.get_buffer(-1)
+            n = min(len(buf), chunk, len(stream) - at)
+            buf[:n] = stream[at:at + n]
+            at += n
+            conn.buffer_updated(n)
+            while conn._frames:
+                out.append(await conn.next_frame())
+            assert not conn.transport.paused
+        return out
+
+    out = asyncio.run(feed())
+    assert [ftype for ftype, _ in out] == [T_SUBMIT] * 2 + [
+        protocol.T_HEALTH
+    ] + [T_SUBMIT] * 3
+    assert out[2][1] == b""
+    got = [protocol.unpack(p) for ftype, p in out if ftype == T_SUBMIT]
+    for want, msg in zip(bodies, got):
+        assert msg.keys() == want.keys()
+        if "a" in want:
+            assert np.array_equal(msg["a"], want["a"])
+            assert msg["a"].flags.writeable
