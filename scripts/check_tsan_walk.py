@@ -1,22 +1,22 @@
-"""ThreadSanitizer harness for the parallel compiled walk.
+"""ThreadSanitizer harness for the compiled walk's task pool.
 
 A TSan-instrumented ``.so`` cannot be dlopened into an uninstrumented
 Python, so this script builds a *pure C executable*: the generated
-kernel source (with the pthread task pool) plus a generated ``main()``
+kernel source (with its pthread task pool) plus a generated ``main()``
 that fills the data arrays deterministically, runs the same
 boundary-touching subtree (its recursion reaches both the interior and
-the row-peeled boundary leaf) through the exported entry points Python
-binds, ``walk_subtree_batch`` (serial) and ``walk_subtree_par_batch``
-(4 pool threads, data copies), each over a stack of ``NB=2`` jobs with
-different data in each slab — the shape of a served batch — and memcmps
-every slab.  Compiled with
-``-fsanitize=thread -pthread`` and run under
+the row-peeled boundary leaf) through the exported entry point Python
+binds, ``walk_subtree_batch``, at 1 thread and at 4 threads (on data
+copies), each over a stack of ``NB=2`` jobs with different data in each
+slab — the shape of a served batch — and memcmps every slab.  Compiled
+with ``-fsanitize=thread -pthread`` and run under
 ``TSAN_OPTIONS=halt_on_error=1``, it fails on
 
 * any data race the sanitizer observes in the pool (exit 66),
-* any bitwise divergence between the two walks (exit 1),
-* a run that never spawned a pool task — which would mean the harness
-  silently stopped exercising the pool (exit 2).
+* any bitwise divergence between the two thread counts (exit 1),
+* a 4-thread run that never spawned a pool task, or ran without its
+  pool — either would mean the harness silently stopped exercising the
+  pool (exit 2).
 
 Hosts whose toolchain lacks libtsan (probed with a tiny compile) and
 hosts with no compiler at all print a notice and exit 0: the harness
@@ -81,7 +81,8 @@ def tsan_supported(cc: str, workdir: str) -> bool:
 
 
 def generate_main(ir) -> str:
-    """A main() that exercises both walks on identical NB-job stacks."""
+    """A main() that walks identical NB-job stacks at 1 and NTHREADS
+    threads."""
     names = [info.name for info in ir.array_infos]
     consts = sorted(ir.const_arrays)
     lines = [
@@ -137,15 +138,14 @@ def generate_main(ir) -> str:
         [f"b_{n}" for n in names] + [f"c_{c}" for c in consts]
     )
     lines += [
-        "  long long wstats[3] = {0, 0, 0};",
-        f"  walk_subtree_batch({a_ptrs}, {NB}, {scalar});",
-        f"  walk_subtree_par_batch({b_ptrs}, {NB}, {scalar}, {NTHREADS},"
-        " wstats);",
-        '  printf("spawned=%lld stolen=%lld barriers=%lld\\n",',
-        "         wstats[0], wstats[1], wstats[2]);",
-        "  if (wstats[0] == 0) {",
-        '    fprintf(stderr, "pool spawned no tasks: harness is not'
-        ' exercising the pool\\n");',
+        "  long long one[4] = {0, 0, 0, 0}, wstats[4] = {0, 0, 0, 0};",
+        f"  walk_subtree_batch({a_ptrs}, {NB}, {scalar}, 1, one);",
+        f"  walk_subtree_batch({b_ptrs}, {NB}, {scalar}, {NTHREADS}, wstats);",
+        '  printf("spawned=%lld stolen=%lld barriers=%lld poolless=%lld\\n",',
+        "         wstats[0], wstats[1], wstats[2], wstats[3]);",
+        "  if (wstats[0] == 0 || wstats[3] != 0) {",
+        '    fprintf(stderr, "pool spawned no tasks or did not start: harness'
+        ' is not exercising the pool\\n");',
         "    return 2;",
         "  }",
     ]
@@ -154,13 +154,13 @@ def generate_main(ir) -> str:
             f"  for (long long j = 0; j < {NB}; ++j)",
             f"    if (memcmp(a_{n} + j * n_{n}, b_{n} + j * n_{n},"
             f" n_{n} * sizeof(double)) != 0) {{",
-            f'      fprintf(stderr, "parallel walk diverged on {n}, job %lld\\n",'
-            " j);",
+            f'      fprintf(stderr, "{NTHREADS}-thread walk diverged on {n},'
+            ' job %lld\\n", j);',
             "      return 1;",
             "    }",
         ]
     lines += [
-        '  printf("tsan walk check ok: serial == parallel, no races'
+        f'  printf("tsan walk check ok: 1 thread == {NTHREADS} threads, no races'
         ' reported\\n");',
         "  return 0;",
         "}",
@@ -175,8 +175,7 @@ def main() -> int:
         return 0
     st_, u, k = make_heat_problem(GRID, seed=11)
     ir = build_ir(st_.prepare(TB, k))
-    source = generate_c_source(ir, include_boundary=True,
-                               include_parallel=True)
+    source = generate_c_source(ir, include_boundary=True)
     source += "\n" + generate_main(ir)
     with tempfile.TemporaryDirectory(prefix="repro_tsan_") as workdir:
         if not tsan_supported(cc, workdir):
@@ -213,7 +212,7 @@ def main() -> int:
         sys.stderr.write(run.stderr)
         if run.returncode == 66:
             print("ThreadSanitizer reported a data race in the "
-                  "parallel walk", file=sys.stderr)
+                  "walk's task pool", file=sys.stderr)
         return run.returncode
 
 

@@ -266,7 +266,7 @@ def tune_dispatch(
     axes.append(("dt", tuple(dt_candidates)))
     start["dt"] = default_dt if default_dt in dt_candidates else dt_candidates[0]
     if wthreads_candidates is None:
-        # None = auto (detected core count), 1 = pinned serial walk; on
+        # None = auto (detected core count), 1 = the walk without a pool; on
         # multi-core hosts both deserve a timing, on single-core they
         # coincide so one candidate suffices.
         wthreads_candidates = (None, 1) if detect_cpu_count() > 1 else (None,)

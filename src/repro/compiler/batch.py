@@ -138,8 +138,8 @@ def compile_batch_kernel(stack: BatchStack, mode: str = "auto") -> CompiledKerne
     clones (``interp``/``macro_shadow``) and non-vectorizable boundaries
     raise :class:`CompileError` — callers run those jobs unbatched
     instead.  The kernel carries every clone a lone job's kernel has,
-    the parallel walk included: each call runs the jobs one after
-    another.
+    the walk and its thread count included: each call runs the jobs one
+    after another.
     """
     resolved = resolve_mode(mode)
     if resolved not in ("c", "split_pointer"):

@@ -24,9 +24,12 @@ Five clones are generated per kernel, mirroring and extending the
   hyperspace level grouping, time cuts and the per-zoid interior test,
   bottoming out in ``leaf`` or ``leaf_boundary``, so one ctypes call
   executes an entire subtree of the trapezoidal decomposition — boundary
-  zoids included — with the GIL released.  Coarsening thresholds and
-  slopes arrive as scalar arguments, so tuned configs apply without
-  recompiling.
+  zoids included — with the GIL released.  Coarsening thresholds,
+  slopes and the thread count arrive as scalar arguments, so tuned
+  configs apply without recompiling.  The one recursion spawns
+  same-level pieces into a pthread pool embedded in the ``.so``; at one
+  thread, or when the pool cannot start, it spawns nothing and is the
+  serial elision.
 
 The fused boundary leaf is *row-peeled*: only the points whose reads
 leave the grid pay for MOD/CLAMP/fill; the rest of each row runs the
@@ -121,6 +124,8 @@ _C_MATH = {
 
 _PRELUDE = """\
 #include <math.h>
+#include <pthread.h>
+#include <stdlib.h>
 #define MOD(a, n) ((((a) % (n)) + (n)) % (n))
 #define CLAMP(a, n) ((a) < 0 ? 0L : ((a) >= (n) ? (n) - 1L : (a)))
 typedef long long i64;
@@ -555,14 +560,15 @@ def _interior_test_source(ir: KernelIR) -> str:
 
 
 def _walk_fn_source(ir: KernelIR, include_boundary: bool) -> str:
-    """The compiled recursion: ``walk_subtree`` + its helpers.
+    """The compiled recursion: ``walk_rec``, its pthread task pool, and
+    the per-job entry ``walk_subtree``.
 
     ``walk_rec`` is a self-contained C implementation of the TRAP/STRAP
     control flow of Figure 2: per-dimension trisection space cuts
-    combined into level-ordered hyperspace cuts (Lemma 1), then time
-    cuts.  Like Pochoir's generated code it asks "interior?" of each
-    zoid (``walk_interior``) until the answer is yes — every subzoid of
-    an interior zoid is interior, so the flag ``inter`` is inherited —
+    (``walk_cuts``) combined into level-ordered hyperspace cuts (Lemma 1),
+    then time cuts.  Like Pochoir's generated code it asks "interior?" of
+    each zoid (``walk_interior``) until the answer is yes — every subzoid
+    of an interior zoid is interior, so the flag ``inter`` is inherited —
     and bottoms out in the fused ``leaf`` or, for zoids that touch the
     boundary, the row-peeled ``leaf_boundary``.  Without C boundary
     clones the planner hands it interior zoids only and the test is not
@@ -570,25 +576,45 @@ def _walk_fn_source(ir: KernelIR, include_boundary: bool) -> str:
     delegates a zoid that could need one
     (:func:`repro.trap.walker._fits_walk_grain`).
 
-    Coarsening thresholds, slopes, and the hyperspace flag arrive as
-    scalar ``i64`` arguments, so tuned configurations from the autotune
-    registry apply to the compiled recursion unrebuilt.  Execution
-    within one call is depth-first and levels run in order, which is a
-    valid serialization of the Seq/Par structure; every point is still
-    written exactly once from fully-computed neighbors, so results are
-    bitwise identical to the Python walk over the same zoid.
+    There is one recursion, run at any thread count, as Pochoir's one
+    Cilk program is.  ``walk_subtree`` takes ``nthreads`` and sets the
+    call's ``pool`` flag from ``wq_ensure_pool``, which lazily grows a
+    process-lifetime pool of detached workers over a shared deque.  With
+    a pool, the valid pieces of each hyperspace level are spawned as
+    tasks — each is held back until the next one is found, so the last
+    piece runs inline — and the level joins at a barrier before the next
+    starts (Lemma 1: same-level pieces are independent).  The join
+    *helps*: while its pieces are outstanding it pops and runs queued
+    tasks, so it cannot deadlock even with one worker.  Without a pool
+    (``nthreads`` 1, a failed ``pthread_create``, or the test hook
+    ``REPRO_WALK_POOL_FAIL``) ``wq_spawn`` declines every piece, so the
+    same code is the serial elision: every piece runs inline in
+    odometer order, depth-first, with no spawn, lock or barrier.
+
+    Task state is carved from one preallocated static ring (``wq_ring``):
+    bounds are copied by value into fixed slots, the per-call pointers
+    and knobs live in a ``wjob`` on the entry's stack, and per-level join
+    counters on the spawning frame (every spawn is joined before that
+    frame returns).  No heap allocation happens anywhere; a full ring
+    makes a spawn run its piece inline.  Scheduling cannot change
+    results: each point is written once, by one task, from neighbors the
+    level barriers have completed, and every leaf runs the same FP
+    instructions — the walk is bitwise identical at every thread count.
+
+    Coarsening thresholds, slopes, the hyperspace flag and the thread
+    count arrive as scalar ``i64`` arguments, so tuned configurations
+    from the autotune registry apply unrebuilt.  The counters (spawned, stolen, level
+    barriers, and calls that asked for more than one thread but ran
+    without a pool) are flushed once per call into the caller's
+    ``i64[4]`` stats buffer with atomic adds, so concurrent DAG workers
+    can share one buffer.
     """
     d = ir.ndim
-    ptr_args = _ptr_args(ir)
     ptr_names = _ptr_names(ir)
-    pa = ", ".join(ptr_args)
-    pn = ", ".join(ptr_names)
-    classify = _classify_lines(include_boundary)
+    jp = ", ".join(f"job->{n}" for n in ptr_names)
     lines = [
         "/* Per-dimension trisection cuts: fills the piece lists (np,",
-        "   pxa..pbit) and returns whether anything cut.  Shared by the",
-        "   serial walk_rec and the parallel walk_rec_par so the two",
-        "   recursions can never disagree about the decomposition. */",
+        "   pxa..pbit) and returns whether anything cut. */",
         "static int walk_cuts(i64 h, const i64* xa, const i64* xb,",
         "    const i64* dxa, const i64* dxb, const i64* sl, const i64* th,",
         "    i64 hyper, i64* np, i64 (*pxa)[3], i64 (*pxb)[3],",
@@ -647,7 +673,7 @@ def _walk_fn_source(ir: KernelIR, include_boundary: bool) -> str:
         "",
         "/* Materialize one piece of the cut product (the odometer's idx)",
         "   into cxa..cdxb; returns 0 for empty degenerate pieces",
-        "   (zero-point subzoids), which both walkers skip. */",
+        "   (zero-point subzoids), which the walk skips. */",
         "static int walk_piece(i64 h, const i64* xa, const i64* xb,",
         "    const i64* dxa, const i64* dxb, const i64* np, const i64* idx,",
         "    i64 (*pxa)[3], i64 (*pxb)[3], i64 (*pdxa)[3], i64 (*pdxb)[3],",
@@ -667,172 +693,22 @@ def _walk_fn_source(ir: KernelIR, include_boundary: bool) -> str:
         "  return 1;",
         "}",
         "",
-        f"static void walk_rec({pa}, i64 ta, i64 tb,",
-        "    const i64* xa, const i64* xb, const i64* dxa, const i64* dxb,",
-        "    const i64* sl, const i64* th, i64 dt_th, i64 hyper, i64 inter) {",
-        *classify,
-        "  const i64 h = tb - ta;",
-        f"  i64 pxa[{d}][3], pxb[{d}][3], pdxa[{d}][3], pdxb[{d}][3];",
-        f"  i64 pbit[{d}][3];",
-        f"  i64 np[{d}];",
-        "  if (walk_cuts(h, xa, xb, dxa, dxb, sl, th, hyper,",
-        "                np, pxa, pxb, pdxa, pdxb, pbit)) {",
-        "    /* hyperspace cut: enumerate the piece product, levels in",
-        "       sequence (Lemma 1's dependency levels), depth-first. */",
-        f"    i64 cxa[{d}], cxb[{d}], cdxa[{d}], cdxb[{d}];",
-        f"    i64 idx[{d}];",
-        f"    for (i64 level = 0; level <= {d}; ++level) {{",
-        f"      for (int i = 0; i < {d}; ++i) idx[i] = 0;",
-        "      for (;;) {",
-        "        i64 bits = 0;",
-        f"        for (int i = 0; i < {d}; ++i)",
-        "          if (np[i] > 0) bits += pbit[i][idx[i]];",
-        "        if (bits == level &&",
-        "            walk_piece(h, xa, xb, dxa, dxb, np, idx,",
-        "                       pxa, pxb, pdxa, pdxb, cxa, cxb, cdxa, cdxb))",
-        f"          walk_rec({pn}, ta, tb, cxa, cxb, cdxa, cdxb,",
-        "                   sl, th, dt_th, hyper, inter);",
-        "        /* odometer over the cut dimensions */",
-        "        int carry = 1;",
-        f"        for (int i = 0; i < {d} && carry; ++i) {{",
-        "          if (np[i] == 0) continue;",
-        "          if (++idx[i] < np[i]) carry = 0; else idx[i] = 0;",
-        "        }",
-        "        if (carry) break;",
-        "      }",
-        "    }",
-        "    return;",
-        "  }",
-        "  if (h > dt_th && h >= 2) {",
-        "    /* time cut at the midpoint (Fig. 7(c)) */",
-        "    const i64 tm = ta + h / 2;",
-        f"    walk_rec({pn}, ta, tm, xa, xb, dxa, dxb, sl, th, dt_th, hyper,",
-        "             inter);",
-        f"    i64 nxa[{d}], nxb[{d}];",
-        "    const i64 s = tm - ta;",
-        f"    for (int i = 0; i < {d}; ++i) {{",
-        "      nxa[i] = xa[i] + dxa[i] * s; nxb[i] = xb[i] + dxb[i] * s;",
-        "    }",
-        f"    walk_rec({pn}, tm, tb, nxa, nxb, dxa, dxb, sl, th, dt_th, hyper,",
-        "             inter);",
-        "    return;",
-        "  }",
-        _leaf_dispatch(ir, pn, include_boundary),
-        "}",
-    ]
-    if include_boundary:
-        lines[:0] = [_interior_test_source(ir), ""]
-    # The per-job entry: scalar bounds in, arrays packed here.
-    args = _ptr_args(ir) + ["i64 ta", "i64 tb"]
-    for prefix in ("l", "h", "dl", "dh", "s", "th"):
-        args += [f"i64 {prefix}{i}" for i in range(d)]
-    args += ["i64 dt_th", "i64 hyper"]
-    lines += [
-        "",
-        f"static void walk_subtree({', '.join(args)}) {{",
-        *_walk_entry_pack(d),
-        f"  walk_rec({pn}, ta, tb, xa, xb, dxa, dxb, sl, thr, dt_th, hyper,",
-        f"           {_root_inter(include_boundary)});",
-        "}",
-    ]
-    return "\n".join(lines)
-
-
-def _walk_entry_pack(d: int) -> list[str]:
-    """Pack a walk entry point's scalar bounds into the arrays
-    ``walk_rec`` takes."""
-    pack = []
-    for name, prefix in (
-        ("xa", "l"),
-        ("xb", "h"),
-        ("dxa", "dl"),
-        ("dxb", "dh"),
-        ("sl", "s"),
-        ("thr", "th"),
-    ):
-        init = ", ".join(f"{prefix}{i}" for i in range(d))
-        pack.append(f"  i64 {name}[{d}] = {{{init}}};")
-    return pack
-
-
-def _classify_lines(include_boundary: bool) -> list[str]:
-    """The head of ``walk_rec``/``walk_rec_par``: classify a zoid whose
-    parent was not interior (nothing to test without boundary clones)."""
-    if not include_boundary:
-        return []
-    return ["  if (!inter) inter = walk_interior(ta, tb, xa, xb, dxa, dxb);"]
-
-
-def _root_inter(include_boundary: bool) -> str:
-    """The classification a walk root starts from: unknown (0, tested in
-    ``walk_rec``) when boundary zoids may arrive, else interior."""
-    return "0" if include_boundary else "1"
-
-
-def _walk_par_source(ir: KernelIR, include_boundary: bool) -> str:
-    """The parallel compiled recursion: ``walk_subtree_par`` + its pool.
-
-    A shared-deque pthread task pool lives inside the generated ``.so``:
-    ``walk_rec_par`` reuses ``walk_cuts``/``walk_piece`` (the exact
-    integer logic of the serial walk), collects each hyperspace level's
-    valid pieces, spawns all but the last as tasks (Lemma 1 guarantees
-    same-level pieces are independent), runs the last inline, and joins
-    at the level barrier before the next level starts.  The join *helps*:
-    while its own pieces are outstanding it pops and runs any queued task
-    — every queued task is same-level-independent ready work — so the
-    barrier can never deadlock even with a single worker thread.
-
-    All task state is carved from one preallocated static arena
-    (``wq_ring``): bounds are copied by value into fixed slots, the
-    shared per-call pointers/knobs live in a ``wjob`` on the caller's
-    stack, and per-level join counters live on the spawning frame (safe:
-    every spawn is joined before the frame returns).  No heap allocation
-    happens anywhere on the parallel path.  When the ring is full a
-    spawn degrades to running the piece inline.
-
-    Scheduling freedom cannot change results: each grid point is written
-    exactly once, by exactly one task, from neighbors the level barriers
-    have already completed, and the FP instruction sequence inside each
-    fused leaf is byte-for-byte the serial clone's — so the parallel
-    walk is bitwise identical to the serial walk.
-
-    Pool workers are created lazily by ``wq_ensure_pool`` (detached,
-    process-lifetime).  If thread creation fails — or the test hook
-    ``REPRO_WALK_POOL_FAIL`` is set — ``walk_subtree_par`` falls back to
-    the serial ``walk_rec``, bit for bit.  The caller-visible counters
-    (spawned/stolen/level barriers) are flushed once per call into an
-    optional ``i64[3]`` stats buffer with atomic adds, so concurrent
-    DAG workers can share one buffer.
-    """
-    d = ir.ndim
-    ptr_args = _ptr_args(ir)
-    ptr_names = _ptr_names(ir)
-    pa = ", ".join(ptr_args)
-    pn = ", ".join(ptr_names)
-    max_combos = 3**d
-    field_decls = [f"  double* D_{info.name};" for info in ir.array_infos]
-    field_decls += [f"  const double* C_{c};" for c in sorted(ir.const_arrays)]
-    jp = ", ".join(f"job->{n}" for n in ptr_names)
-    classify = _classify_lines(include_boundary)
-    lines = [
-        "/* ---- parallel walk: shared-deque pthread task pool ---- */",
-        "#include <pthread.h>",
-        "#include <stdlib.h>",
-        "",
         "#define WQ_CAP 512",
         "#define WQ_MAX_WORKERS 64",
         "",
-        "/* Per-call shared state: data pointers and tuning knobs.  Lives",
-        "   on the walk_subtree_par stack frame; tasks point back at it. */",
+        "/* Per-call shared state: data pointers, tuning knobs, whether this",
+        "   call has a pool.  Lives on the walk_subtree stack frame; tasks",
+        "   point back at it. */",
         "typedef struct wjob {",
-        *field_decls,
+        *[f"  {arg};" for arg in _ptr_args(ir)],
         f"  i64 sl[{d}], th[{d}];",
         "  i64 dt_th, hyper;",
+        "  int pool;",
         "  i64 spawned, stolen, barriers;  /* guarded by wq_mu */",
         "} wjob;",
         "",
-        "/* One spawned black piece: bounds by value, job by pointer.",
-        "   sync is the spawning frame's level-barrier counter. */",
+        "/* One spawned piece: bounds by value, job by pointer.  sync is the",
+        "   spawning frame's level-barrier counter. */",
         "typedef struct {",
         "  wjob* job;",
         "  i64* sync;",
@@ -843,19 +719,18 @@ def _walk_par_source(ir: KernelIR, include_boundary: bool) -> str:
         "static pthread_mutex_t wq_mu = PTHREAD_MUTEX_INITIALIZER;",
         "static pthread_cond_t wq_work_cv = PTHREAD_COND_INITIALIZER;",
         "static pthread_cond_t wq_done_cv = PTHREAD_COND_INITIALIZER;",
-        "/* The preallocated task arena: a fixed ring of value slots; no",
-        "   per-task allocation ever happens on the parallel path. */",
+        "/* The preallocated task arena: a fixed ring of value slots. */",
         "static wtask wq_ring[WQ_CAP];",
         "static i64 wq_head = 0, wq_tail = 0;  /* monotonic; index % WQ_CAP */",
         "static int wq_workers = 0;",
         "static int wq_failed = 0;",
         "",
-        "static void walk_rec_par(wjob* job, i64 ta, i64 tb,",
+        "static void walk_rec(wjob* job, i64 ta, i64 tb,",
         "    const i64* xa, const i64* xb, const i64* dxa, const i64* dxb,",
         "    i64 inter);",
         "",
         "static void wq_run_task(wtask t, int stolen) {",
-        "  walk_rec_par(t.job, t.ta, t.tb, t.xa, t.xb, t.dxa, t.dxb, t.inter);",
+        "  walk_rec(t.job, t.ta, t.tb, t.xa, t.xb, t.dxa, t.dxb, t.inter);",
         "  pthread_mutex_lock(&wq_mu);",
         "  *t.sync -= 1;",
         "  if (stolen) t.job->stolen += 1;",
@@ -877,11 +752,12 @@ def _walk_par_source(ir: KernelIR, include_boundary: bool) -> str:
         "  return 0;",
         "}",
         "",
-        "/* Enqueue one piece; returns 0 when the arena is full (the",
-        "   caller then runs the piece inline — graceful, not an error). */",
+        "/* Enqueue one piece; returns 0 when the call has no pool or the",
+        "   arena is full, and the caller then runs the piece inline. */",
         "static int wq_spawn(wjob* job, i64 ta, i64 tb, const i64* cxa,",
         "    const i64* cxb, const i64* cdxa, const i64* cdxb, i64 inter,",
         "    i64* sync) {",
+        "  if (!job->pool) return 0;",
         "  pthread_mutex_lock(&wq_mu);",
         "  if (wq_tail - wq_head >= WQ_CAP) {",
         "    pthread_mutex_unlock(&wq_mu);",
@@ -924,9 +800,9 @@ def _walk_par_source(ir: KernelIR, include_boundary: bool) -> str:
         "}",
         "",
         "/* Lazily grow the pool to nthreads-1 detached workers; returns",
-        "   the live worker count (0 => caller must run serially).  The",
+        "   the live worker count (0 => the call runs without a pool).  The",
         "   REPRO_WALK_POOL_FAIL env hook forces the failure path so the",
-        "   serial-fallback contract stays testable on any host. */",
+        "   no-pool fallback stays testable on any host. */",
         "static i64 wq_ensure_pool(i64 nthreads) {",
         "  if (nthreads <= 1) return 0;",
         '  if (getenv("REPRO_WALK_POOL_FAIL")) return 0;',
@@ -947,33 +823,52 @@ def _walk_par_source(ir: KernelIR, include_boundary: bool) -> str:
         "  return live;",
         "}",
         "",
-        "static void walk_rec_par(wjob* job, i64 ta, i64 tb,",
+        "static void walk_rec(wjob* job, i64 ta, i64 tb,",
         "    const i64* xa, const i64* xb, const i64* dxa, const i64* dxb,",
         "    i64 inter) {",
-        *classify,
+    ]
+    if include_boundary:
+        lines.append(
+            "  if (!inter) inter = walk_interior(ta, tb, xa, xb, dxa, dxb);"
+        )
+    lines += [
         "  const i64 h = tb - ta;",
         f"  i64 pxa[{d}][3], pxb[{d}][3], pdxa[{d}][3], pdxb[{d}][3];",
         f"  i64 pbit[{d}][3];",
         f"  i64 np[{d}];",
         "  if (walk_cuts(h, xa, xb, dxa, dxb, job->sl, job->th, job->hyper,",
         "                np, pxa, pxb, pdxa, pdxb, pbit)) {",
-        f"    i64 cxa[{d}], cxb[{d}], cdxa[{d}], cdxb[{d}];",
+        "    /* hyperspace cut: the piece product, levels in sequence",
+        "       (Lemma 1's dependency levels).  Pieces alternate between",
+        "       two buffers: a valid piece waits in its buffer until the",
+        "       next one is found, and is then spawned (or run inline when",
+        "       there is no pool), so the level's last piece runs inline. */",
+        f"    i64 cxa[2][{d}], cxb[2][{d}], cdxa[2][{d}], cdxb[2][{d}];",
         f"    i64 idx[{d}];",
-        f"    i64 combos[{max_combos}][{d}];",
         f"    for (i64 level = 0; level <= {d}; ++level) {{",
-        "      /* collect this level's valid pieces ... */",
-        "      i64 ncombo = 0;",
+        "      i64 sync = 0;",
+        "      int cur = 0, pending = 0, spawned = 0;",
         f"      for (int i = 0; i < {d}; ++i) idx[i] = 0;",
         "      for (;;) {",
         "        i64 bits = 0;",
         f"        for (int i = 0; i < {d}; ++i)",
         "          if (np[i] > 0) bits += pbit[i][idx[i]];",
         "        if (bits == level &&",
-        "            walk_piece(h, xa, xb, dxa, dxb, np, idx,",
-        "                       pxa, pxb, pdxa, pdxb, cxa, cxb, cdxa, cdxb)) {",
-        f"          for (int i = 0; i < {d}; ++i) combos[ncombo][i] = idx[i];",
-        "          ncombo += 1;",
+        "            walk_piece(h, xa, xb, dxa, dxb, np, idx, pxa, pxb, pdxa,",
+        "                       pdxb, cxa[cur], cxb[cur], cdxa[cur], cdxb[cur])) {",
+        "          const int p = 1 - cur;",
+        "          if (pending) {",
+        "            if (wq_spawn(job, ta, tb, cxa[p], cxb[p], cdxa[p], cdxb[p],",
+        "                         inter, &sync))",
+        "              spawned = 1;",
+        "            else",
+        "              walk_rec(job, ta, tb, cxa[p], cxb[p], cdxa[p], cdxb[p],",
+        "                       inter);",
+        "          }",
+        "          pending = 1;",
+        "          cur = p;",
         "        }",
+        "        /* odometer over the cut dimensions */",
         "        int carry = 1;",
         f"        for (int i = 0; i < {d} && carry; ++i) {{",
         "          if (np[i] == 0) continue;",
@@ -981,72 +876,65 @@ def _walk_par_source(ir: KernelIR, include_boundary: bool) -> str:
         "        }",
         "        if (carry) break;",
         "      }",
-        "      if (ncombo == 0) continue;",
-        "      /* ... spawn all but the last, run the last inline, and",
-        "         join at the level barrier (Lemma 1 independence). */",
-        "      i64 sync = 0;",
-        "      i64 spawned_here = 0;",
-        "      for (i64 c = 0; c + 1 < ncombo; ++c) {",
-        "        (void)walk_piece(h, xa, xb, dxa, dxb, np, combos[c],",
-        "                         pxa, pxb, pdxa, pdxb, cxa, cxb, cdxa, cdxb);",
-        "        if (wq_spawn(job, ta, tb, cxa, cxb, cdxa, cdxb, inter, &sync))",
-        "          spawned_here += 1;",
-        "        else",
-        "          walk_rec_par(job, ta, tb, cxa, cxb, cdxa, cdxb, inter);",
-        "      }",
-        "      (void)walk_piece(h, xa, xb, dxa, dxb, np, combos[ncombo - 1],",
-        "                       pxa, pxb, pdxa, pdxb, cxa, cxb, cdxa, cdxb);",
-        "      walk_rec_par(job, ta, tb, cxa, cxb, cdxa, cdxb, inter);",
-        "      if (spawned_here > 0) wq_join(job, &sync);",
+        "      const int p = 1 - cur;",
+        "      if (pending)",
+        "        walk_rec(job, ta, tb, cxa[p], cxb[p], cdxa[p], cdxb[p], inter);",
+        "      if (spawned) wq_join(job, &sync);",
         "    }",
         "    return;",
         "  }",
         "  if (h > job->dt_th && h >= 2) {",
-        "    /* time cut: strictly sequential halves, same as the serial walk */",
+        "    /* time cut at the midpoint (Fig. 7(c)): sequential halves */",
         "    const i64 tm = ta + h / 2;",
-        "    walk_rec_par(job, ta, tm, xa, xb, dxa, dxb, inter);",
+        "    walk_rec(job, ta, tm, xa, xb, dxa, dxb, inter);",
         f"    i64 nxa[{d}], nxb[{d}];",
         "    const i64 s = tm - ta;",
         f"    for (int i = 0; i < {d}; ++i) {{",
         "      nxa[i] = xa[i] + dxa[i] * s; nxb[i] = xb[i] + dxb[i] * s;",
         "    }",
-        "    walk_rec_par(job, tm, tb, nxa, nxb, dxa, dxb, inter);",
+        "    walk_rec(job, tm, tb, nxa, nxb, dxa, dxb, inter);",
         "    return;",
         "  }",
         _leaf_dispatch(ir, jp, include_boundary),
         "}",
     ]
-    # The per-job entry mirrors walk_subtree plus nthreads and an
-    # optional i64[3] stats buffer (spawned, stolen, level barriers).
+    if include_boundary:
+        lines[:0] = [_interior_test_source(ir), ""]
+
+    # The per-job entry: scalar bounds in, packed into the job and the
+    # root zoid; an unknown root classification (0) is tested in
+    # walk_rec when boundary zoids may arrive.
     args = _ptr_args(ir) + ["i64 ta", "i64 tb"]
     for prefix in ("l", "h", "dl", "dh", "s", "th"):
         args += [f"i64 {prefix}{i}" for i in range(d)]
     args += ["i64 dt_th", "i64 hyper", "i64 nthreads", "i64* restrict wstats"]
-    root = _root_inter(include_boundary)
-    job_fill = [f"  job.{n} = {n};" for n in ptr_names]
+
+    def vec(prefix: str) -> str:
+        return "{" + ", ".join(f"{prefix}{i}" for i in range(d)) + "}"
+
     lines += [
         "",
-        f"static void walk_subtree_par({', '.join(args)}) {{",
-        *_walk_entry_pack(d),
-        "  if (wq_ensure_pool(nthreads) <= 0) {",
-        "    /* nthreads<=1, pool-init failure, or the test hook: the",
-        "       serial clone, bit for bit */",
-        f"    walk_rec({pn}, ta, tb, xa, xb, dxa, dxb, sl, thr, dt_th, hyper,",
-        f"             {root});",
-        "    return;",
-        "  }",
-        "  wjob job;",
-        *job_fill,
-        f"  for (int i = 0; i < {d}; ++i) {{ job.sl[i] = sl[i]; job.th[i] = thr[i]; }}",
-        "  job.dt_th = dt_th; job.hyper = hyper;",
-        "  job.spawned = 0; job.stolen = 0; job.barriers = 0;",
-        f"  walk_rec_par(&job, ta, tb, xa, xb, dxa, dxb, {root});",
+        f"static void walk_subtree({', '.join(args)}) {{",
+        "  wjob job = {",
+        *[f"    .{n} = {n}," for n in ptr_names],
+        f"    .sl = {vec('s')}, .th = {vec('th')},",
+        "    .dt_th = dt_th, .hyper = hyper,",
+        "    .pool = wq_ensure_pool(nthreads) > 0,",
+        "  };",
+        f"  const i64 xa[{d}] = {vec('l')}, xb[{d}] = {vec('h')};",
+        f"  const i64 dxa[{d}] = {vec('dl')}, dxb[{d}] = {vec('dh')};",
+        f"  walk_rec(&job, ta, tb, xa, xb, dxa, dxb, "
+        f"{0 if include_boundary else 1});",
         "  /* All spawns joined: counters are final (the joins' mutex",
         "     hand-offs order every worker write before these reads). */",
-        "  if (wstats) {",
+        "  if (!wstats) return;",
+        "  if (job.pool) {",
         "    __atomic_fetch_add(&wstats[0], job.spawned, __ATOMIC_RELAXED);",
         "    __atomic_fetch_add(&wstats[1], job.stolen, __ATOMIC_RELAXED);",
         "    __atomic_fetch_add(&wstats[2], job.barriers, __ATOMIC_RELAXED);",
+        "  } else if (nthreads > 1) {",
+        "    /* asked for a pool and ran without one */",
+        "    __atomic_fetch_add(&wstats[3], 1, __ATOMIC_RELAXED);",
         "  }",
         "}",
     ]
@@ -1070,9 +958,7 @@ def _const_stride(ir: KernelIR, name: str) -> int:
     return points
 
 
-def _entry_fn_source(
-    ir: KernelIR, *, include_boundary: bool, include_parallel: bool
-) -> str:
+def _entry_fn_source(ir: KernelIR, *, include_boundary: bool) -> str:
     """The exported entry points, one per clone: each wraps its
     ``static`` per-job body in a loop over ``nb`` jobs laid out
     contiguously, offsetting every data pointer by the job's
@@ -1099,7 +985,9 @@ def _entry_fn_source(
     walk_scalars = ["i64 ta", "i64 tb"]
     for prefix in ("l", "h", "dl", "dh", "s", "th"):
         walk_scalars += [f"i64 {prefix}{i}" for i in range(d)]
-    walk_scalars += ["i64 dt_th", "i64 hyper"]
+    # Every job's walk adds its pool counters into the one wstats.
+    walk_scalars += ["i64 dt_th", "i64 hyper", "i64 nthreads"]
+    walk_scalars += ["i64* restrict wstats"]
 
     def wrapper(name: str, target: str, scalars: list[str]) -> str:
         args = ", ".join([pa, "i64 nb"] + scalars)
@@ -1119,26 +1007,13 @@ def _entry_fn_source(
     if include_boundary:
         parts.append(wrapper("boundary_step_batch", "boundary_step", step_scalars))
         parts.append(wrapper("leaf_boundary_batch", "leaf_boundary", leaf_scalars))
-    if include_parallel:
-        # Every job's walk adds its pool counters into the one wstats.
-        par_scalars = walk_scalars + ["i64 nthreads", "i64* restrict wstats"]
-        parts.append(
-            wrapper("walk_subtree_par_batch", "walk_subtree_par", par_scalars)
-        )
     return "\n\n".join(parts)
 
 
-def generate_c_source(
-    ir: KernelIR,
-    *,
-    include_boundary: bool = True,
-    include_parallel: bool = False,
-) -> str:
+def generate_c_source(ir: KernelIR, *, include_boundary: bool = True) -> str:
     """The full postsource: prelude, per-step and fused clone pairs, the
-    compiled recursion (``walk_subtree``) plus — when
-    ``include_parallel`` — the pthread task pool and
-    ``walk_subtree_par``, all ``static``, and the exported nb-taking
-    entry points over them."""
+    compiled recursion (``walk_subtree``) with its pthread task pool, all
+    ``static``, and the exported nb-taking entry points over them."""
     parts = [
         _PRELUDE,
         _leaf_fn_source(ir, boundary_mode=False),
@@ -1148,15 +1023,7 @@ def generate_c_source(
         parts.append(_fn_source(ir, boundary_mode=True))
         parts.append(_leaf_fn_source(ir, boundary_mode=True))
     parts.append(_walk_fn_source(ir, include_boundary))
-    if include_parallel:
-        parts.append(_walk_par_source(ir, include_boundary))
-    parts.append(
-        _entry_fn_source(
-            ir,
-            include_boundary=include_boundary,
-            include_parallel=include_parallel,
-        )
-    )
+    parts.append(_entry_fn_source(ir, include_boundary=include_boundary))
     return "\n\n".join(parts) + "\n"
 
 
@@ -1181,13 +1048,11 @@ def _cache_dir() -> Path:
 #: (the equivalence tests would catch a target where they did not).
 #: ``-ffast-math``/``-funsafe-math-optimizations`` stay out for the same
 #: reason ``-ffp-contract=off`` is in: value-changing reassociation
-#: breaks the bitwise contract.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
-
-
-#: Extra flags for sources embedding the pthread task pool.  Folded into
-#: the cache digest through the same mechanism as _CFLAGS.
-_PTHREAD_FLAGS = ("-pthread",)
+#: breaks the bitwise contract.  ``-pthread`` is for the walk's
+#: embedded task pool, which every kernel carries.
+_CFLAGS = (
+    "-O2", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared", "-pthread"
+)
 
 
 def _cc_timeout() -> float:
@@ -1237,14 +1102,11 @@ def _run_cc(cmd: list[str], timeout: float) -> subprocess.CompletedProcess:
     return proc
 
 
-def build_shared_object(
-    source: str, *, force: bool = False, extra_flags: tuple[str, ...] = ()
-) -> Path:
+def build_shared_object(source: str, *, force: bool = False) -> Path:
     """Compile C source to a cached shared object; return its path.
 
-    The cache key hashes the source, the compile flags (base *and*
-    extras) *and* :func:`compiler_identity`, so a toolchain upgrade (or
-    flag change) compiles afresh instead of loading the old object.
+    The cache key hashes the source, the compile flags *and*
+    :func:`compiler_identity`, so a toolchain upgrade (or flag change) compiles afresh instead of loading the old object.
     ``force`` recompiles even when a cached object exists (the
     load-failure eviction path).
 
@@ -1257,9 +1119,8 @@ def build_shared_object(
     cc = find_c_compiler()
     if cc is None:
         raise CompileError("no C compiler found (tried $CC, cc, gcc, clang)")
-    flags = _CFLAGS + tuple(extra_flags)
     digest = hashlib.sha256(
-        f"{compiler_identity(cc)}\n{' '.join(flags)}\n{source}".encode()
+        f"{compiler_identity(cc)}\n{' '.join(_CFLAGS)}\n{source}".encode()
     ).hexdigest()[:24]
     cache = _cache_dir()
     so_path = cache / f"kernel_{digest}.so"
@@ -1277,7 +1138,7 @@ def build_shared_object(
         c_path = cache / f"kernel_{digest}.c"
         atomic_write_text(c_path, source)
         tmp_so = cache / f"kernel_{digest}.{os.getpid()}.tmp.so"
-        cmd = [cc, *flags, "-o", str(tmp_so), str(c_path), "-lm"]
+        cmd = [cc, *_CFLAGS, "-o", str(tmp_so), str(c_path), "-lm"]
         timeout = _cc_timeout()
         for attempt in (0, 1):
             try:
@@ -1303,9 +1164,7 @@ def build_shared_object(
     return so_path
 
 
-def load_shared_object(
-    source: str, *, extra_flags: tuple[str, ...] = ()
-) -> ctypes.CDLL:
+def load_shared_object(source: str) -> ctypes.CDLL:
     """Build (or reuse) and load the shared object for ``source``.
 
     A cached object that fails to load — truncated write from a killed
@@ -1316,7 +1175,7 @@ def load_shared_object(
     so callers' backend fallbacks treat it like any other toolchain
     failure.
     """
-    so_path = build_shared_object(source, extra_flags=extra_flags)
+    so_path = build_shared_object(source)
     try:
         if faults.fire("so.load"):
             raise OSError("injected fault: so.load")
@@ -1327,7 +1186,7 @@ def load_shared_object(
             so_path.unlink()
         except OSError:
             pass
-        rebuilt = build_shared_object(source, force=True, extra_flags=extra_flags)
+        rebuilt = build_shared_object(source, force=True)
         try:
             if faults.fire("so.load"):
                 raise OSError("injected fault: so.load")
@@ -1350,8 +1209,7 @@ class CLibrary:
     ``boundary``/``leaf_boundary`` are None when some array uses a
     boundary kind C cannot express (PythonBoundary).  ``walk`` exists
     regardless: without C boundary clones it is built without the
-    interior test and only ever receives interior zoids.  ``walk_par``
-    is None when the source embedding the pthread pool failed to build.
+    interior test and only ever receives interior zoids.
     """
 
     source: str
@@ -1360,7 +1218,6 @@ class CLibrary:
     walk: Callable[..., None]
     boundary: Callable[..., None] | None
     leaf_boundary: Callable[..., None] | None
-    walk_par: Callable[..., None] | None
 
 
 #: (IR source key, $REPRO_CC_CACHE, compiler identity) -> CLibrary.
@@ -1404,20 +1261,8 @@ def _load_library(ir: KernelIR) -> CLibrary:
     boundary_ok = all(
         is_vectorizable_boundary(a.boundary) for a in ir.arrays.values()
     )
-    # Prefer the source with the embedded pthread pool; if it fails to
-    # build (a toolchain without working pthreads), fall back to the
-    # serial-only source so every other clone survives unchanged.
-    source = generate_c_source(
-        ir, include_boundary=boundary_ok, include_parallel=True
-    )
-    try:
-        lib = load_shared_object(source, extra_flags=_PTHREAD_FLAGS)
-        parallel = True
-    except CompileError:
-        degradations.note("cc:parallel-source-failed->serial-clones")
-        source = generate_c_source(ir, include_boundary=boundary_ok)
-        lib = load_shared_object(source)
-        parallel = False
+    source = generate_c_source(ir, include_boundary=boundary_ok)
+    lib = load_shared_object(source)
 
     d = ir.ndim
     n_ptrs = len(ir.array_infos) + len(ir.const_arrays)
@@ -1431,19 +1276,15 @@ def _load_library(ir: KernelIR) -> CLibrary:
         fn.restype = None
         return fn
 
-    step, leaf, walk = 1 + 2 * d, 2 + 4 * d, 4 + 6 * d
+    # The walk's scalars end in nthreads, then the wstats pointer.
+    step, leaf, walk = 1 + 2 * d, 2 + 4 * d, 5 + 6 * d
     return CLibrary(
         source=source,
         interior=entry("interior_step_batch", step),
         leaf=entry("leaf_batch", leaf),
-        walk=entry("walk_subtree_batch", walk),
+        walk=entry("walk_subtree_batch", walk, ctypes.POINTER(i64)),
         boundary=entry("boundary_step_batch", step) if boundary_ok else None,
         leaf_boundary=entry("leaf_boundary_batch", leaf) if boundary_ok else None,
-        walk_par=(
-            entry("walk_subtree_par_batch", walk + 1, ctypes.POINTER(i64))
-            if parallel
-            else None
-        ),
     )
 
 
@@ -1509,43 +1350,29 @@ def bind_c_clones(
         return leaf
 
     walk_fn = lib.walk
+    # One counter buffer per binding (spawned, stolen, level barriers,
+    # calls that wanted a pool and ran without one); concurrent calls
+    # from DAG workers accumulate into it with C atomic adds, and the
+    # driver diffs snapshots around a run to report per-run counters.
+    stats = np.zeros(4, dtype=np.int64)
+    stats_ptr = stats.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
 
     def walk(
-        ta, tb, lo, hi, dlo, dhi, slopes, thresholds, dt_th, hyper,
-        _keepalive=bufs,
+        ta, tb, lo, hi, dlo, dhi, slopes, thresholds, dt_th, hyper, threads,
+        _keepalive=(bufs, stats),
     ):
         walk_fn(
             *ptrs, nb, ta, tb, *lo, *hi, *dlo, *dhi, *slopes, *thresholds,
-            dt_th, 1 if hyper else 0,
+            dt_th, 1 if hyper else 0, threads, stats_ptr,
         )
 
     has_boundary = lib.boundary is not None
-    clones = {
+    return {
         "interior": bind_step(lib.interior),
         "boundary": bind_step(lib.boundary) if has_boundary else None,
         "leaf": bind_leaf(lib.leaf),
         "leaf_boundary": bind_leaf(lib.leaf_boundary) if has_boundary else None,
         "walk": walk,
-        "walk_par": None,
-        "walk_stats": None,
+        "walk_stats": stats,
         "sources": {"c": lib.source},
     }
-    if lib.walk_par is not None:
-        par_fn = lib.walk_par
-        # One counter buffer per binding; concurrent calls from DAG
-        # workers accumulate into it with C atomic adds, and the driver
-        # diffs snapshots around a run to report per-run counters.
-        stats = np.zeros(3, dtype=np.int64)
-        stats_ptr = stats.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
-
-        def walk_par(
-            ta, tb, lo, hi, dlo, dhi, slopes, thresholds, dt_th, hyper,
-            nthreads, _keepalive=(bufs, stats),
-        ):
-            par_fn(
-                *ptrs, nb, ta, tb, *lo, *hi, *dlo, *dhi, *slopes,
-                *thresholds, dt_th, 1 if hyper else 0, nthreads, stats_ptr,
-            )
-
-        clones.update(walk_par=walk_par, walk_stats=stats)
-    return clones

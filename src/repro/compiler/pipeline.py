@@ -69,28 +69,25 @@ class CompiledKernel:
     #: The compiled recursion (``walk_subtree``): one call runs a whole
     #: subtree of the trapezoidal decomposition, GIL released, testing
     #: each zoid for "interior?" itself when ``boundary_mode == "c"``
-    #: (else it only ever receives interior zoids).  Only the ``c``
-    #: backend generates it; executors fall back to the Python walk for
-    #: subtree tasks it cannot take.
+    #: (else it only ever receives interior zoids).  Its trailing
+    #: argument is the thread count: above one, a pthread task pool
+    #: inside the shared object runs same-level hyperspace-cut pieces in
+    #: parallel; at one the same recursion runs them inline.  Only the
+    #: ``c`` backend generates it; executors fall back to the Python
+    #: walk for subtree tasks it cannot take.
     walk: Callable[..., None] | None = None
-    #: The parallel compiled recursion (``walk_subtree_par``): same
-    #: contract as ``walk`` plus a trailing thread count; a pthread task
-    #: pool inside the shared object spawns same-level hyperspace-cut
-    #: pieces.  None when the ``c`` backend is absent or the parallel
-    #: source failed to build — callers then use ``walk``.
-    walk_par: Callable[..., None] | None = None
-    #: The live i64[3] counter buffer (spawned, stolen, level barriers)
-    #: ``walk_par`` accumulates into; the driver diffs snapshots of it
-    #: around a run to fill RunReport.
+    #: The live i64[4] counter buffer ``walk`` accumulates into (pool
+    #: tasks spawned, stolen, level barriers, and calls that asked for
+    #: more than one thread but ran without a pool); the driver diffs
+    #: snapshots of it around a run to fill RunReport.
     walk_stats: object | None = None
 
-    def walk_stats_snapshot(self) -> tuple[int, int, int]:
-        """Current (spawned, stolen, barriers) totals; zeros when the
-        parallel walk does not exist."""
+    def walk_stats_snapshot(self) -> tuple[int, ...]:
+        """Current totals of the four walk counters; zeros when there is
+        no compiled walk."""
         if self.walk_stats is None:
-            return (0, 0, 0)
-        s = self.walk_stats
-        return (int(s[0]), int(s[1]), int(s[2]))
+            return (0, 0, 0, 0)
+        return tuple(int(v) for v in self.walk_stats)
 
     def without_fused_leaves(self) -> "CompiledKernel":
         """A copy with every fused clone stripped, so base cases step
@@ -99,9 +96,7 @@ class CompiledKernel:
         compiled walk goes with them (it
         bottoms out in the fused leaf body).  (A copy: the cached
         original keeps its clones.)"""
-        return replace(
-            self, leaf=None, leaf_boundary=None, walk=None, walk_par=None
-        )
+        return replace(self, leaf=None, leaf_boundary=None, walk=None)
 
 
 #: (ir cache key, mode, array tokens) -> CompiledKernel, LRU-ordered.

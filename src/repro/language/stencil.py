@@ -85,15 +85,14 @@ class RunOptions:
         has one (``CompiledKernel.without_fused_leaves`` is the per-step
         reference).
     ``walk_threads``:
-        thread count for the compiled walk's embedded pthread pool
-        (``walk_subtree_par``): same-level hyperspace-cut pieces of each
-        subtree task run in parallel *inside* one GIL-released C call.
-        ``None`` (default) resolves to the detected available core count
-        when the parallel walk exists; ``1`` pins the serial walk clone
-        (unchanged behavior); values are bitwise-equivalent by
-        construction, so this knob trades only time, never results.
-        Ignored (harmlessly) when the compiled walk is off or the
-        backend has no parallel clone.
+        thread count of the compiled walk: above one, its embedded
+        pthread pool runs the same-level hyperspace-cut pieces of each
+        subtree task in parallel *inside* one GIL-released C call; ``1``
+        starts no pool and runs every piece inline.  ``None`` (default)
+        resolves to the detected available core count.  Values are
+        bitwise-equivalent by construction, so this knob trades only
+        time, never results.  Ignored (harmlessly) when no subtree task
+        runs through the compiled walk.
     ``autotune``:
         the persistent tuned-config registry
         (:mod:`repro.autotune.registry`).  ``"off"`` (default) never
@@ -201,10 +200,9 @@ class RunOptions:
         """Concrete thread count for the compiled walk's pthread pool.
 
         The single source of the ``None``-means-auto rule: the detected
-        *available* core count (cgroup/affinity aware).  The executor
-        only consults this when the parallel walk clone exists, and the
-        generated pool itself degrades to the serial recursion when it
-        cannot start, so over-asking is harmless.
+        *available* core count (cgroup/affinity aware).  A walk whose
+        pool cannot start runs every piece inline (and the run records
+        the fallback), so over-asking is harmless.
         """
         if self.walk_threads is not None:
             return max(1, int(self.walk_threads))
@@ -283,13 +281,13 @@ class RunReport:
     n_workers: int = 1
     busy_time: float = 0.0
     autotune_source: str = "heuristic"
-    #: Resolved thread count the compiled walk's pthread pool ran with
-    #: (1 when the parallel walk was off or unavailable).
+    #: Resolved thread count the compiled walk ran with (1 when no
+    #: subtree task ran through it).
     walk_threads: int = 1
-    #: Parallel-walk pool counters for this run (diffed from the
+    #: Walk pool counters for this run (diffed from the
     #: kernel's shared C stats buffer): tasks spawned into the pool,
     #: tasks executed by pool workers (vs. joins helping inline), and
-    #: level barriers joined.  All zero on the serial path.
+    #: level barriers joined.  All zero at one walk thread.
     walk_spawned: int = 0
     walk_stolen: int = 0
     walk_barriers: int = 0

@@ -33,7 +33,6 @@ arrays) and stores the winner for every later process on this machine.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import replace as _dc_replace
@@ -87,8 +86,8 @@ def _walk_setup(problem: Problem, options: RunOptions):
         # that clone can classify and run them.
         compiled_walk=options.compiled_walk and resolved == "c",
         walk_boundary=walks_boundary(problem, resolved),
-        # Rides along in the emitted WalkParams; the executor only acts
-        # on it when the compiled kernel has a parallel walk clone.
+        # Rides along in the emitted WalkParams: the compiled walk's
+        # thread count.
         walk_threads=options.resolve_walk_threads(),
     )
     top = full_grid_zoid(problem.t_start, problem.t_end, problem.sizes)
@@ -374,8 +373,6 @@ def _run(
         if session is None:
             executor = "dag"
             compiled = compile_kernel_resilient(problem, options.mode)
-    if compiled.walk_par is not None:
-        report.walk_threads = options.resolve_walk_threads()
     # Pool counters are accumulated in a per-kernel C buffer; diffing
     # a snapshot around the run yields this run's share (best-effort
     # under concurrent runs of the same kernel, exact otherwise;
@@ -402,13 +399,13 @@ def _run(
         if session is not None:
             session.close()
 
-    walk_stats1 = compiled.walk_stats_snapshot()
-    report.walk_spawned = walk_stats1[0] - walk_stats0[0]
-    report.walk_stolen = walk_stats1[1] - walk_stats0[1]
-    report.walk_barriers = walk_stats1[2] - walk_stats0[2]
-    if report.walk_threads > 1 and os.environ.get("REPRO_WALK_POOL_FAIL"):
-        # The generated pool reads this env at start and degrades to
-        # the serial recursion inside the .so; Python only sees the
-        # env, so record the fallback here (covers both direct env
-        # arming and the faults registry's walk.pool site).
+    if report.subtree_tasks > 0 and compiled.walk is not None:
+        report.walk_threads = options.resolve_walk_threads()
+    report.walk_spawned, report.walk_stolen, report.walk_barriers, poolless = (
+        b - a for a, b in zip(walk_stats0, compiled.walk_stats_snapshot())
+    )
+    if poolless > 0:
+        # A walk call asked for more than one thread and its pool could
+        # not start (pthread_create failed, or the walk.pool fault site
+        # armed the generated C's hook): it ran every piece inline.
         degradations.note("walk-pool:start-failed->serial")

@@ -18,7 +18,10 @@ behind :func:`repro.runtime.scheduler.simulate_greedy`.
 NumPy kernels release the GIL for the bulk of their work and the C
 backend's fused leaves release it for the *entire* base-case trapezoid
 (one ctypes call per region), so threads provide real parallelism on
-multi-core hosts; the *scalability analysis* for Figure 9 comes from the
+multi-core hosts.  A C subtree task is one such call too, and at more
+than one walk thread it also splits its subtree across the pthread pool
+inside the ``.so`` — the same recursion, which at one thread spawns
+nothing; the *scalability analysis* for Figure 9 comes from the
 work/span analyzer
 (:mod:`repro.runtime.workspan`) and the schedule simulators
 (:mod:`repro.runtime.scheduler`), mirroring how the paper separates
@@ -276,9 +279,9 @@ def run_base_region(region: BaseRegion, compiled: "CompiledKernel") -> None:
     Subtree tasks (``region.walk`` set) run their whole subtree through
     the backend's compiled ``walk_subtree`` clone — one GIL-released
     ctypes call executes every cut, interior test and fused leaf below
-    the root — or through the Python replay when that clone cannot take
-    the region (none exists, or the region touches the boundary and the
-    kernel has no C boundary clones).
+    the root, at the task's thread count — or through the Python replay
+    when that clone cannot take the region (none exists, or the region
+    touches the boundary and the kernel has no C boundary clones).
 
     When the backend generated a fused leaf clone (``split_pointer``'s
     NumPy leaves or ``c``'s compiled leaves) the whole time loop runs
@@ -293,22 +296,10 @@ def run_base_region(region: BaseRegion, compiled: "CompiledKernel") -> None:
         # Only a walk built with C boundary clones can classify zoids.
         takes_region = region.interior or compiled.boundary_mode == "c"
         if walk is not None and takes_region:
-            slopes, thresholds, dt_threshold, hyperspace, threads = region.walk
+            # WalkParams is (slopes, thresholds, dt threshold, hyperspace,
+            # threads): the walk's own trailing arguments.
             lo, hi, dlo, dhi = zip(*region.dims)
-            if threads > 1 and compiled.walk_par is not None:
-                # The in-.so pthread pool runs the subtree's same-level
-                # pieces in parallel; bitwise identical to the serial
-                # walk (and it falls back to it internally when the pool
-                # cannot start).
-                compiled.walk_par(
-                    region.ta, region.tb, lo, hi, dlo, dhi,
-                    slopes, thresholds, dt_threshold, hyperspace, threads,
-                )
-            else:
-                walk(
-                    region.ta, region.tb, lo, hi, dlo, dhi,
-                    slopes, thresholds, dt_threshold, hyperspace,
-                )
+            walk(region.ta, region.tb, lo, hi, dlo, dhi, *region.walk)
         else:
             _run_subtree_python(region, compiled)
         return

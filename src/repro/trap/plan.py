@@ -54,8 +54,9 @@ PlanEvent = tuple
 #: reproduce the walk below it: (slopes, effective space thresholds,
 #: dt threshold, hyperspace flag, walk threads).  Protected dimensions
 #: are encoded as a huge threshold (never cuttable), so no separate
-#: protect flags ride along.  ``walk_threads`` > 1 selects the parallel
-#: compiled walk (the in-.so pthread pool) when the backend built one.
+#: protect flags ride along.  ``walk_threads`` is the compiled walk's
+#: thread count: above one, its in-.so pthread pool takes same-level
+#: pieces.
 WalkParams = tuple
 
 

@@ -98,10 +98,11 @@ class WalkOptions:
     that clone classifies zoids itself and bottoms out in a C
     ``leaf_boundary``, i.e. when every boundary kind is C-expressible.
 
-    ``walk_threads`` is the thread count the compiled walk's embedded
-    pthread pool runs with (1 = the serial clone, unchanged).  It rides
-    along in the emitted :data:`WalkParams`, so tuned values apply
-    per-plan without recompiling anything.
+    ``walk_threads`` is the thread count the compiled walk runs with:
+    above one, its embedded pthread pool takes same-level pieces; at one
+    it starts no pool and runs every piece inline.  It rides along in
+    the emitted :data:`WalkParams`, so tuned values apply per-plan
+    without recompiling anything.
     """
 
     dt_threshold: int = 1

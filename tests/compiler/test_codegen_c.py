@@ -50,7 +50,6 @@ ENTRY_POINTS = {
     "leaf_batch",
     "leaf_boundary_batch",
     "walk_subtree_batch",
-    "walk_subtree_par_batch",
 }
 
 
@@ -68,10 +67,10 @@ class TestGeneratedSource:
     def test_exports_one_nb_entry_point_per_clone(self):
         """Every clone body is ``static``; the source exports exactly one
         entry point per clone, each taking the job count ``nb``."""
-        par = generate_c_source(_heat_ir(), include_parallel=True)
-        assert _exported(par) == ENTRY_POINTS
+        src = generate_c_source(_heat_ir())
+        assert _exported(src) == ENTRY_POINTS
         for name in ENTRY_POINTS:
-            assert re.search(rf"^void {name}\([^)]*, i64 nb, ", par, re.M)
+            assert re.search(rf"^void {name}\([^)]*, i64 nb, ", src, re.M)
         serial = generate_c_source(_heat_ir(), include_boundary=False)
         assert _exported(serial) == {
             "interior_step_batch", "leaf_batch", "walk_subtree_batch"
@@ -79,8 +78,7 @@ class TestGeneratedSource:
 
     @pytest.mark.skipif(shutil.which("nm") is None, reason="no nm")
     def test_built_object_exports_only_the_entry_points(self, cc_cache):
-        src = generate_c_source(_heat_ir(), include_parallel=True)
-        so = build_shared_object(src, extra_flags=("-pthread",))
+        so = build_shared_object(generate_c_source(_heat_ir()))
         out = subprocess.run(
             ["nm", "-D", "--defined-only", str(so)],
             capture_output=True, text=True, check=True,
@@ -118,35 +116,33 @@ class TestGeneratedSource:
 
     def test_walk_subtree_present_with_scalar_recursion_params(self):
         """The compiled interior recursion: a static recursive helper,
-        the exported entry point with scalar threshold/slope arguments,
+        the per-job entry with scalar threshold/slope/thread arguments,
         and a bottom-out into the fused leaf."""
         src = generate_c_source(_heat_ir())
-        assert "static void walk_rec(" in src
         assert "static void walk_subtree(" in src
         assert "i64 th0" in src and "i64 s0" in src and "i64 hyper" in src
-        assert "leaf(D_u," in src  # recursion bottoms out in the fused leaf
+        assert "i64 nthreads" in src
+        assert "leaf(job->D_u," in src  # bottoms out in the fused leaf
         # walk is generated even when the boundary clones are not: it
         # only ever touches interior zoids.
         assert "walk_subtree" in generate_c_source(
             _heat_ir(), include_boundary=False
         )
 
-    def test_parallel_walk_section_is_opt_in(self):
-        """The pthread pool is emitted only on request (the serial-only
-        source must stay buildable on toolchains without -pthread), and
-        both recursions share one decomposition helper — the structural
-        guarantee behind the bitwise-identity contract."""
-        src = generate_c_source(_heat_ir())
-        assert "walk_subtree_par" not in src
-        assert "pthread.h" not in src
-        par = generate_c_source(_heat_ir(), include_parallel=True)
-        assert "static void walk_subtree_par(" in par
-        assert "#include <pthread.h>" in par
-        assert "static void walk_rec_par(" in par
-        assert "wq_ensure_pool" in par
-        # one walk_cuts, used by both walk_rec and walk_rec_par: the
-        # parallel walk cannot drift from the serial decomposition.
-        assert par.count("static int walk_cuts(") == 1
+    @pytest.mark.parametrize(
+        "include_boundary", [True, False], ids=["boundary", "interior-only"]
+    )
+    def test_one_walk_recursion_with_its_pool(self, include_boundary):
+        """One recursion, one decomposition helper and one entry serve
+        every thread count: the pool is part of every source, and no
+        second (serial or parallel) walk exists to drift from it."""
+        src = generate_c_source(_heat_ir(), include_boundary=include_boundary)
+        defined = re.findall(r"^static void (walk_\w+)\([^;]*?\{$", src, re.M | re.S)
+        assert sorted(defined) == ["walk_rec", "walk_subtree"]
+        assert "walk_rec_par" not in src and "walk_subtree_par" not in src
+        assert src.count("static int walk_cuts(") == 1
+        assert "#include <pthread.h>" in src
+        assert "wq_ensure_pool" in src
 
     def test_walk_clone_matches_per_leaf_bitwise(self):
         """One subtree through walk_subtree vs the same recursion

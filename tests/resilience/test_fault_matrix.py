@@ -6,7 +6,7 @@ Crossed axes: missing C toolchain (``REPRO_NO_CC``) x compiled-walk
 pthread-pool start failure x corrupt autotune registry x corrupt
 checkpoint, across executors — plus an app-breadth leg running the
 all-faults-on combination over several benchmark apps.  Every run asks
-for the most demanding configuration (``mode="c"``, parallel walk,
+for the most demanding configuration (``mode="c"``, a 2-thread walk,
 autotune, resume) so each armed fault actually lies on the requested
 path.
 """
@@ -85,6 +85,9 @@ def _run_combo(app_name, executor, *, no_cc, pool_fail, reg_corrupt,
     if executor == "dag":
         options["n_workers"] = 2
         options["walk_threads"] = 2
+        # Thresholds that plan subtree tasks, so the pool is asked to start.
+        options["space_thresholds"] = (4,) * app.stencil.ndim
+        options["dt_threshold"] = 2
     if ckpt_corrupt:
         _seed_corrupt_checkpoint(tmp_path / "ckpt", app)
         options["resume_from"] = tmp_path / "ckpt"
@@ -99,6 +102,7 @@ def _run_combo(app_name, executor, *, no_cc, pool_fail, reg_corrupt,
     elif has_c_backend():
         assert report.mode == "c"
     if pool_fail and not no_cc and has_c_backend() and executor == "dag":
+        assert report.subtree_tasks > 0
         assert "walk-pool:start-failed->serial" in degr
     if reg_corrupt:
         assert "registry:corrupt-evicted" in degr

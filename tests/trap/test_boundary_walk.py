@@ -11,10 +11,10 @@ generated C, and each distinct catalog entry costs one ``cc`` run:
 
 * the row-peeled ``leaf_boundary`` against stepping ``boundary_step``
   (the per-point clone) on random, possibly wrapped, boxes;
-* whole runs against ``run_phase1`` through the serial walk, the
-  parallel walk at 1/2/4 threads, a two-job stack (serial stream or DAG,
-  serial or parallel walk), and the Python replay of the same subtree
-  plan.
+* whole runs against ``run_phase1`` through the compiled walk at 1/2/4
+  threads, the walk pinned to one thread, a two-job stack (serial stream
+  or DAG, 1 or 2 walk threads), and the Python replay of the same
+  subtree plan.
 
 The catalog spans 1-4D grids; periodic, Neumann, Dirichlet (constant and
 time-dependent) and mixed per-dimension boundaries; 1-wide grids; grids
@@ -201,16 +201,14 @@ class TestBoundarySubtreeRuns:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(_runs())
     def test_parallel_walk_at_one_thread_matches_phase1(self, case):
-        """``walk_subtree_par`` itself at one thread (the driver routes
-        ``walk_threads=1`` to the serial clone instead)."""
+        """The walk pinned to one thread, whatever thread count the plan
+        carries."""
         name, steps, options = case
         stencil, kernel = _build(name, 1)
         problem = stencil.prepare(steps, kernel)
         compiled = compile_kernel(problem, "c")
-        par1 = replace(
-            compiled, walk=lambda *args: compiled.walk_par(*args, 1)
-        )
-        execute_serial_stream(build_events(problem, options), par1)
+        one = replace(compiled, walk=lambda *args: compiled.walk(*args[:-1], 1))
+        execute_serial_stream(build_events(problem, options), one)
         assert _result(stencil) == _phase1(name, 1, steps)
 
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -222,7 +220,7 @@ class TestBoundarySubtreeRuns:
         compiled = compile_kernel(problem, "c")
         execute_serial_stream(
             build_events(problem, options),
-            replace(compiled, walk=None, walk_par=None),
+            replace(compiled, walk=None),
         )
         assert _result(stencil) == _phase1(name, 1, steps)
 
@@ -234,7 +232,7 @@ class TestBoundarySubtreeRuns:
     )
     def test_batch_twin_matches_phase1(self, case, executor, walk_threads):
         """A stack of two jobs through the driver, under the serial
-        stream or the DAG, and the serial or the parallel walk."""
+        stream or the DAG, and the walk at 1 or 2 threads."""
         name, steps, options = case
         options = replace(
             options,
@@ -246,7 +244,9 @@ class TestBoundarySubtreeRuns:
         problems = [s.prepare(steps, k) for s, k in built]
         reports = execute_problem(problems, options)
         assert all(r.degradations == [] for r in reports)
-        assert all(r.walk_threads == walk_threads for r in reports)
+        # The walk's thread count is reported only if the walk ran.
+        ran = reports[0].subtree_tasks > 0
+        assert all(r.walk_threads == (walk_threads if ran else 1) for r in reports)
         for seed, (stencil, _) in zip((1, 2), built):
             assert _result(stencil) == _phase1(name, seed, steps)
 

@@ -1,24 +1,24 @@
-"""The parallel compiled walk: bitwise equivalence and degradation.
+"""The compiled walk across thread counts: bitwise equivalence and
+degradation.
 
-The C backend can emit a second walk entry point, ``walk_subtree_par``,
-that runs the same trapezoidal recursion over an embedded pthread task
-pool: the independent same-level pieces of each hyperspace cut (Lemma 1)
-become tasks, levels join at a barrier, and every task bottoms out in
-the unchanged fused leaf.  Because the parallel recursion shares the
-serial walk's decomposition helpers and never splits a leaf, the
-schedule may vary but the arithmetic per point cannot — so the contract
-under test is *bitwise identity*, not approximate agreement:
+The C backend's one walk recursion takes the thread count as an
+argument.  Above one, an embedded pthread task pool runs the
+independent same-level pieces of each hyperspace cut (Lemma 1) as
+tasks, levels join at a barrier, and every task bottoms out in the
+unchanged fused leaf.  At one thread — or when the pool cannot start —
+the same code spawns nothing and runs every piece inline.  The schedule
+may vary but the arithmetic per point cannot, so the contract under
+test is *bitwise identity*, not approximate agreement:
 
 * **Equivalence** — randomized interior subtrees, every registered app,
-  and every heat boundary kind must produce identical bits under the
-  parallel walk, the serial walk, and the Python replay, for every
-  thread count, and across repeated runs (scheduling nondeterminism
-  must not leak into results).
-* **Degradation** — ``walk_threads=1`` takes the serial clone verbatim;
-  a failed pool init (``REPRO_WALK_POOL_FAIL``) falls back to the
-  serial recursion inside the same call; a hidden toolchain degrades to
-  the NumPy path with the knob silently inert.  No API surface changes
-  in any of these.
+  and every heat boundary kind must produce identical bits at one
+  thread, at several, and under the Python replay, and across repeated
+  runs (scheduling nondeterminism must not leak into results).
+* **Degradation** — ``walk_threads=1`` spawns nothing; a failed pool
+  init (``REPRO_WALK_POOL_FAIL``) runs the call without a pool and
+  counts it in the fallback slot; a hidden toolchain degrades to the
+  NumPy path with the knob silently inert.  No API surface changes in
+  any of these.
 
 C-specific tests skip cleanly without a compiler; the option-validation
 and no-toolchain tests run everywhere.
@@ -108,14 +108,13 @@ def _interior_subtrees(draw):
 
 @pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
 class TestRandomSubtrees:
-    """Parallel walk vs serial walk vs Python replay, randomized."""
+    """N threads vs one thread vs Python replay, randomized."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_interior_subtrees())
     def test_parallel_matches_serial_walk(self, case):
         sizes, region = case
         u_p, compiled = _fresh_compiled(sizes)
-        assert compiled.walk_par is not None
         run_base_region(region, compiled)
         got_par = u_p.data.copy()
 
@@ -132,9 +131,7 @@ class TestRandomSubtrees:
         got_par = u_p.data.copy()
 
         u_py, compiled_py = _fresh_compiled(sizes)
-        run_base_region(
-            region, replace(compiled_py, walk=None, walk_par=None)
-        )
+        run_base_region(region, replace(compiled_py, walk=None))
         assert np.array_equal(got_par, u_py.data)
 
     def test_repeated_runs_are_bitwise_stable(self):
@@ -159,7 +156,7 @@ class TestRandomSubtrees:
 @pytest.mark.parametrize("name", available_apps())
 def test_all_apps_parallel_walk_equals_serial(name, threads):
     """Every registered app, end to end through ``Stencil.run``: the
-    parallel walk must reproduce the serial walk bit for bit."""
+    walk at N threads must reproduce the walk at one thread bit for bit."""
     ref_app = build(name, "tiny")
     ref_app.run(mode="c", dt_threshold=2, walk_threads=1)
     ref = ref_app.result()
@@ -167,7 +164,7 @@ def test_all_apps_parallel_walk_equals_serial(name, threads):
     app = build(name, "tiny")
     app.run(mode="c", dt_threshold=2, walk_threads=threads)
     assert np.array_equal(app.result(), ref), (
-        f"{name}: parallel walk at {threads} threads diverged from serial"
+        f"{name}: walk at {threads} threads diverged from one thread"
     )
 
 
@@ -188,7 +185,7 @@ def test_heat_boundary_kinds_parallel_equals_serial(boundary, threads):
              walk_threads=1)
     assert np.array_equal(
         u_p.snapshot(st_p.cursor), u_s.snapshot(st_s.cursor)
-    ), f"parallel walk diverged from serial under {boundary}"
+    ), f"walk at {threads} threads diverged from one thread under {boundary}"
 
 
 @pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
@@ -210,7 +207,7 @@ def test_executors_compose_with_parallel_walk(executor):
 
 @pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
 class TestReportCounters:
-    """Pool activity surfaces in the RunReport; silence when serial."""
+    """Pool activity surfaces in the RunReport; silence at one thread."""
 
     def _run(self, **kw):
         st_, u, k = make_heat_problem((48, 50), seed=13)
@@ -233,6 +230,33 @@ class TestReportCounters:
         assert (report.walk_spawned, report.walk_stolen,
                 report.walk_barriers) == (0, 0, 0)
 
+    def test_walk_threads_reported_only_when_a_subtree_task_ran(self):
+        _, report = self._run(walk_threads=2, compiled_walk=False)
+        assert report.subtree_tasks == 0
+        assert report.walk_threads == 1
+
+    def test_pool_fallback_is_recorded_when_the_pool_failed(self, monkeypatch):
+        ref, _ = self._run(walk_threads=1)
+        monkeypatch.setenv("REPRO_WALK_POOL_FAIL", "1")
+        got, report = self._run(walk_threads=2)
+        assert report.subtree_tasks > 0
+        assert "walk-pool:start-failed->serial" in report.degradations
+        assert report.walk_spawned == 0
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize(
+        "options",
+        [dict(walk_threads=2, compiled_walk=False), dict(walk_threads=1)],
+        ids=["no-subtree-tasks", "one-thread"],
+    )
+    def test_no_pool_fallback_without_a_pool_request(self, options, monkeypatch):
+        """The tag comes from what the walk did, not from the
+        environment: runs that never asked the walk for a pool record
+        nothing even with the failure hook armed."""
+        monkeypatch.setenv("REPRO_WALK_POOL_FAIL", "1")
+        _, report = self._run(**options)
+        assert "walk-pool:start-failed->serial" not in report.degradations
+
 
 class TestDegradation:
     """Every fallback path keeps the API and the bits."""
@@ -240,9 +264,10 @@ class TestDegradation:
     @pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
     def test_pool_init_failure_degrades_to_serial(self, monkeypatch):
         """``REPRO_WALK_POOL_FAIL`` makes ``wq_ensure_pool`` report zero
-        workers: ``walk_subtree_par`` must run the serial recursion
-        in-call — same bits, no pool counters.  A unique grid keeps this
-        kernel's (static, per-.so) pool unpopulated by earlier tests."""
+        workers: the walk runs every piece inline in-call — same bits,
+        no pool counters, and one count in the fallback slot.  A unique
+        grid keeps this kernel's (static, per-.so) pool unpopulated by
+        earlier tests."""
         sizes = (17, 13)
         region = BaseRegion(
             1, 6, ((1, 15, 0, 0), (1, 11, 1, -1)), interior=True,
@@ -250,11 +275,11 @@ class TestDegradation:
         )
         monkeypatch.setenv("REPRO_WALK_POOL_FAIL", "1")
         u_f, compiled = _fresh_compiled(sizes)
-        assert compiled.walk_par is not None
         before = compiled.walk_stats_snapshot()
         run_base_region(region, compiled)
         after = compiled.walk_stats_snapshot()
-        assert after == before  # no pool, no counters
+        # no pool, no pool counters; one call ran without its pool
+        assert [b - a for a, b in zip(before, after)] == [0, 0, 0, 1]
         got = u_f.data.copy()
 
         monkeypatch.delenv("REPRO_WALK_POOL_FAIL")
@@ -263,9 +288,9 @@ class TestDegradation:
         assert np.array_equal(got, u_s.data)
 
     @pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
-    def test_walk_threads_one_never_touches_the_pool(self):
-        """``walk_threads=1`` dispatches to the serial clone directly —
-        the parallel entry point is not even called."""
+    def test_walk_threads_one_spawns_nothing(self):
+        """``walk_threads=1`` is the same recursion without a pool: it
+        spawns nothing, crosses no barrier, and is no fallback."""
         u, compiled = _fresh_compiled(GRIDS[2])
         region = BaseRegion(
             1, 6, ((1, 11, 0, 0), (1, 10, 1, -1)), interior=True,
