@@ -42,9 +42,10 @@ def test_fig13_mode_throughput(benchmark, mode):
         rates = []
         for n in ns:
             steps = T if mode != "interp" else max(2, T // 8)
-            # Warm the kernel cache (for mode "c": the gcc invocation) on a
-            # throwaway problem so the measurement is steady-state, like
-            # the paper's (compile once, run many) usage.
+            # Load the kernel's code (cc and dlopen for "c", source
+            # generation and compile() for the Python modes) on a
+            # throwaway problem; the measured run on new arrays reuses it,
+            # steady-state like the paper's (compile once, run many) usage.
             st_w, _, k_w = make_heat_problem((n, n), boundary="periodic")
             st_w.run(1, k_w, algorithm="trap", mode=mode)
             st_, u, k = make_heat_problem((n, n), boundary="periodic")

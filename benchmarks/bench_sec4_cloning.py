@@ -12,10 +12,8 @@ index".
 import numpy as np
 import pytest
 
-from benchmarks.bench_util import is_tiny, once, wall
+from benchmarks.bench_util import is_tiny, once, per_leaf_plan, wall_clean
 from repro.compiler.pipeline import compile_kernel
-from repro.language.stencil import RunOptions
-from repro.trap.driver import build_plan
 from repro.trap.executor import execute_serial
 from repro.trap.plan import BaseRegion, map_base_regions, plan_stats
 from tests.conftest import make_heat_problem
@@ -36,14 +34,15 @@ def _prepared():
     # pays no per-index modulo — with it, the strawman would dodge the
     # very cost the experiment measures.
     compiled = compile_kernel(problem, "auto").without_fused_leaves()
-    plan = build_plan(problem, RunOptions(algorithm="trap"))
-    return problem, compiled, plan, u
+    return problem, compiled, per_leaf_plan(problem), u
 
 
 def test_cloned(benchmark):
     problem, compiled, plan, u = _prepared()
     stats = plan_stats(plan)
-    elapsed = once(benchmark, lambda: wall(lambda: execute_serial(plan, compiled)))
+    elapsed = once(
+        benchmark, lambda: wall_clean(lambda: execute_serial(plan, compiled))
+    )
     _times["cloned"] = elapsed
     benchmark.extra_info["interior_fraction"] = round(
         1 - stats.boundary_fraction, 3
@@ -62,7 +61,8 @@ def test_modulo_everywhere(benchmark):
         lambda r: BaseRegion(r.ta, r.tb, r.dims, interior=False),
     )
     elapsed = once(
-        benchmark, lambda: wall(lambda: execute_serial(all_boundary, compiled))
+        benchmark,
+        lambda: wall_clean(lambda: execute_serial(all_boundary, compiled)),
     )
     _times["modulo"] = elapsed
     _times["result_modulo"] = float(

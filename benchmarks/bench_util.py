@@ -38,6 +38,39 @@ def wall(fn: Callable[[], object]) -> float:
     return time.perf_counter() - t0
 
 
+def per_leaf_plan(problem):
+    """The Section-4 cloning ablation's plan: per-leaf base regions only.
+
+    The default ``c`` plan holds compiled-walk subtree tasks, which a
+    kernel stripped of its fused clones runs through the Python replay,
+    and which a region rebuilt as ``BaseRegion(ta, tb, dims,
+    interior=False)`` runs as one whole-subtree boundary region.  Either
+    way the ablation would not compare per-step clones, so this raises
+    if the plan still holds one.
+    """
+    from repro.language.stencil import RunOptions
+    from repro.trap.driver import build_plan
+    from repro.trap.plan import plan_stats
+
+    plan = build_plan(problem, RunOptions(algorithm="trap", compiled_walk=False))
+    if plan_stats(plan).subtree_tasks:
+        raise RuntimeError("the per-leaf plan holds a subtree task")
+    return plan
+
+
+def wall_clean(fn: Callable[[], object]) -> float:
+    """:func:`wall`, raising if any degradation fired during the run (a
+    fallback would time a different path than the one named)."""
+    from repro.resilience import degradations
+
+    fired: list[str] = []
+    with degradations.collect(fired):
+        elapsed = wall(fn)
+    if fired:
+        raise RuntimeError(f"the timed run degraded: {fired}")
+    return elapsed
+
+
 def machine_record() -> dict:
     """The machine fingerprint stamped into every benchmark record.
 
@@ -87,6 +120,8 @@ __all__ = [
     "is_tiny",
     "machine_record",
     "once",
+    "per_leaf_plan",
     "wall",
+    "wall_clean",
     "write_bench_json",
 ]

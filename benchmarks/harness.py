@@ -27,7 +27,13 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from benchmarks.bench_util import is_tiny, wall, write_bench_json  # noqa: E402
+from benchmarks.bench_util import (  # noqa: E402
+    is_tiny,
+    per_leaf_plan,
+    wall,
+    wall_clean,
+    write_bench_json,
+)
 from repro.analysis.reporting import Fig3Row, fig3_table, series_table  # noqa: E402
 from repro.analysis.theory import parallelism_growth_exponent  # noqa: E402
 from repro.apps import build  # noqa: E402
@@ -286,7 +292,7 @@ def run_fig13() -> dict:
         for n in ns:
             steps = T if mode != "interp" else max(2, T // 8)
             st_w, _, k_w = _heat_problem((n, n))
-            st_w.run(1, k_w, mode=mode)  # warm kernel cache / gcc
+            st_w.run(1, k_w, mode=mode)  # load the kernel's code once
             st_, _, k = _heat_problem((n, n))
             elapsed = wall(lambda: st_.run(steps, k, mode=mode))
             rates.append(n * n * steps / elapsed)
@@ -312,12 +318,12 @@ def run_sec4() -> dict:
     # snapshot leaf pays no per-index modulo and would let the strawman
     # dodge the cost this experiment measures.
     compiled = compile_kernel(problem, "auto").without_fused_leaves()
-    plan = build_plan(problem, RunOptions(algorithm="trap"))
-    t_cloned = wall(lambda: execute_serial(plan, compiled))
+    plan = per_leaf_plan(problem)
+    t_cloned = wall_clean(lambda: execute_serial(plan, compiled))
     all_bnd = map_base_regions(
         plan, lambda r: BaseRegion(r.ta, r.tb, r.dims, interior=False)
     )
-    t_mod = wall(lambda: execute_serial(all_bnd, compiled))
+    t_mod = wall_clean(lambda: execute_serial(all_bnd, compiled))
     print(
         f"\n== Section 4 cloning ablation: modulo-everywhere / clone-based "
         f"= {t_mod / t_cloned:.2f}x slower (paper: 2.3x)"

@@ -224,7 +224,7 @@ def _evict_corrupt(path: Path) -> None:
 #: this process's store() or another's.  Callers must treat the cached
 #: dict as read-only (store() copies before mutating).
 _LOAD_CACHE: dict[Path, tuple[tuple[int, int], dict[str, dict]]] = {}
-_LOAD_CACHE_LIMIT = 32
+_LOAD_CACHE_MAX = 32
 
 
 def _load(path: Path) -> dict[str, dict]:
@@ -266,7 +266,7 @@ def _load(path: Path) -> dict[str, dict]:
         except (KeyError, TypeError, ValueError):
             continue
         good[key] = obj
-    if len(_LOAD_CACHE) >= _LOAD_CACHE_LIMIT:
+    if len(_LOAD_CACHE) >= _LOAD_CACHE_MAX:
         _LOAD_CACHE.clear()
     _LOAD_CACHE[path] = (tag, good)
     return good

@@ -30,8 +30,9 @@ path: compiled clones plus the compiled trapezoidal walk) and
 The ``split_pointer`` and ``c`` clones are generated once per kernel,
 as one family over a stack of jobs ``(nb, slots, *sizes)``: a local
 run binds a stack of one (views of its own arrays), a served batch a
-stack of K (:mod:`repro.compiler.batch`).  A C kernel's library is
-loaded once per process and bound per run.
+stack of K (:mod:`repro.compiler.batch`).  Every backend's code (a C
+library, the NumPy and per-point clones' compiled code) is loaded once
+per process and bound per run.
 """
 
 from repro.compiler.frontend import KernelIR, build_ir

@@ -29,10 +29,10 @@ same ``static`` body with offset base pointers; the NumPy clones rebind
 bitwise identical to running each job alone, and the serve tests pin
 that across apps and backends.
 
-Batched kernels are deliberately *not* cached: they close over the
+Batched kernels are not cached (no kernel is): they close over the
 per-request stacked buffers.  The expensive artifact — the loaded C
-library — is shared with every other compile of the kernel in the
-process.
+library or the NumPy clones' compiled code — is shared with every other
+compile of the kernel in the process.
 """
 
 from __future__ import annotations

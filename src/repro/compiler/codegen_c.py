@@ -1353,7 +1353,7 @@ def bind_c_clones(
     # One counter buffer per binding (spawned, stolen, level barriers,
     # calls that wanted a pool and ran without one); concurrent calls
     # from DAG workers accumulate into it with C atomic adds, and the
-    # driver diffs snapshots around a run to report per-run counters.
+    # driver reports it after the run.
     stats = np.zeros(4, dtype=np.int64)
     stats_ptr = stats.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
 

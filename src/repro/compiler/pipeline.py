@@ -1,4 +1,4 @@
-"""The compile driver: pick a backend, bind its clones, cache results.
+"""The compile driver: pick a backend, load its code once, bind it per run.
 
 ``compile_kernel`` is what the execution driver calls.  Mode semantics:
 
@@ -17,19 +17,18 @@ A job is a batch of one.  The ``c`` and ``split_pointer`` clones always
 run over a stack of jobs, ``(nb, slots, *sizes)``, and
 :func:`bind_kernel` is their one binding path: ``compile_kernel`` binds
 a stack of one made of zero-copy views of the problem's own arrays,
-:func:`repro.compiler.batch.compile_batch_kernel` a stack of K.  A C
-kernel's library is built and loaded once per process
-(:func:`repro.compiler.codegen_c.load_c_kernel`) and only bound here.
+:func:`repro.compiler.batch.compile_batch_kernel` a stack of K.
 
-Compiled kernels are cached per (kernel IR, mode, array identities): the
-generated code bakes in sizes and boundary kinds, and the bound clones
-close over the arrays' buffers (:func:`evict` drops a served job's).
+Nothing here caches a kernel that holds a user buffer.  The expensive,
+data-independent artifact — a C kernel's loaded library, the NumPy and
+per-point clones' compiled code — is loaded once per process per
+:meth:`~repro.compiler.frontend.KernelIR.cache_key` (:func:`load_kernel`
+and the per-point loader), and every compile binds it to the problem's
+current buffers, so a kernel lives exactly as long as the run holding it.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -78,8 +77,8 @@ class CompiledKernel:
     walk: Callable[..., None] | None = None
     #: The live i64[4] counter buffer ``walk`` accumulates into (pool
     #: tasks spawned, stolen, level barriers, and calls that asked for
-    #: more than one thread but ran without a pool); the driver diffs
-    #: snapshots of it around a run to fill RunReport.
+    #: more than one thread but ran without a pool).  Every binding has
+    #: its own, so after a run it holds that run's counters.
     walk_stats: object | None = None
 
     def walk_stats_snapshot(self) -> tuple[int, ...]:
@@ -94,21 +93,9 @@ class CompiledKernel:
         through the per-step clones — the per-step reference used by the
         Section-4 cloning benchmarks and the equivalence tests.  The
         compiled walk goes with them (it
-        bottoms out in the fused leaf body).  (A copy: the cached
-        original keeps its clones.)"""
+        bottoms out in the fused leaf body).  (A copy: the original
+        keeps its clones.)"""
         return replace(self, leaf=None, leaf_boundary=None, walk=None)
-
-
-#: (ir cache key, mode, array tokens) -> CompiledKernel, LRU-ordered.
-#: Bounded: compiled kernels close over their arrays' buffers, and cache
-#: tokens are never reused, so an unbounded cache would pin one full
-#: grid per short-lived stencil forever (e.g. a parameter sweep that
-#: builds a fresh array per iteration).  Locked: nested runs make
-#: compile_kernel reachable from worker threads, and the LRU's
-#: get/move_to_end/evict sequence is not atomic.
-_CACHE: "OrderedDict[tuple, CompiledKernel]" = OrderedDict()
-_CACHE_LIMIT = 64
-_CACHE_LOCK = threading.Lock()
 
 
 def available_modes() -> tuple[str, ...]:
@@ -124,27 +111,12 @@ def available_modes() -> tuple[str, ...]:
 
 
 def clear_cache() -> None:
-    """Drop every compiled kernel and every loaded C kernel library, so
-    the next compile reaches ``dlopen`` (and cc on a cold ``.so``
-    cache) again."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    """Drop every loaded C kernel library and every compiled NumPy and
+    per-point clone, so the next compile generates code and reaches
+    ``dlopen`` (and cc on a cold ``.so`` cache) again."""
     codegen_c.clear_library_cache()
-
-
-def evict(problem: Problem) -> None:
-    """Drop every cached kernel bound to one of ``problem``'s arrays, so
-    the cache does not keep a served job's grid alive after it ran.
-    Matches by identity: kernels bound before a ``share()`` go too."""
-    ids = {id(a) for a in problem.arrays.values()}
-    with _CACHE_LOCK:
-        stale = [
-            key
-            for key, compiled in _CACHE.items()
-            if any(id(a) in ids for a in compiled.ir.arrays.values())
-        ]
-        for key in stale:
-            del _CACHE[key]
+    codegen_numpy.clear_code_cache()
+    codegen_python.clear_code_cache()
 
 
 def resolve_mode(mode: str) -> str:
@@ -174,31 +146,9 @@ def walks_boundary(problem: Problem, mode: str) -> bool:
 
 def compile_kernel(problem: Problem, mode: str = "auto") -> CompiledKernel:
     """Compile the problem's kernel into interior/boundary clones bound
-    to the problem's own arrays (a stack of one)."""
-    mode = resolve_mode(mode)
-    ir = build_ir(problem)
-    # Keyed on each array's monotonic cache_token, not id(a.data): object
-    # ids are reused after garbage collection, and a reused id would
-    # silently return a stale kernel closed over a dead array's buffer.
-    # Const arrays need the same treatment — kernels close over their
-    # values, which ir.cache_key() does not carry.
-    key = (
-        ir.cache_key(),
-        mode,
-        tuple(a.cache_token for a in ir.arrays.values()),
-        tuple(c.cache_token for c in ir.const_arrays.values()),
-    )
-    with _CACHE_LOCK:
-        cached = _CACHE.get(key)
-        if cached is not None:
-            _CACHE.move_to_end(key)
-            return cached
-    compiled = _compile_ir(ir, mode)
-    with _CACHE_LOCK:
-        _CACHE[key] = compiled
-        while len(_CACHE) > _CACHE_LIMIT:
-            _CACHE.popitem(last=False)
-    return compiled
+    to the problem's own arrays (a stack of one).  The code is loaded
+    once per process; the binding is fresh on every call."""
+    return _compile_ir(build_ir(problem), resolve_mode(mode))
 
 
 def compile_kernel_resilient(
@@ -267,6 +217,18 @@ def _compile_ir(ir: KernelIR, mode: str) -> CompiledKernel:
     return compiled
 
 
+def load_kernel(ir: KernelIR, mode: str):
+    """The load-once half of a batched backend: the ``c`` kernel's
+    loaded library or the ``split_pointer`` clones' compiled code for
+    ``ir``, built on the first call per process and shared afterwards.
+    It holds no buffer, so the server prewarms with it."""
+    if mode == "c":
+        return codegen_c.load_c_kernel(ir)
+    if mode == "split_pointer":
+        return codegen_numpy.load_numpy_kernel(ir)
+    raise CompileError(f"unknown codegen mode {mode!r}")
+
+
 def bind_kernel(
     ir: KernelIR,
     mode: str,
@@ -278,17 +240,16 @@ def bind_kernel(
     their clones closed over a stack of ``nb`` jobs (``stacked[name]`` is
     ``(nb, slots, *sizes)``; see :mod:`repro.compiler.batch`).
 
-    ``c`` binds the process-wide loaded library
-    (:func:`~repro.compiler.codegen_c.load_c_kernel`); nothing here is
-    cached, since the result holds the buffers.  ``boundary`` and
+    The code comes from :func:`load_kernel`; nothing here is cached,
+    since the result holds the buffers.  ``boundary`` and
     ``leaf_boundary`` are None for boundary kinds the backend cannot
     express.
     """
+    kernel = load_kernel(ir, mode)
     if mode == "c":
-        lib = codegen_c.load_c_kernel(ir)
-        clones = codegen_c.bind_c_clones(lib, ir, stacked, stacked_consts, nb)
-    elif mode == "split_pointer":
-        clones = codegen_numpy.make_numpy_clones(ir, stacked, stacked_consts, nb)
+        clones = codegen_c.bind_c_clones(kernel, ir, stacked, stacked_consts, nb)
     else:
-        raise CompileError(f"unknown codegen mode {mode!r}")
+        clones = codegen_numpy.bind_numpy_clones(
+            kernel, stacked, stacked_consts, nb
+        )
     return CompiledKernel(mode=mode, boundary_mode=mode, ir=ir, **clones)

@@ -54,9 +54,9 @@ class ScratchPool:
 class LocalPools:
     """Per-thread :class:`ScratchPool` factory.
 
-    One instance lives in each compiled clone's namespace; parallel
-    executors run the same clone from many workers concurrently, so the
-    scratch buffers must be thread-local."""
+    One instance serves each loaded clone and every binding of it;
+    parallel executors and concurrent runs call the same clone code from
+    many threads, so the scratch buffers must be thread-local."""
 
     __slots__ = ("_local",)
 

@@ -23,15 +23,13 @@ can rebind it as a *view onto an attachable* ``multiprocessing.shared_memory``
 segment.  A shared array pickles as a segment descriptor (name + shape,
 no payload bytes), and unpickling in another process attaches a zero-copy
 view onto the same physical pages — which is how the supervised executor
-hands worker subprocesses the live grid without serializing it.  Every
-rebind bumps :attr:`cache_token`, because compiled kernels prebind raw
-buffer addresses at compile time and must never be served against a
-buffer the array no longer owns.
+hands worker subprocesses the live grid without serializing it.  Compiled
+kernels hold no array: every run binds the kernel's loaded code to the
+buffers the array owns at that moment, so a rebind needs no bookkeeping.
 """
 
 from __future__ import annotations
 
-import itertools
 import mmap
 import threading
 from dataclasses import dataclass
@@ -125,9 +123,6 @@ class PochoirArray:
         time slots.
     """
 
-    #: Process-wide monotonic id source for :attr:`cache_token`.
-    _token_counter = itertools.count()
-
     def __init__(
         self,
         name: str,
@@ -150,12 +145,6 @@ class PochoirArray:
         self.slots = depth + 1
         self.data = _grid_zeros((self.slots, *sizes), dtype)
         self.boundary: Boundary | None = None
-        #: Process-unique, never-reused identity for compiled-kernel
-        #: caching.  ``id(self.data)`` is NOT usable for that purpose: CPython
-        #: reuses addresses after garbage collection, which would silently
-        #: serve a stale compiled kernel (closed over a dead buffer) to a
-        #: new array that happens to land at the same address.
-        self.cache_token = next(PochoirArray._token_counter)
         #: Highest time level written so far (levels 0..depth-1 are assumed
         #: to be initialized by the user before the first run).
         self._latest = depth - 1
@@ -175,11 +164,10 @@ class PochoirArray:
     def share(self) -> "PochoirArray":
         """Move the modular buffer into a shared-memory segment (idempotent).
 
-        The contents are preserved; ``self.data`` becomes a view onto the
-        segment and :attr:`cache_token` is bumped so previously compiled
-        kernels (bound to the old private buffer) can never be served for
-        this array again.  Raises ``OSError`` where shared memory is
-        unavailable — callers degrade, they do not crash.
+        The contents are preserved and ``self.data`` becomes a view onto
+        the segment; the next run binds its kernel to that view.  Raises
+        ``OSError`` where shared memory is unavailable — callers degrade,
+        they do not crash.
         """
         if self._shm is not None:
             return self
@@ -191,17 +179,16 @@ class PochoirArray:
         self.data = view
         self._shm = shm
         self._shm_owner = True
-        self.cache_token = next(PochoirArray._token_counter)
         return self
 
     def unshare(self) -> "PochoirArray":
         """Copy the buffer back to private memory and release the segment.
 
         The owner unlinks the segment name; attachers only close their
-        mapping.  Compiled kernels cached against the shared view keep it
-        mapped until they are evicted, so a failing ``close`` (exported
-        views still alive) is tolerated — the segment is unlinked either
-        way and the pages go away with the last mapping.
+        mapping.  A kernel still bound to the shared view keeps it mapped,
+        so a failing ``close`` (exported views still alive) is tolerated —
+        the segment is unlinked either way and the pages go away with the
+        last mapping.
         """
         if self._shm is None:
             return self
@@ -211,11 +198,10 @@ class PochoirArray:
         private = _grid_zeros(self.data.shape, self.data.dtype)
         private[...] = self.data  # private again, contents preserved
         self.data = private
-        self.cache_token = next(PochoirArray._token_counter)
         try:
             shm.close()
         except BufferError:
-            pass  # a cached compiled kernel still holds the old view
+            pass  # a bound kernel still holds the old view
         if owner:
             try:
                 shm.unlink()
@@ -447,10 +433,6 @@ class ConstArray:
             raise SpecificationError(f"array name must be an identifier: {name!r}")
         self.name = name
         self.values = np.asarray(values, dtype=np.float64)
-        #: Same never-reused identity discipline as PochoirArray: compiled
-        #: kernels close over these values, so the cache must distinguish
-        #: const arrays beyond their names.
-        self.cache_token = next(PochoirArray._token_counter)
 
     @property
     def sizes(self) -> tuple[int, ...]:

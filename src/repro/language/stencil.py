@@ -284,8 +284,8 @@ class RunReport:
     #: Resolved thread count the compiled walk ran with (1 when no
     #: subtree task ran through it).
     walk_threads: int = 1
-    #: Walk pool counters for this run (diffed from the
-    #: kernel's shared C stats buffer): tasks spawned into the pool,
+    #: Walk pool counters for this run (read from the C stats buffer
+    #: bound for this run alone): tasks spawned into the pool,
     #: tasks executed by pool workers (vs. joins helping inline), and
     #: level barriers joined.  All zero at one walk thread.
     walk_spawned: int = 0
@@ -310,8 +310,8 @@ class RunReport:
     #: direct runs): seconds the job waited in the admission queue
     #: before its batch launched, how many same-signature jobs shared
     #: the compiled dispatch that ran it, and whether its kernel was
-    #: already warm (served from the in-process compile cache / a prior
-    #: flight instead of compiled for this request).
+    #: already warm (its code loaded in the process by a prior flight
+    #: instead of loaded for this request).
     queue_wait: float = 0.0
     batch_size: int = 1
     compile_cache_hit: bool = False

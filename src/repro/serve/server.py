@@ -454,7 +454,6 @@ class StencilServer:
         return False, mode, "serve:mode-cannot-batch->unbatched"
 
     async def _run_batch(self, key: tuple, jobs: list[_Job]) -> None:
-        from repro.compiler import pipeline
         from repro.trap.driver import execute_problem
 
         started = time.perf_counter()
@@ -516,7 +515,6 @@ class StencilServer:
         finally:
             for job in jobs:
                 self._release_job(job)
-                pipeline.evict(job.problem)
 
     def _run_sequential(
         self, jobs: list[_Job], options: RunOptions
@@ -546,17 +544,15 @@ class StencilServer:
     ) -> bool:
         """Single-flight kernel prewarm; returns whether it was warm.
 
-        The expensive artifact is the kernel library (one ``.so`` per
-        kernel, loaded once per process): one flight per (signature,
-        mode) builds and loads it while concurrent batches of the same
-        kernel await the same future instead of racing into cc.
-        Cross-process, the per-digest compile lock extends the same
-        guarantee.  The prewarm binds no buffers, so it pins no job.
-        Prewarm failures are swallowed — the batch run itself will
-        degrade (or raise) with full reporting.
+        The expensive artifact is the backend's code
+        (:func:`~repro.compiler.pipeline.load_kernel`), loaded once per
+        process: one flight per (signature, mode) loads it while
+        concurrent batches of the same kernel await the same future
+        instead of racing into cc.  Cross-process, the per-digest compile
+        lock extends the same guarantee.  The prewarm binds no buffers,
+        so it pins no job.  Prewarm failures are swallowed — the batch
+        run itself will degrade (or raise) with full reporting.
         """
-        if mode != "c":
-            return key[:1] + (mode,) in self._warm_kernels
         fkey = key[:1] + (mode,)
         if fkey in self._warm_kernels:
             return True
@@ -565,12 +561,12 @@ class StencilServer:
             assert self._loop is not None
             flight = self._loop.create_future()
             self._compile_flights[fkey] = flight
-            from repro.compiler.codegen_c import load_c_kernel
             from repro.compiler.frontend import build_ir
+            from repro.compiler.pipeline import load_kernel
 
             try:
                 await asyncio.to_thread(
-                    lambda: load_c_kernel(build_ir(template))
+                    lambda: load_kernel(build_ir(template), mode)
                 )
             except Exception:
                 pass

@@ -8,11 +8,11 @@ worker:
 1. unpickles the problem — whose :class:`~repro.language.array.PochoirArray`
    buffers arrive as shared-memory descriptors and attach as zero-copy
    views onto the driver's live grid;
-2. compiles its own kernel clones for the driver's resolved mode (the
-   on-disk ``.so`` cache makes the C case a hash-keyed reload, not a
-   recompile) — pointers are prebound against the *shared* views, so a
-   fused leaf or compiled subtree walk writes the driver's physical
-   pages directly;
+2. binds its own kernel clones for the driver's resolved mode (code an
+   earlier session loaded, or the on-disk ``.so`` cache, spares the C
+   case a recompile) — pointers are prebound against the *shared*
+   views, so a fused leaf or compiled subtree walk writes the driver's
+   physical pages directly;
 3. executes ``("tasks", ...)`` batches via the same
    :func:`repro.trap.executor.run_base_region` primitive every in-process
    executor uses — bitwise-identical results by construction.
@@ -104,8 +104,6 @@ class _Attached:
         mappings; returns False when a mapping could not be closed (the
         pool then retires this worker instead of letting unlinked
         segments accumulate across sessions)."""
-        from repro.compiler.pipeline import clear_cache
-
         shms = [
             arr._shm
             for arr in self.problem.arrays.values()
@@ -116,7 +114,6 @@ class _Attached:
             arr.data = None
         self.compiled = None
         self.problem = None
-        clear_cache()  # the kernel cache pins the shared views
         gc.collect()
         clean = True
         for shm in shms:

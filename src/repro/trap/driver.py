@@ -251,10 +251,10 @@ def execute_problem(
 ) -> list[RunReport]:
     """Run same-signature jobs as one run; return one report per job.
 
-    The registry is consulted once, on the first job.  A lone job
-    compiles through the cache, bound to its own arrays; K > 1 jobs are
-    stacked, bound to the stack and scattered back, bitwise identical to
-    running them one at a time.  Subtree tasks and DAG regions do not
+    The registry is consulted once, on the first job.  A lone job's
+    kernel is bound to its own arrays; K > 1 jobs are stacked, bound to
+    the stack and scattered back, bitwise identical to running them one
+    at a time.  Subtree tasks and DAG regions do not
     depend on the job, so executor, workers and walk threads resolve as
     for a lone job.  Every report carries the run's counters (points are
     per job) and ``batch_size=K``.
@@ -362,9 +362,9 @@ def _run(
         # subprocesses.  On any unavailability (no shm, spawn
         # blocked, unpicklable problem) this returns None with a
         # recorded note and the run degrades to the in-process DAG
-        # executor.  Either way the arrays may have been rebound
-        # (share bumps cache tokens), so recompile on the degrade
-        # path — a no-op cache hit when nothing was rebound.
+        # executor.  Either way the arrays may have been rebound to
+        # shared memory, so rebind the kernel to their current buffers
+        # on the degrade path.
         from repro.supervise.session import open_session
 
         session = open_session(
@@ -373,13 +373,6 @@ def _run(
         if session is None:
             executor = "dag"
             compiled = compile_kernel_resilient(problem, options.mode)
-    # Pool counters are accumulated in a per-kernel C buffer; diffing
-    # a snapshot around the run yields this run's share (best-effort
-    # under concurrent runs of the same kernel, exact otherwise;
-    # supervised runs execute the walk in worker processes, so their
-    # pool counters stay zero here).
-    walk_stats0 = compiled.walk_stats_snapshot()
-
     def run_range(a: int, b: int) -> None:
         sub = _dc_replace(problem, t_start=a, t_end=b)
         _execute_range(
@@ -401,8 +394,11 @@ def _run(
 
     if report.subtree_tasks > 0 and compiled.walk is not None:
         report.walk_threads = options.resolve_walk_threads()
+    # Pool counters accumulate in the kernel's own C buffer, bound for
+    # this run alone, so they are exact (supervised runs execute the
+    # walk in worker processes, so their pool counters stay zero here).
     report.walk_spawned, report.walk_stolen, report.walk_barriers, poolless = (
-        b - a for a, b in zip(walk_stats0, compiled.walk_stats_snapshot())
+        compiled.walk_stats_snapshot()
     )
     if poolless > 0:
         # A walk call asked for more than one thread and its pool could

@@ -308,6 +308,29 @@ class TestTuneOnMiss:
         assert report2.autotune_source == "registry"
         assert np.array_equal(u2.snapshot(st2.cursor), ref)
 
+    def test_tune_on_miss_pins_no_grid(self, monkeypatch):
+        """Every tuning run binds a kernel to the tuner's cloned grids;
+        once the run returns, nothing in the process keeps one alive."""
+        import gc
+        import weakref
+
+        from repro.autotune import isat
+
+        refs = []
+        clone_arrays = isat._clone_arrays
+
+        def tracking(problem):
+            clones = clone_arrays(problem)
+            refs.extend(weakref.ref(a) for a in clones.values())
+            return clones
+
+        monkeypatch.setattr(isat, "_clone_arrays", tracking)
+        st, u, k = make_heat_problem((32, 32))
+        report = st.run(8, k, autotune="tune-on-miss")
+        assert report.autotune_source == "tuned"
+        gc.collect()
+        assert refs and all(r() is None for r in refs)
+
     def test_tuning_leaves_user_arrays_untouched(self):
         st, u, k = make_heat_problem((32, 32))
         before = u.data.copy()

@@ -1,4 +1,4 @@
-"""Tests for the compile pipeline: mode dispatch, caching, fallbacks."""
+"""Tests for the compile pipeline: mode dispatch, code loading, fallbacks."""
 
 import numpy as np
 import pytest
@@ -65,33 +65,12 @@ def test_unknown_mode_rejected():
         compile_kernel(problem, "jit")
 
 
-def test_cache_hits_for_same_problem():
-    st, u, k = make_heat_problem((8, 8))
-    p1 = st.prepare(1, k)
-    c1 = compile_kernel(p1, "split_pointer")
-    c2 = compile_kernel(st.prepare(1, k), "split_pointer")
-    assert c1 is c2
-
-
 def test_cache_distinguishes_arrays():
     st1, u1, k1 = make_heat_problem((8, 8), seed=0)
     st2, u2, k2 = make_heat_problem((8, 8), seed=1)
     c1 = compile_kernel(st1.prepare(1, k1), "split_pointer")
     c2 = compile_kernel(st2.prepare(1, k2), "split_pointer")
     assert c1 is not c2  # different backing buffers
-
-
-def test_cache_is_bounded():
-    """Tokens are never reused, so without an eviction bound the cache
-    would pin one compiled kernel (and its arrays' buffers) per
-    short-lived stencil forever."""
-    import repro.compiler.pipeline as pipeline
-
-    clear_cache()
-    for _ in range(pipeline._CACHE_LIMIT + 8):
-        st, u, k = make_heat_problem((8, 8))
-        compile_kernel(st.prepare(1, k), "interp")
-    assert len(pipeline._CACHE) <= pipeline._CACHE_LIMIT
 
 
 def test_cache_distinguishes_const_arrays():
@@ -102,8 +81,8 @@ def test_cache_distinguishes_const_arrays():
 
     from repro import ConstArray, Kernel, PochoirArray, Stencil
 
-    # One shared state array (same cache token) so only the const arrays
-    # can tell the two compilations apart.
+    # One shared state array, so only the const arrays can tell the two
+    # compilations apart: the loaded code is shared, the values are not.
     u = PochoirArray("u", (4,))
     u.set_initial(np.zeros(4))
 
@@ -126,23 +105,6 @@ def test_cache_distinguishes_const_arrays():
     )
 
 
-def test_array_cache_tokens_never_reused():
-    """Tokens stay unique even when arrays (and their buffers) die and
-    CPython reuses the heap addresses — the id()-reuse hazard the cache
-    key must not have."""
-    import gc
-
-    from repro import PochoirArray
-
-    seen = set()
-    for _ in range(50):
-        u = PochoirArray("u", (8, 8))
-        assert u.cache_token not in seen
-        seen.add(u.cache_token)
-        del u
-        gc.collect()
-
-
 def test_cache_never_serves_stale_kernel_for_new_array(monkeypatch):
     """Regression: keying on id(a.data) hands a *new* array the compiled
     kernel of a dead one whenever CPython recycles the address.  Address
@@ -159,6 +121,51 @@ def test_cache_never_serves_stale_kernel_for_new_array(monkeypatch):
     assert c2 is not c1
     assert c1.ir.arrays["u"] is u1
     assert c2.ir.arrays["u"] is u2
+
+
+def test_warm_compile_on_new_arrays_generates_no_code(monkeypatch):
+    """The clone code is loaded once per kernel: compiling the same
+    kernel again, on new arrays, only binds — neither the NumPy nor the
+    per-point (PythonBoundary fallback) source generator runs."""
+    from repro.compiler import codegen_numpy, codegen_python
+
+    calls = []
+    for module, name in (
+        (codegen_numpy, "_leaf_source"),
+        (codegen_python, "_clone_source"),
+    ):
+        real = getattr(module, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    def edge(arr, t, X):
+        return 2.0 * t
+
+    def make():
+        u = PochoirArray("u", (10,)).register_boundary(PythonBoundary(edge))
+        st = Stencil(1)
+        st.register_array(u)
+        k = Kernel(
+            1, lambda t, x: u(t + 1, x) << 0.5 * (u(t, x - 1) + u(t, x + 1))
+        )
+        u.set_initial(np.zeros(10))
+        return u, st.prepare(3, k)
+
+    clear_cache()
+    _, first = make()
+    compile_kernel(first, "split_pointer")
+    assert set(calls) == {"_leaf_source", "_clone_source"}
+    calls.clear()
+    u, second = make()
+    compiled = compile_kernel(second, "split_pointer")
+    assert calls == []
+    assert compiled.boundary_mode == "macro_shadow"
+    (buf,) = _bound_buffers(compiled.leaf)
+    assert np.shares_memory(buf, u.data)
 
 
 def test_python_boundary_forces_per_point_boundary_clone():

@@ -387,6 +387,31 @@ def test_local_run_and_served_batches_load_the_kernel_once(
     assert len(loads) == 1
 
 
+@pytest.mark.parametrize("mode", BATCH_MODES)
+def test_second_same_kernel_batch_reports_a_warm_kernel(mode):
+    # Every batched backend prewarms through the same single flight, so
+    # the second batch of a kernel finds its code loaded.
+    async def main():
+        opts = ServeOptions(max_batch=2, batch_window=0.05)
+        hits = []
+        async with StencilServer(opts) as srv:
+            for seeds in ((1, 2), (3, 4)):
+                apps = [build_heat((20, 20), 8, seed=s) for s in seeds]
+                reports = await asyncio.gather(
+                    *(
+                        srv.submit(
+                            a.stencil, a.steps, a.kernel, RunOptions(mode=mode)
+                        )
+                        for a in apps
+                    )
+                )
+                assert [r.batch_size for r in reports] == [2, 2]
+                hits.append([r.compile_cache_hit for r in reports])
+        return hits
+
+    assert asyncio.run(main()) == [[False, False], [True, True]]
+
+
 def test_nonpositive_timeout_expires_at_admission():
     app = build_heat((16, 16), 4, seed=0)
 

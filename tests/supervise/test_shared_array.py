@@ -9,7 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import PochoirArray, ZeroBoundary
+from repro import Kernel, PochoirArray, Stencil, ZeroBoundary
 
 
 @pytest.fixture()
@@ -20,43 +20,50 @@ def arr():
     a.unshare()  # idempotent; never leaves segments behind on failure
 
 
-def test_share_preserves_contents_and_bumps_token(arr):
-    before = arr.data.copy()
-    token0 = arr.cache_token
+def test_share_preserves_contents_and_runs_write_the_segment(arr):
+    st = Stencil(2)
+    st.register_array(arr)
+    k = Kernel(2, lambda t, x, y: arr(t + 1, x, y) << arr(t, x, y) + 1.0)
+    st.run(1, k)  # a kernel bound to the private buffer
+    private = arr.data
+    before = private.copy()
     assert not arr.is_shared
     arr.share()
     assert arr.is_shared
     np.testing.assert_array_equal(arr.data, before)
-    # Any kernel compiled against the private buffer is now stale: the
-    # compile cache must key on a new token.
-    assert arr.cache_token != token0
+    # The next run binds the segment: it writes there, not into the
+    # buffer the array owned when the kernel was first compiled.
+    st.run(1, k)
+    segment = np.ndarray(
+        arr.data.shape, dtype=arr.data.dtype, buffer=arr._shm.buf
+    )
+    assert not np.array_equal(segment, before)
+    np.testing.assert_array_equal(segment, arr.data)
+    np.testing.assert_array_equal(private, before)
+    del segment
 
 
 def test_share_is_idempotent(arr):
     arr.share()
-    token1 = arr.cache_token
     data1 = arr.data
     arr.share()
     assert arr.data is data1
-    assert arr.cache_token == token1
 
 
 def test_unshare_returns_to_private_memory(arr):
     arr.share()
     arr.data[...] = 7.0
-    token_shared = arr.cache_token
     arr.unshare()
     assert not arr.is_shared
-    assert arr.cache_token != token_shared
     np.testing.assert_array_equal(arr.data, np.full(arr.data.shape, 7.0))
     # Private again: writable without any segment backing it.
     arr.data[0, 0, 0] = -1.0
 
 
 def test_unshare_without_share_is_noop(arr):
-    token0 = arr.cache_token
+    data0 = arr.data
     arr.unshare()
-    assert arr.cache_token == token0
+    assert arr.data is data0
 
 
 def test_pickle_of_shared_array_is_zero_copy_descriptor(arr):
