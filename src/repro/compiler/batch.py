@@ -4,10 +4,12 @@ A server receiving many small same-shape jobs should not pay K Python
 dispatches per region — it should run one compiled call whose innermost
 loop runs over the jobs.  Every ``c`` and ``split_pointer`` clone already
 has that loop (a local run is simply a batch of one), so this module
-only stacks the jobs and binds the same clones to the stack.  The three
+only stacks the jobs and binds the same clones to the stack.  The
 pieces :func:`repro.trap.driver.execute_problem` composes for a group of
 K > 1 jobs:
 
+* :func:`can_stack` — the one stack-or-not rule, asked on the options
+  the run will actually use; a group it refuses runs one job at a time;
 * :func:`stack_problems` — validate that the jobs are batchable (same
   problem signature, same time range) and copy each job's arrays into
   one contiguous stacked buffer per array name, ``(nb, slots, *sizes)``,
@@ -41,12 +43,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import CompileError, SpecificationError
+from repro.errors import SpecificationError
 from repro.compiler import codegen_numpy
-from repro.compiler.frontend import KernelIR, build_ir
-from repro.compiler.pipeline import CompiledKernel, bind_kernel, resolve_mode
-from repro.language.stencil import Problem
-from repro.resilience import degradations
+from repro.compiler.frontend import build_ir
+from repro.compiler.pipeline import (
+    CompiledKernel,
+    bind_kernel,
+    resolve_mode,
+    with_numpy_fallback,
+)
+from repro.language.stencil import Problem, RunOptions
 
 
 @dataclass
@@ -121,35 +127,33 @@ def scatter_results(stack: BatchStack) -> None:
                 dst[...] = buf[b]
 
 
-def _batchable_ir(ir: KernelIR) -> None:
-    for arr in ir.arrays.values():
-        if not codegen_numpy.is_vectorizable_boundary(arr.boundary):
-            raise CompileError(
-                f"array {arr.name!r} uses a non-vectorizable boundary; "
-                f"batched clones cannot express it — run the jobs unbatched"
-            )
+def can_stack(problem: Problem, options: RunOptions) -> bool:
+    """Whether K jobs of ``problem``'s signature run as one stack under
+    the *effective* ``options`` (after the registry consult): the backend
+    has stacked clones (``c`` and ``split_pointer``; the per-point modes
+    have none), every boundary kind is vectorizable, and the executor
+    runs in process (``procs`` may rebind the arrays to shared memory,
+    and a stack of copies would then scatter stale data).  A group that
+    fails it runs one job at a time."""
+    return (
+        resolve_mode(options.mode) in ("c", "split_pointer")
+        and all(
+            codegen_numpy.is_vectorizable_boundary(arr.boundary)
+            for arr in problem.arrays.values()
+        )
+        and options.resolve_executor()[0] != "procs"
+    )
 
 
 def compile_batch_kernel(stack: BatchStack, mode: str = "auto") -> CompiledKernel:
     """Bind the template job's clones to the stack.
 
-    ``"c"`` degrades to NumPy on any compile failure (with the usual
-    ``cc:compile-failed->split_pointer`` note); modes without stacked
-    clones (``interp``/``macro_shadow``) and non-vectorizable boundaries
-    raise :class:`CompileError` — callers run those jobs unbatched
-    instead.  The kernel carries every clone a lone job's kernel has,
-    the walk and its thread count included: each call runs the jobs one
-    after another.
+    For groups :func:`can_stack` admits.  ``"c"`` degrades to NumPy on
+    any compile failure through the same rung as a lone job
+    (:func:`~repro.compiler.pipeline.with_numpy_fallback`).  The kernel
+    carries every clone a lone job's kernel has, the walk and its thread
+    count included: each call runs the jobs one after another.
     """
-    resolved = resolve_mode(mode)
-    if resolved not in ("c", "split_pointer"):
-        raise CompileError(f"mode {resolved!r} cannot run batched")
     ir = build_ir(stack.problems[0])
-    _batchable_ir(ir)
     buffers = (stack.stacked, stack.stacked_consts, stack.nb)
-    if resolved == "c":
-        try:
-            return bind_kernel(ir, "c", *buffers)
-        except CompileError:
-            degradations.note("cc:compile-failed->split_pointer")
-    return bind_kernel(ir, "split_pointer", *buffers)
+    return with_numpy_fallback(mode, lambda m: bind_kernel(ir, m, *buffers))

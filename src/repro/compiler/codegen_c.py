@@ -1203,8 +1203,8 @@ class CLibrary:
     """One kernel's loaded ``.so``: its exported nb-taking entry points,
     ``argtypes``/``restype`` prebound, and the source they were built
     from.  It holds no buffer (:func:`bind_c_clones` closes it over a
-    job stack), so one load serves every run, batch and server prewarm
-    of the kernel in the process.
+    job stack), so one load serves every run and batch of the kernel
+    in the process.
 
     ``boundary``/``leaf_boundary`` are None when some array uses a
     boundary kind C cannot express (PythonBoundary).  ``walk`` exists
@@ -1230,15 +1230,19 @@ def clear_library_cache() -> None:
         _LIBRARIES.clear()
 
 
-def load_c_kernel(ir: KernelIR) -> CLibrary:
+def load_c_kernel(ir: KernelIR) -> tuple[CLibrary, bool]:
     """The load-once half: generate, build, ``dlopen`` and prebind the
-    kernel library for ``ir``, once per process.
+    kernel library for ``ir``, once per process; returns the library and
+    whether it was already loaded.
 
     Cached on what determines the ``.so``: the IR's source key (which
     also fixes whether boundary clones are emitted), the
     ``$REPRO_CC_CACHE`` directory and the compiler identity — so a fresh
     cache directory or another toolchain reaches cc and ``dlopen``, and
-    their fault sites, again.  Failures are not cached.
+    their fault sites, again.  Failures are not cached.  Two threads
+    that miss together both load: the ``.so`` cache's per-digest lock
+    runs cc once, ``dlopen`` of one path returns one handle, and the
+    first library stored is the one every caller gets.
     """
     cc = find_c_compiler()
     if cc is None:
@@ -1251,10 +1255,10 @@ def load_c_kernel(ir: KernelIR) -> CLibrary:
     with _LIBRARIES_LOCK:
         cached = _LIBRARIES.get(key)
     if cached is not None:
-        return cached
+        return cached, True
     loaded = _load_library(ir)
     with _LIBRARIES_LOCK:
-        return _LIBRARIES.setdefault(key, loaded)
+        return _LIBRARIES.setdefault(key, loaded), False
 
 
 def _load_library(ir: KernelIR) -> CLibrary:

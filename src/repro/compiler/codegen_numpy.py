@@ -745,8 +745,8 @@ def _leaf_source(ir: KernelIR, boundary_mode: bool) -> str:
 
 
 #: IR source key -> {clone name: (source, code object, scratch pools)}.
-#: The entries hold no buffer, so one load serves every run, batch and
-#: server prewarm of the kernel; the pools are thread-local, so every
+#: The entries hold no buffer, so one load serves every run and batch of
+#: the kernel; the pools are thread-local, so every
 #: binding shares them and a warm run reuses its scratch buffers.
 _KERNELS: dict[tuple, dict[str, tuple]] = {}
 _KERNELS_LOCK = threading.Lock()
@@ -757,16 +757,17 @@ def clear_code_cache() -> None:
         _KERNELS.clear()
 
 
-def load_numpy_kernel(ir: KernelIR) -> dict[str, tuple]:
+def load_numpy_kernel(ir: KernelIR) -> tuple[dict[str, tuple], bool]:
     """The load-once half: generate and compile the clones for ``ir``,
-    once per process (failures are not cached).  ``boundary`` and
+    once per process (failures are not cached); returns them and whether
+    they were already loaded.  ``boundary`` and
     ``leaf_boundary`` are absent when some array's boundary kind is not
     vectorizable; callers substitute the per-point clone."""
     key = ir.cache_key()
     with _KERNELS_LOCK:
         cached = _KERNELS.get(key)
     if cached is not None:
-        return cached
+        return cached, True
     sources = {
         "interior": _interior_source(ir),
         "leaf": _leaf_source(ir, boundary_mode=False),
@@ -784,7 +785,7 @@ def load_numpy_kernel(ir: KernelIR) -> dict[str, tuple]:
         for name, src in sources.items()
     }
     with _KERNELS_LOCK:
-        return _KERNELS.setdefault(key, loaded)
+        return _KERNELS.setdefault(key, loaded), False
 
 
 def bind_numpy_clones(

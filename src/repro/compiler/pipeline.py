@@ -80,6 +80,11 @@ class CompiledKernel:
     #: more than one thread but ran without a pool).  Every binding has
     #: its own, so after a run it holds that run's counters.
     walk_stats: object | None = None
+    #: Whether the ``c`` or ``split_pointer`` code this kernel binds was
+    #: already loaded in the process (:func:`load_kernel` hit), rather
+    #: than generated or built for this compile.  False for the per-point
+    #: modes and for a compile that fell back to NumPy.
+    warm: bool = False
 
     def walk_stats_snapshot(self) -> tuple[int, ...]:
         """Current totals of the four walk counters; zeros when there is
@@ -124,8 +129,8 @@ def resolve_mode(mode: str) -> str:
 
     The single source of ``"auto"`` dispatch — the paper's path, C, when
     a toolchain is found, else the always-available NumPy backend.
-    ``compile_kernel``, the walk driver's coarsening defaults, the batch
-    compiler, the autotuner and the server all consult it, so the
+    ``compile_kernel``, the walk driver's coarsening defaults, the
+    stack-or-not rule and the autotuner all consult it, so the
     thresholds chosen for a run always match the backend that runs.
     """
     if mode != "auto":
@@ -154,27 +159,38 @@ def compile_kernel(problem: Problem, mode: str = "auto") -> CompiledKernel:
 def compile_kernel_resilient(
     problem: Problem, mode: str = "auto"
 ) -> CompiledKernel:
-    """:func:`compile_kernel`, with the C backend allowed to degrade.
+    """:func:`compile_kernel`, with the C backend allowed to degrade
+    (:func:`with_numpy_fallback`)."""
+    return with_numpy_fallback(mode, lambda m: compile_kernel(problem, m))
 
-    A ``"c"`` request that fails to compile — no toolchain, a cc that
-    exits nonzero or times out, a shared object that will not load even
-    after evict-and-rebuild — falls back to the ``split_pointer``
-    (NumPy) backend, which needs no toolchain, and records the fallback
-    in the run's ``RunReport.degradations``.  Results are bitwise
-    identical across backends (the equivalence tests pin this), so the
-    degradation trades only speed.  NumPy-backend failures still raise:
-    there is nothing slower-but-working left to fall back to.
+
+def with_numpy_fallback(
+    mode: str, compile: Callable[[str], CompiledKernel]
+) -> CompiledKernel:
+    """The one C -> NumPy rung: ``compile(resolve_mode(mode))``, except
+    that a ``"c"`` compile that fails — no toolchain, a cc that exits
+    nonzero or times out, a shared object that will not load even after
+    evict-and-rebuild — retries as ``compile("split_pointer")`` and
+    records the fallback in the run's ``RunReport.degradations``.  The
+    lone-job and the stacked compile both climb it.
+
+    Results are bitwise identical across backends (the equivalence
+    tests pin this), so the degradation trades only speed.  A fallback
+    is never warm: it paid for a failed C compile.  NumPy-backend
+    failures still raise: there is nothing slower-but-working left.
     """
     from repro.resilience import degradations
 
     resolved = resolve_mode(mode)
     if resolved != "c":
-        return compile_kernel(problem, resolved)
+        return compile(resolved)
     try:
-        return compile_kernel(problem, resolved)
+        return compile(resolved)
     except CompileError:
         degradations.note("cc:compile-failed->split_pointer")
-        return compile_kernel(problem, "split_pointer")
+        compiled = compile("split_pointer")
+        compiled.warm = False
+        return compiled
 
 
 def _compile_ir(ir: KernelIR, mode: str) -> CompiledKernel:
@@ -217,11 +233,12 @@ def _compile_ir(ir: KernelIR, mode: str) -> CompiledKernel:
     return compiled
 
 
-def load_kernel(ir: KernelIR, mode: str):
-    """The load-once half of a batched backend: the ``c`` kernel's
-    loaded library or the ``split_pointer`` clones' compiled code for
-    ``ir``, built on the first call per process and shared afterwards.
-    It holds no buffer, so the server prewarms with it."""
+def load_kernel(ir: KernelIR, mode: str) -> tuple[object, bool]:
+    """The load-once half of a batched backend: ``(code, hit)``, where
+    ``code`` is the ``c`` kernel's loaded library or the
+    ``split_pointer`` clones' compiled code for ``ir``, built on the
+    first call per process and shared afterwards, and ``hit`` says
+    whether this call found it already loaded.  It holds no buffer."""
     if mode == "c":
         return codegen_c.load_c_kernel(ir)
     if mode == "split_pointer":
@@ -240,16 +257,18 @@ def bind_kernel(
     their clones closed over a stack of ``nb`` jobs (``stacked[name]`` is
     ``(nb, slots, *sizes)``; see :mod:`repro.compiler.batch`).
 
-    The code comes from :func:`load_kernel`; nothing here is cached,
-    since the result holds the buffers.  ``boundary`` and
-    ``leaf_boundary`` are None for boundary kinds the backend cannot
-    express.
+    The code comes from :func:`load_kernel`, whose cache hit the result
+    carries as ``warm``; nothing here is cached, since the result holds
+    the buffers.  ``boundary`` and ``leaf_boundary`` are None for
+    boundary kinds the backend cannot express.
     """
-    kernel = load_kernel(ir, mode)
+    kernel, warm = load_kernel(ir, mode)
     if mode == "c":
         clones = codegen_c.bind_c_clones(kernel, ir, stacked, stacked_consts, nb)
     else:
         clones = codegen_numpy.bind_numpy_clones(
             kernel, stacked, stacked_consts, nb
         )
-    return CompiledKernel(mode=mode, boundary_mode=mode, ir=ir, **clones)
+    return CompiledKernel(
+        mode=mode, boundary_mode=mode, ir=ir, warm=warm, **clones
+    )

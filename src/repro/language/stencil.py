@@ -306,14 +306,15 @@ class RunReport:
     #: executors.
     workers_respawned: int = 0
     tasks_retried: int = 0
-    #: Serving telemetry (filled by :mod:`repro.serve`; defaults for
-    #: direct runs): seconds the job waited in the admission queue
-    #: before its batch launched, how many same-signature jobs shared
-    #: the compiled dispatch that ran it, and whether its kernel was
-    #: already warm (its code loaded in the process by a prior flight
-    #: instead of loaded for this request).
+    #: Batch telemetry: seconds the job waited in the server's admission
+    #: queue before its batch launched (0 for direct runs), and how many
+    #: same-signature jobs shared the compiled dispatch that ran it.
     queue_wait: float = 0.0
     batch_size: int = 1
+    #: Whether the run's ``c`` or ``split_pointer`` code was already
+    #: loaded in this process by an earlier compile, local or served
+    #: (False when it was built or loaded for this run, for the
+    #: per-point modes, and after a C -> NumPy fallback).
     compile_cache_hit: bool = False
     #: Networked-serving telemetry (filled by :mod:`repro.serve.client`;
     #: defaults for local runs): which transport served the job

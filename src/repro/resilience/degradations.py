@@ -11,10 +11,10 @@ report to fill).
 Tags are deduplicated per sink and ordered by first firing, so a
 fallback that fires once per base case still records one line.
 
-The serving layer adds two tag families that ride the same list:
-``serve:*`` tags are appended to finished reports by the job server
-(e.g. ``serve:no-cc->unbatched-numpy``, ``serve:supervised->unbatched``)
-— and ``serve:expired`` travels on the :class:`~repro.serve.server.
+A served group is a local run, so its fallbacks are the driver's: a
+group that cannot run as one stack runs one job at a time and says so
+with ``batch:unstackable->sequential``.  The server itself adds one tag,
+``serve:expired``, which travels on the :class:`~repro.serve.server.
 JobExpired` exception instead, since a shed job has no report.
 ``net:*`` tags are appended client-side by
 :class:`~repro.serve.client.StencilClient` (``net:retried`` when a job

@@ -11,17 +11,19 @@ that turns those from per-process caches into serving infrastructure:
 * **admission/batching** — submitted jobs are grouped by problem
   signature (and time range); a group launches when it reaches
   ``max_batch`` or its ``batch_window`` expires, and runs through the
-  local driver (:func:`repro.trap.driver.execute_problem`) as ONE run:
-  every generated clone runs over a stack of jobs (a local run is a
-  batch of one), so K small jobs cost one GIL-released call per region
-  instead of K, under the executor, workers and walk threads a local
-  run of one job would use.
-* **warm-state serving** — a kernel's library is loaded once per
-  process, single-flight (concurrent requesters of one kernel await
-  the same in-process flight, and the ``.so`` cache's per-digest file
-  lock extends the dedup across processes), and binds no job's buffers
-  until its batch runs; tuned configs are served from the autotune
-  registry on the request path (``RunOptions(autotune="use")``).
+  local driver (:func:`repro.trap.driver.execute_problem`) with the
+  options its jobs were submitted with, as ONE run: every generated
+  clone runs over a stack of jobs (a local run is a batch of one), so K
+  small jobs cost one GIL-released call per region instead of K, under
+  the executor, workers and walk threads a local run of one job would
+  use.
+* **warm-state serving** — a kernel's code is loaded once per process
+  by the compiler's loaders (the ``.so`` cache's per-digest file lock
+  runs cc once for racing first requests, in and across processes),
+  and binds no job's buffers until its batch runs; tuned configs are
+  served from the autotune registry on the request path
+  (``RunOptions(autotune="use")``), under the same key a local run
+  reads.
 * **control** — bounded admission (job count and point volume) rejects
   with :class:`ServerBusy` instead of queueing unboundedly or dropping;
   :meth:`StencilServer.drain` (wired to SIGTERM via
@@ -30,9 +32,11 @@ that turns those from per-process caches into serving infrastructure:
   :class:`~repro.language.stencil.RunReport` telemetry records queue
   wait, batch size, and cache/registry hit flags.
 
-Degradation follows the house rules: no C toolchain (or an unbatchable
-mode/boundary) never fails a job — it runs unbatched on the NumPy
-backend with a ``serve:*`` tag in ``report.degradations``.
+Degradation is the driver's, as for a local run: no C toolchain batches
+on the NumPy backend, and a group that cannot stack (a per-point mode, a
+non-vectorizable boundary, the ``procs`` executor) runs one job at a
+time with the ``batch:unstackable->sequential`` tag in
+``report.degradations``.
 
 The **network transport**: :func:`repro.serve.net.serve_tcp` exposes a
 running server over a length-prefixed framed TCP protocol

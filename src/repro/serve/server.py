@@ -14,10 +14,10 @@ from __future__ import annotations
 import asyncio
 import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
-from repro.errors import CompileError, SpecificationError
+from repro.errors import SpecificationError
 from repro.language.stencil import Problem, RunOptions, RunReport, Stencil
 from repro.language.kernel import Kernel
 
@@ -94,11 +94,11 @@ class ServeOptions:
         Base :class:`~repro.language.stencil.RunOptions` applied to
         every job (defaults to ``RunOptions(autotune="use")`` — tuned
         configs from the registry are exactly the warm state a server
-        should serve).  Checkpoint/resume options are rejected: jobs
-        are short and the server owns retry semantics.
-    ``warm_workers``
-        Supervised workers to pre-spawn at :meth:`StencilServer.start`
-        (0 = none).  Supervised jobs themselves run unbatched.
+        should serve).  The server passes them to the local driver
+        unchanged, so a group runs as a local run of its jobs would;
+        the driver decides whether the group stacks.  Checkpoint/resume
+        options are rejected, here and per job: jobs are short and the
+        server owns retry semantics.
     """
 
     max_batch: int = 16
@@ -106,7 +106,6 @@ class ServeOptions:
     max_pending: int = 256
     max_pending_points: int | None = None
     run: RunOptions | None = None
-    warm_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -124,11 +123,15 @@ class ServeOptions:
                 f"max_pending_points must be >= 1, got {self.max_pending_points}"
             )
         run = self.run if self.run is not None else RunOptions(autotune="use")
-        if run.checkpoint is not None or run.resume_from is not None:
-            raise SpecificationError(
-                "serve jobs do not support checkpoint/resume options"
-            )
+        _check_servable(run)
         object.__setattr__(self, "run", run)
+
+
+def _check_servable(options: RunOptions) -> None:
+    if options.checkpoint is not None or options.resume_from is not None:
+        raise SpecificationError(
+            "serve jobs do not support checkpoint/resume options"
+        )
 
 
 @dataclass
@@ -179,7 +182,7 @@ class StencilServer:
         self.options = options or ServeOptions()
         #: Monotonic counters for tests/benchmarks/ops:
         #: submitted/completed/failed jobs, rejected (backpressure),
-        #: batches dispatched, jobs that rode a >1 batch, unbatched runs.
+        #: shed (expired), groups dispatched and the jobs they held.
         self.stats: dict[str, int] = {
             "submitted": 0,
             "completed": 0,
@@ -188,27 +191,20 @@ class StencilServer:
             "expired": 0,
             "batches": 0,
             "batched_jobs": 0,
-            "unbatched_jobs": 0,
         }
         self._pending: dict[tuple, list[_Job]] = {}
         self._flush_handles: dict[tuple, asyncio.TimerHandle] = {}
         self._inflight: set[asyncio.Task] = set()
         self._in_system_jobs = 0
         self._in_system_points = 0
-        self._compile_flights: dict[tuple, asyncio.Future] = {}
-        self._warm_kernels: set[tuple] = set()
         self._draining = False
         self._closed = False
         self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "StencilServer":
-        """Bind to the running loop and warm the substrate."""
+        """Bind to the running loop."""
         self._loop = asyncio.get_running_loop()
-        if self.options.warm_workers > 0:
-            from repro.supervise import warm_worker_pool
-
-            await asyncio.to_thread(warm_worker_pool, self.options.warm_workers)
         return self
 
     async def __aenter__(self) -> "StencilServer":
@@ -337,6 +333,7 @@ class StencilServer:
             self._loop = asyncio.get_running_loop()
         run_options = options if options is not None else self.options.run
         assert run_options is not None
+        _check_servable(run_options)
         if timeout is not None and timeout <= 0:
             self.stats["expired"] += 1
             raise JobExpired(
@@ -432,28 +429,13 @@ class StencilServer:
         for job in jobs:
             self._cancel_expiry(job)
         assert self._loop is not None
-        task = self._loop.create_task(self._run_batch(key, jobs))
+        task = self._loop.create_task(self._run_batch(jobs))
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
-    def _plan(self, options: RunOptions) -> tuple[bool, str, str | None]:
-        """(batch?, mode for the run, degradation tag or None)."""
-        if options.supervise is not None or options.executor == "procs":
-            # Supervised jobs keep their full fault-tolerance semantics;
-            # those run per-job (the worker pool is warm either way).
-            return False, options.mode, "serve:supervised->unbatched"
-        from repro.compiler.pipeline import resolve_mode
-
-        mode = resolve_mode(options.mode)
-        if options.mode == "auto" and mode != "c":
-            # Batched compiled dispatch is the point of serving: without
-            # a toolchain, jobs run one by one on NumPy, and say so.
-            return False, mode, "serve:no-cc->unbatched-numpy"
-        if mode in ("c", "split_pointer"):
-            return True, mode, None
-        return False, mode, "serve:mode-cannot-batch->unbatched"
-
-    async def _run_batch(self, key: tuple, jobs: list[_Job]) -> None:
+    async def _run_batch(self, jobs: list[_Job]) -> None:
+        """Run one flushed group through the local driver, which decides
+        whether it stacks and whether its kernel was warm."""
         from repro.trap.driver import execute_problem
 
         started = time.perf_counter()
@@ -470,37 +452,14 @@ class StencilServer:
         if not jobs:
             return
         options: RunOptions = jobs[0]._options  # type: ignore[attr-defined]
-        batch, mode, tag = self._plan(options)
-        run_options = (
-            replace(options, mode=mode) if mode != options.mode else options
-        )
         try:
-            if batch:
-                was_warm = await self._ensure_compiled(key, jobs[0].problem, mode)
-                try:
-                    reports = await asyncio.to_thread(
-                        execute_problem, [j.problem for j in jobs], run_options
-                    )
-                    self.stats["batches"] += 1
-                    self.stats["batched_jobs"] += len(jobs)
-                except (CompileError, SpecificationError):
-                    # Unbatchable after all (e.g. a boundary kind the
-                    # batched clones cannot express): run the jobs
-                    # one by one rather than failing them.
-                    tag = "serve:unbatchable->sequential"
-                    reports = await asyncio.to_thread(
-                        self._run_sequential, jobs, run_options
-                    )
-            else:
-                was_warm = False
-                reports = await asyncio.to_thread(
-                    self._run_sequential, jobs, run_options
-                )
+            reports = await asyncio.to_thread(
+                execute_problem, [j.problem for j in jobs], options
+            )
+            self.stats["batches"] += 1
+            self.stats["batched_jobs"] += len(jobs)
             for job, report in zip(jobs, reports):
-                if tag is not None and tag not in report.degradations:
-                    report.degradations.append(tag)
                 report.queue_wait = started - job.enqueued
-                report.compile_cache_hit = was_warm
                 self._finish_job(job)
                 self.stats["completed"] += 1
                 if not job.future.done():
@@ -516,17 +475,6 @@ class StencilServer:
             for job in jobs:
                 self._release_job(job)
 
-    def _run_sequential(
-        self, jobs: list[_Job], options: RunOptions
-    ) -> list[RunReport]:
-        """The unbatched path (one thread, jobs in order): one
-        ``execute_problem`` per job — the degraded-but-correct serving
-        mode for toolchain-less hosts and unbatchable configurations."""
-        from repro.trap.driver import execute_problem
-
-        self.stats["unbatched_jobs"] += len(jobs)
-        return [execute_problem([job.problem], options)[0] for job in jobs]
-
     @staticmethod
     def _finish_job(job: _Job) -> None:
         """The bookkeeping ``Stencil.run`` does after a direct run.
@@ -538,43 +486,3 @@ class StencilServer:
             arr.note_written_through(job.problem.t_end - 1)
         if job.stencil is not None:
             job.stencil.advance_cursor(job.problem)
-
-    async def _ensure_compiled(
-        self, key: tuple, template: Problem, mode: str
-    ) -> bool:
-        """Single-flight kernel prewarm; returns whether it was warm.
-
-        The expensive artifact is the backend's code
-        (:func:`~repro.compiler.pipeline.load_kernel`), loaded once per
-        process: one flight per (signature, mode) loads it while
-        concurrent batches of the same kernel await the same future
-        instead of racing into cc.  Cross-process, the per-digest compile
-        lock extends the same guarantee.  The prewarm binds no buffers,
-        so it pins no job.  Prewarm failures are swallowed — the batch
-        run itself will degrade (or raise) with full reporting.
-        """
-        fkey = key[:1] + (mode,)
-        if fkey in self._warm_kernels:
-            return True
-        flight = self._compile_flights.get(fkey)
-        if flight is None:
-            assert self._loop is not None
-            flight = self._loop.create_future()
-            self._compile_flights[fkey] = flight
-            from repro.compiler.frontend import build_ir
-            from repro.compiler.pipeline import load_kernel
-
-            try:
-                await asyncio.to_thread(
-                    lambda: load_kernel(build_ir(template), mode)
-                )
-            except Exception:
-                pass
-            finally:
-                self._warm_kernels.add(fkey)
-                self._compile_flights.pop(fkey, None)
-                if not flight.done():
-                    flight.set_result(None)
-            return False
-        await flight
-        return True

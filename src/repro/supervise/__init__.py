@@ -30,16 +30,7 @@ __all__ = [
     "SuperviseOptions",
     "live_worker_pids",
     "shutdown_workers",
-    "warm_worker_pool",
 ]
-
-
-def warm_worker_pool(n: int = 1, method: str = "spawn") -> int:
-    """Pre-spawn idle supervised workers (the serving layer's warm
-    start); returns the pool's idle count afterwards."""
-    from repro.supervise.session import warm_worker_pool as _warm
-
-    return _warm(n, method)
 
 
 def live_worker_pids() -> tuple[int, ...]:

@@ -196,25 +196,6 @@ def live_worker_pids() -> tuple[int, ...]:
     )
 
 
-def warm_worker_pool(n: int = 1, method: str = "spawn") -> int:
-    """Pre-spawn ``n`` idle workers (the serving layer's warm start).
-
-    A server knows supervised jobs are coming before any arrives; paying
-    the interpreter spawns up front moves them off the request path —
-    the first ``executor="procs"`` run then costs an attach handshake,
-    not a cold start.  Returns the pool's idle count afterwards; any
-    spawn failure degrades to whatever the pool already had (``0`` at
-    worst — supervision itself will then degrade as usual).
-    """
-    try:
-        pool = _pool_for(method)
-        for w in pool.take(max(0, int(n))):
-            pool.give_back(w)
-        return len(pool.idle)
-    except Exception:
-        return 0
-
-
 class SupervisedSession:
     """One run's supervised execution context (see module docstring)."""
 

@@ -5,8 +5,9 @@ and the job server all call :func:`execute_problem`.  It owns nothing
 algorithmic — it wires the compiler pipeline, the walkers, the loop
 baseline and the executors together and fills in one
 :class:`~repro.language.stencil.RunReport` per job.  A local run is a
-group of one job; a server batch stacks K (:mod:`repro.compiler.batch`)
-and runs exactly like one.
+group of one job; a server group of K stacks them
+(:mod:`repro.compiler.batch`) and runs exactly like one when it can, and
+runs them one at a time when it cannot.
 
 Executor dispatch (``RunOptions.resolve_executor``):
 
@@ -251,29 +252,49 @@ def execute_problem(
 ) -> list[RunReport]:
     """Run same-signature jobs as one run; return one report per job.
 
-    The registry is consulted once, on the first job.  A lone job's
-    kernel is bound to its own arrays; K > 1 jobs are stacked, bound to
+    The registry is consulted once, on the first job, and the *effective*
+    options it yields decide how the group runs.  A lone job's kernel is
+    bound to its own arrays.  K > 1 jobs that
+    :func:`~repro.compiler.batch.can_stack` admits are stacked, bound to
     the stack and scattered back, bitwise identical to running them one
-    at a time.  Subtree tasks and DAG regions do not
-    depend on the job, so executor, workers and walk threads resolve as
-    for a lone job.  Every report carries the run's counters (points are
-    per job) and ``batch_size=K``.
+    at a time; subtree tasks and DAG regions do not depend on the job, so
+    executor, workers and walk threads resolve as for a lone job, and
+    every report carries the run's counters (points are per job) and
+    ``batch_size=K``.  Any other group runs one job at a time under the
+    group's options: each report has ``batch_size=1``, the group's
+    ``autotune_source`` and the ``batch:unstackable->sequential`` tag.
 
     Degradation notes fired anywhere below (compiler fallbacks, cache
     evictions, registry damage, checkpoint skips, executor retries) are
     collected into ``report.degradations``; under a
     ``RunOptions.checkpoint`` policy (or ``resume_from``) the time range
     runs as checkpointed blocks via
-    :func:`repro.resilience.runner.execute_blocks`.  K > 1 jobs with
-    either, or under ``procs``, raise :class:`SpecificationError`.
+    :func:`repro.resilience.runner.execute_blocks`.  Checkpoint files are
+    named by problem signature, so K > 1 jobs with either raise
+    :class:`SpecificationError`, as does ``algorithm="phase1"`` (the
+    checked interpreter runs through :meth:`Stencil.run` only).
     """
     from repro.compiler.batch import (
+        can_stack,
         compile_batch_kernel,
         scatter_results,
         stack_problems,
     )
     from repro.compiler.pipeline import compile_kernel_resilient
 
+    if options.algorithm == "phase1":
+        raise SpecificationError(
+            "algorithm='phase1' is the checked interpreter: run it through "
+            "Stencil.run, not execute_problem"
+        )
+    if len(problems) > 1 and (
+        options.checkpoint is not None or options.resume_from is not None
+    ):
+        raise SpecificationError(
+            "checkpoint files are named by problem signature, so jobs of one "
+            "group would overwrite each other's; run checkpointed or resumed "
+            "jobs one at a time"
+        )
     problem = problems[0]
     report = RunReport(
         algorithm=options.algorithm,
@@ -286,29 +307,34 @@ def execute_problem(
         with degradations.collect(report.degradations):
             options, report.autotune_source = _consult_registry(problem, options)
             if len(problems) == 1:
-                # Not stacked: ``procs`` may rebind the arrays to shared
-                # memory, and a stack of views would then scatter stale data.
                 compiled = compile_kernel_resilient(problem, options.mode)
                 _run(problem, options, compiled, report)
-            else:
-                if (
-                    options.checkpoint is not None
-                    or options.resume_from is not None
-                    or options.resolve_executor()[0] == "procs"
-                ):
-                    raise SpecificationError(
-                        "a batch of jobs runs in process without checkpoints; "
-                        "run checkpointed, resumed or supervised jobs one at "
-                        "a time"
-                    )
+            elif can_stack(problem, options):
                 stack = stack_problems(problems)
                 compiled = compile_batch_kernel(stack, options.mode)
                 _run(problem, options, compiled, report)
                 scatter_results(stack)
+            else:
+                degradations.note("batch:unstackable->sequential")
+                return [_run_alone(p, options, report) for p in problems]
     return [report] + [
         _dc_replace(report, degradations=list(report.degradations))
         for _ in problems[1:]
     ]
+
+
+def _run_alone(
+    problem: Problem, options: RunOptions, group: RunReport
+) -> RunReport:
+    """One job of an unstackable group, under the group's effective
+    options (already consulted, so not again): its own report, with the
+    group's autotune source and the group's notes first."""
+    (report,) = execute_problem([problem], _dc_replace(options, autotune="off"))
+    report.autotune_source = group.autotune_source
+    report.degradations[:0] = [
+        tag for tag in group.degradations if tag not in report.degradations
+    ]
+    return report
 
 
 def _run(
@@ -319,6 +345,7 @@ def _run(
     from repro.compiler.pipeline import compile_kernel_resilient, resolve_mode
 
     report.mode = compiled.mode
+    report.compile_cache_hit = compiled.warm
     if resolve_mode(options.mode) != compiled.mode:
         # The compile degraded (C backend unusable): rewrite the
         # requested mode so coarsening geometry, compiled-walk

@@ -268,7 +268,8 @@ class TestGeneratedSources:
 
         st_, u, k = make_heat_problem((8, 8))
         ir = build_ir(st_.prepare(1, k))
-        src, _, _ = codegen_numpy.load_numpy_kernel(ir)["interior"]
+        kernel, _ = codegen_numpy.load_numpy_kernel(ir)
+        src, _, _ = kernel["interior"]
         assert "l0:h0" in src or "l0+1:h0+1" in src
         # fully vectorized: the job loop is the only python loop
         assert src.count("for ") == 1 and "for _b in range(NB):" in src

@@ -117,9 +117,9 @@ def test_submit_many_pipelines_into_one_batched_dispatch():
             assert np.array_equal(app.result(), _ref(s))
 
 
-def test_no_toolchain_remote_jobs_degrade_unbatched(monkeypatch):
-    # The wire keeps working when the backend degrades: remote jobs run
-    # unbatched on NumPy, say so, and still land bitwise-equal locally.
+def test_no_toolchain_remote_jobs_batch_on_numpy(monkeypatch):
+    # The wire keeps working without a toolchain: remote jobs batch on
+    # NumPy, as local runs of them would, and land bitwise-equal locally.
     from repro.compiler import codegen_c
 
     monkeypatch.setattr(codegen_c, "find_c_compiler", lambda: None)
@@ -131,14 +131,15 @@ def test_no_toolchain_remote_jobs_degrade_unbatched(monkeypatch):
                 [(a.stencil, a.steps, a.kernel) for a in apps]
             )
         assert lb.server.stats["completed"] == K
-        assert lb.server.stats["unbatched_jobs"] == K
+        assert lb.server.stats["batches"] == 1
     for s, (app, rep) in enumerate(zip(apps, reports)):
         ref = _build(s)
         ref.run(mode="split_pointer")
         assert np.array_equal(app.result(), ref.result())
         assert rep.transport == "tcp"
         assert rep.mode == "split_pointer"
-        assert "serve:no-cc->unbatched-numpy" in rep.degradations
+        assert rep.batch_size == K
+        assert rep.degradations == []
 
 
 def test_health_probe():

@@ -143,8 +143,10 @@ def test_worker_segfault_behind_the_server():
         finally:
             faults.clear()
         assert lb.server.stats["completed"] == 1
-        assert lb.server.stats["unbatched_jobs"] == 1
+        assert lb.server.stats["batches"] == 1
         assert report.attempts > 1  # net.drop forced a wire retry
-        assert "serve:supervised->unbatched" in report.degradations
+        # A lone supervised job is a local run of it: nothing to unstack.
+        assert report.batch_size == 1
+        assert "batch:unstackable->sequential" not in report.degradations
         assert "supervise:worker-crashed->respawned" in report.degradations
     assert np.array_equal(app.result(), _refs(1)[0])

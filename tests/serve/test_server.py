@@ -91,14 +91,15 @@ def test_batched_run_rejects_mixed_signatures():
         )
 
 
-@pytest.mark.parametrize("option", ["checkpoint", "resume_from", "procs"])
+@pytest.mark.parametrize("option", ["checkpoint", "resume_from"])
 def test_batch_of_two_rejects_checkpoint_resume_and_procs(option, tmp_path):
+    # Checkpoint files are named by problem signature, so two jobs of one
+    # group would overwrite each other's.
     from repro import CheckpointPolicy
 
     extra = {
         "checkpoint": {"checkpoint": CheckpointPolicy(dir=tmp_path, every_dt=4)},
         "resume_from": {"resume_from": tmp_path},
-        "procs": {"executor": "procs"},
     }[option]
     apps = [build_heat((20, 20), 8, seed=s) for s in range(2)]
     with pytest.raises(SpecificationError):
@@ -227,6 +228,9 @@ def test_served_job_reports_what_a_local_run_reports(K):
         local = ref.run(options=options)
         assert local.subtree_tasks > 0
         for name in (
+            "mode",
+            "autotune_source",
+            "degradations",
             "executor",
             "base_cases",
             "interior_base_cases",
@@ -389,27 +393,37 @@ def test_local_run_and_served_batches_load_the_kernel_once(
 
 @pytest.mark.parametrize("mode", BATCH_MODES)
 def test_second_same_kernel_batch_reports_a_warm_kernel(mode):
-    # Every batched backend prewarms through the same single flight, so
-    # the second batch of a kernel finds its code loaded.
+    # Warmth is per process: the loaders report whether a kernel's code
+    # was already loaded, so from a cleared cache the first batch loads
+    # it and the second finds it.
+    from repro.compiler import pipeline
+
+    pipeline.clear_cache()
+    reports = _serve_two_batches(RunOptions(mode=mode))
+    assert [[r.compile_cache_hit for r in batch] for batch in reports] == [
+        [False, False],
+        [True, True],
+    ]
+
+
+def _serve_two_batches(options):
+    """Two same-kernel batches of two jobs, one after the other, on one
+    server; returns their reports."""
+
     async def main():
         opts = ServeOptions(max_batch=2, batch_window=0.05)
-        hits = []
+        batches = []
         async with StencilServer(opts) as srv:
             for seeds in ((1, 2), (3, 4)):
                 apps = [build_heat((20, 20), 8, seed=s) for s in seeds]
                 reports = await asyncio.gather(
-                    *(
-                        srv.submit(
-                            a.stencil, a.steps, a.kernel, RunOptions(mode=mode)
-                        )
-                        for a in apps
-                    )
+                    *(srv.submit(a.stencil, a.steps, a.kernel, options) for a in apps)
                 )
                 assert [r.batch_size for r in reports] == [2, 2]
-                hits.append([r.compile_cache_hit for r in reports])
-        return hits
+                batches.append(reports)
+        return batches
 
-    assert asyncio.run(main()) == [[False, False], [True, True]]
+    return asyncio.run(main())
 
 
 def test_nonpositive_timeout_expires_at_admission():
@@ -477,33 +491,157 @@ def test_equal_valued_options_batch_together():
     assert [r.batch_size for r in reports] == [2, 2]
 
 
-def test_supervised_jobs_run_unbatched():
-    apps = [build_heat((16, 16), 4, seed=s) for s in range(2)]
-    srv, reports = _serve(
-        apps,
-        ServeOptions(max_batch=4, batch_window=0.05),
-        RunOptions(mode=BATCH_MODES[0], executor="procs"),
-    )
-    assert srv.stats["unbatched_jobs"] == 2
-    for rep in reports:
+def _unstackable_job(case, seed):
+    """(stencil, kernel, array) of one job of a ``case`` group."""
+    from repro import Kernel, PochoirArray, PythonBoundary, Stencil
+
+    if case != "python_boundary":
+        app = build_heat((16, 16), 4, seed=seed)
+        return app.stencil, app.kernel, app.stencil.arrays["u"]
+
+    def edge(arr, t, X):
+        return 100.0 + X  # arbitrary Python logic: not vectorizable
+
+    u = PochoirArray("u", (12,)).register_boundary(PythonBoundary(edge))
+    st = Stencil(1)
+    st.register_array(u)
+    k = Kernel(1, lambda t, x: u(t + 1, x) << 0.5 * (u(t, x - 1) + u(t, x + 1)))
+    u.set_initial(np.random.default_rng(seed).random(12))
+    return st, k, u
+
+
+@pytest.mark.parametrize(
+    "case", ["procs", "python_boundary", "registry_macro_shadow"]
+)
+def test_unstackable_group_runs_one_job_at_a_time(case, tmp_path, monkeypatch):
+    # A group the driver cannot stack under the options it will really
+    # use, registry hits included, runs each job as a local run of it
+    # would, and says so with one tag.
+    from repro.autotune import registry
+    from repro.autotune.registry import TunedConfig
+
+    monkeypatch.setenv("REPRO_TUNE_REGISTRY", str(tmp_path / "registry.json"))
+    steps = 4
+    options = {
+        "procs": RunOptions(mode=BATCH_MODES[0], executor="procs"),
+        "python_boundary": RunOptions(mode=BATCH_MODES[-1]),
+        "registry_macro_shadow": RunOptions(autotune="use"),
+    }[case]
+    jobs = [_unstackable_job(case, s) for s in range(2)]
+    if case == "registry_macro_shadow":
+        st, k, _ = jobs[0]
+        tuned = TunedConfig((8, 8), 2, mode="macro_shadow")
+        assert registry.store(st.prepare(steps, k), "auto", tuned)
+
+    async def main():
+        async with StencilServer(ServeOptions(max_batch=2, batch_window=0.05)) as srv:
+            reports = await asyncio.gather(
+                *(srv.submit(st, steps, k, options) for st, k, _ in jobs)
+            )
+        return srv, reports
+
+    srv, reports = asyncio.run(main())
+    assert srv.stats["batches"] == 1 and srv.stats["completed"] == 2
+    for seed, ((st, _, u), rep) in enumerate(zip(jobs, reports)):
+        ref_st, ref_k, ref_u = _unstackable_job(case, seed)
+        local = ref_st.run(steps, ref_k, options=options)
         assert rep.batch_size == 1
-        assert "serve:supervised->unbatched" in rep.degradations
+        assert rep.degradations == ["batch:unstackable->sequential"]
+        assert (rep.mode, rep.autotune_source) == (local.mode, local.autotune_source)
+        assert u.snapshot(st.cursor).tobytes() == ref_u.snapshot(ref_st.cursor).tobytes()
+    if case == "registry_macro_shadow":
+        assert [(r.mode, r.autotune_source) for r in reports] == [
+            ("macro_shadow", "registry")
+        ] * 2
 
 
-def test_no_toolchain_degrades_to_unbatched_numpy(monkeypatch):
+def test_no_toolchain_batches_on_numpy(monkeypatch):
     from repro.compiler import codegen_c
 
     monkeypatch.setattr(codegen_c, "find_c_compiler", lambda: None)
     apps = [build_heat((16, 16), 4, seed=s) for s in range(2)]
-    srv, reports = _serve(apps, ServeOptions(max_batch=4, batch_window=0.05))
+    srv, reports = _serve(apps, ServeOptions(max_batch=2, batch_window=0.05))
     refs = [build_heat((16, 16), 4, seed=s) for s in range(2)]
     for r in refs:
         r.run(mode="split_pointer")
     for a, ref in zip(apps, refs):
         assert np.array_equal(a.result(), ref.result())
     for rep in reports:
-        assert "serve:no-cc->unbatched-numpy" in rep.degradations
+        assert rep.batch_size == 2
+        assert rep.degradations == []
         assert rep.mode == "split_pointer"
+
+
+def test_served_auto_jobs_read_the_registry_under_auto(tmp_path, monkeypatch):
+    # The server hands the jobs' own options to the driver, so a served
+    # ``mode="auto"`` job looks the registry up under "auto", as a local
+    # ``run(autotune="use")`` does.
+    from repro.autotune import registry
+    from repro.autotune.registry import TunedConfig
+
+    monkeypatch.setenv("REPRO_TUNE_REGISTRY", str(tmp_path / "registry.json"))
+    apps = [build_heat((20, 20), 8, seed=s) for s in range(2)]
+    problem = apps[0].stencil.prepare(apps[0].steps, apps[0].kernel)
+    assert registry.store(
+        problem, "auto", TunedConfig(space_thresholds=(10, 10), dt_threshold=3)
+    )
+    srv, reports = _serve(apps, ServeOptions(max_batch=2, batch_window=0.05))
+    local = build_heat((20, 20), 8, seed=0).run(autotune="use")
+    assert local.autotune_source == "registry"
+    assert [r.autotune_source for r in reports] == ["registry", "registry"]
+    assert [r.batch_size for r in reports] == [2, 2]
+
+
+def test_fallback_is_never_warm(tmp_path, monkeypatch):
+    # A C compile that fell back to NumPy paid for the failed compile, so
+    # no batch after it reports a warm kernel.  With a toolchain the
+    # cc.fail site fails it; without one (REPRO_NO_CC) nothing needs to.
+    from contextlib import nullcontext
+
+    from repro.resilience import faults
+
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "cc"))
+    fail = faults.injected("cc.fail") if has_c_backend() else nullcontext()
+    with fail:
+        batches = _serve_two_batches(RunOptions(mode="c"))
+    for rep in batches[0] + batches[1]:
+        assert rep.compile_cache_hit is False
+        assert "cc:compile-failed->split_pointer" in rep.degradations
+        assert rep.mode == "split_pointer"
+
+
+@pytest.mark.skipif(not has_c_backend(), reason="needs a C toolchain")
+def test_second_local_c_run_reports_a_warm_kernel():
+    from repro.compiler import pipeline
+
+    pipeline.clear_cache()
+    first = build_heat((20, 20), 8, seed=0).run(mode="c")
+    second = build_heat((20, 20), 8, seed=1).run(mode="c")
+    assert (first.compile_cache_hit, second.compile_cache_hit) == (False, True)
+
+
+def test_phase1_jobs_are_refused_before_anything_compiles(tmp_path, monkeypatch):
+    count_file = tmp_path / "cc_count"
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "cc"))
+    monkeypatch.setenv("REPRO_CC_COUNT_FILE", str(count_file))
+    options = RunOptions(algorithm="phase1", mode=BATCH_MODES[-1])
+    app = build_heat((16, 16), 4, seed=0)
+    with pytest.raises(SpecificationError, match="Stencil.run"):
+        execute_problem([app.stencil.prepare(app.steps, app.kernel)], options)
+    apps = [build_heat((16, 16), 4, seed=s) for s in range(2)]
+    with pytest.raises(SpecificationError, match="Stencil.run"):
+        _serve(apps, ServeOptions(max_batch=2, batch_window=0.05), options)
+    assert not count_file.exists() or count_file.read_text() == ""
+
+
+def test_per_job_checkpoint_options_are_refused_at_admission(tmp_path):
+    from repro import CheckpointPolicy
+
+    app = build_heat((16, 16), 4, seed=0)
+    options = RunOptions(checkpoint=CheckpointPolicy(dir=tmp_path, every_dt=2))
+    with pytest.raises(SpecificationError):
+        _serve([app], run_options=options)
+    assert not list(tmp_path.iterdir())
 
 
 def test_serve_options_validation():
