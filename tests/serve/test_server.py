@@ -23,6 +23,7 @@ from repro import RunOptions, SpecificationError
 from repro.apps.heat import build_heat
 from repro.apps.life import build_life
 from repro.apps.psa import build_psa
+from repro.compiler.batch import can_stack
 from repro.serve import (
     JobExpired,
     ServeOptions,
@@ -91,22 +92,35 @@ def test_batched_run_rejects_mixed_signatures():
         )
 
 
-@pytest.mark.parametrize("option", ["checkpoint", "resume_from"])
+@pytest.mark.parametrize("option", ["checkpoint", "resume_from", "procs"])
 def test_batch_of_two_rejects_checkpoint_resume_and_procs(option, tmp_path):
     # Checkpoint files are named by problem signature, so two jobs of one
-    # group would overwrite each other's.
+    # group would overwrite each other's: the run is refused.  ``procs``
+    # may rebind the arrays to shared memory, so the stack refuses it and
+    # the jobs run one at a time.
     from repro import CheckpointPolicy
 
     extra = {
         "checkpoint": {"checkpoint": CheckpointPolicy(dir=tmp_path, every_dt=4)},
         "resume_from": {"resume_from": tmp_path},
+        "procs": {"executor": "procs"},
     }[option]
     apps = [build_heat((20, 20), 8, seed=s) for s in range(2)]
-    with pytest.raises(SpecificationError):
-        execute_problem(
-            [a.stencil.prepare(a.steps, a.kernel) for a in apps],
-            RunOptions(mode="split_pointer", **extra),
-        )
+    problems = [a.stencil.prepare(a.steps, a.kernel) for a in apps]
+    options = RunOptions(mode="split_pointer", **extra)
+    if option != "procs":
+        with pytest.raises(SpecificationError):
+            execute_problem(problems, options)
+        return
+    assert not can_stack(problems[0], options)
+    reports = execute_problem(problems, options)
+    for seed, (a, p, rep) in enumerate(zip(apps, problems, reports)):
+        _finish(a, p)
+        assert rep.batch_size == 1
+        assert rep.degradations == ["batch:unstackable->sequential"]
+        ref = build_heat((20, 20), 8, seed=seed)
+        ref.run(mode="split_pointer")
+        assert np.array_equal(a.result(), ref.result())
 
 
 def test_batch_of_one_runs_checkpointed(tmp_path):
@@ -553,6 +567,19 @@ def test_unstackable_group_runs_one_job_at_a_time(case, tmp_path, monkeypatch):
         assert [(r.mode, r.autotune_source) for r in reports] == [
             ("macro_shadow", "registry")
         ] * 2
+
+
+def test_supervised_jobs_run_unbatched():
+    apps = [build_heat((16, 16), 4, seed=s) for s in range(2)]
+    srv, reports = _serve(
+        apps,
+        ServeOptions(max_batch=4, batch_window=0.05),
+        RunOptions(mode=BATCH_MODES[0], executor="procs"),
+    )
+    assert srv.stats["batches"] == 1 and srv.stats["completed"] == 2
+    for rep in reports:
+        assert rep.batch_size == 1
+        assert "batch:unstackable->sequential" in rep.degradations
 
 
 def test_no_toolchain_batches_on_numpy(monkeypatch):
