@@ -9,7 +9,7 @@ the row-peeled boundary leaf) through the exported entry point Python
 binds, ``walk_subtree_batch``, at 1 thread and at 4 threads (on data
 copies), each over a stack of ``NB=2`` jobs with different data in each
 slab — the shape of a served batch — and memcmps every slab.  Compiled
-with ``-fsanitize=thread -pthread`` and run under
+with the shipped kernel flags at ``-O1 -g -fsanitize=thread`` and run under
 ``TSAN_OPTIONS=halt_on_error=1``, it fails on
 
 * any data race the sanitizer observes in the pool (exit 66),
@@ -38,17 +38,23 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, ROOT)
 
-from repro.compiler.codegen_c import find_c_compiler, generate_c_source  # noqa: E402
+from repro.compiler.codegen_c import (  # noqa: E402
+    compile_flags,
+    find_c_compiler,
+    generate_c_source,
+)
 from repro.compiler.frontend import build_ir  # noqa: E402
 from tests.conftest import make_heat_problem  # noqa: E402
 
-#: Same bitwise-contract flags as build_shared_object, minus the
-#: shared-object bits, plus the sanitizer.  -O1 keeps TSan's
-#: instrumentation honest (higher levels may elide racy loads).
-TSAN_FLAGS = (
-    "-O1", "-g", "-ffp-contract=off", "-fno-math-errno",
-    "-fsanitize=thread", "-pthread",
-)
+
+def tsan_flags(cc: str) -> tuple[str, ...]:
+    """The flags kernels ship with (``codegen_c.compile_flags``: float
+    semantics, host ISA, ``-pthread``) with ``-O2`` and the shared-object
+    bits swapped for ``-O1 -g -fsanitize=thread``.  -O1 keeps TSan's
+    instrumentation honest (higher levels may elide racy loads)."""
+    shipped = [f for f in compile_flags(cc) if f not in ("-O2", "-shared", "-fPIC")]
+    return ("-O1", "-g", *shipped, "-fsanitize=thread")
+
 
 PROBE = "#include <pthread.h>\nint main(void){return 0;}\n"
 
@@ -73,7 +79,7 @@ def tsan_supported(cc: str, workdir: str) -> bool:
         f.write(PROBE)
     probe_bin = os.path.join(workdir, "probe")
     res = subprocess.run(
-        [cc, *TSAN_FLAGS, probe_c, "-o", probe_bin],
+        [cc, *tsan_flags(cc), probe_c, "-o", probe_bin],
         capture_output=True,
         text=True,
     )
@@ -189,7 +195,7 @@ def main() -> int:
             f.write(source)
         bin_path = os.path.join(workdir, "tsan_walk")
         res = subprocess.run(
-            [cc, *TSAN_FLAGS, src_path, "-o", bin_path],
+            [cc, *tsan_flags(cc), src_path, "-o", bin_path],
             capture_output=True,
             text=True,
         )

@@ -54,12 +54,12 @@ prebound once at load.  ctypes releases the GIL for the duration of
 every call, so parallel executors get true multicore execution out of
 these clones.
 
-Compiled objects are cached on disk keyed by a hash of the generated
-source *and the compiler's identity* (path + version banner), so
-repeated runs pay the compiler cost once and a toolchain upgrade can
-never load a stale shared object.  A cache entry that fails to load
-(truncated write, foreign architecture) is evicted and rebuilt instead
-of erroring.
+Kernels are built for the host ISA with vectorized leaves (:data:`_CFLAGS`)
+and cached on disk keyed by a hash of the generated source *and the
+compiler's identity* (name + version banner + ISA), so neither a
+toolchain upgrade nor another CPU loads a stale object.  A cache entry
+that fails to load (truncated write, foreign architecture) is evicted
+and rebuilt instead of erroring.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ from repro.errors import CompileError, KernelError
 from repro.resilience import degradations, faults
 from repro.util import atomic_write_text, durable_replace, interprocess_lock
 from repro.compiler.frontend import KernelIR
+from repro.expr.analysis import walk
 from repro.compiler.codegen_numpy import (
     LeafFn,
     boundary_fill_expr,
@@ -131,6 +132,14 @@ _PRELUDE = """\
 typedef long long i64;
 """
 
+#: Phase 1's min/max (Python's: ``a`` unless ``b`` is strictly smaller/
+#: larger), for kernels that use them.  libm's fmin/fmax leave signed
+#: zeros unspecified and gcc swaps their operands, so their bits vary.
+_MINMAX = """\
+static inline double pmin(double a, double b) { return b < a ? b : a; }
+static inline double pmax(double a, double b) { return b > a ? b : a; }
+"""
+
 
 def find_c_compiler() -> str | None:
     """Path of a usable C compiler, or None.
@@ -147,19 +156,34 @@ def find_c_compiler() -> str | None:
     return None
 
 
-#: cc path -> one-line identity ("basename|version banner"), memoized per
-#: process; subprocessing the compiler per compile_kernel call would cost
-#: more than the cache lookup it keys.
+#: cc path -> one-line identity ("basename|version banner|isa:..."),
+#: memoized per process; subprocessing the compiler per compile_kernel
+#: call would cost more than the cache lookup it keys.
 _CC_IDENTITY: dict[str, str] = {}
+_ISA_FLAG = "-march=native"
+
+
+def _host_isa(cc: str) -> str | None:
+    """Digest of the macros ``cc`` predefines under ``-march=native``
+    (the host's ISA extensions), or None when cc rejects the flag."""
+    try:
+        proc = subprocess.run(
+            [cc, _ISA_FLAG, "-E", "-dM", "-x", "c", os.devnull],
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    ok = proc.returncode == 0
+    return hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] if ok else None
 
 
 def compiler_identity(cc: str) -> str:
-    """Stable one-line identity of the toolchain (name + version banner).
+    """Stable one-line identity of the toolchain: name, version banner
+    and target ISA (``isa:portable`` when cc rejects ``-march=native``).
 
-    Folded into the on-disk cache digest so that upgrading or switching
-    the compiler invalidates every cached shared object built by the old
-    one — a stale ``.so`` with a source-only key would silently survive a
-    toolchain change.
+    Folded into the on-disk cache digest, the ``_LIBRARIES`` key and the
+    autotune fingerprint, so a toolchain change — or a cache shared with
+    another CPU — never loads a shared object built for the other one.
     """
     ident = _CC_IDENTITY.get(cc)
     if ident is None:
@@ -173,7 +197,8 @@ def compiler_identity(cc: str) -> str:
                 banner = out[0]
         except (OSError, subprocess.TimeoutExpired):
             pass
-        ident = f"{os.path.basename(cc)}|{banner}"
+        isa = _host_isa(cc)
+        ident = f"{os.path.basename(cc)}|{banner}|isa:{isa or 'portable'}"
         _CC_IDENTITY[cc] = ident
     return ident
 
@@ -288,10 +313,8 @@ class _CCodegen:
             return self.const_read(e)
         if isinstance(e, BinOp):
             a, b = self.val(e.left), self.val(e.right)
-            if e.op == "min":
-                return f"fmin({a}, {b})"
-            if e.op == "max":
-                return f"fmax({a}, {b})"
+            if e.op in ("min", "max"):
+                return f"p{e.op}({a}, {b})"
             if e.op == "%":
                 return f"fmod({a}, {b})"
             if e.op == "**":
@@ -1014,8 +1037,10 @@ def generate_c_source(ir: KernelIR, *, include_boundary: bool = True) -> str:
     """The full postsource: prelude, per-step and fused clone pairs, the
     compiled recursion (``walk_subtree``) with its pthread task pool, all
     ``static``, and the exported nb-taking entry points over them."""
+    nodes = (n for st in ir.statements for n in walk(st.expr))
+    minmax = any(isinstance(n, BinOp) and n.op in ("min", "max") for n in nodes)
     parts = [
-        _PRELUDE,
+        _PRELUDE + (_MINMAX if minmax else ""),
         _leaf_fn_source(ir, boundary_mode=False),
         _fn_source(ir, boundary_mode=False),
     ]
@@ -1038,21 +1063,26 @@ def _cache_dir() -> Path:
 
 
 #: Compile flags, part of the cache digest (changing them must not load
-#: an object built with the old set).  ``-ffp-contract=off`` pins the
-#: floating-point semantics to the expression tree: without it, gcc -O2
-#: contracts a*b+c into fused multiply-add on FMA-default targets (e.g.
-#: aarch64), breaking the bitwise C-vs-NumPy equivalence contract the
-#: tests and CI smoke enforce.  ``-fno-math-errno`` lets sqrt/fabs lower
-#: to the hardware instruction instead of a libm call that must set
-#: errno; both are correctly rounded, so results stay bitwise identical
-#: (the equivalence tests would catch a target where they did not).
-#: ``-ffast-math``/``-funsafe-math-optimizations`` stay out for the same
-#: reason ``-ffp-contract=off`` is in: value-changing reassociation
-#: breaks the bitwise contract.  ``-pthread`` is for the walk's
-#: embedded task pool, which every kernel carries.
-_CFLAGS = (
-    "-O2", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared", "-pthread"
-)
+#: an object built with the old set); :func:`compile_flags` adds the ISA.
+#: ``-fvect-cost-model=dynamic`` vectorizes the unit-stride loops of
+#: ``leaf`` and ``leaf_boundary``'s interior span, which -O2's default
+#: "very-cheap" model refuses (both need a runtime alias check).  That
+#: is bitwise-safe: each lane is one point evaluating its own expression
+#: tree in source order; ``-ffp-contract=off`` forbids fused
+#: multiply-add, no ``-ffast-math`` forbids reassociation (and keeps
+#: libm calls scalar); ``-fno-math-errno`` only lets sqrt/fabs lower to
+#: their correctly rounded instructions.  Not ``-O3``: it adds 0.2-0.3 s
+#: to every cold build, which is part of a run's setup.  ``-pthread`` is
+#: for the walk's embedded task pool, which every kernel carries.
+_CFLAGS = ("-O2", "-fvect-cost-model=dynamic", "-ffp-contract=off",
+           "-fno-math-errno", "-fPIC", "-shared", "-pthread")
+
+
+def compile_flags(cc: str) -> tuple[str, ...]:
+    """:data:`_CFLAGS` plus ``-march=native`` unless ``cc`` rejects it
+    (then kernels keep the baseline ISA's vectors)."""
+    portable = compiler_identity(cc).endswith("|isa:portable")
+    return _CFLAGS if portable else (*_CFLAGS, _ISA_FLAG)
 
 
 def _cc_timeout() -> float:
@@ -1106,7 +1136,8 @@ def build_shared_object(source: str, *, force: bool = False) -> Path:
     """Compile C source to a cached shared object; return its path.
 
     The cache key hashes the source, the compile flags *and*
-    :func:`compiler_identity`, so a toolchain upgrade (or flag change) compiles afresh instead of loading the old object.
+    :func:`compiler_identity`, so a toolchain upgrade, a flag change or
+    another CPU compiles afresh instead of loading the old object.
     ``force`` recompiles even when a cached object exists (the
     load-failure eviction path).
 
@@ -1119,8 +1150,9 @@ def build_shared_object(source: str, *, force: bool = False) -> Path:
     cc = find_c_compiler()
     if cc is None:
         raise CompileError("no C compiler found (tried $CC, cc, gcc, clang)")
+    flags = compile_flags(cc)
     digest = hashlib.sha256(
-        f"{compiler_identity(cc)}\n{' '.join(_CFLAGS)}\n{source}".encode()
+        f"{compiler_identity(cc)}\n{' '.join(flags)}\n{source}".encode()
     ).hexdigest()[:24]
     cache = _cache_dir()
     so_path = cache / f"kernel_{digest}.so"
@@ -1138,7 +1170,7 @@ def build_shared_object(source: str, *, force: bool = False) -> Path:
         c_path = cache / f"kernel_{digest}.c"
         atomic_write_text(c_path, source)
         tmp_so = cache / f"kernel_{digest}.{os.getpid()}.tmp.so"
-        cmd = [cc, *_CFLAGS, "-o", str(tmp_so), str(c_path), "-lm"]
+        cmd = [cc, *flags, "-o", str(tmp_so), str(c_path), "-lm"]
         timeout = _cc_timeout()
         for attempt in (0, 1):
             try:

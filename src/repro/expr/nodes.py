@@ -317,11 +317,11 @@ class Const(Expr):
 
 @dataclass(frozen=True)
 class Param(Expr):
-    """A named scalar runtime parameter, bound when the stencil runs.
+    """A named scalar parameter, bound when the stencil runs.
 
-    Parameters keep compiled kernels reusable across coefficient values —
-    the C backend in particular avoids recompiling when only ``alpha``
-    changes.
+    ``frontend.build_ir`` folds the bound value into the statements
+    (``substitute_params``), so each value is its own kernel: the C
+    backend compiles one ``.so`` per value (ROADMAP item 10).
     """
 
     name: str

@@ -125,6 +125,14 @@ class RunOptions:
         The restored run recomputes exactly the remaining levels and
         finishes bitwise-identical to the uninterrupted run;
         ``RunReport.resumed_from`` records the first recomputed level.
+
+    Fallback ladder (each rung leaves its tag in ``RunReport.degradations``):
+
+    * ``pipeline.with_numpy_fallback``: C -> NumPy when cc is missing or
+      fails or the ``.so`` will not load (``cc:compile-failed->split_pointer``).
+    * ``batch.can_stack``: a group of K > 1 jobs -> one job at a time under
+      a per-point mode, a Python boundary or ``procs``
+      (``batch:unstackable->sequential``).
     """
 
     algorithm: str = "trap"

@@ -4,13 +4,16 @@ Equivalence of the generated kernels is covered by
 ``tests/compiler/test_codegen.py`` (cross-backend construct sweep) and
 ``tests/trap/test_c_leaf_fusion.py`` (fused-vs-per-step property tests);
 this file checks what the postsource *looks like* (fused clones, scalar
-signatures) and that the on-disk ``.so`` cache is keyed on the compiler
-identity and self-heals on load failure.
+signatures), that gcc vectorizes the leaves' unit-stride loops without
+changing Phase 1's bits on IEEE edge values, and that the on-disk ``.so``
+cache is keyed on the compiler identity (ISA included) and self-heals on
+load failure.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 import re
 import shutil
 import subprocess
@@ -180,15 +183,70 @@ class TestSharedObjectCache:
         assert p1 == p2 and p2.stat().st_mtime_ns == mtime
 
     def test_cache_keyed_on_compiler_identity(self, cc_cache, monkeypatch):
-        """A toolchain upgrade (different identity banner) must map to a
-        different cache entry — never load the old compiler's object."""
+        """A toolchain upgrade (different identity banner) or another
+        host ISA (a cache shared across CPUs) must map to a different
+        ``.so`` and a different loaded library — never load an object
+        built by the old compiler or for the other CPU."""
+        ir = _heat_ir()
+        monkeypatch.setattr(codegen_c, "_LIBRARIES", {})
         p1 = build_shared_object(self.SRC)
+        codegen_c.load_c_kernel(ir)
+        keys = set(codegen_c._LIBRARIES)
+        # Another CPU: only the ISA probe answers differently.
+        monkeypatch.setattr(codegen_c, "_CC_IDENTITY", {})
+        monkeypatch.setattr(codegen_c, "_host_isa", lambda cc: "0ther-cpu")
+        p_isa = build_shared_object(self.SRC)
+        _, hit = codegen_c.load_c_kernel(ir)
+        assert not hit and len(set(codegen_c._LIBRARIES) - keys) == 1
+        keys = set(codegen_c._LIBRARIES)
+        # An upgraded toolchain.
         monkeypatch.setattr(
             codegen_c, "compiler_identity", lambda cc: "upgraded-cc|99.0"
         )
         p2 = build_shared_object(self.SRC)
-        assert p1 != p2
-        assert p1.exists() and p2.exists()
+        _, hit = codegen_c.load_c_kernel(ir)
+        assert not hit and len(set(codegen_c._LIBRARIES) - keys) == 1
+        assert len({p1, p_isa, p2}) == 3
+        assert p1.exists() and p_isa.exists() and p2.exists()
+
+    def test_cc_rejecting_march_native_builds_portable(
+        self, cc_cache, tmp_path, monkeypatch
+    ):
+        """A compiler that rejects ``-march=native`` still builds every
+        kernel — without the ISA flag, no degradation — and says
+        ``isa:portable`` in its identity."""
+        import numpy as np
+
+        from tests.conftest import run_reference
+
+        real = shutil.which(find_c_compiler())
+        log = tmp_path / "calls.log"
+        fake = tmp_path / "bin" / "nonative-cc"
+        fake.parent.mkdir()
+        fake.write_text(
+            "#!/bin/sh\n"
+            f'echo "$*" >> "{log}"\n'
+            'for a in "$@"; do\n'
+            '  if [ "$a" = "-march=native" ]; then\n'
+            '    echo "error: unrecognized -march=native" >&2; exit 1\n'
+            "  fi\n"
+            "done\n"
+            f'exec "{real}" "$@"\n'
+        )
+        fake.chmod(0o755)
+        monkeypatch.setenv("CC", str(fake))
+        monkeypatch.setattr(codegen_c, "_LIBRARIES", {})
+        assert find_c_compiler() == str(fake)
+        assert compiler_identity(str(fake)).endswith("|isa:portable")
+        assert "-march=native" not in codegen_c.compile_flags(str(fake))
+
+        st, u, k = make_heat_problem((24, 24), seed=5)
+        report = st.run(3, k, mode="c")
+        want = run_reference((24, 24), 3, seed=5)
+        assert np.array_equal(u.snapshot(st.cursor), want)
+        assert report.degradations == []
+        builds = [c for c in log.read_text().splitlines() if " -shared " in c]
+        assert builds and all("-march=native" not in c for c in builds)
 
     def test_identity_names_compiler_and_memoizes(self):
         import os
@@ -213,6 +271,117 @@ class TestSharedObjectCache:
         assert fn(21.0) == 42.0
         # and the cache entry is healthy again
         ctypes.CDLL(str(build_shared_object(self.SRC)))
+
+
+def _is_gcc(cc: str) -> bool:
+    """gcc itself: it predefines ``__GNUC__`` and, unlike clang, not
+    ``__clang__``."""
+    out = subprocess.run(
+        [cc, "-dM", "-E", "-x", "c", os.devnull], capture_output=True, text=True
+    ).stdout
+    return "__GNUC__" in out and "__clang__" not in out
+
+
+class TestVectorizedLeaf:
+    """The leaves' unit-stride loops are vectorized by the production
+    flags, and the vector code keeps Phase 1's bits on IEEE edge values."""
+
+    @pytest.mark.parametrize("app", ["heat2d", "wave3d"])
+    def test_gcc_vectorizes_leaf_inner_loops(self, app, tmp_path):
+        """gcc reports "loop vectorized" on ``leaf``'s innermost loop and
+        on ``leaf_boundary``'s interior span: losing either (a flag
+        dropped, a codegen change that defeats the vectorizer) fails."""
+        from repro.apps.registry import build
+
+        cc = find_c_compiler()
+        if not _is_gcc(cc):
+            pytest.skip("vectorization report is gcc's")
+        inst = build(app, "tiny")
+        ir = build_ir(inst.stencil.prepare(inst.steps, inst.kernel))
+        src = generate_c_source(ir)
+        last = ir.ndim - 1
+        lines = src.splitlines()
+
+        def line_of(text):
+            [n] = [i + 1 for i, line in enumerate(lines) if text in line]
+            return n
+
+        leaf_inner = line_of(f"for (i64 x{last} = l{last}; x{last} < h{last};")
+        boundary_span = line_of(f"for (; x{last} < ihi; ++x{last})")
+        c_path = tmp_path / f"{app}.c"
+        c_path.write_text(src)
+        res = subprocess.run(
+            [cc, *codegen_c.compile_flags(cc), "-fopt-info-vec-optimized",
+             "-o", str(tmp_path / f"{app}.so"), str(c_path), "-lm"],
+            capture_output=True, text=True, check=True,
+        )
+        vectorized = {
+            int(m.group(1))
+            for m in re.finditer(
+                rf"^{re.escape(str(c_path))}:(\d+):\d+: optimized: loop vectorized",
+                res.stderr, re.M,
+            )
+        }
+        assert leaf_inner in vectorized, res.stderr
+        assert boundary_span in vectorized, res.stderr
+
+    @pytest.mark.parametrize("boundary", ["periodic", "constant"])
+    def test_ieee_edge_values_match_phase1(self, boundary, cc_cache):
+        """``min``/``max``/``where``/``fabs`` over NaN, signed zeros and
+        infinities: the C run — interior ``leaf`` and ``leaf_boundary``
+        both, vectorized — is bitwise equal to ``run_phase1``."""
+        import numpy as np
+
+        from repro import (
+            ConstantBoundary, Kernel, PeriodicBoundary, PochoirArray,
+            Stencil, run_phase1,
+        )
+        from repro.apps.heat import heat_shape
+        from repro.expr.builder import fmath, maximum, minimum, where
+
+        sizes = (40, 40)
+        values = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 1.5, -2.0])
+
+        def problem():
+            st_ = Stencil(2, heat_shape(2))
+            arrays = {}
+            for name in ("u", "lo", "hi", "sel", "ab", "mix"):
+                a = PochoirArray(name, sizes).register_boundary(
+                    PeriodicBoundary() if boundary == "periodic"
+                    else ConstantBoundary(-0.0)
+                )
+                st_.register_array(a)
+                a.set_initial(np.random.default_rng(3).choice(values, sizes))
+                arrays[name] = a
+            u = arrays["u"]
+
+            def body(t, x, y):
+                c, w, e = u(t, x, y), u(t, x - 1, y), u(t, x, y + 1)
+                n, s = u(t, x + 1, y), u(t, x, y - 1)
+                return [
+                    u(t + 1, x, y) << c,
+                    arrays["lo"](t + 1, x, y) << minimum(w, e),
+                    arrays["hi"](t + 1, x, y) << maximum(n, -s),
+                    arrays["sel"](t + 1, x, y) << where(c > 0, w, -e),
+                    arrays["ab"](t + 1, x, y) << fmath.fabs(s) - n,
+                    arrays["mix"](t + 1, x, y) << where(
+                        c > 0, fmath.fabs(minimum(w, e)), maximum(n, -s)
+                    ),
+                ]
+
+            return st_, arrays, Kernel(2, body)
+
+        st_ref, ref, k_ref = problem()
+        run_phase1(st_ref, 4, k_ref)
+        st_c, out, k_c = problem()
+        report = st_c.run(
+            4, k_c, mode="c", space_thresholds=(10, 10), dt_threshold=2
+        )
+        assert report.degradations == []
+        for name, arr in ref.items():
+            want = arr.snapshot(st_ref.cursor).view(np.uint64)
+            got = out[name].snapshot(st_c.cursor).view(np.uint64)
+            assert np.array_equal(got, want), name
 
 
 class TestNoCompilerGate:
