@@ -339,21 +339,9 @@ def tune_dispatch(
 
 
 def _clone_arrays(problem: Problem) -> dict:
-    """Fresh PochoirArrays mirroring the problem's (data copied, same
-    boundaries); the tuning runs mutate only these."""
-    from repro.language.array import PochoirArray
-
-    clones = {}
-    for name, arr in problem.arrays.items():
-        clone = PochoirArray(
-            name, arr.sizes, depth=arr.depth, dtype=arr.data.dtype
-        )
-        if arr.boundary is not None:
-            clone.register_boundary(arr.boundary)
-        clone.data[...] = arr.data
-        clone._latest = arr._latest
-        clones[name] = clone
-    return clones
+    """Private twins of the problem's arrays; the tuning runs mutate only
+    these."""
+    return {name: arr.clone() for name, arr in problem.arrays.items()}
 
 
 def tune_problem(
@@ -378,8 +366,6 @@ def tune_problem(
     from repro.trap.driver import execute_problem
 
     clones = _clone_arrays(problem)
-    saved = {name: arr.data.copy() for name, arr in clones.items()}
-    saved_latest = {name: arr._latest for name, arr in clones.items()}
     tune_steps = steps if steps is not None else min(problem.steps, 24)
     tune_steps = max(1, tune_steps)
     tuning_problem = replace(
@@ -397,16 +383,15 @@ def tune_problem(
 
     class _ProblemRunner:
         """Adapts the cloned Problem to tune_dispatch's (stencil, kernel)
-        protocol: ``run`` restores the cloned buffers and times
-        ``execute_problem`` directly."""
+        protocol: ``run`` reloads the clones from the untouched user
+        arrays and times ``execute_problem`` directly."""
 
         ndim = problem.ndim
         sizes = problem.sizes
 
         def run(self, _steps: int, _kernel, options: RunOptions):
             for name, arr in clones.items():
-                arr.data[...] = saved[name]
-                arr._latest = saved_latest[name]
+                arr.load(problem.arrays[name].data)
             return execute_problem([tuning_problem], options)[0]
 
     runner = _ProblemRunner()

@@ -57,15 +57,13 @@ def _layouts(problem: Problem) -> dict[str, _ArrayLayout]:
     offset = 0
     for name in sorted(problem.arrays):
         arr = problem.arrays[name]
-        strides = [1] * arr.ndim
-        for i in range(arr.ndim - 2, -1, -1):
-            strides[i] = strides[i + 1] * arr.sizes[i + 1]
+        slot_stride, *strides = arr.strides_points()
         layouts[name] = _ArrayLayout(
             base=offset,
             slots=arr.slots,
             sizes=arr.sizes,
             strides=tuple(strides),
-            spatial=arr.spatial_points,
+            spatial=slot_stride,
         )
         offset += arr.total_points
     return layouts

@@ -52,6 +52,7 @@ from repro.compiler.pipeline import (
     resolve_mode,
     with_numpy_fallback,
 )
+from repro.language.array import stack_grids
 from repro.language.stencil import Problem, RunOptions
 
 
@@ -90,30 +91,20 @@ def stack_problems(problems: list[Problem]) -> BatchStack:
     if not problems:
         raise SpecificationError("stack_problems needs at least one problem")
     template = problems[0]
-    if len(problems) == 1:
-        return BatchStack(
-            [template],
-            {name: arr.data[None] for name, arr in template.arrays.items()},
-            {name: c.values[None] for name, c in template.const_arrays.items()},
-        )
-    key = batch_signature(template)
-    for p in problems[1:]:
-        if batch_signature(p) != key:
+    if len(problems) > 1:
+        key = batch_signature(template)
+        if any(batch_signature(p) != key for p in problems[1:]):
             raise SpecificationError(
                 "batched problems must share signature and time range"
             )
-    nb = len(problems)
-    stacked: dict[str, np.ndarray] = {}
-    for name, arr in template.arrays.items():
-        buf = np.empty((nb,) + arr.data.shape, dtype=np.float64)
-        for b, p in enumerate(problems):
-            buf[b] = p.arrays[name].data
-        stacked[name] = buf
-    stacked_consts: dict[str, np.ndarray] = {}
+    stacked = {
+        name: stack_grids([p.arrays[name] for p in problems])
+        for name in template.arrays
+    }
+    stacked_consts = {}
     for name, c in template.const_arrays.items():
-        stacked_consts[name] = np.stack(
-            [np.asarray(p.const_arrays[name].values) for p in problems]
-        )
+        values = [p.const_arrays[name].values for p in problems]
+        stacked_consts[name] = c.values[None] if len(values) == 1 else np.stack(values)
     return BatchStack(list(problems), stacked, stacked_consts)
 
 
@@ -122,9 +113,9 @@ def scatter_results(stack: BatchStack) -> None:
     slab that is a view of the job's array is already in place."""
     for name, buf in stack.stacked.items():
         for b, p in enumerate(stack.problems):
-            dst = p.arrays[name].data
-            if not np.may_share_memory(buf[b], dst):
-                dst[...] = buf[b]
+            arr = p.arrays[name]
+            if not np.may_share_memory(buf[b], arr.data):
+                arr.load(buf[b])
 
 
 def can_stack(problem: Problem, options: RunOptions) -> bool:

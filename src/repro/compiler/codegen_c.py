@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -79,9 +80,10 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import CompileError, KernelError
+from repro.errors import CompileError, KernelError, SpecificationError
 from repro.resilience import degradations, faults
 from repro.util import atomic_write_text, durable_replace, interprocess_lock
+from repro.compiler import runtime_support
 from repro.compiler.frontend import KernelIR
 from repro.expr.analysis import walk
 from repro.compiler.codegen_numpy import (
@@ -138,6 +140,14 @@ typedef long long i64;
 _MINMAX = """\
 static inline double pmin(double a, double b) { return b < a ? b : a; }
 static inline double pmax(double a, double b) { return b > a ? b : a; }
+"""
+
+#: A double by bit pattern: how ``_fmt_const`` spells infinities and NaNs.
+_F64_BITS = """\
+static inline double f64_bits(unsigned long long u) {
+  union { unsigned long long u; double d; } c = { u };
+  return c.d;
+}
 """
 
 
@@ -215,9 +225,11 @@ def _slot_tag(dt: int) -> str:
 
 
 def _fmt_const(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return f"{int(v)}.0"
-    return repr(v)
+    """C source for exactly the double ``v``: ``repr`` when finite (valid
+    C that round-trips), else the bit pattern through ``f64_bits``."""
+    if math.isfinite(v):
+        return repr(v)
+    return f"f64_bits({runtime_support.f64_bits(v):#x}ULL)"
 
 
 class _CCodegen:
@@ -237,8 +249,7 @@ class _CCodegen:
         return "(" + " + ".join(parts) + ")"
 
     def _flat_index(self, array: str, coord_exprs: list[str]) -> str:
-        sizes = self.ir.arrays[array].sizes
-        strides = _strides(sizes)
+        strides = self.ir.arrays[array].strides_points()[1:]
         terms = []
         for expr, stride in zip(coord_exprs, strides):
             terms.append(expr if stride == 1 else f"({expr})*{stride}L")
@@ -247,7 +258,7 @@ class _CCodegen:
     def grid_read(self, node: GridRead) -> str:
         arr = self.ir.arrays[node.array]
         slot = f"s_{node.array}_{_slot_tag(node.dt)}"
-        base = f"{slot}*{arr.spatial_points}L"
+        base = f"{slot}*{arr.strides_points()[0]}L"
         if not self.boundary_mode:
             coords = [
                 f"x{i}" if off == 0 else f"(x{i}{off:+d})"
@@ -270,10 +281,10 @@ class _CCodegen:
                 f"D_{node.array}[{base} + {self._flat_index(node.array, mapped)}]"
             )
         assert arr.boundary is not None
-        # The fill expression from the NumPy backend — e.g. "0.0" or
-        # "(100.0 + 0.2 * (t-1))" — is valid C as well: t is an integer
+        # The NumPy backend's fill expression with C's constant spelling
+        # — e.g. "0.0" or "(100.0 + 0.2 * (t-1))": t is an integer
         # variable and mixed arithmetic promotes to double.
-        fill = boundary_fill_expr(arr.boundary, node.dt)
+        fill = boundary_fill_expr(arr.boundary, node.dt, _fmt_const)
         if fill is None:
             raise CompileError(
                 f"boundary {arr.boundary.describe()} of array "
@@ -389,7 +400,7 @@ def _stmt_lines(ir: KernelIR, gen: _CCodegen, indent: str) -> list[str]:
             flat = gen._flat_index(arr_name, coords)
             lines.append(
                 f"{indent}D_{arr_name}[s_{arr_name}_{_slot_tag(0)}*"
-                f"{arr.spatial_points}L + {flat}] = {gen.val(st.expr)};"
+                f"{arr.strides_points()[0]}L + {flat}] = {gen.val(st.expr)};"
             )
     return lines
 
@@ -964,16 +975,6 @@ def _walk_fn_source(ir: KernelIR, include_boundary: bool) -> str:
     return "\n".join(lines)
 
 
-def _array_stride(ir: KernelIR, name: str) -> int:
-    """Elements one job occupies in a stacked array buffer: the full
-    modular time buffer, ``slots * spatial_points``."""
-    info = next(i for i in ir.array_infos if i.name == name)
-    points = 1
-    for s in info.sizes:
-        points *= int(s)
-    return int(info.slots) * points
-
-
 def _const_stride(ir: KernelIR, name: str) -> int:
     points = 1
     for s in ir.const_arrays[name].sizes:
@@ -992,7 +993,7 @@ def _entry_fn_source(ir: KernelIR, *, include_boundary: bool) -> str:
     d = ir.ndim
     pa = ", ".join(_ptr_args(ir))
     offs = [
-        f"D_{info.name} + b*{_array_stride(ir, info.name)}L"
+        f"D_{info.name} + b*{ir.arrays[info.name].total_points}L"
         for info in ir.array_infos
     ]
     offs.extend(
@@ -1040,7 +1041,6 @@ def generate_c_source(ir: KernelIR, *, include_boundary: bool = True) -> str:
     nodes = (n for st in ir.statements for n in walk(st.expr))
     minmax = any(isinstance(n, BinOp) and n.op in ("min", "max") for n in nodes)
     parts = [
-        _PRELUDE + (_MINMAX if minmax else ""),
         _leaf_fn_source(ir, boundary_mode=False),
         _fn_source(ir, boundary_mode=False),
     ]
@@ -1049,7 +1049,10 @@ def generate_c_source(ir: KernelIR, *, include_boundary: bool = True) -> str:
         parts.append(_leaf_fn_source(ir, boundary_mode=True))
     parts.append(_walk_fn_source(ir, include_boundary))
     parts.append(_entry_fn_source(ir, include_boundary=include_boundary))
-    return "\n\n".join(parts) + "\n"
+    body = "\n\n".join(parts)
+    bits = "f64_bits(" in body
+    prelude = _PRELUDE + (_MINMAX if minmax else "") + (_F64_BITS if bits else "")
+    return prelude + "\n\n" + body + "\n"
 
 
 def _cache_dir() -> Path:
@@ -1325,8 +1328,11 @@ def _load_library(ir: KernelIR) -> CLibrary:
 
 
 def _checked_buffer(name: str, buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """The last guard before a pointer goes to foreign code.  Grids are
+    checked where they enter (``PochoirArray.check_layout``), so a miss
+    here is a caller bug, not a reason to retry on NumPy."""
     if buf.dtype != np.float64 or not buf.flags["C_CONTIGUOUS"] or buf.shape != shape:
-        raise CompileError(
+        raise SpecificationError(
             f"stacked buffer for {name!r} must be a C-contiguous float64 "
             f"array of shape {shape}, got {buf.dtype} {buf.shape}"
         )

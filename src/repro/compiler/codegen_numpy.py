@@ -103,8 +103,6 @@ _UFUNC = {
     "/": "np.divide",
     "%": "np.fmod",
     "**": "np.power",
-    "min": "np.minimum",
-    "max": "np.maximum",
 }
 
 _CMP_UFUNC = {
@@ -143,12 +141,15 @@ def boundary_modes(b: Boundary | None, ndim: int) -> list[str] | None:
     return None
 
 
-def boundary_fill_expr(b: Boundary, dt: int) -> str | None:
-    """Source of the scalar fill value at time ``t + dt``, else None."""
+def boundary_fill_expr(
+    b: Boundary, dt: int, spell: Callable[[float], str] = runtime_support.py_float
+) -> str | None:
+    """Source of the scalar fill value at time ``t + dt``, else None.
+    ``spell`` writes a double in the target language (C passes its own)."""
     if isinstance(b, ConstantBoundary):
-        return repr(b.value)
+        return spell(b.value)
     if isinstance(b, DirichletBoundary):
-        return f"({b.base!r} + {b.per_step!r} * (t{dt:+d}))"
+        return f"({spell(b.base)} + {spell(b.per_step)} * (t{dt:+d}))"
     return None
 
 
@@ -275,7 +276,7 @@ class _Emitter:
             )
             time_slot = f"s_{node.array}_{_slot_tag(node.dt)}"
             self.lines.append(
-                f"{name} = POOL.view({slot}, SHPH, {_np_dtype_text(self.ir, 'f')})"
+                f"{name} = POOL.view({slot}, SHPH, np.float64)"
             )
             modes = boundary_modes(arr.boundary, d)
             if modes is not None:
@@ -347,7 +348,7 @@ class _Emitter:
     # -- expression lowering -----------------------------------------------
     def ref(self, e: Expr) -> _Ref:
         if isinstance(e, Const):
-            return _Ref(repr(e.value), scalar=True)
+            return _Ref(runtime_support.py_float(e.value), scalar=True)
         if isinstance(e, Param):
             raise CompileError(
                 f"parameter {e.name!r} is unbound at codegen; call "
@@ -363,6 +364,8 @@ class _Emitter:
         if isinstance(e, ConstArrayRead):
             idx = ", ".join(self.affine(ix)[0] for ix in e.indices)
             return _Ref(f"GC(C_{e.array}, ({idx},))")
+        if isinstance(e, BinOp) and e.op in ("min", "max"):
+            return self._minmax(e)
         if isinstance(e, BinOp):
             return self._op(_UFUNC[e.op], [e.left, e.right], "f", e)
         if isinstance(e, UnOp):
@@ -386,10 +389,6 @@ class _Emitter:
         so scalar arithmetic stays in Python-float land, bit for bit."""
         t = [r.text for r in refs]
         if isinstance(e, BinOp):
-            if e.op == "min":
-                return f"np.minimum({t[0]}, {t[1]})"
-            if e.op == "max":
-                return f"np.maximum({t[0]}, {t[1]})"
             if e.op == "%":
                 return f"np.fmod({t[0]}, {t[1]})"
             if e.op == "**":
@@ -421,10 +420,24 @@ class _Emitter:
         self.lines.append(f"{fn}({args}, out=T{dst})")
         return _Ref(f"T{dst}", slot=dst, dtype=dtype)
 
+    def _minmax(self, e: BinOp) -> _Ref:
+        """Phase 1's ``min``/``max``: ``a`` unless ``b`` is strictly
+        smaller/larger, like C's ``pmin``/``pmax``.  ``np.minimum`` and
+        ``np.maximum`` differ from it on NaNs and signed zeros."""
+        a, b = self.ref(e.left), self.ref(e.right)
+        if a.scalar and b.scalar:
+            return _Ref(f"{e.op}({a.text}, {b.text})", scalar=True)
+        take_b = self._acquire("b")
+        cmp = "np.less" if e.op == "min" else "np.greater"
+        self.lines.append(f"{cmp}({b.text}, {a.text}, out=T{take_b})")
+        return self._select(_Ref(f"T{take_b}", slot=take_b, dtype="b"), b, a)
+
     def _where(self, e: Where) -> _Ref:
-        cond = self.ref(e.cond)
-        if_true = self.ref(e.if_true)
-        if_false = self.ref(e.if_false)
+        return self._select(
+            self.ref(e.cond), self.ref(e.if_true), self.ref(e.if_false)
+        )
+
+    def _select(self, cond: _Ref, if_true: _Ref, if_false: _Ref) -> _Ref:
         if cond.scalar and if_true.scalar and if_false.scalar:
             return _Ref(
                 f"np.where({cond.text}, {if_true.text}, {if_false.text})",
@@ -465,7 +478,7 @@ class _Emitter:
             # ufunc roots qualify; a dt==0 home read of the written array
             # aliases the destination *exactly*, which ufuncs permit.
             root: tuple[str, list[Expr]] | None = None
-            if isinstance(e, BinOp):
+            if isinstance(e, BinOp) and e.op in _UFUNC:
                 root = (_UFUNC[e.op], [e.left, e.right])
             elif isinstance(e, UnOp):
                 root = ("np.negative" if e.op == "neg" else "np.abs", [e.operand])
@@ -540,11 +553,8 @@ def _lower(
 # -- source assembly ----------------------------------------------------------
 
 
-def _np_dtype_text(ir: KernelIR, kind: str) -> str:
-    if kind == "b":
-        return "np.bool_"
-    dt = np.result_type(*(a.data.dtype for a in ir.arrays.values()))
-    return f"np.dtype({dt.name!r})"
+#: Scratch dtypes by emitter kind: grids are float64 (``repro.language.array``).
+_NP_DTYPE = {"f": "np.float64", "b": "np.bool_"}
 
 
 def _slot_lines(ir: KernelIR, indent: str) -> list[str]:
@@ -577,7 +587,7 @@ def _pool_lines(ir: KernelIR, em: _Emitter, indent: str) -> list[str]:
     for slot in range(em.n_slots):
         if slot in em.snapshot_slot_ids:
             continue
-        dt = _np_dtype_text(ir, em.slot_dtypes[slot])
+        dt = _NP_DTYPE[em.slot_dtypes[slot]]
         lines.append(f"{indent}T{slot} = POOL.view({slot}, SHP, {dt})")
     return lines
 
@@ -823,6 +833,7 @@ def _namespace(
     the stacked ``(nb, ...)`` buffers its ``_b`` job loop reads."""
     ns: dict = {
         "np": np,
+        "F64": runtime_support.f64,
         "GR": runtime_support.gather_remap,
         "GF": runtime_support.gather_fill,
         "GC": runtime_support.gather_const,

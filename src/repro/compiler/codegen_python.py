@@ -25,6 +25,7 @@ from typing import Callable
 
 from repro.errors import CompileError, KernelError
 from repro.compiler.frontend import KernelIR
+from repro.compiler.runtime_support import f64, py_float
 from repro.expr.evalexpr import EvalEnv, eval_statements
 from repro.expr.nodes import (
     Assign,
@@ -182,7 +183,7 @@ class _PointCodegen:
 
     def val(self, e: Expr) -> str:
         if isinstance(e, Const):
-            return repr(e.value)
+            return py_float(e.value)
         if isinstance(e, Param):
             raise CompileError(
                 f"parameter {e.name!r} is unbound at codegen; call "
@@ -283,6 +284,7 @@ def _namespace(ir: KernelIR) -> dict:
         "_floor": math.floor,
         "_ceil": math.ceil,
         "fmod": math.fmod,
+        "F64": f64,
     }
     for arr_name, arr in ir.arrays.items():
         ns[f"D_{arr_name}"] = arr.data

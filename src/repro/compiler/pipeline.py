@@ -36,6 +36,7 @@ from repro.errors import CompileError
 from repro.compiler import codegen_c, codegen_numpy, codegen_python
 from repro.compiler.codegen_numpy import LeafFn
 from repro.compiler.frontend import KernelIR, build_ir
+from repro.language.array import stack_grids
 from repro.language.stencil import Problem
 
 CloneFn = Callable[[int, tuple[int, ...], tuple[int, ...]], None]
@@ -218,7 +219,7 @@ def _compile_ir(ir: KernelIR, mode: str) -> CompiledKernel:
     compiled = bind_kernel(
         ir,
         mode,
-        {name: arr.data[None] for name, arr in ir.arrays.items()},
+        {name: stack_grids([arr]) for name, arr in ir.arrays.items()},
         {name: c.values[None] for name, c in ir.const_arrays.items()},
         1,
     )

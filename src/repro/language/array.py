@@ -3,9 +3,26 @@
 A :class:`PochoirArray` owns ``depth + 1`` copies of the spatial grid,
 reused modulo ``depth + 1`` as the computation proceeds — exactly the
 storage discipline of Section 2 (the user "may not obtain an alias to the
-Pochoir array", so the layout is ours to choose; we keep time-major
-C-contiguous ``float64`` so compiled kernels and the cache simulator agree
-on addresses).
+Pochoir array", so the layout is ours to choose).
+
+**The layout contract.**  ``data`` is a writable ndarray of shape
+``(slots, *sizes)``, C-contiguous ``float64``, time-major, and this module
+is the only place that allocates or replaces one.  Its element
+strides are :meth:`PochoirArray.strides_points`, which compiled kernels
+bake in; large buffers sit on 4 KiB pages (:func:`_grid_buffer`).  Code
+elsewhere may read and write ``data[...]`` in place, and otherwise goes
+through these verbs:
+
+* :meth:`~PochoirArray.check_layout` — the contract check, run where a
+  grid enters (``Stencil.prepare`` and unpickling); a buffer that breaks
+  it raises :class:`~repro.errors.SpecificationError`;
+* :meth:`~PochoirArray.save` / :meth:`~PochoirArray.load` — a private copy
+  of the whole buffer, and the validated in-place copy back (rollback,
+  checkpoint restore, a served result);
+* :meth:`~PochoirArray.clone` — a private twin with the same contents;
+* :func:`stack_grids` — the ``(nb, slots, *sizes)`` stack of a job batch;
+* :meth:`~PochoirArray.share` / :meth:`~PochoirArray.unshare` /
+  :meth:`~PochoirArray.detach` — the shared-memory backing (below).
 
 The same object plays three roles, mirroring the paper's API:
 
@@ -20,12 +37,15 @@ The same object plays three roles, mirroring the paper's API:
 **The grid-as-view refactor** (supervised execution / sharding): the
 modular buffer is normally a private ndarray, but :meth:`PochoirArray.share`
 can rebind it as a *view onto an attachable* ``multiprocessing.shared_memory``
-segment.  A shared array pickles as a segment descriptor (name + shape,
-no payload bytes), and unpickling in another process attaches a zero-copy
+segment.  A shared array pickles as a segment descriptor (its name, no
+payload bytes), and unpickling in another process attaches a zero-copy
 view onto the same physical pages — which is how the supervised executor
-hands worker subprocesses the live grid without serializing it.  Compiled
-kernels hold no array: every run binds the kernel's loaded code to the
-buffers the array owns at that moment, so a rebind needs no bookkeeping.
+hands worker subprocesses the live grid without serializing it;
+:meth:`~PochoirArray.detach` drops that view again.  Compiled kernels hold
+no array: every run binds the kernel's loaded code to the buffers the
+array owns at that moment, so a rebind needs no bookkeeping.  Copies into
+a grid are made in place because a run in flight, or another process
+attached to the segment, holds the buffer itself.
 """
 
 from __future__ import annotations
@@ -77,8 +97,8 @@ class GridAccess(GridRead):
         return Assign(GridWrite(self.array, self.dt), as_expr(value))
 
 
-def _grid_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A zeroed grid buffer on base-size (4 KiB) pages.
+def _grid_buffer(shape: tuple[int, ...], *, zero: bool = True) -> np.ndarray:
+    """A float64 grid buffer on base-size (4 KiB) pages.
 
     NumPy asks for transparent huge pages on arrays of 4 MiB and more.  A
     stencil's rows and planes sit a power-of-two stride apart on typical
@@ -86,20 +106,77 @@ def _grid_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     map to the same sets of the physically indexed L2: a 128^3 wave leaf
     ran 5-6x slower on huge pages than on 4 KiB pages on the benchmark
     host.  Scattered 4 KiB frames hide the aliasing, so large grids get an
-    anonymous mapping advised ``MADV_NOHUGEPAGE``; small ones (and hosts
-    without that advice) get ``np.zeros``.
+    anonymous mapping advised ``MADV_NOHUGEPAGE`` (zeroed by the kernel);
+    small ones (and hosts without that advice) get ``np.zeros``, or
+    ``np.empty`` when the caller overwrites every element (``zero=False``).
     """
-    dtype = np.dtype(dtype)
-    nbytes = int(np.prod(shape)) * dtype.itemsize
+    nbytes = int(np.prod(shape)) * 8
     advice = getattr(mmap, "MADV_NOHUGEPAGE", None)
     if advice is None or nbytes < (4 << 20):
-        return np.zeros(shape, dtype=dtype)
+        return (np.zeros if zero else np.empty)(shape, dtype=np.float64)
     buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
     try:
         buf.madvise(advice)
     except OSError:  # pragma: no cover - kernels built without THP
         pass
-    return np.frombuffer(buf, dtype=dtype).reshape(shape)
+    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
+
+
+def stack_grids(arrays: Sequence["PochoirArray"]) -> np.ndarray:
+    """The ``(nb, slots, *sizes)`` stack of same-shape arrays' buffers.
+
+    One array stacks as a zero-copy ``(1, ...)`` view of its own buffer;
+    more are copied into one buffer from :func:`_grid_buffer`.
+    """
+    if len(arrays) == 1:
+        return arrays[0].data[None]
+    stack = _grid_buffer((len(arrays),) + arrays[0].data.shape, zero=False)
+    for slab, arr in zip(stack, arrays):
+        slab[...] = arr.data
+    return stack
+
+
+def _attach_segment(name: str):
+    """Attach to the shared segment ``name`` WITHOUT resource-tracker
+    registration: the creator owns the segment's lifetime.  CPython < 3.13
+    tracks mere attachments too, so an attaching process's exit would
+    unlink (or double-unregister) live state the creator still owns; 3.13+
+    exposes ``track=False``, older versions need the register shim."""
+    from multiprocessing import shared_memory
+
+    try:
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:  # Python < 3.13
+        from multiprocessing import resource_tracker
+
+        # The shim mutates process-global state; hold the module lock so
+        # concurrent attaches (a server unpickling many jobs at once)
+        # cannot interleave patch/restore.
+        with _TRACKER_SHIM_LOCK:
+            orig_register = resource_tracker.register
+            resource_tracker.register = lambda *a, **kw: None
+            try:
+                return shared_memory.SharedMemory(name=name)
+            finally:
+                resource_tracker.register = orig_register
+
+
+def _close_segment(shm, owner: bool) -> bool:
+    """Close this process's mapping of ``shm`` and, for its creator,
+    unlink the name.  Returns False when exported views kept the mapping
+    open (the segment is unlinked either way; the pages go away with the
+    last mapping)."""
+    try:
+        shm.close()
+        closed = True
+    except BufferError:
+        closed = False
+    if owner:
+        try:
+            shm.unlink()
+        except FileNotFoundError:
+            pass
+    return closed
 
 
 def _is_symbolic(args: Sequence[object]) -> bool:
@@ -123,14 +200,7 @@ class PochoirArray:
         time slots.
     """
 
-    def __init__(
-        self,
-        name: str,
-        sizes: Sequence[int],
-        *,
-        depth: int = 1,
-        dtype: np.dtype | type = np.float64,
-    ):
+    def __init__(self, name: str, sizes: Sequence[int], *, depth: int = 1):
         if not name.isidentifier():
             raise SpecificationError(f"array name must be an identifier: {name!r}")
         sizes = tuple(int(s) for s in sizes)
@@ -143,7 +213,7 @@ class PochoirArray:
         self.ndim = len(sizes)
         self.depth = depth
         self.slots = depth + 1
-        self.data = _grid_zeros((self.slots, *sizes), dtype)
+        self.data = _grid_buffer((self.slots, *sizes))
         self.boundary: Boundary | None = None
         #: Highest time level written so far (levels 0..depth-1 are assumed
         #: to be initialized by the user before the first run).
@@ -174,7 +244,7 @@ class PochoirArray:
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(create=True, size=self.data.nbytes)
-        view = np.ndarray(self.data.shape, dtype=self.data.dtype, buffer=shm.buf)
+        view = np.ndarray(self.data.shape, dtype=np.float64, buffer=shm.buf)
         view[...] = self.data
         self.data = view
         self._shm = shm
@@ -195,19 +265,22 @@ class PochoirArray:
         shm, owner = self._shm, self._shm_owner
         self._shm = None
         self._shm_owner = False
-        private = _grid_zeros(self.data.shape, self.data.dtype)
+        private = _grid_buffer(self.data.shape, zero=False)
         private[...] = self.data  # private again, contents preserved
         self.data = private
-        try:
-            shm.close()
-        except BufferError:
-            pass  # a bound kernel still holds the old view
-        if owner:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
+        _close_segment(shm, owner)
         return self
+
+    def detach(self) -> bool:
+        """Drop the buffer and close this process's mapping of its
+        segment: the attach side's release, for an array that will not
+        be used again.  Returns False when the mapping could not be closed
+        because views of it are still alive elsewhere."""
+        shm, owner = self._shm, self._shm_owner
+        self._shm = None
+        self._shm_owner = False
+        self.data = None
+        return shm is None or _close_segment(shm, owner)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -217,45 +290,60 @@ class PochoirArray:
             state["data"] = None
             state["_shm"] = None
             state["_shm_owner"] = False
-            state["_shm_descriptor"] = (
-                self._shm.name,
-                self.data.shape,
-                str(self.data.dtype),
-            )
+            state["_shm_name"] = self._shm.name
         return state
 
     def __setstate__(self, state: dict) -> None:
-        descriptor = state.pop("_shm_descriptor", None)
+        name = state.pop("_shm_name", None)
         self.__dict__.update(state)
-        if descriptor is None:
-            return
-        from multiprocessing import shared_memory
+        if name is not None:
+            self._shm = _attach_segment(name)
+            self.data = np.ndarray(
+                (self.slots, *self.sizes), dtype=np.float64, buffer=self._shm.buf
+            )
+        self.check_layout()
 
-        name, shape, dtype = descriptor
-        # Attach WITHOUT resource-tracker registration: the creator owns
-        # the segment's lifetime.  CPython < 3.13 tracks mere
-        # attachments too, so an attaching process's exit would unlink
-        # (or double-unregister) live state the creator still owns;
-        # 3.13+ exposes track=False, older versions need the register
-        # shim.
-        try:
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # Python < 3.13
-            from multiprocessing import resource_tracker
+    # -- the layout contract ---------------------------------------------------
+    def check_layout(self, buf: object = None) -> np.ndarray:
+        """Return ``buf`` (default: this array's own ``data``) if it is a
+        whole modular buffer for this array — a C-contiguous float64
+        ndarray of shape ``(slots, *sizes)`` — else raise
+        :class:`SpecificationError`."""
+        if buf is None:
+            buf = self.data
+        shape = (self.slots, *self.sizes)
+        if not (
+            isinstance(buf, np.ndarray)
+            and buf.dtype == np.float64
+            and buf.shape == shape
+            and buf.flags["C_CONTIGUOUS"]
+        ):
+            raise SpecificationError(
+                f"grid buffer of {self.name!r} must be a C-contiguous float64 "
+                f"ndarray of shape {shape}, got {getattr(buf, 'dtype', buf)} "
+                f"{getattr(buf, 'shape', '')}"
+            )
+        return buf
 
-            # The shim mutates process-global state; hold the module
-            # lock so concurrent attaches (a server unpickling many
-            # jobs at once) cannot interleave patch/restore.
-            with _TRACKER_SHIM_LOCK:
-                orig_register = resource_tracker.register
-                resource_tracker.register = lambda *a, **kw: None
-                try:
-                    shm = shared_memory.SharedMemory(name=name)
-                finally:
-                    resource_tracker.register = orig_register
-        self.data = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-        self._shm = shm
-        self._shm_owner = False
+    def save(self) -> np.ndarray:
+        """A private copy of the whole modular buffer (for :meth:`load`)."""
+        return self.data.copy()
+
+    def load(self, buf: np.ndarray, *, latest: int | None = None) -> None:
+        """Copy a whole modular buffer into ``data``, in place, after
+        :meth:`check_layout`; ``latest`` (when given) becomes the highest
+        stored time level."""
+        self.data[...] = self.check_layout(buf)
+        if latest is not None:
+            self._latest = latest
+
+    def clone(self) -> "PochoirArray":
+        """A twin on a private buffer: same name, geometry, boundary,
+        contents and live time window."""
+        twin = PochoirArray(self.name, self.sizes, depth=self.depth)
+        twin.boundary = self.boundary
+        twin.load(self.data, latest=self._latest)
+        return twin
 
     # -- registration ------------------------------------------------------
     def register_boundary(self, boundary: Boundary) -> "PochoirArray":
@@ -374,7 +462,7 @@ class PochoirArray:
     # -- bulk helpers --------------------------------------------------------
     def set_initial(self, values: np.ndarray, t: int = 0) -> None:
         """Initialize one whole time level from an ndarray."""
-        values = np.asarray(values, dtype=self.data.dtype)
+        values = np.asarray(values, dtype=np.float64)
         if values.shape != self.sizes:
             raise SpecificationError(
                 f"initial values for {self.name} have shape {values.shape}, "
@@ -388,7 +476,7 @@ class PochoirArray:
         grids = np.meshgrid(
             *[np.arange(n) for n in self.sizes], indexing="ij", sparse=False
         )
-        vec = np.vectorize(fn, otypes=[self.data.dtype])
+        vec = np.vectorize(fn, otypes=[np.float64])
         self.set_initial(vec(*grids), t=t)
 
     def snapshot(self, t: int) -> np.ndarray:
@@ -402,14 +490,13 @@ class PochoirArray:
         in grid points (used by the cache simulator and C codegen)."""
         return int(self.data.size)
 
-    @property
-    def spatial_points(self) -> int:
-        return int(np.prod(self.sizes))
-
     def strides_points(self) -> tuple[int, ...]:
-        """Strides of (slot, *spatial) in units of elements."""
-        item = self.data.itemsize
-        return tuple(s // item for s in self.data.strides)
+        """Strides of ``(slot, *spatial)`` in elements: the layout every
+        buffer of this array has (compiled kernels bake them in)."""
+        out = [1]
+        for n in reversed(self.sizes):
+            out.append(out[-1] * n)
+        return tuple(reversed(out))
 
     def __repr__(self) -> str:
         b = self.boundary.describe() if self.boundary else "none"

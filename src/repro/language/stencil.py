@@ -471,7 +471,9 @@ class Stencil:
 
         This is the Phase-2 static compliance check: it enforces the same
         rules the Phase-1 checked interpreter enforces dynamically, which
-        is what makes the Pochoir Guarantee hold.
+        is what makes the Pochoir Guarantee hold.  It is also where a
+        grid enters a run, so every array's buffer must pass
+        :meth:`PochoirArray.check_layout` here.
         """
         if steps < 0:
             raise SpecificationError(f"steps must be >= 0, got {steps}")
@@ -495,6 +497,7 @@ class Stencil:
             self.ndim,
         )
         for arr in self.arrays.values():
+            arr.check_layout()
             if arr.slots < shape.depth + 1:
                 raise SpecificationError(
                     f"array {arr.name!r} holds {arr.slots} time slots but the "

@@ -123,10 +123,10 @@ class Checkpoint:
     def restore_into(self, problem) -> None:
         """Copy the snapshot back into the problem's live arrays.
 
-        Assigns **in place** (``arr.data[...] = ...``): compiled C
-        kernels and cached NumPy closures prebind the array's buffer
-        address, so rebinding ``arr.data`` to a fresh ndarray would
-        silently leave them writing the dead buffer.
+        Copies **in place** (:meth:`PochoirArray.load`): a run in flight,
+        or another process attached to a shared segment, holds the
+        array's buffer itself, so rebinding ``arr.data`` would leave it
+        on the dead one.
         """
         sig = problem_signature_of(problem)
         if sig != self.signature:
@@ -141,14 +141,7 @@ class Checkpoint:
                 raise CheckpointError(
                     f"checkpoint is missing array {name!r}"
                 )
-            if stored.shape != arr.data.shape or stored.dtype != arr.data.dtype:
-                raise CheckpointError(  # pragma: no cover - signature pins shapes
-                    f"checkpoint array {name!r} has shape {stored.shape} "
-                    f"{stored.dtype}, live array is {arr.data.shape} "
-                    f"{arr.data.dtype}"
-                )
-            arr.data[...] = stored
-            arr._latest = self.t_next - 1
+            arr.load(stored, latest=self.t_next - 1)
 
 
 def problem_signature_of(problem) -> str:

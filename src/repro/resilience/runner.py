@@ -203,7 +203,7 @@ class _CheckpointWriter:
 
 
 def _snapshot(problem) -> dict[str, np.ndarray]:
-    return {name: arr.data.copy() for name, arr in problem.arrays.items()}
+    return {name: arr.save() for name, arr in problem.arrays.items()}
 
 
 class ShutdownRequested(BaseException):
@@ -304,11 +304,9 @@ def execute_blocks(
                 raise
             except Exception:
                 # Partial execution has overwritten input slots of the
-                # modular buffers; roll back to the block's start (in
-                # place — compiled kernels prebind the buffer
-                # addresses).
+                # modular buffers; roll back to the block's start.
                 for name, arr in problem.arrays.items():
-                    arr.data[...] = snap[name]
+                    arr.load(snap[name])
                 degradations.note("executor:block-retried")
                 run_range(a, b)
             snap = _snapshot(problem)

@@ -29,7 +29,7 @@ is a list of parts whose buffers are views of the live arrays, sent with
 one ``sendmsg`` loop (and re-sent from the same views on a retry); a
 response is received into one buffer, and copying its arrays back into
 the stencil is the only copy.  A response whose arrays do not match the
-stencil's (unknown name, wrong dtype or byte size) raises
+stencil's (unknown name, or not the array's grid layout) raises
 :class:`~repro.serve.protocol.ProtocolError` before anything is written.
 
 ``submit_many`` pipelines K jobs over one connection (all requests
@@ -45,8 +45,6 @@ import socket
 import time
 import uuid
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import SpecificationError
 from repro.language.kernel import Kernel
@@ -307,22 +305,16 @@ class StencilClient:
         arrays = msg.get("arrays")
         if not isinstance(report, RunReport) or not isinstance(arrays, dict):
             raise ProtocolError("result without a report and arrays")
-        for name, buf in arrays.items():
-            arr = job.stencil.arrays.get(name)
-            if arr is None:
-                raise ProtocolError(f"result carries unknown array {name!r}")
-            if not isinstance(buf, np.ndarray) or buf.dtype != arr.data.dtype:
-                raise ProtocolError(
-                    f"result array {name!r} is not {arr.data.dtype} data"
-                )
-            if buf.nbytes != arr.data.nbytes:
-                raise ProtocolError(
-                    f"result array {name!r} holds {buf.nbytes} bytes, "
-                    f"expected {arr.data.nbytes}"
-                )
+        try:
+            for name, buf in arrays.items():
+                job.stencil.arrays[name].check_layout(buf)
+        except KeyError:
+            raise ProtocolError(f"result carries unknown array {name!r}") from None
+        except SpecificationError as exc:
+            raise ProtocolError(f"result array {name!r}: {exc}") from None
         for name, buf in arrays.items():
             arr = job.stencil.arrays[name]
-            arr.data[...] = buf.reshape(arr.data.shape)
+            arr.load(buf)
             arr.note_written_through(job.problem.t_end - 1)
         job.stencil.advance_cursor(job.problem)
         report.transport = "tcp"

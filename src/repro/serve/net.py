@@ -439,17 +439,13 @@ class NetServer:
             problem = msg["problem"]
             options = msg.get("options")
             deadline = msg.get("deadline")
-        except (protocol.ProtocolError, KeyError, TypeError) as exc:
-            # Garbage inside a well-formed frame: same poison rule.
+        except (protocol.ProtocolError, KeyError, TypeError, SpecificationError) as exc:
+            # Garbage inside a well-formed frame, or a grid that breaks
+            # the layout contract (typed ``invalid``): same poison rule.
             self.stats["protocol_errors"] += 1
-            await self._send(
-                writer,
-                lock,
-                T_ERROR,
-                error_payload(
-                    None, protocol.ProtocolError(f"malformed submit: {exc}")
-                ),
-            )
+            if not isinstance(exc, SpecificationError):
+                exc = protocol.ProtocolError(f"malformed submit: {exc}")
+            await self._send(writer, lock, T_ERROR, error_payload(None, exc))
             await self._close_writer(writer)
             return
 

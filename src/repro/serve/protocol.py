@@ -64,9 +64,13 @@ a payload whose buffer table does not tile it exactly raises
 :class:`ProtocolError` — the server answers with a best-effort
 ``T_ERROR`` frame and closes **that connection only** (a malformed
 peer poisons its own connection, never the server); the client treats
-it as a failed attempt.  A short read (torn frame, dropped connection)
-surfaces as ``asyncio.IncompleteReadError`` / :class:`ConnectionError`
-and is retryable — the idempotency key makes the retry safe.
+it as a failed attempt.  A grid that unpickles into a
+:class:`~repro.language.array.PochoirArray` breaking the layout
+contract raises ``SpecificationError`` instead, which the server answers
+as a typed ``invalid`` error under the same rule.  A short read (torn
+frame, dropped connection) surfaces as ``asyncio.IncompleteReadError`` /
+:class:`ConnectionError` and is retryable — the idempotency key makes
+the retry safe.
 """
 
 from __future__ import annotations
@@ -74,6 +78,8 @@ from __future__ import annotations
 import pickle
 import struct
 import socket
+
+from repro.errors import SpecificationError
 
 MAGIC = b"RPS2"
 
@@ -167,7 +173,8 @@ def pack(obj: object) -> bytes:
 
 
 def unpack(payload) -> object:
-    """Deserialize one frame payload (raises ProtocolError on garbage).
+    """Deserialize one frame payload (raises ProtocolError on garbage,
+    and SpecificationError for a grid that breaks the layout contract).
 
     Arrays come back as writable views into ``payload`` when it is
     writable (the ``bytearray`` a frame was received into); a read-only
@@ -202,6 +209,8 @@ def unpack(payload) -> object:
     meta = view[meta_start:meta_start + meta_len]
     try:
         return pickle.loads(meta, buffers=buffers)
+    except SpecificationError:
+        raise
     except Exception as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from None
 

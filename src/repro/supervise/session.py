@@ -279,9 +279,7 @@ class SupervisedSession:
         would be unsound once a block overwrites the modular buffers'
         input slots.
         """
-        snap = {
-            name: arr.data.copy() for name, arr in self.problem.arrays.items()
-        }
+        snap = {name: arr.save() for name, arr in self.problem.arrays.items()}
         attempt = 0
         t0 = time.perf_counter()
         while True:
@@ -298,7 +296,7 @@ class SupervisedSession:
                         f"(last: {loss.tag}); retry budget exhausted"
                     ) from loss
                 for name, arr in self.problem.arrays.items():
-                    arr.data[...] = snap[name]
+                    arr.load(snap[name])
                 degradations.note("supervise:block-rolled-back")
                 if self.sup.retry_backoff > 0:
                     time.sleep(self.sup.retry_backoff * 2 ** (attempt - 1))

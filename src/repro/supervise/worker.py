@@ -104,24 +104,11 @@ class _Attached:
         mappings; returns False when a mapping could not be closed (the
         pool then retires this worker instead of letting unlinked
         segments accumulate across sessions)."""
-        shms = [
-            arr._shm
-            for arr in self.problem.arrays.values()
-            if arr._shm is not None
-        ]
-        for arr in self.problem.arrays.values():
-            arr._shm = None
-            arr.data = None
+        arrays = list(self.problem.arrays.values())
         self.compiled = None
         self.problem = None
         gc.collect()
-        clean = True
-        for shm in shms:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - defensive
-                clean = False
-        return clean
+        return all([arr.detach() for arr in arrays])
 
 
 def worker_main(wid: int, task_r, result_w) -> None:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import (
     ConstantBoundary,
+    DirichletBoundary,
     Kernel,
     NeumannBoundary,
     PeriodicBoundary,
@@ -294,3 +295,52 @@ class TestGeneratedSources:
             "leaf_boundary_batch",
             "walk_subtree_batch",
         }
+
+
+#: Boundary and kernel constants every backend must spell exactly: the
+#: non-finite doubles (``repr`` gives bare ``inf``/``nan``), a negative
+#: NaN, and a negative zero.
+_INF, _NAN = float("inf"), float("nan")
+NON_FINITE_CASES = {
+    "fill-inf": (ConstantBoundary(_INF), None),
+    "fill-neg-inf": (ConstantBoundary(-_INF), None),
+    "fill-nan": (ConstantBoundary(_NAN), None),
+    "dirichlet-inf": (DirichletBoundary(_INF, 0.5), None),
+    "kernel-inf": (PeriodicBoundary(), _INF),
+    "kernel-neg-nan": (ConstantBoundary(0.0), -_NAN),
+    "kernel-neg-zero": (PeriodicBoundary(), -0.0),
+}
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_constants_round_trip_bitwise(case, mode):
+    """Each backend's constant spelling yields exactly the double Phase 1
+    uses: the results match ``run_phase1`` byte for byte."""
+    from repro import run_phase1
+    from repro.apps.heat import heat_shape
+
+    boundary, const = NON_FINITE_CASES[case]
+
+    def make():
+        u = PochoirArray("u", (16, 16)).register_boundary(boundary)
+        s = Stencil(2, heat_shape(2))
+        s.register_array(u)
+        u.set_initial(np.random.default_rng(5).random((16, 16)))
+
+        def body(t, x, y):
+            heat = 0.5 * u(t, x, y) + 0.125 * (
+                u(t, x + 1, y) + u(t, x - 1, y) + u(t, x, y + 1) + u(t, x, y - 1)
+            )
+            if const is not None:
+                heat = where(u(t, x, y) < 0.3, const, heat)
+            return [u(t + 1, x, y) << heat]
+
+        return s, u, Kernel(2, body)
+
+    s_ref, u_ref, k_ref = make()
+    run_phase1(s_ref, 5, k_ref)
+    s, u, k = make()
+    report = s.run(5, k, mode=mode, dt_threshold=2, space_thresholds=(6, 6))
+    assert report.degradations == []
+    assert u.snapshot(s.cursor).tobytes() == u_ref.snapshot(s_ref.cursor).tobytes()

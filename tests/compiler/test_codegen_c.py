@@ -329,7 +329,8 @@ class TestVectorizedLeaf:
     def test_ieee_edge_values_match_phase1(self, boundary, cc_cache):
         """``min``/``max``/``where``/``fabs`` over NaN, signed zeros and
         infinities: the C run — interior ``leaf`` and ``leaf_boundary``
-        both, vectorized — is bitwise equal to ``run_phase1``."""
+        both, vectorized — and the NumPy run it falls back to are bitwise
+        equal to ``run_phase1``."""
         import numpy as np
 
         from repro import (
@@ -373,15 +374,16 @@ class TestVectorizedLeaf:
 
         st_ref, ref, k_ref = problem()
         run_phase1(st_ref, 4, k_ref)
-        st_c, out, k_c = problem()
-        report = st_c.run(
-            4, k_c, mode="c", space_thresholds=(10, 10), dt_threshold=2
-        )
-        assert report.degradations == []
-        for name, arr in ref.items():
-            want = arr.snapshot(st_ref.cursor).view(np.uint64)
-            got = out[name].snapshot(st_c.cursor).view(np.uint64)
-            assert np.array_equal(got, want), name
+        for mode in ("c", "split_pointer"):
+            st_c, out, k_c = problem()
+            report = st_c.run(
+                4, k_c, mode=mode, space_thresholds=(10, 10), dt_threshold=2
+            )
+            assert report.degradations == []
+            for name, arr in ref.items():
+                want = arr.snapshot(st_ref.cursor).view(np.uint64)
+                got = out[name].snapshot(st_c.cursor).view(np.uint64)
+                assert np.array_equal(got, want), (mode, name)
 
 
 class TestNoCompilerGate:

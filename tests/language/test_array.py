@@ -181,3 +181,97 @@ class TestConstArray:
         t, x = make_axes(1)
         with pytest.raises(KernelError):
             c(x)
+
+
+class TestLayoutContract:
+    """One layout, ``(slots, *sizes)`` C-contiguous float64, checked where
+    a grid enters and kept by every verb that copies into one."""
+
+    BAD_DATA = {
+        "wrong-shape": lambda u: np.zeros((u.slots, 8, 9)),
+        "float32": lambda u: np.zeros(u.data.shape, dtype=np.float32),
+        "non-contiguous": lambda u: np.zeros(u.data.shape[::-1]).T,
+    }
+
+    def test_no_dtype_knob(self):
+        with pytest.raises(TypeError):
+            PochoirArray("u", (4,), dtype=np.float32)
+
+    def test_strides_points_is_the_buffer_layout(self):
+        u = PochoirArray("u", (3, 5, 7), depth=2)
+        assert u.strides_points() == (105, 35, 7, 1)
+        assert tuple(s // 8 for s in u.data.strides) == u.strides_points()
+
+    @pytest.mark.parametrize("bad", sorted(BAD_DATA))
+    def test_check_layout_rejects(self, bad):
+        u = PochoirArray("u", (9, 8))
+        buf = self.BAD_DATA[bad](u)
+        with pytest.raises(SpecificationError, match="C-contiguous float64"):
+            u.check_layout(buf)
+        with pytest.raises(SpecificationError):
+            u.load(buf)
+        u.data = buf
+        with pytest.raises(SpecificationError):
+            u.check_layout()
+
+    def test_save_load_round_trip_in_place(self):
+        u = PochoirArray("u", (4, 4))
+        u.set_initial(np.arange(16.0).reshape(4, 4))
+        buf, saved = u.data, u.save()
+        u.data[...] = -1.0
+        u.load(saved, latest=0)
+        assert u.data is buf
+        assert np.array_equal(u.snapshot(0), np.arange(16.0).reshape(4, 4))
+
+    def test_clone_is_a_private_twin(self):
+        u = PochoirArray("u", (4,), depth=2).register_boundary(PeriodicBoundary())
+        u.set_initial(np.arange(4.0), t=0)
+        u.set_initial(np.ones(4), t=1)
+        twin = u.clone()
+        assert (twin.name, twin.sizes, twin.depth) == ("u", (4,), 2)
+        assert twin.boundary is u.boundary
+        assert np.array_equal(twin.snapshot(1), u.snapshot(1))
+        twin.data[...] = 7.0
+        assert np.array_equal(u.snapshot(0), np.arange(4.0))
+
+    def test_stack_grids(self):
+        from repro.language.array import stack_grids
+
+        a, b = PochoirArray("u", (3, 4)), PochoirArray("u", (3, 4))
+        a.data[...], b.data[...] = 1.0, 2.0
+        one = stack_grids([a])
+        assert one.shape == (1, 2, 3, 4) and np.shares_memory(one, a.data)
+        two = stack_grids([a, b])
+        assert two.shape == (2, 2, 3, 4) and two.flags["C_CONTIGUOUS"]
+        assert not np.shares_memory(two, a.data)
+        assert (two[0] == 1.0).all() and (two[1] == 2.0).all()
+
+    def test_unpickling_checks_the_layout(self):
+        import pickle
+
+        u = PochoirArray("u", (4, 4))
+        assert pickle.loads(pickle.dumps(u)).check_layout().shape == (2, 4, 4)
+        u.data = np.zeros((2, 4, 5))
+        blob = pickle.dumps(u)
+        with pytest.raises(SpecificationError):
+            pickle.loads(blob)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_DATA))
+    def test_bad_grid_fails_typed_before_compile(self, bad, monkeypatch):
+        """Every mode (and Phase 1) refuses the grid in ``prepare``: no
+        compile is attempted, so no ``cc:compile-failed`` degradation."""
+        from repro.compiler import pipeline
+        from repro.trap import driver
+        from tests.conftest import make_heat_problem
+
+        def no_execute(*a, **kw):
+            raise AssertionError("a bad grid reached execution")
+
+        monkeypatch.setattr(driver, "execute_problem", no_execute)
+        runs = [{"mode": m} for m in pipeline.available_modes()]
+        for options in runs + [{"algorithm": "phase1"}]:
+            st, u, k = make_heat_problem((9, 8))
+            u.data = self.BAD_DATA[bad](u)
+            with pytest.raises(SpecificationError, match="C-contiguous"):
+                st.run(2, k, **options)
+            assert st.cursor is None

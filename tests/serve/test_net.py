@@ -365,6 +365,43 @@ def test_poisoned_connection_leaves_neighbor_untouched():
         assert lb.server.stats["completed"] == 1
 
 
+def test_submit_with_misshaped_grid_gets_typed_error():
+    """A SUBMIT whose grid breaks the layout contract (here: not the
+    shape its ``sizes`` say) is refused as it is unpickled, with a typed
+    ``invalid`` reply; that connection is closed, the server serves on."""
+    with LoopbackServer(ServeOptions(max_batch=4, batch_window=0.01)) as lb:
+        bad = _build(0)
+        problem = bad.stencil.prepare(bad.steps, bad.kernel)
+        problem.arrays["u"].data = np.zeros((2, 16, 8))
+        bad_frame = protocol.encode_frame(
+            T_SUBMIT,
+            protocol.pack(
+                {"key": "bad", "deadline": None, "problem": problem, "options": None}
+            ),
+        )
+        _, good_frame = _submit_frame(_build(1), "good")
+        poisoned, healthy = _raw(lb), _raw(lb)
+        try:
+            poisoned.sendall(bad_frame)
+            ftype, reply = protocol.recv_frame(poisoned)
+            assert ftype == T_ERROR
+            error = protocol.unpack(reply)
+            assert error["code"] == "invalid"
+            assert "C-contiguous float64" in error["message"]
+            with pytest.raises((ConnectionError, TimeoutError, OSError)):
+                protocol.recv_frame(poisoned)
+            healthy.sendall(good_frame)
+            ftype, reply = protocol.recv_frame(healthy)
+            assert ftype == T_RESULT
+            result = protocol.unpack(reply)
+        finally:
+            poisoned.close()
+            healthy.close()
+        assert result["key"] == "good"
+        assert np.array_equal(result["arrays"]["u"][_build(1).steps % 2], _ref(1))
+        assert lb.server.stats["completed"] == 1
+
+
 # -- idempotent replay from the bounded journal ---------------------------
 
 
