@@ -108,7 +108,7 @@ class _Attached:
         self.compiled = None
         self.problem = None
         gc.collect()
-        return all([arr.detach() for arr in arrays])
+        return all([arr.detach() for arr in arrays])  # detach every one
 
 
 def worker_main(wid: int, task_r, result_w) -> None:
