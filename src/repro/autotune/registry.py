@@ -12,9 +12,12 @@ Keying
 ------
 An entry is keyed on three components, any of which invalidates it:
 
-* the **problem signature** — a digest of the stencil's ndim, grid
-  sizes, shape cells, kernel statements, and per-array metadata
-  (dtype, depth, boundary kind) plus const-array shapes;
+* the **problem signature** —
+  :func:`~repro.language.stencil.problem_signature`, the one problem
+  identity (it also keys the code caches, batches and checkpoints):
+  ndim, grid sizes, shape cells, kernel statements, parameter values,
+  per-array dtype, depth and boundary (kind *and* values), and
+  const-array shapes, every float spelled exactly;
 * the **backend** — the ``RunOptions.mode`` *request* (``"auto"`` is a
   distinct key from an explicit ``"c"``: under ``"auto"`` the tuner is
   free to pick the codegen mode, under an explicit mode it is not).
@@ -39,7 +42,6 @@ The file lives at ``$REPRO_TUNE_REGISTRY`` or
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -48,7 +50,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.language.stencil import EXECUTORS
+from repro.language.stencil import EXECUTORS, problem_signature
 from repro.resilience import degradations, faults
 from repro.util import atomic_write_text, interprocess_lock
 
@@ -162,42 +164,6 @@ def machine_fingerprint() -> str:
     cc = find_c_compiler()
     cc_id = compiler_identity(cc) if cc else "none"
     return f"cpu{detect_cpu_count()}|cc:{cc_id}"
-
-
-def problem_signature(problem) -> str:
-    """Stable digest of what makes two problems tuning-equivalent.
-
-    Covers the stencil shape, kernel statements, grid geometry, and
-    per-array storage metadata — everything that shifts the optimum.
-    Deliberately excludes ``t_start``/``t_end`` (a tune at one step
-    count applies to any horizon) and array *contents*.
-    """
-    arrays = sorted(
-        (
-            a.name,
-            tuple(a.sizes),
-            a.depth,
-            str(a.data.dtype),
-            a.boundary.describe() if a.boundary is not None else "none",
-        )
-        for a in problem.arrays.values()
-    )
-    consts = sorted(
-        (c.name, tuple(c.sizes), str(c.values.dtype))
-        for c in problem.const_arrays.values()
-    )
-    material = repr(
-        (
-            problem.ndim,
-            tuple(problem.sizes),
-            tuple(problem.shape.cells),
-            tuple(problem.statements),
-            arrays,
-            consts,
-            sorted(problem.params.items()),
-        )
-    )
-    return hashlib.sha256(material.encode()).hexdigest()[:32]
 
 
 def registry_key(signature: str, backend: str) -> str:

@@ -53,7 +53,7 @@ from repro.compiler.pipeline import (
     with_numpy_fallback,
 )
 from repro.language.array import stack_grids
-from repro.language.stencil import Problem, RunOptions
+from repro.language.stencil import Problem, RunOptions, problem_signature
 
 
 @dataclass
@@ -73,10 +73,9 @@ class BatchStack:
 
 def batch_signature(problem: Problem) -> tuple:
     """What must match for two jobs to share one batched kernel: the
-    tuning/codegen signature plus the time range (one decomposition
+    problem signature (the template's generated code, boundary values
+    included, must be every job's) plus the time range (one decomposition
     serves every job, so the trapezoid geometry must be identical)."""
-    from repro.autotune.registry import problem_signature
-
     return (problem_signature(problem), problem.t_start, problem.t_end)
 
 

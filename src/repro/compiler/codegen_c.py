@@ -83,7 +83,6 @@ import numpy as np
 from repro.errors import CompileError, KernelError, SpecificationError
 from repro.resilience import degradations, faults
 from repro.util import atomic_write_text, durable_replace, interprocess_lock
-from repro.compiler import runtime_support
 from repro.compiler.frontend import KernelIR
 from repro.expr.analysis import walk
 from repro.compiler.codegen_numpy import (
@@ -109,6 +108,7 @@ from repro.expr.nodes import (
     Param,
     UnOp,
     Where,
+    f64_bits,
 )
 
 CloneFn = Callable[[int, tuple[int, ...], tuple[int, ...]], None]
@@ -229,7 +229,7 @@ def _fmt_const(v: float) -> str:
     C that round-trips), else the bit pattern through ``f64_bits``."""
     if math.isfinite(v):
         return repr(v)
-    return f"f64_bits({runtime_support.f64_bits(v):#x}ULL)"
+    return f"f64_bits({f64_bits(v):#x}ULL)"
 
 
 class _CCodegen:
@@ -1255,7 +1255,7 @@ class CLibrary:
     leaf_boundary: Callable[..., None] | None
 
 
-#: (IR source key, $REPRO_CC_CACHE, compiler identity) -> CLibrary.
+#: (problem signature, $REPRO_CC_CACHE, compiler identity) -> CLibrary.
 _LIBRARIES: dict[tuple, CLibrary] = {}
 _LIBRARIES_LOCK = threading.Lock()
 
@@ -1270,20 +1270,21 @@ def load_c_kernel(ir: KernelIR) -> tuple[CLibrary, bool]:
     kernel library for ``ir``, once per process; returns the library and
     whether it was already loaded.
 
-    Cached on what determines the ``.so``: the IR's source key (which
-    also fixes whether boundary clones are emitted), the
-    ``$REPRO_CC_CACHE`` directory and the compiler identity — so a fresh
-    cache directory or another toolchain reaches cc and ``dlopen``, and
-    their fault sites, again.  Failures are not cached.  Two threads
-    that miss together both load: the ``.so`` cache's per-digest lock
-    runs cc once, ``dlopen`` of one path returns one handle, and the
-    first library stored is the one every caller gets.
+    Cached on what determines the ``.so``: the problem signature
+    (``ir.signature``, which also fixes whether boundary clones are
+    emitted), the ``$REPRO_CC_CACHE`` directory and the compiler
+    identity — so a fresh cache directory or another toolchain reaches
+    cc and ``dlopen``, and their fault sites, again.  Failures are not
+    cached.  Two threads that miss together both load: the ``.so``
+    cache's per-digest lock runs cc once, ``dlopen`` of one path returns
+    one handle, and the first library stored is the one every caller
+    gets.
     """
     cc = find_c_compiler()
     if cc is None:
         raise CompileError("no C compiler found (tried $CC, cc, gcc, clang)")
     key = (
-        ir.cache_key(),
+        ir.signature,
         os.environ.get("REPRO_CC_CACHE"),
         compiler_identity(cc),
     )

@@ -66,6 +66,7 @@ from repro.expr.nodes import (
     Statement,
     UnOp,
     Where,
+    py_float,
 )
 from repro.language.boundary import (
     Boundary,
@@ -142,7 +143,7 @@ def boundary_modes(b: Boundary | None, ndim: int) -> list[str] | None:
 
 
 def boundary_fill_expr(
-    b: Boundary, dt: int, spell: Callable[[float], str] = runtime_support.py_float
+    b: Boundary, dt: int, spell: Callable[[float], str] = py_float
 ) -> str | None:
     """Source of the scalar fill value at time ``t + dt``, else None.
     ``spell`` writes a double in the target language (C passes its own)."""
@@ -348,7 +349,7 @@ class _Emitter:
     # -- expression lowering -----------------------------------------------
     def ref(self, e: Expr) -> _Ref:
         if isinstance(e, Const):
-            return _Ref(runtime_support.py_float(e.value), scalar=True)
+            return _Ref(py_float(e.value), scalar=True)
         if isinstance(e, Param):
             raise CompileError(
                 f"parameter {e.name!r} is unbound at codegen; call "
@@ -754,11 +755,11 @@ def _leaf_source(ir: KernelIR, boundary_mode: bool) -> str:
     return "\n".join(lines)
 
 
-#: IR source key -> {clone name: (source, code object, scratch pools)}.
-#: The entries hold no buffer, so one load serves every run and batch of
-#: the kernel; the pools are thread-local, so every
-#: binding shares them and a warm run reuses its scratch buffers.
-_KERNELS: dict[tuple, dict[str, tuple]] = {}
+#: Problem signature (``ir.signature``) -> {clone name: (source, code
+#: object, scratch pools)}.  The entries hold no buffer, so one load
+#: serves every run and batch of the kernel; the pools are thread-local,
+#: so every binding shares them and a warm run reuses its scratch buffers.
+_KERNELS: dict[str, dict[str, tuple]] = {}
 _KERNELS_LOCK = threading.Lock()
 
 
@@ -773,7 +774,7 @@ def load_numpy_kernel(ir: KernelIR) -> tuple[dict[str, tuple], bool]:
     they were already loaded.  ``boundary`` and
     ``leaf_boundary`` are absent when some array's boundary kind is not
     vectorizable; callers substitute the per-point clone."""
-    key = ir.cache_key()
+    key = ir.signature
     with _KERNELS_LOCK:
         cached = _KERNELS.get(key)
     if cached is not None:

@@ -10,9 +10,10 @@ option (Figure 12(b)): the kernel is emitted as straight-line Python with
 the boundary-checking accessor exactly as the paper's macro trick does.
 The boundary clone keeps the checked accessor (``read_at``) for off-home
 reads and reduces virtual coordinates modulo the grid sizes.  Each clone's
-source is generated and compiled once per process per
-:meth:`~repro.compiler.frontend.KernelIR.cache_key`; binding executes the
-cached code into a fresh namespace over the problem's arrays.
+source is generated and compiled once per process per problem signature
+(``KernelIR.signature``); binding executes the cached code into a fresh
+namespace over the problem's arrays, whose boundary objects the checked
+accessor consults at run time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 
 from repro.errors import CompileError, KernelError
 from repro.compiler.frontend import KernelIR
-from repro.compiler.runtime_support import f64, py_float
+from repro.compiler.runtime_support import f64
 from repro.expr.evalexpr import EvalEnv, eval_statements
 from repro.expr.nodes import (
     Assign,
@@ -44,6 +45,7 @@ from repro.expr.nodes import (
     Param,
     UnOp,
     Where,
+    py_float,
 )
 
 CloneFn = Callable[[int, tuple[int, ...], tuple[int, ...]], None]
@@ -294,8 +296,8 @@ def _namespace(ir: KernelIR) -> dict:
     return ns
 
 
-#: (IR source key, clone name) -> (source, code object).
-_CODE: dict[tuple, tuple[str, CodeType]] = {}
+#: (problem signature, clone name) -> (source, code object).
+_CODE: dict[tuple[str, str], tuple[str, CodeType]] = {}
 _CODE_LOCK = threading.Lock()
 
 
@@ -308,7 +310,7 @@ def _bind_clone(ir: KernelIR, boundary_mode: bool) -> tuple[CloneFn, str]:
     """One macro_shadow clone bound to ``ir``'s arrays, its code
     generated and compiled once per process."""
     name = "boundary" if boundary_mode else "interior"
-    key = (ir.cache_key(), name)
+    key = (ir.signature, name)
     with _CODE_LOCK:
         cached = _CODE.get(key)
     if cached is None:

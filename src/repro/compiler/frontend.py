@@ -3,14 +3,19 @@
 The IR is simply the normalized statement list with parameters
 substituted and constants folded, bundled with the geometric and storage
 facts every backend needs (array metadata, shape footprint, boundary
-kinds).  Validation already happened in :meth:`Stencil.prepare`; the
-frontend re-derives only what codegen consumes.
+kinds) and the problem's signature
+(:func:`~repro.language.stencil.problem_signature`).  The signature is
+the IR's identity: it spells every float exactly and carries each
+boundary's values, so the three code caches (C libraries, NumPy clones,
+per-point clones) key on it and two problems share generated code only
+when they compute the same bits.  Validation already happened in
+:meth:`Stencil.prepare`; the frontend re-derives only what codegen
+consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import CompileError
 from repro.expr.analysis import kernel_accesses
@@ -18,11 +23,10 @@ from repro.expr.nodes import Assign, Let, Statement
 from repro.expr.transform import (
     collect_params,
     fold_statements,
-    map_statement,
     substitute_params,
 )
 from repro.language.array import ConstArray, PochoirArray
-from repro.language.stencil import Problem
+from repro.language.stencil import Problem, problem_signature
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,6 @@ class ArrayInfo:
     sizes: tuple[int, ...]
     slots: int
     dts: tuple[int, ...]  # distinct time offsets read/written
-    boundary_key: tuple
 
 
 @dataclass
@@ -51,6 +54,10 @@ class KernelIR:
     max_off: tuple[int, ...]
     depth: int
     unbound_params: frozenset[str]
+    #: :func:`~repro.language.stencil.problem_signature` of the source
+    #: problem: equal signatures generate the same code in every
+    #: backend, so the code caches key on it.
+    signature: str
 
     def reach(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per-dim extreme read offsets widened to include the home point
@@ -61,61 +68,18 @@ class KernelIR:
             tuple(max(o, 0) for o in self.max_off),
         )
 
-    def cache_key(self) -> tuple:
-        """Hashable identity of the generated source: equal keys generate
-        the same code in every backend.  C bakes each const array's
-        strides and clamp bounds into the source, and NumPy its scratch
-        dtype, so shapes and dtypes are part of the key; values are not.
-        """
-        return (
-            self.statements,
-            self.sizes,
-            self.array_infos,
-            tuple(self.arrays[i.name].data.dtype.str for i in self.array_infos),
-            tuple(
-                (name, c.values.shape, c.values.dtype.str)
-                for name, c in sorted(self.const_arrays.items())
-            ),
-        )
 
-
-def _boundary_cache_key(arr: PochoirArray) -> tuple:
-    from repro.language.boundary import (
-        ConstantBoundary,
-        DirichletBoundary,
-        MixedBoundary,
-        PythonBoundary,
-    )
-
-    b = arr.boundary
-    if b is None:
-        return ("none",)
-    if isinstance(b, ConstantBoundary):
-        return (type(b).__name__, b.value)
-    if isinstance(b, DirichletBoundary):
-        return (type(b).__name__, b.base, b.per_step)
-    if isinstance(b, MixedBoundary):
-        return (type(b).__name__, b.modes)
-    if isinstance(b, PythonBoundary):
-        return (type(b).__name__, id(b.fn))
-    return (type(b).__name__,)
-
-
-def build_ir(problem: Problem, params: dict[str, float] | None = None) -> KernelIR:
+def build_ir(problem: Problem) -> KernelIR:
     """Lower a Problem to IR: substitute params, fold constants, gather
     per-array storage metadata."""
-    bound = dict(problem.params)
-    if params:
-        bound.update(params)
-    stmts: list[Statement] = []
-    for st in problem.statements:
-        new = map_statement(st, lambda e: None)
-        if isinstance(new, Let):
-            new = Let(new.name, substitute_params(new.expr, bound))
-        elif isinstance(new, Assign):
-            new = Assign(new.target, substitute_params(new.expr, bound))
-        stmts.append(new)
-    stmts = fold_statements(stmts)
+    stmts = fold_statements(
+        [
+            Let(st.name, substitute_params(st.expr, problem.params))
+            if isinstance(st, Let)
+            else Assign(st.target, substitute_params(st.expr, problem.params))
+            for st in problem.statements
+        ]
+    )
     unbound = collect_params(stmts)
 
     summary = kernel_accesses(stmts)
@@ -139,7 +103,6 @@ def build_ir(problem: Problem, params: dict[str, float] | None = None) -> Kernel
                 sizes=arr.sizes,
                 slots=arr.slots,
                 dts=tuple(sorted(dts)),
-                boundary_key=_boundary_cache_key(arr),
             )
         )
 
@@ -159,4 +122,5 @@ def build_ir(problem: Problem, params: dict[str, float] | None = None) -> Kernel
         max_off=max_off,
         depth=problem.shape.depth,
         unbound_params=frozenset(unbound),
+        signature=problem_signature(problem),
     )

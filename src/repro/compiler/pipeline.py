@@ -22,7 +22,8 @@ a stack of one made of zero-copy views of the problem's own arrays,
 Nothing here caches a kernel that holds a user buffer.  The expensive,
 data-independent artifact — a C kernel's loaded library, the NumPy and
 per-point clones' compiled code — is loaded once per process per
-:meth:`~repro.compiler.frontend.KernelIR.cache_key` (:func:`load_kernel`
+problem signature (``KernelIR.signature``, see
+:func:`~repro.language.stencil.problem_signature`; :func:`load_kernel`
 and the per-point loader), and every compile binds it to the problem's
 current buffers, so a kernel lives exactly as long as the run holding it.
 """
@@ -73,8 +74,8 @@ class CompiledKernel:
     #: argument is the thread count: above one, a pthread task pool
     #: inside the shared object runs same-level hyperspace-cut pieces in
     #: parallel; at one the same recursion runs them inline.  Only the
-    #: ``c`` backend generates it; executors fall back to the Python
-    #: walk for subtree tasks it cannot take.
+    #: ``c`` backend generates it, and only ``c`` runs are planned with
+    #: subtree tasks.
     walk: Callable[..., None] | None = None
     #: The live i64[4] counter buffer ``walk`` accumulates into (pool
     #: tasks spawned, stolen, level barriers, and calls that asked for

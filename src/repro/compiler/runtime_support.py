@@ -8,7 +8,6 @@ small and the tricky broadcasting logic lives in tested library code.
 
 from __future__ import annotations
 
-import math
 import struct
 import threading
 from itertools import product
@@ -20,19 +19,6 @@ import numpy as np
 def f64(bits: int) -> float:
     """The double whose IEEE-754 bit pattern is ``bits``."""
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
-
-
-def f64_bits(v: float) -> int:
-    """The IEEE-754 bit pattern of the double ``v``."""
-    return struct.unpack("<Q", struct.pack("<d", v))[0]
-
-
-def py_float(v: float) -> str:
-    """Python source that evaluates to exactly the double ``v``: ``repr``
-    when finite (it round-trips), else ``F64(<bits>)`` — ``repr`` spells
-    infinities and NaNs as bare names, and a NaN's sign and payload by
-    no name at all.  Generated code binds ``F64`` to :func:`f64`."""
-    return repr(v) if math.isfinite(v) else f"F64({f64_bits(v):#x})"
 
 
 class ScratchPool:

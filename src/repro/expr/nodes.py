@@ -19,6 +19,8 @@ build a value-level equality comparison node.
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -305,14 +307,32 @@ def as_expr(value: object) -> Expr:
     raise KernelError(f"cannot use {value!r} in a kernel expression")
 
 
+def f64_bits(v: float) -> int:
+    """The IEEE-754 bit pattern of the double ``v``."""
+    return struct.unpack("<Q", struct.pack("<d", v))[0]
+
+
+def py_float(v: float) -> str:
+    """Python source that evaluates to exactly the double ``v``: ``repr``
+    when finite (it round-trips), else ``F64(<bits>)`` — ``repr`` spells
+    infinities and NaNs as bare names, and a NaN's sign and payload by
+    no name at all.  Generated code binds ``F64`` to
+    :func:`repro.compiler.runtime_support.f64`."""
+    return repr(v) if math.isfinite(v) else f"F64({f64_bits(v):#x})"
+
+
 @dataclass(frozen=True)
 class Const(Expr):
-    """A floating-point literal."""
+    """A floating-point literal.
+
+    ``==`` compares values, so ``Const(0.0) == Const(-0.0)``; the repr
+    spells the value exactly (:func:`py_float`), and it is the repr that
+    the problem signature digests."""
 
     value: float
 
     def __repr__(self) -> str:
-        return f"Const({self.value})"
+        return f"Const({py_float(self.value)})"
 
 
 @dataclass(frozen=True)

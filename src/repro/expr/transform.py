@@ -170,12 +170,8 @@ def fold_constants(expr: Expr) -> Expr:
                         return Const(max(a, b))
                 except (ZeroDivisionError, OverflowError, ValueError):
                     return None
-            # Identity simplifications that never change IEEE semantics for
-            # finite operands the kernel actually produces.
-            if node.op == "+" and isinstance(right, Const) and right.value == 0.0:
-                return left
-            if node.op == "+" and isinstance(left, Const) and left.value == 0.0:
-                return right
+            # ``x * 1.0`` is ``x`` for signed zeros too (gcc folds it at
+            # -O2 anyway).  ``x + 0.0`` is not ``x``: it maps -0.0 to +0.0.
             if node.op == "*" and isinstance(right, Const) and right.value == 1.0:
                 return left
             if node.op == "*" and isinstance(left, Const) and left.value == 1.0:

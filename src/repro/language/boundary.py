@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import BoundaryError
+from repro.expr.nodes import py_float
 
 #: Reader callback handed to boundary functions: (t, point) -> stored value.
 StoredReader = Callable[[int, tuple[int, ...]], float]
@@ -62,6 +63,9 @@ class Boundary:
         raise BoundaryError(f"{type(self).__name__} is not a fill boundary")
 
     def describe(self) -> str:
+        """What the problem signature records of this boundary: every
+        parameter that changes the values it supplies, floats spelled
+        exactly (:func:`~repro.expr.nodes.py_float`)."""
         return type(self).__name__
 
 
@@ -114,6 +118,9 @@ class ConstantBoundary(Boundary):
     def fill_value(self, t):
         return self.value
 
+    def describe(self) -> str:
+        return f"ConstantBoundary({py_float(float(self.value))})"
+
 
 def ZeroBoundary() -> ConstantBoundary:
     """Convenience: a Dirichlet boundary fixed at zero."""
@@ -138,6 +145,10 @@ class DirichletBoundary(Boundary):
 
     def fill_value(self, t):
         return self.base + self.per_step * t
+
+    def describe(self) -> str:
+        terms = (py_float(float(v)) for v in (self.base, self.per_step))
+        return f"DirichletBoundary({', '.join(terms)})"
 
 
 @dataclass
@@ -171,6 +182,9 @@ class MixedBoundary(Boundary):
         if mode == "periodic":
             return idx % size
         return np.clip(idx, 0, size - 1)
+
+    def describe(self) -> str:
+        return f"MixedBoundary({', '.join(self.modes)})"
 
 
 class PythonBoundary(Boundary):

@@ -14,13 +14,14 @@ subsequent ``run(T', kern)`` resumes from there.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.errors import SpecificationError
 from repro.expr.analysis import validate_kernel
-from repro.expr.nodes import Statement
+from repro.expr.nodes import Statement, py_float
 from repro.language.array import ConstArray, PochoirArray
 from repro.language.kernel import BuiltKernel, Kernel
 from repro.language.shape import Shape
@@ -387,6 +388,56 @@ class Problem:
         for s in self.sizes:
             n *= s
         return n * self.steps
+
+
+class _Verbatim(str):
+    """Text that reprs as itself: an exact float spelling placed in the
+    signature material where ``repr`` of the float would go."""
+
+    def __repr__(self) -> str:
+        return str(self)
+
+
+def problem_signature(problem: Problem) -> str:
+    """The problem's identity: equal signatures mean the same generated
+    code, the same tuning optimum, one batch and a resumable checkpoint.
+
+    A digest of the ndim, grid sizes, shape cells, kernel statements,
+    parameter values, and per-array metadata (dtype, depth, and
+    :meth:`~repro.language.boundary.Boundary.describe`, which carries a
+    boundary's values and modes) plus const-array shapes.  Every float
+    is spelled exactly (:func:`~repro.expr.nodes.py_float`): ``-0.0``
+    is not ``0.0``, and a NaN is its bit pattern.  Excludes
+    ``t_start``/``t_end`` (a tune at one step count applies to any
+    horizon), grid contents and const-array values.
+    """
+    arrays = sorted(
+        (
+            a.name,
+            tuple(a.sizes),
+            a.depth,
+            str(a.data.dtype),
+            a.boundary.describe() if a.boundary is not None else "none",
+        )
+        for a in problem.arrays.values()
+    )
+    consts = sorted(
+        (c.name, tuple(c.sizes), str(c.values.dtype))
+        for c in problem.const_arrays.values()
+    )
+    params = sorted((k, _Verbatim(py_float(v))) for k, v in problem.params.items())
+    material = repr(
+        (
+            problem.ndim,
+            tuple(problem.sizes),
+            tuple(problem.shape.cells),
+            tuple(problem.statements),
+            arrays,
+            consts,
+            params,
+        )
+    )
+    return hashlib.sha256(material.encode()).hexdigest()[:32]
 
 
 class Stencil:

@@ -4,12 +4,16 @@ A checkpoint is everything needed to restart a killed run mid-history
 with a bitwise-identical final grid: the full modular time buffer of
 every registered :class:`~repro.language.array.PochoirArray` (all
 ``depth+1`` slots — the next block reads up to ``depth`` levels back),
-the next timestep to compute, and the problem signature (reusing the
-autotune registry's :func:`~repro.autotune.registry.problem_signature`)
-so a checkpoint is never applied to a different stencil, grid, or
-kernel.  Const arrays and scalar params are *not* stored: they are
-immutable inputs the resuming program reconstructs, and the signature
-already pins their shapes and the kernel that consumed them.
+the next timestep to compute, and the problem signature
+(:func:`~repro.language.stencil.problem_signature`, the identity the
+code caches, batches and the autotune registry also key on).  A
+checkpoint resumes only a problem with the same signature: the same
+stencil, grid sizes, kernel, parameter values and boundaries, boundary
+values included, every float compared by its bits.  Const arrays are
+*not* stored: they are immutable inputs the resuming program
+reconstructs, and the signature pins their shapes but not their values,
+so resuming with different const-array contents is the caller's
+mistake, not one the signature catches.
 
 Checkpoints are only taken between top-level time blocks (the
 resilience runner splits ``[t_start, t_end)`` at ``every_dt``
@@ -54,6 +58,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import CheckpointError, SpecificationError
+from repro.language.stencil import problem_signature
 from repro.resilience import degradations, faults
 from repro.util import atomic_write_chunks
 
@@ -128,7 +133,7 @@ class Checkpoint:
         array's buffer itself, so rebinding ``arr.data`` would leave it
         on the dead one.
         """
-        sig = problem_signature_of(problem)
+        sig = problem_signature(problem)
         if sig != self.signature:
             raise CheckpointError(
                 f"checkpoint {self.path or ''} was taken from a different "
@@ -142,15 +147,6 @@ class Checkpoint:
                     f"checkpoint is missing array {name!r}"
                 )
             arr.load(stored, latest=self.t_next - 1)
-
-
-def problem_signature_of(problem) -> str:
-    """The autotune registry's problem digest (one notion of identity
-    for both stores).  Imported lazily: the registry pulls in the C
-    toolchain probe, which this module must not load at import time."""
-    from repro.autotune.registry import problem_signature
-
-    return problem_signature(problem)
 
 
 def checkpoint_filename(signature: str, t_next: int) -> str:
@@ -200,7 +196,7 @@ def checkpoint_chunks(
 def serialize_checkpoint(problem, t_next: int) -> bytes:
     """The on-disk bytes for a checkpoint of ``problem`` at ``t_next``."""
     arrays = {name: arr.data for name, arr in problem.arrays.items()}
-    chunks = checkpoint_chunks(problem_signature_of(problem), arrays, t_next)
+    chunks = checkpoint_chunks(problem_signature(problem), arrays, t_next)
     body = io.BytesIO()
     for chunk in chunks:
         body.write(chunk)
@@ -228,7 +224,7 @@ def write_checkpoint(directory: str | Path, problem, t_next: int) -> Path:
     """Durably write one checkpoint of the live arrays; returns its path."""
     arrays = {name: arr.data for name, arr in problem.arrays.items()}
     return write_checkpoint_arrays(
-        directory, problem_signature_of(problem), arrays, t_next
+        directory, problem_signature(problem), arrays, t_next
     )
 
 
@@ -346,7 +342,7 @@ def newest_valid(
     Damaged files are skipped (with a degradation note) in favor of the
     next-newest; no valid file reads as "cold start".
     """
-    signature = problem_signature_of(problem)
+    signature = problem_signature(problem)
     for ckpt in _iter_valid(directory, signature):
         if ckpt.signature != signature:  # pragma: no cover - name-filtered
             continue

@@ -70,13 +70,13 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import CheckpointError
+from repro.language.stencil import problem_signature
 from repro.resilience import degradations, faults
 from repro.resilience.checkpoint import (
     Checkpoint,
     CheckpointPolicy,
     load_checkpoint,
     newest_valid,
-    problem_signature_of,
     prune,
     write_checkpoint_arrays,
 )
@@ -286,7 +286,7 @@ def execute_blocks(
         return
 
     writer = _CheckpointWriter(
-        policy.dir, problem_signature_of(problem), policy.keep
+        policy.dir, problem_signature(problem), policy.keep
     )
     handlers = _install_shutdown_handlers()
     shutdown: ShutdownRequested | None = None

@@ -8,11 +8,12 @@ worker:
 1. unpickles the problem — whose :class:`~repro.language.array.PochoirArray`
    buffers arrive as shared-memory descriptors and attach as zero-copy
    views onto the driver's live grid;
-2. binds its own kernel clones for the driver's resolved mode (code an
-   earlier session loaded, or the on-disk ``.so`` cache, spares the C
-   case a recompile) — pointers are prebound against the *shared*
-   views, so a fused leaf or compiled subtree walk writes the driver's
-   physical pages directly;
+2. binds its own kernel clones for exactly the driver's resolved mode
+   (code an earlier session loaded, or the on-disk ``.so`` cache, spares
+   the C case a recompile; a compile that fails fails the attach, and
+   the driver degrades to ``"dag"``) — pointers are prebound against the
+   *shared* views, so a fused leaf or compiled subtree walk writes the
+   driver's physical pages directly;
 3. executes ``("tasks", ...)`` batches via the same
    :func:`repro.trap.executor.run_base_region` primitive every in-process
    executor uses — bitwise-identical results by construction.
@@ -93,11 +94,14 @@ class _Attached:
     """One session's worker-side state: the problem and its compiled kernel."""
 
     def __init__(self, blob: bytes):
-        from repro.compiler.pipeline import compile_kernel_resilient
+        from repro.compiler.pipeline import compile_kernel
 
         init = pickle.loads(blob)
         self.problem = init["problem"]
-        self.compiled = compile_kernel_resilient(self.problem, init["mode"])
+        # Exactly the driver's resolved mode, never a fallback: the plan
+        # was made for it, and a note raised here would reach no report.
+        # A failure fails the attach, which degrades the whole run.
+        self.compiled = compile_kernel(self.problem, init["mode"])
 
     def release(self) -> bool:
         """Drop every reference to the shared views and close the

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ExecutionError
-from repro.resilience import degradations, faults
+from repro.resilience import faults
 from repro.trap.graph import TaskGraph
 from repro.trap.plan import (
     BaseRegion,
@@ -232,46 +232,6 @@ def run_bounded(
     return sum(join_all(futures))
 
 
-def _run_subtree_python(region: BaseRegion, compiled: "CompiledKernel") -> None:
-    """The compiled-walk degradation path: replay the recursion in Python
-    from the region's carried :data:`~repro.trap.plan.WalkParams` and run
-    each produced base case.
-
-    Exercised when a subtree-task plan meets a kernel whose walk clone
-    cannot take it — no walk clone at all (a NumPy-compiled kernel
-    handed a C-planned tree, a toolchain that vanished between planning
-    and execution), or a boundary subtree for a kernel without C
-    boundary clones.  Boundary subtrees are re-classified per zoid with
-    the kernel's real read offsets, exactly as the compiled walk does.
-    Bitwise identical to the compiled walk: the decomposition logic is
-    the same and every point is written once from fully-computed
-    neighbors.
-    """
-    from repro.trap.walker import WalkOptions, WalkSpec, _events
-
-    degradations.note("compiled-walk:python-replay")
-    assert region.walk is not None
-    slopes, thresholds, dt_threshold, hyperspace, _ = region.walk
-    min_off, max_off = compiled.ir.reach()
-    spec = WalkSpec(
-        sizes=compiled.ir.sizes,
-        slopes=slopes,
-        min_off=min_off,
-        max_off=max_off,
-    )
-    opts = WalkOptions(
-        dt_threshold=dt_threshold,
-        space_thresholds=thresholds,
-        protect_unit_stride=False,  # already folded into the thresholds
-        hyperspace=hyperspace,
-        compiled_walk=False,  # decompose fully: no re-delegation loop
-    )
-    for sub in iter_base_events(
-        _events(region.zoid(), spec, opts, region.interior)
-    ):
-        run_base_region(sub, compiled)
-
-
 def run_base_region(region: BaseRegion, compiled: "CompiledKernel") -> None:
     """Execute one base case: step time forward, shifting the box by the
     zoid slopes after each step (Figure 2, lines 20–28).
@@ -279,9 +239,11 @@ def run_base_region(region: BaseRegion, compiled: "CompiledKernel") -> None:
     Subtree tasks (``region.walk`` set) run their whole subtree through
     the backend's compiled ``walk_subtree`` clone — one GIL-released
     ctypes call executes every cut, interior test and fused leaf below
-    the root, at the task's thread count — or through the Python replay
-    when that clone cannot take the region (none exists, or the region
-    touches the boundary and the kernel has no C boundary clones).
+    the root, at the task's thread count.  The plan makes subtree tasks
+    only for a kernel whose walk can take them (``c``, and boundary
+    subtrees only with C boundary clones), and every process binds the
+    run's resolved mode, so a task the kernel cannot take is a bug and
+    raises :class:`ExecutionError`.
 
     When the backend generated a fused leaf clone (``split_pointer``'s
     NumPy leaves or ``c``'s compiled leaves) the whole time loop runs
@@ -292,16 +254,19 @@ def run_base_region(region: BaseRegion, compiled: "CompiledKernel") -> None:
     non-vectorizable boundaries) take the per-step path below.
     """
     if region.walk is not None:
-        walk = compiled.walk
         # Only a walk built with C boundary clones can classify zoids.
-        takes_region = region.interior or compiled.boundary_mode == "c"
-        if walk is not None and takes_region:
-            # WalkParams is (slopes, thresholds, dt threshold, hyperspace,
-            # threads): the walk's own trailing arguments.
-            lo, hi, dlo, dhi = zip(*region.dims)
-            walk(region.ta, region.tb, lo, hi, dlo, dhi, *region.walk)
-        else:
-            _run_subtree_python(region, compiled)
+        if compiled.walk is None or not (
+            region.interior or compiled.boundary_mode == "c"
+        ):
+            raise ExecutionError(
+                f"a {compiled.mode} kernel (boundary clones: "
+                f"{compiled.boundary_mode}, compiled walk: "
+                f"{compiled.walk is not None}) cannot run this subtree task"
+            )
+        # WalkParams is (slopes, thresholds, dt threshold, hyperspace,
+        # threads): the walk's own trailing arguments.
+        lo, hi, dlo, dhi = zip(*region.dims)
+        compiled.walk(region.ta, region.tb, lo, hi, dlo, dhi, *region.walk)
         return
     fused = compiled.leaf if region.interior else compiled.leaf_boundary
     if fused is not None:

@@ -270,8 +270,7 @@ def _events(
     ):
         # A whole subtree becomes one atomic task; the recursion below
         # it (interior classification included) runs inside the
-        # compiled walk clone, or the Python fallback replays it from
-        # these params.  A zoid that is already a base case stays a
+        # compiled walk clone, from these params.  A zoid that is already a base case stays a
         # plain region — one leaf call needs no recursion.
         yield (
             "base",

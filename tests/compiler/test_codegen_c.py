@@ -29,7 +29,7 @@ from repro.compiler.codegen_c import (
     load_shared_object,
 )
 from repro.compiler.frontend import build_ir
-from tests.conftest import has_c_backend, make_heat_problem
+from tests.conftest import has_c_backend, make_heat_problem, run_subtree_per_leaf
 
 pytestmark = pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
 
@@ -149,10 +149,8 @@ class TestGeneratedSource:
 
     def test_walk_clone_matches_per_leaf_bitwise(self):
         """One subtree through walk_subtree vs the same recursion
-        replayed in Python over the fused leaf — bitwise identical (the
+        decomposed in Python over the fused leaf — bitwise identical (the
         restrict/-fno-math-errno audit would surface here first)."""
-        from dataclasses import replace
-
         import numpy as np
 
         from repro.compiler.pipeline import compile_kernel
@@ -169,7 +167,7 @@ class TestGeneratedSource:
         run_base_region(region, compiled)
         st_b, u_b, k_b = make_heat_problem((8, 8), seed=3)
         compiled_b = compile_kernel(st_b.prepare(5, k_b), "c")
-        run_base_region(region, replace(compiled_b, walk=None))
+        run_subtree_per_leaf(region, compiled_b)
         assert np.array_equal(u_a.data, u_b.data)
 
 

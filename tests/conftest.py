@@ -70,6 +70,34 @@ def run_per_step(stencil, steps, kernel, **options):
     stencil.advance_cursor(problem)
 
 
+def run_subtree_per_leaf(region, compiled):
+    """The Python reference for one subtree task (``region.walk`` set):
+    decompose its zoid fully with the Python walker, from the task's own
+    walk parameters, and run every base case through ``compiled``'s
+    per-leaf path (its fused leaves, or the per-step clones of
+    ``compiled.without_fused_leaves()``)."""
+    from repro.trap.executor import run_base_region
+    from repro.trap.plan import iter_base_events
+    from repro.trap.walker import WalkOptions, WalkSpec, _events
+
+    slopes, thresholds, dt_threshold, hyperspace, _ = region.walk
+    min_off, max_off = compiled.ir.reach()
+    spec = WalkSpec(
+        sizes=compiled.ir.sizes, slopes=slopes, min_off=min_off, max_off=max_off
+    )
+    opts = WalkOptions(
+        dt_threshold=dt_threshold,
+        space_thresholds=thresholds,
+        protect_unit_stride=False,  # already folded into the thresholds
+        hyperspace=hyperspace,
+        compiled_walk=False,
+    )
+    for sub in iter_base_events(
+        _events(region.zoid(), spec, opts, region.interior)
+    ):
+        run_base_region(sub, compiled)
+
+
 def run_reference(sizes, steps, *, boundary="periodic", seed=0):
     """Phase-1 reference result for a heat problem."""
     from repro import run_phase1

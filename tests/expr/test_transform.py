@@ -72,9 +72,11 @@ class TestFoldConstants:
         assert fold_constants(Where(Const(0.0), g, Const(9.0))) == Const(9.0)
 
     def test_identity_add_zero(self):
+        """``x + 0.0`` is not an identity: -0.0 + 0.0 is +0.0, so it is
+        never folded to ``x``."""
         g = GridRead("u", -1, (0,))
-        assert fold_constants(g + 0.0) == g
-        assert fold_constants(0.0 + g) == g
+        assert fold_constants(g + 0.0) == BinOp("+", g, Const(0.0))
+        assert fold_constants(0.0 + g) == BinOp("+", Const(0.0), g)
 
     def test_identity_mul_one(self):
         g = GridRead("u", -1, (0,))

@@ -1,0 +1,283 @@
+"""One problem identity: ``problem_signature`` keys the code caches,
+batches, checkpoints and the autotune registry.
+
+Two problems may share generated code, a stack, a checkpoint or a tuned
+config only when they compute the same bits.  The signature therefore
+carries every boundary's values and modes and spells every float
+exactly: ``0.0`` is not ``-0.0``, and one NaN payload is not another.
+Each test below runs twins that differ in one such detail and checks
+every result bitwise against the Phase-1 interpreter.
+"""
+
+from __future__ import annotations
+
+import asyncio
+
+import numpy as np
+import pytest
+
+from repro import (
+    CheckpointPolicy,
+    ConstantBoundary,
+    DirichletBoundary,
+    Kernel,
+    MixedBoundary,
+    PeriodicBoundary,
+    PochoirArray,
+    RunOptions,
+    SpecificationError,
+    Stencil,
+    run_phase1,
+)
+from repro.apps.heat import heat_kernel, heat_shape
+from repro.apps.registry import build
+from repro.compiler import codegen_c, codegen_numpy
+from repro.compiler.batch import batch_signature
+from repro.compiler.pipeline import clear_cache
+from repro.compiler.runtime_support import f64
+from repro.expr.builder import where
+from repro.expr.nodes import Param
+from repro.language.stencil import problem_signature
+from repro.serve import ServeOptions, StencilServer
+from repro.trap.driver import execute_problem
+
+from tests.conftest import ALL_MODES, has_c_backend
+
+BATCH_MODES = ["split_pointer"] + (["c"] if has_c_backend() else [])
+
+#: Boundary twins that differ only in a value or a mode.
+BOUNDARY_TWINS = {
+    "constant": (ConstantBoundary(0.0), ConstantBoundary(100.0)),
+    "dirichlet": (DirichletBoundary(1.0, 0.5), DirichletBoundary(1.0, -0.25)),
+    "mixed": (
+        MixedBoundary(("periodic", "clamp")),
+        MixedBoundary(("clamp", "periodic")),
+    ),
+}
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _heat(boundary, seed=0, sizes=(12, 10)):
+    u = PochoirArray("u", sizes).register_boundary(boundary)
+    st = Stencil(2, heat_shape(2))
+    st.register_array(u)
+    kern = heat_kernel(u, (0.1, 0.1))
+    u.set_initial(np.random.default_rng(seed).random(sizes))
+    return st, u, kern
+
+
+def _heat_phase1(boundary, steps, seed=0) -> bytes:
+    st, u, kern = _heat(boundary, seed)
+    run_phase1(st, steps, kern)
+    return _bits(u.snapshot(st.cursor))
+
+
+# -- batches ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDARY_TWINS))
+def test_boundary_twins_have_distinct_signatures(kind):
+    a, b = BOUNDARY_TWINS[kind]
+    st_a, _, k_a = _heat(a)
+    st_b, _, k_b = _heat(b)
+    pa, pb = st_a.prepare(4, k_a), st_b.prepare(4, k_b)
+    assert problem_signature(pa) != problem_signature(pb)
+    assert batch_signature(pa) != batch_signature(pb)
+
+
+@pytest.mark.parametrize("mode", BATCH_MODES)
+@pytest.mark.parametrize("kind", sorted(BOUNDARY_TWINS))
+def test_local_group_of_boundary_twins_is_refused(kind, mode):
+    """``execute_problem`` runs same-signature jobs only: twins are a
+    caller error, refused before any grid is touched."""
+    a, b = BOUNDARY_TWINS[kind]
+    stencils = [_heat(a, seed=0), _heat(b, seed=1)]
+    problems = [st.prepare(4, k) for st, _, k in stencils]
+    before = [u.data.copy() for _, u, _ in stencils]
+    with pytest.raises(SpecificationError):
+        execute_problem(problems, RunOptions(mode=mode))
+    for (_, u, _), data in zip(stencils, before):
+        assert _bits(u.data) == _bits(data)
+
+
+@pytest.mark.parametrize("mode", BATCH_MODES)
+@pytest.mark.parametrize("kind", sorted(BOUNDARY_TWINS))
+def test_served_boundary_twins_never_share_a_stack(kind, mode):
+    steps = 6
+    twins = BOUNDARY_TWINS[kind]
+    jobs = [(b, seed) for b in twins for seed in (0, 1)]
+    built = [_heat(b, seed) for b, seed in jobs]
+
+    async def main():
+        opts = ServeOptions(max_batch=8, batch_window=0.05)
+        async with StencilServer(opts) as srv:
+            reports = await asyncio.gather(
+                *(
+                    srv.submit(st, steps, k, RunOptions(mode=mode))
+                    for st, _, k in built
+                )
+            )
+        return srv, reports
+
+    srv, reports = asyncio.run(main())
+    assert srv.stats["batches"] == 2
+    assert [r.batch_size for r in reports] == [2, 2, 2, 2]
+    for (b, seed), (st, u, _) in zip(jobs, built):
+        assert _bits(u.snapshot(st.cursor)) == _heat_phase1(b, steps, seed), (
+            f"{b.describe()} seed {seed} diverged from Phase 1"
+        )
+
+
+# -- checkpoints --------------------------------------------------------------
+
+
+def test_resume_ignores_another_boundary_values_checkpoint(tmp_path):
+    steps = 10
+    st0, _, k0 = _heat(ConstantBoundary(0.0), seed=1)
+    st0.run(steps, k0, checkpoint=CheckpointPolicy(dir=tmp_path, every_dt=3))
+    assert list(tmp_path.glob("*.rpck"))
+
+    st1, u1, k1 = _heat(ConstantBoundary(100.0), seed=1)
+    report = st1.run(steps, k1, resume_from=tmp_path)
+    assert report.resumed_from is None
+    assert "checkpoint:no-valid-checkpoint->cold-start" in report.degradations
+    assert _bits(u1.snapshot(st1.cursor)) == _heat_phase1(
+        ConstantBoundary(100.0), steps, seed=1
+    )
+
+
+# -- code caches --------------------------------------------------------------
+
+NAN_A = 0x7FF8000000000001
+NAN_B = 0x7FF8000000000002
+
+
+def _signed_zero(c: float, *, param: bool):
+    """``u + c*u(x-1)`` over a grid of alternating -0.0 and 1.0: the sign
+    of ``c`` decides the sign of every -0.0 cell after one step."""
+    u = PochoirArray("u", (16,)).register_boundary(PeriodicBoundary())
+    st = Stencil(1)
+    st.register_array(u)
+    coeff = Param("c") if param else c
+    if param:
+        st.set_param("c", c)
+    kern = Kernel(1, lambda t, x: u(t + 1, x) << u(t, x) + coeff * u(t, x - 1))
+    u.set_initial(np.tile([-0.0, 1.0], 8))
+    return st, u, kern
+
+
+def _nan_select(bits: int):
+    """Copy a NaN constant (selected, never computed with) where the
+    left neighbour exceeds 0.5."""
+    u = PochoirArray("u", (16,)).register_boundary(PeriodicBoundary())
+    st = Stencil(1)
+    st.register_array(u)
+    nan = f64(bits)
+    kern = Kernel(
+        1, lambda t, x: u(t + 1, x) << where(u(t, x - 1) > 0.5, nan, u(t, x))
+    )
+    u.set_initial(np.random.default_rng(3).random(16))
+    return st, u, kern
+
+
+TWIN_KERNELS = {
+    "zero-const": lambda v: _signed_zero(v, param=False),
+    "zero-param": lambda v: _signed_zero(v, param=True),
+    "nan-payload": _nan_select,
+}
+TWIN_VALUES = {
+    "zero-const": (0.0, -0.0),
+    "zero-param": (0.0, -0.0),
+    "nan-payload": (NAN_A, NAN_B),
+}
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("twins", sorted(TWIN_KERNELS))
+def test_float_twins_each_match_phase1(twins, mode):
+    """The second twin must not run the first one's cached code."""
+    clear_cache()
+    make = TWIN_KERNELS[twins]
+    for value in TWIN_VALUES[twins]:
+        st, u, kern = make(value)
+        st.run(3, kern, mode=mode)
+        st_ref, u_ref, kern_ref = make(value)
+        run_phase1(st_ref, 3, kern_ref)
+        assert _bits(u.snapshot(st.cursor)) == _bits(
+            u_ref.snapshot(st_ref.cursor)
+        ), f"{twins}={value!r} under {mode}"
+
+
+def _loaded(mode: str) -> int:
+    return len(codegen_c._LIBRARIES if mode == "c" else codegen_numpy._KERNELS)
+
+
+@pytest.mark.parametrize("mode", BATCH_MODES)
+@pytest.mark.parametrize("site", ["constant", "fill"])
+def test_nan_kernels_hit_the_code_cache(site, mode):
+    """A NaN compares unequal to itself, but its spelling does not: the
+    second and third identical runs load nothing new."""
+    clear_cache()
+    hits = []
+    for _ in range(3):  # each build makes a fresh NaN object
+        if site == "constant":
+            st, _, kern = _nan_select(0x7FF8000000000000)
+        else:
+            st, _, kern = _heat(ConstantBoundary(f64(0x7FF8000000000000)))
+        hits.append(st.run(2, kern, mode=mode).compile_cache_hit)
+    assert hits == [False, True, True]
+    assert _loaded(mode) == 1
+
+
+# -- stored state -------------------------------------------------------------
+
+#: Digests of value-free problems (periodic or Neumann boundaries, finite
+#: constants) at tiny scale.  Registry entries and checkpoints written by
+#: earlier versions are found under these, so they must never move.
+#: heat2d has a ConstantBoundary, whose value the digest now carries.
+GOLDEN = {
+    "heat2dp": "0e6224b2a43c65c176b7f5e23b17c9c8",
+    "apop": "5ac6933521b9a2493f94f99f114226dc",
+    "life": "f74fdf0a3bf3a28e4acdd7a7269dbd20",
+    "heat2d": "1fbaeee0bb90c8c88a053627fc05fa05",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_signatures(name):
+    app = build(name, "tiny")
+    problem = app.stencil.prepare(app.steps, app.kernel)
+    assert problem_signature(problem) == GOLDEN[name]
+
+
+# -- the x + 0.0 fold ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("form", ["x+0", "0+x", "x+param"])
+def test_adding_zero_to_negative_zero_matches_phase1(form, mode):
+    """-0.0 + 0.0 is +0.0, so ``u + 0.0`` is not ``u``."""
+
+    def make():
+        u = PochoirArray("u", (8,)).register_boundary(PeriodicBoundary())
+        st = Stencil(1)
+        st.register_array(u)
+        st.set_param("z", 0.0)
+        body = {
+            "x+0": lambda t, x: u(t + 1, x) << u(t, x) + 0.0,
+            "0+x": lambda t, x: u(t + 1, x) << 0.0 + u(t, x),
+            "x+param": lambda t, x: u(t + 1, x) << u(t, x) + Param("z"),
+        }[form]
+        u.set_initial(np.full(8, -0.0))
+        return st, u, Kernel(1, body)
+
+    st, u, kern = make()
+    st.run(2, kern, mode=mode)
+    st_ref, u_ref, kern_ref = make()
+    run_phase1(st_ref, 2, kern_ref)
+    got = u.snapshot(st.cursor)
+    assert _bits(got) == _bits(u_ref.snapshot(st_ref.cursor))
+    assert not np.signbit(got).any()

@@ -7,6 +7,7 @@ import pytest
 
 from repro import CheckpointError, CheckpointPolicy, RunOptions, resume
 from repro.language.stencil import Stencil  # noqa: F401  (re-export check)
+from repro.language.stencil import problem_signature
 from repro.resilience import checkpoint as cp
 
 from tests.conftest import make_heat_problem
@@ -48,7 +49,7 @@ def test_roundtrip(tmp_path):
     path = cp.write_checkpoint(tmp_path, problem, 5)
     ck = cp.load_checkpoint(path)
     assert ck.t_next == 5
-    assert ck.signature == cp.problem_signature_of(problem)
+    assert ck.signature == problem_signature(problem)
     assert ck.schema == cp.CHECKPOINT_SCHEMA_VERSION
     np.testing.assert_array_equal(ck.arrays["u"], u.data)
 
@@ -138,7 +139,7 @@ def test_newest_valid_respects_time_range(tmp_path):
 
 def test_prune_keeps_newest(tmp_path):
     st, u, kern, problem = _prepared()
-    sig = cp.problem_signature_of(problem)
+    sig = problem_signature(problem)
     for t in (2, 3, 4, 5):
         cp.write_checkpoint(tmp_path, problem, t)
     removed = cp.prune(tmp_path, sig, keep=2)

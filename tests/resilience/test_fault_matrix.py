@@ -21,6 +21,7 @@ import pytest
 from repro import CheckpointPolicy
 from repro.apps.registry import build
 from repro.autotune.registry import SCHEMA_VERSION
+from repro.language.stencil import problem_signature
 from repro.resilience import checkpoint as cp
 from repro.resilience import faults
 
@@ -58,7 +59,7 @@ def _seed_corrupt_checkpoint(ckpt_dir, app):
     must skip it (note) and cold-start (note)."""
     ckpt_dir.mkdir(exist_ok=True)
     problem = app.stencil.prepare(app.steps, app.kernel)
-    sig = cp.problem_signature_of(problem)
+    sig = problem_signature(problem)
     name = cp.checkpoint_filename(sig, problem.t_start + 1)
     (ckpt_dir / name).write_bytes(b"garbage, definitely not a checkpoint")
 

@@ -155,6 +155,47 @@ def test_shm_unavailable_degrades_to_dag():
     )
 
 
+@pytest.mark.skipif(not has_c_backend(), reason="needs a C toolchain")
+def test_worker_binds_exactly_the_drivers_mode(monkeypatch):
+    """A worker that cannot build the driver's mode raises (and so fails
+    its attach) instead of quietly binding NumPy clones."""
+    import pickle
+
+    from repro.errors import CompileError
+    from repro.supervise.worker import _Attached
+
+    app = build("heat2d", scale="tiny")
+    blob = pickle.dumps(
+        {"problem": app.stencil.prepare(app.steps, app.kernel), "mode": "c"}
+    )
+    monkeypatch.setenv("REPRO_NO_CC", "1")
+    with pytest.raises(CompileError):
+        _Attached(blob)
+
+
+@pytest.mark.skipif(not has_c_backend(), reason="needs a C toolchain")
+def test_worker_compile_failure_degrades_to_dag(monkeypatch):
+    """The driver compiles C, its workers cannot: the run degrades to the
+    in-process DAG with a recorded note, bitwise identical to serial."""
+    from repro.compiler import codegen_c
+    from repro.supervise import shutdown_workers
+
+    ref = reference("heat2d", "c")
+    cc = codegen_c.find_c_compiler()
+    shutdown_workers()  # workers spawned below inherit REPRO_NO_CC
+    monkeypatch.setenv("REPRO_NO_CC", "1")
+    monkeypatch.setattr(codegen_c, "find_c_compiler", lambda: cc)
+    try:
+        app = build("heat2d", scale="tiny")
+        report = app.run(executor="procs", n_workers=2, mode="c")
+    finally:
+        shutdown_workers()
+    assert report.executor == "dag"
+    assert report.mode == "c"
+    assert "supervise:attach-failed->dag" in report.degradations
+    np.testing.assert_array_equal(app.result(), ref)
+
+
 def test_degrade_then_recover_same_process():
     """A degraded run must not poison the next one: after a forced
     fallback the following supervised run works normally (the grids were

@@ -12,9 +12,8 @@ generated C, and each distinct catalog entry costs one ``cc`` run:
 * the row-peeled ``leaf_boundary`` against stepping ``boundary_step``
   (the per-point clone) on random, possibly wrapped, boxes;
 * whole runs against ``run_phase1`` through the compiled walk at 1/2/4
-  threads, the walk pinned to one thread, a two-job stack (serial stream
-  or DAG, 1 or 2 walk threads), and the Python replay of the same
-  subtree plan.
+  threads, the walk pinned to one thread, and a two-job stack (serial
+  stream or DAG, 1 or 2 walk threads).
 
 The catalog spans 1-4D grids; periodic, Neumann, Dirichlet (constant and
 time-dependent) and mixed per-dimension boundaries; 1-wide grids; grids
@@ -209,19 +208,6 @@ class TestBoundarySubtreeRuns:
         compiled = compile_kernel(problem, "c")
         one = replace(compiled, walk=lambda *args: compiled.walk(*args[:-1], 1))
         execute_serial_stream(build_events(problem, options), one)
-        assert _result(stencil) == _phase1(name, 1, steps)
-
-    @settings(max_examples=15, deadline=None, derandomize=True)
-    @given(_runs())
-    def test_python_replay_matches_phase1(self, case):
-        name, steps, options = case
-        stencil, kernel = _build(name, 1)
-        problem = stencil.prepare(steps, kernel)
-        compiled = compile_kernel(problem, "c")
-        execute_serial_stream(
-            build_events(problem, options),
-            replace(compiled, walk=None),
-        )
         assert _result(stencil) == _phase1(name, 1, steps)
 
     @settings(max_examples=20, deadline=None, derandomize=True)

@@ -1,23 +1,23 @@
 """Compiled-walk subtree tasks: planning, execution, and degradation.
 
 The walker (``WalkOptions.compiled_walk``) plans whole subtrees as
-single atomic tasks; ``run_base_region`` executes one either through
-the C ``walk_subtree`` clone (one GIL-released call) or through the
-Python replay of the identical recursion when that clone cannot take
-it.  Three properties anchor this suite:
+single atomic tasks; ``run_base_region`` executes one through the C
+``walk_subtree`` clone (one GIL-released call), and raises
+``ExecutionError`` for a subtree task that clone cannot take.  Three
+properties anchor this suite:
 
 * **Equivalence** — compiled-walk on must be bitwise identical to off,
-  for randomized interior zoids (C walk vs Python replay vs per-step),
+  for randomized interior zoids (C walk vs per-step),
   for every registered app under every executor, and for every heat
   boundary kind.  Boundary subtrees have their own generated sweep in
   ``tests/trap/test_boundary_walk.py``.
 * **Eligibility** — boundary and wrapped (virtual-coordinate) zoids are
   delegated only when the kernel has a C ``leaf_boundary``; a NumPy or
   ``PythonBoundary`` kernel keeps them on the per-leaf path.
-* **Degradation** — without a walk clone (the per-step reference, the
-  NumPy backend, or a hidden toolchain) subtree plans still run, via
-  the Python walk, with identical results.  The run plans subtree tasks
-  only under C, so these tests force them on through ``WalkOptions``.
+* **Degradation** — the run plans subtree tasks only under C; a hidden
+  toolchain plans none, with identical results, and a subtree task
+  forced onto a kernel without a walk clone (through ``WalkOptions``)
+  raises.
 
 The C-specific tests skip cleanly when no C compiler is present; the
 planning and degradation tests run everywhere.
@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import PochoirArray, PythonBoundary, Stencil
+from repro import ExecutionError, PochoirArray, PythonBoundary, Stencil
 from repro.apps import available_apps, build
 from repro.apps.heat import heat_kernel, heat_shape
 from repro.compiler.pipeline import compile_kernel
@@ -50,7 +50,7 @@ from repro.trap.walker import (
     walk_spec_for,
 )
 from repro.trap.zoid import full_grid_zoid
-from tests.conftest import has_c_backend, make_heat_problem
+from tests.conftest import has_c_backend, make_heat_problem, run_subtree_per_leaf
 
 T_MAX = 8
 
@@ -140,20 +140,7 @@ def _interior_subtrees(draw):
 
 @pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
 class TestRandomSubtrees:
-    """The compiled walk vs the Python replay vs per-step execution."""
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(_interior_subtrees())
-    def test_walk_clone_matches_python_replay(self, case):
-        sizes, region = case
-        u_c, compiled = _fresh_compiled(sizes)
-        assert compiled.walk is not None
-        run_base_region(region, compiled)
-        got_walk = u_c.data.copy()
-
-        u_py, compiled_py = _fresh_compiled(sizes)
-        run_base_region(region, replace(compiled_py, walk=None))
-        assert np.array_equal(got_walk, u_py.data)
+    """The compiled walk vs per-step execution."""
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(_interior_subtrees())
@@ -164,7 +151,7 @@ class TestRandomSubtrees:
         got_walk = u_c.data.copy()
 
         u_s, compiled_s = _fresh_compiled(sizes)
-        run_base_region(region, compiled_s.without_fused_leaves())
+        run_subtree_per_leaf(region, compiled_s.without_fused_leaves())
         assert np.array_equal(got_walk, u_s.data)
 
 
@@ -189,8 +176,8 @@ class TestEligibility:
         """Without a C boundary leaf (here: the walk forced on with
         boundary delegation off) no subtree task may be
         boundary-classified or carry a wrapped (virtual-coordinate) home
-        range: the kernel's walk, or its Python replay of an interior
-        root, has no boundary clone to resolve them with."""
+        range: the kernel's walk has no boundary clone to resolve them
+        with."""
         sizes = (24, 24)  # _problem's default grid
         regions = self._forced_regions(boundary)
         subtrees = [r for r in regions if r.walk is not None]
@@ -239,10 +226,11 @@ class TestEligibility:
                 assert r.walk is None
 
     @pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
-    def test_python_boundary_kernel_runs_boundary_subtrees_by_replay(self):
-        """A boundary subtree handed to a kernel without C boundary clones
-        replays in Python, classifying with the kernel's real offsets —
-        bitwise equal to the per-leaf path."""
+    def test_python_boundary_kernel_refuses_boundary_subtrees(self):
+        """A boundary subtree handed to a kernel without C boundary
+        clones (never planned: see above) raises, leaving the grid
+        untouched, instead of running the walk on zoids it cannot
+        classify."""
         problem = _python_boundary_problem((13, 11), 6)
         compiled = compile_kernel(problem, "c")
         assert compiled.walk is not None and compiled.leaf_boundary is None
@@ -252,11 +240,9 @@ class TestEligibility:
             1, 5, ((9, 16, 0, 0), (0, 11, 0, 0)), interior=False,
             walk=((1, 1), (3, 3), 1, True, 1),
         )
-        run_base_region(region, compiled)
-        got = u.data.copy()
-        u.data[...] = start
-        run_base_region(replace(region, walk=None), compiled)
-        assert np.array_equal(got, u.data)
+        with pytest.raises(ExecutionError):
+            run_base_region(region, compiled)
+        assert np.array_equal(u.data, start)
 
     def test_compiled_walk_off_emits_no_subtrees(self):
         for mode in ("c", "split_pointer"):
@@ -319,25 +305,21 @@ class TestEligibility:
 
 
 class TestDegradation:
-    """Subtree plans execute without a walk clone, bitwise identically."""
+    """Subtree plans are only ever made for a kernel with a walk clone;
+    without a toolchain none are planned."""
 
-    def test_numpy_backend_replays_subtrees_in_python(self):
+    def test_numpy_kernel_refuses_subtree_tasks(self):
         """A subtree-task plan handed to a NumPy kernel (no walk clone)
-        replays the recursion in Python, bitwise equal to the per-leaf
-        run — the path a supervised worker takes when its own compile
-        degraded, covered here with or without a toolchain."""
-        st_ref, u_ref, k_ref = make_heat_problem((32, 32), seed=7)
-        st_ref.run(12, k_ref, mode="split_pointer",
-                   dt_threshold=2, space_thresholds=(8, 8))
-
+        raises instead of replaying the recursion: every process binds
+        the run's resolved mode, so no run reaches this (a supervised
+        worker that cannot bind C fails its attach instead)."""
         st_w, u_w, k_w = make_heat_problem((32, 32), seed=7)
         problem = st_w.prepare(12, k_w)
-        stats = execute_serial_stream(
-            _forced_walk_events(problem, thresholds=(8, 8)),
-            compile_kernel(problem, "split_pointer"),
-        )
-        assert stats.region_stats.subtree_tasks > 0  # the plan was coarse
-        assert np.array_equal(u_w.data, u_ref.data)
+        with pytest.raises(ExecutionError):
+            execute_serial_stream(
+                _forced_walk_events(problem, thresholds=(8, 8)),
+                compile_kernel(problem, "split_pointer"),
+            )
 
     def test_no_cc_degrades_cleanly(self, monkeypatch):
         """With the toolchain hidden, ``auto`` resolves to split_pointer

@@ -12,8 +12,8 @@ test is *bitwise identity*, not approximate agreement:
 
 * **Equivalence** — randomized interior subtrees, every registered app,
   and every heat boundary kind must produce identical bits at one
-  thread, at several, and under the Python replay, and across repeated
-  runs (scheduling nondeterminism must not leak into results).
+  thread and at several, and across repeated runs (scheduling
+  nondeterminism must not leak into results).
 * **Degradation** — ``walk_threads=1`` spawns nothing; a failed pool
   init (``REPRO_WALK_POOL_FAIL``) runs the call without a pool and
   counts it in the fallback slot; a hidden toolchain degrades to the
@@ -108,7 +108,7 @@ def _interior_subtrees(draw):
 
 @pytest.mark.skipif(not has_c_backend(), reason="no C compiler")
 class TestRandomSubtrees:
-    """N threads vs one thread vs Python replay, randomized."""
+    """N threads vs one thread, randomized."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_interior_subtrees())
@@ -121,18 +121,6 @@ class TestRandomSubtrees:
         u_s, compiled_s = _fresh_compiled(sizes)
         run_base_region(_with_threads(region, 1), compiled_s)
         assert np.array_equal(got_par, u_s.data)
-
-    @settings(max_examples=20, deadline=None, derandomize=True)
-    @given(_interior_subtrees())
-    def test_parallel_matches_python_replay(self, case):
-        sizes, region = case
-        u_p, compiled = _fresh_compiled(sizes)
-        run_base_region(region, compiled)
-        got_par = u_p.data.copy()
-
-        u_py, compiled_py = _fresh_compiled(sizes)
-        run_base_region(region, replace(compiled_py, walk=None))
-        assert np.array_equal(got_par, u_py.data)
 
     def test_repeated_runs_are_bitwise_stable(self):
         """Thirty runs of one task-rich subtree at 3 threads: work
