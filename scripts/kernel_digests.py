@@ -1,16 +1,18 @@
 """Digest every generated kernel source and problem signature.
 
 Sweeps each registered app (14) at the ``tiny`` and ``small`` scales
-under six boundaries: the app's own, and every array re-registered as
-periodic, Neumann, constant, Dirichlet or mixed.  Per case it prints
-short sha256 digests of
+under seven boundaries: the app's own, and every array re-registered as
+periodic, Neumann, constant, Dirichlet, mixed or a fixed-name
+``PythonBoundary`` (which no backend lowers, so its kernels have no
+boundary clones).  Per case it prints short sha256 digests of
 
 * the C source (``codegen_c.generate_c_source``, boundary clones
-  included exactly when the C backend would emit them),
-* the NumPy clone sources (``codegen_numpy.load_numpy_kernel``), and
+  included exactly when the tree under test says it emits them),
+* the NumPy clone sources (``pipeline.load_kernel``), and
 * the problem signature (``problem_signature``).
 
-Nothing is compiled by ``cc`` and nothing runs.  Usage::
+Nothing is compiled by ``cc`` and nothing runs.  The script exits 1 when
+a case of the working tree fails to lower.  Usage::
 
     python scripts/kernel_digests.py                 # the working tree
     python scripts/kernel_digests.py --against HEAD~1
@@ -36,12 +38,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCALES = ("tiny", "small")
-BOUNDARIES = ("own", "periodic", "neumann", "constant", "dirichlet", "mixed")
+BOUNDARIES = (
+    "own", "periodic", "neumann", "constant", "dirichlet", "mixed", "python"
+)
 KINDS = ("c", "numpy", "signature")
 
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _python_edge(reader, t, *point) -> float:
+    return 0.0
 
 
 def _boundary(kind: str, ndim: int):
@@ -51,6 +59,7 @@ def _boundary(kind: str, ndim: int):
         MixedBoundary,
         NeumannBoundary,
         PeriodicBoundary,
+        PythonBoundary,
     )
 
     if kind == "periodic":
@@ -61,12 +70,14 @@ def _boundary(kind: str, ndim: int):
         return ConstantBoundary(0.5)
     if kind == "dirichlet":
         return DirichletBoundary(1.0, 0.25)
+    if kind == "python":
+        return PythonBoundary(_python_edge, name="edge")
     modes = tuple("periodic" if i % 2 == 0 else "clamp" for i in range(ndim))
     return MixedBoundary(modes)
 
 
 def _case(problem) -> dict[str, str]:
-    from repro.compiler import codegen_c, codegen_numpy
+    from repro.compiler import codegen_c, pipeline
     from repro.compiler.frontend import build_ir
 
     try:
@@ -76,12 +87,16 @@ def _case(problem) -> dict[str, str]:
 
     out = {"signature": problem_signature(problem)}
     ir = build_ir(problem)
-    boundary_ok = all(
-        codegen_numpy.is_vectorizable_boundary(a.boundary)
-        for a in ir.arrays.values()
-    )
+    try:
+        boundary_ok = ir.boundary_expressible
+    except AttributeError:  # trees where the NumPy backend decided it
+        from repro.compiler.codegen_numpy import is_vectorizable_boundary
+
+        boundary_ok = all(
+            is_vectorizable_boundary(a.boundary) for a in ir.arrays.values()
+        )
     out["c"] = _digest(codegen_c.generate_c_source(ir, include_boundary=boundary_ok))
-    clones, _ = codegen_numpy.load_numpy_kernel(ir)
+    clones, _ = pipeline.load_kernel(ir, "split_pointer")
     out["numpy"] = _digest(
         "\n".join(f"# {name}\n{clones[name][0]}" for name in sorted(clones))
     )
@@ -140,10 +155,13 @@ def main() -> int:
         return 0
 
     head = _sweep_tree(ROOT / "src")
+    failed = [case for case, d in head.items() if d["c"].startswith("error:")]
+    for case in failed:
+        print(f"{case:32s} fails to lower: {head[case]['c']}")
     if not args.against:
         for case, d in head.items():
             print(f"{case:32s} " + " ".join(f"{k}={d[k][:12]}" for k in KINDS))
-        return 0
+        return 1 if failed else 0
 
     with tempfile.TemporaryDirectory() as tmp:
         base = _sweep_tree(_archive(args.against, Path(tmp)))
@@ -162,7 +180,7 @@ def main() -> int:
         f"{len(head)} cases against {args.against}: "
         + ", ".join(f"{k} changed in {n}" for k, n in changed.items())
     )
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

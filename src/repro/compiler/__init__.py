@@ -32,7 +32,19 @@ as one family over a stack of jobs ``(nb, slots, *sizes)``: a local
 run binds a stack of one (views of its own arrays), a served batch a
 stack of K (:mod:`repro.compiler.batch`).  Every backend's code (a C
 library, the NumPy and per-point clones' compiled code) is loaded once
-per process and bound per run.
+per process into the pipeline's one code cache and bound per run.
+
+The frontend owns boundary lowering (``boundary_modes``,
+``boundary_fill_expr``) and the one fact every backend branches on,
+``KernelIR.boundary_expressible``.  The ``c`` backend is three parts:
+grid addressing (``codegen_c._Grid``, the only reader of the grid's
+geometry; padded pitch and runtime extents edit it), one loop-nest
+builder (``_nest``: raw interior, per-point MOD and row-peeled nests;
+innermost-loop shaping edits it, typed lowering the expression printer
+it prints through) and the clone table (``_CLONES``: each clone's
+scalar parameters, boundary flag and body, from which the C
+definitions, exported entry points, ctypes ``argtypes`` and Python
+binders derive).
 """
 
 from repro.compiler.frontend import KernelIR, build_ir

@@ -44,8 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SpecificationError
-from repro.compiler import codegen_numpy
-from repro.compiler.frontend import build_ir
+from repro.compiler.frontend import boundaries_expressible, build_ir
 from repro.compiler.pipeline import (
     CompiledKernel,
     bind_kernel,
@@ -127,10 +126,7 @@ def can_stack(problem: Problem, options: RunOptions) -> bool:
     fails it runs one job at a time."""
     return (
         resolve_mode(options.mode) in ("c", "split_pointer")
-        and all(
-            codegen_numpy.is_vectorizable_boundary(arr.boundary)
-            for arr in problem.arrays.values()
-        )
+        and boundaries_expressible(problem.arrays.values())
         and options.resolve_executor()[0] != "procs"
     )
 

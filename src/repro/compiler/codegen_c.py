@@ -41,10 +41,27 @@ Every clone body is ``static``.  The ``.so`` exports exactly one
 entry point per clone (``leaf_batch``, ``walk_subtree_batch``, ...)
 that runs the body over ``nb`` jobs stacked contiguously as
 ``(nb, slots, *sizes)``: a served batch is a stack of K jobs, a local
-run a stack of one.  Loading is kept apart from binding:
-:func:`load_c_kernel` builds, loads (``dlopen``) and prebinds a kernel's
-library once per process, and :func:`bind_c_clones` closes it over one
-job stack.
+run a stack of one.  :func:`load_c_library` builds, loads (``dlopen``)
+and prebinds a kernel's library (once per process, through
+:func:`repro.compiler.pipeline.load_kernel`), and :func:`bind_c_clones`
+closes it over one job stack.
+
+The backend is three parts, and each states its decision once:
+
+* **Grid addressing** (:class:`_Grid`): slot bases and flat offsets,
+  MOD/CLAMP/fill resolution with its in-domain guard, const-array
+  clamps, each pointer's per-job stride and the in-domain box derived
+  from the kernel's reach.  Nothing else reads the grid's geometry.
+  Padded pitch (ROADMAP 1b) and runtime extents (10) edit this part.
+* **Loop nests** (:func:`_nest`): one builder for the three nests of
+  one time step — raw interior, per-point virtual-plus-MOD, and
+  row-peeled.  Innermost-loop shaping and per-slot ``restrict`` (7a)
+  edit this part; typed lowering (2a) edits the expression printer
+  (:class:`_CCodegen`) every nest prints its statements through.
+* **The clone table** (:data:`_CLONES`): each clone's scalar
+  parameters, whether it exists only with C boundary clones, and its
+  body.  The ``static`` definitions, the exported ``*_batch`` wrappers,
+  the ctypes ``argtypes`` and the Python binders all derive from it.
 
 Every clone takes its bounds as *scalar* ``i64`` arguments (the
 dimensionality is a codegen-time constant), so a call marshals a handful
@@ -72,7 +89,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,14 +99,8 @@ import numpy as np
 from repro.errors import CompileError, KernelError, SpecificationError
 from repro.resilience import degradations, faults
 from repro.util import atomic_write_text, durable_replace, interprocess_lock
-from repro.compiler.frontend import KernelIR
+from repro.compiler.frontend import KernelIR, boundary_fill_expr, boundary_modes
 from repro.expr.analysis import walk
-from repro.compiler.codegen_numpy import (
-    LeafFn,
-    boundary_fill_expr,
-    boundary_modes,
-    is_vectorizable_boundary,
-)
 from repro.expr.nodes import (
     Assign,
     BinOp,
@@ -110,8 +120,6 @@ from repro.expr.nodes import (
     Where,
     f64_bits,
 )
-
-CloneFn = Callable[[int, tuple[int, ...], tuple[int, ...]], None]
 
 _C_MATH = {
     "exp": "exp",
@@ -191,7 +199,7 @@ def compiler_identity(cc: str) -> str:
     """Stable one-line identity of the toolchain: name, version banner
     and target ISA (``isa:portable`` when cc rejects ``-march=native``).
 
-    Folded into the on-disk cache digest, the ``_LIBRARIES`` key and the
+    Folded into the on-disk cache digest, the loaded-library key and the
     autotune fingerprint, so a toolchain change — or a cache shared with
     another CPU — never loads a shared object built for the other one.
     """
@@ -213,13 +221,6 @@ def compiler_identity(cc: str) -> str:
     return ident
 
 
-def _strides(sizes: tuple[int, ...]) -> tuple[int, ...]:
-    out = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        out[i] = out[i + 1] * sizes[i + 1]
-    return tuple(out)
-
-
 def _slot_tag(dt: int) -> str:
     return f"m{-dt}" if dt < 0 else f"p{dt}"
 
@@ -232,12 +233,127 @@ def _fmt_const(v: float) -> str:
     return f"f64_bits({f64_bits(v):#x}ULL)"
 
 
-class _CCodegen:
-    """Expression codegen for C (both clones)."""
+# -- grid addressing ----------------------------------------------------------
 
-    def __init__(self, ir: KernelIR, boundary_mode: bool):
+
+def _strides(shape: tuple[int, ...]) -> tuple[int, ...]:
+    out = [1] * len(shape)
+    for i in range(len(shape) - 2, -1, -1):
+        out[i] = out[i + 1] * shape[i + 1]
+    return tuple(out)
+
+
+class _Grid:
+    """Grid addressing: the one reader of the kernel's geometry.
+
+    Every address the generated C computes is spelled here — a slot's
+    base and a point's flat offset, the MOD/CLAMP/fill resolution of a
+    read with its in-domain guard, a const array's clamped read, each
+    data pointer's per-job stride — along with the in-domain box
+    (``inner``, from :meth:`KernelIR.reach`) the row peel and
+    ``walk_interior`` test against.  Extents and strides are baked in as
+    compile-time constants: padded pitch changes this class alone, and
+    runtime extents change it plus the clone table's parameters.
+    """
+
+    def __init__(self, ir: KernelIR):
         self.ir = ir
-        self.boundary_mode = boundary_mode
+        lo, hi = ir.reach()
+        #: Per dimension, the true coordinates whose every read and
+        #: write stays in-domain: ``[inner[i][0], inner[i][1])``.
+        self.inner = tuple(
+            (-lo[i], n - hi[i]) for i, n in enumerate(ir.sizes)
+        )
+        #: Data pointer -> one job's shape: ``(slots, *sizes)`` for a
+        #: registered array's ``D_``, the const array's for its ``C_``.
+        self.job_shape = {
+            **{f"D_{i.name}": (i.slots, *i.sizes) for i in ir.array_infos},
+            **{f"C_{n}": tuple(c.sizes) for n, c in ir.const_arrays.items()},
+        }
+        self._strides = {
+            name: _strides(shape) for name, shape in self.job_shape.items()
+        }
+
+    def extent(self, i: int) -> str:
+        return f"{self.ir.sizes[i]}L"
+
+    def wrap(self, i: int, v: str) -> str:
+        """The true coordinate of virtual coordinate ``v`` in dim ``i``."""
+        return f"MOD({v}, {self.extent(i)})"
+
+    def job_offset(self, ptr: str) -> str:
+        """``ptr`` advanced to job ``b`` of a stack."""
+        return f"{ptr} + b*{math.prod(self.job_shape[ptr])}L"
+
+    @staticmethod
+    def _flat(strides: tuple[int, ...], coords: list[str]) -> str:
+        terms = [c if s == 1 else f"({c})*{s}L" for c, s in zip(coords, strides)]
+        return " + ".join(terms) if terms else "0"
+
+    def element(self, array: str, slot: str, coords: list[str]) -> str:
+        """The grid value of ``array`` at slot ``slot``, true ``coords``."""
+        ptr = f"D_{array}"
+        strides = self._strides[ptr]
+        return f"{ptr}[{slot}*{strides[0]}L + {self._flat(strides[1:], coords)}]"
+
+    def home(self, array: str) -> str:
+        """The point ``(x0, ..)`` of ``array`` at the written level."""
+        coords = [f"x{i}" for i in range(self.ir.ndim)]
+        return self.element(array, f"s_{array}_{_slot_tag(0)}", coords)
+
+    def read(self, node: GridRead, resolve: bool) -> str:
+        """A grid read at the point ``(x0, ..)`` plus the node's offsets:
+        raw (every read in-domain), or with ``resolve`` mapped per the
+        array's boundary kind (periodic wrap, Neumann clamp, fill)."""
+        slot = f"s_{node.array}_{_slot_tag(node.dt)}"
+        raw = [
+            f"x{i}" if off == 0 else f"(x{i}{off:+d})"
+            for i, off in enumerate(node.offsets)
+        ]
+        if not resolve:
+            return self.element(node.array, slot, raw)
+        b = self.ir.arrays[node.array].boundary
+        modes = boundary_modes(b, self.ir.ndim)
+        if modes is not None:
+            mapped = [
+                f"{'MOD' if mode == 'mod' else 'CLAMP'}({r}, {self.extent(i)})"
+                for i, (r, mode) in enumerate(zip(raw, modes))
+            ]
+            return self.element(node.array, slot, mapped)
+        assert b is not None
+        # The fill expression with C's constant spelling — e.g. "0.0" or
+        # "(100.0 + 0.2 * (t-1))": t is an integer variable and mixed
+        # arithmetic promotes to double.
+        fill = boundary_fill_expr(b, node.dt, _fmt_const)
+        if fill is None:
+            raise CompileError(
+                f"boundary {b.describe()} of array {node.array!r} is not "
+                f"expressible in C"
+            )
+        guard = " && ".join(
+            f"({r} >= 0 && {r} < {self.extent(i)})" for i, r in enumerate(raw)
+        )
+        return f"(({guard}) ? {self.element(node.array, slot, raw)} : {fill})"
+
+    def const(self, array: str, indices: list[str]) -> str:
+        """A const-array read, each index clamped into the array."""
+        ptr = f"C_{array}"
+        clamped = [
+            f"CLAMP({ix}, {n}L)" for ix, n in zip(indices, self.job_shape[ptr])
+        ]
+        return f"{ptr}[{self._flat(self._strides[ptr], clamped)}]"
+
+
+# -- expressions --------------------------------------------------------------
+
+
+class _CCodegen:
+    """Expression codegen for C: raw reads, or reads resolved per the
+    boundary kind (``resolve``)."""
+
+    def __init__(self, grid: _Grid, resolve: bool):
+        self.grid = grid
+        self.resolve = resolve
 
     def affine(self, index) -> str:
         parts: list[str] = []
@@ -247,64 +363,6 @@ class _CCodegen:
         if index.const or not parts:
             parts.append(str(index.const))
         return "(" + " + ".join(parts) + ")"
-
-    def _flat_index(self, array: str, coord_exprs: list[str]) -> str:
-        strides = self.ir.arrays[array].strides_points()[1:]
-        terms = []
-        for expr, stride in zip(coord_exprs, strides):
-            terms.append(expr if stride == 1 else f"({expr})*{stride}L")
-        return " + ".join(terms) if terms else "0"
-
-    def grid_read(self, node: GridRead) -> str:
-        arr = self.ir.arrays[node.array]
-        slot = f"s_{node.array}_{_slot_tag(node.dt)}"
-        base = f"{slot}*{arr.strides_points()[0]}L"
-        if not self.boundary_mode:
-            coords = [
-                f"x{i}" if off == 0 else f"(x{i}{off:+d})"
-                for i, off in enumerate(node.offsets)
-            ]
-            return f"D_{node.array}[{base} + {self._flat_index(node.array, coords)}]"
-        # Boundary clone: x{i} are true coords; map the read coordinate
-        # per the array's boundary kind.
-        modes = boundary_modes(arr.boundary, self.ir.ndim)
-        raw = [
-            f"x{i}" if off == 0 else f"(x{i}{off:+d})"
-            for i, off in enumerate(node.offsets)
-        ]
-        if modes is not None:
-            mapped = []
-            for i, (r, mode) in enumerate(zip(raw, modes)):
-                macro = "MOD" if mode == "mod" else "CLAMP"
-                mapped.append(f"{macro}({r}, {arr.sizes[i]}L)")
-            return (
-                f"D_{node.array}[{base} + {self._flat_index(node.array, mapped)}]"
-            )
-        assert arr.boundary is not None
-        # The NumPy backend's fill expression with C's constant spelling
-        # — e.g. "0.0" or "(100.0 + 0.2 * (t-1))": t is an integer
-        # variable and mixed arithmetic promotes to double.
-        fill = boundary_fill_expr(arr.boundary, node.dt, _fmt_const)
-        if fill is None:
-            raise CompileError(
-                f"boundary {arr.boundary.describe()} of array "
-                f"{node.array!r} is not expressible in C"
-            )
-        guard = " && ".join(
-            f"({r} >= 0 && {r} < {arr.sizes[i]}L)" for i, r in enumerate(raw)
-        )
-        in_value = f"D_{node.array}[{base} + {self._flat_index(node.array, raw)}]"
-        return f"(({guard}) ? {in_value} : {fill})"
-
-    def const_read(self, node: ConstArrayRead) -> str:
-        c = self.ir.const_arrays[node.array]
-        sizes = c.sizes
-        strides = _strides(tuple(sizes))
-        terms = []
-        for ix, n, stride in zip(node.indices, sizes, strides):
-            clamped = f"CLAMP({self.affine(ix)}, {n}L)"
-            terms.append(clamped if stride == 1 else f"({clamped})*{stride}L")
-        return f"C_{node.array}[{' + '.join(terms)}]"
 
     def val(self, e: Expr) -> str:
         if isinstance(e, Const):
@@ -319,9 +377,9 @@ class _CCodegen:
         if isinstance(e, LocalRead):
             return f"L_{e.name}"
         if isinstance(e, GridRead):
-            return self.grid_read(e)
+            return self.grid.read(e, self.resolve)
         if isinstance(e, ConstArrayRead):
-            return self.const_read(e)
+            return self.grid.const(e.array, [self.affine(ix) for ix in e.indices])
         if isinstance(e, BinOp):
             a, b = self.val(e.left), self.val(e.right)
             if e.op in ("min", "max"):
@@ -357,34 +415,7 @@ class _CCodegen:
         return f"({self.val(e)} != 0.0)"
 
 
-def _ptr_args(ir: KernelIR) -> list[str]:
-    """Data-pointer parameters shared by every clone signature.
-
-    Every pointer is ``restrict``-qualified: each registered array and
-    each const array owns a distinct buffer (the pipeline never aliases
-    them), so the compiler may keep loads in registers across stores to
-    other arrays.  Reads and writes *within* one array go through the
-    same pointer, so the in-place ping-pong slot scheme stays legal.
-    """
-    args = [f"double* restrict D_{info.name}" for info in ir.array_infos]
-    args.extend(f"const double* restrict C_{c}" for c in sorted(ir.const_arrays))
-    return args
-
-
-def _ptr_names(ir: KernelIR) -> list[str]:
-    """The bare pointer identifiers, for forwarding calls between clones."""
-    names = [f"D_{info.name}" for info in ir.array_infos]
-    names.extend(f"C_{c}" for c in sorted(ir.const_arrays))
-    return names
-
-
-def _slot_lines(ir: KernelIR, indent: str) -> list[str]:
-    return [
-        f"{indent}const i64 s_{info.name}_{_slot_tag(dt)} = "
-        f"MOD(t{dt:+d}, {info.slots}L);"
-        for info in ir.array_infos
-        for dt in info.dts
-    ]
+# -- loop nests ---------------------------------------------------------------
 
 
 def _stmt_lines(ir: KernelIR, gen: _CCodegen, indent: str) -> list[str]:
@@ -394,195 +425,148 @@ def _stmt_lines(ir: KernelIR, gen: _CCodegen, indent: str) -> list[str]:
         if isinstance(st, Let):
             lines.append(f"{indent}const double L_{st.name} = {gen.val(st.expr)};")
         elif isinstance(st, Assign):
-            arr_name = st.target.array
-            arr = ir.arrays[arr_name]
-            coords = [f"x{i}" for i in range(ir.ndim)]
-            flat = gen._flat_index(arr_name, coords)
             lines.append(
-                f"{indent}D_{arr_name}[s_{arr_name}_{_slot_tag(0)}*"
-                f"{arr.strides_points()[0]}L + {flat}] = {gen.val(st.expr)};"
+                f"{indent}{gen.grid.home(st.target.array)} = {gen.val(st.expr)};"
             )
     return lines
 
 
-def _body_lines(
-    ir: KernelIR, gen: _CCodegen, indent: str, *, boundary_mode: bool
-) -> list[str]:
-    """The per-point loop nest shared by the per-step and fused clones.
+def _nest(ir: KernelIR, grid: _Grid, indent: str, kind: str) -> list[str]:
+    """One time step's loop nest over the box ``[l, h)``, of one of three
+    kinds:
 
-    Interior clones loop ``x{i}`` straight over the (in-domain) bounds;
-    boundary clones loop virtual ``v{i}`` and reduce to true coordinates
-    with the sign-safe MOD.
+    * ``"interior"`` loops ``x{i}`` straight over in-domain bounds and
+      reads raw;
+    * ``"boundary"`` loops virtual ``v{i}``, reduces each to the true
+      ``x{i}`` with the sign-safe MOD and resolves every read per point;
+    * ``"peeled"`` is the boundary nest with its unit-stride row split
+      (:func:`_row_peel`): the outer loops also track whether the row's
+      outer coordinates keep every read in-domain (``ok{i}``).
     """
     d = ir.ndim
+    virtual = kind != "interior"
+    outer = d - 1 if kind == "peeled" else d
+    v = "v" if virtual else "x"
     lines: list[str] = []
-    loop_var = "v" if boundary_mode else "x"
-    for i in range(d):
-        lines.append(
-            f"{indent}for (i64 {loop_var}{i} = l{i}; "
-            f"{loop_var}{i} < h{i}; ++{loop_var}{i}) {{"
-        )
+    for i in range(outer):
+        lines.append(f"{indent}for (i64 {v}{i} = l{i}; {v}{i} < h{i}; ++{v}{i}) {{")
         indent += "  "
-        if boundary_mode:
-            lines.append(f"{indent}const i64 x{i} = MOD(v{i}, {ir.sizes[i]}L);")
-    lines.extend(_stmt_lines(ir, gen, indent))
-    for _ in range(d):
+        if virtual:
+            lines.append(f"{indent}const i64 x{i} = {grid.wrap(i, f'v{i}')};")
+        if kind == "peeled":
+            lo, hi = grid.inner[i]
+            cond = f"x{i} >= {lo}L && x{i} < {hi}L"
+            lines.append(
+                f"{indent}const int ok{i} = "
+                f"{cond if i == 0 else f'ok{i - 1} && {cond}'};"
+            )
+    if kind == "peeled":
+        lines += _row_peel(ir, grid, indent, f"ok{outer - 1}" if outer else "1")
+    else:
+        lines += _stmt_lines(ir, _CCodegen(grid, resolve=virtual), indent)
+    for _ in range(outer):
         indent = indent[:-2]
         lines.append(f"{indent}}}")
     return lines
 
 
-def _peeled_body_lines(ir: KernelIR, indent: str) -> list[str]:
-    """The row-peeled loop nest of the fused ``leaf_boundary``.
+def _row_peel(ir: KernelIR, grid: _Grid, indent: str, ok: str) -> list[str]:
+    """The innermost loop of the ``"peeled"`` nest.
 
-    Outer dimensions loop virtual ``v{i}`` reduced by MOD, as in the
-    per-point clone, and track whether the row's outer coordinates keep
-    every read in-domain (at least the stencil reach from every edge).
     The unit-stride row is split at each periodic seam into spans of
-    true coordinates; on such a row, the points whose own reads stay
-    in-domain run the *interior* body (raw indexing) and only the
-    <= reach head and tail points run the per-point body.  For in-domain
-    reads both bodies evaluate the same expression tree, and the points
-    are visited in the same order, so the split is bitwise invisible.
+    true coordinates; on a row whose outer coordinates are in-domain
+    (``ok``), the points whose own reads stay in-domain run the
+    *interior* body (raw indexing) and only the <= reach head and tail
+    points run the per-point body.  For in-domain reads both bodies
+    evaluate the same expression tree, and the points are visited in the
+    same order, so the split is bitwise invisible.
     """
-    d = ir.ndim
-    last = d - 1
-    n = ir.sizes[last]
-    min_off, max_off = ir.reach()
-    interior = _CCodegen(ir, boundary_mode=False)
-    boundary = _CCodegen(ir, boundary_mode=True)
-    lines: list[str] = []
-    ok = "1"
-    for i in range(last):
-        lines.append(f"{indent}for (i64 v{i} = l{i}; v{i} < h{i}; ++v{i}) {{")
-        indent += "  "
-        lines.append(f"{indent}const i64 x{i} = MOD(v{i}, {ir.sizes[i]}L);")
-        cond = f"x{i} >= {-min_off[i]}L && x{i} < {ir.sizes[i] - max_off[i]}L"
-        lines.append(
-            f"{indent}const int ok{i} = {cond if i == 0 else f'ok{i - 1} && {cond}'};"
-        )
-        ok = f"ok{i}"
+    last = ir.ndim - 1
+    n = grid.extent(last)
+    lo, hi = grid.inner[last]
     x = f"x{last}"
-    lines += [
+    return [
         f"{indent}for (i64 va = l{last}, vb; va < h{last}; va = vb) {{",
         f"{indent}  /* one seam-free span [xs, xe) of true coordinates */",
-        f"{indent}  i64 k = va / {n}L;",
-        f"{indent}  if (va - k * {n}L < 0) k -= 1;",
-        f"{indent}  vb = (k + 1) * {n}L;",
+        f"{indent}  i64 k = va / {n};",
+        f"{indent}  if (va - k * {n} < 0) k -= 1;",
+        f"{indent}  vb = (k + 1) * {n};",
         f"{indent}  if (vb > h{last}) vb = h{last};",
-        f"{indent}  const i64 xs = va - k * {n}L, xe = vb - k * {n}L;",
+        f"{indent}  const i64 xs = va - k * {n}, xe = vb - k * {n};",
         f"{indent}  i64 ilo = xe, ihi = xe;",
         f"{indent}  if ({ok}) {{",
-        f"{indent}    ilo = xs > {-min_off[last]}L ? xs : {-min_off[last]}L;",
-        f"{indent}    ihi = xe < {n - max_off[last]}L ? xe : {n - max_off[last]}L;",
+        f"{indent}    ilo = xs > {lo}L ? xs : {lo}L;",
+        f"{indent}    ihi = xe < {hi}L ? xe : {hi}L;",
         f"{indent}    if (ilo >= ihi) ilo = ihi = xe;",
         f"{indent}  }}",
         f"{indent}  for (i64 {x} = xs; {x} < xe; ++{x}) {{",
         f"{indent}    if ({x} == ilo) {{",
         f"{indent}      for (; {x} < ihi; ++{x}) {{",
-        *_stmt_lines(ir, interior, indent + "        "),
+        *_stmt_lines(ir, _CCodegen(grid, resolve=False), indent + "        "),
         f"{indent}      }}",
         f"{indent}      if ({x} == xe) break;",
         f"{indent}    }}",
-        *_stmt_lines(ir, boundary, indent + "    "),
+        *_stmt_lines(ir, _CCodegen(grid, resolve=True), indent + "    "),
         f"{indent}  }}",
         f"{indent}}}",
     ]
-    for _ in range(last):
-        indent = indent[:-2]
-        lines.append(f"{indent}}}")
-    return lines
 
 
-def _fn_source(ir: KernelIR, *, boundary_mode: bool) -> str:
-    """One-time-step clone: ``(ptrs..., t, l0.., h0..)``, scalar bounds.
-
-    ``interior_step`` is the fused ``leaf`` at height one — the same
-    body, so one copy fewer for cc to compile.  ``boundary_step`` keeps
-    its own per-point loop: it is the reference the row-peeled
-    ``leaf_boundary`` is checked against.
-    """
-    d = ir.ndim
-    name = "boundary_step" if boundary_mode else "interior_step"
-    args = _ptr_args(ir) + ["i64 t"]
-    args += [f"i64 l{i}" for i in range(d)]
-    args += [f"i64 h{i}" for i in range(d)]
-    lines = [f"static void {name}({', '.join(args)}) {{"]
-    if boundary_mode:
-        gen = _CCodegen(ir, boundary_mode)
-        lines.extend(_slot_lines(ir, "  "))
-        lines.extend(_body_lines(ir, gen, "  ", boundary_mode=True))
-    else:
-        bounds = [f"{v}{i}" for v in ("l", "h") for i in range(d)]
-        leaf_args = [*_ptr_names(ir), "t", "t + 1", *bounds, *["0"] * (2 * d)]
-        lines.append(f"  leaf({', '.join(leaf_args)});")
-    lines.append("}")
-    return "\n".join(lines)
+def _slot_lines(ir: KernelIR, indent: str) -> list[str]:
+    """Each array's ping-pong slot for each time offset the kernel uses."""
+    return [
+        f"{indent}const i64 s_{info.name}_{_slot_tag(dt)} = "
+        f"MOD(t{dt:+d}, {info.slots}L);"
+        for info in ir.array_infos
+        for dt in info.dts
+    ]
 
 
-def _leaf_fn_source(ir: KernelIR, *, boundary_mode: bool) -> str:
-    """The fused base-case clone: the whole trapezoid inside one call.
+# -- clone bodies -------------------------------------------------------------
 
-    ``(ptrs..., ta, tb, l0.., h0.., dl0.., dh0..)`` runs the time loop
-    ``[ta, tb)``, shifting each dimension's bounds by its zoid slopes
+
+def _leaf_body(ir: KernelIR, grid: _Grid, kind: str) -> list[str]:
+    """The fused base case: the time loop ``[ta, tb)`` around one step's
+    nest of ``kind``, shifting each dimension's bounds by its zoid slopes
     after every step (Figure 2, lines 20-28).  Slot arithmetic is
     re-derived per step (the ping-pong MOD); an empty shifted box costs
     one loop-bound test.  Bounds arrive by value, so the slope shift
-    mutates the parameters directly.  The boundary clone is row-peeled
-    (:func:`_peeled_body_lines`): it runs at interior speed except on
-    the points whose reads actually leave the grid.
-    """
-    d = ir.ndim
-    name = "leaf_boundary" if boundary_mode else "leaf"
-    args = _ptr_args(ir) + ["i64 ta", "i64 tb"]
-    args += [f"i64 l{i}" for i in range(d)]
-    args += [f"i64 h{i}" for i in range(d)]
-    args += [f"i64 dl{i}" for i in range(d)]
-    args += [f"i64 dh{i}" for i in range(d)]
-    lines = [f"static void {name}({', '.join(args)}) {{"]
-    lines.append("  for (i64 t = ta; t < tb; ++t) {")
-    lines.extend(_slot_lines(ir, "    "))
-    if boundary_mode:
-        lines.extend(_peeled_body_lines(ir, "    "))
-    else:
-        gen = _CCodegen(ir, boundary_mode=False)
-        lines.extend(_body_lines(ir, gen, "    ", boundary_mode=False))
-    shift = " ".join(f"l{i} += dl{i}; h{i} += dh{i};" for i in range(d))
-    lines.append(f"    {shift}")
-    lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines)
+    mutates the parameters directly."""
+    shift = " ".join(f"l{i} += dl{i}; h{i} += dh{i};" for i in range(ir.ndim))
+    return [
+        "  for (i64 t = ta; t < tb; ++t) {",
+        *_slot_lines(ir, "    "),
+        *_nest(ir, grid, "    ", kind),
+        f"    {shift}",
+        "  }",
+    ]
 
 
-def _leaf_dispatch(ir: KernelIR, ptrs: str, include_boundary: bool) -> str:
-    """The walk's base case: the interior or boundary fused leaf for the
-    zoid ``(ta, tb, xa.., dxb..)``, by the inherited classification
-    ``inter``.  Without C boundary clones only interior zoids ever reach
-    the walk, so the base case is always ``leaf``."""
-    d = ir.ndim
-    args = ", ".join(
-        [ptrs, "ta", "tb"]
-        + [f"{v}[{i}]" for v in ("xa", "xb", "dxa", "dxb") for i in range(d)]
-    )
-    if not include_boundary:
-        return f"  leaf({args});"
-    return f"  if (inter) leaf({args}); else leaf_boundary({args});"
+def _interior_step_body(ir: KernelIR, grid: _Grid, walks_boundary: bool) -> list[str]:
+    """The fused ``leaf`` at height one — the same body, so one copy
+    fewer for cc to compile."""
+    args = _args(_CLONES["leaf"], ir.ndim, ta="t", tb="t + 1", dl="0", dh="0")
+    return [f"  leaf({', '.join([*_pointers(ir), *args])});"]
 
 
-def _interior_test_source(ir: KernelIR) -> str:
+def _boundary_step_body(ir: KernelIR, grid: _Grid, walks_boundary: bool) -> list[str]:
+    """The per-point boundary nest: the reference the row-peeled
+    ``leaf_boundary`` is checked against."""
+    return [*_slot_lines(ir, "  "), *_nest(ir, grid, "  ", "boundary")]
+
+
+def _interior_test(grid: _Grid) -> str:
     """``walk_interior``: :meth:`repro.trap.walker.WalkSpec.is_interior`
-    in C, with the kernel's reach and grid baked in — every read of
-    every point stays in-domain at both end slices (extents are linear
-    in t).  Virtual coordinates past the seam fail the test, so a
-    wrapped zoid is always boundary."""
-    min_off, max_off = ir.reach()
+    in C, with the kernel's in-domain box baked in — every read of every
+    point stays in-domain at both end slices (extents are linear in t).
+    Virtual coordinates past the seam fail the test, so a wrapped zoid is
+    always boundary."""
     lines = [
         "static int walk_interior(i64 ta, i64 tb, const i64* xa,",
         "    const i64* xb, const i64* dxa, const i64* dxb) {",
         "  const i64 s = tb - 1 - ta;",
     ]
-    for i, n in enumerate(ir.sizes):
-        lo, hi = -min_off[i], n - max_off[i]
+    for i, (lo, hi) in enumerate(grid.inner):
         lines.append(
             f"  if (xa[{i}] < {lo}L || xa[{i}] + dxa[{i}] * s < {lo}L) return 0;"
         )
@@ -593,9 +577,24 @@ def _interior_test_source(ir: KernelIR) -> str:
     return "\n".join(lines)
 
 
-def _walk_fn_source(ir: KernelIR, include_boundary: bool) -> str:
-    """The compiled recursion: ``walk_rec``, its pthread task pool, and
-    the per-job entry ``walk_subtree``.
+def _leaf_dispatch(ir: KernelIR, walks_boundary: bool) -> str:
+    """The walk's base case: the interior or boundary fused leaf for the
+    zoid ``(ta, tb, xa.., dxb..)``, by the inherited classification
+    ``inter``.  Without C boundary clones only interior zoids ever reach
+    the walk, so the base case is always ``leaf``."""
+    args = ", ".join([
+        *(f"job->{p}" for p in _pointers(ir)),
+        *_args(_CLONES["leaf"], ir.ndim, l="xa[{i}]", h="xb[{i}]",
+               dl="dxa[{i}]", dh="dxb[{i}]"),
+    ])
+    if not walks_boundary:
+        return f"  leaf({args});"
+    return f"  if (inter) leaf({args}); else leaf_boundary({args});"
+
+
+def _walk_helpers(ir: KernelIR, grid: _Grid, walks_boundary: bool) -> str:
+    """The compiled recursion that ``walk_subtree`` enters: ``walk_rec``
+    and its pthread task pool.
 
     ``walk_rec`` is a self-contained C implementation of the TRAP/STRAP
     control flow of Figure 2: per-dimension trisection space cuts
@@ -644,8 +643,6 @@ def _walk_fn_source(ir: KernelIR, include_boundary: bool) -> str:
     can share one buffer.
     """
     d = ir.ndim
-    ptr_names = _ptr_names(ir)
-    jp = ", ".join(f"job->{n}" for n in ptr_names)
     lines = [
         "/* Per-dimension trisection cuts: fills the piece lists (np,",
         "   pxa..pbit) and returns whether anything cut. */",
@@ -861,7 +858,7 @@ def _walk_fn_source(ir: KernelIR, include_boundary: bool) -> str:
         "    const i64* xa, const i64* xb, const i64* dxa, const i64* dxb,",
         "    i64 inter) {",
     ]
-    if include_boundary:
+    if walks_boundary:
         lines.append(
             "  if (!inter) inter = walk_interior(ta, tb, xa, xb, dxa, dxb);"
         )
@@ -929,36 +926,33 @@ def _walk_fn_source(ir: KernelIR, include_boundary: bool) -> str:
         "    walk_rec(job, tm, tb, nxa, nxb, dxa, dxb, inter);",
         "    return;",
         "  }",
-        _leaf_dispatch(ir, jp, include_boundary),
+        _leaf_dispatch(ir, walks_boundary),
         "}",
     ]
-    if include_boundary:
-        lines[:0] = [_interior_test_source(ir), ""]
+    if walks_boundary:
+        lines[:0] = [_interior_test(grid), ""]
+    return "\n".join(lines)
 
-    # The per-job entry: scalar bounds in, packed into the job and the
-    # root zoid; an unknown root classification (0) is tested in
-    # walk_rec when boundary zoids may arrive.
-    args = _ptr_args(ir) + ["i64 ta", "i64 tb"]
-    for prefix in ("l", "h", "dl", "dh", "s", "th"):
-        args += [f"i64 {prefix}{i}" for i in range(d)]
-    args += ["i64 dt_th", "i64 hyper", "i64 nthreads", "i64* restrict wstats"]
+
+def _walk_body(ir: KernelIR, grid: _Grid, walks_boundary: bool) -> list[str]:
+    """The per-job entry: scalar bounds in, packed into the job and the
+    root zoid; an unknown root classification (0) is tested in
+    ``walk_rec`` when boundary zoids may arrive."""
+    d = ir.ndim
 
     def vec(prefix: str) -> str:
         return "{" + ", ".join(f"{prefix}{i}" for i in range(d)) + "}"
 
-    lines += [
-        "",
-        f"static void walk_subtree({', '.join(args)}) {{",
+    return [
         "  wjob job = {",
-        *[f"    .{n} = {n}," for n in ptr_names],
+        *[f"    .{p} = {p}," for p in _pointers(ir)],
         f"    .sl = {vec('s')}, .th = {vec('th')},",
         "    .dt_th = dt_th, .hyper = hyper,",
         "    .pool = wq_ensure_pool(nthreads) > 0,",
         "  };",
         f"  const i64 xa[{d}] = {vec('l')}, xb[{d}] = {vec('h')};",
         f"  const i64 dxa[{d}] = {vec('dl')}, dxb[{d}] = {vec('dh')};",
-        f"  walk_rec(&job, ta, tb, xa, xb, dxa, dxb, "
-        f"{0 if include_boundary else 1});",
+        f"  walk_rec(&job, ta, tb, xa, xb, dxa, dxb, {0 if walks_boundary else 1});",
         "  /* All spawns joined: counters are final (the joins' mutex",
         "     hand-offs order every worker write before these reads). */",
         "  if (!wstats) return;",
@@ -970,85 +964,168 @@ def _walk_fn_source(ir: KernelIR, include_boundary: bool) -> str:
         "    /* asked for a pool and ran without one */",
         "    __atomic_fetch_add(&wstats[3], 1, __ATOMIC_RELAXED);",
         "  }",
-        "}",
     ]
-    return "\n".join(lines)
 
 
-def _const_stride(ir: KernelIR, name: str) -> int:
-    points = 1
-    for s in ir.const_arrays[name].sizes:
-        points *= int(s)
-    return points
+# -- the clone ABI ------------------------------------------------------------
 
 
-def _entry_fn_source(ir: KernelIR, *, include_boundary: bool) -> str:
-    """The exported entry points, one per clone: each wraps its
-    ``static`` per-job body in a loop over ``nb`` jobs laid out
-    contiguously, offsetting every data pointer by the job's
-    codegen-constant stride.  One GIL-released call then runs a whole
-    stack of same-shape problems — a local run is a stack of one.
+def _pointers(ir: KernelIR) -> list[str]:
+    """The data pointers every clone takes first, in ABI order: each
+    registered array's ``D_`` buffer, then each const array's ``C_``, by
+    name."""
+    return [f"D_{info.name}" for info in ir.array_infos] + [
+        f"C_{c}" for c in sorted(ir.const_arrays)
+    ]
+
+
+def _ptr_args(ir: KernelIR) -> list[str]:
+    """:func:`_pointers` as parameter declarations.
+
+    Every pointer is ``restrict``-qualified: each registered array and
+    each const array owns a distinct buffer (the pipeline never aliases
+    them), so the compiler may keep loads in registers across stores to
+    other arrays.  Reads and writes *within* one array go through the
+    same pointer, so the in-place ping-pong slot scheme stays legal.
+    """
+    return [
+        f"{'const double' if p.startswith('C_') else 'double'}* restrict {p}"
+        for p in _pointers(ir)
+    ]
+
+
+@dataclass(frozen=True)
+class _Param:
+    """One scalar parameter of a clone: ``i64 name``, or one per
+    dimension (``name0, name1, ..``) when ``per_dim``.  A ``pointer``
+    parameter is an ``i64*`` the binding supplies, not the caller; it
+    comes last."""
+
+    name: str
+    per_dim: bool = False
+    pointer: bool = False
+
+
+@dataclass(frozen=True)
+class _Clone:
+    """One row of the clone table: a ``static`` C function after the
+    data pointers and these scalars, and its exported ``<name>_batch``
+    entry point over ``nb`` stacked jobs."""
+
+    name: str
+    #: The :class:`~repro.compiler.pipeline.CompiledKernel` field it binds.
+    field: str
+    params: tuple[_Param, ...]
+    #: Emitted only with C boundary clones (every boundary expressible).
+    boundary: bool
+    #: ``(ir, grid, walks_boundary) -> lines`` between the braces.
+    body: Callable[[KernelIR, _Grid, bool], list[str]]
+    #: C text the definition needs right before it.
+    helpers: Callable[[KernelIR, _Grid, bool], str] | None = None
+
+
+_STEP = (_Param("t"), _Param("l", True), _Param("h", True))
+_FUSED = (
+    _Param("ta"), _Param("tb"),
+    *(_Param(v, True) for v in ("l", "h", "dl", "dh")),
+)
+
+#: Every clone, callees before callers (the order of the definitions):
+#: ``interior_step`` calls ``leaf``, the walk bottoms out in both leaves.
+#: The tuned walk knobs (slopes ``s``, thresholds ``th``, ``dt_th``,
+#: ``hyper``) and the thread count are scalars, so tuned configurations
+#: apply unrebuilt; every job of a stack adds its pool counters into the
+#: one ``i64[4]`` ``wstats``.
+_CLONES: dict[str, _Clone] = {
+    c.name: c
+    for c in (
+        _Clone("leaf", "leaf", _FUSED, boundary=False,
+               body=lambda ir, grid, wb: _leaf_body(ir, grid, "interior")),
+        _Clone("interior_step", "interior", _STEP, boundary=False,
+               body=_interior_step_body),
+        _Clone("boundary_step", "boundary", _STEP, boundary=True,
+               body=_boundary_step_body),
+        _Clone("leaf_boundary", "leaf_boundary", _FUSED, boundary=True,
+               body=lambda ir, grid, wb: _leaf_body(ir, grid, "peeled")),
+        _Clone(
+            "walk_subtree", "walk",
+            (*_FUSED, _Param("s", True), _Param("th", True), _Param("dt_th"),
+             _Param("hyper"), _Param("nthreads"), _Param("wstats", pointer=True)),
+            boundary=False, body=_walk_body, helpers=_walk_helpers,
+        ),
+    )
+}
+
+#: The order the ``*_batch`` entry points are emitted in.  It only fixes
+#: the source's bytes, and with them the ``.so`` cache digest.
+_EXPORTS = ("interior_step", "leaf", "walk_subtree", "boundary_step",
+            "leaf_boundary")
+
+
+def _emitted(include_boundary: bool) -> list[_Clone]:
+    return [c for c in _CLONES.values() if include_boundary or not c.boundary]
+
+
+def _decls(clone: _Clone, d: int) -> list[str]:
+    out: list[str] = []
+    for p in clone.params:
+        names = [f"{p.name}{i}" for i in range(d)] if p.per_dim else [p.name]
+        out += [f"i64* restrict {n}" if p.pointer else f"i64 {n}" for n in names]
+    return out
+
+
+def _args(clone: _Clone, d: int, **spell: str) -> list[str]:
+    """A call's scalar arguments in ABI order: each parameter's own name
+    unless ``spell`` maps it (per-dimension spellings format ``{i}``)."""
+    out: list[str] = []
+    for p in clone.params:
+        s = spell.get(p.name)
+        if not p.per_dim:
+            out.append(p.name if s is None else s)
+        elif s is None:
+            out += [f"{p.name}{i}" for i in range(d)]
+        else:
+            out += [s.format(i=i) for i in range(d)]
+    return out
+
+
+def _entry(clone: _Clone, params: list[str], offsets: str, d: int) -> str:
+    """The exported entry point: the ``static`` per-job body in a loop
+    over ``nb`` jobs laid out contiguously, every data pointer offset by
+    the job's stride (``offsets``).  One GIL-released call then runs a
+    whole stack of same-shape problems — a local run is a stack of one.
     Bounds pass by value, so every job sees fresh copies (the fused leaf
     mutates its own)."""
-    d = ir.ndim
-    pa = ", ".join(_ptr_args(ir))
-    offs = [
-        f"D_{info.name} + b*{ir.arrays[info.name].total_points}L"
-        for info in ir.array_infos
-    ]
-    offs.extend(
-        f"C_{c} + b*{_const_stride(ir, c)}L" for c in sorted(ir.const_arrays)
+    return (
+        f"void {clone.name}_batch({', '.join(params)}) {{\n"
+        f"  for (i64 b = 0; b < nb; ++b)\n"
+        f"    {clone.name}({offsets}, {', '.join(_args(clone, d))});\n"
+        f"}}"
     )
-    po = ", ".join(offs)
-    step_scalars = ["i64 t"] + [f"i64 l{i}" for i in range(d)] + [
-        f"i64 h{i}" for i in range(d)
-    ]
-    leaf_scalars = ["i64 ta", "i64 tb"]
-    for prefix in ("l", "h", "dl", "dh"):
-        leaf_scalars += [f"i64 {prefix}{i}" for i in range(d)]
-    walk_scalars = ["i64 ta", "i64 tb"]
-    for prefix in ("l", "h", "dl", "dh", "s", "th"):
-        walk_scalars += [f"i64 {prefix}{i}" for i in range(d)]
-    # Every job's walk adds its pool counters into the one wstats.
-    walk_scalars += ["i64 dt_th", "i64 hyper", "i64 nthreads"]
-    walk_scalars += ["i64* restrict wstats"]
-
-    def wrapper(name: str, target: str, scalars: list[str]) -> str:
-        args = ", ".join([pa, "i64 nb"] + scalars)
-        fwd = ", ".join(s.split()[-1] for s in scalars)
-        return (
-            f"void {name}({args}) {{\n"
-            f"  for (i64 b = 0; b < nb; ++b)\n"
-            f"    {target}({po}, {fwd});\n"
-            f"}}"
-        )
-
-    parts = [
-        wrapper("interior_step_batch", "interior_step", step_scalars),
-        wrapper("leaf_batch", "leaf", leaf_scalars),
-        wrapper("walk_subtree_batch", "walk_subtree", walk_scalars),
-    ]
-    if include_boundary:
-        parts.append(wrapper("boundary_step_batch", "boundary_step", step_scalars))
-        parts.append(wrapper("leaf_boundary_batch", "leaf_boundary", leaf_scalars))
-    return "\n\n".join(parts)
 
 
 def generate_c_source(ir: KernelIR, *, include_boundary: bool = True) -> str:
-    """The full postsource: prelude, per-step and fused clone pairs, the
-    compiled recursion (``walk_subtree``) with its pthread task pool, all
-    ``static``, and the exported nb-taking entry points over them."""
+    """The full postsource: prelude, then every clone of the table that
+    is emitted (the boundary ones only with ``include_boundary``) as a
+    ``static`` definition, then their exported nb-taking entry points."""
+    grid = _Grid(ir)
     nodes = (n for st in ir.statements for n in walk(st.expr))
     minmax = any(isinstance(n, BinOp) and n.op in ("min", "max") for n in nodes)
-    parts = [
-        _leaf_fn_source(ir, boundary_mode=False),
-        _fn_source(ir, boundary_mode=False),
+    ptr_args = _ptr_args(ir)
+    decls = {c.name: _decls(c, ir.ndim) for c in _emitted(include_boundary)}
+    parts: list[str] = []
+    for name in decls:
+        c = _CLONES[name]
+        if c.helpers is not None:
+            parts.append(c.helpers(ir, grid, include_boundary))
+        head = f"static void {name}({', '.join([*ptr_args, *decls[name]])}) {{"
+        parts.append("\n".join([head, *c.body(ir, grid, include_boundary), "}"]))
+    offsets = ", ".join(grid.job_offset(p) for p in _pointers(ir))
+    parts += [
+        _entry(_CLONES[n], [*ptr_args, "i64 nb", *decls[n]], offsets, ir.ndim)
+        for n in _EXPORTS
+        if n in decls
     ]
-    if include_boundary:
-        parts.append(_fn_source(ir, boundary_mode=True))
-        parts.append(_leaf_fn_source(ir, boundary_mode=True))
-    parts.append(_walk_fn_source(ir, include_boundary))
-    parts.append(_entry_fn_source(ir, include_boundary=include_boundary))
     body = "\n\n".join(parts)
     bits = "f64_bits(" in body
     prelude = _PRELUDE + (_MINMAX if minmax else "") + (_F64_BITS if bits else "")
@@ -1235,97 +1312,53 @@ def load_shared_object(source: str) -> ctypes.CDLL:
 
 @dataclass(frozen=True)
 class CLibrary:
-    """One kernel's loaded ``.so``: its exported nb-taking entry points,
-    ``argtypes``/``restype`` prebound, and the source they were built
-    from.  It holds no buffer (:func:`bind_c_clones` closes it over a
-    job stack), so one load serves every run and batch of the kernel
-    in the process.
+    """One kernel's loaded ``.so``: the exported entry point of every
+    clone it emits, keyed by clone name with ``argtypes``/``restype``
+    prebound, and the source they were built from.  It holds no buffer
+    (:func:`bind_c_clones` closes it over a job stack), so one load
+    serves every run and batch of the kernel in the process.
 
-    ``boundary``/``leaf_boundary`` are None when some array uses a
-    boundary kind C cannot express (PythonBoundary).  ``walk`` exists
-    regardless: without C boundary clones it is built without the
+    ``boundary_step``/``leaf_boundary`` are absent when some array uses
+    a boundary kind C cannot express (PythonBoundary).  ``walk_subtree``
+    exists regardless: without C boundary clones it is built without the
     interior test and only ever receives interior zoids.
     """
 
     source: str
-    interior: Callable[..., None]
-    leaf: Callable[..., None]
-    walk: Callable[..., None]
-    boundary: Callable[..., None] | None
-    leaf_boundary: Callable[..., None] | None
+    entries: dict[str, Callable[..., None]]
 
 
-#: (problem signature, $REPRO_CC_CACHE, compiler identity) -> CLibrary.
-_LIBRARIES: dict[tuple, CLibrary] = {}
-_LIBRARIES_LOCK = threading.Lock()
-
-
-def clear_library_cache() -> None:
-    with _LIBRARIES_LOCK:
-        _LIBRARIES.clear()
-
-
-def load_c_kernel(ir: KernelIR) -> tuple[CLibrary, bool]:
-    """The load-once half: generate, build, ``dlopen`` and prebind the
-    kernel library for ``ir``, once per process; returns the library and
-    whether it was already loaded.
-
-    Cached on what determines the ``.so``: the problem signature
-    (``ir.signature``, which also fixes whether boundary clones are
-    emitted), the ``$REPRO_CC_CACHE`` directory and the compiler
-    identity — so a fresh cache directory or another toolchain reaches
-    cc and ``dlopen``, and their fault sites, again.  Failures are not
-    cached.  Two threads that miss together both load: the ``.so``
-    cache's per-digest lock runs cc once, ``dlopen`` of one path returns
-    one handle, and the first library stored is the one every caller
-    gets.
-    """
+def library_scope() -> tuple[str | None, str]:
+    """What besides the problem signature determines a loaded library:
+    the ``$REPRO_CC_CACHE`` directory and the compiler identity.  Raises
+    :class:`CompileError` when there is no compiler."""
     cc = find_c_compiler()
     if cc is None:
         raise CompileError("no C compiler found (tried $CC, cc, gcc, clang)")
-    key = (
-        ir.signature,
-        os.environ.get("REPRO_CC_CACHE"),
-        compiler_identity(cc),
-    )
-    with _LIBRARIES_LOCK:
-        cached = _LIBRARIES.get(key)
-    if cached is not None:
-        return cached, True
-    loaded = _load_library(ir)
-    with _LIBRARIES_LOCK:
-        return _LIBRARIES.setdefault(key, loaded), False
+    return os.environ.get("REPRO_CC_CACHE"), compiler_identity(cc)
 
 
-def _load_library(ir: KernelIR) -> CLibrary:
-    boundary_ok = all(
-        is_vectorizable_boundary(a.boundary) for a in ir.arrays.values()
-    )
-    source = generate_c_source(ir, include_boundary=boundary_ok)
+def load_c_library(ir: KernelIR) -> CLibrary:
+    """Generate, build, ``dlopen`` and prebind the kernel library for
+    ``ir``.  Uncached: :func:`repro.compiler.pipeline.load_kernel` loads
+    each library once per process."""
+    include_boundary = ir.boundary_expressible
+    source = generate_c_source(ir, include_boundary=include_boundary)
     lib = load_shared_object(source)
-
-    d = ir.ndim
-    n_ptrs = len(ir.array_infos) + len(ir.const_arrays)
-    ptr_types = [ctypes.POINTER(ctypes.c_double)] * n_ptrs
     i64 = ctypes.c_longlong
-
-    def entry(name: str, n_scalars: int, *tail) -> Callable[..., None]:
-        fn = getattr(lib, name)
-        # nb, then the per-job clone's scalar arguments.
-        fn.argtypes = ptr_types + [i64] * (1 + n_scalars) + list(tail)
+    ptr_types = [ctypes.POINTER(ctypes.c_double)] * len(_pointers(ir))
+    entries = {}
+    for clone in _emitted(include_boundary):
+        fn = getattr(lib, f"{clone.name}_batch")
+        # The data pointers, nb, then the per-job clone's scalars.
+        fn.argtypes = ptr_types + [i64] + [
+            ctypes.POINTER(i64) if p.pointer else i64
+            for p in clone.params
+            for _ in range(ir.ndim if p.per_dim else 1)
+        ]
         fn.restype = None
-        return fn
-
-    # The walk's scalars end in nthreads, then the wstats pointer.
-    step, leaf, walk = 1 + 2 * d, 2 + 4 * d, 5 + 6 * d
-    return CLibrary(
-        source=source,
-        interior=entry("interior_step_batch", step),
-        leaf=entry("leaf_batch", leaf),
-        walk=entry("walk_subtree_batch", walk, ctypes.POINTER(i64)),
-        boundary=entry("boundary_step_batch", step) if boundary_ok else None,
-        leaf_boundary=entry("leaf_boundary_batch", leaf) if boundary_ok else None,
-    )
+        entries[clone.name] = fn
+    return CLibrary(source=source, entries=entries)
 
 
 def _checked_buffer(name: str, buf: np.ndarray, shape: tuple) -> np.ndarray:
@@ -1338,6 +1371,31 @@ def _checked_buffer(name: str, buf: np.ndarray, shape: tuple) -> np.ndarray:
             f"array of shape {shape}, got {buf.dtype} {buf.shape}"
         )
     return buf
+
+
+def _binder(clone: _Clone) -> Callable[..., Callable]:
+    """Generate the factory of ``clone``'s Python caller: one argument
+    per parameter (a sequence for a per-dimension one), forwarded to the
+    entry point after the data pointers and ``nb``, then the binding's
+    pointer parameters (``tail``).  A C clone never declines a region
+    (per-point MOD/CLAMP/fill resolution is exact for any virtual box),
+    so the call answers True."""
+    params = [p for p in clone.params if not p.pointer]
+    fwd = ", ".join(f"*{p.name}" if p.per_dim else p.name for p in params)
+    source = (
+        "def make(fn, ptrs, nb, tail, keep):\n"
+        f"    def {clone.field}({', '.join(p.name for p in params)}, "
+        "_keepalive=keep):\n"
+        f"        fn(*ptrs, nb, {fwd}, *tail)\n"
+        "        return True\n"
+        f"    return {clone.field}\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<c_binder_{clone.name}>", "exec"), namespace)
+    return namespace["make"]
+
+
+_BINDERS = {name: _binder(clone) for name, clone in _CLONES.items()}
 
 
 def bind_c_clones(
@@ -1362,60 +1420,29 @@ def bind_c_clones(
     without contending, and ctypes drops the GIL for each call.
     """
     nb = int(nb)
-    bufs = [
-        _checked_buffer(
-            info.name, stacked[info.name], (nb, info.slots, *info.sizes)
+    grid = _Grid(ir)
+    bufs = []
+    for p in _pointers(ir):
+        name = p[2:]
+        buf = (
+            stacked[name] if p.startswith("D_")
+            else np.ascontiguousarray(stacked_consts[name], dtype=np.float64)
         )
-        for info in ir.array_infos
-    ]
-    for name in sorted(ir.const_arrays):
-        buf = np.ascontiguousarray(stacked_consts[name], dtype=np.float64)
-        bufs.append(
-            _checked_buffer(name, buf, (nb, *ir.const_arrays[name].sizes))
-        )
-    # ctypes pointers do not keep their arrays alive: every closure
-    # below holds ``bufs`` for as long as it may be called.
+        bufs.append(_checked_buffer(name, buf, (nb, *grid.job_shape[p])))
+    # Every clone holds ``bufs`` for as long as it may be called, on top
+    # of the reference ``data_as`` pointers keep to their arrays.
     ptrs = tuple(b.ctypes.data_as(ctypes.POINTER(ctypes.c_double)) for b in bufs)
-
-    def bind_step(fn) -> CloneFn:
-        def clone(t, lo, hi, _keepalive=bufs):
-            fn(*ptrs, nb, t, *lo, *hi)
-
-        return clone
-
-    def bind_leaf(fn) -> LeafFn:
-        def leaf(ta, tb, lo, hi, dlo, dhi, _keepalive=bufs):
-            fn(*ptrs, nb, ta, tb, *lo, *hi, *dlo, *dhi)
-            # Per-point MOD/CLAMP/fill resolution is exact for any
-            # virtual box, so the C leaf never declines a region.
-            return True
-
-        return leaf
-
-    walk_fn = lib.walk
     # One counter buffer per binding (spawned, stolen, level barriers,
     # calls that wanted a pool and ran without one); concurrent calls
     # from DAG workers accumulate into it with C atomic adds, and the
     # driver reports it after the run.
     stats = np.zeros(4, dtype=np.int64)
-    stats_ptr = stats.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
-
-    def walk(
-        ta, tb, lo, hi, dlo, dhi, slopes, thresholds, dt_th, hyper, threads,
-        _keepalive=(bufs, stats),
-    ):
-        walk_fn(
-            *ptrs, nb, ta, tb, *lo, *hi, *dlo, *dhi, *slopes, *thresholds,
-            dt_th, 1 if hyper else 0, threads, stats_ptr,
+    bound = {"wstats": stats.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))}
+    clones: dict = {"walk_stats": stats, "sources": {"c": lib.source}}
+    for name, clone in _CLONES.items():
+        fn = lib.entries.get(name)
+        tail = tuple(bound[p.name] for p in clone.params if p.pointer)
+        clones[clone.field] = (
+            None if fn is None else _BINDERS[name](fn, ptrs, nb, tail, bufs)
         )
-
-    has_boundary = lib.boundary is not None
-    return {
-        "interior": bind_step(lib.interior),
-        "boundary": bind_step(lib.boundary) if has_boundary else None,
-        "leaf": bind_leaf(lib.leaf),
-        "leaf_boundary": bind_leaf(lib.leaf_boundary) if has_boundary else None,
-        "walk": walk,
-        "walk_stats": stats,
-        "sources": {"c": lib.source},
-    }
+    return clones

@@ -22,8 +22,10 @@ Three clones are generated:
 Every clone body runs inside a job loop over stacked ``(nb, slots,
 *sizes)`` buffers, rebinding the ``D_``/``C_`` names to job ``_b``'s
 slab: a served batch is a stack of K jobs, a local run a stack of one
-(zero-copy views of its own arrays).  :func:`load_numpy_kernel` compiles
-the clones once per process, :func:`bind_numpy_clones` binds one stack.
+(zero-copy views of its own arrays).  :func:`compile_numpy_clones`
+compiles the clones (once per process, through
+:func:`repro.compiler.pipeline.load_kernel`), :func:`bind_numpy_clones`
+binds one stack.
 
 All clone bodies are lowered to **three-address code**: the kernel AST is
 first run through common-subexpression elimination
@@ -37,14 +39,13 @@ of each assignment writes straight into the destination slot's slice.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.errors import CompileError, KernelError
-from repro.compiler.frontend import KernelIR
+from repro.compiler.frontend import KernelIR, boundary_fill_expr, boundary_modes
 from repro.compiler import runtime_support
 from repro.expr.analysis import walk
 from repro.expr.transform import cse_statements
@@ -67,14 +68,6 @@ from repro.expr.nodes import (
     UnOp,
     Where,
     py_float,
-)
-from repro.language.boundary import (
-    Boundary,
-    ConstantBoundary,
-    DirichletBoundary,
-    MixedBoundary,
-    NeumannBoundary,
-    PeriodicBoundary,
 )
 
 #: The fused base-case clone: (ta, tb, lo, hi, dlo, dhi) -> ran?  False
@@ -118,45 +111,6 @@ _CMP_UFUNC = {
 
 def _slot_tag(dt: int) -> str:
     return f"m{-dt}" if dt < 0 else f"p{dt}"
-
-
-def boundary_modes(b: Boundary | None, ndim: int) -> list[str] | None:
-    """Per-dimension remap modes for a remap-kind boundary, else None.
-
-    An unregistered boundary degrades to clamp: it is only ever consulted
-    for reads that are actually in-domain (a kernel whose shape never
-    leaves the grid), where clamping is the identity.
-    """
-    if b is None:
-        return ["clip"] * ndim
-    if isinstance(b, PeriodicBoundary):
-        return ["mod"] * ndim
-    if isinstance(b, NeumannBoundary):
-        return ["clip"] * ndim
-    if isinstance(b, MixedBoundary):
-        modes = []
-        for i in range(ndim):
-            m = b.modes[i] if i < len(b.modes) else "clamp"
-            modes.append("mod" if m == "periodic" else "clip")
-        return modes
-    return None
-
-
-def boundary_fill_expr(
-    b: Boundary, dt: int, spell: Callable[[float], str] = py_float
-) -> str | None:
-    """Source of the scalar fill value at time ``t + dt``, else None.
-    ``spell`` writes a double in the target language (C passes its own)."""
-    if isinstance(b, ConstantBoundary):
-        return spell(b.value)
-    if isinstance(b, DirichletBoundary):
-        return f"({spell(b.base)} + {spell(b.per_step)} * (t{dt:+d}))"
-    return None
-
-
-def is_vectorizable_boundary(b: Boundary | None) -> bool:
-    """True when the NumPy boundary clone can handle this boundary kind."""
-    return b is None or b.is_index_remap or b.is_fill
 
 
 def _woff_name(i: int, off: int) -> str:
@@ -755,39 +709,24 @@ def _leaf_source(ir: KernelIR, boundary_mode: bool) -> str:
     return "\n".join(lines)
 
 
-#: Problem signature (``ir.signature``) -> {clone name: (source, code
-#: object, scratch pools)}.  The entries hold no buffer, so one load
-#: serves every run and batch of the kernel; the pools are thread-local,
-#: so every binding shares them and a warm run reuses its scratch buffers.
-_KERNELS: dict[str, dict[str, tuple]] = {}
-_KERNELS_LOCK = threading.Lock()
-
-
-def clear_code_cache() -> None:
-    with _KERNELS_LOCK:
-        _KERNELS.clear()
-
-
-def load_numpy_kernel(ir: KernelIR) -> tuple[dict[str, tuple], bool]:
-    """The load-once half: generate and compile the clones for ``ir``,
-    once per process (failures are not cached); returns them and whether
-    they were already loaded.  ``boundary`` and
+def compile_numpy_clones(ir: KernelIR) -> dict[str, tuple]:
+    """Generate and compile the clones for ``ir``: clone name -> (source,
+    code object, scratch pools).  They hold no buffer, so one load serves
+    every run and batch of the kernel
+    (:func:`repro.compiler.pipeline.load_kernel` loads them once per
+    process); the pools are thread-local, so every binding shares them
+    and a warm run reuses its scratch buffers.  ``boundary`` and
     ``leaf_boundary`` are absent when some array's boundary kind is not
-    vectorizable; callers substitute the per-point clone."""
-    key = ir.signature
-    with _KERNELS_LOCK:
-        cached = _KERNELS.get(key)
-    if cached is not None:
-        return cached, True
+    expressible; callers substitute the per-point clone."""
     sources = {
         "interior": _interior_source(ir),
         "leaf": _leaf_source(ir, boundary_mode=False),
     }
-    if all(is_vectorizable_boundary(a.boundary) for a in ir.arrays.values()):
+    if ir.boundary_expressible:
         sources["boundary"] = _boundary_source(ir)
         sources["leaf_boundary"] = _leaf_source(ir, boundary_mode=True)
     tag = "_".join(ir.write_arrays)
-    loaded = {
+    return {
         name: (
             src,
             compile(src, f"<split_pointer_{name}:{tag}>", "exec"),
@@ -795,8 +734,6 @@ def load_numpy_kernel(ir: KernelIR) -> tuple[dict[str, tuple], bool]:
         )
         for name, src in sources.items()
     }
-    with _KERNELS_LOCK:
-        return _KERNELS.setdefault(key, loaded), False
 
 
 def bind_numpy_clones(

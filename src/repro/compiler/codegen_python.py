@@ -11,15 +11,15 @@ the boundary-checking accessor exactly as the paper's macro trick does.
 The boundary clone keeps the checked accessor (``read_at``) for off-home
 reads and reduces virtual coordinates modulo the grid sizes.  Each clone's
 source is generated and compiled once per process per problem signature
-(``KernelIR.signature``); binding executes the cached code into a fresh
-namespace over the problem's arrays, whose boundary objects the checked
-accessor consults at run time.
+(``KernelIR.signature``, :func:`repro.compiler.pipeline.load_kernel`);
+binding executes the loaded code into a fresh namespace over the
+problem's arrays, whose boundary objects the checked accessor consults
+at run time.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from itertools import product
 from types import CodeType
 from typing import Callable
@@ -296,39 +296,17 @@ def _namespace(ir: KernelIR) -> dict:
     return ns
 
 
-#: (problem signature, clone name) -> (source, code object).
-_CODE: dict[tuple[str, str], tuple[str, CodeType]] = {}
-_CODE_LOCK = threading.Lock()
-
-
-def clear_code_cache() -> None:
-    with _CODE_LOCK:
-        _CODE.clear()
-
-
-def _bind_clone(ir: KernelIR, boundary_mode: bool) -> tuple[CloneFn, str]:
-    """One macro_shadow clone bound to ``ir``'s arrays, its code
-    generated and compiled once per process."""
+def compile_clone(ir: KernelIR, *, boundary_mode: bool) -> tuple[str, CodeType]:
+    """One macro_shadow clone's source and compiled code.  Uncached:
+    :func:`repro.compiler.pipeline.load_kernel` loads it once per process."""
     name = "boundary" if boundary_mode else "interior"
-    key = (ir.signature, name)
-    with _CODE_LOCK:
-        cached = _CODE.get(key)
-    if cached is None:
-        src = _clone_source(ir, boundary_mode=boundary_mode)
-        tag = f"<macro_shadow_{name}:{'_'.join(ir.write_arrays)}>"
-        with _CODE_LOCK:
-            cached = _CODE.setdefault(key, (src, compile(src, tag, "exec")))
+    src = _clone_source(ir, boundary_mode=boundary_mode)
+    tag = f"<macro_shadow_{name}:{'_'.join(ir.write_arrays)}>"
+    return src, compile(src, tag, "exec")
+
+
+def bind_clone(ir: KernelIR, code: CodeType, *, boundary_mode: bool) -> CloneFn:
+    """The clone ``code`` defines, bound to ``ir``'s arrays."""
     ns = _namespace(ir)
-    exec(cached[1], ns)
-    return ns[name], cached[0]
-
-
-def make_macro_shadow_interior(ir: KernelIR) -> tuple[CloneFn, str]:
-    """Generated per-point interior clone (returns the function and its
-    source text for diagnostics/tests)."""
-    return _bind_clone(ir, boundary_mode=False)
-
-
-def make_macro_shadow_boundary(ir: KernelIR) -> tuple[CloneFn, str]:
-    """Generated per-point boundary clone (modulo writes, checked reads)."""
-    return _bind_clone(ir, boundary_mode=True)
+    exec(code, ns)
+    return ns["boundary" if boundary_mode else "interior"]

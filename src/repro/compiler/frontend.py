@@ -16,17 +16,73 @@ consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from repro.errors import CompileError
 from repro.expr.analysis import kernel_accesses
-from repro.expr.nodes import Assign, Let, Statement
+from repro.expr.nodes import Assign, Let, Statement, py_float
 from repro.expr.transform import (
     collect_params,
     fold_statements,
     substitute_params,
 )
 from repro.language.array import ConstArray, PochoirArray
+from repro.language.boundary import (
+    Boundary,
+    ConstantBoundary,
+    DirichletBoundary,
+    MixedBoundary,
+    NeumannBoundary,
+    PeriodicBoundary,
+)
 from repro.language.stencil import Problem, problem_signature
+
+
+def boundary_modes(b: Boundary | None, ndim: int) -> list[str] | None:
+    """Per-dimension remap modes (``"mod"`` or ``"clip"``) for a
+    remap-kind boundary, else None.
+
+    An unregistered boundary degrades to clamp: it is only ever consulted
+    for reads that are actually in-domain (a kernel whose shape never
+    leaves the grid), where clamping is the identity.
+    """
+    if b is None:
+        return ["clip"] * ndim
+    if isinstance(b, PeriodicBoundary):
+        return ["mod"] * ndim
+    if isinstance(b, NeumannBoundary):
+        return ["clip"] * ndim
+    if isinstance(b, MixedBoundary):
+        modes = []
+        for i in range(ndim):
+            m = b.modes[i] if i < len(b.modes) else "clamp"
+            modes.append("mod" if m == "periodic" else "clip")
+        return modes
+    return None
+
+
+def boundary_fill_expr(
+    b: Boundary, dt: int, spell: Callable[[float], str] = py_float
+) -> str | None:
+    """Source of the scalar fill value at time ``t + dt``, else None.
+    ``spell`` writes a double in the target language (C passes its own)."""
+    if isinstance(b, ConstantBoundary):
+        return spell(b.value)
+    if isinstance(b, DirichletBoundary):
+        return f"({spell(b.base)} + {spell(b.per_step)} * (t{dt:+d}))"
+    return None
+
+
+def boundaries_expressible(arrays: Iterable[PochoirArray]) -> bool:
+    """Whether every array's boundary lowers to generated code — none, an
+    index remap (:func:`boundary_modes`) or a fill
+    (:func:`boundary_fill_expr`) — so the NumPy and C backends emit
+    boundary clones.  A :class:`~repro.language.boundary.PythonBoundary`
+    does not: its kernel gets the per-point boundary clone instead."""
+    return all(
+        a.boundary is None or a.boundary.is_index_remap or a.boundary.is_fill
+        for a in arrays
+    )
 
 
 @dataclass(frozen=True)
@@ -58,6 +114,9 @@ class KernelIR:
     #: problem: equal signatures generate the same code in every
     #: backend, so the code caches key on it.
     signature: str
+    #: :func:`boundaries_expressible` over the arrays: whether the
+    #: ``c`` and ``split_pointer`` backends emit boundary clones.
+    boundary_expressible: bool
 
     def reach(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per-dim extreme read offsets widened to include the home point
@@ -123,4 +182,5 @@ def build_ir(problem: Problem) -> KernelIR:
         depth=problem.shape.depth,
         unbound_params=frozenset(unbound),
         signature=problem_signature(problem),
+        boundary_expressible=boundaries_expressible(problem.arrays.values()),
     )

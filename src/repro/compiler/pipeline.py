@@ -23,20 +23,22 @@ Nothing here caches a kernel that holds a user buffer.  The expensive,
 data-independent artifact — a C kernel's loaded library, the NumPy and
 per-point clones' compiled code — is loaded once per process per
 problem signature (``KernelIR.signature``, see
-:func:`~repro.language.stencil.problem_signature`; :func:`load_kernel`
-and the per-point loader), and every compile binds it to the problem's
-current buffers, so a kernel lives exactly as long as the run holding it.
+:func:`~repro.language.stencil.problem_signature`) into the one code
+cache of :func:`load_kernel`, and every compile binds it to the
+problem's current buffers, so a kernel lives exactly as long as the run
+holding it.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.errors import CompileError
 from repro.compiler import codegen_c, codegen_numpy, codegen_python
 from repro.compiler.codegen_numpy import LeafFn
-from repro.compiler.frontend import KernelIR, build_ir
+from repro.compiler.frontend import KernelIR, boundaries_expressible, build_ir
 from repro.language.array import stack_grids
 from repro.language.stencil import Problem
 
@@ -117,13 +119,18 @@ def available_modes() -> tuple[str, ...]:
     return tuple(modes)
 
 
+#: The code cache: (backend or clone, problem signature, and for C the
+#: ``.so`` scope) -> loaded code, which holds no buffer.
+_LOADED: dict[tuple, object] = {}
+_LOADED_LOCK = threading.Lock()
+
+
 def clear_cache() -> None:
     """Drop every loaded C kernel library and every compiled NumPy and
     per-point clone, so the next compile generates code and reaches
     ``dlopen`` (and cc on a cold ``.so`` cache) again."""
-    codegen_c.clear_library_cache()
-    codegen_numpy.clear_code_cache()
-    codegen_python.clear_code_cache()
+    with _LOADED_LOCK:
+        _LOADED.clear()
 
 
 def resolve_mode(mode: str) -> str:
@@ -145,9 +152,8 @@ def walks_boundary(problem: Problem, mode: str) -> bool:
     boundary zoids: true exactly when the kernel compiles to C with C
     boundary clones (every boundary kind expressible), whose walk
     classifies each zoid itself and bottoms out in ``leaf_boundary``."""
-    return resolve_mode(mode) == "c" and all(
-        codegen_numpy.is_vectorizable_boundary(a.boundary)
-        for a in problem.arrays.values()
+    return resolve_mode(mode) == "c" and boundaries_expressible(
+        problem.arrays.values()
     )
 
 
@@ -205,8 +211,8 @@ def _compile_ir(ir: KernelIR, mode: str) -> CompiledKernel:
             ir=ir,
         )
     if mode == "macro_shadow":
-        interior, src_i = codegen_python.make_macro_shadow_interior(ir)
-        boundary, src_b = codegen_python.make_macro_shadow_boundary(ir)
+        interior, src_i = _macro_shadow(ir, boundary_mode=False)
+        boundary, src_b = _macro_shadow(ir, boundary_mode=True)
         return CompiledKernel(
             interior=interior,
             boundary=boundary,
@@ -228,7 +234,7 @@ def _compile_ir(ir: KernelIR, mode: str) -> CompiledKernel:
         # A boundary kind the backend cannot express: the paper's design
         # survives with the per-point boundary clone (allowed to be
         # slow) and per-step stepping in place of the fused boundary leaf.
-        boundary, src_b = codegen_python.make_macro_shadow_boundary(ir)
+        boundary, src_b = _macro_shadow(ir, boundary_mode=True)
         compiled.boundary = boundary
         compiled.boundary_mode = "macro_shadow"
         compiled.sources["boundary"] = src_b
@@ -240,12 +246,44 @@ def load_kernel(ir: KernelIR, mode: str) -> tuple[object, bool]:
     ``code`` is the ``c`` kernel's loaded library or the
     ``split_pointer`` clones' compiled code for ``ir``, built on the
     first call per process and shared afterwards, and ``hit`` says
-    whether this call found it already loaded.  It holds no buffer."""
+    whether this call found it already loaded.  It holds no buffer.
+
+    A C library is keyed on what determines the ``.so`` besides the
+    signature (:func:`~repro.compiler.codegen_c.library_scope`), so a
+    fresh cache directory or another toolchain reaches cc and ``dlopen``,
+    and their fault sites, again."""
     if mode == "c":
-        return codegen_c.load_c_kernel(ir)
+        key = ("c", ir.signature, *codegen_c.library_scope())
+        return _load_once(key, lambda: codegen_c.load_c_library(ir))
     if mode == "split_pointer":
-        return codegen_numpy.load_numpy_kernel(ir)
+        key = ("split_pointer", ir.signature)
+        return _load_once(key, lambda: codegen_numpy.compile_numpy_clones(ir))
     raise CompileError(f"unknown codegen mode {mode!r}")
+
+
+def _macro_shadow(ir: KernelIR, *, boundary_mode: bool) -> tuple[CloneFn, str]:
+    """One macro_shadow clone bound to ``ir``'s arrays, and its source;
+    the code is generated and compiled once per process."""
+    key = ("macro_shadow", boundary_mode, ir.signature)
+    (src, code), _ = _load_once(
+        key, lambda: codegen_python.compile_clone(ir, boundary_mode=boundary_mode)
+    )
+    return codegen_python.bind_clone(ir, code, boundary_mode=boundary_mode), src
+
+
+def _load_once(key: tuple, load: Callable[[], object]) -> tuple[object, bool]:
+    """``(code, hit)`` for ``key``, running ``load`` on a miss.  Failures
+    are not cached.  Two threads that miss together both load (the
+    ``.so`` cache's per-digest lock still runs cc once, and ``dlopen`` of
+    one path returns one handle); the first entry stored is the one
+    every caller gets."""
+    with _LOADED_LOCK:
+        cached = _LOADED.get(key)
+    if cached is not None:
+        return cached, True
+    loaded = load()
+    with _LOADED_LOCK:
+        return _LOADED.setdefault(key, loaded), False
 
 
 def bind_kernel(

@@ -373,6 +373,20 @@ class Problem:
     params: dict[str, float]
     t_start: int
     t_end: int
+    #: :func:`problem_signature`, computed on first use.  A problem made
+    #: with ``dataclasses.replace`` starts without it.
+    _signature: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        # The cached signature never travels: a receiver computes its own
+        # from the problem it unpickled, so a forged one keys nothing.
+        return {k: v for k, v in self.__dict__.items() if k != "_signature"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._signature = None
 
     @property
     def steps(self) -> int:
@@ -410,7 +424,15 @@ def problem_signature(problem: Problem) -> str:
     is not ``0.0``, and a NaN is its bit pattern.  Excludes
     ``t_start``/``t_end`` (a tune at one step count applies to any
     horizon), grid contents and const-array values.
+
+    Computed once per :class:`Problem` and cached on it.
     """
+    if problem._signature is None:
+        problem._signature = _signature_digest(problem)
+    return problem._signature
+
+
+def _signature_digest(problem: Problem) -> str:
     arrays = sorted(
         (
             a.name,

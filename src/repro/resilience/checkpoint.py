@@ -6,14 +6,15 @@ every registered :class:`~repro.language.array.PochoirArray` (all
 ``depth+1`` slots — the next block reads up to ``depth`` levels back),
 the next timestep to compute, and the problem signature
 (:func:`~repro.language.stencil.problem_signature`, the identity the
-code caches, batches and the autotune registry also key on).  A
-checkpoint resumes only a problem with the same signature: the same
-stencil, grid sizes, kernel, parameter values and boundaries, boundary
-values included, every float compared by its bits.  Const arrays are
-*not* stored: they are immutable inputs the resuming program
-reconstructs, and the signature pins their shapes but not their values,
-so resuming with different const-array contents is the caller's
-mistake, not one the signature catches.
+code caches, batches and the autotune registry also key on) and the
+digest of the inputs the signature leaves out on purpose
+(:func:`inputs_digest`: const-array values and ``PythonBoundary``
+functions, which must not split a batch).  A checkpoint resumes only a
+problem with the same signature and inputs: the same stencil, grid
+sizes, kernel, parameter values and boundaries, boundary values
+included, every float compared by its bits, and the same coefficients
+and boundary functions.  Const arrays are *not* stored: they are
+immutable inputs the resuming program reconstructs.
 
 Checkpoints are only taken between top-level time blocks (the
 resilience runner splits ``[t_start, t_end)`` at ``every_dt``
@@ -47,10 +48,11 @@ misreading a stale layout is not.
 
 from __future__ import annotations
 
-import io
+import hashlib
 import json
 import re
 import time
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -58,6 +60,8 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import CheckpointError, SpecificationError
+from repro.expr.nodes import py_float
+from repro.language.boundary import PythonBoundary
 from repro.language.stencil import problem_signature
 from repro.resilience import degradations, faults
 from repro.util import atomic_write_chunks
@@ -108,13 +112,63 @@ class CheckpointPolicy:
         self.dir = Path(self.dir)
 
 
+def _spell(obj) -> str:
+    """A process-independent spelling of a boundary function's parts:
+    floats by :func:`~repro.expr.nodes.py_float`, code objects by their
+    bytecode, constants and names, anything else by ``repr`` (an object
+    whose ``repr`` carries its address makes the checkpoint unresumable
+    in another process, never wrongly resumable)."""
+    if isinstance(obj, float):
+        return py_float(obj)
+    if isinstance(obj, (tuple, list)):
+        return "(" + ", ".join(_spell(o) for o in obj) + ")"
+    if isinstance(obj, types.CodeType):
+        return _spell((obj.co_code, obj.co_consts, obj.co_names))
+    return repr(obj)
+
+
+def _spell_function(fn) -> str:
+    if not isinstance(fn, types.FunctionType):
+        return repr(fn)
+    cells = []
+    for cell in fn.__closure__ or ():
+        try:
+            cells.append(cell.cell_contents)
+        except ValueError:  # a cell not yet assigned
+            cells.append(None)
+    return _spell((fn.__code__, fn.__defaults__ or (), tuple(cells)))
+
+
+def inputs_digest(problem) -> str | None:
+    """Digest of what a run reads that :func:`problem_signature` leaves
+    out so that batches stay value-free: each const array's bytes and
+    each ``PythonBoundary`` function (its code, defaults and closure-cell
+    contents).  None when the problem has neither — the value a header
+    written before this field reads as."""
+    consts = sorted(problem.const_arrays)
+    functions = [
+        (name, _spell_function(problem.arrays[name].boundary.fn))
+        for name in sorted(problem.arrays)
+        if isinstance(problem.arrays[name].boundary, PythonBoundary)
+    ]
+    if not consts and not functions:
+        return None
+    digest = hashlib.sha256(repr((consts, functions)).encode())
+    for name in consts:
+        values = problem.const_arrays[name].values
+        digest.update(str(values.dtype).encode())
+        digest.update(np.ascontiguousarray(values))
+    return digest.hexdigest()[:32]
+
+
 @dataclass
 class Checkpoint:
     """One loaded (or about-to-be-written) checkpoint.
 
     ``arrays`` maps array name to the full modular buffer
     (``(slots, *sizes)``); ``t_next`` is the first time level the
-    resumed run must compute.
+    resumed run must compute; ``inputs`` is the written problem's
+    :func:`inputs_digest`.
     """
 
     signature: str
@@ -124,6 +178,15 @@ class Checkpoint:
     schema: int = CHECKPOINT_SCHEMA_VERSION
     unix_time: float = 0.0
     meta: dict = field(default_factory=dict)
+    inputs: str | None = None
+
+    def resumes(self, problem) -> bool:
+        """Whether this checkpoint was written from ``problem``'s
+        signature and inputs."""
+        return (
+            self.signature == problem_signature(problem)
+            and self.inputs == inputs_digest(problem)
+        )
 
     def restore_into(self, problem) -> None:
         """Copy the snapshot back into the problem's live arrays.
@@ -133,12 +196,12 @@ class Checkpoint:
         array's buffer itself, so rebinding ``arr.data`` would leave it
         on the dead one.
         """
-        sig = problem_signature(problem)
-        if sig != self.signature:
+        if not self.resumes(problem):
             raise CheckpointError(
                 f"checkpoint {self.path or ''} was taken from a different "
                 f"problem (signature {self.signature[:12]}, expected "
-                f"{sig[:12]}): refusing to restore"
+                f"{problem_signature(problem)[:12]}) or from other const-"
+                f"array values or boundary functions: refusing to restore"
             )
         for name, arr in problem.arrays.items():
             stored = self.arrays.get(name)
@@ -154,7 +217,10 @@ def checkpoint_filename(signature: str, t_next: int) -> str:
 
 
 def checkpoint_chunks(
-    signature: str, arrays: dict[str, np.ndarray], t_next: int
+    signature: str,
+    arrays: dict[str, np.ndarray],
+    t_next: int,
+    inputs: str | None = None,
 ) -> list:
     """The on-disk representation as a list of buffers, in file order.
 
@@ -170,6 +236,7 @@ def checkpoint_chunks(
     header = {
         "schema": CHECKPOINT_SCHEMA_VERSION,
         "signature": signature,
+        "inputs": inputs,
         "t_next": int(t_next),
         "unix_time": time.time(),
         "arrays": [
@@ -183,8 +250,6 @@ def checkpoint_chunks(
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     length = len(header_bytes).to_bytes(_LEN_BYTES, "little")
-    import hashlib
-
     digest = hashlib.sha256()
     digest.update(length)
     digest.update(header_bytes)
@@ -193,21 +258,12 @@ def checkpoint_chunks(
     return [MAGIC, digest.digest(), length, header_bytes, *views]
 
 
-def serialize_checkpoint(problem, t_next: int) -> bytes:
-    """The on-disk bytes for a checkpoint of ``problem`` at ``t_next``."""
-    arrays = {name: arr.data for name, arr in problem.arrays.items()}
-    chunks = checkpoint_chunks(problem_signature(problem), arrays, t_next)
-    body = io.BytesIO()
-    for chunk in chunks:
-        body.write(chunk)
-    return body.getvalue()
-
-
 def write_checkpoint_arrays(
     directory: str | Path,
     signature: str,
     arrays: dict[str, np.ndarray],
     t_next: int,
+    inputs: str | None = None,
 ) -> Path:
     """Durably stream one checkpoint from a name→buffer mapping.
 
@@ -216,7 +272,9 @@ def write_checkpoint_arrays(
     live arrays can keep mutating while the snapshot flushes.
     """
     path = Path(directory) / checkpoint_filename(signature, t_next)
-    atomic_write_chunks(path, checkpoint_chunks(signature, arrays, t_next))
+    atomic_write_chunks(
+        path, checkpoint_chunks(signature, arrays, t_next, inputs)
+    )
     return path
 
 
@@ -224,7 +282,8 @@ def write_checkpoint(directory: str | Path, problem, t_next: int) -> Path:
     """Durably write one checkpoint of the live arrays; returns its path."""
     arrays = {name: arr.data for name, arr in problem.arrays.items()}
     return write_checkpoint_arrays(
-        directory, problem_signature(problem), arrays, t_next
+        directory, problem_signature(problem), arrays, t_next,
+        inputs_digest(problem),
     )
 
 
@@ -248,8 +307,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path} is not a checkpoint file (bad magic)")
     digest = raw[len(MAGIC) : len(MAGIC) + _DIGEST_LEN]
     payload = raw[len(MAGIC) + _DIGEST_LEN :]
-    import hashlib
-
     if hashlib.sha256(payload).digest() != digest:
         raise CheckpointError(
             f"{path} failed its checksum (torn or corrupt write)"
@@ -290,6 +347,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         path=path,
         schema=int(schema),
         unix_time=float(header.get("unix_time", 0.0)),
+        inputs=header.get("inputs"),
     )
 
 
@@ -335,18 +393,17 @@ def newest_valid(
     """The newest checkpoint that can resume ``problem``, or ``None``.
 
     Valid means: loads (checksum + schema), matches the problem's
-    signature, and its ``t_next`` lies inside ``(t_start, t_end]`` — a
+    signature and inputs (:meth:`Checkpoint.resumes`; a checkpoint of
+    other const-array values or boundary functions is skipped), and its
+    ``t_next`` lies inside ``(t_start, t_end]`` — a
     checkpoint at or before the run's own start would not save work,
     and one past its end belongs to a longer horizon.  ``t_next ==
     t_end`` means the whole run already completed: zero blocks remain.
     Damaged files are skipped (with a degradation note) in favor of the
     next-newest; no valid file reads as "cold start".
     """
-    signature = problem_signature(problem)
-    for ckpt in _iter_valid(directory, signature):
-        if ckpt.signature != signature:  # pragma: no cover - name-filtered
-            continue
-        if problem.t_start < ckpt.t_next <= problem.t_end:
+    for ckpt in _iter_valid(directory, problem_signature(problem)):
+        if ckpt.resumes(problem) and problem.t_start < ckpt.t_next <= problem.t_end:
             return ckpt
     return None
 

@@ -75,6 +75,7 @@ from repro.resilience import degradations, faults
 from repro.resilience.checkpoint import (
     Checkpoint,
     CheckpointPolicy,
+    inputs_digest,
     load_checkpoint,
     newest_valid,
     prune,
@@ -133,9 +134,10 @@ class _CheckpointWriter:
 
     _QUEUE_DEPTH = 2  # pending snapshots; bounds memory, not history
 
-    def __init__(self, directory: Path, signature: str, keep: int) -> None:
+    def __init__(self, directory: Path, problem, keep: int) -> None:
         self._dir = directory
-        self._signature = signature
+        self._signature = problem_signature(problem)
+        self._inputs = inputs_digest(problem)
         self._keep = keep
         self._queue: queue.Queue = queue.Queue(maxsize=self._QUEUE_DEPTH)
         self.written = 0
@@ -189,7 +191,7 @@ class _CheckpointWriter:
             arrays, t_next = item
             try:
                 write_checkpoint_arrays(
-                    self._dir, self._signature, arrays, t_next
+                    self._dir, self._signature, arrays, t_next, self._inputs
                 )
                 self.written += 1
                 if faults.fire("checkpoint.kill"):
@@ -285,9 +287,7 @@ def execute_blocks(
         run_range(t_first, problem.t_end)
         return
 
-    writer = _CheckpointWriter(
-        policy.dir, problem_signature(problem), policy.keep
-    )
+    writer = _CheckpointWriter(policy.dir, problem, policy.keep)
     handlers = _install_shutdown_handlers()
     shutdown: ShutdownRequested | None = None
     try:

@@ -250,7 +250,7 @@ class TestGeneratedSources:
 
         st_, u, k = make_heat_problem((8, 8))
         ir = build_ir(st_.prepare(1, k))
-        _, src = codegen_python.make_macro_shadow_interior(ir)
+        src, _ = codegen_python.compile_clone(ir, boundary_mode=False)
         assert "read_at" not in src  # the point of the macro trick
         assert "R_u" not in src
         assert "D_u[" in src
@@ -260,7 +260,7 @@ class TestGeneratedSources:
 
         st_, u, k = make_heat_problem((8, 8))
         ir = build_ir(st_.prepare(1, k))
-        _, src = codegen_python.make_macro_shadow_boundary(ir)
+        src, _ = codegen_python.compile_clone(ir, boundary_mode=True)
         assert "R_u(" in src
         assert "% 8" in src  # virtual -> true coordinate reduction
 
@@ -269,7 +269,7 @@ class TestGeneratedSources:
 
         st_, u, k = make_heat_problem((8, 8))
         ir = build_ir(st_.prepare(1, k))
-        kernel, _ = codegen_numpy.load_numpy_kernel(ir)
+        kernel = codegen_numpy.compile_numpy_clones(ir)
         src, _, _ = kernel["interior"]
         assert "l0:h0" in src or "l0+1:h0+1" in src
         # fully vectorized: the job loop is the only python loop

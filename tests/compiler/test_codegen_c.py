@@ -20,7 +20,7 @@ import subprocess
 
 import pytest
 
-from repro.compiler import codegen_c
+from repro.compiler import codegen_c, pipeline
 from repro.compiler.codegen_c import (
     build_shared_object,
     compiler_identity,
@@ -186,24 +186,24 @@ class TestSharedObjectCache:
         ``.so`` and a different loaded library — never load an object
         built by the old compiler or for the other CPU."""
         ir = _heat_ir()
-        monkeypatch.setattr(codegen_c, "_LIBRARIES", {})
+        monkeypatch.setattr(pipeline, "_LOADED", {})
         p1 = build_shared_object(self.SRC)
-        codegen_c.load_c_kernel(ir)
-        keys = set(codegen_c._LIBRARIES)
+        pipeline.load_kernel(ir, "c")
+        keys = set(pipeline._LOADED)
         # Another CPU: only the ISA probe answers differently.
         monkeypatch.setattr(codegen_c, "_CC_IDENTITY", {})
         monkeypatch.setattr(codegen_c, "_host_isa", lambda cc: "0ther-cpu")
         p_isa = build_shared_object(self.SRC)
-        _, hit = codegen_c.load_c_kernel(ir)
-        assert not hit and len(set(codegen_c._LIBRARIES) - keys) == 1
-        keys = set(codegen_c._LIBRARIES)
+        _, hit = pipeline.load_kernel(ir, "c")
+        assert not hit and len(set(pipeline._LOADED) - keys) == 1
+        keys = set(pipeline._LOADED)
         # An upgraded toolchain.
         monkeypatch.setattr(
             codegen_c, "compiler_identity", lambda cc: "upgraded-cc|99.0"
         )
         p2 = build_shared_object(self.SRC)
-        _, hit = codegen_c.load_c_kernel(ir)
-        assert not hit and len(set(codegen_c._LIBRARIES) - keys) == 1
+        _, hit = pipeline.load_kernel(ir, "c")
+        assert not hit and len(set(pipeline._LOADED) - keys) == 1
         assert len({p1, p_isa, p2}) == 3
         assert p1.exists() and p_isa.exists() and p2.exists()
 
@@ -233,7 +233,7 @@ class TestSharedObjectCache:
         )
         fake.chmod(0o755)
         monkeypatch.setenv("CC", str(fake))
-        monkeypatch.setattr(codegen_c, "_LIBRARIES", {})
+        monkeypatch.setattr(pipeline, "_LOADED", {})
         assert find_c_compiler() == str(fake)
         assert compiler_identity(str(fake)).endswith("|isa:portable")
         assert "-march=native" not in codegen_c.compile_flags(str(fake))

@@ -24,6 +24,7 @@ from repro import (
     MixedBoundary,
     PeriodicBoundary,
     PochoirArray,
+    PythonBoundary,
     RunOptions,
     SpecificationError,
     Stencil,
@@ -31,7 +32,7 @@ from repro import (
 )
 from repro.apps.heat import heat_kernel, heat_shape
 from repro.apps.registry import build
-from repro.compiler import codegen_c, codegen_numpy
+from repro.compiler import pipeline
 from repro.compiler.batch import batch_signature
 from repro.compiler.pipeline import clear_cache
 from repro.compiler.runtime_support import f64
@@ -149,6 +150,130 @@ def test_resume_ignores_another_boundary_values_checkpoint(tmp_path):
     )
 
 
+def _snapshots(stencil) -> dict[str, bytes]:
+    return {
+        name: _bits(arr.snapshot(stencil.cursor))
+        for name, arr in stencil.arrays.items()
+    }
+
+
+def test_resume_ignores_another_const_arrays_checkpoint(tmp_path):
+    """Const-array values are not in the signature (batches stay
+    value-free), but a checkpoint of other coefficients must not resume."""
+    from repro.apps.psa import build_psa
+
+    app0 = build_psa(10, seed=0)
+    app0.stencil.run(
+        app0.steps, app0.kernel, checkpoint=CheckpointPolicy(dir=tmp_path, every_dt=5)
+    )
+    app1 = build_psa(10, seed=1)
+    report = app1.stencil.run(app1.steps, app1.kernel, resume_from=tmp_path)
+    assert report.resumed_from is None
+    assert "checkpoint:no-valid-checkpoint->cold-start" in report.degradations
+    cold = build_psa(10, seed=1)
+    cold.stencil.run(cold.steps, cold.kernel)
+    assert _snapshots(app1.stencil) == _snapshots(cold.stencil)
+
+
+def _edge(value: float) -> PythonBoundary:
+    return PythonBoundary(lambda reader, t, *point: value, name="edge")
+
+
+def test_resume_ignores_another_boundary_functions_checkpoint(tmp_path):
+    """Two ``PythonBoundary`` functions of one name differ in a closure
+    value: the second run must not resume the first one's checkpoint."""
+    steps = 12
+    st0, _, k0 = _heat(_edge(0.0), seed=2, sizes=(16, 16))
+    st0.run(steps, k0, checkpoint=CheckpointPolicy(dir=tmp_path, every_dt=4))
+
+    st1, u1, k1 = _heat(_edge(100.0), seed=2, sizes=(16, 16))
+    report = st1.run(steps, k1, resume_from=tmp_path)
+    assert report.resumed_from is None
+    assert "checkpoint:no-valid-checkpoint->cold-start" in report.degradations
+    st2, u2, k2 = _heat(_edge(100.0), seed=2, sizes=(16, 16))
+    st2.run(steps, k2)
+    assert _bits(u1.snapshot(st1.cursor)) == _bits(u2.snapshot(st2.cursor))
+
+    # The same function and closure value does resume.
+    st3, _, k3 = _heat(_edge(0.0), seed=2, sizes=(16, 16))
+    report = st3.run(steps + 4, k3, resume_from=tmp_path)
+    assert report.resumed_from == steps + 1
+
+
+# -- one signature per problem ------------------------------------------------
+
+
+@pytest.fixture
+def digests(monkeypatch):
+    """Counts every signature digest computed."""
+    from repro.language import stencil
+
+    calls = []
+    real = stencil._signature_digest
+
+    def counting(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(stencil, "_signature_digest", counting)
+    return calls
+
+
+@pytest.mark.parametrize("autotune", ["off", "use"])
+def test_a_local_run_computes_its_signature_once(digests, autotune):
+    st, _, kern = _heat(ConstantBoundary(0.0))
+    st.run(4, kern, autotune=autotune)
+    assert len(digests) == 1
+
+
+def _serve(problems, mode="split_pointer"):
+    async def main():
+        opts = ServeOptions(max_batch=len(problems), batch_window=0.2)
+        async with StencilServer(opts) as srv:
+            reports = await asyncio.gather(
+                *(srv.submit_problem(p, RunOptions(mode=mode)) for p in problems)
+            )
+        return srv, reports
+
+    return asyncio.run(main())
+
+
+def test_a_served_group_computes_each_signature_once(digests):
+    problems = []
+    for seed in range(8):
+        st, _, kern = _heat(PeriodicBoundary(), seed=seed, sizes=(32, 32))
+        problems.append(st.prepare(4, kern))
+    srv, reports = _serve(problems)
+    assert [r.batch_size for r in reports] == [8] * 8
+    assert len(digests) == 8
+
+
+def test_a_forged_signature_does_not_cross_the_wire(monkeypatch):
+    """A submitted problem is grouped by the signature the server
+    computes, whatever cached signature its pickle carries."""
+    from repro.language.stencil import Problem
+    from repro.serve import protocol
+
+    st_a, _, k_a = _heat(ConstantBoundary(0.0), seed=0)
+    st_b, _, k_b = _heat(ConstantBoundary(100.0), seed=1)
+    real_a = st_a.prepare(4, k_a)
+    forged = st_b.prepare(4, k_b)
+    forged._signature = problem_signature(real_a)
+    # A client whose pickle carries the cached signature.
+    with monkeypatch.context() as m:
+        m.setattr(Problem, "__getstate__", lambda self: dict(self.__dict__))
+        payload = protocol.pack(forged)
+    received = protocol.unpack(payload)
+    assert getattr(received, "_signature", None) is None
+    assert problem_signature(received) != problem_signature(real_a)
+
+    srv, reports = _serve([real_a, received])
+    assert srv.stats["batches"] == 2
+    assert [r.batch_size for r in reports] == [1, 1]
+    got = received.arrays["u"].snapshot(received.t_end - 1)
+    assert _bits(got) == _heat_phase1(ConstantBoundary(100.0), 4, seed=1)
+
+
 # -- code caches --------------------------------------------------------------
 
 NAN_A = 0x7FF8000000000001
@@ -212,7 +337,7 @@ def test_float_twins_each_match_phase1(twins, mode):
 
 
 def _loaded(mode: str) -> int:
-    return len(codegen_c._LIBRARIES if mode == "c" else codegen_numpy._KERNELS)
+    return sum(key[0] == mode for key in pipeline._LOADED)
 
 
 @pytest.mark.parametrize("mode", BATCH_MODES)
