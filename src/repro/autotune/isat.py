@@ -13,15 +13,14 @@ one memoized coordinate descent (:func:`_descent`) over different axes:
   thresholds, the dt threshold, the codegen mode, the compiled walk's
   thread count, the worker count and the executor.  Its result is a
   :class:`~repro.autotune.registry.TunedConfig`, ready to persist in the
-  on-disk registry that ``Stencil.run`` consults.  Leaf fusion and the
-  compiled walk are not axes: the run always takes them where the
-  backend has them.
+  on-disk registry and to run under via ``TunedConfig.as_options()``.
+  Leaf fusion and the compiled walk are not axes: the run always takes
+  them where the backend has them.
 
 The memo matters: coordinate descent revisits the incumbent on every
 sweep, and re-timing it would waste most of the budget, so a tune costs
-tens of runs, not hours.  :func:`tune_problem` is the
-driver-level glue for ``RunOptions(autotune="tune-on-miss")``: it tunes
-on *cloned* arrays so the user's grids are untouched.
+tens of runs, not hours.  Both searches run offline, as the paper's did:
+no run consults a tuner or its results unless its caller passes them in.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Callable, Sequence
 from repro.autotune.registry import TunedConfig
 from repro.errors import AutotuneError
 from repro.language.kernel import Kernel
-from repro.language.stencil import EXECUTORS, Problem, RunOptions, Stencil
+from repro.language.stencil import EXECUTORS, RunOptions, Stencil
 
 
 class _Memo:
@@ -309,7 +308,6 @@ def tune_dispatch(
                 executor=config.executor or "auto",
                 n_workers=config.n_workers,
                 walk_threads=config.walk_threads,
-                autotune="off",
             )
             t0 = time.perf_counter()
             stencil.run(steps, kernel, opts)
@@ -332,74 +330,4 @@ def tune_dispatch(
         evaluations=evaluate.unique,
         visits=evaluate.visits,
         history=history,
-    )
-
-
-# -- driver-level tune-on-miss glue -------------------------------------------
-
-
-def _clone_arrays(problem: Problem) -> dict:
-    """Private twins of the problem's arrays; the tuning runs mutate only
-    these."""
-    return {name: arr.clone() for name, arr in problem.arrays.items()}
-
-
-def tune_problem(
-    problem: Problem,
-    *,
-    backend: str = "auto",
-    algorithm: str = "trap",
-    steps: int | None = None,
-    max_sweeps: int = 1,
-    repeats: int = 1,
-) -> DispatchResult:
-    """Tune the dispatch space for an already-prepared Problem.
-
-    This is what ``autotune="tune-on-miss"`` runs inside the driver: the
-    user's arrays are cloned once and restored before every candidate
-    run, so tuning is invisible to the caller's state.  The candidate
-    grid is deliberately modest (a log grid around the heuristics, one
-    sweep) — a registry miss costs tens of short runs, once, and every
-    later run in any process hits the stored entry.
-    """
-    from repro.compiler.pipeline import available_modes, resolve_mode
-    from repro.trap.driver import execute_problem
-
-    clones = _clone_arrays(problem)
-    tune_steps = steps if steps is not None else min(problem.steps, 24)
-    tune_steps = max(1, tune_steps)
-    tuning_problem = replace(
-        problem,
-        arrays=clones,
-        t_end=problem.t_start + tune_steps,
-    )
-
-    if backend == "auto":
-        modes = tuple(
-            m for m in available_modes() if m not in ("auto", "interp", "macro_shadow")
-        )
-    else:
-        modes = (resolve_mode(backend),)
-
-    class _ProblemRunner:
-        """Adapts the cloned Problem to tune_dispatch's (stencil, kernel)
-        protocol: ``run`` reloads the clones from the untouched user
-        arrays and times ``execute_problem`` directly."""
-
-        ndim = problem.ndim
-        sizes = problem.sizes
-
-        def run(self, _steps: int, _kernel, options: RunOptions):
-            for name, arr in clones.items():
-                arr.load(problem.arrays[name].data)
-            return execute_problem([tuning_problem], options)[0]
-
-    runner = _ProblemRunner()
-    return tune_dispatch(
-        lambda: (runner, None),
-        tune_steps,
-        modes=modes,
-        max_sweeps=max_sweeps,
-        repeats=repeats,
-        algorithm=algorithm,
     )

@@ -1,12 +1,17 @@
-"""Persistent tuned-configuration registry (the ISAT role, productionized).
+"""Persistent tuned-configuration store (the ISAT role, offline).
 
 The paper integrates the ISAT autotuner because "choosing the optimal
-size of the base case can be difficult" — but a tune is only worth hours
-of search if its result *outlives the process*.  This module persists
-tuned dispatch configurations to an on-disk JSON registry so that
-``Stencil.run`` can transparently reuse a configuration tuned days ago
-(or by a different process on the same machine), the way Stencil-HMLS
-style frameworks apply per-(kernel, target) tuning records.
+size of the base case can be difficult", and runs it offline because
+"this autotuning process can take hours"; the shipped heuristics are
+the default.  This module keeps a tune's result past its process: an
+on-disk JSON store of tuned dispatch configurations.  No run reads it.
+A tuned config is reused explicitly::
+
+    result = tune_dispatch(make_problem, steps)          # offline
+    store(problem, "auto", result.config)
+    ...
+    config = lookup(problem, "auto")                      # any process
+    stencil.run(steps, kernel, **config.as_options())
 
 Keying
 ------
@@ -18,22 +23,20 @@ An entry is keyed on three components, any of which invalidates it:
   ndim, grid sizes, shape cells, kernel statements, parameter values,
   per-array dtype, depth and boundary (kind *and* values), and
   const-array shapes, every float spelled exactly;
-* the **backend** — the ``RunOptions.mode`` *request* (``"auto"`` is a
-  distinct key from an explicit ``"c"``: under ``"auto"`` the tuner is
-  free to pick the codegen mode, under an explicit mode it is not).
-  Non-TRAP walk algorithms prefix it (``"strap:auto"``) so a config
-  tuned by timing TRAP never serves a STRAP run;
+* the **backend** — a caller-chosen string, by convention the
+  ``RunOptions.mode`` the config was tuned for (``"auto"`` when the
+  tuner picked the codegen mode itself);
 * the **machine fingerprint** — CPU count plus the C toolchain identity
   (:func:`repro.compiler.codegen_c.compiler_identity`), so a config
   tuned on another box, after a compiler upgrade, or with a toolchain
-  that has since vanished never gets applied.
+  that has since vanished is never returned.
 
-Robustness mirrors the ``.so`` cache's discipline: the registry file
-carries a schema version (older layouts are read tolerantly, a newer one
-reads as empty — see :data:`SCHEMA_VERSION`); a corrupt file is evicted
-(renamed aside) and treated as empty; individual entries that fail
-validation are dropped on load; all I/O failures degrade to "no tuned
-config" — no exception from this module ever reaches ``Stencil.run``.
+Robustness mirrors the ``.so`` cache's discipline: the file carries a
+schema version, and a file of any other schema reads as empty (see
+:data:`SCHEMA_VERSION`); a corrupt file is evicted (renamed aside) and
+treated as empty; individual entries that fail validation are dropped
+on load; all I/O failures read as "no tuned config" — :func:`lookup`
+and :func:`store` never raise.
 
 The file lives at ``$REPRO_TUNE_REGISTRY`` or
 ``<tempdir>/repro_autotune/registry.json``; wipe it with
@@ -54,10 +57,10 @@ from repro.language.stencil import EXECUTORS, problem_signature
 from repro.resilience import degradations, faults
 from repro.util import atomic_write_text, interprocess_lock
 
-#: The layout version written by :func:`store`.  The reader accepts any
-#: schema from 1 up to this one: unknown keys are ignored and missing
-#: knobs default to ``None``, the run's auto rule, so adding or dropping
-#: a knob needs no bump.  A file from a *newer* schema reads as empty.
+#: The layout version :func:`store` writes and the reader accepts; a file
+#: of any other schema reads as empty, and the next store replaces it.
+#: Unknown keys are ignored and missing knobs default to ``None`` (the
+#: run's auto rule), so adding or dropping a knob needs no bump.
 SCHEMA_VERSION = 4
 
 _REGISTRY_LOCK = threading.Lock()
@@ -69,13 +72,10 @@ class TunedConfig:
     ISAT search covers, not just the two coarsening thresholds.
 
     ``mode`` is a concrete codegen mode (or ``"auto"`` meaning "no
-    preference"); ``n_workers`` ``None`` keeps the run's default,
-    ``walk_threads`` ``None`` keeps the run's auto rule
-    (detected core count), and ``executor`` ``None`` keeps the run's
-    auto rule (a tuned ``"procs"`` is applied only when the run's
-    options already permit supervision).  ``best_time``/
-    ``evaluations``/``tuned_unix_time`` are provenance for inspection,
-    not applied to runs.
+    preference"); ``n_workers``, ``walk_threads`` and ``executor``
+    ``None`` keep the run's auto rules.  :meth:`as_options` turns the
+    knobs into run options.  ``best_time``/``evaluations``/
+    ``tuned_unix_time`` are provenance for inspection, not options.
     """
 
     space_thresholds: tuple[int, ...]
@@ -87,6 +87,18 @@ class TunedConfig:
     best_time: float = 0.0
     evaluations: int = 0
     tuned_unix_time: float = 0.0
+
+    def as_options(self) -> dict[str, Any]:
+        """The tuned knobs as :class:`~repro.language.stencil.RunOptions`
+        keyword arguments (``Stencil.run(steps, kernel, **as_options())``)."""
+        return {
+            "space_thresholds": self.space_thresholds,
+            "dt_threshold": self.dt_threshold,
+            "mode": self.mode,
+            "n_workers": self.n_workers,
+            "walk_threads": self.walk_threads,
+            "executor": self.executor or "auto",
+        }
 
     def to_json(self) -> dict[str, Any]:
         d = asdict(self)
@@ -183,29 +195,10 @@ def _evict_corrupt(path: Path) -> None:
             pass
 
 
-#: (path -> (stat tag, parsed entries)): a run loop with autotune
-#: enabled does one lookup per Stencil.run, and re-reading + re-parsing
-#: the whole file each time could cost more than the tuned config saves
-#: on tiny runs.  The (mtime_ns, size) tag invalidates on any writer —
-#: this process's store() or another's.  Callers must treat the cached
-#: dict as read-only (store() copies before mutating).
-_LOAD_CACHE: dict[Path, tuple[tuple[int, int], dict[str, dict]]] = {}
-_LOAD_CACHE_MAX = 32
-
-
 def _load(path: Path) -> dict[str, dict]:
     """Entries from disk; {} on any damage (file-level eviction) or a
-    schema outside ``1..SCHEMA_VERSION``.  Entry-level damage drops just
-    that entry."""
-    try:
-        stat = path.stat()
-        tag = (stat.st_mtime_ns, stat.st_size)
-    except OSError:
-        _LOAD_CACHE.pop(path, None)
-        return {}
-    cached = _LOAD_CACHE.get(path)
-    if cached is not None and cached[0] == tag:
-        return cached[1]
+    schema other than :data:`SCHEMA_VERSION`.  Entry-level damage drops
+    just that entry."""
     try:
         raw = path.read_text()
     except OSError:
@@ -218,9 +211,7 @@ def _load(path: Path) -> dict[str, dict]:
         degradations.note("registry:corrupt-evicted")
         _evict_corrupt(path)
         return {}
-    if not isinstance(doc, dict) or doc.get("schema") not in range(
-        1, SCHEMA_VERSION + 1
-    ):
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
         return {}
     entries = doc.get("entries")
     if not isinstance(entries, dict):
@@ -232,9 +223,6 @@ def _load(path: Path) -> dict[str, dict]:
         except (KeyError, TypeError, ValueError):
             continue
         good[key] = obj
-    if len(_LOAD_CACHE) >= _LOAD_CACHE_MAX:
-        _LOAD_CACHE.clear()
-    _LOAD_CACHE[path] = (tag, good)
     return good
 
 
@@ -251,7 +239,7 @@ def lookup(problem, backend: str) -> TunedConfig | None:
     """The tuned config for (problem, backend) on this machine, or None.
 
     Never raises: damage, schema drift, and fingerprint mismatch all
-    read as "no tuned config" — the caller falls back to heuristics.
+    read as "no tuned config".
     """
     try:
         key = registry_key(problem_signature(problem), backend)
@@ -275,12 +263,11 @@ def store(problem, backend: str, config: TunedConfig) -> bool:
 
     Read-modify-write under the process lock *and* an ``fcntl.flock`` on
     a sibling lockfile, so concurrent stores — threads here or tuners in
-    other processes (a server's workers all tuning at once) — merge
-    instead of last-writer-wins dropping entries.  The ``_load`` cache
-    tag is (mtime_ns, size), so the re-read under the lock observes any
-    writer that got in first.  Where locking is unavailable the store
-    degrades to the old atomic-replace behavior: file integrity always,
-    cross-process merge best-effort.
+    other processes — merge instead of last-writer-wins dropping
+    entries: the re-read under the lock observes any writer that got in
+    first.  Where locking is unavailable the store degrades to the old
+    atomic-replace behavior: file integrity always, cross-process merge
+    best-effort.
     """
     try:
         key = registry_key(problem_signature(problem), backend)
@@ -288,7 +275,7 @@ def store(problem, backend: str, config: TunedConfig) -> bool:
             path = registry_path()
             path.parent.mkdir(parents=True, exist_ok=True)
             with interprocess_lock(path.with_name(path.name + ".lock")):
-                entries = dict(_load(path))  # copy: the loaded dict may be cached
+                entries = _load(path)
                 entries[key] = config.to_json()
                 _dump(path, entries)
         return True

@@ -118,9 +118,9 @@ def scatter_results(stack: BatchStack) -> None:
 
 def can_stack(problem: Problem, options: RunOptions) -> bool:
     """Whether K jobs of ``problem``'s signature run as one stack under
-    the *effective* ``options`` (after the registry consult): the backend
-    has stacked clones (``c`` and ``split_pointer``; the per-point modes
-    have none), every boundary kind is vectorizable, and the executor
+    the run's ``options``: the backend has stacked clones (``c`` and
+    ``split_pointer``; the per-point modes have none), every boundary
+    kind is vectorizable, and the executor
     runs in process (``procs`` may rebind the arrays to shared memory,
     and a stack of copies would then scatter stale data).  A group that
     fails it runs one job at a time."""

@@ -635,12 +635,12 @@ def _walk_helpers(ir: KernelIR, grid: _Grid, walks_boundary: bool) -> str:
     instructions — the walk is bitwise identical at every thread count.
 
     Coarsening thresholds, slopes, the hyperspace flag and the thread
-    count arrive as scalar ``i64`` arguments, so tuned configurations
-    from the autotune registry apply unrebuilt.  The counters (spawned, stolen, level
-    barriers, and calls that asked for more than one thread but ran
-    without a pool) are flushed once per call into the caller's
-    ``i64[4]`` stats buffer with atomic adds, so concurrent DAG workers
-    can share one buffer.
+    count arrive as scalar ``i64`` arguments, so whatever coarsening and
+    thread count a run's options choose apply unrebuilt.  The counters
+    (spawned, stolen, level barriers, and calls that asked for more than
+    one thread but ran without a pool) are flushed once per call into the
+    caller's ``i64[4]`` stats buffer with atomic adds, so concurrent DAG
+    workers can share one buffer.
     """
     d = ir.ndim
     lines = [

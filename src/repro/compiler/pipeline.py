@@ -138,9 +138,10 @@ def resolve_mode(mode: str) -> str:
 
     The single source of ``"auto"`` dispatch — the paper's path, C, when
     a toolchain is found, else the always-available NumPy backend.
-    ``compile_kernel``, the walk driver's coarsening defaults, the
-    stack-or-not rule and the autotuner all consult it, so the
-    thresholds chosen for a run always match the backend that runs.
+    The execute driver resolves a run's mode with it once, on entry, so
+    the coarsening defaults, the stack-or-not rule and the compile all
+    see the backend that runs; ``compile_kernel``, the walk setup and
+    the autotuner still accept ``"auto"`` on their own.
     """
     if mode != "auto":
         return mode

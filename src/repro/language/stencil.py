@@ -94,21 +94,6 @@ class RunOptions:
         bitwise-equivalent by construction, so this knob trades only
         time, never results.  Ignored (harmlessly) when no subtree task
         runs through the compiled walk.
-    ``autotune``:
-        the persistent tuned-config registry
-        (:mod:`repro.autotune.registry`).  ``"off"`` (default) never
-        consults it; ``"use"`` applies a stored configuration for this
-        (stencil, backend, machine) when one exists, falling back to
-        the heuristics on a miss; ``"tune-on-miss"`` additionally runs
-        a short dispatch-space tune on a miss (against *cloned* arrays
-        — user state is untouched), stores the result, and applies it.
-        Tuned values fill only knobs left at their defaults: explicit
-        ``space_thresholds``/``dt_threshold``/``mode``/``n_workers``/
-        ``walk_threads``/``executor`` always win.
-        ``RunReport.autotune_source`` records which
-        source won.  Registry damage of any kind degrades silently to
-        the heuristics — no exception from the registry reaches
-        ``run``.
     ``checkpoint``:
         a :class:`repro.resilience.CheckpointPolicy` makes the driver
         split the run into ``every_dt``-step blocks and durably
@@ -145,7 +130,6 @@ class RunOptions:
     n_workers: int | None = None
     compiled_walk: bool = True
     walk_threads: int | None = None
-    autotune: str = "off"
     checkpoint: object | None = None
     resume_from: object | None = None
     supervise: object | None = None
@@ -181,12 +165,6 @@ class RunOptions:
         if self.walk_threads is not None and self.walk_threads < 1:
             raise SpecificationError(
                 f"walk_threads must be >= 1, got {self.walk_threads}"
-            )
-        autotune = ("off", "use", "tune-on-miss")
-        if self.autotune not in autotune:
-            raise SpecificationError(
-                f"unknown autotune policy {self.autotune!r}; "
-                f"choose from {autotune}"
             )
         if self.checkpoint is not None:
             from repro.resilience.checkpoint import CheckpointPolicy
@@ -258,16 +236,10 @@ class RunReport:
     scheduling overhead (barrier stalls, ready-queue contention,
     plan construction).
 
-    ``autotune_source`` records which configuration source won the
-    dispatch knobs: ``"heuristic"`` (backend-aware defaults),
-    ``"explicit"`` (caller-supplied thresholds), ``"registry"`` (a
-    stored tuned config was applied), or ``"tuned"`` (tuned this run
-    under ``autotune="tune-on-miss"`` and stored for the next process).
-
     ``degradations`` lists every graceful fallback that fired during
     the run (short stable tags, deduplicated, ordered by first firing):
-    compiler fallbacks, ``.so``-cache evictions, registry corruption,
-    checkpoint skips, executor retries.  Empty means the run took
+    compiler fallbacks, ``.so``-cache evictions, checkpoint skips,
+    executor retries.  Empty means the run took
     exactly the path it was asked for.  ``checkpoints_written`` counts
     durable snapshots taken under a ``checkpoint`` policy, and
     ``resumed_from`` is the first recomputed time level when the run
@@ -289,7 +261,6 @@ class RunReport:
     executor: str = "serial"
     n_workers: int = 1
     busy_time: float = 0.0
-    autotune_source: str = "heuristic"
     #: Resolved thread count the compiled walk ran with (1 when no
     #: subtree task ran through it).
     walk_threads: int = 1
@@ -335,11 +306,6 @@ class RunReport:
     transport: str = "local"
     attempts: int = 1
     replayed: bool = False
-
-    @property
-    def registry_hit(self) -> bool:
-        """Whether a tuned config from the autotune registry was applied."""
-        return self.autotune_source == "registry"
 
     @property
     def points_per_second(self) -> float:

@@ -3,10 +3,10 @@
 The ROADMAP north star is serving stencil workloads (option pricing per
 user, alignments per request, many small simulations) to heavy traffic,
 and PRs 3–8 built exactly the warm state a long-running server
-amortizes: the ``.so`` cache keyed on compiler identity, the autotune
-registry keyed on problem signature × machine, and the supervised
-shared-memory worker pool.  :class:`StencilServer` is the front-end
-that turns those from per-process caches into serving infrastructure:
+amortizes: the ``.so`` cache keyed on compiler identity and the
+supervised shared-memory worker pool.  :class:`StencilServer` is the
+front-end that turns those from per-process caches into serving
+infrastructure:
 
 * **admission/batching** — submitted jobs are grouped by problem
   signature (and time range); a group launches when it reaches
@@ -20,17 +20,16 @@ that turns those from per-process caches into serving infrastructure:
 * **warm-state serving** — a kernel's code is loaded once per process
   by the compiler's loaders (the ``.so`` cache's per-digest file lock
   runs cc once for racing first requests, in and across processes),
-  and binds no job's buffers until its batch runs; tuned configs are
-  served from the autotune registry on the request path
-  (``RunOptions(autotune="use")``), under the same key a local run
-  reads.
+  and binds no job's buffers until its batch runs.  A job runs under
+  the options it was submitted with (the server's ``ServeOptions.run``
+  by default), nothing else.
 * **control** — bounded admission (job count and point volume) rejects
   with :class:`ServerBusy` instead of queueing unboundedly or dropping;
   :meth:`StencilServer.drain` (wired to SIGTERM via
   :meth:`StencilServer.install_signal_handlers`) stops admitting,
   finishes every accepted job, and resolves every future; per-job
   :class:`~repro.language.stencil.RunReport` telemetry records queue
-  wait, batch size, and cache/registry hit flags.
+  wait, batch size, and the compile-cache hit flag.
 
 Degradation is the driver's, as for a local run: no C toolchain batches
 on the NumPy backend, and a group that cannot stack (a per-point mode, a

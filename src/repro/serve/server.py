@@ -3,10 +3,9 @@
 Threading model: the event loop owns admission, grouping, and flush
 timers; each batch runs in a worker thread (``asyncio.to_thread``), so
 the loop keeps admitting while compiled code runs with the GIL released.
-The execution substrate underneath (compile caches, autotune registry,
-``.so`` cache) is thread- and process-safe — that is what the PR's
-concurrency bugfixes (registry flock, per-digest compile lock, attach
-shim lock) made true under server-shaped load.
+The execution substrate underneath (compile caches, ``.so`` cache) is
+thread- and process-safe: the per-digest compile lock and the attach
+shim lock hold under server-shaped load.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import asyncio
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.errors import SpecificationError
@@ -92,9 +91,8 @@ class ServeOptions:
         alone would allow.
     ``run``
         Base :class:`~repro.language.stencil.RunOptions` applied to
-        every job (defaults to ``RunOptions(autotune="use")`` — tuned
-        configs from the registry are exactly the warm state a server
-        should serve).  The server passes them to the local driver
+        every job (defaults to ``RunOptions()``, a local run's
+        defaults).  The server passes them to the local driver
         unchanged, so a group runs as a local run of its jobs would;
         the driver decides whether the group stacks.  Checkpoint/resume
         options are rejected, here and per job: jobs are short and the
@@ -105,7 +103,7 @@ class ServeOptions:
     batch_window: float = 0.002
     max_pending: int = 256
     max_pending_points: int | None = None
-    run: RunOptions | None = None
+    run: RunOptions = field(default_factory=RunOptions)
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -122,9 +120,7 @@ class ServeOptions:
             raise SpecificationError(
                 f"max_pending_points must be >= 1, got {self.max_pending_points}"
             )
-        run = self.run if self.run is not None else RunOptions(autotune="use")
-        _check_servable(run)
-        object.__setattr__(self, "run", run)
+        _check_servable(self.run)
 
 
 def _check_servable(options: RunOptions) -> None:

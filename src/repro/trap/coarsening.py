@@ -86,33 +86,6 @@ def default_dt_threshold(ndim: int, codegen_mode: str | None = None) -> int:
     return dt.get(ndim, 3)
 
 
-def tuned_thresholds(
-    ndim: int,
-    sizes: Sequence[int],
-    tuned,
-    codegen_mode: str | None = None,
-) -> tuple[tuple[int, ...], int]:
-    """Coarsening thresholds from a registry TunedConfig, clamped like
-    the defaults (a config tuned on one grid may be served for a larger
-    signature-equivalent run only via an identical signature, but the
-    clamp keeps hand-edited registries from decomposing tiny problems).
-
-    ``tuned`` is a :class:`repro.autotune.registry.TunedConfig` (duck
-    typed: ``space_thresholds`` + ``dt_threshold``); a None or
-    wrong-arity config falls back to the backend-aware defaults — the
-    caller never has to pre-validate.
-    """
-    if tuned is None or len(tuned.space_thresholds) != ndim:
-        return (
-            default_space_thresholds(ndim, sizes, codegen_mode),
-            default_dt_threshold(ndim, codegen_mode),
-        )
-    space = tuple(
-        min(int(t), max(4, s)) for t, s in zip(tuned.space_thresholds, sizes)
-    )
-    return space, max(1, int(tuned.dt_threshold))
-
-
 def paper_thresholds(ndim: int) -> tuple[tuple[int, ...], int]:
     """The paper's published heuristics, verbatim.
 

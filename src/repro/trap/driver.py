@@ -1,7 +1,7 @@
 """Execution driver: Problems + RunOptions -> compiled, decomposed, run.
 
-The one execute path: :meth:`repro.language.Stencil.run`, the autotuner
-and the job server all call :func:`execute_problem`.  It owns nothing
+The one execute path: :meth:`repro.language.Stencil.run` and the job
+server both call :func:`execute_problem`.  It owns nothing
 algorithmic — it wires the compiler pipeline, the walkers, the loop
 baseline and the executors together and fills in one
 :class:`~repro.language.stencil.RunReport` per job.  A local run is a
@@ -20,22 +20,11 @@ Executor dispatch (``RunOptions.resolve_executor``):
   supervisor to worker *subprocesses* attached to shared-memory grid
   segments (:mod:`repro.supervise`); degrades to ``"dag"`` with a
   recorded note when shared memory or spawn is unavailable.
-
-It also owns the autotune-registry integration
-(``RunOptions.autotune``): before compiling, a ``"use"`` or
-``"tune-on-miss"`` run looks up the persistent tuned-config registry
-(:mod:`repro.autotune.registry`) under (problem signature, requested
-mode, machine fingerprint) and folds a hit into the options —
-caller-explicit knobs always win, and every registry failure degrades
-silently to the heuristics.  ``"tune-on-miss"`` runs the dispatch-space
-search (:func:`repro.autotune.isat.tune_problem`, against cloned
-arrays) and stores the winner for every later process on this machine.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import replace as _dc_replace
 
 from repro.errors import SpecificationError
@@ -109,92 +98,6 @@ def build_events(problem: Problem, options: RunOptions):
     return decompose_events(top, spec, opts)
 
 
-def _apply_tuned(problem: Problem, options: RunOptions, tuned) -> RunOptions:
-    """Fold a registry TunedConfig into the options.
-
-    Only knobs still at their defaults are filled: explicit
-    ``space_thresholds``/``dt_threshold``/``mode``/``n_workers``/
-    ``walk_threads``/``executor`` win over the tuned values.  Threshold
-    merging (including the grid clamp) lives in
-    :func:`repro.trap.coarsening.tuned_thresholds` so the walker and the
-    registry agree on the final geometry.
-    """
-    from repro.compiler.pipeline import available_modes
-    from repro.trap.coarsening import tuned_thresholds
-
-    space, dt = tuned_thresholds(
-        problem.ndim, problem.sizes, tuned, codegen_mode=None
-    )
-    updates: dict = {}
-    if options.space_thresholds is None:
-        updates["space_thresholds"] = space
-    if options.dt_threshold is None:
-        updates["dt_threshold"] = dt
-    if (
-        options.mode == "auto"
-        and tuned.mode != "auto"
-        and tuned.mode in available_modes()
-    ):
-        updates["mode"] = tuned.mode
-    if options.n_workers is None and tuned.n_workers is not None:
-        updates["n_workers"] = tuned.n_workers
-    if options.walk_threads is None and tuned.walk_threads is not None:
-        updates["walk_threads"] = tuned.walk_threads
-    if options.executor == "auto" and tuned.executor is not None:
-        updates["executor"] = tuned.executor
-    return _dc_replace(options, **updates) if updates else options
-
-
-def _consult_registry(
-    problem: Problem, options: RunOptions
-) -> tuple[RunOptions, str]:
-    """Resolve the autotune policy: (effective options, winning source).
-
-    Never raises: a broken registry, a failed tune, or a failed store
-    all degrade to the heuristic/explicit configuration the run would
-    have used with ``autotune="off"``.
-    """
-    explicit = (
-        options.space_thresholds is not None or options.dt_threshold is not None
-    )
-    source = "explicit" if explicit else "heuristic"
-    if options.autotune == "off" or options.algorithm not in ("trap", "strap"):
-        return options, source
-    try:
-        from repro.autotune import registry
-
-        # TRAP (the default algorithm) keys on the bare mode; other
-        # walk algorithms get their own entries — their optima differ,
-        # and a config tuned by timing TRAP must never serve STRAP.
-        backend_key = (
-            options.mode
-            if options.algorithm == "trap"
-            else f"{options.algorithm}:{options.mode}"
-        )
-        tuned = registry.lookup(problem, backend_key)
-        if tuned is not None:
-            applied = _apply_tuned(problem, options, tuned)
-            return applied, "registry" if applied is not options else source
-        if options.autotune == "tune-on-miss":
-            from repro.autotune.isat import tune_problem
-
-            result = tune_problem(
-                problem, backend=options.mode, algorithm=options.algorithm
-            )
-            registry.store(problem, backend_key, result.config)
-            applied = _apply_tuned(problem, options, result.config)
-            return applied, "tuned" if applied is not options else source
-    except Exception as exc:  # pragma: no cover - defensive: see docstring
-        degradations.note("autotune:registry-unavailable->heuristics")
-        warnings.warn(
-            f"autotune registry unavailable ({exc!r}); "
-            f"falling back to heuristics",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return options, source
-
-
 def _execute_range(
     problem: Problem,
     options: RunOptions,
@@ -252,20 +155,20 @@ def execute_problem(
 ) -> list[RunReport]:
     """Run same-signature jobs as one run; return one report per job.
 
-    The registry is consulted once, on the first job, and the *effective*
-    options it yields decide how the group runs.  A lone job's kernel is
-    bound to its own arrays.  K > 1 jobs that
+    ``options`` are the whole configuration; ``mode="auto"`` resolves
+    once, here, so every layer below sees the backend that compiles.  A
+    lone job's kernel is bound to its own arrays.  K > 1 jobs that
     :func:`~repro.compiler.batch.can_stack` admits are stacked, bound to
     the stack and scattered back, bitwise identical to running them one
     at a time; subtree tasks and DAG regions do not depend on the job, so
     executor, workers and walk threads resolve as for a lone job, and
     every report carries the run's counters (points are per job) and
     ``batch_size=K``.  Any other group runs one job at a time under the
-    group's options: each report has ``batch_size=1``, the group's
-    ``autotune_source`` and the ``batch:unstackable->sequential`` tag.
+    group's options: each report has ``batch_size=1`` and the
+    ``batch:unstackable->sequential`` tag.
 
     Degradation notes fired anywhere below (compiler fallbacks, cache
-    evictions, registry damage, checkpoint skips, executor retries) are
+    evictions, checkpoint skips, executor retries) are
     collected into ``report.degradations``; under a
     ``RunOptions.checkpoint`` policy (or ``resume_from``) the time range
     runs as checkpointed blocks via
@@ -280,7 +183,7 @@ def execute_problem(
         scatter_results,
         stack_problems,
     )
-    from repro.compiler.pipeline import compile_kernel_resilient
+    from repro.compiler.pipeline import compile_kernel_resilient, resolve_mode
 
     if options.algorithm == "phase1":
         raise SpecificationError(
@@ -305,7 +208,7 @@ def execute_problem(
     )
     if problem.steps > 0:
         with degradations.collect(report.degradations):
-            options, report.autotune_source = _consult_registry(problem, options)
+            options = _dc_replace(options, mode=resolve_mode(options.mode))
             if len(problems) == 1:
                 compiled = compile_kernel_resilient(problem, options.mode)
                 _run(problem, options, compiled, report)
@@ -326,11 +229,9 @@ def execute_problem(
 def _run_alone(
     problem: Problem, options: RunOptions, group: RunReport
 ) -> RunReport:
-    """One job of an unstackable group, under the group's effective
-    options (already consulted, so not again): its own report, with the
-    group's autotune source and the group's notes first."""
-    (report,) = execute_problem([problem], _dc_replace(options, autotune="off"))
-    report.autotune_source = group.autotune_source
+    """One job of an unstackable group, under the group's options: its
+    own report, with the group's notes first."""
+    (report,) = execute_problem([problem], options)
     report.degradations[:0] = [
         tag for tag in group.degradations if tag not in report.degradations
     ]
@@ -342,11 +243,11 @@ def _run(
 ) -> None:
     """Execute ``problem``'s time range with ``compiled`` (bound to the
     problem's arrays or to a stack of jobs), filling ``report``."""
-    from repro.compiler.pipeline import compile_kernel_resilient, resolve_mode
+    from repro.compiler.pipeline import compile_kernel_resilient
 
     report.mode = compiled.mode
     report.compile_cache_hit = compiled.warm
-    if resolve_mode(options.mode) != compiled.mode:
+    if options.mode != compiled.mode:
         # The compile degraded (C backend unusable): rewrite the
         # requested mode so coarsening geometry, compiled-walk
         # resolution, and any later per-block compile all follow

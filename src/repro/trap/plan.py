@@ -72,11 +72,12 @@ class BaseRegion:
     ``walk`` marks a *subtree task* (compiled-walk planning): the region
     is not a coarsening base case but a whole subtree of the trapezoid
     recursion, scheduled as one atomic unit; ``interior`` then classifies
-    its root only.  Its executor either hands the zoid to the backend's
-    compiled ``walk_subtree`` clone (one GIL-released call runs every
-    cut, interior test and leaf below it) or, when that clone cannot
-    take it, re-runs the Python walk with the carried :data:`WalkParams`
-    — bitwise the same either way.
+    its root only.  Its executor hands the zoid, with the carried
+    :data:`WalkParams`, to the backend's compiled ``walk_subtree`` clone:
+    one GIL-released call runs every cut, interior test and leaf below
+    it.  The plan emits walk tasks only for a kernel whose walk can take
+    them; a kernel that cannot raises
+    :class:`~repro.errors.ExecutionError`.
     """
 
     ta: int

@@ -121,8 +121,8 @@ class WalkOptions:
 
     def effective_thresholds(self, ndim: int) -> tuple[int, ...]:
         """Per-dim thresholds with protected dims folded in as
-        :data:`NEVER_CUT` — the form both the compiled walker and the
-        Python subtree fallback consume (one knob fewer to thread)."""
+        :data:`NEVER_CUT` — the form the Python walker and the compiled
+        walk's ``WalkParams`` consume (one knob fewer to thread)."""
         return tuple(
             NEVER_CUT if protect else th
             for th, protect in zip(self.space_thresholds, self.protect_flags(ndim))

@@ -8,10 +8,10 @@ identical set of base cases.  This is the safety net for the task-DAG
 runtime: a missing dependency edge would show up here as a bitwise
 mismatch on some app.
 
-The same argument covers the autotune registry: a tuned config moves
-only dispatch knobs, so a registry-served run must match the heuristic
-run bit for bit under every executor — the second sweep here seeds a
-randomized (seeded RNG) tuned config per app and checks exactly that.
+The same argument covers tuned configs: a tuned config moves only
+dispatch knobs, so a run under one must match the heuristic run bit for
+bit under every executor — the second sweep here passes a randomized
+(seeded RNG) tuned config per app as options and checks exactly that.
 """
 
 import zlib
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.apps import available_apps, build
-from repro.autotune import registry
 from repro.autotune.registry import TunedConfig
 
 EXECUTORS = ("serial", "dag")
@@ -59,13 +58,10 @@ def test_all_executors_bit_identical(name):
 
 
 @pytest.mark.parametrize("name", available_apps())
-def test_tuned_config_bit_identical_across_executors(
-    name, tmp_path, monkeypatch
-):
-    """A registry-served tuned config must be invisible to results: for
-    each app, a seeded random (valid) config, applied under every
+def test_tuned_config_bit_identical_across_executors(name):
+    """A tuned config must be invisible to results: for each app, a
+    seeded random (valid) config, passed as options under every
     executor, reproduces the heuristic-default serial run bitwise."""
-    monkeypatch.setenv("REPRO_TUNE_REGISTRY", str(tmp_path / "registry.json"))
     ref_app = build(name, "tiny")
     ref_app.run(dt_threshold=2)
     ref = ref_app.result()
@@ -73,21 +69,20 @@ def test_tuned_config_bit_identical_across_executors(
     # crc32, not hash(): str hashing is salted per process, and a failure
     # must reproduce with the exact same config on rerun.
     rng = np.random.default_rng(zlib.crc32(name.encode()))
-    seeded_app = build(name, "tiny")
-    problem = seeded_app.stencil.prepare(seeded_app.steps, seeded_app.kernel)
     config = TunedConfig(
         space_thresholds=tuple(
-            int(rng.integers(3, 16)) for _ in range(seeded_app.stencil.ndim)
+            int(rng.integers(3, 16)) for _ in range(ref_app.stencil.ndim)
         ),
         dt_threshold=int(rng.integers(1, 5)),
         n_workers=int(rng.integers(1, 4)),
     )
-    assert registry.store(problem, "auto", config)
 
     for executor in EXECUTORS:
         app = build(name, "tiny")
-        report = app.run(executor=executor, dt_threshold=2, autotune="use")
-        assert report.autotune_source == "registry", (name, executor)
+        report = app.run(
+            **{**config.as_options(), "executor": executor, "dt_threshold": 2}
+        )
+        assert report.executor == executor, (name, executor)
         assert np.array_equal(app.result(), ref), (
             f"{name}: tuned config under {executor!r} diverged from the "
             f"heuristic run (config={config})"

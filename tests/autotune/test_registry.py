@@ -1,15 +1,18 @@
-"""The persistent tuned-config registry: correctness and robustness.
+"""The offline tuned-config store: correctness and robustness.
 
-Two properties anchor this suite:
+Three properties anchor this suite:
 
 * **Equivalence** — a tuned config only moves *dispatch* knobs
-  (thresholds, mode, workers), never semantics, so a run under
-  any valid tuned config must be bitwise identical to the
+  (thresholds, mode, workers), never semantics, so a run under any
+  valid tuned config, passed explicitly as options
+  (``TunedConfig.as_options()``), is bitwise identical to the
   heuristic-default run.  Randomized configs (seeded RNG) sweep every
   registered app, every executor, and every concrete backend.
-* **Robustness** — corrupt JSON, a schema-version bump, and a
-  machine-fingerprint mismatch each degrade to the heuristics; no
-  exception from the registry ever reaches ``Stencil.run``.
+* **Robustness** — corrupt JSON, a schema mismatch, and a
+  machine-fingerprint mismatch each read as "no tuned config"; no
+  exception from the registry ever reaches its caller.
+* **Isolation** — no run reads the registry: a stored entry, or a
+  damaged file, leaves a run and the file exactly as they were.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro import RunOptions
 from repro.apps import available_apps, build
 from repro.autotune import registry
 from repro.autotune.registry import SCHEMA_VERSION, TunedConfig
@@ -82,6 +86,19 @@ class TestTunedConfig:
         with pytest.raises((KeyError, TypeError, ValueError)):
             TunedConfig.from_json(broken)
 
+    def test_as_options_are_run_options(self):
+        cfg = TunedConfig((12, 10), 3, mode="split_pointer", n_workers=2,
+                          walk_threads=1, executor="dag")
+        opts = RunOptions(**cfg.as_options())
+        assert (opts.space_thresholds, opts.dt_threshold, opts.mode) == (
+            (12, 10), 3, "split_pointer"
+        )
+        assert (opts.n_workers, opts.walk_threads, opts.executor) == (2, 1, "dag")
+        # Unset knobs keep the run's auto rules.
+        assert RunOptions(**TunedConfig((8, 8), 2).as_options()) == RunOptions(
+            space_thresholds=(8, 8), dt_threshold=2
+        )
+
 
 class TestStoreLookup:
     def test_roundtrip(self):
@@ -119,14 +136,6 @@ class TestStoreLookup:
         sig_b = registry.problem_signature(st.prepare(9, k))
         assert sig_a == sig_b
 
-    def test_local_run_reports_registry_hit(self):
-        st, u, k, problem = _heat_problem()
-        registry.store(problem, "auto", TunedConfig((12, 12), 3))
-        report = st.run(6, k, autotune="use")
-        assert report.autotune_source == "registry"
-        assert report.registry_hit
-        assert not st.run(6, k).registry_hit
-
     def test_clear_registry(self, isolated_registry):
         st, u, k, problem = _heat_problem()
         registry.store(problem, "auto", TunedConfig((12, 12), 3))
@@ -137,18 +146,21 @@ class TestStoreLookup:
 
 
 class TestRobustness:
-    """Damage of every kind degrades to heuristics, never an exception."""
+    """Damage of every kind reads as "no tuned config", never an
+    exception."""
 
     def test_corrupt_json_evicted_and_run_survives(self, isolated_registry):
         isolated_registry.write_text("{ this is not json")
         st, u, k, problem = _heat_problem()
+        # A run never reads the file, so it neither notes nor evicts it.
+        report = st.run(6, k)
+        assert not [t for t in report.degradations if t.startswith("registry")]
+        assert isolated_registry.read_text() == "{ this is not json"
         assert registry.lookup(problem, "auto") is None
         # the corpse was moved aside, so the next store starts clean
         assert not isolated_registry.exists()
         corpse = isolated_registry.with_name(isolated_registry.name + ".corrupt")
         assert corpse.exists()
-        report = st.run(6, k, autotune="use")
-        assert report.autotune_source == "heuristic"
 
     def test_schema_version_bump_discards_entries(self, isolated_registry):
         st, u, k, problem = _heat_problem()
@@ -157,8 +169,7 @@ class TestRobustness:
         doc["schema"] = SCHEMA_VERSION + 1
         isolated_registry.write_text(json.dumps(doc))
         assert registry.lookup(problem, "auto") is None
-        report = st.run(6, k, autotune="use")
-        assert report.autotune_source == "heuristic"
+        assert registry.entries() == {}
 
     def test_corrupt_entry_dropped_others_survive(self, isolated_registry):
         st, u, k, problem = _heat_problem()
@@ -173,8 +184,6 @@ class TestRobustness:
         st, u, k, problem = _heat_problem()
         registry.store(problem, "auto", TunedConfig((8, 8, 8), 3))
         assert registry.lookup(problem, "auto") is None
-        report = st.run(6, k, autotune="use")
-        assert report.autotune_source == "heuristic"
 
     def test_unwritable_registry_never_reaches_run(self, monkeypatch, tmp_path):
         # Point the registry *file* at a directory: every read and write
@@ -183,17 +192,22 @@ class TestRobustness:
         st, u, k, problem = _heat_problem()
         assert registry.store(problem, "auto", TunedConfig((12, 12), 3)) is False
         assert registry.lookup(problem, "auto") is None
-        report = st.run(6, k, autotune="use")
-        assert report.autotune_source == "heuristic"
+        report = st.run(6, k)
+        assert report.points_updated == problem.total_points
 
     def test_registry_off_by_default(self, isolated_registry):
+        """A stored entry changes nothing about a run: it is not a run
+        option, and there is no option that reads it."""
+        ref_st, ref_u, ref_k = make_heat_problem((32, 32))
+        ref = ref_st.run(6, ref_k)
         st, u, k, problem = _heat_problem()
-        registry.store(problem, "auto", TunedConfig((12, 12), 3))
-        report = st.run(6, k)  # autotune defaults to "off"
-        assert report.autotune_source == "heuristic"
-        st2, u2, k2 = make_heat_problem((32, 32))
-        with pytest.raises(Exception):
-            st2.run(6, k2, autotune="sometimes")
+        registry.store(problem, "auto", TunedConfig((12, 12), 3, mode="interp"))
+        before = isolated_registry.read_bytes()
+        report = st.run(6, k)
+        assert (report.mode, report.base_cases) == (ref.mode, ref.base_cases)
+        assert isolated_registry.read_bytes() == before
+        with pytest.raises(TypeError):
+            st.run(6, k, autotune="use")
 
 
 class TestEquivalence:
@@ -205,12 +219,9 @@ class TestEquivalence:
         ref = ref_u.snapshot(ref_st.cursor)
         rng = np.random.default_rng(2026)
         for trial in range(6):
-            registry.clear_registry()
             st, u, k = make_heat_problem((32, 32))
             cfg = _random_config(rng, 2, modes=["auto"] + ALL_MODES)
-            registry.store(st.prepare(8, k), "auto", cfg)
-            report = st.run(8, k, autotune="use")
-            assert report.autotune_source == "registry", (trial, cfg)
+            st.run(8, k, **cfg.as_options())
             assert np.array_equal(u.snapshot(st.cursor), ref), (trial, cfg)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
@@ -219,11 +230,7 @@ class TestEquivalence:
         ref_st.run(6, ref_k, mode=mode)
         ref = ref_u.snapshot(ref_st.cursor)
         st, u, k = make_heat_problem((24, 24))
-        registry.store(
-            st.prepare(6, k), mode, TunedConfig((7, 9), 2, mode=mode)
-        )
-        report = st.run(6, k, mode=mode, autotune="use")
-        assert report.autotune_source == "registry"
+        report = st.run(6, k, **TunedConfig((7, 9), 2, mode=mode).as_options())
         assert report.mode == mode
         assert np.array_equal(u.snapshot(st.cursor), ref)
 
@@ -233,18 +240,16 @@ class TestEquivalence:
         ref_st.run(8, ref_k)
         ref = ref_u.snapshot(ref_st.cursor)
         st, u, k = make_heat_problem((32, 32))
-        registry.store(
-            st.prepare(8, k), "auto", TunedConfig((9, 11), 2, n_workers=3)
-        )
-        report = st.run(8, k, executor=executor, autotune="use")
-        assert report.autotune_source == "registry"
+        cfg = TunedConfig((9, 11), 2, n_workers=3)
+        report = st.run(8, k, **{**cfg.as_options(), "executor": executor})
+        assert report.executor == executor
         assert np.array_equal(u.snapshot(st.cursor), ref)
 
     @pytest.mark.parametrize("name", available_apps())
     def test_all_apps_tuned_equals_heuristic(self, name):
-        """All apps x a seeded random tuned config: bitwise equality
-        against the heuristic-default run (the autotune analogue of the
-        executor-equivalence safety net)."""
+        """All apps x a seeded random tuned config, stored, looked up and
+        passed as options: bitwise equality against the heuristic-default
+        run (the autotune analogue of the executor-equivalence net)."""
         ref_app = build(name, "tiny")
         ref_app.run()
         ref = ref_app.result()
@@ -254,94 +259,11 @@ class TestEquivalence:
         app = build(name, "tiny")
         problem = app.stencil.prepare(app.steps, app.kernel)
         cfg = _random_config(rng, app.stencil.ndim, modes=["auto"] + ALL_MODES)
-        registry.store(problem, "auto", cfg)
-        report = app.run(autotune="use")
-        assert report.autotune_source == "registry", (name, cfg)
+        assert registry.store(problem, "auto", cfg)
+        tuned = registry.lookup(problem, "auto")
+        assert tuned == cfg
+        app.run(**tuned.as_options())
         assert np.array_equal(app.result(), ref), (name, cfg)
-
-    def test_explicit_knobs_beat_registry(self):
-        st, u, k = make_heat_problem((32, 32))
-        registry.store(
-            st.prepare(8, k),
-            "auto",
-            TunedConfig((4, 4), 1, n_workers=3),
-        )
-        report = st.run(
-            8, k, autotune="use", mode="split_pointer", n_workers=1,
-            space_thresholds=(16, 16), dt_threshold=4,
-        )
-        # every knob the entry covers was pinned by the caller, so the
-        # registry applied nothing and must not claim the run
-        assert report.autotune_source == "explicit"
-        assert report.n_workers == 1
-
-    def test_partial_pinning_still_counts_as_registry(self):
-        st, u, k = make_heat_problem((32, 32))
-        registry.store(st.prepare(8, k), "auto", TunedConfig((4, 4), 1))
-        report = st.run(8, k, autotune="use", space_thresholds=(16, 16))
-        # dt_threshold still came from the registry entry
-        assert report.autotune_source == "registry"
-
-    def test_strap_never_served_a_trap_config(self):
-        st, u, k = make_heat_problem((32, 32))
-        registry.store(st.prepare(8, k), "auto", TunedConfig((4, 4), 1))
-        report = st.run(8, k, algorithm="strap", autotune="use")
-        # strap keys on "strap:auto", so the trap entry must not apply
-        assert report.autotune_source == "heuristic"
-
-
-class TestTuneOnMiss:
-    def test_tune_on_miss_tunes_stores_and_applies(self):
-        ref_st, ref_u, ref_k = make_heat_problem((32, 32))
-        ref_st.run(8, ref_k)
-        ref = ref_u.snapshot(ref_st.cursor)
-
-        st, u, k = make_heat_problem((32, 32))
-        report = st.run(8, k, autotune="tune-on-miss")
-        assert report.autotune_source == "tuned"
-        assert np.array_equal(u.snapshot(st.cursor), ref)
-        assert len(registry.entries()) == 1
-
-        # same process, second run: served from the registry
-        st2, u2, k2 = make_heat_problem((32, 32))
-        report2 = st2.run(8, k2, autotune="tune-on-miss")
-        assert report2.autotune_source == "registry"
-        assert np.array_equal(u2.snapshot(st2.cursor), ref)
-
-    def test_tune_on_miss_pins_no_grid(self, monkeypatch):
-        """Every tuning run binds a kernel to the tuner's cloned grids;
-        once the run returns, nothing in the process keeps one alive."""
-        import gc
-        import weakref
-
-        from repro.autotune import isat
-
-        refs = []
-        clone_arrays = isat._clone_arrays
-
-        def tracking(problem):
-            clones = clone_arrays(problem)
-            refs.extend(weakref.ref(a) for a in clones.values())
-            return clones
-
-        monkeypatch.setattr(isat, "_clone_arrays", tracking)
-        st, u, k = make_heat_problem((32, 32))
-        report = st.run(8, k, autotune="tune-on-miss")
-        assert report.autotune_source == "tuned"
-        gc.collect()
-        assert refs and all(r() is None for r in refs)
-
-    def test_tuning_leaves_user_arrays_untouched(self):
-        st, u, k = make_heat_problem((32, 32))
-        before = u.data.copy()
-        st.prepare(0, k)  # no-op; just proves prepare alone is inert
-        from repro.autotune.isat import tune_problem
-
-        problem = st.prepare(6, k)
-        result = tune_problem(problem, steps=4)
-        assert result.evaluations >= 1
-        assert np.array_equal(u.data, before)
-        assert st.cursor is None  # tuning never advances the stencil
 
 
 def _write_entries(path, schema, entries):
@@ -349,16 +271,17 @@ def _write_entries(path, schema, entries):
 
 
 class TestSchemaMigration:
-    """The tolerant reader: any schema up to the current one is read,
-    unknown keys are ignored, and missing knobs keep the run's auto
-    rule; only a file from a *newer* schema reads as empty."""
+    """There is no migration: only the current schema is read (unknown
+    keys ignored, missing knobs kept at the run's auto rule), and a file
+    of any other schema reads as empty until the next store replaces
+    it."""
 
     @pytest.mark.parametrize("old_schema", [1, 2, 3])
-    def test_older_schema_file_applies(self, isolated_registry, old_schema):
+    def test_older_schema_file_reads_as_empty(self, isolated_registry, old_schema):
         """Each older layout, with the keys it carried (schema 1 had
         ``fuse_leaves``; 2 added ``compiled_walk``; 3 ``walk_threads``),
-        still applies its thresholds; the next store rewrites the file
-        at the current schema."""
+        reads as empty; the next store rewrites the file at the current
+        schema, without the old entry."""
         st, u, k, problem = _heat_problem()
         entry = {"space_thresholds": [12, 12], "dt_threshold": 3,
                  "fuse_leaves": True}
@@ -368,22 +291,19 @@ class TestSchemaMigration:
             entry["walk_threads"] = None
         key = registry.registry_key(registry.problem_signature(problem), "auto")
         _write_entries(isolated_registry, old_schema, {key: entry})
-        got = registry.lookup(problem, "auto")
-        assert got == TunedConfig((12, 12), 3)
-        report = st.run(6, k, autotune="use")
-        assert report.autotune_source == "registry"
-        # the next store migrates the file forward
-        registry.store(problem, "auto", TunedConfig((10, 10), 2))
+        assert registry.lookup(problem, "auto") is None
+        assert registry.entries() == {}
+        registry.store(problem, "c", TunedConfig((10, 10), 2))
         doc = json.loads(isolated_registry.read_text())
         assert doc["schema"] == SCHEMA_VERSION
-        got = registry.lookup(problem, "auto")
-        assert got is not None and got.space_thresholds == (10, 10)
+        assert key not in doc["entries"]
+        assert registry.lookup(problem, "c") == TunedConfig((10, 10), 2)
 
     @pytest.mark.skipif("c" not in ALL_MODES, reason="no C compiler")
     def test_stored_fusion_and_walk_keys_are_ignored(self, isolated_registry):
         """A v4 entry tuned while leaf fusion and the compiled walk were
         still settable may carry both switched off.  The reader ignores
-        them: the thresholds apply, and the C run still plans subtree
+        them: a C run under the looked-up config still plans subtree
         tasks, bitwise equal to the heuristic run."""
         ref_st, ref_u, ref_k = make_heat_problem((32, 32))
         ref_st.run(8, ref_k, mode="c")
@@ -393,8 +313,9 @@ class TestSchemaMigration:
         entry = {"space_thresholds": [8, 8], "dt_threshold": 2, "mode": "c",
                  "fuse_leaves": False, "compiled_walk": False}
         _write_entries(isolated_registry, 4, {key: entry})
-        report = st.run(8, k, mode="c", autotune="use")
-        assert report.autotune_source == "registry"
+        tuned = registry.lookup(problem, "c")
+        assert tuned == TunedConfig((8, 8), 2, mode="c")
+        report = st.run(8, k, **tuned.as_options())
         assert report.subtree_tasks > 0
         assert np.array_equal(
             u.snapshot(st.cursor), ref_u.snapshot(ref_st.cursor)
@@ -431,8 +352,7 @@ class TestSchemaMigration:
         assert got is not None and got.executor == "dag"
         assert list(registry.entries()) == [dag_key]
 
-        report = st.run(6, k, mode="split_pointer", autotune="use")
-        assert report.autotune_source == "registry"
+        report = st.run(6, k, **got.as_options())
         assert report.executor == "dag"
 
         registry.store(problem, "c", TunedConfig((10, 10), 2))
@@ -472,39 +392,39 @@ class TestSchemaMigration:
 
     @pytest.mark.skipif("c" not in ALL_MODES, reason="no C compiler")
     def test_tuned_walk_threads_reaches_the_report(self):
-        """A stored ``walk_threads`` must reach the executor: the
-        RunReport's ``walk_threads`` field reflects the registry value
-        when the caller leaves the knob unset, and the explicit knob
-        wins when the caller pins it."""
-        st, u, k = make_heat_problem((32, 32))
-        problem = st.prepare(8, k)
+        """A tuned ``walk_threads`` passed as options reaches the
+        executor: the RunReport's ``walk_threads`` is the config's, and
+        bitwise equal to a one-thread run of the same config."""
         cfg = TunedConfig((8, 8), 2, mode="c", walk_threads=2)
-        registry.store(problem, "c", cfg)
-        report = st.run(8, k, mode="c", autotune="use")
-        assert report.autotune_source == "registry"
+        st, u, k = make_heat_problem((32, 32))
+        report = st.run(8, k, **cfg.as_options())
+        assert report.subtree_tasks > 0
         assert report.walk_threads == 2
 
         st2, u2, k2 = make_heat_problem((32, 32))
-        registry.store(st2.prepare(8, k2), "c", cfg)
-        report2 = st2.run(8, k2, mode="c", autotune="use", walk_threads=1)
+        report2 = st2.run(8, k2, **{**cfg.as_options(), "walk_threads": 1})
         assert report2.walk_threads == 1
+        assert np.array_equal(u.snapshot(st.cursor), u2.snapshot(st2.cursor))
 
 
 WTHREADS_PROCESS_SCRIPT = """
+from repro.autotune import registry
 from tests.conftest import make_heat_problem
 st, u, k = make_heat_problem((32, 32))
-report = st.run(8, k, mode="c", autotune="use")
-print("SOURCE=" + report.autotune_source)
+tuned = registry.lookup(st.prepare(8, k), "c")
+report = st.run(8, k, **tuned.as_options())
 print("WTHREADS=%d" % report.walk_threads)
 """
 
 
 FRESH_PROCESS_SCRIPT = """
 import numpy as np
+from repro.autotune import registry
 from tests.conftest import make_heat_problem
 st, u, k = make_heat_problem((32, 32))
-report = st.run(8, k, autotune="use")
-print("SOURCE=" + report.autotune_source)
+tuned = registry.lookup(st.prepare(8, k), "auto")
+print("TUNED=%r" % (tuned,))
+st.run(8, k, **tuned.as_options())
 print("CHECKSUM=%.17g" % float(np.sum(u.snapshot(st.cursor))))
 """
 
@@ -534,26 +454,37 @@ class TestCrossProcess:
     def test_config_tuned_here_applies_in_a_fresh_process(
         self, isolated_registry
     ):
-        """The acceptance criterion: tune in this process, verify via
-        RunReport that a *fresh* interpreter loads and applies it."""
+        """Tune and store in this process; a *fresh* interpreter looks
+        the config up and runs under it, with the same result."""
+        from repro.autotune import tune_dispatch
+        from repro.compiler.pipeline import resolve_mode
+
+        def make():
+            st_, _, k_ = make_heat_problem((32, 32))
+            return st_, k_
+
+        result = tune_dispatch(
+            make, 8, modes=(resolve_mode("auto"),), space_candidates=(8, 16),
+            dt_candidates=(2, 4), worker_candidates=(1,),
+            wthreads_candidates=(1,), max_sweeps=1,
+        )
         st, u, k = make_heat_problem((32, 32))
-        report = st.run(8, k, autotune="tune-on-miss")
-        assert report.autotune_source == "tuned"
+        assert registry.store(st.prepare(8, k), "auto", result.config)
+        st.run(8, k, **result.config.as_options())
         checksum = float(np.sum(u.snapshot(st.cursor)))
 
         proc = _run_fresh_process(FRESH_PROCESS_SCRIPT)
         assert proc.returncode == 0, proc.stderr
-        assert "SOURCE=registry" in proc.stdout, proc.stdout
+        assert f"TUNED={result.config!r}" in proc.stdout, proc.stdout
         line = [l for l in proc.stdout.splitlines() if l.startswith("CHECKSUM=")]
-        assert line and float(line[0].split("=")[1]) == pytest.approx(checksum)
+        assert line and float(line[0].split("=")[1]) == checksum
 
     @pytest.mark.skipif("c" not in ALL_MODES, reason="no C compiler")
     def test_walk_threads_knob_roundtrips_across_processes(
         self, isolated_registry
     ):
-        """The schema-3 acceptance criterion: a config carrying the new
-        ``walk_threads`` knob, stored here, must load and set the pool's
-        thread count in a fresh interpreter."""
+        """A config carrying ``walk_threads``, stored here, loads in a
+        fresh interpreter and sets the pool's thread count there."""
         st, u, k = make_heat_problem((32, 32))
         problem = st.prepare(8, k)
         registry.store(
@@ -563,5 +494,4 @@ class TestCrossProcess:
         )
         proc = _run_fresh_process(WTHREADS_PROCESS_SCRIPT)
         assert proc.returncode == 0, proc.stderr
-        assert "SOURCE=registry" in proc.stdout, proc.stdout
         assert "WTHREADS=2" in proc.stdout, proc.stdout

@@ -219,10 +219,9 @@ def digests(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("autotune", ["off", "use"])
-def test_a_local_run_computes_its_signature_once(digests, autotune):
+def test_a_local_run_computes_its_signature_once(digests):
     st, _, kern = _heat(ConstantBoundary(0.0))
-    st.run(4, kern, autotune=autotune)
+    st.run(4, kern)
     assert len(digests) == 1
 
 

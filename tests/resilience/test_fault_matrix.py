@@ -7,8 +7,10 @@ pthread-pool start failure x corrupt autotune registry x corrupt
 checkpoint, across executors — plus an app-breadth leg running the
 all-faults-on combination over several benchmark apps.  Every run asks
 for the most demanding configuration (``mode="c"``, a 2-thread walk,
-autotune, resume) so each armed fault actually lies on the requested
-path.
+resume) so each armed fault on the run's path actually fires.  The
+registry is not on that path: a run never reads it, so a registry file
+with its read-corruption fault armed must leave no trace on the run and
+stay as it was.
 """
 
 from __future__ import annotations
@@ -75,12 +77,13 @@ def _run_combo(app_name, executor, *, no_cc, pool_fail, reg_corrupt,
         _seed_registry(tmp_path)
         plan.add("registry.corrupt")
     faults.install(plan)
+    registry_file = tmp_path / "registry.json"
+    registry_bytes = registry_file.read_bytes() if reg_corrupt else None
 
     app = build(app_name, scale="tiny")
     options = dict(
         mode="c",  # the most degradable request; falls back without cc
         executor=executor,
-        autotune="use",
         checkpoint=CheckpointPolicy(dir=tmp_path / "ckpt", every_dt=3),
     )
     if executor == "dag":
@@ -105,8 +108,9 @@ def _run_combo(app_name, executor, *, no_cc, pool_fail, reg_corrupt,
     if pool_fail and not no_cc and has_c_backend() and executor == "dag":
         assert report.subtree_tasks > 0
         assert "walk-pool:start-failed->serial" in degr
+    assert not [tag for tag in degr if tag.startswith("registry")]
     if reg_corrupt:
-        assert "registry:corrupt-evicted" in degr
+        assert registry_file.read_bytes() == registry_bytes
     if ckpt_corrupt:
         assert "checkpoint:corrupt-skipped" in degr
         assert "checkpoint:no-valid-checkpoint->cold-start" in degr

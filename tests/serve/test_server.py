@@ -182,30 +182,6 @@ def test_server_batches_and_matches_direct_runs(mode):
         assert not rep.degradations
 
 
-def test_server_telemetry_and_registry_hit():
-    from repro.autotune import registry
-    from repro.autotune.registry import TunedConfig
-
-    app = build_heat((20, 20), 8, seed=0)
-    problem = app.stencil.prepare(app.steps, app.kernel)
-    mode = BATCH_MODES[-1]
-    assert registry.store(
-        problem, mode, TunedConfig(space_thresholds=(10, 10), dt_threshold=3)
-    )
-    try:
-        srv, reports = _serve(
-            [app],
-            ServeOptions(max_batch=1),
-            RunOptions(mode=mode, autotune="use"),
-        )
-        (rep,) = reports
-        assert rep.registry_hit
-        assert rep.autotune_source == "registry"
-        assert rep.batch_size == 1
-    finally:
-        registry.clear_registry()
-
-
 @pytest.mark.parametrize("mode", BATCH_MODES)
 def test_server_mixed_signatures_form_separate_batches(mode):
     # Small thresholds plan subtree tasks, so under C the two batches run
@@ -243,7 +219,6 @@ def test_served_job_reports_what_a_local_run_reports(K):
         assert local.subtree_tasks > 0
         for name in (
             "mode",
-            "autotune_source",
             "degradations",
             "executor",
             "base_cases",
@@ -524,28 +499,17 @@ def _unstackable_job(case, seed):
     return st, k, u
 
 
-@pytest.mark.parametrize(
-    "case", ["procs", "python_boundary", "registry_macro_shadow"]
-)
-def test_unstackable_group_runs_one_job_at_a_time(case, tmp_path, monkeypatch):
-    # A group the driver cannot stack under the options it will really
-    # use, registry hits included, runs each job as a local run of it
-    # would, and says so with one tag.
-    from repro.autotune import registry
-    from repro.autotune.registry import TunedConfig
-
-    monkeypatch.setenv("REPRO_TUNE_REGISTRY", str(tmp_path / "registry.json"))
+@pytest.mark.parametrize("case", ["procs", "python_boundary", "macro_shadow"])
+def test_unstackable_group_runs_one_job_at_a_time(case):
+    # A group the driver cannot stack under its options runs each job as
+    # a local run of it would, and says so with one tag.
     steps = 4
     options = {
         "procs": RunOptions(mode=BATCH_MODES[0], executor="procs"),
         "python_boundary": RunOptions(mode=BATCH_MODES[-1]),
-        "registry_macro_shadow": RunOptions(autotune="use"),
+        "macro_shadow": RunOptions(mode="macro_shadow"),
     }[case]
     jobs = [_unstackable_job(case, s) for s in range(2)]
-    if case == "registry_macro_shadow":
-        st, k, _ = jobs[0]
-        tuned = TunedConfig((8, 8), 2, mode="macro_shadow")
-        assert registry.store(st.prepare(steps, k), "auto", tuned)
 
     async def main():
         async with StencilServer(ServeOptions(max_batch=2, batch_window=0.05)) as srv:
@@ -561,12 +525,10 @@ def test_unstackable_group_runs_one_job_at_a_time(case, tmp_path, monkeypatch):
         local = ref_st.run(steps, ref_k, options=options)
         assert rep.batch_size == 1
         assert rep.degradations == ["batch:unstackable->sequential"]
-        assert (rep.mode, rep.autotune_source) == (local.mode, local.autotune_source)
+        assert rep.mode == local.mode
         assert u.snapshot(st.cursor).tobytes() == ref_u.snapshot(ref_st.cursor).tobytes()
-    if case == "registry_macro_shadow":
-        assert [(r.mode, r.autotune_source) for r in reports] == [
-            ("macro_shadow", "registry")
-        ] * 2
+    if case == "macro_shadow":
+        assert [r.mode for r in reports] == ["macro_shadow"] * 2
 
 
 def test_supervised_jobs_run_unbatched():
@@ -599,24 +561,31 @@ def test_no_toolchain_batches_on_numpy(monkeypatch):
         assert rep.mode == "split_pointer"
 
 
-def test_served_auto_jobs_read_the_registry_under_auto(tmp_path, monkeypatch):
-    # The server hands the jobs' own options to the driver, so a served
-    # ``mode="auto"`` job looks the registry up under "auto", as a local
-    # ``run(autotune="use")`` does.
+@pytest.mark.parametrize("seeded", ["valid_entry", "corrupt_file"])
+def test_served_job_ignores_the_registry_file(seeded, tmp_path, monkeypatch):
+    # A served group runs under its options alone: neither a stored entry
+    # under the jobs' own key nor a damaged file reaches it, and the file
+    # is left as it was.
     from repro.autotune import registry
     from repro.autotune.registry import TunedConfig
+    from repro.compiler.pipeline import resolve_mode
 
-    monkeypatch.setenv("REPRO_TUNE_REGISTRY", str(tmp_path / "registry.json"))
+    path = tmp_path / "registry.json"
+    monkeypatch.setenv("REPRO_TUNE_REGISTRY", str(path))
     apps = [build_heat((20, 20), 8, seed=s) for s in range(2)]
-    problem = apps[0].stencil.prepare(apps[0].steps, apps[0].kernel)
-    assert registry.store(
-        problem, "auto", TunedConfig(space_thresholds=(10, 10), dt_threshold=3)
-    )
+    if seeded == "valid_entry":
+        problem = apps[0].stencil.prepare(apps[0].steps, apps[0].kernel)
+        tuned = TunedConfig((8, 8), 2, mode="macro_shadow")
+        assert registry.store(problem, "auto", tuned)
+    else:
+        path.write_text("{ this is not json")
+    before = path.read_bytes()
     srv, reports = _serve(apps, ServeOptions(max_batch=2, batch_window=0.05))
-    local = build_heat((20, 20), 8, seed=0).run(autotune="use")
-    assert local.autotune_source == "registry"
-    assert [r.autotune_source for r in reports] == ["registry", "registry"]
+    assert [r.mode for r in reports] == [resolve_mode("auto")] * 2
     assert [r.batch_size for r in reports] == [2, 2]
+    for rep in reports:
+        assert not [t for t in rep.degradations if t.startswith("registry")]
+    assert path.read_bytes() == before
 
 
 def test_fallback_is_never_warm(tmp_path, monkeypatch):
