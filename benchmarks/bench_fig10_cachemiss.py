@@ -18,7 +18,7 @@ from benchmarks.bench_util import is_tiny, once
 from repro.analysis.reporting import series_table
 from repro.cachesim import simulate_loops_cache, simulate_plan_cache
 from repro.language.stencil import RunOptions
-from repro.trap.driver import build_plan
+from repro.trap.driver import build_events
 from tests.conftest import make_heat_problem
 
 #: Scaled ideal-cache: 4096 points (32 KB of doubles) in 8-point lines.
@@ -63,7 +63,7 @@ def test_fig10_miss_ratios(benchmark, case):
             if protect:
                 thresholds[-1] = 1 << 30
             for alg in ("trap", "strap"):
-                plan = build_plan(
+                events = build_events(
                     problem,
                     RunOptions(
                         algorithm=alg,
@@ -73,7 +73,7 @@ def test_fig10_miss_ratios(benchmark, case):
                     ),
                 )
                 stats = simulate_plan_cache(
-                    problem, plan, capacity_points=M, line_points=B
+                    problem, events, capacity_points=M, line_points=B
                 )
                 rows[alg].append(stats.miss_ratio)
             rows["loops"].append(

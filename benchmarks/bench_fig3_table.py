@@ -18,7 +18,7 @@ from repro.analysis.reporting import Fig3Row, fig3_table
 from repro.apps import build
 from repro.language.stencil import RunOptions
 from repro.runtime.scheduler import simulate_greedy
-from repro.trap.driver import build_plan
+from repro.trap.driver import build_events
 
 SIM_PROCESSORS = 12
 
@@ -54,9 +54,9 @@ def _measure_row(name: str, dims: str) -> Fig3Row:
     # Simulated P-core time from the same decomposition.
     app_sim = build(name, scale)
     problem = app_sim.stencil.prepare(app_sim.steps, app_sim.kernel)
-    plan = build_plan(problem, RunOptions(algorithm="trap"))
-    t1_units = simulate_greedy(plan, 1)
-    tp_units = simulate_greedy(plan, SIM_PROCESSORS)
+    events = list(build_events(problem, RunOptions(algorithm="trap")))
+    t1_units = simulate_greedy(events, 1)
+    tp_units = simulate_greedy(events, SIM_PROCESSORS)
     sim_speedup = t1_units / tp_units if tp_units else 1.0
     t_trap_p = t_trap / sim_speedup
 

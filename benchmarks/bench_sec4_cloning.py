@@ -12,10 +12,16 @@ index".
 import numpy as np
 import pytest
 
-from benchmarks.bench_util import is_tiny, once, per_leaf_plan, wall_clean
+from benchmarks.bench_util import (
+    all_boundary,
+    is_tiny,
+    once,
+    per_leaf_plan,
+    run_serial,
+    wall_clean,
+)
 from repro.compiler.pipeline import compile_kernel
-from repro.trap.executor import execute_serial
-from repro.trap.plan import BaseRegion, map_base_regions, plan_stats
+from repro.trap.plan import iter_base_events, stats_from_regions
 from tests.conftest import make_heat_problem
 
 _times: dict[str, float] = {}
@@ -38,10 +44,10 @@ def _prepared():
 
 
 def test_cloned(benchmark):
-    problem, compiled, plan, u = _prepared()
-    stats = plan_stats(plan)
+    problem, compiled, events, u = _prepared()
+    stats = stats_from_regions(iter_base_events(events))
     elapsed = once(
-        benchmark, lambda: wall_clean(lambda: execute_serial(plan, compiled))
+        benchmark, lambda: wall_clean(lambda: run_serial(events, compiled))
     )
     _times["cloned"] = elapsed
     benchmark.extra_info["interior_fraction"] = round(
@@ -53,16 +59,13 @@ def test_cloned(benchmark):
 
 
 def test_modulo_everywhere(benchmark):
-    problem, compiled, plan, u = _prepared()
+    problem, compiled, events, u = _prepared()
     # Force every base region through the boundary clone: every access
     # pays the modulo/boundary machinery, as in the paper's strawman.
-    all_boundary = map_base_regions(
-        plan,
-        lambda r: BaseRegion(r.ta, r.tb, r.dims, interior=False),
-    )
+    strawman = all_boundary(events)
     elapsed = once(
         benchmark,
-        lambda: wall_clean(lambda: execute_serial(all_boundary, compiled)),
+        lambda: wall_clean(lambda: run_serial(strawman, compiled)),
     )
     _times["modulo"] = elapsed
     _times["result_modulo"] = float(

@@ -39,23 +39,51 @@ def wall(fn: Callable[[], object]) -> float:
 
 
 def per_leaf_plan(problem):
-    """The Section-4 cloning ablation's plan: per-leaf base regions only.
+    """The Section-4 cloning ablation's plan, as a materialized event
+    list: per-leaf base regions only.
 
     The default ``c`` plan holds compiled-walk subtree tasks, which a
-    kernel stripped of its fused clones runs through the Python replay,
-    and which a region rebuilt as ``BaseRegion(ta, tb, dims,
-    interior=False)`` runs as one whole-subtree boundary region.  Either
-    way the ablation would not compare per-step clones, so this raises
-    if the plan still holds one.
+    kernel stripped of its fused clones cannot run (it raises
+    ``ExecutionError``), and which a region rebuilt as
+    ``BaseRegion(ta, tb, dims, interior=False)`` runs as one
+    whole-subtree boundary region.  Either way the ablation would not
+    compare per-step clones, so this raises if the plan still holds
+    one.
     """
     from repro.language.stencil import RunOptions
-    from repro.trap.driver import build_plan
-    from repro.trap.plan import plan_stats
+    from repro.trap.driver import build_events
+    from repro.trap.plan import iter_base_events, stats_from_regions
 
-    plan = build_plan(problem, RunOptions(algorithm="trap", compiled_walk=False))
-    if plan_stats(plan).subtree_tasks:
+    events = list(
+        build_events(problem, RunOptions(algorithm="trap", compiled_walk=False))
+    )
+    if stats_from_regions(iter_base_events(events)).subtree_tasks:
         raise RuntimeError("the per-leaf plan holds a subtree task")
-    return plan
+    return events
+
+
+def all_boundary(events):
+    """The cloning ablation's strawman: every base region of ``events``
+    forced through the boundary clone, so every access pays the
+    modulo/boundary machinery."""
+    from repro.trap.plan import BaseRegion
+
+    return [
+        ("base", BaseRegion(e[1].ta, e[1].tb, e[1].dims, interior=False))
+        if e[0] == "base"
+        else e
+        for e in events
+    ]
+
+
+def run_serial(events, compiled) -> None:
+    """Run the base regions of ``events`` in serial order (the timed work
+    of the cloning ablation)."""
+    from repro.trap.executor import run_base_region
+    from repro.trap.plan import iter_base_events
+
+    for region in iter_base_events(events):
+        run_base_region(region, compiled)
 
 
 def wall_clean(fn: Callable[[], object]) -> float:

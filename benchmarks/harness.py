@@ -28,8 +28,10 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from benchmarks.bench_util import (  # noqa: E402
+    all_boundary,
     is_tiny,
     per_leaf_plan,
+    run_serial,
     wall,
     wall_clean,
     write_bench_json,
@@ -43,7 +45,7 @@ from repro.compiler.pipeline import available_modes  # noqa: E402
 from repro.language.stencil import RunOptions  # noqa: E402
 from repro.runtime.scheduler import simulate_greedy  # noqa: E402
 from repro.runtime.workspan import analyze_walk  # noqa: E402
-from repro.trap.driver import build_plan  # noqa: E402
+from repro.trap.driver import build_events  # noqa: E402
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + "/tests")
 
@@ -95,8 +97,10 @@ def run_fig3() -> dict:
 
         app_sim = build(name, scale())
         problem = app_sim.stencil.prepare(app_sim.steps, app_sim.kernel)
-        plan = build_plan(problem, RunOptions(algorithm="trap"))
-        speedup = simulate_greedy(plan, 1) / max(simulate_greedy(plan, P), 1e-12)
+        events = list(build_events(problem, RunOptions(algorithm="trap")))
+        speedup = simulate_greedy(events, 1) / max(
+            simulate_greedy(events, P), 1e-12
+        )
         t_trap_p = t_trap / speedup
 
         app2 = build(name, scale())
@@ -249,7 +253,7 @@ def run_fig10() -> dict:
             if protect:
                 thresholds[-1] = 1 << 30
             for alg, key in (("trap", "TRAP"), ("strap", "STRAP")):
-                plan = build_plan(
+                events = build_events(
                     problem,
                     RunOptions(
                         algorithm=alg, dt_threshold=1,
@@ -259,7 +263,7 @@ def run_fig10() -> dict:
                 )
                 rows[key].append(
                     simulate_plan_cache(
-                        problem, plan, capacity_points=M, line_points=B
+                        problem, events, capacity_points=M, line_points=B
                     ).miss_ratio
                 )
             rows["LOOPS"].append(
@@ -307,8 +311,6 @@ def run_fig13() -> dict:
 
 def run_sec4() -> dict:
     from repro.compiler.pipeline import compile_kernel
-    from repro.trap.executor import execute_serial
-    from repro.trap.plan import BaseRegion, map_base_regions
 
     sizes, T = ((64, 64), 16) if is_tiny() else ((384, 384), 96)
     st_, u, k = _heat_problem(sizes)
@@ -318,12 +320,10 @@ def run_sec4() -> dict:
     # snapshot leaf pays no per-index modulo and would let the strawman
     # dodge the cost this experiment measures.
     compiled = compile_kernel(problem, "auto").without_fused_leaves()
-    plan = per_leaf_plan(problem)
-    t_cloned = wall_clean(lambda: execute_serial(plan, compiled))
-    all_bnd = map_base_regions(
-        plan, lambda r: BaseRegion(r.ta, r.tb, r.dims, interior=False)
-    )
-    t_mod = wall_clean(lambda: execute_serial(all_bnd, compiled))
+    events = per_leaf_plan(problem)
+    t_cloned = wall_clean(lambda: run_serial(events, compiled))
+    all_bnd = all_boundary(events)
+    t_mod = wall_clean(lambda: run_serial(all_bnd, compiled))
     print(
         f"\n== Section 4 cloning ablation: modulo-everywhere / clone-based "
         f"= {t_mod / t_cloned:.2f}x slower (paper: 2.3x)"

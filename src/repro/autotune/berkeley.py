@@ -84,8 +84,6 @@ def run_blocked_loops(
             compiled.interior(t, b_lo, b_hi)
         for s_lo, s_hi in shells:
             compiled.boundary(t, s_lo, s_hi)
-    for arr in problem.arrays.values():
-        arr.note_written_through(problem.t_end - 1)
     stencil.advance_cursor(problem)
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 from repro.cachesim.ideal_cache import IdealCache
 from repro.expr.analysis import kernel_accesses
 from repro.language.stencil import Problem
-from repro.trap.plan import BaseRegion, PlanNode, iter_base_serial
+from repro.trap.plan import BaseRegion, PlanEvent, iter_base_events
 
 
 @dataclass
@@ -141,17 +141,17 @@ def iter_region_steps(
 
 def simulate_plan_cache(
     problem: Problem,
-    plan: PlanNode,
+    events: Iterable[PlanEvent],
     *,
     capacity_points: int,
     line_points: int,
 ) -> CacheStats:
-    """Simulate the serial execution of a TRAP/STRAP plan."""
+    """Simulate the serial execution of a TRAP/STRAP plan's events."""
     cache = IdealCache(capacity_points, line_points)
     layouts = _layouts(problem)
     cells = _kernel_cells(problem)
     points = 0
-    for region in iter_base_serial(plan):
+    for region in iter_base_events(events):
         for t, lo, hi in iter_region_steps(region):
             points += _trace_box(cache, layouts, cells, t, lo, hi)
     return CacheStats(refs=cache.refs, misses=cache.misses, points=points)

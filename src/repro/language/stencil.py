@@ -558,7 +558,10 @@ class Stencil:
         )
 
     def advance_cursor(self, problem: Problem) -> None:
-        """Record that levels up to ``problem.t_end - 1`` now exist."""
+        """Record that levels up to ``problem.t_end - 1`` now exist, in
+        the stencil's cursor and in every array of ``problem``."""
+        for arr in problem.arrays.values():
+            arr.note_written_through(problem.t_end - 1)
         if problem.steps > 0:
             self.cursor = problem.t_end - 1
 
@@ -603,8 +606,6 @@ class Stencil:
 
         problem = self.prepare(steps, kernel)
         report = execute_problem([problem], options)[0]
-        for arr in problem.arrays.values():
-            arr.note_written_through(problem.t_end - 1)
         self.advance_cursor(problem)
         return report
 

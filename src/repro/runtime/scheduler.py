@@ -7,8 +7,8 @@ runtime.  On a host without 12 cores we *simulate* the schedule instead:
   ``T_P <= T1/P + T_inf``, evaluated from measured 1-core time and the
   analyzer's work/span ratio.
 * :func:`simulate_greedy` — list-schedules the actual base-case regions
-  of a plan, wave by wave (waves are the dependency-safe fronts of
-  Lemma 1), yielding a tighter estimate that accounts for load imbalance
+  of a plan (a materialized event list), wave by wave (waves are the
+  dependency-safe fronts of Lemma 1), yielding a tighter estimate that accounts for load imbalance
   among unequal zoids — the effect the paper mentions when scheduling 8
   threads on 12 cores for the Berkeley comparison.
 * :func:`simulate_dag` — list-schedules the *true* task DAG
@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Union
+from typing import Sequence
 
 from repro.errors import ExecutionError
-from repro.trap.graph import TaskGraph, build_task_graph, critical_path_lengths
-from repro.trap.plan import PlanNode, linearize_waves, plan_events
+from repro.trap.graph import TaskGraph, critical_path_lengths
+from repro.trap.plan import PlanEvent, linearize_waves
 
 
 def brent_time(t1: float, work: float, span: float, processors: int) -> float:
@@ -47,7 +47,7 @@ def brent_time(t1: float, work: float, span: float, processors: int) -> float:
     return t1 / processors + t_inf
 
 
-def simulate_greedy(plan: PlanNode, processors: int) -> float:
+def simulate_greedy(events: Sequence[PlanEvent], processors: int) -> float:
     """Makespan (in grid-point units) of list-scheduling the plan's base
     regions onto ``processors`` workers, wave by wave.
 
@@ -58,7 +58,7 @@ def simulate_greedy(plan: PlanNode, processors: int) -> float:
     if processors < 1:
         raise ExecutionError(f"processors must be >= 1, got {processors}")
     total = 0.0
-    for wave in linearize_waves(plan):
+    for wave in linearize_waves(events):
         costs = sorted((float(r.volume()) for r in wave), reverse=True)
         if not costs:
             continue
@@ -74,10 +74,10 @@ def simulate_greedy(plan: PlanNode, processors: int) -> float:
     return total
 
 
-def simulated_speedup(plan: PlanNode, processors: int) -> float:
+def simulated_speedup(events: Sequence[PlanEvent], processors: int) -> float:
     """T1 / T_P under the greedy wave schedule (unit per-point cost)."""
-    t1 = simulate_greedy(plan, 1)
-    tp = simulate_greedy(plan, processors)
+    t1 = simulate_greedy(events, 1)
+    tp = simulate_greedy(events, processors)
     return t1 / tp if tp > 0 else 0.0
 
 
@@ -129,7 +129,7 @@ def _list_schedule(graph: TaskGraph, priority: list, processors: int) -> float:
     return now
 
 
-def simulate_dag(plan: Union[PlanNode, TaskGraph], processors: int) -> float:
+def simulate_dag(graph: TaskGraph, processors: int) -> float:
     """Makespan (in grid-point units) of list-scheduling the *true* task
     DAG onto ``processors`` workers — no inter-wave barriers.
 
@@ -148,11 +148,6 @@ def simulate_dag(plan: Union[PlanNode, TaskGraph], processors: int) -> float:
     """
     if processors < 1:
         raise ExecutionError(f"processors must be >= 1, got {processors}")
-    graph = (
-        plan
-        if isinstance(plan, TaskGraph)
-        else build_task_graph(plan_events(plan))
-    )
     bottom = critical_path_lengths(graph)
     lcp = [(-bottom[i],) for i in range(len(graph.regions))]
     depths = _topological_depths(graph)
@@ -169,15 +164,8 @@ def simulate_dag(plan: Union[PlanNode, TaskGraph], processors: int) -> float:
     )
 
 
-def simulated_dag_speedup(
-    plan: Union[PlanNode, TaskGraph], processors: int
-) -> float:
+def simulated_dag_speedup(graph: TaskGraph, processors: int) -> float:
     """T1 / T_P under the no-barrier DAG schedule (unit per-point cost)."""
-    graph = (
-        plan
-        if isinstance(plan, TaskGraph)
-        else build_task_graph(plan_events(plan))
-    )
     t1 = simulate_dag(graph, 1)
     tp = simulate_dag(graph, processors)
     return t1 / tp if tp > 0 else 0.0

@@ -11,8 +11,8 @@ infrastructure:
 * **admission/batching** — submitted jobs are grouped by problem
   signature (and time range); a group launches when it reaches
   ``max_batch`` or its ``batch_window`` expires, and runs through the
-  local driver (:func:`repro.trap.driver.execute_problem`) with the
-  options its jobs were submitted with, as ONE run: every generated
+  local driver (:func:`repro.trap.driver.execute_problem`) under the
+  server's ``ServeOptions.run``, as ONE run: every generated
   clone runs over a stack of jobs (a local run is a batch of one), so K
   small jobs cost one GIL-released call per region instead of K, under
   the executor, workers and walk threads a local run of one job would
@@ -20,9 +20,10 @@ infrastructure:
 * **warm-state serving** — a kernel's code is loaded once per process
   by the compiler's loaders (the ``.so`` cache's per-digest file lock
   runs cc once for racing first requests, in and across processes),
-  and binds no job's buffers until its batch runs.  A job runs under
-  the options it was submitted with (the server's ``ServeOptions.run``
-  by default), nothing else.
+  and binds no job's buffers until its batch runs.  Every job runs
+  under the server's ``ServeOptions.run``, nothing else: a submission
+  carries a problem, never the options (workers, processes, codegen)
+  it would spend the server's resources with.
 * **control** — bounded admission (job count and point volume) rejects
   with :class:`ServerBusy` instead of queueing unboundedly or dropping;
   :meth:`StencilServer.drain` (wired to SIGTERM via

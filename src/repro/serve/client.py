@@ -22,7 +22,7 @@ The client owns the *caller-side* half of the robustness contract:
 Results land in the submitted stencil's arrays bitwise-identical to a
 local ``stencil.run`` — the response carries the server-side modular
 buffers verbatim, and the client performs the same post-run
-bookkeeping (``note_written_through`` + cursor advance) locally.
+bookkeeping (``Stencil.advance_cursor``) locally.
 
 Grids cross the wire without a copy on this side either: a submit frame
 is a list of parts whose buffers are views of the live arrays, sent with
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 from repro.errors import SpecificationError
 from repro.language.kernel import Kernel
-from repro.language.stencil import Problem, RunOptions, RunReport, Stencil
+from repro.language.stencil import Problem, RunReport, Stencil
 from repro.serve import protocol
 from repro.serve.protocol import (
     DeadlineExceeded,
@@ -156,24 +156,21 @@ class StencilClient:
         stencil: Stencil,
         steps: int,
         kernel: Kernel,
-        options: RunOptions | None = None,
         *,
         timeout: float | None = None,
     ) -> RunReport:
-        """Run one job on the server; block until its report.
+        """Run one job on the server, under the server's run options;
+        block until its report.
 
         Results land in ``stencil``'s arrays exactly as a local
         ``stencil.run`` would leave them.  ``timeout`` overrides the
         client's ``request_timeout`` for this call.
         """
-        return self.submit_many(
-            [(stencil, steps, kernel)], options, timeout=timeout
-        )[0]
+        return self.submit_many([(stencil, steps, kernel)], timeout=timeout)[0]
 
     def submit_many(
         self,
         jobs: list[tuple[Stencil, int, Kernel]],
-        options: RunOptions | None = None,
         *,
         timeout: float | None = None,
     ) -> list[RunReport]:
@@ -195,13 +192,7 @@ class StencilClient:
             problem = stencil.prepare(steps, kernel)
             key = uuid.uuid4().hex
             frame = protocol.frame_parts(
-                T_SUBMIT,
-                {
-                    "key": key,
-                    "deadline": budget,
-                    "problem": problem,
-                    "options": options,
-                },
+                T_SUBMIT, {"key": key, "deadline": budget, "problem": problem}
             )
             pending[key] = _PendingJob(
                 key=key, stencil=stencil, problem=problem, frame=frame
@@ -315,7 +306,6 @@ class StencilClient:
         for name, buf in arrays.items():
             arr = job.stencil.arrays[name]
             arr.load(buf)
-            arr.note_written_through(job.problem.t_end - 1)
         job.stencil.advance_cursor(job.problem)
         report.transport = "tcp"
         report.attempts = attempt

@@ -46,12 +46,15 @@ quick scripts all share it.
 from __future__ import annotations
 
 import asyncio
+import math
 import signal as _signal
 import threading
 from collections import OrderedDict, deque
+from numbers import Real
 from typing import Iterable
 
 from repro.errors import SpecificationError
+from repro.language.stencil import Problem
 from repro.resilience import faults
 from repro.serve import protocol
 from repro.serve.protocol import (
@@ -437,11 +440,22 @@ class NetServer:
             msg = protocol.unpack(payload)
             key = msg["key"]
             problem = msg["problem"]
-            options = msg.get("options")
             deadline = msg.get("deadline")
+            if not isinstance(key, str) or not isinstance(problem, Problem):
+                raise TypeError("a submit needs a str key and a Problem")
+            if deadline is not None and not (
+                isinstance(deadline, Real) and math.isfinite(deadline)
+            ):
+                raise TypeError(f"deadline {deadline!r} is not a finite number")
+            if msg.get("options") is not None:
+                raise SpecificationError(
+                    "a job runs under the server's run options; "
+                    "a submit may not carry its own"
+                )
         except (protocol.ProtocolError, KeyError, TypeError, SpecificationError) as exc:
-            # Garbage inside a well-formed frame, or a grid that breaks
-            # the layout contract (typed ``invalid``): same poison rule.
+            # Garbage inside a well-formed frame, a grid that breaks the
+            # layout contract or per-job run options (typed ``invalid``):
+            # same poison rule.
             self.stats["protocol_errors"] += 1
             if not isinstance(exc, SpecificationError):
                 exc = protocol.ProtocolError(f"malformed submit: {exc}")
@@ -468,9 +482,7 @@ class NetServer:
         flight: asyncio.Future = asyncio.get_running_loop().create_future()
         self._journal[key] = flight
         try:
-            report = await self.server.submit_problem(
-                problem, options, timeout=deadline
-            )
+            report = await self.server.submit_problem(problem, timeout=deadline)
         except (ServerBusy, ServerClosed, JobExpired, SpecificationError) as exc:
             # Pre-execution rejection: NOT journaled — a later retry
             # deserves a fresh admission decision.

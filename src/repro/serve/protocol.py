@@ -34,13 +34,14 @@ Frame types:
 
 ==============  =========================================================
 ``T_SUBMIT``    client -> server: one job — ``{"key", "deadline",
-                "problem", "options"}`` where ``key`` is the client's
-                idempotency key (any string; retries of one job MUST
-                reuse it), ``deadline`` is the remaining time budget in
-                seconds at send time (``None`` = no deadline) and
-                ``problem`` is a prepared
-                :class:`~repro.language.stencil.Problem` carrying the
-                full input state.
+                "problem"}`` where ``key`` is the client's idempotency
+                key (any string; retries of one job MUST reuse it),
+                ``deadline`` is the remaining time budget in seconds at
+                send time (``None`` = no deadline) and ``problem`` is a
+                prepared :class:`~repro.language.stencil.Problem`
+                carrying the full input state.  The job runs under the
+                server's run options; a submit that carries its own
+                ``options`` is refused as ``invalid``.
 ``T_RESULT``    server -> client: ``{"key", "report", "arrays",
                 "replayed"}`` — the job's ``RunReport``, every result
                 array's modular buffer (an ndarray), and whether the

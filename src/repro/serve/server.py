@@ -90,12 +90,14 @@ class ServeOptions:
         few huge jobs cannot admit-starve memory the way a count bound
         alone would allow.
     ``run``
-        Base :class:`~repro.language.stencil.RunOptions` applied to
-        every job (defaults to ``RunOptions()``, a local run's
-        defaults).  The server passes them to the local driver
-        unchanged, so a group runs as a local run of its jobs would;
-        the driver decides whether the group stacks.  Checkpoint/resume
-        options are rejected, here and per job: jobs are short and the
+        The :class:`~repro.language.stencil.RunOptions` every job runs
+        under (defaults to ``RunOptions()``, a local run's defaults).
+        A job cannot bring its own: what a run may spend (workers,
+        processes, codegen) is the server's choice, not a submitter's.
+        The server passes them to the local driver unchanged, so a
+        group runs as a local run of its jobs would; the driver decides
+        whether the group stacks.  Checkpoint/resume options are
+        rejected, here and at every admission: jobs are short and the
         server owns retry semantics.
     """
 
@@ -138,6 +140,8 @@ class _Job:
     stencil: Stencil | None
     future: asyncio.Future
     enqueued: float
+    #: The job's space-time volume, held against ``max_pending_points``.
+    points: int
     #: Absolute monotonic deadline (``None`` = no deadline).  Checked
     #: at batch launch: still-queued jobs past it are shed with
     #: :class:`JobExpired`, never silently run.
@@ -146,17 +150,6 @@ class _Job:
     #: job leaves its queue (flushed, shed or drained): a live timer
     #: holds the job — and its arrays — until the deadline.
     expiry: asyncio.TimerHandle | None = None
-
-
-def _options_token(options: RunOptions) -> str:
-    """A value-based batching key for run options.
-
-    Jobs batch when their effective options *mean* the same thing, not
-    when they are the same object — remote submissions unpickle a fresh
-    ``RunOptions`` per request, and those must still share a batch.
-    Dataclass ``repr`` is deterministic and covers every field.
-    """
-    return repr(options)
 
 
 class StencilServer:
@@ -284,7 +277,6 @@ class StencilServer:
         stencil: Stencil,
         steps: int,
         kernel: Kernel,
-        options: RunOptions | None = None,
         *,
         timeout: float | None = None,
     ) -> RunReport:
@@ -292,18 +284,15 @@ class StencilServer:
 
         Validation errors (bad kernel/steps) raise immediately, as
         ``stencil.run`` would.  :class:`ServerBusy` signals backpressure
-        — the job was not queued.  ``options`` overrides the server's
-        base run options for this job; jobs batch with jobs whose
-        effective options carry the same *values*, so per-job overrides
-        land in their own signature groups.  ``timeout`` bounds the
-        queue wait: a job still queued ``timeout`` seconds after
-        submission completes exceptionally with :class:`JobExpired`
-        instead of running late (shed before dispatch, never
-        interrupted mid-run).
+        — the job was not queued.  The job runs under the server's
+        ``ServeOptions.run`` and batches with same-signature jobs.
+        ``timeout`` bounds the queue wait: a job still queued
+        ``timeout`` seconds after submission completes exceptionally
+        with :class:`JobExpired` instead of running late (shed before
+        dispatch, never interrupted mid-run).
         """
         return await self.submit_problem(
             stencil.prepare(steps, kernel),
-            options,
             timeout=timeout,
             stencil=stencil,
         )
@@ -311,7 +300,6 @@ class StencilServer:
     async def submit_problem(
         self,
         problem: Problem,
-        options: RunOptions | None = None,
         *,
         timeout: float | None = None,
         stencil: Stencil | None = None,
@@ -327,9 +315,8 @@ class StencilServer:
             raise ServerClosed("server is draining; resubmit elsewhere")
         if self._loop is None:
             self._loop = asyncio.get_running_loop()
-        run_options = options if options is not None else self.options.run
-        assert run_options is not None
-        _check_servable(run_options)
+        # Again per job: ``ServeOptions`` and ``RunOptions`` are mutable.
+        _check_servable(self.options.run)
         if timeout is not None and timeout <= 0:
             self.stats["expired"] += 1
             raise JobExpired(
@@ -349,20 +336,19 @@ class StencilServer:
             )
         from repro.compiler.batch import batch_signature
 
-        key = batch_signature(problem) + (_options_token(run_options),)
+        key = batch_signature(problem)
         now = time.perf_counter()
         job = _Job(
             problem=problem,
             stencil=stencil,
             future=self._loop.create_future(),
             enqueued=now,
+            points=points,
             deadline=(now + timeout) if timeout is not None else None,
         )
         self.stats["submitted"] += 1
         self._in_system_jobs += 1
         self._in_system_points += points
-        job._points = points  # type: ignore[attr-defined]
-        job._options = run_options  # type: ignore[attr-defined]
         group = self._pending.setdefault(key, [])
         group.append(job)
         if timeout is not None:
@@ -380,7 +366,7 @@ class StencilServer:
     def _release_job(self, job: _Job) -> None:
         """Drop one job from the in-system accounting (exactly once)."""
         self._in_system_jobs -= 1
-        self._in_system_points -= job._points  # type: ignore[attr-defined]
+        self._in_system_points -= job.points
 
     @staticmethod
     def _cancel_expiry(job: _Job) -> None:
@@ -447,16 +433,16 @@ class StencilServer:
         jobs = live
         if not jobs:
             return
-        options: RunOptions = jobs[0]._options  # type: ignore[attr-defined]
         try:
             reports = await asyncio.to_thread(
-                execute_problem, [j.problem for j in jobs], options
+                execute_problem, [j.problem for j in jobs], self.options.run
             )
             self.stats["batches"] += 1
             self.stats["batched_jobs"] += len(jobs)
             for job, report in zip(jobs, reports):
                 report.queue_wait = started - job.enqueued
-                self._finish_job(job)
+                if job.stencil is not None:
+                    job.stencil.advance_cursor(job.problem)
                 self.stats["completed"] += 1
                 if not job.future.done():
                     job.future.set_result(report)
@@ -470,15 +456,3 @@ class StencilServer:
         finally:
             for job in jobs:
                 self._release_job(job)
-
-    @staticmethod
-    def _finish_job(job: _Job) -> None:
-        """The bookkeeping ``Stencil.run`` does after a direct run.
-
-        Remote jobs have no local stencil (``stencil is None``): their
-        client performs the same bookkeeping when the result lands.
-        """
-        for arr in job.problem.arrays.values():
-            arr.note_written_through(job.problem.t_end - 1)
-        if job.stencil is not None:
-            job.stencil.advance_cursor(job.problem)

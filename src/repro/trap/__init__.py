@@ -9,9 +9,10 @@ This package implements Section 3 of the paper:
   Lemma-1 dependency levels, and time cuts.
 * :mod:`repro.trap.walker` — the recursive TRAP decomposition (hyperspace
   cuts) and the STRAP variant (serial space cuts) that Figure 9 compares.
-* :mod:`repro.trap.plan` — decomposition trees (Seq/Par/Base) and their
-  flat event-stream form, plus Lemma 1's wave linearization (the
-  analysis model behind the schedule simulators).
+* :mod:`repro.trap.plan` — the flat plan-event stream (Seq/Par brackets
+  around base regions), the one plan representation, plus Lemma 1's
+  wave linearization (the analysis model behind the schedule
+  simulators).
 * :mod:`repro.trap.graph` — dependency-counted task DAGs built
   incrementally from the event stream (predecessor counts + successor
   lists, with join-node edge contraction).
@@ -24,23 +25,8 @@ This package implements Section 3 of the paper:
 
 from repro.trap.zoid import Zoid, full_grid_zoid
 from repro.trap.cuts import CutDecision, choose_cut
-from repro.trap.walker import (
-    WalkOptions,
-    WalkSpec,
-    decompose,
-    decompose_events,
-    walk_spec_for,
-)
-from repro.trap.plan import (
-    BaseRegion,
-    PlanNode,
-    dependency_graph,
-    iter_base_serial,
-    linearize_waves,
-    plan_events,
-    plan_from_events,
-    plan_stats,
-)
+from repro.trap.walker import WalkOptions, WalkSpec, decompose_events, walk_spec_for
+from repro.trap.plan import BaseRegion, linearize_waves
 from repro.trap.graph import TaskGraph, TaskGraphBuilder, build_task_graph
 from repro.trap.loops import run_loops
 from repro.trap.executor import (
@@ -54,7 +40,6 @@ from repro.trap.driver import execute_problem
 __all__ = [
     "BaseRegion",
     "CutDecision",
-    "PlanNode",
     "TaskGraph",
     "TaskGraphBuilder",
     "WalkOptions",
@@ -63,17 +48,11 @@ __all__ = [
     "acquire_pool",
     "build_task_graph",
     "choose_cut",
-    "decompose",
     "decompose_events",
-    "dependency_graph",
     "execute_dag",
     "execute_problem",
     "full_grid_zoid",
-    "iter_base_serial",
     "linearize_waves",
-    "plan_events",
-    "plan_from_events",
-    "plan_stats",
     "release_pool",
     "run_loops",
     "shutdown_pool",

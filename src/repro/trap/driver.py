@@ -14,8 +14,8 @@ Executor dispatch (``RunOptions.resolve_executor``):
 * ``"serial"`` — streams base regions straight off the walker's event
   generator; no plan or graph is ever materialized.
 * ``"dag"`` — folds the event stream into a dependency-counted
-  :class:`~repro.trap.graph.TaskGraph` (still no tree) and runs the
-  ready-queue executor.
+  :class:`~repro.trap.graph.TaskGraph` and runs the ready-queue
+  executor.
 * ``"procs"`` — the same task graph, dispatched by a driver-side
   supervisor to worker *subprocesses* attached to shared-memory grid
   segments (:mod:`repro.supervise`); degrades to ``"dag"`` with a
@@ -39,22 +39,17 @@ from repro.trap.executor import (
 )
 from repro.trap.graph import build_task_graph
 from repro.trap.plan import stats_from_regions
-from repro.trap.walker import (
-    decompose,
-    decompose_events,
-    default_options,
-    walk_spec_for,
-)
+from repro.trap.walker import decompose_events, default_options, walk_spec_for
 from repro.trap.zoid import full_grid_zoid
 
 
 def _walk_setup(problem: Problem, options: RunOptions):
-    """Shared geometry for both walker output paths."""
+    """The walker's geometry and options for one problem."""
     from repro.compiler.pipeline import resolve_mode, walks_boundary
 
     if options.algorithm not in ("trap", "strap"):
         raise SpecificationError(
-            f"build_plan only handles trap/strap, got {options.algorithm!r}"
+            f"build_events only handles trap/strap, got {options.algorithm!r}"
         )
     min_off, max_off = problem.shape.min_max_offsets
     spec = walk_spec_for(problem.sizes, problem.slopes, min_off, max_off)
@@ -84,16 +79,9 @@ def _walk_setup(problem: Problem, options: RunOptions):
     return top, spec, opts
 
 
-def build_plan(problem: Problem, options: RunOptions):
-    """Decompose the problem's space-time grid per the selected algorithm
-    into a materialized plan tree."""
-    top, spec, opts = _walk_setup(problem, options)
-    return decompose(top, spec, opts)
-
-
 def build_events(problem: Problem, options: RunOptions):
-    """The streaming counterpart of :func:`build_plan`: a lazy plan-event
-    generator (no tree)."""
+    """Decompose the problem's space-time grid per the selected algorithm
+    into a lazy plan-event generator."""
     top, spec, opts = _walk_setup(problem, options)
     return decompose_events(top, spec, opts)
 

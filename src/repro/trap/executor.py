@@ -4,7 +4,7 @@ The Cilk runtime of the paper schedules the spawned subzoids with work
 stealing.  Two in-process executors run the decomposition:
 
 * ``"serial"`` — the serial elision: depth-first, one thread, streamed
-  straight off the walker's event generator (no plan materialized).
+  straight off the walker's event generator.
 * ``"dag"`` — the ready-queue task-DAG runtime: workers pull any region
   whose predecessor count (:class:`repro.trap.graph.TaskGraph`) hits
   zero.  A region runs the moment its actual dependencies finish, the
@@ -44,14 +44,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.errors import ExecutionError
 from repro.resilience import faults
 from repro.trap.graph import TaskGraph
-from repro.trap.plan import (
-    BaseRegion,
-    PlanEvent,
-    PlanNode,
-    PlanStats,
-    iter_base_events,
-    iter_base_serial,
-)
+from repro.trap.plan import BaseRegion, PlanEvent, PlanStats, iter_base_events
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.pipeline import CompiledKernel
@@ -293,15 +286,6 @@ def run_base_region(region: BaseRegion, compiled: "CompiledKernel") -> None:
 
 
 # -- serial -------------------------------------------------------------------
-
-
-def execute_serial(plan: PlanNode, compiled: "CompiledKernel") -> int:
-    """Depth-first serial execution; returns the number of base cases."""
-    count = 0
-    for region in iter_base_serial(plan):
-        run_base_region(region, compiled)
-        count += 1
-    return count
 
 
 def execute_serial_stream(

@@ -28,8 +28,8 @@ pointing forward in id order.
 
 The builder is incremental: it consumes the flat event stream of
 :mod:`repro.trap.plan` (produced lazily by
-:func:`repro.trap.walker.decompose_events`), so the PlanNode tree never
-needs to exist — only the graph's flat integer arrays.  Because events
+:func:`repro.trap.walker.decompose_events`), so only the graph's flat
+integer arrays ever exist.  Because events
 arrive in depth-first order, every edge points from a lower node id to a
 higher one; node-id order is therefore always a valid serial schedule.
 """

@@ -1,23 +1,19 @@
-"""The recursive TRAP/STRAP walkers: zoid in, plan tree (or stream) out.
+"""The recursive TRAP/STRAP walkers: zoid in, plan-event stream out.
 
-``decompose`` implements the control flow of Figure 2: hyperspace cut if
-any dimension admits a parallel space cut, else time cut, else base case —
-with base-case coarsening (Section 4) folded into the cut thresholds.
-STRAP (the Frigo–Strumpen-style comparison algorithm of Section 3's
-analysis) is the same walker with ``hyperspace=False``: it cuts only the
-first cuttable dimension per recursion step, so a cascade of k space cuts
-costs 2^k parallel steps instead of k+1.
+:func:`decompose_events` implements the control flow of Figure 2:
+hyperspace cut if any dimension admits a parallel space cut, else time
+cut, else base case — with base-case coarsening (Section 4) folded into
+the cut thresholds.  STRAP (the Frigo–Strumpen-style comparison
+algorithm of Section 3's analysis) is the same walker with
+``hyperspace=False``: it cuts only the first cuttable dimension per
+recursion step, so a cascade of k space cuts costs 2^k parallel steps
+instead of k+1.
 
-The walker has two output paths over one recursion:
-
-* :func:`decompose_events` — the *generator* path: a depth-first stream of
-  structure events (see :mod:`repro.trap.plan`) that never materializes
-  the tree.  The serial executor and the task-DAG builder
-  (:mod:`repro.trap.graph`) both consume this stream, so huge plans run
-  with O(frontier) memory instead of O(plan).
-* :func:`decompose` — folds the same event stream into a materialized
-  :class:`~repro.trap.plan.PlanNode` tree (cache tracer, schedule
-  simulators, the Section 4 cloning ablation).
+The walker is a generator: a depth-first stream of structure events
+(see :mod:`repro.trap.plan`) that never materializes a tree.  The
+serial executor and the task-DAG builder (:mod:`repro.trap.graph`) both
+consume this stream, so huge plans run with O(frontier) memory instead
+of O(plan); the analysis tools take it as ``list(events)``.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from typing import Iterator, Sequence
 from repro.errors import SpecificationError
 from repro.trap.coarsening import default_dt_threshold, default_space_thresholds
 from repro.trap.cuts import choose_cut, time_cut_children
-from repro.trap.plan import BaseRegion, PlanEvent, PlanNode, plan_from_events
+from repro.trap.plan import BaseRegion, PlanEvent
 from repro.trap.zoid import Zoid
 
 
@@ -187,25 +183,14 @@ def default_options(
     )
 
 
-def decompose(z: Zoid, spec: WalkSpec, opts: WalkOptions) -> PlanNode:
-    """Recursively decompose ``z`` into a plan tree (Figure 2).
-
-    This folds :func:`decompose_events` into a materialized tree, so the
-    two paths can never disagree about the decomposition.
-    """
-    return plan_from_events(decompose_events(z, spec, opts))
-
-
 def decompose_events(
     z: Zoid, spec: WalkSpec, opts: WalkOptions
 ) -> Iterator[PlanEvent]:
     """Stream the decomposition of ``z`` as plan events (generator path).
 
     Yields the event vocabulary of :mod:`repro.trap.plan` in depth-first
-    order without building any tree nodes.  Single-child Seq/Par groups
-    are collapsed exactly as the :class:`PlanNode` constructors collapse
-    them, so ``plan_events(decompose(...))`` and ``decompose_events(...)``
-    produce identical streams.
+    order without building any tree nodes.  A Seq or Par group with a
+    single child is never opened: the child's events stand alone.
 
     Interior/boundary classification is *inherited*: all subzoids of an
     interior zoid are interior (the observation Section 4 exploits), so

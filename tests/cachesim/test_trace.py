@@ -9,7 +9,7 @@ from repro.cachesim import (
     trap_miss_bound,
 )
 from repro.language.stencil import RunOptions
-from repro.trap.driver import build_plan
+from repro.trap.driver import build_events
 from tests.conftest import make_heat_problem
 
 
@@ -17,9 +17,11 @@ def _problem_and_plans(n, T, algorithms=("trap", "strap")):
     st_, u, k = make_heat_problem((n, n))
     problem = st_.prepare(T, k)
     plans = {
-        alg: build_plan(
-            problem,
-            RunOptions(algorithm=alg, dt_threshold=1, space_thresholds=(0, 0)),
+        alg: list(
+            build_events(
+                problem,
+                RunOptions(algorithm=alg, dt_threshold=1, space_thresholds=(0, 0)),
+            )
         )
         for alg in algorithms
     }

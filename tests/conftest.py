@@ -65,8 +65,6 @@ def run_per_step(stencil, steps, kernel, **options):
     problem = stencil.prepare(steps, kernel)
     compiled = compile_kernel(problem, opts.mode).without_fused_leaves()
     execute_serial_stream(build_events(problem, opts), compiled)
-    for arr in problem.arrays.values():
-        arr.note_written_through(problem.t_end - 1)
     stencil.advance_cursor(problem)
 
 
@@ -96,6 +94,21 @@ def run_subtree_per_leaf(region, compiled):
         _events(region.zoid(), spec, opts, region.interior)
     ):
         run_base_region(sub, compiled)
+
+
+def base(region):
+    """A one-region plan as an event list."""
+    return [("base", region)]
+
+
+def seq(*children):
+    """A Seq group of event-list children, as an event list."""
+    return [("open", "seq"), *(e for c in children for e in c), ("close", "seq")]
+
+
+def par(*children):
+    """A Par group of event-list children, as an event list."""
+    return [("open", "par"), *(e for c in children for e in c), ("close", "par")]
 
 
 def run_reference(sizes, steps, *, boundary="periodic", seed=0):

@@ -10,7 +10,9 @@ from repro.runtime.scheduler import (
     simulated_dag_speedup,
     simulated_speedup,
 )
-from repro.trap.plan import BaseRegion, PlanNode
+from repro.trap.graph import build_task_graph
+from repro.trap.plan import BaseRegion
+from tests.conftest import base, par, seq
 
 
 def _region(vol, t0=0):
@@ -30,7 +32,7 @@ def test_brent_validates_processors():
 
 
 def test_greedy_single_wave_balances():
-    plan = PlanNode.par([PlanNode.base(_region(10)) for _ in range(4)])
+    plan = par(*(base(_region(10)) for _ in range(4)))
     assert simulate_greedy(plan, 1) == 40
     assert simulate_greedy(plan, 2) == 20
     assert simulate_greedy(plan, 4) == 10
@@ -40,10 +42,8 @@ def test_greedy_single_wave_balances():
 
 def test_greedy_respects_barriers():
     # Two sequential waves of 2 tasks each: P=2 gives 2 steps of 10.
-    wave = lambda t: PlanNode.par(
-        [PlanNode.base(_region(10, t)), PlanNode.base(_region(10, t))]
-    )
-    plan = PlanNode.seq([wave(0), wave(1)])
+    wave = lambda t: par(base(_region(10, t)), base(_region(10, t)))
+    plan = seq(wave(0), wave(1))
     assert simulate_greedy(plan, 2) == 20
     assert simulate_greedy(plan, 4) == 20  # barrier prevents overlap
 
@@ -51,14 +51,12 @@ def test_greedy_respects_barriers():
 def test_greedy_lpt_imbalance():
     # Tasks 5, 3, 3, 3 on 2 procs: LPT packs {5,3} and {3,3} -> makespan 8
     # (which is also optimal: no subset sums to 7).
-    plan = PlanNode.par(
-        [PlanNode.base(_region(v)) for v in (5, 3, 3, 3)]
-    )
+    plan = par(*(base(_region(v)) for v in (5, 3, 3, 3)))
     assert simulate_greedy(plan, 2) == 8
 
 
 def test_speedup_monotone_in_processors():
-    plan = PlanNode.par([PlanNode.base(_region(v)) for v in range(1, 9)])
+    plan = par(*(base(_region(v)) for v in range(1, 9)))
     s2 = simulated_speedup(plan, 2)
     s4 = simulated_speedup(plan, 4)
     assert 1.0 < s2 <= s4
@@ -67,19 +65,20 @@ def test_speedup_monotone_in_processors():
 class TestSimulateDag:
     def test_validates_processors(self):
         with pytest.raises(ExecutionError):
-            simulate_dag(PlanNode.base(_region(1)), 0)
+            simulate_dag(build_task_graph(base(_region(1))), 0)
 
     def test_serial_equals_total_work(self):
-        plan = PlanNode.par([PlanNode.base(_region(10)) for _ in range(4)])
-        assert simulate_dag(plan, 1) == 40
+        plan = par(*(base(_region(10)) for _ in range(4)))
+        assert simulate_dag(build_task_graph(plan), 1) == 40
 
     def test_matches_waves_on_flat_plan(self):
-        plan = PlanNode.par([PlanNode.base(_region(10)) for _ in range(4)])
-        assert simulate_dag(plan, 2) == simulate_greedy(plan, 2) == 20
+        plan = par(*(base(_region(10)) for _ in range(4)))
+        assert simulate_dag(build_task_graph(plan), 2) == 20
+        assert simulate_greedy(plan, 2) == 20
 
     def test_chain_is_fully_serial(self):
-        plan = PlanNode.seq([PlanNode.base(_region(5, t)) for t in range(4)])
-        assert simulate_dag(plan, 8) == 20
+        plan = seq(*(base(_region(5, t)) for t in range(4)))
+        assert simulate_dag(build_task_graph(plan), 8) == 20
 
     def test_overlaps_independent_chains_across_barriers(self):
         # Par of an imbalanced chain (10,10) and a short task (1) followed
@@ -88,21 +87,20 @@ class TestSimulateDag:
         # second chain's steps during the first chain's slack: makespan 20
         # only for the long chain, total still 20 -- sharpen with costs
         # where the barrier genuinely hurts:
-        left = PlanNode.seq([PlanNode.base(_region(10, 0)), PlanNode.base(_region(1, 1))])
-        right = PlanNode.seq([PlanNode.base(_region(1, 2)), PlanNode.base(_region(10, 3))])
-        plan = PlanNode.par([left, right])
+        left = seq(base(_region(10, 0)), base(_region(1, 1)))
+        right = seq(base(_region(1, 2)), base(_region(10, 3)))
+        plan = par(left, right)
         # Waves: [10, 1] then [1, 10] -> barrier makespan 10 + 10 = 20.
         assert simulate_greedy(plan, 2) == 20
         # DAG: the two chains are independent; each worker runs one chain
         # end to end -> 11.
-        assert simulate_dag(plan, 2) == 11
+        assert simulate_dag(build_task_graph(plan), 2) == 11
 
     def test_never_worse_than_waves_on_real_decompositions(self):
         """The barrier-removal acceptance property on real TRAP plans:
         DAG makespan <= wave makespan everywhere, strictly less
         somewhere."""
-        from repro.trap.plan import dependency_graph
-        from repro.trap.walker import decompose, default_options, walk_spec_for
+        from repro.trap.walker import decompose_events, default_options, walk_spec_for
         from repro.trap.zoid import full_grid_zoid
 
         strict_win = False
@@ -112,8 +110,8 @@ class TestSimulateDag:
                 2, (n, n), dt_threshold=dt, space_thresholds=(thr, thr),
                 protect_unit_stride=False,
             )
-            plan = decompose(full_grid_zoid(1, 1 + t, (n, n)), spec, opts)
-            graph = dependency_graph(plan)  # build once, sweep P over it
+            plan = list(decompose_events(full_grid_zoid(1, 1 + t, (n, n)), spec, opts))
+            graph = build_task_graph(plan)  # build once, sweep P over it
             for p in (2, 4, 8, 12):
                 wave = simulate_greedy(plan, p)
                 dag = simulate_dag(graph, p)
@@ -123,7 +121,7 @@ class TestSimulateDag:
         assert strict_win, "DAG should beat the barriers somewhere"
 
     def test_dag_speedup_monotone(self):
-        plan = PlanNode.par([PlanNode.base(_region(v)) for v in range(1, 9)])
-        s2 = simulated_dag_speedup(plan, 2)
-        s4 = simulated_dag_speedup(plan, 4)
+        graph = build_task_graph(par(*(base(_region(v)) for v in range(1, 9))))
+        s2 = simulated_dag_speedup(graph, 2)
+        s4 = simulated_dag_speedup(graph, 4)
         assert 1.0 < s2 <= s4

@@ -82,12 +82,11 @@ def _submit_frame(app, key, *, deadline=None, options=None):
 
 
 def test_loopback_submit_matches_local_run():
-    with LoopbackServer(ServeOptions(max_batch=4, batch_window=0.02)) as lb:
+    opts = ServeOptions(max_batch=4, batch_window=0.02, run=RunOptions(mode=MODE))
+    with LoopbackServer(opts) as lb:
         app = _build(0)
         with _client(lb) as client:
-            report = client.submit(
-                app.stencil, app.steps, app.kernel, RunOptions(mode=MODE)
-            )
+            report = client.submit(app.stencil, app.steps, app.kernel)
         assert np.array_equal(app.result(), _ref(0))
         assert report.transport == "tcp"
         assert report.attempts == 1
@@ -99,15 +98,13 @@ def test_loopback_submit_matches_local_run():
 
 def test_submit_many_pipelines_into_one_batched_dispatch():
     K = 4
-    with LoopbackServer(ServeOptions(max_batch=8, batch_window=0.2)) as lb:
+    opts = ServeOptions(max_batch=8, batch_window=0.2, run=RunOptions(mode=MODE))
+    with LoopbackServer(opts) as lb:
         apps = [_build(s) for s in range(K)]
         with _client(lb) as client:
             reports = client.submit_many(
-                [(a.stencil, a.steps, a.kernel) for a in apps],
-                RunOptions(mode=MODE),
+                [(a.stencil, a.steps, a.kernel) for a in apps]
             )
-        # Remote options arrive as distinct unpickled objects per
-        # request; value-keyed batching must still group the jobs.
         assert lb.server.stats["batches"] == 1
         assert lb.server.stats["batched_jobs"] == K
         for rep in reports:
@@ -203,13 +200,14 @@ def test_server_busy_crosses_the_wire_with_fields():
 
 
 def test_client_retries_busy_until_accepted():
-    opts = ServeOptions(max_batch=1, batch_window=0.01, max_pending=1)
+    opts = ServeOptions(
+        max_batch=1, batch_window=0.01, max_pending=1, run=RunOptions(mode=MODE)
+    )
     with LoopbackServer(opts) as lb:
         apps = [_build(s) for s in range(3)]
         with _client(lb, retries=10) as client:
             reports = client.submit_many(
-                [(a.stencil, a.steps, a.kernel) for a in apps],
-                RunOptions(mode=MODE),
+                [(a.stencil, a.steps, a.kernel) for a in apps]
             )
         assert len(reports) == 3
         # Busy rejections were retried, not re-executed: exactly once.
@@ -264,7 +262,7 @@ def _assert_poisoned_then_healthy(lb, bad_bytes):
     # The server survived: a fresh connection serves a real job.
     app = _build(0)
     with _client(lb) as client:
-        client.submit(app.stencil, app.steps, app.kernel, RunOptions(mode=MODE))
+        client.submit(app.stencil, app.steps, app.kernel)
     assert np.array_equal(app.result(), _ref(0))
     assert lb.net.stats["protocol_errors"] >= 1
 
@@ -284,6 +282,49 @@ def test_garbage_payload_in_valid_frame_poisons_connection_only():
     with LoopbackServer() as lb:
         frame = protocol.encode_frame(T_SUBMIT, b"\x80\x05 not a pickle")
         _assert_poisoned_then_healthy(lb, frame)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"key": ["not", "a", "str"]},
+        {"problem": "not a Problem"},
+        {"deadline": float("nan")},
+        {"deadline": "1"},
+    ],
+    ids=["list-key", "problem", "nan-deadline", "str-deadline"],
+)
+def test_malformed_submit_fields_poison_connection_only(field):
+    # A list key would raise in the journal lookup and leave the client
+    # unanswered; the others would fail inside admission and be journaled
+    # as an executed ``internal`` error.  Each is refused as it is read.
+    with LoopbackServer() as lb:
+        app = _build(0)
+        problem = app.stencil.prepare(app.steps, app.kernel)
+        msg = {"key": "bad-field", "deadline": None, "problem": problem, **field}
+        frame = protocol.encode_frame(T_SUBMIT, protocol.pack(msg))
+        _assert_poisoned_then_healthy(lb, frame)
+        assert lb.server.stats["submitted"] == 1  # only the healthy job
+
+
+def test_submit_carrying_run_options_is_refused_before_admission():
+    # Benign options still choose what the server spends; the server's
+    # own ServeOptions.run is the only configuration a job runs under.
+    with LoopbackServer() as lb:
+        _, frame = _submit_frame(
+            _build(0), "with-options", options=RunOptions(mode="split_pointer")
+        )
+        sock = _raw(lb)
+        try:
+            sock.sendall(frame)
+            ftype, payload = protocol.recv_frame(sock)
+        finally:
+            sock.close()
+        assert ftype == T_ERROR
+        error = protocol.unpack(payload)
+        assert error["code"] == "invalid"
+        assert "server's run options" in error["message"]
+        assert lb.server.stats["submitted"] == 0
 
 
 def _hostile_payload(case):
@@ -376,7 +417,7 @@ def test_submit_with_misshaped_grid_gets_typed_error():
         bad_frame = protocol.encode_frame(
             T_SUBMIT,
             protocol.pack(
-                {"key": "bad", "deadline": None, "problem": problem, "options": None}
+                {"key": "bad", "deadline": None, "problem": problem}
             ),
         )
         _, good_frame = _submit_frame(_build(1), "good")

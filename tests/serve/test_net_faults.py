@@ -54,7 +54,13 @@ def _refs(n):
     return out
 
 
-def _run_jobs(lb, apps, *, retries=8, options=None):
+def _serve_options(max_batch, **run):
+    return ServeOptions(
+        max_batch=max_batch, batch_window=0.05, run=RunOptions(mode=MODE, **run)
+    )
+
+
+def _run_jobs(lb, apps, *, retries=8):
     client = StencilClient(
         lb.host,
         lb.port,
@@ -63,10 +69,7 @@ def _run_jobs(lb, apps, *, retries=8, options=None):
         request_timeout=60.0,
     )
     with client:
-        return client.submit_many(
-            [(a.stencil, a.steps, a.kernel) for a in apps],
-            options if options is not None else RunOptions(mode=MODE),
-        )
+        return client.submit_many([(a.stencil, a.steps, a.kernel) for a in apps])
 
 
 @pytest.mark.parametrize(
@@ -74,7 +77,7 @@ def _run_jobs(lb, apps, *, retries=8, options=None):
 )
 def test_fault_matrix_exactly_once_bitwise(combo):
     K = 3
-    with LoopbackServer(ServeOptions(max_batch=8, batch_window=0.05)) as lb:
+    with LoopbackServer(_serve_options(max_batch=8)) as lb:
         try:
             plan = faults.FaultPlan()
             for site in combo:
@@ -106,7 +109,7 @@ def test_repeated_faults_under_sustained_load():
     # Every site armed to fire twice against a larger pipelined batch:
     # the retry/replay machinery absorbs eight wire faults in a row.
     K = 4
-    with LoopbackServer(ServeOptions(max_batch=8, batch_window=0.05)) as lb:
+    with LoopbackServer(_serve_options(max_batch=8)) as lb:
         try:
             plan = faults.FaultPlan()
             for site in SITES:
@@ -130,16 +133,14 @@ def test_worker_segfault_behind_the_server():
     # SIGSEGV) composes with a wire fault on the response path: the
     # supervisor respawns and retries, the journal replays, the caller
     # still sees one bitwise-correct result.
-    with LoopbackServer(ServeOptions(max_batch=4, batch_window=0.05)) as lb:
+    with LoopbackServer(_serve_options(max_batch=4, executor="procs")) as lb:
         try:
             plan = faults.FaultPlan()
             plan.add("worker.segfault", times=1)
             plan.add("net.drop", times=1)
             faults.install(plan)
             app = _build(0)
-            (report,) = _run_jobs(
-                lb, [app], options=RunOptions(mode=MODE, executor="procs")
-            )
+            (report,) = _run_jobs(lb, [app])
         finally:
             faults.clear()
         assert lb.server.stats["completed"] == 1

@@ -46,13 +46,6 @@ APP_BUILDERS = {
 }
 
 
-def _finish(app, problem):
-    """The post-run bookkeeping Stencil.run (and the server) performs."""
-    for arr in problem.arrays.values():
-        arr.note_written_through(problem.t_end - 1)
-    app.stencil.advance_cursor(problem)
-
-
 # -- batched execution is bitwise identical ------------------------------
 
 
@@ -65,7 +58,7 @@ def test_batched_run_bitwise_equivalence(app_name, mode):
     problems = [a.stencil.prepare(a.steps, a.kernel) for a in apps]
     reports = execute_problem(problems, RunOptions(mode=mode))
     for a, p in zip(apps, problems):
-        _finish(a, p)
+        a.stencil.advance_cursor(p)
     refs = [build(seed) for seed in range(K)]
     for r in refs:
         r.run(mode=mode)
@@ -115,7 +108,7 @@ def test_batch_of_two_rejects_checkpoint_resume_and_procs(option, tmp_path):
     assert not can_stack(problems[0], options)
     reports = execute_problem(problems, options)
     for seed, (a, p, rep) in enumerate(zip(apps, problems, reports)):
-        _finish(a, p)
+        a.stencil.advance_cursor(p)
         assert rep.batch_size == 1
         assert rep.degradations == ["batch:unstackable->sequential"]
         ref = build_heat((20, 20), 8, seed=seed)
@@ -135,7 +128,7 @@ def test_batch_of_one_runs_checkpointed(tmp_path):
             checkpoint=CheckpointPolicy(dir=tmp_path, every_dt=4),
         ),
     )
-    _finish(a, problem)
+    a.stencil.advance_cursor(problem)
     assert report.checkpoints_written > 0
     assert list(tmp_path.glob("*.rpck"))
     ref = build_heat((20, 20), 8, seed=0)
@@ -146,14 +139,11 @@ def test_batch_of_one_runs_checkpointed(tmp_path):
 # -- the server end to end -----------------------------------------------
 
 
-def _serve(apps, serve_options=None, run_options=None):
+def _serve(apps, serve_options=None):
     async def main():
         async with StencilServer(serve_options) as srv:
             reports = await asyncio.gather(
-                *(
-                    srv.submit(a.stencil, a.steps, a.kernel, run_options)
-                    for a in apps
-                )
+                *(srv.submit(a.stencil, a.steps, a.kernel) for a in apps)
             )
         return srv, reports
 
@@ -166,8 +156,7 @@ def test_server_batches_and_matches_direct_runs(mode):
     apps = [build_heat((20, 20), 8, seed=s) for s in range(K)]
     srv, reports = _serve(
         apps,
-        ServeOptions(max_batch=8, batch_window=0.05),
-        RunOptions(mode=mode),
+        ServeOptions(max_batch=8, batch_window=0.05, run=RunOptions(mode=mode)),
     )
     assert srv.stats["batches"] == 1
     assert srv.stats["batched_jobs"] == K
@@ -190,7 +179,7 @@ def test_server_mixed_signatures_form_separate_batches(mode):
     small = [build_heat((16, 16), 6, seed=s) for s in range(2)]
     large = [build_heat((24, 24), 6, seed=s) for s in range(2)]
     srv, reports = _serve(
-        small + large, ServeOptions(max_batch=8, batch_window=0.05), options
+        small + large, ServeOptions(max_batch=8, batch_window=0.05, run=options)
     )
     assert srv.stats["batches"] == 2
     assert [r.batch_size for r in reports] == [2, 2, 2, 2]
@@ -210,7 +199,7 @@ def test_served_job_reports_what_a_local_run_reports(K):
     options = RunOptions(mode="c", space_thresholds=(8, 8), dt_threshold=2)
     apps = [build_heat((64, 64), 16, seed=s) for s in range(K)]
     srv, reports = _serve(
-        apps, ServeOptions(max_batch=K, batch_window=0.05), options
+        apps, ServeOptions(max_batch=K, batch_window=0.05, run=options)
     )
     assert [r.batch_size for r in reports] == [K] * K
     for seed, (app, served) in enumerate(zip(apps, reports)):
@@ -339,10 +328,9 @@ def test_served_job_arrays_collectable_after_report():
     refs = [weakref.ref(a) for a in app.stencil.arrays.values()]
 
     async def main():
-        async with StencilServer(ServeOptions(batch_window=0.01)) as srv:
-            await srv.submit(
-                app.stencil, app.steps, app.kernel, RunOptions(mode="c")
-            )
+        opts = ServeOptions(batch_window=0.01, run=RunOptions(mode="c"))
+        async with StencilServer(opts) as srv:
+            await srv.submit(app.stencil, app.steps, app.kernel)
 
     asyncio.run(main())
     del app
@@ -371,8 +359,7 @@ def test_local_run_and_served_batches_load_the_kernel_once(
     for seeds in ((1, 2), (3, 4)):
         srv, reports = _serve(
             [build_heat((20, 20), 8, seed=s) for s in seeds],
-            ServeOptions(max_batch=2, batch_window=0.05),
-            RunOptions(mode="c"),
+            ServeOptions(max_batch=2, batch_window=0.05, run=RunOptions(mode="c")),
         )
         assert [r.batch_size for r in reports] == [2, 2]
         assert all(r.mode == "c" for r in reports)
@@ -400,13 +387,13 @@ def _serve_two_batches(options):
     server; returns their reports."""
 
     async def main():
-        opts = ServeOptions(max_batch=2, batch_window=0.05)
+        opts = ServeOptions(max_batch=2, batch_window=0.05, run=options)
         batches = []
         async with StencilServer(opts) as srv:
             for seeds in ((1, 2), (3, 4)):
                 apps = [build_heat((20, 20), 8, seed=s) for s in seeds]
                 reports = await asyncio.gather(
-                    *(srv.submit(a.stencil, a.steps, a.kernel, options) for a in apps)
+                    *(srv.submit(a.stencil, a.steps, a.kernel) for a in apps)
                 )
                 assert [r.batch_size for r in reports] == [2, 2]
                 batches.append(reports)
@@ -453,33 +440,6 @@ def test_server_busy_carries_backpressure_fields():
     asyncio.run(main())
 
 
-def test_equal_valued_options_batch_together():
-    # Distinct RunOptions objects with equal values must share a batch —
-    # this is what lets remote jobs (each unpickling its own options
-    # object) reach one batched dispatch.
-    apps = [build_heat((16, 16), 4, seed=s) for s in range(2)]
-
-    async def main():
-        opts = ServeOptions(max_batch=8, batch_window=0.1)
-        async with StencilServer(opts) as srv:
-            reports = await asyncio.gather(
-                *(
-                    srv.submit(
-                        a.stencil,
-                        a.steps,
-                        a.kernel,
-                        RunOptions(mode=BATCH_MODES[0]),
-                    )
-                    for a in apps
-                )
-            )
-        return srv, reports
-
-    srv, reports = asyncio.run(main())
-    assert srv.stats["batches"] == 1
-    assert [r.batch_size for r in reports] == [2, 2]
-
-
 def _unstackable_job(case, seed):
     """(stencil, kernel, array) of one job of a ``case`` group."""
     from repro import Kernel, PochoirArray, PythonBoundary, Stencil
@@ -512,9 +472,10 @@ def test_unstackable_group_runs_one_job_at_a_time(case):
     jobs = [_unstackable_job(case, s) for s in range(2)]
 
     async def main():
-        async with StencilServer(ServeOptions(max_batch=2, batch_window=0.05)) as srv:
+        opts = ServeOptions(max_batch=2, batch_window=0.05, run=options)
+        async with StencilServer(opts) as srv:
             reports = await asyncio.gather(
-                *(srv.submit(st, steps, k, options) for st, k, _ in jobs)
+                *(srv.submit(st, steps, k) for st, k, _ in jobs)
             )
         return srv, reports
 
@@ -535,8 +496,11 @@ def test_supervised_jobs_run_unbatched():
     apps = [build_heat((16, 16), 4, seed=s) for s in range(2)]
     srv, reports = _serve(
         apps,
-        ServeOptions(max_batch=4, batch_window=0.05),
-        RunOptions(mode=BATCH_MODES[0], executor="procs"),
+        ServeOptions(
+            max_batch=4,
+            batch_window=0.05,
+            run=RunOptions(mode=BATCH_MODES[0], executor="procs"),
+        ),
     )
     assert srv.stats["batches"] == 1 and srv.stats["completed"] == 2
     for rep in reports:
@@ -626,17 +590,27 @@ def test_phase1_jobs_are_refused_before_anything_compiles(tmp_path, monkeypatch)
         execute_problem([app.stencil.prepare(app.steps, app.kernel)], options)
     apps = [build_heat((16, 16), 4, seed=s) for s in range(2)]
     with pytest.raises(SpecificationError, match="Stencil.run"):
-        _serve(apps, ServeOptions(max_batch=2, batch_window=0.05), options)
+        _serve(apps, ServeOptions(max_batch=2, batch_window=0.05, run=options))
     assert not count_file.exists() or count_file.read_text() == ""
 
 
 def test_per_job_checkpoint_options_are_refused_at_admission(tmp_path):
+    # A job runs under the server's options, and those stay mutable
+    # after construction: each admission checks them again.
     from repro import CheckpointPolicy
 
     app = build_heat((16, 16), 4, seed=0)
-    options = RunOptions(checkpoint=CheckpointPolicy(dir=tmp_path, every_dt=2))
-    with pytest.raises(SpecificationError):
-        _serve([app], run_options=options)
+
+    async def main():
+        async with StencilServer() as srv:
+            srv.options.run = RunOptions(
+                checkpoint=CheckpointPolicy(dir=tmp_path, every_dt=2)
+            )
+            with pytest.raises(SpecificationError):
+                await srv.submit(app.stencil, app.steps, app.kernel)
+            assert srv.stats["submitted"] == 0
+
+    asyncio.run(main())
     assert not list(tmp_path.iterdir())
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from repro.errors import ExecutionError, SpecificationError
 from repro.language.stencil import RunOptions
-from repro.trap.driver import build_plan
+from repro.trap.driver import build_events
 from repro.trap.executor import acquire_pool, release_pool
-from tests.conftest import ALL_MODES, make_heat_problem, run_reference
+from tests.conftest import ALL_MODES, base, make_heat_problem, par, run_reference
 
 
 class _CountingKernel:
@@ -196,17 +196,16 @@ class TestSharedPool:
 
         from repro.trap.executor import execute_dag
         from repro.trap.graph import build_task_graph
-        from repro.trap.plan import BaseRegion, PlanNode, plan_events
+        from repro.trap.plan import BaseRegion
 
-        plan = PlanNode.par(
-            [
-                PlanNode.base(
-                    BaseRegion(0, 1, ((4 * i, 4 * i + 4, 0, 0),), interior=True)
+        graph = build_task_graph(
+            par(
+                *(
+                    base(BaseRegion(0, 1, ((4 * i, 4 * i + 4, 0, 0),), interior=True))
+                    for i in range(4)
                 )
-                for i in range(4)
-            ]
+            )
         )
-        graph = build_task_graph(plan_events(plan))
         kernel = _CountingKernel()
 
         def nested_dag():
@@ -291,11 +290,11 @@ class TestSharedPool:
 
 
 class TestDriver:
-    def test_build_plan_rejects_loops(self):
+    def test_build_events_rejects_loops(self):
         st_, u, k = make_heat_problem((8, 8))
         problem = st_.prepare(2, k)
         with pytest.raises(SpecificationError):
-            build_plan(problem, RunOptions(algorithm="loops"))
+            build_events(problem, RunOptions(algorithm="loops"))
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_all_modes_through_driver(self, mode):

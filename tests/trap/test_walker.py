@@ -6,9 +6,19 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.trap.plan import iter_base_serial, linearize_waves, plan_stats
-from repro.trap.walker import WalkOptions, decompose, default_options, walk_spec_for
+from repro.trap.plan import iter_base_events, linearize_waves, stats_from_regions
+from repro.trap.walker import (
+    WalkOptions,
+    decompose_events,
+    default_options,
+    walk_spec_for,
+)
 from repro.trap.zoid import Zoid, full_grid_zoid
+
+
+def plan_of(z, spec, opts):
+    """The walker's plan for ``z`` as a materialized event list."""
+    return list(decompose_events(z, spec, opts))
 
 
 def spec_1d(n, sigma=1, off=1):
@@ -31,7 +41,7 @@ def uncoarsened_opts(ndim, hyperspace=True):
 def collect_updates(plan, sizes):
     """Multiset of (t, true point) updates emitted by the plan."""
     updates = Counter()
-    for region in iter_base_serial(plan):
+    for region in iter_base_events(plan):
         for t, pt in region.zoid().points():
             true = tuple(p % n for p, n in zip(pt, sizes))
             updates[(t, true)] += 1
@@ -54,7 +64,7 @@ class TestExactCover:
     @pytest.mark.parametrize("hyperspace", [True, False])
     @pytest.mark.parametrize("n,T", [(16, 8), (13, 5), (32, 16)])
     def test_1d(self, n, T, hyperspace):
-        plan = decompose(
+        plan = plan_of(
             full_grid_zoid(1, 1 + T, (n,)),
             spec_1d(n),
             uncoarsened_opts(1, hyperspace),
@@ -64,7 +74,7 @@ class TestExactCover:
     @pytest.mark.parametrize("hyperspace", [True, False])
     def test_2d(self, hyperspace):
         n, T = 12, 6
-        plan = decompose(
+        plan = plan_of(
             full_grid_zoid(1, 1 + T, (n, n)),
             spec_2d(n, n),
             uncoarsened_opts(2, hyperspace),
@@ -86,7 +96,7 @@ class TestExactCover:
         opts = WalkOptions(
             dt_threshold=dt_thr, space_thresholds=(s_thr,), hyperspace=True
         )
-        plan = decompose(full_grid_zoid(1, 1 + T, (n,)), spec, opts)
+        plan = plan_of(full_grid_zoid(1, 1 + T, (n,)), spec, opts)
         assert collect_updates(plan, (n,)) == expected_updates(1, 1 + T, (n,))
 
 
@@ -98,7 +108,7 @@ class TestDependencyOrder:
     @pytest.mark.parametrize("hyperspace", [True, False])
     def test_1d_serial_order_valid(self, hyperspace):
         n, T, sigma = 16, 8, 1
-        plan = decompose(
+        plan = plan_of(
             full_grid_zoid(1, 1 + T, (n,)),
             spec_1d(n),
             uncoarsened_opts(1, hyperspace),
@@ -107,7 +117,7 @@ class TestDependencyOrder:
 
     def test_2d_serial_order_valid(self):
         n, T = 10, 5
-        plan = decompose(
+        plan = plan_of(
             full_grid_zoid(1, 1 + T, (n, n)),
             spec_2d(n, n),
             uncoarsened_opts(2),
@@ -119,7 +129,7 @@ class TestDependencyOrder:
         from itertools import product as iproduct
 
         done: set = set()
-        for region in iter_base_serial(plan):
+        for region in iter_base_events(plan):
             for t, pt in region.zoid().points():
                 true = tuple(p % n for p, n in zip(pt, sizes))
                 if t > t0:
@@ -138,7 +148,7 @@ class TestDependencyOrder:
         """The threaded executor's wave linearization also respects
         dependencies (any serialization of each wave is safe)."""
         n, T, sigma = 16, 8, 1
-        plan = decompose(
+        plan = plan_of(
             full_grid_zoid(1, 1 + T, (n,)), spec_1d(n), uncoarsened_opts(1)
         )
         done: set = set()
@@ -158,12 +168,12 @@ class TestClassification:
     def test_interior_inherited_and_correct(self):
         n, T = 32, 8
         spec = spec_2d(n, n)
-        plan = decompose(
+        plan = plan_of(
             full_grid_zoid(1, 1 + T, (n, n)),
             spec,
             uncoarsened_opts(2),
         )
-        for region in iter_base_serial(plan):
+        for region in iter_base_events(plan):
             z = region.zoid()
             if region.interior:
                 # Every read of every point stays inside the grid.
@@ -174,13 +184,13 @@ class TestClassification:
     def test_boundary_fraction_shrinks_with_n(self):
         fractions = []
         for n in (16, 32, 64):
-            plan = decompose(
+            plan = plan_of(
                 full_grid_zoid(1, 9, (n, n)),
                 spec_2d(n, n),
                 default_options(2, (n, n), dt_threshold=4,
                                 space_thresholds=(8, 8)),
             )
-            stats = plan_stats(plan)
+            stats = stats_from_regions(iter_base_events(plan))
             fractions.append(stats.boundary_fraction)
         assert fractions[0] > fractions[-1]
 
@@ -190,11 +200,11 @@ class TestStructure:
         """STRAP's serial space cuts produce strictly more waves
         (synchronization points) than TRAP's hyperspace cuts."""
         n, T = 32, 16
-        trap_plan = decompose(
+        trap_plan = plan_of(
             full_grid_zoid(1, 1 + T, (n, n)), spec_2d(n, n),
             uncoarsened_opts(2, True),
         )
-        strap_plan = decompose(
+        strap_plan = plan_of(
             full_grid_zoid(1, 1 + T, (n, n)), spec_2d(n, n),
             uncoarsened_opts(2, False),
         )
@@ -205,13 +215,13 @@ class TestStructure:
     def test_same_base_points_both_algorithms(self):
         n, T = 24, 8
         kw = dict(sizes=(n,))
-        trap_plan = decompose(
+        trap_plan = plan_of(
             full_grid_zoid(1, 1 + T, (n,)), spec_1d(n), uncoarsened_opts(1, True)
         )
-        strap_plan = decompose(
+        strap_plan = plan_of(
             full_grid_zoid(1, 1 + T, (n,)), spec_1d(n), uncoarsened_opts(1, False)
         )
-        assert plan_stats(trap_plan).points == plan_stats(strap_plan).points == n * T
+        assert stats_from_regions(iter_base_events(trap_plan)).points == stats_from_regions(iter_base_events(strap_plan)).points == n * T
 
     def test_default_options_fill_heuristics(self):
         opts = default_options(3, (64, 64, 64))

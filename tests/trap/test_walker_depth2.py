@@ -12,14 +12,14 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.trap.plan import iter_base_serial
-from repro.trap.walker import WalkOptions, decompose, walk_spec_for
+from repro.trap.plan import iter_base_events
+from repro.trap.walker import WalkOptions, decompose_events, walk_spec_for
 from repro.trap.zoid import full_grid_zoid
 
 
 def _collect(plan, sizes):
     updates = Counter()
-    for region in iter_base_serial(plan):
+    for region in iter_base_events(plan):
         for t, pt in region.zoid().points():
             true = tuple(p % n for p, n in zip(pt, sizes))
             updates[(t, true)] += 1
@@ -38,7 +38,7 @@ def test_exact_cover_any_depth_slope(n, T, sigma, depth):
     stencil depth and slope."""
     spec = walk_spec_for((n,), (sigma,), (-sigma,), (sigma,))
     opts = WalkOptions(dt_threshold=1, space_thresholds=(0,), hyperspace=True)
-    plan = decompose(full_grid_zoid(depth, depth + T, (n,)), spec, opts)
+    plan = decompose_events(full_grid_zoid(depth, depth + T, (n,)), spec, opts)
     updates = _collect(plan, (n,))
     expected = Counter(
         ((t, (x,)) for t in range(depth, depth + T) for x in range(n))
@@ -53,10 +53,10 @@ def test_dependency_order_depth2(sigma):
     n, T, depth = 24, 8, 2
     spec = walk_spec_for((n,), (sigma,), (-sigma,), (sigma,))
     opts = WalkOptions(dt_threshold=1, space_thresholds=(0,), hyperspace=True)
-    plan = decompose(full_grid_zoid(depth, depth + T, (n,)), spec, opts)
+    plan = decompose_events(full_grid_zoid(depth, depth + T, (n,)), spec, opts)
 
     done: set = set()
-    for region in iter_base_serial(plan):
+    for region in iter_base_events(plan):
         for t, (x,) in region.zoid().points():
             xt = x % n
             for back in (1, 2):
@@ -78,7 +78,7 @@ def test_2d_wave_cover():
     opts = WalkOptions(
         dt_threshold=1, space_thresholds=(0, 0), hyperspace=True
     )
-    plan = decompose(full_grid_zoid(depth, depth + T, (n, n)), spec, opts)
+    plan = decompose_events(full_grid_zoid(depth, depth + T, (n, n)), spec, opts)
     updates = _collect(plan, (n, n))
     expected = Counter(
         (t, pt)
