@@ -18,6 +18,7 @@ from benchmarks.bench_util import is_tiny, once
 from repro.analysis.reporting import series_table
 from repro.cachesim import simulate_loops_cache, simulate_plan_cache
 from repro.language.stencil import RunOptions
+from repro.trap.coarsening import NEVER_CUT
 from repro.trap.driver import build_events
 from tests.conftest import make_heat_problem
 
@@ -58,10 +59,9 @@ def test_fig10_miss_ratios(benchmark, case):
             # paper's practical policy (never cut the unit-stride dim) --
             # cutting it would shred rows into sub-line segments and
             # charge a full line fetch per couple of points.
-            protect = cfg["ndim"] >= 3
             thresholds = list((0,) * cfg["ndim"])
-            if protect:
-                thresholds[-1] = 1 << 30
+            if cfg["ndim"] >= 3:
+                thresholds[-1] = NEVER_CUT
             for alg in ("trap", "strap"):
                 events = build_events(
                     problem,
@@ -69,7 +69,6 @@ def test_fig10_miss_ratios(benchmark, case):
                         algorithm=alg,
                         dt_threshold=1,
                         space_thresholds=tuple(thresholds),
-                        protect_unit_stride=protect,
                     ),
                 )
                 stats = simulate_plan_cache(

@@ -5,8 +5,9 @@ The paper sweeps grid size N for ``-split-pointer`` vs
 (1.2e8 .. 5.3e9 points/s on their axis).  The repro analogues:
 
 * ``split_pointer``  -> vectorized NumPy slice kernels
-* ``macro_shadow``   -> generated per-point Python (unchecked)
-* ``interp``         -> checked tree-walking (Phase-1 engine, for scale)
+* ``macro_shadow``   -> generated per-point Python (unchecked), built by
+                        ``bench_util.run_macro_shadow`` (not a run mode)
+* ``checked``        -> Phase 1, ``run_phase1`` (for scale)
 * ``c``              -> generated C via the system compiler (when present)
 
 Expected shape: split_pointer and c orders of magnitude above the
@@ -15,9 +16,14 @@ per-point modes, gap widening with N (vector lengths amortize dispatch).
 
 import pytest
 
-from benchmarks.bench_util import is_tiny, once, wall
+from benchmarks.bench_util import (
+    codegen_rows,
+    is_tiny,
+    once,
+    run_codegen_row,
+    wall,
+)
 from repro.analysis.reporting import series_table
-from repro.compiler.pipeline import available_modes
 from tests.conftest import make_heat_problem
 
 _series: dict[str, list] = {}
@@ -30,28 +36,22 @@ def _cfg():
     return (64, 128, 256), 16
 
 
-MODES = [m for m in ("interp", "macro_shadow", "split_pointer", "c")
-         if m in available_modes()]
-
-
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", codegen_rows())
 def test_fig13_mode_throughput(benchmark, mode):
     ns, T = _cfg()
 
     def run():
         rates = []
         for n in ns:
-            steps = T if mode != "interp" else max(2, T // 8)
-            # Load the kernel's code (cc and dlopen for "c", source
-            # generation and compile() for the Python modes) on a
-            # throwaway problem; the measured run on new arrays reuses it,
-            # steady-state like the paper's (compile once, run many) usage.
+            steps = T if mode != "checked" else max(2, T // 8)
+            # Load the kernel's code (cc and dlopen for "c", NumPy source
+            # generation and compile()) on a throwaway problem; the
+            # measured run on new arrays reuses it, steady-state like the
+            # paper's (compile once, run many) usage.
             st_w, _, k_w = make_heat_problem((n, n), boundary="periodic")
-            st_w.run(1, k_w, algorithm="trap", mode=mode)
+            run_codegen_row(mode, st_w, 1, k_w)
             st_, u, k = make_heat_problem((n, n), boundary="periodic")
-            elapsed = wall(
-                lambda: st_.run(steps, k, algorithm="trap", mode=mode)
-            )
+            elapsed = wall(lambda: run_codegen_row(mode, st_, steps, k))
             rates.append(n * n * steps / elapsed)
         return rates
 

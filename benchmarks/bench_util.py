@@ -86,6 +86,66 @@ def run_serial(events, compiled) -> None:
         run_base_region(region, compiled)
 
 
+def run_macro_shadow(stencil, steps, kernel, **options) -> None:
+    """Run ``steps`` of ``kernel`` through the generated per-point clones
+    (``codegen_python``: unchecked interior, checked boundary) — Fig. 13's
+    ``-split-macro-shadow`` row.  Not a run mode: a run uses only the
+    per-point boundary clone, for boundary kinds the backends cannot
+    express.  The plan is the NumPy backend's (``options`` apply on top),
+    streamed serially through the per-step clones; advances the stencil
+    exactly as ``Stencil.run`` would."""
+    from repro.compiler import codegen_python
+    from repro.compiler.frontend import build_ir
+    from repro.compiler.pipeline import CompiledKernel
+    from repro.language.stencil import RunOptions
+    from repro.trap.driver import build_events
+    from repro.trap.executor import execute_serial_stream
+
+    problem = stencil.prepare(steps, kernel)
+    ir = build_ir(problem)
+    interior, boundary = (
+        codegen_python.bind_clone(
+            ir,
+            codegen_python.compile_clone(ir, boundary_mode=b)[1],
+            boundary_mode=b,
+        )
+        for b in (False, True)
+    )
+    compiled = CompiledKernel(
+        interior=interior,
+        boundary=boundary,
+        mode="macro_shadow",
+        boundary_mode="macro_shadow",
+        ir=ir,
+    )
+    events = build_events(problem, RunOptions(mode="split_pointer", **options))
+    execute_serial_stream(events, compiled)
+    stencil.advance_cursor(problem)
+
+
+def codegen_rows() -> list[str]:
+    """Fig. 13's rows on this machine: ``"checked"`` (Phase 1, for
+    scale), ``"macro_shadow"`` (:func:`run_macro_shadow`), and the run
+    modes ``"split_pointer"`` and, with a C toolchain, ``"c"``."""
+    from repro.compiler.pipeline import available_modes
+
+    return ["checked", "macro_shadow"] + [
+        m for m in available_modes() if m != "auto"
+    ]
+
+
+def run_codegen_row(row: str, stencil, steps, kernel) -> None:
+    """Run ``steps`` of ``kernel`` as Fig. 13's ``row`` (TRAP plans)."""
+    from repro.language.phase1 import run_phase1
+
+    if row == "checked":
+        run_phase1(stencil, steps, kernel)
+    elif row == "macro_shadow":
+        run_macro_shadow(stencil, steps, kernel)
+    else:
+        stencil.run(steps, kernel, algorithm="trap", mode=row)
+
+
 def wall_clean(fn: Callable[[], object]) -> float:
     """:func:`wall`, raising if any degradation fired during the run (a
     fallback would time a different path than the one named)."""
@@ -145,10 +205,13 @@ def write_bench_json(name: str, payload: dict) -> str:
 
 __all__ = [
     "bench_scale",
+    "codegen_rows",
     "is_tiny",
     "machine_record",
     "once",
     "per_leaf_plan",
+    "run_codegen_row",
+    "run_macro_shadow",
     "wall",
     "wall_clean",
     "write_bench_json",

@@ -29,8 +29,10 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from benchmarks.bench_util import (  # noqa: E402
     all_boundary,
+    codegen_rows,
     is_tiny,
     per_leaf_plan,
+    run_codegen_row,
     run_serial,
     wall,
     wall_clean,
@@ -45,6 +47,7 @@ from repro.compiler.pipeline import available_modes  # noqa: E402
 from repro.language.stencil import RunOptions  # noqa: E402
 from repro.runtime.scheduler import simulate_greedy  # noqa: E402
 from repro.runtime.workspan import analyze_walk  # noqa: E402
+from repro.trap.coarsening import NEVER_CUT  # noqa: E402
 from repro.trap.driver import build_events  # noqa: E402
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + "/tests")
@@ -248,17 +251,16 @@ def run_fig10() -> dict:
 
                 app = build_wave((n, n, n), cfg["T"])
                 problem = app.stencil.prepare(cfg["T"], app.kernel)
-            protect = cfg["ndim"] >= 3
+            # Uncoarsened, except that >=3D never cuts unit stride.
             thresholds = list((0,) * cfg["ndim"])
-            if protect:
-                thresholds[-1] = 1 << 30
+            if cfg["ndim"] >= 3:
+                thresholds[-1] = NEVER_CUT
             for alg, key in (("trap", "TRAP"), ("strap", "STRAP")):
                 events = build_events(
                     problem,
                     RunOptions(
                         algorithm=alg, dt_threshold=1,
                         space_thresholds=tuple(thresholds),
-                        protect_unit_stride=protect,
                     ),
                 )
                 rows[key].append(
@@ -290,15 +292,14 @@ def run_fig10() -> dict:
 def run_fig13() -> dict:
     ns, T = ((32, 64), 8) if is_tiny() else ((64, 128, 256), 16)
     series = {}
-    for mode in [m for m in ("interp", "macro_shadow", "split_pointer", "c")
-                 if m in available_modes()]:
+    for mode in codegen_rows():
         rates = []
         for n in ns:
-            steps = T if mode != "interp" else max(2, T // 8)
+            steps = T if mode != "checked" else max(2, T // 8)
             st_w, _, k_w = _heat_problem((n, n))
-            st_w.run(1, k_w, mode=mode)  # load the kernel's code once
+            run_codegen_row(mode, st_w, 1, k_w)  # load the kernel's code once
             st_, _, k = _heat_problem((n, n))
-            elapsed = wall(lambda: st_.run(steps, k, mode=mode))
+            elapsed = wall(lambda: run_codegen_row(mode, st_, steps, k))
             rates.append(n * n * steps / elapsed)
         series[mode] = [f"{r:.3g}" for r in rates]
     print(

@@ -8,8 +8,11 @@ boundary clones).  Per case it prints short sha256 digests of
 
 * the C source (``codegen_c.generate_c_source``, boundary clones
   included exactly when the tree under test says it emits them),
-* the NumPy clone sources (``pipeline.load_kernel``), and
-* the problem signature (``problem_signature``).
+* the NumPy clone sources (``pipeline.load_kernel``),
+* the problem signature (``problem_signature``), and
+* the plan: the default event stream (``build_events``: every region and
+  its ``WalkParams``) under ``c`` and under ``split_pointer``, with one
+  walk thread so the digest does not depend on the host's core count.
 
 Nothing is compiled by ``cc`` and nothing runs.  The script exits 1 when
 a case of the working tree fails to lower.  Usage::
@@ -20,7 +23,8 @@ a case of the working tree fails to lower.  Usage::
 With ``--against REF`` it runs the same sweep on ``git archive REF src``
 unpacked in a temporary directory and lists only the cases whose
 digests differ, then a count per digest kind.  A refactor of a backend
-that must not change emitted code shows no C or NumPy difference.
+that must not change emitted code shows no C or NumPy difference; one
+that must not change what runs shows no plan difference either.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ SCALES = ("tiny", "small")
 BOUNDARIES = (
     "own", "periodic", "neumann", "constant", "dirichlet", "mixed", "python"
 )
-KINDS = ("c", "numpy", "signature")
+KINDS = ("c", "numpy", "signature", "plan")
 
 
 def _digest(text: str) -> str:
@@ -100,7 +104,21 @@ def _case(problem) -> dict[str, str]:
     out["numpy"] = _digest(
         "\n".join(f"# {name}\n{clones[name][0]}" for name in sorted(clones))
     )
+    out["plan"] = _plan_digest(problem)
     return out
+
+
+def _plan_digest(problem) -> str:
+    from repro.language.stencil import RunOptions
+    from repro.trap.driver import build_events
+
+    h = hashlib.sha256()
+    for mode in ("c", "split_pointer"):
+        h.update(f"# {mode}\n".encode())
+        options = RunOptions(mode=mode, walk_threads=1)
+        for event in build_events(problem, options):
+            h.update(f"{event!r}\n".encode())
+    return h.hexdigest()[:16]
 
 
 def sweep() -> dict[str, dict[str, str]]:

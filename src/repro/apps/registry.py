@@ -6,7 +6,8 @@ Scales:
   completeness; several need tens of GB and hours in Python.
 * ``"small"`` — laptop-scale defaults preserving each benchmark's
   character (grid >> cache, enough steps for temporal reuse to matter).
-* ``"tiny"`` — test-suite scale (seconds via the interp backend).
+* ``"tiny"`` — test-suite scale (seconds even through Phase 1,
+  :func:`repro.language.phase1.run_phase1`).
 """
 
 from __future__ import annotations

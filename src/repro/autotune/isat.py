@@ -33,6 +33,11 @@ from repro.autotune.registry import TunedConfig
 from repro.errors import AutotuneError
 from repro.language.kernel import Kernel
 from repro.language.stencil import EXECUTORS, RunOptions, Stencil
+from repro.trap.coarsening import (
+    NEVER_CUT,
+    default_dt_threshold,
+    default_space_thresholds,
+)
 
 
 class _Memo:
@@ -106,13 +111,18 @@ class CoarseningResult:
     history: list[tuple[int, int, float]]
     visits: int = 0
 
-    def as_options(self, ndim: int, protect_unit_stride: bool | None = None):
+    def as_options(self, ndim: int):
         """WalkOptions-style kwargs for Stencil.run."""
         return {
-            "space_thresholds": (self.space_threshold,) * ndim,
+            "space_thresholds": _shared_thresholds(self.space_threshold, ndim),
             "dt_threshold": self.dt_threshold,
-            "protect_unit_stride": protect_unit_stride,
         }
+
+
+def _shared_thresholds(space: int, ndim: int) -> tuple[int, ...]:
+    """One shared space threshold per dimension, except that >=3D keeps
+    the unit-stride dimension uncut, as the default thresholds do."""
+    return (space,) * (ndim - 1) + (NEVER_CUT if ndim >= 3 else space,)
 
 
 def tune_coarsening(
@@ -147,7 +157,7 @@ def tune_coarsening(
             opts = RunOptions(
                 algorithm="trap",
                 mode=mode,
-                space_thresholds=(space,) * ndim,
+                space_thresholds=_shared_thresholds(space, ndim),
                 dt_threshold=dt,
             )
             t0 = time.perf_counter()
@@ -211,7 +221,8 @@ def tune_dispatch(
     """Coordinate descent over the full dispatch space.
 
     Axes: codegen mode, each dimension's space threshold (independently —
-    unlike :func:`tune_coarsening`'s single shared threshold), the dt
+    unlike :func:`tune_coarsening`'s single shared threshold; a dimension
+    the defaults never cut, the >=3D unit stride, stays uncut), the dt
     threshold, ``walk_threads`` (``None`` = auto: the detected core
     count for the compiled walk's in-.so pthread pool, vs pinned serial —
     in-walk threads compete with DAG workers for the same cores, so the
@@ -229,10 +240,6 @@ def tune_dispatch(
     must be tuned by timing STRAP, not TRAP.
     """
     from repro.compiler.pipeline import available_modes, resolve_mode
-    from repro.trap.coarsening import (
-        default_dt_threshold,
-        default_space_thresholds,
-    )
     from repro.util import detect_cpu_count
 
     probe_stencil, _ = make_problem()
@@ -240,7 +247,7 @@ def tune_dispatch(
     sizes = probe_stencil.sizes
 
     if modes is None:
-        modes = tuple(m for m in available_modes() if m != "auto" and m != "interp")
+        modes = tuple(m for m in available_modes() if m != "auto")
     if not modes:
         raise AutotuneError("no codegen modes to tune over")
     start_mode = resolve_mode("auto") if resolve_mode("auto") in modes else modes[0]
@@ -253,6 +260,8 @@ def tune_dispatch(
     axes: list[tuple[str, Sequence]] = [("mode", tuple(modes))]
     start: dict = {"mode": start_mode}
     for i in range(ndim):
+        if default_space[i] == NEVER_CUT:
+            continue  # a dimension the defaults never cut is not searched
         cands = (
             tuple(space_candidates)
             if space_candidates is not None
@@ -287,7 +296,9 @@ def tune_dispatch(
     def config_of(key: tuple) -> TunedConfig:
         cfg = dict(zip((name for name, _ in axes), key))
         return TunedConfig(
-            space_thresholds=tuple(cfg[f"space{i}"] for i in range(ndim)),
+            space_thresholds=tuple(
+                cfg.get(f"space{i}", NEVER_CUT) for i in range(ndim)
+            ),
             dt_threshold=cfg["dt"],
             mode=cfg["mode"],
             n_workers=cfg["workers"],

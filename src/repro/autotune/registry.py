@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.language.stencil import EXECUTORS, problem_signature
+from repro.language.stencil import EXECUTORS, MODES, problem_signature
 from repro.resilience import degradations, faults
 from repro.util import atomic_write_text, interprocess_lock
 
@@ -119,7 +119,9 @@ class TunedConfig:
         if dt < 1:
             raise ValueError(f"bad dt threshold {dt}")
         mode = str(obj.get("mode", "auto"))
-        if mode not in ("auto", "interp", "macro_shadow", "split_pointer", "c"):
+        # Also drops configs tuned for a mode that is no longer a run
+        # mode (the per-point ``interp`` and ``macro_shadow``).
+        if mode not in MODES:
             raise ValueError(f"bad mode {mode!r}")
         workers = obj.get("n_workers")
         if workers is not None:

@@ -9,12 +9,9 @@ two *clones* (Section 4, "Handling boundary conditions by code cloning"):
 * a **boundary clone** — reduces virtual coordinates modulo the grid and
   resolves off-domain reads through the arrays' boundary functions.
 
-Four backends generate these clones:
+Two backends generate these clones:
 
 ==================  ========================================================
-``interp``          tree-walking evaluation (checked; the reference)
-``macro_shadow``    generated per-point Python, unchecked direct indexing —
-                    the ``-split-macro-shadow`` analogue
 ``split_pointer``   generated vectorized NumPy slice kernels — the
                     ``-split-pointer`` analogue (strength-reduced walking
                     of contiguous memory)
@@ -22,6 +19,12 @@ Four backends generate these clones:
                     loaded via ctypes — the closest analogue of Pochoir's
                     optimized postsource
 ==================  ========================================================
+
+A boundary kind neither backend can express (``PythonBoundary``) runs
+through a generated per-point boundary clone (``codegen_python``, the
+``-split-macro-shadow`` analogue): the paper's design allows the
+boundary clone to be slow.  The checked reference is Phase 1,
+:func:`repro.language.phase1.run_phase1`, not a backend.
 
 ``mode="auto"`` picks ``c`` when a C toolchain is found (the paper's
 path: compiled clones plus the compiled trapezoidal walk) and
@@ -31,8 +34,9 @@ The ``split_pointer`` and ``c`` clones are generated once per kernel,
 as one family over a stack of jobs ``(nb, slots, *sizes)``: a local
 run binds a stack of one (views of its own arrays), a served batch a
 stack of K (:mod:`repro.compiler.batch`).  Every backend's code (a C
-library, the NumPy and per-point clones' compiled code) is loaded once
-per process into the pipeline's one code cache and bound per run.
+library, the NumPy clones' and the per-point boundary clone's compiled
+code) is loaded once per process into the pipeline's one code cache and
+bound per run.
 
 The frontend owns boundary lowering (``boundary_modes``,
 ``boundary_fill_expr``) and the one fact every backend branches on,

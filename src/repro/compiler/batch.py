@@ -48,7 +48,6 @@ from repro.compiler.frontend import boundaries_expressible, build_ir
 from repro.compiler.pipeline import (
     CompiledKernel,
     bind_kernel,
-    resolve_mode,
     with_numpy_fallback,
 )
 from repro.language.array import stack_grids
@@ -118,15 +117,14 @@ def scatter_results(stack: BatchStack) -> None:
 
 def can_stack(problem: Problem, options: RunOptions) -> bool:
     """Whether K jobs of ``problem``'s signature run as one stack under
-    the run's ``options``: the backend has stacked clones (``c`` and
-    ``split_pointer``; the per-point modes have none), every boundary
-    kind is vectorizable, and the executor
-    runs in process (``procs`` may rebind the arrays to shared memory,
-    and a stack of copies would then scatter stale data).  A group that
-    fails it runs one job at a time."""
+    the run's ``options``: every boundary kind is expressible by the
+    backends (the per-point boundary clone has no stacked form), and the
+    executor runs in process (``procs`` may rebind the arrays to shared
+    memory, and a stack of copies would then scatter stale data).  Every
+    mode has stacked clones.  A group that fails it runs one job at a
+    time."""
     return (
-        resolve_mode(options.mode) in ("c", "split_pointer")
-        and boundaries_expressible(problem.arrays.values())
+        boundaries_expressible(problem.arrays.values())
         and options.resolve_executor()[0] != "procs"
     )
 

@@ -1,33 +1,31 @@
-"""Per-point backends: the checked ``interp`` clones and the generated
-``macro_shadow`` clones.
+"""The generated per-point clones — the analogue of the paper's
+``-split-macro-shadow`` option (Figure 12(b)).
 
-``interp`` wraps the tree-walking evaluator of :mod:`repro.expr.evalexpr`
-in clone-shaped callables — the slowest mode and the semantic reference.
+The kernel is emitted as straight-line Python with *direct, unchecked*
+ndarray indexing for the interior clone, eliminating the
+boundary-checking accessor exactly as the paper's macro trick does.  The
+boundary clone keeps the checked accessor (``read_at``) for off-home
+reads and reduces virtual coordinates modulo the grid sizes.
 
-``macro_shadow`` is the analogue of the paper's ``-split-macro-shadow``
-option (Figure 12(b)): the kernel is emitted as straight-line Python with
-*direct, unchecked* ndarray indexing for the interior clone, eliminating
-the boundary-checking accessor exactly as the paper's macro trick does.
-The boundary clone keeps the checked accessor (``read_at``) for off-home
-reads and reduces virtual coordinates modulo the grid sizes.  Each clone's
-source is generated and compiled once per process per problem signature
-(``KernelIR.signature``, :func:`repro.compiler.pipeline.load_kernel`);
-binding executes the loaded code into a fresh namespace over the
+A run uses only the boundary clone, for boundary kinds the ``c`` and
+``split_pointer`` backends cannot express (``PythonBoundary``):
+:func:`repro.compiler.pipeline._macro_shadow` compiles it once per
+process per problem signature (``KernelIR.signature``) and binds it per
+run, executing the loaded code into a fresh namespace over the
 problem's arrays, whose boundary objects the checked accessor consults
-at run time.
+at run time.  The interior clone is the Figure 13 benchmark's
+per-point comparison kernel.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
 from types import CodeType
 from typing import Callable
 
 from repro.errors import CompileError, KernelError
 from repro.compiler.frontend import KernelIR
 from repro.compiler.runtime_support import f64
-from repro.expr.evalexpr import EvalEnv, eval_statements
 from repro.expr.nodes import (
     Assign,
     BinOp,
@@ -49,80 +47,6 @@ from repro.expr.nodes import (
 )
 
 CloneFn = Callable[[int, tuple[int, ...], tuple[int, ...]], None]
-
-
-# ---------------------------------------------------------------------------
-# interp clones
-# ---------------------------------------------------------------------------
-
-
-def make_interp_interior(ir: KernelIR) -> CloneFn:
-    """Tree-walking interior clone: direct (unchecked) stored reads.
-
-    A fresh :class:`EvalEnv` is allocated per invocation so concurrent
-    base cases (the threaded executor, parallel loops) never share
-    mutable evaluation state.
-    """
-    arrays = ir.arrays
-    const_arrays = ir.const_arrays
-    stmts = ir.statements
-
-    def read_const(name: str, indices: tuple[int, ...]) -> float:
-        return const_arrays[name].read(indices)
-
-    def interior(t: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> None:
-        def read(name: str, dt: int, point: tuple[int, ...]) -> float:
-            arr = arrays[name]
-            return float(arr.data[((t + dt) % arr.slots, *point)])
-
-        def write(
-            name: str, dt: int, point: tuple[int, ...], value: float
-        ) -> None:
-            arr = arrays[name]
-            arr.data[((t + dt) % arr.slots, *point)] = value
-
-        env = EvalEnv(
-            t=t, point=(), read=read, write=write, read_const=read_const
-        )
-        ranges = [range(l, h) for l, h in zip(lo, hi)]
-        for pt in product(*ranges):
-            env.point = pt
-            eval_statements(stmts, env)
-
-    return interior
-
-
-def make_interp_boundary(ir: KernelIR) -> CloneFn:
-    """Tree-walking boundary clone: modulo write coordinates, boundary-
-    resolved reads (the unified periodic/nonperiodic handling of §4)."""
-    arrays = ir.arrays
-    const_arrays = ir.const_arrays
-    stmts = ir.statements
-    sizes = ir.sizes
-
-    def read_const(name: str, indices: tuple[int, ...]) -> float:
-        return const_arrays[name].read(indices)
-
-    def boundary(t: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> None:
-        def read(name: str, dt: int, point: tuple[int, ...]) -> float:
-            return arrays[name].read_at(t + dt, point)
-
-        def write(
-            name: str, dt: int, point: tuple[int, ...], value: float
-        ) -> None:
-            arr = arrays[name]
-            arr.data[((t + dt) % arr.slots, *point)] = value
-
-        env = EvalEnv(
-            t=t, point=(), read=read, write=write, read_const=read_const
-        )
-        ranges = [range(l, h) for l, h in zip(lo, hi)]
-        for vpt in product(*ranges):
-            # Virtual -> true coordinates: the kernel sees true coords.
-            env.point = tuple(v % n for v, n in zip(vpt, sizes))
-            eval_statements(stmts, env)
-
-    return boundary
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +161,7 @@ class _PointCodegen:
 
 
 def _clone_source(ir: KernelIR, *, boundary_mode: bool) -> str:
-    """Generate the source text of one macro_shadow clone."""
+    """Generate the source text of one per-point clone."""
     gen = _PointCodegen(ir, boundary_mode)
     d = ir.ndim
     name = "boundary" if boundary_mode else "interior"
@@ -297,8 +221,8 @@ def _namespace(ir: KernelIR) -> dict:
 
 
 def compile_clone(ir: KernelIR, *, boundary_mode: bool) -> tuple[str, CodeType]:
-    """One macro_shadow clone's source and compiled code.  Uncached:
-    :func:`repro.compiler.pipeline.load_kernel` loads it once per process."""
+    """One per-point clone's source and compiled code.  Uncached: the
+    pipeline loads the boundary clone once per process."""
     name = "boundary" if boundary_mode else "interior"
     src = _clone_source(ir, boundary_mode=boundary_mode)
     tag = f"<macro_shadow_{name}:{'_'.join(ir.write_arrays)}>"

@@ -11,7 +11,6 @@
   design survives: the boundary clone is allowed to be slow).
 * ``"split_pointer"`` — NumPy clones, falling back to the per-point
   boundary clone for non-vectorizable boundary kinds.
-* ``"macro_shadow"`` / ``"interp"`` — per-point clones.
 
 A job is a batch of one.  The ``c`` and ``split_pointer`` clones always
 run over a stack of jobs, ``(nb, slots, *sizes)``, and
@@ -20,9 +19,9 @@ a stack of one made of zero-copy views of the problem's own arrays,
 :func:`repro.compiler.batch.compile_batch_kernel` a stack of K.
 
 Nothing here caches a kernel that holds a user buffer.  The expensive,
-data-independent artifact — a C kernel's loaded library, the NumPy and
-per-point clones' compiled code — is loaded once per process per
-problem signature (``KernelIR.signature``, see
+data-independent artifact — a C kernel's loaded library, the NumPy
+clones' and the per-point boundary clone's compiled code — is loaded
+once per process per problem signature (``KernelIR.signature``, see
 :func:`~repro.language.stencil.problem_signature`) into the one code
 cache of :func:`load_kernel`, and every compile binds it to the
 problem's current buffers, so a kernel lives exactly as long as the run
@@ -40,7 +39,7 @@ from repro.compiler import codegen_c, codegen_numpy, codegen_python
 from repro.compiler.codegen_numpy import LeafFn
 from repro.compiler.frontend import KernelIR, boundaries_expressible, build_ir
 from repro.language.array import stack_grids
-from repro.language.stencil import Problem
+from repro.language.stencil import MODES, Problem
 
 CloneFn = Callable[[int, tuple[int, ...], tuple[int, ...]], None]
 
@@ -49,12 +48,14 @@ CloneFn = Callable[[int, tuple[int, ...], tuple[int, ...]], None]
 class CompiledKernel:
     """The kernel clones plus provenance for reporting and tests.
 
-    ``interior``/``boundary`` apply one time step to one region; they
-    exist in every mode.  ``leaf``/``leaf_boundary`` are the *fused*
-    base-case clones (whole trapezoid time loop inside generated code),
-    generated by the ``split_pointer`` and ``c`` backends — None in
-    modes that cannot fuse (``interp``, ``macro_shadow``) and for
-    non-vectorizable boundaries, where executors fall back to stepping
+    ``interior``/``boundary`` apply one time step to one region.
+    ``boundary_mode`` names the backend of ``boundary``: the kernel's
+    ``mode``, or ``"macro_shadow"`` for the generated per-point boundary
+    clone that stands in for boundary kinds the backend cannot express.
+    ``leaf``/``leaf_boundary`` are the *fused* base-case clones (whole
+    trapezoid time loop inside generated code) — None for boundary kinds
+    the backend cannot express and for a kernel stripped by
+    :meth:`without_fused_leaves`, where executors fall back to stepping
     the per-step clones.  A leaf may also decline a region at runtime by
     returning False (the NumPy snapshot leaf does for wrapped home
     ranges under clip/fill boundaries; the C per-point leaf never does),
@@ -86,8 +87,8 @@ class CompiledKernel:
     walk_stats: object | None = None
     #: Whether the ``c`` or ``split_pointer`` code this kernel binds was
     #: already loaded in the process (:func:`load_kernel` hit), rather
-    #: than generated or built for this compile.  False for the per-point
-    #: modes and for a compile that fell back to NumPy.
+    #: than generated or built for this compile.  False for a compile
+    #: that fell back to NumPy.
     warm: bool = False
 
     def walk_stats_snapshot(self) -> tuple[int, ...]:
@@ -108,15 +109,14 @@ class CompiledKernel:
 
 
 def available_modes() -> tuple[str, ...]:
-    """Codegen modes usable on this machine.
+    """The run modes (:data:`~repro.language.stencil.MODES`) usable on
+    this machine: ``"c"`` only when a C toolchain is found.
 
     Includes ``"auto"`` (the documented default), so callers that
     validate a user-supplied mode against this list accept it.
     """
-    modes = ["auto", "interp", "macro_shadow", "split_pointer"]
-    if codegen_c.find_c_compiler() is not None:
-        modes.append("c")
-    return tuple(modes)
+    has_cc = codegen_c.find_c_compiler() is not None
+    return tuple(m for m in MODES if m != "c" or has_cc)
 
 
 #: The code cache: (backend or clone, problem signature, and for C the
@@ -127,7 +127,7 @@ _LOADED_LOCK = threading.Lock()
 
 def clear_cache() -> None:
     """Drop every loaded C kernel library and every compiled NumPy and
-    per-point clone, so the next compile generates code and reaches
+    per-point boundary clone, so the next compile generates code and reaches
     ``dlopen`` (and cc on a cold ``.so`` cache) again."""
     with _LOADED_LOCK:
         _LOADED.clear()
@@ -203,25 +203,6 @@ def with_numpy_fallback(
 
 
 def _compile_ir(ir: KernelIR, mode: str) -> CompiledKernel:
-    if mode == "interp":
-        return CompiledKernel(
-            interior=codegen_python.make_interp_interior(ir),
-            boundary=codegen_python.make_interp_boundary(ir),
-            mode="interp",
-            boundary_mode="interp",
-            ir=ir,
-        )
-    if mode == "macro_shadow":
-        interior, src_i = _macro_shadow(ir, boundary_mode=False)
-        boundary, src_b = _macro_shadow(ir, boundary_mode=True)
-        return CompiledKernel(
-            interior=interior,
-            boundary=boundary,
-            mode="macro_shadow",
-            boundary_mode="macro_shadow",
-            ir=ir,
-            sources={"interior": src_i, "boundary": src_b},
-        )
     # A local run is a batch of one, bound in place: (1, ...) views of
     # the job's own buffers, so nothing is copied in or out.
     compiled = bind_kernel(
@@ -235,7 +216,7 @@ def _compile_ir(ir: KernelIR, mode: str) -> CompiledKernel:
         # A boundary kind the backend cannot express: the paper's design
         # survives with the per-point boundary clone (allowed to be
         # slow) and per-step stepping in place of the fused boundary leaf.
-        boundary, src_b = _macro_shadow(ir, boundary_mode=True)
+        boundary, src_b = _macro_shadow(ir)
         compiled.boundary = boundary
         compiled.boundary_mode = "macro_shadow"
         compiled.sources["boundary"] = src_b
@@ -262,14 +243,14 @@ def load_kernel(ir: KernelIR, mode: str) -> tuple[object, bool]:
     raise CompileError(f"unknown codegen mode {mode!r}")
 
 
-def _macro_shadow(ir: KernelIR, *, boundary_mode: bool) -> tuple[CloneFn, str]:
-    """One macro_shadow clone bound to ``ir``'s arrays, and its source;
-    the code is generated and compiled once per process."""
-    key = ("macro_shadow", boundary_mode, ir.signature)
+def _macro_shadow(ir: KernelIR) -> tuple[CloneFn, str]:
+    """The per-point boundary clone bound to ``ir``'s arrays, and its
+    source; the code is generated and compiled once per process."""
+    key = ("macro_shadow", ir.signature)
     (src, code), _ = _load_once(
-        key, lambda: codegen_python.compile_clone(ir, boundary_mode=boundary_mode)
+        key, lambda: codegen_python.compile_clone(ir, boundary_mode=True)
     )
-    return codegen_python.bind_clone(ir, code, boundary_mode=boundary_mode), src
+    return codegen_python.bind_clone(ir, code, boundary_mode=True), src
 
 
 def _load_once(key: tuple, load: Callable[[], object]) -> tuple[object, bool]:

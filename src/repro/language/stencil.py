@@ -15,7 +15,6 @@ subsequent ``run(T', kern)`` resumes from there.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -30,31 +29,40 @@ from repro.language.shape import Shape
 #: ``RunOptions`` additionally accepts ``"auto"``.
 EXECUTORS = ("serial", "dag", "procs")
 
+#: The codegen modes a run (or a tuned registry entry) may name: the two
+#: Phase-2 backends and ``"auto"``, which picks between them.
+MODES = ("auto", "split_pointer", "c")
+
+#: The decomposition algorithms a run may name.
+ALGORITHMS = ("trap", "strap", "loops", "serial_loops")
+
 
 @dataclass
 class RunOptions:
     """Tuning knobs for Phase-2 execution.
 
-    ``algorithm``:
+    Phase 1, the checked template library, is not a run option: it is
+    :func:`repro.language.phase1.run_phase1`.
+
+    ``algorithm`` (one of :data:`ALGORITHMS`):
         ``"trap"`` — TRAP with hyperspace cuts (the paper's algorithm);
         ``"strap"`` — serial space cuts (Frigo–Strumpen style comparison);
         ``"loops"`` — the parallel-loop baseline of Figure 1;
-        ``"serial_loops"`` — the serial loop baseline;
-        ``"phase1"`` — the checked interpreter (template library).
-    ``mode``:
-        kernel codegen: ``"interp"`` (tree-walking, checked),
-        ``"macro_shadow"`` (generated per-point Python, unchecked interior
-        — the ``-split-macro-shadow`` analogue),
-        ``"split_pointer"`` (vectorized NumPy slice kernels — the
-        ``-split-pointer`` analogue), ``"c"`` (generated C compiled with
-        the system compiler: per-step *and* fused-leaf clones, invoked
-        with the GIL released), or ``"auto"`` (the default: ``"c"`` when a
-        C toolchain is found, else ``"split_pointer"`` with no
-        degradation recorded; see ``pipeline.resolve_mode``).
+        ``"serial_loops"`` — the serial loop baseline.
+    ``mode`` (one of :data:`MODES`):
+        kernel codegen: ``"split_pointer"`` (vectorized NumPy slice
+        kernels — the ``-split-pointer`` analogue), ``"c"`` (generated C
+        compiled with the system compiler: per-step *and* fused-leaf
+        clones, invoked with the GIL released), or ``"auto"`` (the
+        default: ``"c"`` when a C toolchain is found, else
+        ``"split_pointer"`` with no degradation recorded; see
+        ``pipeline.resolve_mode``).  Boundary kinds a backend cannot
+        express run through the generated per-point boundary clone.
     ``dt_threshold`` / ``space_thresholds``:
-        base-case coarsening (Section 4); ``None`` applies the paper's
-        heuristics (2D: 100x100x5; >=3D: never cut the unit-stride
-        dimension, small blocks, 3 time steps).
+        base-case coarsening (Section 4); ``None`` applies the backend's
+        heuristics (>=3D never cuts the unit-stride dimension: its
+        default threshold is ``walker.NEVER_CUT``).  Explicit thresholds
+        mean what they say, in every dimension.
     ``executor``:
         ``"serial"`` (serial elision, streamed off the walker),
         ``"dag"`` (ready-queue task-DAG runtime on the shared thread pool),
@@ -100,8 +108,7 @@ class RunOptions:
         checkpoint the live time window after each one (plus one
         in-memory rollback-and-retry per block on executor failure);
         ``None`` (default) runs the whole range in one block with no
-        snapshots.  Not supported under ``algorithm="phase1"`` (the
-        checked interpreter has its own driver).
+        snapshots.
     ``resume_from``:
         restart a killed run mid-history: a checkpoint *directory* (the
         newest valid checkpoint for this problem wins; none found means
@@ -117,15 +124,13 @@ class RunOptions:
     * ``pipeline.with_numpy_fallback``: C -> NumPy when cc is missing or
       fails or the ``.so`` will not load (``cc:compile-failed->split_pointer``).
     * ``batch.can_stack``: a group of K > 1 jobs -> one job at a time under
-      a per-point mode, a Python boundary or ``procs``
-      (``batch:unstackable->sequential``).
+      a Python boundary or ``procs`` (``batch:unstackable->sequential``).
     """
 
     algorithm: str = "trap"
     mode: str = "auto"
     dt_threshold: int | None = None
     space_thresholds: tuple[int, ...] | None = None
-    protect_unit_stride: bool | None = None
     executor: str = "auto"
     n_workers: int | None = None
     compiled_walk: bool = True
@@ -135,15 +140,14 @@ class RunOptions:
     supervise: object | None = None
 
     def __post_init__(self) -> None:
-        algorithms = ("trap", "strap", "loops", "serial_loops", "phase1")
-        if self.algorithm not in algorithms:
+        if self.algorithm not in ALGORITHMS:
             raise SpecificationError(
-                f"unknown algorithm {self.algorithm!r}; choose from {algorithms}"
+                f"unknown algorithm {self.algorithm!r}; choose from "
+                f"{ALGORITHMS} (Phase 1 is run_phase1(stencil, steps, kernel))"
             )
-        modes = ("auto", "interp", "macro_shadow", "split_pointer", "c")
-        if self.mode not in modes:
+        if self.mode not in MODES:
             raise SpecificationError(
-                f"unknown mode {self.mode!r}; choose from {modes}"
+                f"unknown mode {self.mode!r}; choose from {MODES}"
             )
         executors = ("auto",) + EXECUTORS
         if self.executor not in executors:
@@ -174,14 +178,6 @@ class RunOptions:
                     f"checkpoint must be a CheckpointPolicy or None, "
                     f"got {type(self.checkpoint).__name__}"
                 )
-            if self.algorithm == "phase1":
-                raise SpecificationError(
-                    "checkpointing is not supported under algorithm='phase1'"
-                )
-        if self.resume_from is not None and self.algorithm == "phase1":
-            raise SpecificationError(
-                "resume_from is not supported under algorithm='phase1'"
-            )
 
     def resolve_walk_threads(self) -> int:
         """Concrete thread count for the compiled walk's pthread pool.
@@ -293,8 +289,8 @@ class RunReport:
     batch_size: int = 1
     #: Whether the run's ``c`` or ``split_pointer`` code was already
     #: loaded in this process by an earlier compile, local or served
-    #: (False when it was built or loaded for this run, for the
-    #: per-point modes, and after a C -> NumPy fallback).
+    #: (False when it was built or loaded for this run, and after a
+    #: C -> NumPy fallback).
     compile_cache_hit: bool = False
     #: Networked-serving telemetry (filled by :mod:`repro.serve.client`;
     #: defaults for local runs): which transport served the job
@@ -584,24 +580,6 @@ class Stencil:
             options = RunOptions(
                 **{**options.__dict__, **overrides}  # type: ignore[arg-type]
             )
-        if options.algorithm == "phase1":
-            from repro.language.phase1 import run_phase1
-
-            t0 = time.perf_counter()
-            run_phase1(self, steps, kernel)
-            elapsed = time.perf_counter() - t0
-            sizes_prod = 1
-            for s in self.sizes:
-                sizes_prod *= s
-            return RunReport(
-                algorithm="phase1",
-                mode="interp",
-                t_start=(self.cursor or 0) - steps + 1,
-                t_end=(self.cursor or 0) + 1,
-                elapsed=elapsed,
-                points_updated=sizes_prod * steps,
-            )
-
         from repro.trap.driver import execute_problem
 
         problem = self.prepare(steps, kernel)

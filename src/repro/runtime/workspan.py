@@ -68,7 +68,6 @@ def analyze_walk(
     algorithm: str = "trap",
     dt_threshold: int = 1,
     space_thresholds: Sequence[int] | None = None,
-    protect_unit_stride: bool = False,
     spawn_unit: float = 1.0,
     node_unit: float = 1.0,
     base_unit: float = 1.0,
@@ -89,12 +88,10 @@ def analyze_walk(
         sizes,
         dt_threshold=dt_threshold,
         space_thresholds=tuple(space_thresholds),
-        protect_unit_stride=protect_unit_stride,
         hyperspace=(algorithm == "trap"),
     )
     sizes_t = tuple(int(s) for s in sizes)
     slopes_t = tuple(int(s) for s in slopes)
-    protect = opts.protect_flags(ndim)
 
     memo: dict[tuple, tuple[float, float, int]] = {}
 
@@ -108,7 +105,6 @@ def analyze_walk(
             sizes_t,
             slopes_t,
             opts,
-            protect,
             memo,
             spawn_unit,
             node_unit,
@@ -124,7 +120,6 @@ def _analyze(
     sizes: tuple[int, ...],
     slopes: tuple[int, ...],
     opts: WalkOptions,
-    protect: tuple[bool, ...],
     memo: dict,
     spawn_unit: float,
     node_unit: float,
@@ -140,7 +135,6 @@ def _analyze(
         slopes=slopes,
         space_thresholds=opts.space_thresholds,
         dt_threshold=opts.dt_threshold,
-        protect_dims=protect,
         hyperspace=opts.hyperspace,
     )
     if decision.kind == "base":
@@ -149,11 +143,11 @@ def _analyze(
     elif decision.kind == "time":
         lower, upper = time_cut_children(z, decision.tm)
         w1, s1, b1 = _analyze(
-            _canonical(lower), sizes, slopes, opts, protect, memo,
+            _canonical(lower), sizes, slopes, opts, memo,
             spawn_unit, node_unit, base_unit,
         )
         w2, s2, b2 = _analyze(
-            _canonical(upper), sizes, slopes, opts, protect, memo,
+            _canonical(upper), sizes, slopes, opts, memo,
             spawn_unit, node_unit, base_unit,
         )
         result = (w1 + w2, s1 + s2 + node_unit, b1 + b2)
@@ -165,7 +159,7 @@ def _analyze(
             level_span = 0.0
             for sub in level:
                 w, s, b = _analyze(
-                    _canonical(sub), sizes, slopes, opts, protect, memo,
+                    _canonical(sub), sizes, slopes, opts, memo,
                     spawn_unit, node_unit, base_unit,
                 )
                 work += w

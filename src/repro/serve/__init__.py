@@ -33,7 +33,7 @@ infrastructure:
   wait, batch size, and the compile-cache hit flag.
 
 Degradation is the driver's, as for a local run: no C toolchain batches
-on the NumPy backend, and a group that cannot stack (a per-point mode, a
+on the NumPy backend, and a group that cannot stack (a
 non-vectorizable boundary, the ``procs`` executor) runs one job at a
 time with the ``batch:unstackable->sequential`` tag in
 ``report.degradations``.

@@ -4,6 +4,8 @@ The paper reports a 36x swing between uncoarsened recursion and a
 well-chosen base case, and describes Pochoir's heuristics: for 2D stop at
 100x100 space chunks with 5 time steps; for 3D and up never cut the
 unit-stride dimension and stop at small blocks (1000x3x3 with 3 steps).
+Both tables here keep the first rule literally: for 3D and up the
+default unit-stride threshold is :data:`NEVER_CUT`.
 
 Those constants are tuned for compiled C++ where per-point cost is a few
 nanoseconds.  Our compiled kernels are NumPy slice operations (or C calls)
@@ -36,14 +38,19 @@ from __future__ import annotations
 
 from typing import Sequence
 
-#: Default per-dimension space thresholds by dimensionality.  The last
-#: (unit-stride) dimension is kept wide; outer dimensions small, echoing
-#: the paper's "never cut the unit-stride dimension" rule for >= 3D.
+#: Threshold sentinel for a dimension the walker must never cut.  Large
+#: enough that no width exceeds it, small enough to fit a C ``i64``
+#: argument.
+NEVER_CUT = 1 << 62
+
+#: Default per-dimension space thresholds by dimensionality: outer
+#: dimensions small, and for >= 3D the last (unit-stride) dimension
+#: :data:`NEVER_CUT` (the paper's "never cut the unit-stride dimension").
 _DEFAULT_SPACE: dict[int, tuple[int, ...]] = {
     1: (4096,),
     2: (256, 256),
-    3: (32, 32, 1024),
-    4: (8, 8, 8, 64),
+    3: (32, 32, NEVER_CUT),
+    4: (8, 8, 8, NEVER_CUT),
 }
 
 _DEFAULT_DT: dict[int, int] = {1: 64, 2: 24, 3: 8, 4: 4}
@@ -53,8 +60,8 @@ _DEFAULT_DT: dict[int, int] = {1: 64, 2: 24, 3: 8, 4: 4}
 _C_SPACE: dict[int, tuple[int, ...]] = {
     1: (2048,),
     2: (128, 128),
-    3: (16, 16, 512),
-    4: (6, 6, 6, 48),
+    3: (16, 16, NEVER_CUT),
+    4: (6, 6, 6, NEVER_CUT),
 }
 
 _C_DT: dict[int, int] = {1: 32, 2: 16, 3: 6, 4: 3}
@@ -67,18 +74,21 @@ def default_space_thresholds(
 
     ``codegen_mode`` selects the table tuned for the backend that will
     execute the base cases (``"c"`` vs the NumPy-leaf defaults); None or
-    an unknown mode keeps the NumPy-tuned defaults.
+    an unknown mode keeps the NumPy-tuned defaults.  For ``ndim >= 3``
+    the unit-stride (last) threshold is :data:`NEVER_CUT`, unclamped.
     """
     space = _C_SPACE if codegen_mode == "c" else _DEFAULT_SPACE
     if ndim in space:
         base = space[ndim]
     else:
-        base = (4,) * (ndim - 1) + (64,)
+        base = (4,) * (ndim - 1) + (NEVER_CUT,)
     # Never make a threshold smaller than needed to terminate: a threshold
     # of at least 2*slope*dt always exists once the width stops being
     # cuttable, and the recursion terminates regardless, but clamping to
     # the grid keeps tiny problems from decomposing at all.
-    return tuple(min(t, max(4, s)) for t, s in zip(base, sizes))
+    return tuple(
+        t if t == NEVER_CUT else min(t, max(4, s)) for t, s in zip(base, sizes)
+    )
 
 
 def default_dt_threshold(ndim: int, codegen_mode: str | None = None) -> int:

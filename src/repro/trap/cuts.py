@@ -196,7 +196,6 @@ def choose_cut(
     slopes: Sequence[int],
     space_thresholds: Sequence[int],
     dt_threshold: int,
-    protect_dims: Sequence[bool],
     hyperspace: bool,
 ) -> CutDecision:
     """Decide how TRAP/STRAP processes zoid ``z`` (Figure 2, lines 4–20).
@@ -211,8 +210,6 @@ def choose_cut(
     """
     pieces: dict[int, list[DimPiece]] = {}
     for i in range(z.ndim):
-        if protect_dims[i]:
-            continue
         if z.width(i) <= space_thresholds[i]:
             continue
         cut = cut_dimension(z, i, slopes[i], sizes[i])

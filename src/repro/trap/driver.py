@@ -59,7 +59,6 @@ def _walk_setup(problem: Problem, options: RunOptions):
         problem.sizes,
         dt_threshold=options.dt_threshold,
         space_thresholds=options.space_thresholds,
-        protect_unit_stride=options.protect_unit_stride,
         hyperspace=(options.algorithm == "trap"),
         # Coarsening defaults are tuned per backend: the cheap fused C
         # leaves want smaller zoids than the NumPy leaves (and the extra
@@ -162,8 +161,7 @@ def execute_problem(
     runs as checkpointed blocks via
     :func:`repro.resilience.runner.execute_blocks`.  Checkpoint files are
     named by problem signature, so K > 1 jobs with either raise
-    :class:`SpecificationError`, as does ``algorithm="phase1"`` (the
-    checked interpreter runs through :meth:`Stencil.run` only).
+    :class:`SpecificationError`.
     """
     from repro.compiler.batch import (
         can_stack,
@@ -173,11 +171,6 @@ def execute_problem(
     )
     from repro.compiler.pipeline import compile_kernel_resilient, resolve_mode
 
-    if options.algorithm == "phase1":
-        raise SpecificationError(
-            "algorithm='phase1' is the checked interpreter: run it through "
-            "Stencil.run, not execute_problem"
-        )
     if len(problems) > 1 and (
         options.checkpoint is not None or options.resume_from is not None
     ):

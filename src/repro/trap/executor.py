@@ -243,8 +243,9 @@ def run_base_region(region: BaseRegion, compiled: "CompiledKernel") -> None:
     inside generated code — one Python call per base case instead of one
     per time step; the C leaves additionally release the GIL for the
     whole trapezoid, so DAG workers execute base cases truly in
-    parallel.  Modes that cannot fuse (``interp``, ``macro_shadow``,
-    non-vectorizable boundaries) take the per-step path below.
+    parallel.  Regions without a fused clone (boundary kinds the backend
+    cannot express, or a kernel stripped by ``without_fused_leaves``)
+    take the per-step path below.
     """
     if region.walk is not None:
         # Only a walk built with C boundary clones can classify zoids.

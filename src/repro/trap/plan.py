@@ -42,10 +42,9 @@ PlanEvent = tuple
 
 
 #: The recursion parameters a subtree task carries so its executor can
-#: reproduce the walk below it: (slopes, effective space thresholds,
-#: dt threshold, hyperspace flag, walk threads).  Protected dimensions
-#: are encoded as a huge threshold (never cuttable), so no separate
-#: protect flags ride along.  ``walk_threads`` is the compiled walk's
+#: reproduce the walk below it: (slopes, space thresholds, dt threshold,
+#: hyperspace flag, walk threads).  A dimension that is never cut carries
+#: the huge threshold ``NEVER_CUT``.  ``walk_threads`` is the compiled walk's
 #: thread count: above one, its in-.so pthread pool takes same-level
 #: pieces.
 WalkParams = tuple

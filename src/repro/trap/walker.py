@@ -22,7 +22,11 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro.errors import SpecificationError
-from repro.trap.coarsening import default_dt_threshold, default_space_thresholds
+from repro.trap.coarsening import (
+    NEVER_CUT,
+    default_dt_threshold,
+    default_space_thresholds,
+)
 from repro.trap.cuts import choose_cut, time_cut_children
 from repro.trap.plan import BaseRegion, PlanEvent
 from repro.trap.zoid import Zoid
@@ -58,11 +62,6 @@ class WalkSpec:
         return True
 
 
-#: Threshold sentinel for dimensions the walker must never cut
-#: (protected unit-stride dims).  Large enough that no width exceeds it,
-#: small enough to fit a C ``i64`` argument.
-NEVER_CUT = 1 << 62
-
 #: Compiled-walk grain: a zoid is handed to the compiled walker as one
 #: subtree task once every spatial width fits within
 #: ``WALK_GRAIN_SPACE`` coarsening thresholds and its height within
@@ -85,6 +84,10 @@ WALK_GRAIN_TIME = 16
 class WalkOptions:
     """Decomposition tuning: coarsening thresholds and cut strategy.
 
+    A dimension whose space threshold is :data:`NEVER_CUT` is never cut
+    (the >=3D unit-stride default); the thresholds ride unchanged in the
+    emitted :data:`WalkParams`.
+
     ``compiled_walk`` enables subtree-task planning: interior zoids that
     fit the walk grain are emitted as single atomic regions carrying
     their recursion parameters (see :class:`repro.trap.plan.BaseRegion`)
@@ -103,26 +106,10 @@ class WalkOptions:
 
     dt_threshold: int = 1
     space_thresholds: tuple[int, ...] = ()
-    protect_unit_stride: bool = False
     hyperspace: bool = True
     compiled_walk: bool = False
     walk_boundary: bool = False
     walk_threads: int = 1
-
-    def protect_flags(self, ndim: int) -> tuple[bool, ...]:
-        flags = [False] * ndim
-        if self.protect_unit_stride and ndim >= 2:
-            flags[ndim - 1] = True
-        return tuple(flags)
-
-    def effective_thresholds(self, ndim: int) -> tuple[int, ...]:
-        """Per-dim thresholds with protected dims folded in as
-        :data:`NEVER_CUT` — the form the Python walker and the compiled
-        walk's ``WalkParams`` consume (one knob fewer to thread)."""
-        return tuple(
-            NEVER_CUT if protect else th
-            for th, protect in zip(self.space_thresholds, self.protect_flags(ndim))
-        )
 
 
 def walk_spec_for(
@@ -148,7 +135,6 @@ def default_options(
     *,
     dt_threshold: int | None = None,
     space_thresholds: Sequence[int] | None = None,
-    protect_unit_stride: bool | None = None,
     hyperspace: bool = True,
     codegen_mode: str | None = None,
     compiled_walk: bool = False,
@@ -159,14 +145,12 @@ def default_options(
 
     ``codegen_mode`` (the *resolved* backend, not ``"auto"``) selects the
     coarsening table tuned for the kernel that will run the base cases;
-    explicit thresholds always win over either table.
+    explicit thresholds always win over either table, in every dimension.
     """
     if space_thresholds is None:
         space_thresholds = default_space_thresholds(ndim, sizes, codegen_mode)
     if dt_threshold is None:
         dt_threshold = default_dt_threshold(ndim, codegen_mode)
-    if protect_unit_stride is None:
-        protect_unit_stride = ndim >= 3
     st = tuple(int(s) for s in space_thresholds)
     if len(st) != ndim:
         raise SpecificationError(
@@ -175,7 +159,6 @@ def default_options(
     return WalkOptions(
         dt_threshold=max(1, int(dt_threshold)),
         space_thresholds=st,
-        protect_unit_stride=bool(protect_unit_stride),
         hyperspace=hyperspace,
         compiled_walk=bool(compiled_walk),
         walk_boundary=bool(walk_boundary),
@@ -208,20 +191,17 @@ def _fits_walk_grain(z: Zoid, spec: WalkSpec, opts: WalkOptions) -> bool:
     implements trisection and time cuts only.  A full-circumference
     flat extent is where a circular cut applies, but only a dimension
     wider than its threshold is ever cut, and such an extent keeps its
-    width below this zoid — so protected (never-cut) dimensions and
-    narrow ones are exempt, and a >=3D zoid spanning its whole
-    unit-stride row can still be delegated.  Interior zoids never span a
-    circumference, so the guard only ever rejects boundary zoids.
+    width below this zoid — so :data:`NEVER_CUT` dimensions and narrow
+    ones are exempt, and a >=3D zoid spanning its whole unit-stride row
+    can still be delegated.  Interior zoids never span a circumference,
+    so the guard only ever rejects boundary zoids.
     """
     if z.height > WALK_GRAIN_TIME * max(1, opts.dt_threshold):
         return False
-    protect = opts.protect_flags(z.ndim)
+    thresholds = opts.space_thresholds
     for i in range(z.ndim):
-        if protect[i]:
-            continue
-        if z.width(i) > WALK_GRAIN_SPACE * max(1, opts.space_thresholds[i]):
+        if z.width(i) > WALK_GRAIN_SPACE * max(1, thresholds[i]):
             return False
-    thresholds = opts.effective_thresholds(z.ndim)
     for i, (xa, xb, dxa, dxb) in enumerate(z.dims):
         if (
             spec.slopes[i] > 0
@@ -244,7 +224,6 @@ def _events(
         slopes=spec.slopes,
         space_thresholds=opts.space_thresholds,
         dt_threshold=opts.dt_threshold,
-        protect_dims=opts.protect_flags(z.ndim),
         hyperspace=opts.hyperspace,
     )
     if (
@@ -266,7 +245,7 @@ def _events(
                 interior=interior,
                 walk=(
                     spec.slopes,
-                    opts.effective_thresholds(z.ndim),
+                    opts.space_thresholds,
                     opts.dt_threshold,
                     opts.hyperspace,
                     opts.walk_threads,

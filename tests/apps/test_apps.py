@@ -1,13 +1,16 @@
 """Integration tests for every benchmark application.
 
 Each app is checked two ways: cross-backend bit-equality (TRAP/NumPy vs
-serial-loops/interp) and, where a textbook algorithm exists, semantic
-agreement with an independent reference implementation.
+Phase 1, STRAP/NumPy vs the per-point clones) and, where a textbook
+algorithm exists, semantic agreement with an independent reference
+implementation.
 """
 
 import numpy as np
 import pytest
 
+from benchmarks.bench_util import run_macro_shadow
+from repro import run_phase1
 from repro.apps import available_apps, build
 from repro.apps.apop import reference_apop
 from repro.apps.lcs import lcs_length, reference_lcs
@@ -39,12 +42,12 @@ class TestRegistry:
 @pytest.mark.parametrize("name", ALL_APPS)
 def test_trap_equals_loops_bitwise(name):
     """The central cross-check: TRAP + vectorized kernels produce exactly
-    the result of the loop baseline with the interpreted kernels."""
+    the result of Phase 1, the checked loop-order interpreter."""
     app1 = build(name, "tiny")
     app1.run(algorithm="trap", mode="split_pointer")
     r1 = app1.result()
     app2 = build(name, "tiny")
-    app2.run(algorithm="serial_loops", mode="interp")
+    run_phase1(app2.stencil, app2.steps, app2.kernel)
     r2 = app2.result()
     assert np.array_equal(r1, r2)
 
@@ -54,7 +57,7 @@ def test_strap_also_agrees(name):
     app1 = build(name, "tiny")
     app1.run(algorithm="strap", mode="split_pointer")
     app2 = build(name, "tiny")
-    app2.run(algorithm="trap", mode="macro_shadow")
+    run_macro_shadow(app2.stencil, app2.steps, app2.kernel)
     assert np.array_equal(app1.result(), app2.result())
 
 

@@ -180,6 +180,26 @@ class TestRobustness:
         assert registry.lookup(problem, "auto") is not None
         assert "bogus-key" not in registry.entries()
 
+    @pytest.mark.parametrize("mode", ["interp", "macro_shadow"])
+    def test_entry_for_a_removed_mode_is_evicted(
+        self, isolated_registry, mode
+    ):
+        """The per-point modes are no longer run modes: an entry naming
+        one reads as no entry (it never reaches ``as_options``, whose
+        ``RunOptions`` would refuse it), and the next store drops it."""
+        st, u, k, problem = _heat_problem()
+        registry.store(problem, "auto", TunedConfig((12, 12), 3))
+        doc = json.loads(isolated_registry.read_text())
+        (key,) = doc["entries"]
+        doc["entries"][key]["mode"] = mode
+        isolated_registry.write_text(json.dumps(doc))
+        assert registry.lookup(problem, "auto") is None
+        assert registry.entries() == {}
+        _, _, _, other = _heat_problem((32, 31))
+        assert registry.store(other, "auto", TunedConfig((8, 8), 2))
+        kept = json.loads(isolated_registry.read_text())["entries"]
+        assert key not in kept and len(kept) == 1
+
     def test_wrong_arity_entry_not_applied(self):
         st, u, k, problem = _heat_problem()
         registry.store(problem, "auto", TunedConfig((8, 8, 8), 3))
@@ -201,7 +221,9 @@ class TestRobustness:
         ref_st, ref_u, ref_k = make_heat_problem((32, 32))
         ref = ref_st.run(6, ref_k)
         st, u, k, problem = _heat_problem()
-        registry.store(problem, "auto", TunedConfig((12, 12), 3, mode="interp"))
+        registry.store(
+            problem, "auto", TunedConfig((12, 12), 3, mode="split_pointer")
+        )
         before = isolated_registry.read_bytes()
         report = st.run(6, k)
         assert (report.mode, report.base_cases) == (ref.mode, ref.base_cases)

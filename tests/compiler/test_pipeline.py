@@ -17,14 +17,14 @@ from repro.compiler.pipeline import (
     resolve_mode,
 )
 from repro.errors import CompileError
-from tests.conftest import has_c_backend, make_heat_problem
+from repro.language.stencil import MODES
+from tests.conftest import ALL_MODES, has_c_backend, make_heat_problem
 
 
 def test_available_modes_minimum():
     modes = available_modes()
-    assert "interp" in modes
-    assert "macro_shadow" in modes
     assert "split_pointer" in modes
+    assert set(modes) <= set(MODES)
 
 
 def test_available_modes_includes_auto():
@@ -207,7 +207,7 @@ def test_python_boundary_runs_correctly():
     run_phase1(st1, T, k1)
     ref = u1.snapshot(T)
 
-    for mode in ("split_pointer", "macro_shadow"):
+    for mode in ALL_MODES:
         st2, u2, k2 = make()
         st2.run(T, k2, mode=mode)
         assert np.array_equal(u2.snapshot(T), ref), mode

@@ -25,6 +25,26 @@ def has_c_backend() -> bool:
 #: the concrete modes, not a distinct backend.
 ALL_MODES = [m for m in available_modes() if m != "auto"]
 
+#: ``ALL_MODES`` plus ``"macro_shadow"``: the generated per-point clones,
+#: whose boundary clone runs every boundary kind the backends cannot
+#: express (and whose interior clone is Fig. 13's comparison kernel).
+#: Run them with :func:`run_kernel`.
+KERNELS = ["macro_shadow"] + ALL_MODES
+
+
+def run_kernel(stencil, steps, kernel, mode, **options):
+    """``stencil.run(steps, kernel, mode=mode, **options)`` and its
+    report, or for ``mode="macro_shadow"`` the NumPy backend's plan run
+    through the per-point clones
+    (``benchmarks.bench_util.run_macro_shadow``) and None."""
+    if mode != "macro_shadow":
+        return stencil.run(steps, kernel, mode=mode, **options)
+    from benchmarks.bench_util import run_macro_shadow
+
+    run_macro_shadow(stencil, steps, kernel, **options)
+    return None
+
+
 BOUNDARY_FACTORIES = {
     "periodic": PeriodicBoundary,
     "neumann": NeumannBoundary,
@@ -86,7 +106,6 @@ def run_subtree_per_leaf(region, compiled):
     opts = WalkOptions(
         dt_threshold=dt_threshold,
         space_thresholds=thresholds,
-        protect_unit_stride=False,  # already folded into the thresholds
         hyperspace=hyperspace,
         compiled_walk=False,
     )

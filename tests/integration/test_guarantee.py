@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import run_phase1
+from repro.language.stencil import ALGORITHMS
+from repro.trap.coarsening import NEVER_CUT
 from tests.conftest import ALL_MODES, BOUNDARY_FACTORIES, make_heat_problem
-
-ALGORITHMS = ("trap", "strap", "loops", "serial_loops")
 
 
 @pytest.mark.parametrize("boundary", sorted(BOUNDARY_FACTORIES))
@@ -42,12 +42,13 @@ def test_cross_product_other_dims(sizes):
     for algorithm in ("trap", "strap"):
         for mode in ALL_MODES:
             st2, u2, k2 = make_heat_problem(sizes)
+            thresholds = tuple(3 for _ in sizes)
+            if len(sizes) >= 3:  # never cut unit stride, as the defaults
+                thresholds = thresholds[:-1] + (NEVER_CUT,)
             st2.run(
                 T, k2,
                 algorithm=algorithm, mode=mode,
-                dt_threshold=2,
-                space_thresholds=tuple(3 for _ in sizes),
-                protect_unit_stride=len(sizes) >= 3,
+                dt_threshold=2, space_thresholds=thresholds,
             )
             assert np.array_equal(u2.snapshot(T), ref), (sizes, algorithm, mode)
 
@@ -64,10 +65,10 @@ def test_cross_product_other_dims(sizes):
 @settings(max_examples=40, deadline=None)
 def test_geometry_sweep_trap_vs_loops(nx, ny, T, dt_thr, s_thr, boundary, seed):
     """Property: for random grid shapes, step counts, coarsening settings
-    and boundary kinds, TRAP (vectorized) equals serial loops (interp)."""
+    and boundary kinds, TRAP (vectorized) equals Phase 1."""
     sizes = (nx, ny)
     st1, u1, k1 = make_heat_problem(sizes, boundary=boundary, seed=seed)
-    st1.run(T, k1, algorithm="serial_loops", mode="interp")
+    run_phase1(st1, T, k1)
     ref = u1.snapshot(st1.cursor)
 
     st2, u2, k2 = make_heat_problem(sizes, boundary=boundary, seed=seed)
@@ -88,7 +89,7 @@ def test_geometry_sweep_trap_vs_loops(nx, ny, T, dt_thr, s_thr, boundary, seed):
 def test_geometry_sweep_strap_1d(n, T, seed):
     sizes = (n,)
     st1, u1, k1 = make_heat_problem(sizes, seed=seed)
-    st1.run(T, k1, algorithm="serial_loops", mode="interp")
+    run_phase1(st1, T, k1)
     ref = u1.snapshot(st1.cursor)
 
     st2, u2, k2 = make_heat_problem(sizes, seed=seed)

@@ -42,7 +42,7 @@ from repro.language.stencil import problem_signature
 from repro.serve import ServeOptions, StencilServer
 from repro.trap.driver import execute_problem
 
-from tests.conftest import ALL_MODES, has_c_backend
+from tests.conftest import KERNELS, has_c_backend, run_kernel
 
 BATCH_MODES = ["split_pointer"] + (["c"] if has_c_backend() else [])
 
@@ -321,7 +321,7 @@ TWIN_VALUES = {
 }
 
 
-@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("mode", KERNELS)
 @pytest.mark.parametrize("twins", sorted(TWIN_KERNELS))
 def test_float_twins_each_match_phase1(twins, mode):
     """The second twin must not run the first one's cached code."""
@@ -329,7 +329,7 @@ def test_float_twins_each_match_phase1(twins, mode):
     make = TWIN_KERNELS[twins]
     for value in TWIN_VALUES[twins]:
         st, u, kern = make(value)
-        st.run(3, kern, mode=mode)
+        run_kernel(st, 3, kern, mode)
         st_ref, u_ref, kern_ref = make(value)
         run_phase1(st_ref, 3, kern_ref)
         assert _bits(u.snapshot(st.cursor)) == _bits(
@@ -382,7 +382,7 @@ def test_golden_signatures(name):
 # -- the x + 0.0 fold ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("mode", KERNELS)
 @pytest.mark.parametrize("form", ["x+0", "0+x", "x+param"])
 def test_adding_zero_to_negative_zero_matches_phase1(form, mode):
     """-0.0 + 0.0 is +0.0, so ``u + 0.0`` is not ``u``."""
@@ -401,7 +401,7 @@ def test_adding_zero_to_negative_zero_matches_phase1(form, mode):
         return st, u, Kernel(1, body)
 
     st, u, kern = make()
-    st.run(2, kern, mode=mode)
+    run_kernel(st, 2, kern, mode)
     st_ref, u_ref, kern_ref = make()
     run_phase1(st_ref, 2, kern_ref)
     got = u.snapshot(st.cursor)

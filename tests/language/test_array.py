@@ -260,6 +260,7 @@ class TestLayoutContract:
     def test_bad_grid_fails_typed_before_compile(self, bad, monkeypatch):
         """Every mode (and Phase 1) refuses the grid in ``prepare``: no
         compile is attempted, so no ``cc:compile-failed`` degradation."""
+        from repro import run_phase1
         from repro.compiler import pipeline
         from repro.trap import driver
         from tests.conftest import make_heat_problem
@@ -268,10 +269,13 @@ class TestLayoutContract:
             raise AssertionError("a bad grid reached execution")
 
         monkeypatch.setattr(driver, "execute_problem", no_execute)
-        runs = [{"mode": m} for m in pipeline.available_modes()]
-        for options in runs + [{"algorithm": "phase1"}]:
+        runs = [
+            lambda st, k, m=m: st.run(2, k, mode=m)
+            for m in pipeline.available_modes()
+        ]
+        for run in runs + [lambda st, k: run_phase1(st, 2, k)]:
             st, u, k = make_heat_problem((9, 8))
             u.data = self.BAD_DATA[bad](u)
             with pytest.raises(SpecificationError, match="C-contiguous"):
-                st.run(2, k, **options)
+                run(st, k)
             assert st.cursor is None

@@ -8,7 +8,7 @@ from repro.language.array import ConstArray, PochoirArray
 from repro.language.boundary import PeriodicBoundary
 from repro.language.kernel import Kernel
 from repro.language.shape import Shape
-from repro.language.stencil import RunOptions, Stencil
+from repro.language.stencil import ALGORITHMS, MODES, RunOptions, Stencil
 
 HEAT_1D = Shape.from_cells([(1, 0), (0, 0), (0, 1), (0, -1)])
 
@@ -124,15 +124,17 @@ class TestRun:
 
     def test_kwarg_overrides(self):
         st, u, k = simple_1d()
-        rep = st.run(2, k, algorithm="serial_loops", mode="interp")
+        rep = st.run(2, k, algorithm="serial_loops", mode="split_pointer")
         assert rep.algorithm == "serial_loops"
-        assert rep.mode == "interp"
+        assert rep.mode == "split_pointer"
 
     def test_phase1_algorithm_option(self):
+        """Phase 1 is run_phase1, not a run option: asking a run for it
+        fails before anything runs, and says where Phase 1 is."""
         st, u, k = simple_1d()
-        rep = st.run(2, k, algorithm="phase1")
-        assert rep.algorithm == "phase1"
-        assert st.cursor == 2
+        with pytest.raises(SpecificationError, match=r"run_phase1\("):
+            st.run(2, k, algorithm="phase1")
+        assert st.cursor is None
 
 
 class TestRunOptions:
@@ -147,6 +149,14 @@ class TestRunOptions:
     def test_unknown_executor(self):
         with pytest.raises(SpecificationError, match="executor"):
             RunOptions(executor="gpu")
+
+    def test_options_name_one_list_each(self):
+        for mode in MODES:
+            assert RunOptions(mode=mode).mode == mode
+        for algorithm in ALGORITHMS:
+            assert RunOptions(algorithm=algorithm).algorithm == algorithm
+        assert MODES == ("auto", "split_pointer", "c")
+        assert ALGORITHMS == ("trap", "strap", "loops", "serial_loops")
 
     def test_params_flow_to_kernel(self):
         from repro.expr.nodes import Param

@@ -34,10 +34,6 @@ def test_policy_validates():
 def test_run_options_reject_bad_checkpoint():
     with pytest.raises(Exception):
         RunOptions(checkpoint="not-a-policy")
-    with pytest.raises(Exception):
-        RunOptions(algorithm="phase1", checkpoint=CheckpointPolicy(dir="x"))
-    with pytest.raises(Exception):
-        RunOptions(algorithm="phase1", resume_from="somewhere")
 
 
 # -- file format --------------------------------------------------------------

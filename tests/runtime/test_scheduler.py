@@ -108,7 +108,6 @@ class TestSimulateDag:
             spec = walk_spec_for((n, n), (1, 1), (-1, -1), (1, 1))
             opts = default_options(
                 2, (n, n), dt_threshold=dt, space_thresholds=(thr, thr),
-                protect_unit_stride=False,
             )
             plan = list(decompose_events(full_grid_zoid(1, 1 + t, (n, n)), spec, opts))
             graph = build_task_graph(plan)  # build once, sweep P over it

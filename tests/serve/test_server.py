@@ -459,7 +459,7 @@ def _unstackable_job(case, seed):
     return st, k, u
 
 
-@pytest.mark.parametrize("case", ["procs", "python_boundary", "macro_shadow"])
+@pytest.mark.parametrize("case", ["procs", "python_boundary"])
 def test_unstackable_group_runs_one_job_at_a_time(case):
     # A group the driver cannot stack under its options runs each job as
     # a local run of it would, and says so with one tag.
@@ -467,7 +467,6 @@ def test_unstackable_group_runs_one_job_at_a_time(case):
     options = {
         "procs": RunOptions(mode=BATCH_MODES[0], executor="procs"),
         "python_boundary": RunOptions(mode=BATCH_MODES[-1]),
-        "macro_shadow": RunOptions(mode="macro_shadow"),
     }[case]
     jobs = [_unstackable_job(case, s) for s in range(2)]
 
@@ -488,8 +487,6 @@ def test_unstackable_group_runs_one_job_at_a_time(case):
         assert rep.degradations == ["batch:unstackable->sequential"]
         assert rep.mode == local.mode
         assert u.snapshot(st.cursor).tobytes() == ref_u.snapshot(ref_st.cursor).tobytes()
-    if case == "macro_shadow":
-        assert [r.mode for r in reports] == ["macro_shadow"] * 2
 
 
 def test_supervised_jobs_run_unbatched():
@@ -539,7 +536,7 @@ def test_served_job_ignores_the_registry_file(seeded, tmp_path, monkeypatch):
     apps = [build_heat((20, 20), 8, seed=s) for s in range(2)]
     if seeded == "valid_entry":
         problem = apps[0].stencil.prepare(apps[0].steps, apps[0].kernel)
-        tuned = TunedConfig((8, 8), 2, mode="macro_shadow")
+        tuned = TunedConfig((8, 8), 2, mode="split_pointer")
         assert registry.store(problem, "auto", tuned)
     else:
         path.write_text("{ this is not json")
@@ -581,16 +578,16 @@ def test_second_local_c_run_reports_a_warm_kernel():
 
 
 def test_phase1_jobs_are_refused_before_anything_compiles(tmp_path, monkeypatch):
+    # Phase 1 is run_phase1, not a run option: options asking for it
+    # cannot be built, so no server or run ever receives them.
     count_file = tmp_path / "cc_count"
     monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "cc"))
     monkeypatch.setenv("REPRO_CC_COUNT_FILE", str(count_file))
-    options = RunOptions(algorithm="phase1", mode=BATCH_MODES[-1])
-    app = build_heat((16, 16), 4, seed=0)
-    with pytest.raises(SpecificationError, match="Stencil.run"):
-        execute_problem([app.stencil.prepare(app.steps, app.kernel)], options)
-    apps = [build_heat((16, 16), 4, seed=s) for s in range(2)]
-    with pytest.raises(SpecificationError, match="Stencil.run"):
-        _serve(apps, ServeOptions(max_batch=2, batch_window=0.05, run=options))
+    with pytest.raises(SpecificationError, match=r"run_phase1\("):
+        RunOptions(algorithm="phase1", mode=BATCH_MODES[-1])
+    for mode in ("interp", "macro_shadow"):
+        with pytest.raises(SpecificationError, match="unknown mode"):
+            RunOptions(mode=mode)
     assert not count_file.exists() or count_file.read_text() == ""
 
 

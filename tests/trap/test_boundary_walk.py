@@ -47,6 +47,7 @@ from repro.expr.builder import sum_of
 from repro.language.stencil import RunOptions
 from repro.trap.driver import build_events, execute_problem
 from repro.trap.executor import execute_serial_stream, run_base_region
+from repro.trap.coarsening import NEVER_CUT
 from repro.trap.plan import BaseRegion, iter_base_events
 from tests.conftest import has_c_backend
 
@@ -91,6 +92,14 @@ CATALOG = {
 }
 
 MAX_STEPS = 7
+
+
+def _thresholds(values) -> tuple[int, ...]:
+    """Explicit space thresholds that, like the defaults, never cut the
+    unit-stride dimension of a >=3D grid: its full periodic rows then
+    reach the compiled walk whole, which has no circular cut."""
+    values = tuple(values)
+    return values[:-1] + (NEVER_CUT,) if len(values) >= 3 else values
 
 
 def _build(name: str, seed: int):
@@ -146,7 +155,9 @@ def _runs(draw):
         mode="c",
         executor="serial",
         algorithm=draw(st.sampled_from(["trap", "strap"])),
-        space_thresholds=tuple(draw(st.integers(1, 3)) for _ in range(ndim)),
+        space_thresholds=_thresholds(
+            draw(st.integers(1, 3)) for _ in range(ndim)
+        ),
         dt_threshold=draw(st.integers(1, 2)),
     )
     return name, draw(st.integers(2, MAX_STEPS)), options
@@ -247,7 +258,7 @@ def test_catalog_plans_delegate_boundary_subtrees(name):
     stencil, kernel = _build(name, 1)
     ndim = stencil.ndim
     options = RunOptions(
-        mode="c", space_thresholds=(2,) * ndim, dt_threshold=1
+        mode="c", space_thresholds=_thresholds((2,) * ndim), dt_threshold=1
     )
     regions = list(iter_base_events(build_events(stencil.prepare(6, kernel), options)))
     assert any(r.walk is not None and not r.interior for r in regions)

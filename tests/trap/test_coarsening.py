@@ -1,6 +1,7 @@
 """Tests for base-case coarsening heuristics."""
 
 from repro.trap.coarsening import (
+    NEVER_CUT,
     default_dt_threshold,
     default_space_thresholds,
     paper_thresholds,
@@ -23,8 +24,14 @@ def test_defaults_clamped_to_grid():
 
 
 def test_unit_stride_kept_wide_for_3d():
-    thr = default_space_thresholds(3, (1024, 1024, 1024))
-    assert thr[-1] > thr[0]  # paper: never cut the unit-stride dimension
+    # paper: never cut the unit-stride dimension (>= 3D), on any backend
+    # and unclamped by the grid
+    for mode in (None, "c"):
+        for ndim in (3, 4):
+            thr = default_space_thresholds(ndim, (16,) * ndim, mode)
+            assert thr[-1] == NEVER_CUT
+            assert NEVER_CUT not in thr[:-1]
+    assert NEVER_CUT not in default_space_thresholds(2, (1024, 1024))
 
 
 def test_paper_constants_verbatim():

@@ -267,9 +267,10 @@ class TestEligibility:
 
     def test_walk_grain_guard_exempts_protected_dims(self):
         """The full-circumference guard exists because the compiled walk
-        has no circular cut; a protected dimension is never cut at all,
-        so a >=3D zoid spanning its whole unit-stride row is eligible,
-        while an unprotected full-circumference dimension still is not."""
+        has no circular cut; a ``NEVER_CUT`` dimension is never cut at
+        all, so a >=3D zoid spanning its whole unit-stride row is
+        eligible, while a cuttable full-circumference dimension still is
+        not."""
         from repro.trap.walker import _fits_walk_grain
         from repro.trap.zoid import Zoid
 
@@ -279,8 +280,7 @@ class TestEligibility:
         )
         opts = WalkOptions(
             dt_threshold=2,
-            space_thresholds=(4, 4, 64),
-            protect_unit_stride=True,
+            space_thresholds=(4, 4, NEVER_CUT),
             compiled_walk=True,
             walk_boundary=True,
         )
@@ -290,13 +290,14 @@ class TestEligibility:
         assert not _fits_walk_grain(ring, spec, opts)
 
     def test_protected_dims_ride_as_never_cut_thresholds(self):
-        opts = WalkOptions(
-            dt_threshold=2,
-            space_thresholds=(4, 4, 8),
-            protect_unit_stride=True,
-            compiled_walk=True,
+        """The >=3D default never cuts unit stride, and the compiled
+        walk gets that as a ``NEVER_CUT`` threshold in every subtree
+        task's ``WalkParams``."""
+        _, regions = self._subtree_regions(
+            RunOptions(mode="c"), sizes=(16, 16, 32)
         )
-        assert opts.effective_thresholds(3) == (4, 4, NEVER_CUT)
+        thresholds = {r.walk[1] for r in regions if r.walk is not None}
+        assert thresholds and all(th[-1] == NEVER_CUT for th in thresholds)
 
     def test_graph_counts_subtree_tasks(self):
         graph = build_task_graph(_forced_walk_events(self._problem()))

@@ -19,6 +19,7 @@ from repro.trap.cuts import (
     time_cut_children,
     trisect,
 )
+from repro.trap.coarsening import NEVER_CUT
 from repro.trap.zoid import Zoid
 
 
@@ -223,7 +224,6 @@ class TestChooseCut:
         sizes=(32,),
         slopes=(1,),
         space_thresholds=(0,),
-        protect_dims=(False,),
         hyperspace=True,
     )
 
@@ -253,7 +253,6 @@ class TestChooseCut:
             slopes=(1,),
             space_thresholds=(64,),
             dt_threshold=8,
-            protect_dims=(False,),
             hyperspace=True,
         )
         assert d.kind == "base"
@@ -264,9 +263,8 @@ class TestChooseCut:
             z,
             sizes=(32, 32),
             slopes=(1, 1),
-            space_thresholds=(0, 0),
+            space_thresholds=(0, NEVER_CUT),
             dt_threshold=1,
-            protect_dims=(False, True),
             hyperspace=True,
         )
         assert d.kind == "space"
@@ -280,7 +278,6 @@ class TestChooseCut:
             slopes=(1, 1),
             space_thresholds=(0, 0),
             dt_threshold=1,
-            protect_dims=(False, False),
             hyperspace=False,
         )
         assert d.kind == "space"
@@ -294,7 +291,6 @@ class TestChooseCut:
             slopes=(1, 1),
             space_thresholds=(0, 0),
             dt_threshold=1,
-            protect_dims=(False, False),
             hyperspace=True,
         )
         assert d.cut_dims == (0, 1)

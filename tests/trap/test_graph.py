@@ -25,7 +25,6 @@ def heat_decomposition(n=40, t=12, threshold=8, dt=3):
         (n, n),
         dt_threshold=dt,
         space_thresholds=(threshold, threshold),
-        protect_unit_stride=False,
     )
     top = full_grid_zoid(1, 1 + t, (n, n))
     return top, spec, opts

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.trap.plan import iter_base_events, linearize_waves, stats_from_regions
 from repro.trap.walker import (
+    NEVER_CUT,
     WalkOptions,
     decompose_events,
     default_options,
@@ -33,7 +34,6 @@ def uncoarsened_opts(ndim, hyperspace=True):
     return WalkOptions(
         dt_threshold=1,
         space_thresholds=(0,) * ndim,
-        protect_unit_stride=False,
         hyperspace=hyperspace,
     )
 
@@ -225,9 +225,31 @@ class TestStructure:
 
     def test_default_options_fill_heuristics(self):
         opts = default_options(3, (64, 64, 64))
-        assert opts.protect_unit_stride  # >= 3D never cuts unit stride
+        assert opts.space_thresholds[-1] == NEVER_CUT  # >= 3D: unit stride
+        assert NEVER_CUT not in opts.space_thresholds[:-1]
         opts2 = default_options(2, (64, 64))
-        assert not opts2.protect_unit_stride
+        assert NEVER_CUT not in opts2.space_thresholds
+
+    @pytest.mark.parametrize("mode", ["split_pointer", "c"])
+    def test_explicit_unit_stride_threshold_is_honoured(self, mode):
+        """Explicit thresholds mean what they say in every dimension: a
+        3D run asked to cut unit stride at 4 cuts it (only the default
+        never does)."""
+        from repro.language.stencil import RunOptions
+        from repro.trap.driver import build_events
+        from tests.conftest import make_heat_problem
+
+        st, _, kern = make_heat_problem((12, 12, 24))
+        problem = st.prepare(4, kern)
+
+        def unit_stride_widths(**options):
+            events = build_events(
+                problem, RunOptions(mode=mode, dt_threshold=1, **options)
+            )
+            return {r.zoid().width(2) for r in iter_base_events(events)}
+
+        assert max(unit_stride_widths(space_thresholds=(4, 4, 4))) < 24
+        assert unit_stride_widths() == {24}
 
     def test_default_options_validates_thresholds(self):
         from repro.errors import SpecificationError
