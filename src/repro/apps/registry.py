@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.errors import SpecificationError
 from repro.language.kernel import Kernel
-from repro.language.array import PochoirArray
 from repro.language.stencil import Stencil
 
 

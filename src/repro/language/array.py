@@ -41,7 +41,10 @@ segment.  A shared array pickles as a segment descriptor (its name, no
 payload bytes), and unpickling in another process attaches a zero-copy
 view onto the same physical pages — which is how the supervised executor
 hands worker subprocesses the live grid without serializing it;
-:meth:`~PochoirArray.detach` drops that view again.  Compiled kernels hold
+:meth:`~PochoirArray.detach` drops that view again.  On the serving wire
+(:func:`arrays_by_value`) a shared array pickles its bytes instead, and a
+descriptor is refused, never attached: no name from a socket picks the
+memory a run maps.  Compiled kernels hold
 no array: every run binds the kernel's loaded code to the buffers the
 array owns at that moment, so a rebind needs no bookkeeping.  Copies into
 a grid are made in place because a run in flight, or another process
@@ -50,7 +53,10 @@ attached to the segment, holds the buffer itself.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import mmap
+import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -71,13 +77,31 @@ from repro.expr.nodes import (
 )
 from repro.language.boundary import Boundary
 
-#: Serializes the legacy (< 3.13) shared-memory attach shim: it patches
-#: the *process-global* ``resource_tracker.register``, so two concurrent
-#: attaches interleaving save/patch/restore can leave tracking pointed at
-#: the no-op forever (every later segment leaks) or re-enable it while
-#: the other attach is mid-constructor (the attachment gets tracked and
-#: the tracker unlinks a live segment at exit).
+#: Serializes the legacy (< 3.13) untracked-segment shim: it patches the
+#: *process-global* ``resource_tracker.register``/``unregister``, so two
+#: concurrent attaches interleaving save/patch/restore can leave tracking
+#: pointed at the no-op forever (every later segment leaks) or re-enable
+#: it while the other attach is mid-constructor (the attachment gets
+#: tracked and the tracker unlinks a live segment at exit).
 _TRACKER_SHIM_LOCK = threading.Lock()
+
+#: True while a pickle crosses a trust boundary (the serving wire,
+#: :mod:`repro.serve.protocol`): a shared array then pickles its bytes,
+#: never its segment's name, and unpickling refuses a segment descriptor
+#: instead of attaching the segment it names.
+_BY_VALUE = contextvars.ContextVar("repro_arrays_by_value", default=False)
+
+
+class arrays_by_value:
+    """Pickle and unpickle arrays by value in this context (see
+    :data:`_BY_VALUE`).  A class, not a generator: it wraps every frame
+    the wire packs or unpacks."""
+
+    def __enter__(self) -> None:
+        self._token = _BY_VALUE.set(True)
+
+    def __exit__(self, *exc) -> None:
+        _BY_VALUE.reset(self._token)
 
 
 @dataclass(frozen=True)
@@ -136,29 +160,58 @@ def stack_grids(arrays: Sequence["PochoirArray"]) -> np.ndarray:
     return stack
 
 
+@contextlib.contextmanager
+def _tracker_muted():
+    """Keep ``multiprocessing``'s resource tracker out of a segment's life
+    on CPython < 3.13, which has no ``track=False``: register/unregister
+    are no-ops inside (under :data:`_TRACKER_SHIM_LOCK`)."""
+    from multiprocessing import resource_tracker
+
+    with _TRACKER_SHIM_LOCK:
+        saved = resource_tracker.register, resource_tracker.unregister
+        resource_tracker.register = lambda *a, **kw: None
+        resource_tracker.unregister = lambda *a, **kw: None
+        try:
+            yield
+        finally:
+            resource_tracker.register, resource_tracker.unregister = saved
+
+
+def _untracked_segment(**kwargs):
+    """A ``SharedMemory`` the resource tracker never hears of."""
+    from multiprocessing import shared_memory
+
+    try:
+        return shared_memory.SharedMemory(track=False, **kwargs)
+    except TypeError:  # Python < 3.13
+        with _tracker_muted():
+            shm = shared_memory.SharedMemory(**kwargs)
+        shm._track = False  # what 3.13 records: _close_segment reads it
+        return shm
+
+
 def _attach_segment(name: str):
     """Attach to the shared segment ``name`` WITHOUT resource-tracker
     registration: the creator owns the segment's lifetime.  CPython < 3.13
     tracks mere attachments too, so an attaching process's exit would
-    unlink (or double-unregister) live state the creator still owns; 3.13+
-    exposes ``track=False``, older versions need the register shim."""
-    from multiprocessing import shared_memory
+    unlink (or double-unregister) live state the creator still owns."""
+    return _untracked_segment(name=name)
 
+
+def _create_segment(name: str, size: int):
+    """Create the shared segment ``name`` of ``size`` bytes, untracked
+    (its creator unlinks it with :func:`_close_segment`, and no tracker
+    process is started), with its pages reserved up front: a full
+    ``/dev/shm`` fails here with ``OSError`` rather than with a SIGBUS at
+    the first write to a page it could not back."""
+    shm = _untracked_segment(name=name, create=True, size=size)
     try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        from multiprocessing import resource_tracker
-
-        # The shim mutates process-global state; hold the module lock so
-        # concurrent attaches (a server unpickling many jobs at once)
-        # cannot interleave patch/restore.
-        with _TRACKER_SHIM_LOCK:
-            orig_register = resource_tracker.register
-            resource_tracker.register = lambda *a, **kw: None
-            try:
-                return shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = orig_register
+        if hasattr(os, "posix_fallocate"):
+            os.posix_fallocate(shm._fd, 0, size)
+    except BaseException:
+        _close_segment(shm, True)
+        raise
+    return shm
 
 
 def _close_segment(shm, owner: bool) -> bool:
@@ -170,10 +223,17 @@ def _close_segment(shm, owner: bool) -> bool:
         shm.close()
         closed = True
     except BufferError:
+        # The mmap now belongs to those views (its deallocation unmaps
+        # it); the SharedMemory finalizer must not retry the close.
+        shm._mmap = None
         closed = False
     if owner:
         try:
-            shm.unlink()
+            if getattr(shm, "_track", True):
+                shm.unlink()
+            else:
+                with _tracker_muted():
+                    shm.unlink()
         except FileNotFoundError:
             pass
     return closed
@@ -285,16 +345,22 @@ class PochoirArray:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         if self._shm is not None:
-            # Pickle as a descriptor: the receiver attaches a zero-copy
-            # view onto the same segment instead of moving payload bytes.
-            state["data"] = None
             state["_shm"] = None
             state["_shm_owner"] = False
-            state["_shm_name"] = self._shm.name
+            if not _BY_VALUE.get():
+                # Pickle as a descriptor: the receiver attaches a zero-copy
+                # view onto the same segment instead of moving payload bytes.
+                state["data"] = None
+                state["_shm_name"] = self._shm.name
         return state
 
     def __setstate__(self, state: dict) -> None:
         name = state.pop("_shm_name", None)
+        if _BY_VALUE.get() and (name is not None or state.get("_shm") is not None):
+            raise SpecificationError(
+                f"array {state.get('name')!r} arrived as a shared-memory "
+                f"descriptor; arrays from the wire must carry their bytes"
+            )
         self.__dict__.update(state)
         if name is not None:
             self._shm = _attach_segment(name)

@@ -32,6 +32,20 @@ the stencil is the only copy.  A response whose arrays do not match the
 stencil's (unknown name, or not the array's grid layout) raises
 :class:`~repro.serve.protocol.ProtocolError` before anything is written.
 
+**Same-host handoff.**  When the server is on this host (a loopback
+peer) and a job's inline frame would be larger than the server's
+staging buffer (:data:`repro.serve.net._STAGE`), the job's grids go
+through a **lease** instead of the socket: a shared-memory segment the
+server creates for this connection (``T_LEASE``).  The client copies
+the grids into it, the submit frame carries only the pickle meta, the
+server runs the job in place, and the result refers to the same
+regions; the client copies it out as above.  The connection keeps its
+leases in a pool keyed by size and reuses them across jobs (creating a
+segment costs ten times filling one); one lease holds one job at a
+time.  A refused lease sends the job inline, and ``report.transport``
+says which path it took (``"shm"`` or ``"tcp"``).  A reconnect drops the
+pool: leases belong to one connection.
+
 ``submit_many`` pipelines K jobs over one connection (all requests
 ship before the first response is awaited), which is what lets the
 server batch same-signature remote jobs into one compiled dispatch —
@@ -40,6 +54,7 @@ the network analogue of ``asyncio.gather`` over ``submit`` coroutines.
 
 from __future__ import annotations
 
+import mmap
 import random
 import socket
 import time
@@ -47,9 +62,11 @@ import uuid
 from dataclasses import dataclass
 
 from repro.errors import SpecificationError
+from repro.language.array import _attach_segment, _close_segment
 from repro.language.kernel import Kernel
 from repro.language.stencil import Problem, RunReport, Stencil
 from repro.serve import protocol
+from repro.serve.net import _STAGE, LEASE_PREFIX
 from repro.serve.protocol import (
     DeadlineExceeded,
     ProtocolError,
@@ -57,8 +74,11 @@ from repro.serve.protocol import (
     T_ERROR,
     T_HEALTH,
     T_HEALTH_OK,
+    T_LEASE,
+    T_LEASE_OK,
     T_RESULT,
     T_SUBMIT,
+    is_loopback,
 )
 from repro.serve.server import JobExpired, ServerBusy, ServerClosed
 
@@ -92,9 +112,17 @@ class _PendingJob:
     key: str
     stencil: Stencil
     problem: Problem
-    #: The submit frame as ``protocol.frame_parts``: header bytes, then
-    #: views of the live arrays.
+    #: The submit message, and its inline frame as ``protocol.
+    #: frame_parts``: header bytes, then views of the live arrays.
+    msg: dict
     frame: list
+    #: The lease size its grids need, or 0 when its frame fits the
+    #: server's staging buffer.
+    stage: int
+    #: The lease of this connection it is in, until its answer arrives.
+    lease: int | None = None
+    #: How it was last sent: ``"shm"`` (in a lease) or ``"tcp"``.
+    transport: str = "tcp"
     report: RunReport | None = None
 
 
@@ -134,6 +162,11 @@ class StencilClient:
         self.retry_busy = retry_busy
         self.max_frame = max_frame
         self._sock: socket.socket | None = None
+        #: The connection's leases (id -> attached segment), the free ones
+        #: by size, and whether the server refused one.
+        self._leases: dict = {}
+        self._free: dict[int, list[int]] = {}
+        self._refused = False
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -143,6 +176,11 @@ class StencilClient:
             except OSError:
                 pass
             self._sock = None
+        for shm in self._leases.values():
+            _close_segment(shm, False)
+        self._leases.clear()
+        self._free.clear()
+        self._refused = False
 
     def __enter__(self) -> "StencilClient":
         return self
@@ -191,11 +229,18 @@ class StencilClient:
         for stencil, steps, kernel in jobs:
             problem = stencil.prepare(steps, kernel)
             key = uuid.uuid4().hex
-            frame = protocol.frame_parts(
-                T_SUBMIT, {"key": key, "deadline": budget, "problem": problem}
-            )
+            msg = {"key": key, "deadline": budget, "problem": problem}
+            frame = protocol.frame_parts(T_SUBMIT, msg)
+            stage = 0
+            if sum(len(p) for p in frame) > _STAGE:
+                # The inline buffers with their padding: an upper bound on
+                # what they take in a lease, rounded to whole pages so
+                # jobs of one shape share a pool size.
+                stage = sum(len(p) for p in frame[1:])
+                stage += -stage % mmap.PAGESIZE
             pending[key] = _PendingJob(
-                key=key, stencil=stencil, problem=problem, frame=frame
+                key=key, stencil=stencil, problem=problem, msg=msg,
+                frame=frame, stage=stage,
             )
             order.append(key)
 
@@ -214,6 +259,12 @@ class StencilClient:
                 self.close()
                 last_error = exc
                 continue
+            except BaseException:
+                if any(j.lease is not None for j in pending.values()):
+                    # Jobs still run in this connection's leases: a new
+                    # job must not be sent into one.
+                    self.close()
+                raise
         unanswered = [j for j in pending.values() if j.report is None]
         if unanswered:
             self._check_deadline(deadline)
@@ -253,9 +304,13 @@ class StencilClient:
         server errors propagate (or mark busy jobs for re-send)."""
         sock = self._connect(deadline)
         unanswered = [j for j in pending.values() if j.report is None]
+        sizes = [j.stage for j in unanswered if j.stage]
+        if sizes:
+            sock.settimeout(self._remaining(deadline))
+            self._reserve(sock, sizes)
         for job in unanswered:
             sock.settimeout(self._remaining(deadline))
-            protocol.send_parts(sock, job.frame)
+            protocol.send_parts(sock, self._frame(job))
         while any(j.report is None for j in pending.values()):
             sock.settimeout(self._remaining(deadline))
             try:
@@ -267,13 +322,19 @@ class StencilClient:
                 # connection and let the retry loop rebuild it.
                 self.close()
                 raise ConnectionError("garbled response stream") from None
-            msg = protocol.unpack(payload)
+            msg = protocol.unpack(
+                payload, {lid: shm.buf for lid, shm in self._leases.items()}
+            )
             if not isinstance(msg, dict) or "key" not in msg:
                 self.close()
                 raise ConnectionError("response without a job key")
             job = pending.get(msg["key"])
             if job is None or job.report is not None:
                 continue  # stale duplicate (an earlier attempt's answer)
+            if job.lease is not None and ftype in (T_RESULT, T_ERROR):
+                # The server frees a lease before it answers the job in it.
+                self._free.setdefault(job.stage, []).append(job.lease)
+                job.lease = None
             if ftype == T_RESULT:
                 self._apply_result(job, msg, attempt)
             elif ftype == T_ERROR:
@@ -307,12 +368,68 @@ class StencilClient:
             arr = job.stencil.arrays[name]
             arr.load(buf)
         job.stencil.advance_cursor(job.problem)
-        report.transport = "tcp"
+        report.transport = job.transport
         report.attempts = attempt
         report.replayed = bool(msg.get("replayed"))
         if attempt > 1 and "net:retried" not in report.degradations:
             report.degradations.append("net:retried")
         job.report = report
+
+    # -- leases ------------------------------------------------------------
+    def _frame(self, job: _PendingJob) -> list:
+        """The job's submit frame for this connection: in a free lease of
+        its size when there is one, else inline."""
+        free = self._free.get(job.stage) if job.stage else None
+        job.lease = free.pop() if free else None
+        if job.lease is None:
+            job.transport = "tcp"
+            return job.frame
+        job.transport = "shm"
+        return protocol.frame_parts(
+            T_SUBMIT,
+            job.msg,
+            {job.lease: self._leases[job.lease].buf},
+            stage=job.lease,
+        )
+
+    def _reserve(self, sock: socket.socket, sizes: list[int]) -> None:
+        """Make the pool hold a free lease for each of ``sizes``, asking
+        the server for the missing ones in one pipelined round trip —
+        before any submit of the attempt, while no answer is due.  Stops
+        asking once the server refuses, is not a loopback peer, or names
+        a segment this host cannot attach (a loopback tunnel to another
+        host)."""
+        if self._refused or not is_loopback(sock.getpeername()):
+            return
+        want: list[int] = []
+        for size in sorted(set(sizes)):
+            short = sizes.count(size) - len(self._free.get(size, ()))
+            want += [size] * short
+        for size in want:
+            protocol.send_parts(sock, protocol.frame_parts(T_LEASE, {"size": size}))
+        for size in want:
+            ftype, payload = protocol.recv_frame(sock, max_frame=self.max_frame)
+            msg = protocol.unpack(payload)
+            if ftype != T_LEASE_OK or not isinstance(msg, dict):
+                self.close()
+                raise ConnectionError(
+                    f"lease request answered with frame type {ftype}"
+                )
+            lid, name = msg.get("lease"), msg.get("name")
+            shm = None
+            if lid is not None and isinstance(name, str) and name.startswith(LEASE_PREFIX):
+                try:
+                    shm = _attach_segment(name)
+                except (OSError, ValueError):
+                    pass
+            if shm is not None and shm.size < size:
+                _close_segment(shm, False)
+                shm = None
+            if shm is None:
+                self._refused = True
+                continue
+            self._leases[lid] = shm
+            self._free.setdefault(size, []).append(lid)
 
     # -- plumbing ----------------------------------------------------------
     def _connect(self, deadline: float | None) -> socket.socket:

@@ -12,6 +12,17 @@ retries — so this module treats each as a first-class design input:
   a job of one runs on them in place (a batch scatters back into them),
   and the response sends those same arrays out of band — an unbatched
   grid is never copied between the socket reads and the socket writes.
+* **same-host leases** — a loopback peer may ask for a lease
+  (``T_LEASE``): a shared-memory segment, named :data:`LEASE_PREFIX`
+  plus a random token, created for that one connection within
+  :data:`LEASE_BYTES`.  A SUBMIT whose grids sit in one runs in place on
+  the server's mapping, and its RESULT refers to the same regions with
+  no bytes.  A lease holds one job at a time and serves only its own
+  connection; ids are unique across connections.  Submitting into it
+  again expires the journal entry of the job it held (typed
+  ``expired``); closing the connection waits for the job running in it,
+  copies its journaled result into private memory and unlinks the
+  segment.  Any other peer, or a refusal, goes inline over TCP.
 * **idempotent replay** — every submit carries a client idempotency
   key; completed responses live in a **result journal**, LRU-bounded
   both by entry count (``journal_limit``) and by result-array bytes
@@ -27,7 +38,9 @@ retries — so this module treats each as a first-class design input:
   crosses the wire with its ``pending_jobs``/``pending_points``/
   ``retry_after`` fields so clients back off intelligently.
 * **poisoned connections, healthy server** — a malformed or oversized
-  frame draws a best-effort ``protocol`` error and closes *that*
+  frame, a submit naming a lease its connection does not hold (or a busy
+  one, or a region outside it) and a grid sent as a shared-memory
+  descriptor draw a best-effort typed error and close *that*
   connection; other connections and the server are untouched.
 * **graceful drain** — SIGTERM (via :meth:`NetServer.
   install_signal_handlers`) stops admitting, finishes every accepted
@@ -46,14 +59,19 @@ quick scripts all share it.
 from __future__ import annotations
 
 import asyncio
+import gc
+import itertools
 import math
+import secrets
 import signal as _signal
 import threading
 from collections import OrderedDict, deque
+from dataclasses import dataclass
 from numbers import Real
 from typing import Iterable
 
 from repro.errors import SpecificationError
+from repro.language.array import _close_segment, _create_segment
 from repro.language.stencil import Problem
 from repro.resilience import faults
 from repro.serve import protocol
@@ -61,8 +79,11 @@ from repro.serve.protocol import (
     T_ERROR,
     T_HEALTH,
     T_HEALTH_OK,
+    T_LEASE,
+    T_LEASE_OK,
     T_RESULT,
     T_SUBMIT,
+    is_loopback,
 )
 from repro.serve.server import (
     JobExpired,
@@ -83,6 +104,14 @@ JOURNAL_LIMIT = 256
 #: count: a completed entry's size is the sum of its out-of-band buffers.
 JOURNAL_BYTES = 1 << 30
 
+#: Bound on the lease bytes one connection holds at once; a lease request
+#: past it is refused and the job goes inline.
+LEASE_BYTES = 1 << 28
+
+#: Every lease segment's name starts with this (``/dev/shm/repro_lease_*``
+#: on Linux), so a leak is easy to find.
+LEASE_PREFIX = "repro_lease_"
+
 #: Frames that fit in a staging buffer of this size are parsed whole out
 #: of it, so a pipelined burst of small frames costs one ``recv`` (the
 #: transport's own read size), not several per frame.  Reading pauses
@@ -93,6 +122,42 @@ _STAGE = 1 << 18
 #: followed by a ``drain()``: the transport copies what the socket does
 #: not take at once, so a slice bounds that copy.
 _WRITE_SLICE = 1 << 20
+
+
+@dataclass(eq=False)
+class _Lease:
+    """A shared segment issued to one connection."""
+
+    shm: object
+    #: The submit task running a job in it (at most one).
+    job: asyncio.Task | None = None
+    #: The key whose journaled result lives in it.
+    holder: str | None = None
+
+
+class _Claim:
+    """The lease table one SUBMIT unpacks against
+    (:func:`repro.serve.protocol.unpack`): the connection's leases by id.
+    Refuses an id the connection does not hold, a lease with a job in
+    flight and a second lease (a job lives in one), and records the lease
+    the frame used."""
+
+    def __init__(self, leases: dict[int, _Lease]):
+        self.leases = leases
+        self.lease: _Lease | None = None
+
+    def __getitem__(self, lid: int):
+        lease = self.leases.get(lid)
+        if lease is None:
+            raise protocol.ProtocolError(
+                f"lease {lid} was not issued to this connection"
+            )
+        if lease.job is not None:
+            raise protocol.ProtocolError(f"lease {lid} already has a job in flight")
+        if self.lease is not None:
+            raise protocol.ProtocolError("a submit puts its buffers in one lease")
+        self.lease = lease
+        return lease.shm.buf
 
 
 def error_payload(key: str | None, exc: BaseException) -> dict:
@@ -157,6 +222,8 @@ class _FrameConnection(
         self.transport: asyncio.Transport | None = None
         self.writer: asyncio.StreamWriter | None = None
         self.task: asyncio.Task | None = None
+        #: The leases issued to this connection, by id.
+        self.leases: dict[int, _Lease] = {}
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -249,6 +316,26 @@ class _FrameConnection(
         return item
 
 
+def _parse_submit(payload: bytearray, leases) -> tuple:
+    """A SUBMIT's ``(key, problem, deadline)``; raises on anything else."""
+    msg = protocol.unpack(payload, leases)
+    key = msg["key"]
+    problem = msg["problem"]
+    deadline = msg.get("deadline")
+    if not isinstance(key, str) or not isinstance(problem, Problem):
+        raise TypeError("a submit needs a str key and a Problem")
+    if deadline is not None and not (
+        isinstance(deadline, Real) and math.isfinite(deadline)
+    ):
+        raise TypeError(f"deadline {deadline!r} is not a finite number")
+    if msg.get("options") is not None:
+        raise SpecificationError(
+            "a job runs under the server's run options; "
+            "a submit may not carry its own"
+        )
+    return key, problem, deadline
+
+
 class NetServer:
     """One listening front-end bound to a :class:`StencilServer`.
 
@@ -278,6 +365,8 @@ class NetServer:
             "protocol_errors": 0,
             "health_probes": 0,
             "wire_faults": 0,
+            "leases": 0,
+            "leases_refused": 0,
         }
         self._requested = (host, port)
         self._aio_server: asyncio.base_events.Server | None = None
@@ -289,6 +378,10 @@ class NetServer:
         #: bytes, and their total.
         self._completed: OrderedDict[str, int] = OrderedDict()
         self._journal_bytes = 0
+        #: Completed keys whose journaled arrays live in a lease, and it.
+        self._leased: dict[str, _Lease] = {}
+        #: Lease ids are unique across the server's connections.
+        self._lease_ids = itertools.count(1)
         self._inflight: set[asyncio.Task] = set()
         self._conn_tasks: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
@@ -393,9 +486,19 @@ class NetServer:
                 if ftype == T_HEALTH:
                     self.stats["health_probes"] += 1
                     await self._send(writer, lock, T_HEALTH_OK, self._health())
+                elif ftype == T_LEASE:
+                    try:
+                        answer = self._issue(conn, payload)
+                    except protocol.ProtocolError as exc:
+                        self.stats["protocol_errors"] += 1
+                        await self._send(
+                            writer, lock, T_ERROR, error_payload(None, exc)
+                        )
+                        break
+                    await self._send(writer, lock, T_LEASE_OK, answer)
                 elif ftype == T_SUBMIT:
                     task = asyncio.ensure_future(
-                        self._handle_submit(payload, writer, lock)
+                        self._handle_submit(conn, payload, writer, lock)
                     )
                     self._inflight.add(task)
                     task.add_done_callback(self._inflight.discard)
@@ -416,6 +519,78 @@ class NetServer:
         finally:
             self._writers.discard(writer)
             await self._close_writer(writer)
+            await self._release(conn)
+
+    # -- leases ------------------------------------------------------------
+    def _issue(self, conn: _FrameConnection, payload: bytearray) -> dict:
+        """Answer a ``T_LEASE``: create a segment for this connection, or
+        refuse (the client then sends inline)."""
+        msg = protocol.unpack(payload)
+        size = msg.get("size") if isinstance(msg, dict) else None
+        if type(size) is not int or size <= 0:
+            raise protocol.ProtocolError(f"lease request for {size!r} bytes")
+        held = sum(len(lease.shm.buf) for lease in conn.leases.values())
+        if not is_loopback(conn.transport.get_extra_info("peername")):
+            reason = "leases go only to peers on this host"
+        elif self._draining:
+            reason = "server draining"
+        elif held + size > LEASE_BYTES:
+            reason = f"the connection holds {held} of {LEASE_BYTES} lease bytes"
+        else:
+            try:
+                shm = _create_segment(LEASE_PREFIX + secrets.token_hex(8), size)
+            except OSError as exc:
+                reason = f"no segment: {exc}"
+            else:
+                lid = next(self._lease_ids)
+                conn.leases[lid] = _Lease(shm)
+                self.stats["leases"] += 1
+                return {"lease": lid, "name": shm.name, "size": size}
+        self.stats["leases_refused"] += 1
+        return {"lease": None, "reason": reason}
+
+    def _reuse(self, lease: _Lease) -> None:
+        """A new submit is in ``lease``: the client has overwritten the
+        result it held, so that job's journal entry becomes a typed
+        ``expired`` error — its key is never re-executed and never
+        replayed with another job's bytes."""
+        key, lease.holder = lease.holder, None
+        if key is None or self._leased.get(key) is not lease:
+            return
+        del self._leased[key]
+        self._journal[key] = (
+            T_ERROR,
+            error_payload(
+                key, JobExpired(f"the result of job {key} was overwritten in its lease")
+            ),
+        )
+        self._journal_bytes -= self._completed[key]
+        self._completed[key] = 0
+
+    async def _release(self, conn: _FrameConnection) -> None:
+        """Give back a closed connection's leases: wait for the jobs
+        running in them, copy their journaled results to private memory
+        (a retry on a new connection replays the same bits inline), then
+        unlink the segments."""
+        leases = list(conn.leases.values())
+        conn.leases.clear()
+        jobs = [lease.job for lease in leases if lease.job is not None]
+        if jobs:
+            await asyncio.wait(jobs)
+        stuck = []
+        for lease in leases:
+            if self._leased.get(lease.holder) is lease:
+                _, body = self._journal[lease.holder]
+                body["arrays"] = {n: a.copy() for n, a in body["arrays"].items()}
+                del self._leased[lease.holder]
+            if not _close_segment(lease.shm, True):
+                stuck.append(lease.shm)
+        if stuck:
+            # A finished job's problem can hold views of its lease in a
+            # reference cycle; collect it so the mapping closes now.
+            gc.collect()
+            for shm in stuck:
+                _close_segment(shm, False)
 
     def _health(self) -> dict:
         server = self.server
@@ -431,37 +606,35 @@ class NetServer:
 
     async def _handle_submit(
         self,
+        conn: _FrameConnection,
         payload: bytearray,
         writer: asyncio.StreamWriter,
         lock: asyncio.Lock,
     ) -> None:
         self.stats["requests"] += 1
+        claim = _Claim(conn.leases)
         try:
-            msg = protocol.unpack(payload)
-            key = msg["key"]
-            problem = msg["problem"]
-            deadline = msg.get("deadline")
-            if not isinstance(key, str) or not isinstance(problem, Problem):
-                raise TypeError("a submit needs a str key and a Problem")
-            if deadline is not None and not (
-                isinstance(deadline, Real) and math.isfinite(deadline)
-            ):
-                raise TypeError(f"deadline {deadline!r} is not a finite number")
-            if msg.get("options") is not None:
-                raise SpecificationError(
-                    "a job runs under the server's run options; "
-                    "a submit may not carry its own"
-                )
+            key, problem, deadline = _parse_submit(payload, claim)
         except (protocol.ProtocolError, KeyError, TypeError, SpecificationError) as exc:
-            # Garbage inside a well-formed frame, a grid that breaks the
-            # layout contract or per-job run options (typed ``invalid``):
-            # same poison rule.
-            self.stats["protocol_errors"] += 1
+            # Garbage inside a well-formed frame, a lease this submit may
+            # not use, a grid that breaks the layout contract or arrives
+            # as a shared-memory descriptor, or per-job run options (typed
+            # ``invalid``): same poison rule.
             if not isinstance(exc, SpecificationError):
                 exc = protocol.ProtocolError(f"malformed submit: {exc}")
-            await self._send(writer, lock, T_ERROR, error_payload(None, exc))
+            refusal = error_payload(None, exc)
+        else:
+            refusal = None
+        if refusal is not None:
+            # Out of the except block: its traceback, and any view of a
+            # lease it holds, is gone before the connection lets go of it.
+            self.stats["protocol_errors"] += 1
+            await self._send(writer, lock, T_ERROR, refusal)
             await self._close_writer(writer)
             return
+        lease = claim.lease
+        if lease is not None:
+            self._reuse(lease)
 
         entry = self._journal.get(key)
         if entry is not None:
@@ -474,6 +647,13 @@ class NetServer:
             else:
                 self._completed.move_to_end(key)
                 ftype, body = entry  # type: ignore[misc]
+            if key in self._leased:
+                # Its lease's owner may overwrite those bytes while this
+                # replay is on the wire: send a snapshot, inline.
+                body = {
+                    **body,
+                    "arrays": {n: a.copy() for n, a in body["arrays"].items()},
+                }
             await self._send(
                 writer, lock, ftype, {**body, "replayed": True}, inject=True
             )
@@ -481,6 +661,8 @@ class NetServer:
 
         flight: asyncio.Future = asyncio.get_running_loop().create_future()
         self._journal[key] = flight
+        if lease is not None:
+            lease.job = asyncio.current_task()
         try:
             report = await self.server.submit_problem(problem, timeout=deadline)
         except (ServerBusy, ServerClosed, JobExpired, SpecificationError) as exc:
@@ -490,6 +672,7 @@ class NetServer:
             self._journal.pop(key, None)
             if not flight.done():
                 flight.set_result(response)
+            self._free(lease)
             await self._send(writer, lock, *response, inject=True)
             return
         except BaseException as exc:
@@ -498,18 +681,35 @@ class NetServer:
             # execution again.
             response = (T_ERROR, error_payload(key, exc))
             self._record(key, response, flight)
+            self._free(lease)
             await self._send(writer, lock, *response, inject=True)
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             return
-        report.transport = "tcp"
+        report.transport = "tcp" if lease is None else "shm"
         arrays = {name: arr.data for name, arr in problem.arrays.items()}
         response = (
             T_RESULT,
             {"key": key, "report": report, "arrays": arrays, "replayed": False},
         )
+        # Holder first: if the journal evicts this very entry, it forgets
+        # the holder too.
+        self._free(lease, key)
         self._record(key, response, flight)
-        await self._send(writer, lock, *response, inject=True)
+        await self._send(
+            writer, lock, *response, leases=conn.leases, inject=True
+        )
+
+    def _free(self, lease: _Lease | None, holder: str | None = None) -> None:
+        """End the job in ``lease`` — before the response goes out, so
+        the client's next submit into it is never refused as busy — and
+        record whose result it now holds."""
+        if lease is None:
+            return
+        lease.job = None
+        if holder is not None:
+            lease.holder = holder
+            self._leased[holder] = lease
 
     def _record(
         self, key: str, response: tuple, flight: asyncio.Future
@@ -530,6 +730,7 @@ class NetServer:
         ):
             old, size = self._completed.popitem(last=False)
             del self._journal[old]
+            self._leased.pop(old, None)
             self._journal_bytes -= size
 
     # -- writing (where the wire faults live) ------------------------------
@@ -540,16 +741,22 @@ class NetServer:
         ftype: int,
         body: dict,
         *,
+        leases: dict[int, _Lease] | None = None,
         inject: bool = False,
     ) -> None:
         """Serialize, then write under the connection's write lock; apply
         armed ``net.*`` response faults (submit responses only).
 
-        A frame under :data:`_WRITE_SLICE` goes out as one joined write;
-        a larger one part by part, its buffers straight from the arrays
-        in slices of at most that size.
+        Arrays that lie in one of the connection's ``leases`` go as lease
+        entries, with no bytes.  A frame under :data:`_WRITE_SLICE` goes
+        out as one joined write; a larger one part by part, its buffers
+        straight from the arrays in slices of at most that size.
         """
-        parts = protocol.frame_parts(ftype, body)
+        parts = protocol.frame_parts(
+            ftype,
+            body,
+            {lid: lease.shm.buf for lid, lease in (leases or {}).items()},
+        )
         size = sum(len(p) for p in parts)
         async with lock:
             try:

@@ -9,26 +9,45 @@ is a **length-prefixed frame**::
     | 4 B   | 1 B  | 4 B (BE) | `length` bytes |
     +-------+------+----------+----------------+
 
-``magic`` is ``b"RPS2"`` (protocol version 2); ``type`` is one of the
-``T_*`` constants below; ``length`` is the payload size in bytes.  The
-payload is one Python object pickled at protocol 5 with its array
-buffers **out of band** (:func:`pack_parts`)::
+``magic`` is ``b"RPS2"`` (protocol version 2; the lease frames and
+entries below were added without a bump, since an inline-only frame is
+byte-identical to before); ``type`` is one of the ``T_*`` constants
+below; ``length`` is the payload size in bytes.  The payload is one
+Python object pickled at protocol 5 with its array buffers **out of
+band** (:func:`pack_parts`)::
 
     +----------+-------+-------------------+------+---------------------+
-    | meta_len | n_buf | size x n_buf      | meta | buffers             |
-    | u32 (BE) | u32   | u64 (BE) each     | pkl  | each 64-B aligned   |
+    | meta_len | n_buf | entry x n_buf     | meta | inline buffers      |
+    | u32 (BE) | u32   | (see below)       | pkl  | each 64-B aligned   |
     +----------+-------+-------------------+------+---------------------+
 
-``meta`` is the pickle stream without the array bytes; each ndarray's
-memory follows as raw bytes, starting at the next payload offset that
-is a multiple of :data:`ALIGN` (zero padding in between), and the last
-buffer ends exactly at ``length``.  A sender writes the buffers straight
-from the live arrays; a receiver reads the payload into one writable
-buffer and :func:`unpack` returns arrays that are views into it, so a
-grid crosses the wire with no copy at either end.  Both endpoints are
-this library — the transport is for *trusted* peers on a controlled
-network, exactly like the supervised-worker pipes; never expose it to
-untrusted input.
+``meta`` is the pickle stream without the array bytes.  Each buffer's
+table entry says where its bytes live:
+
+* **inline** — one u64 (BE), the buffer's size.  The bytes follow the
+  meta, starting at the next payload offset that is a multiple of
+  :data:`ALIGN` (zero padding in between), and the last inline buffer
+  ends exactly at ``length``.  A sender writes them straight from the
+  live arrays; a receiver reads the payload into one writable buffer and
+  :func:`unpack` returns arrays that are views into it, so a grid
+  crosses the wire with no copy at either end.
+* **leased** — three u64s: ``LEASED | size`` (the top bit set), a lease
+  id and an offset.  The bytes are already in that **lease**: a
+  shared-memory segment the server created for this one connection
+  (``T_LEASE``), mapped by both ends.  The frame carries none of them,
+  and :func:`unpack` returns a view into the receiver's mapping.  The
+  offset is a multiple of :data:`ALIGN`, the buffer ends inside the
+  lease, and no two buffers of a frame overlap.
+
+A frame whose entries are all inline is exactly the frame of a peer that
+knows no leases.  Arrays always cross by value: a shared
+:class:`~repro.language.array.PochoirArray` pickles its bytes, and a
+segment descriptor in a received pickle is refused as ``invalid``
+(:func:`~repro.language.array.arrays_by_value`), so the only memory a
+frame can point at is a lease the server issued to that connection.
+Both endpoints are this library — pickle runs what a stream names, so
+the transport is for *trusted* peers on a controlled network, exactly
+like the supervised-worker pipes; never expose it to untrusted input.
 
 Frame types:
 
@@ -57,11 +76,22 @@ Frame types:
                 payload allowed).
 ``T_HEALTH_OK`` server -> client: ``{"accepting", "draining",
                 "pending_jobs", "pending_points", "stats", ...}``.
+``T_LEASE``     client -> server: ``{"size"}`` — ask for a lease of
+                ``size`` bytes on this connection.
+``T_LEASE_OK``  server -> client: ``{"lease", "name", "size"}`` — the
+                lease id and its segment's name, or ``{"lease": None,
+                "reason"}`` when the server refuses (a peer that is not
+                on this host, the connection's lease byte bound, a
+                draining server); the client then sends inline.
 ==============  =========================================================
+
+A SUBMIT may put its grids in a lease; the server runs the job in place
+on its mapping of the lease, and the RESULT refers to the same regions.
 
 Robustness contract: a reader that sees a bad magic (an ``RPS1`` peer
 included), an unknown type, a length beyond its ``max_frame`` bound, or
-a payload whose buffer table does not tile it exactly raises
+a payload whose buffer table does not tile it exactly (or names a
+lease the connection does not hold, or a busy one) raises
 :class:`ProtocolError` — the server answers with a best-effort
 ``T_ERROR`` frame and closes **that connection only** (a malformed
 peer poisons its own connection, never the server); the client treats
@@ -76,11 +106,15 @@ the retry safe.
 
 from __future__ import annotations
 
+import ipaddress
 import pickle
 import struct
 import socket
 
+import numpy as np
+
 from repro.errors import SpecificationError
+from repro.language.array import arrays_by_value
 
 MAGIC = b"RPS2"
 
@@ -90,8 +124,12 @@ T_RESULT = 2
 T_ERROR = 3
 T_HEALTH = 4
 T_HEALTH_OK = 5
+T_LEASE = 6
+T_LEASE_OK = 7
 
-FRAME_TYPES = (T_SUBMIT, T_RESULT, T_ERROR, T_HEALTH, T_HEALTH_OK)
+FRAME_TYPES = (
+    T_SUBMIT, T_RESULT, T_ERROR, T_HEALTH, T_HEALTH_OK, T_LEASE, T_LEASE_OK
+)
 
 HEADER = struct.Struct("!4sBI")
 
@@ -101,8 +139,17 @@ HEADER = struct.Struct("!4sBI")
 MAX_FRAME = 256 * 1024 * 1024
 
 #: The payload's buffer table: ``meta_len``, ``n_buf`` (each buffer's
-#: u64 size follows).
+#: entry follows).
 TABLE = struct.Struct("!II")
+
+#: An inline buffer's entry: its size.
+_U64 = struct.Struct("!Q")
+
+#: A leased buffer's entry: ``LEASED | size``, lease id, offset.
+_LEASE_ENTRY = struct.Struct("!QQQ")
+
+#: The size-word flag of a lease entry.
+LEASED = 1 << 63
 
 #: Every out-of-band buffer starts at a payload offset divisible by this.
 ALIGN = 64
@@ -143,20 +190,35 @@ class DeadlineExceeded(RuntimeError):
     """
 
 
-def pack_parts(obj: object) -> list:
+def _address(buf) -> int:
+    """The address of a buffer's first byte."""
+    return np.frombuffer(buf, dtype=np.uint8).__array_interface__["data"][0]
+
+
+def pack_parts(obj: object, leases=None, *, stage: int | None = None) -> list:
     """Serialize one frame payload as wire-ready parts, never joined.
 
     The first part holds the buffer table and the meta pickle; every
-    out-of-band buffer follows as a ``memoryview`` of the object's own
-    memory (``PickleBuffer.raw()``), preceded by zero padding where its
-    offset needs aligning.  The views stay live: send before mutating
+    inline out-of-band buffer follows as a ``memoryview`` of the object's
+    own memory (``PickleBuffer.raw()``), preceded by zero padding where
+    its offset needs aligning.  The views stay live: send before mutating
     the arrays they show.
+
+    ``leases`` maps lease ids to the writable buffers of this
+    connection's leases.  A buffer that lies inside one of them is sent
+    as a lease entry, with no bytes.  With ``stage`` (one of those ids),
+    every other buffer is first copied into that lease, packed from its
+    start at aligned offsets, and sent the same way.
     """
     buffers: list[pickle.PickleBuffer] = []
-    meta = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    with arrays_by_value():
+        meta = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
     views = [buf.raw() for buf in buffers]
-    sizes = struct.pack(f"!{len(views)}Q", *(v.nbytes for v in views))
-    parts: list = [TABLE.pack(len(meta), len(views)) + sizes + meta]
+    if leases:
+        table, views = _place(views, leases, stage)
+    else:
+        table = struct.pack(f"!{len(views)}Q", *(v.nbytes for v in views))
+    parts: list = [TABLE.pack(len(meta), len(buffers)) + table + meta]
     offset = len(parts[0])
     for view in views:
         pad = -offset % ALIGN
@@ -167,19 +229,55 @@ def pack_parts(obj: object) -> list:
     return parts
 
 
+def _place(views: list, leases, stage: int | None) -> tuple[bytes, list]:
+    """The table entries of ``views`` given a connection's ``leases``
+    (see :func:`pack_parts`), and the views that stay inline."""
+    regions = {
+        lid: (_address(buf), memoryview(buf).cast("B"))
+        for lid, buf in leases.items()
+    }
+    free = 0
+    entries: list[bytes] = []
+    inline: list = []
+    for view in views:
+        n = view.nbytes
+        placed = None
+        if n:
+            at = _address(view)
+            for lid, (base, region) in regions.items():
+                if base <= at and at + n <= base + region.nbytes:
+                    placed = (lid, at - base)
+                    break
+            if placed is None and stage is not None:
+                free += -free % ALIGN
+                regions[stage][1][free:free + n] = view
+                placed, free = (stage, free), free + n
+        if placed is None:
+            entries.append(_U64.pack(n))
+            inline.append(view)
+        else:
+            entries.append(_LEASE_ENTRY.pack(LEASED | n, *placed))
+    return b"".join(entries), inline
+
+
 def pack(obj: object) -> bytes:
     """Serialize one frame payload into one ``bytes`` (joined
     :func:`pack_parts`)."""
     return b"".join(pack_parts(obj))
 
 
-def unpack(payload) -> object:
+def unpack(payload, leases=None) -> object:
     """Deserialize one frame payload (raises ProtocolError on garbage,
-    and SpecificationError for a grid that breaks the layout contract).
+    and SpecificationError for a grid that breaks the layout contract or
+    arrives as a shared-memory descriptor).
 
-    Arrays come back as writable views into ``payload`` when it is
+    Inline arrays come back as writable views into ``payload`` when it is
     writable (the ``bytearray`` a frame was received into); a read-only
-    payload is first copied once into a new buffer.
+    payload is first copied once into a new buffer.  A lease entry is
+    looked up in ``leases`` (lease id -> writable buffer; the lookup may
+    raise ProtocolError to refuse a lease) and comes back as a view into
+    that lease.  A lease entry must start at an aligned offset, end
+    inside its lease and overlap no other buffer of the frame.
     """
     view = memoryview(payload)
     if view.readonly:
@@ -188,32 +286,93 @@ def unpack(payload) -> object:
     if size < TABLE.size:
         raise ProtocolError(f"payload of {size} bytes has no buffer table")
     meta_len, n_buf = TABLE.unpack_from(view)
-    meta_start = TABLE.size + 8 * n_buf
-    if meta_start > size:
+    if TABLE.size + _U64.size * n_buf > size:
         raise ProtocolError(
             f"buffer table of {n_buf} entries overruns a {size}-byte payload"
         )
+    entries = struct.unpack_from(f"!{n_buf}Q", view, TABLE.size)
+    pos = TABLE.size + _U64.size * n_buf
+    if any(word & LEASED for word in entries):
+        entries, pos = _lease_table(view, n_buf)
+    meta_start = pos
     offset = meta_start + meta_len
     if offset > size:
         raise ProtocolError(
             f"meta of {meta_len} bytes overruns a {size}-byte payload"
         )
     buffers = []
-    for n in struct.unpack_from(f"!{n_buf}Q", view, TABLE.size):
-        start = offset + (-offset % ALIGN)
-        offset = start + n
-        buffers.append(view[start:offset])
+    spans: dict[int, list] = {}
+    regions: dict[int, memoryview] = {}
+    for entry in entries:
+        if isinstance(entry, int):
+            start = offset + (-offset % ALIGN)
+            offset = start + entry
+            buffers.append(view[start:offset])
+            continue
+        n, lid, at = entry
+        if lid not in regions:
+            if leases is None:
+                raise ProtocolError(f"lease {lid} named on a connection without leases")
+            try:
+                regions[lid] = memoryview(leases[lid]).cast("B")
+            except KeyError:
+                raise ProtocolError(f"lease {lid} is not held here") from None
+        region = regions[lid]
+        if at % ALIGN or at + n > region.nbytes:
+            raise ProtocolError(
+                f"buffer of {n} bytes at offset {at} does not fit lease {lid} "
+                f"of {region.nbytes} bytes"
+            )
+        spans.setdefault(lid, []).append((at, at + n))
+        buffers.append(region[at:at + n])
     if offset != size:
         raise ProtocolError(
             f"buffer table covers {offset} bytes of a {size}-byte payload"
         )
+    for lid, ranges in spans.items():
+        ranges.sort()
+        for (_, end), (start, _) in zip(ranges, ranges[1:]):
+            if start < end:
+                raise ProtocolError(f"buffers overlap in lease {lid}")
     meta = view[meta_start:meta_start + meta_len]
     try:
-        return pickle.loads(meta, buffers=buffers)
+        with arrays_by_value():
+            return pickle.loads(meta, buffers=buffers)
     except SpecificationError:
         raise
     except Exception as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from None
+
+
+def _lease_table(view: memoryview, n_buf: int) -> tuple[list, int]:
+    """Parse a buffer table holding lease entries: each entry is a size
+    or a ``(size, lease, offset)``; returns them and the meta's start."""
+    size = view.nbytes
+    entries: list = []
+    pos = TABLE.size
+    for _ in range(n_buf):
+        if pos + _U64.size > size:
+            raise ProtocolError(f"buffer table overruns a {size}-byte payload")
+        (word,) = _U64.unpack_from(view, pos)
+        if word & LEASED:
+            if pos + _LEASE_ENTRY.size > size:
+                raise ProtocolError(f"lease entry overruns a {size}-byte payload")
+            word, lid, at = _LEASE_ENTRY.unpack_from(view, pos)
+            entries.append((word & ~LEASED, lid, at))
+            pos += _LEASE_ENTRY.size
+        else:
+            entries.append(word)
+            pos += _U64.size
+    return entries, pos
+
+
+def is_loopback(peername) -> bool:
+    """Whether a socket's peer address (``getpeername()``) is this host's
+    loopback: the only peers a lease is issued to."""
+    try:
+        return ipaddress.ip_address(peername[0]).is_loopback
+    except (TypeError, ValueError, IndexError):
+        return False
 
 
 def _header(ftype: int, length: int) -> bytes:
@@ -227,10 +386,13 @@ def encode_frame(ftype: int, payload: bytes) -> bytes:
     return _header(ftype, len(payload)) + payload
 
 
-def frame_parts(ftype: int, obj: object) -> list:
+def frame_parts(
+    ftype: int, obj: object, leases=None, *, stage: int | None = None
+) -> list:
     """One wire-ready frame as parts: the frame header joined to the
-    first part of :func:`pack_parts`, then the buffer views."""
-    parts = pack_parts(obj)
+    first part of :func:`pack_parts` (which places the buffers), then
+    the inline buffer views."""
+    parts = pack_parts(obj, leases, stage=stage)
     parts[0] = _header(ftype, sum(len(p) for p in parts)) + parts[0]
     return parts
 

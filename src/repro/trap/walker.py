@@ -18,7 +18,7 @@ of O(plan); the analysis tools take it as ``list(events)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.errors import SpecificationError

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import glob
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,31 @@ from repro import (
     Stencil,
 )
 from repro.compiler.pipeline import available_modes
+
+
+#: Where a served lease's segment lives while it exists (Linux).
+_LEASE_SEGMENTS = "/dev/shm/repro_lease_*"
+
+
+def pytest_sessionstart(session):
+    session.config.stash[_LEASES_BEFORE] = set(glob.glob(_LEASE_SEGMENTS))
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the session if a served lease's segment outlived it: every
+    server-created segment must be unlinked when its connection ends."""
+    from repro.serve.net import LEASE_PREFIX
+
+    assert _LEASE_SEGMENTS == f"/dev/shm/{LEASE_PREFIX}*"
+    left = set(glob.glob(_LEASE_SEGMENTS)) - session.config.stash.get(
+        _LEASES_BEFORE, set()
+    )
+    if left:
+        print(f"\nlease segments left behind: {sorted(left)}")
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+_LEASES_BEFORE = pytest.StashKey[set]()
 
 
 def has_c_backend() -> bool:

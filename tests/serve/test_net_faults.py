@@ -13,7 +13,8 @@ jobs.  The acceptance contract, asserted per combination:
 * the server itself never dies: stats stay consistent and the drain on
   teardown is clean.
 
-A final leg arms ``worker.segfault`` *behind* the server (supervised
+The same four sites also run singly against jobs large enough to travel
+in a lease.  A final leg arms ``worker.segfault`` *behind* the server (supervised
 out-of-process execution), proving an execution-layer fault composes
 with the wire ones.
 """
@@ -103,6 +104,38 @@ def test_fault_matrix_exactly_once_bitwise(combo):
                 assert rep.attempts > 1
     for app, ref in zip(apps, _refs(K)):
         assert np.array_equal(app.result(), ref)
+
+
+LEASED_SITES = ("net.accept", "net.torn", "net.drop", "net.slow")
+
+
+@pytest.mark.parametrize("site", LEASED_SITES, ids=lambda s: s.split(".")[1])
+def test_leased_jobs_exactly_once_bitwise(site):
+    # Jobs larger than the server's staging buffer go through a lease: a
+    # torn or dropped RESULT (which carries lease references, no bytes)
+    # closes the connection, the server releases its leases, and the
+    # retry on a new connection replays the journaled result inline.
+    K = 2
+    sizes = (160, 160)
+    with LoopbackServer(_serve_options(max_batch=8)) as lb:
+        try:
+            plan = faults.FaultPlan()
+            plan.add(site, times=1)
+            faults.install(plan)
+            apps = [build_heat(sizes, 4, seed=s) for s in range(K)]
+            reports = _run_jobs(lb, apps)
+        finally:
+            faults.clear()
+        assert lb.server.stats["completed"] == K
+        assert lb.net.stats["wire_faults"] == 1
+        assert lb.net.stats["leases"] >= 1
+        assert {rep.transport for rep in reports} == {"shm"}
+        if site != "net.slow":
+            assert any(rep.attempts > 1 for rep in reports)
+    for seed, app in enumerate(apps):
+        ref = build_heat(sizes, 4, seed=seed)
+        ref.run(mode=MODE)
+        assert np.array_equal(app.result(), ref.result())
 
 
 def test_repeated_faults_under_sustained_load():

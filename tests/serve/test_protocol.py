@@ -3,7 +3,9 @@
 A submit's parts must show the live arrays' memory (the client sends
 from them), a payload received into a writable buffer must unpickle into
 arrays that are views of it (the server runs the job there), and a
-read-only payload must still give writable arrays.  Around that: the
+read-only payload must still give writable arrays.  A buffer placed in
+a lease travels as a lease entry and comes back as a view into the
+lease, and a shared array crosses by value.  Around that: the
 buffer table tiles the payload exactly at 64-byte-aligned offsets, an
 ``RPS1`` peer is refused typed, and ``send_parts`` survives partial
 ``sendmsg`` writes.
@@ -98,6 +100,57 @@ def test_frame_parts_header_counts_every_part():
     ftype, length = protocol.parse_header(frame[: protocol.HEADER.size])
     assert (ftype, length) == (T_SUBMIT, len(frame) - protocol.HEADER.size)
     assert frame == protocol.encode_frame(T_SUBMIT, protocol.pack(msg))
+
+
+def test_stage_copies_buffers_into_the_lease_and_ships_none():
+    problem, msg = _submit()
+    msg["pad"] = np.arange(7.0)
+    lease = bytearray(1 << 16)
+    inline = protocol.pack(msg)
+    payload = b"".join(protocol.pack_parts(msg, {5: lease}, stage=5))
+    meta_len, n_buf = protocol.TABLE.unpack_from(payload)
+    assert n_buf == 2
+    # Two lease entries, the meta, and no buffer bytes.
+    assert len(payload) == protocol.TABLE.size + 2 * 24 + meta_len
+    assert len(payload) < len(inline)
+    out = protocol.unpack(bytearray(payload), {5: lease})
+    data = out["problem"].arrays["u"].data
+    assert np.array_equal(data, problem.arrays["u"].data)
+    assert np.array_equal(out["pad"], msg["pad"])
+    # The arrays are views into the lease, at aligned offsets.
+    base = np.frombuffer(lease, np.uint8)
+    assert np.shares_memory(data, base) and np.shares_memory(out["pad"], base)
+    assert (data.ctypes.data - base.ctypes.data) % protocol.ALIGN == 0
+    assert (out["pad"].ctypes.data - base.ctypes.data) % protocol.ALIGN == 0
+    # Packing those views again references them where they are.
+    again = b"".join(protocol.pack_parts(out, {5: lease}))
+    assert len(again) == protocol.TABLE.size + 2 * 24 + protocol.TABLE.unpack_from(again)[0]
+
+
+def test_buffers_outside_every_lease_stay_inline():
+    _, msg = _submit()
+    assert b"".join(protocol.pack_parts(msg, {1: bytearray(4096)})) == protocol.pack(msg)
+
+
+@pytest.mark.parametrize("leases", [None, {}], ids=["no-table", "not-held"])
+def test_lease_entry_without_its_lease_is_refused(leases):
+    _, msg = _submit()
+    payload = b"".join(protocol.pack_parts(msg, {3: bytearray(1 << 16)}, stage=3))
+    with pytest.raises(protocol.ProtocolError, match="lease 3"):
+        protocol.unpack(payload, leases)
+
+
+def test_shared_array_crosses_the_wire_by_value():
+    problem, msg = _submit()
+    arr = problem.arrays["u"]
+    arr.share()
+    try:
+        out = protocol.unpack(bytearray(protocol.pack(msg)))["problem"].arrays["u"]
+        assert not out.is_shared
+        assert np.array_equal(out.data, arr.data)
+        assert not np.shares_memory(out.data, arr.data)
+    finally:
+        arr.unshare()
 
 
 def test_version_one_peer_gets_bad_magic():
