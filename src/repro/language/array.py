@@ -82,7 +82,11 @@ from repro.language.boundary import Boundary
 #: concurrent attaches interleaving save/patch/restore can leave tracking
 #: pointed at the no-op forever (every later segment leaks) or re-enable
 #: it while the other attach is mid-constructor (the attachment gets
-#: tracked and the tracker unlinks a live segment at exit).
+#: tracked and the tracker unlinks a live segment at exit).  A *tracked*
+#: create or unlink (:meth:`PochoirArray.share`, :func:`_close_segment`)
+#: holds it too: inside another thread's shim its register or unregister
+#: would be the no-op, and the tracker would never hear of the segment
+#: (a crash leaks it) or would keep a name already unlinked.
 _TRACKER_SHIM_LOCK = threading.Lock()
 
 #: True while a pickle crosses a trust boundary (the serving wire,
@@ -223,14 +227,17 @@ def _close_segment(shm, owner: bool) -> bool:
         shm.close()
         closed = True
     except BufferError:
-        # The mmap now belongs to those views (its deallocation unmaps
-        # it); the SharedMemory finalizer must not retry the close.
-        shm._mmap = None
+        # The mapping now belongs to those views (the last one to go
+        # unmaps it); close the descriptor, and leave the SharedMemory
+        # finalizer nothing to retry.
+        shm._buf = shm._mmap = None
+        shm.close()
         closed = False
     if owner:
         try:
             if getattr(shm, "_track", True):
-                shm.unlink()
+                with _TRACKER_SHIM_LOCK:
+                    shm.unlink()
             else:
                 with _tracker_muted():
                     shm.unlink()
@@ -303,7 +310,8 @@ class PochoirArray:
             return self
         from multiprocessing import shared_memory
 
-        shm = shared_memory.SharedMemory(create=True, size=self.data.nbytes)
+        with _TRACKER_SHIM_LOCK:  # tracked: see the lock's comment
+            shm = shared_memory.SharedMemory(create=True, size=self.data.nbytes)
         view = np.ndarray(self.data.shape, dtype=np.float64, buffer=shm.buf)
         view[...] = self.data
         self.data = view

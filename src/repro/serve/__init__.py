@@ -43,9 +43,10 @@ running server over a length-prefixed framed TCP protocol
 (:mod:`repro.serve.protocol`).  Its payloads carry every array out of
 band: sent from the live arrays, received in place and run on where
 they landed, so a grid crosses the wire once each way.  A client on the
-same host puts a large job's grids in a server-issued shared-memory
-lease instead: it copies them in, the server runs the job there, and the
-client copies the result out, so no grid crosses the socket at all.
+same host that keeps sending large jobs of one size puts their grids in
+a server-issued shared-memory lease instead: it copies them in, the
+server runs the job there, and the client copies the result out, so no
+grid crosses the socket at all.
 :class:`repro.serve.client.StencilClient` is the robust caller —
 connect/request deadlines, exponential backoff with jitter, and
 idempotency keys deduplicated against the server's result journal

@@ -34,16 +34,21 @@ stencil's (unknown name, or not the array's grid layout) raises
 
 **Same-host handoff.**  When the server is on this host (a loopback
 peer) and a job's inline frame would be larger than the server's
-staging buffer (:data:`repro.serve.net._STAGE`), the job's grids go
+staging buffer (:data:`repro.serve.net._STAGE`), the job's grids can go
 through a **lease** instead of the socket: a shared-memory segment the
 server creates for this connection (``T_LEASE``).  The client copies
 the grids into it, the submit frame carries only the pickle meta, the
 server runs the job in place, and the result refers to the same
-regions; the client copies it out as above.  The connection keeps its
-leases in a pool keyed by size and reuses them across jobs (creating a
-segment costs ten times filling one); one lease holds one job at a
-time.  A refused lease sends the job inline, and ``report.transport``
-says which path it took (``"shm"`` or ``"tcp"``).  A reconnect drops the
+regions; the client copies it out as above.  A lease pays only when it
+is reused (creating and first filling a segment costs about what the
+socket does; refilling one costs a tenth), so the connection keeps its
+leases in a pool keyed by size, and asks for one only once a size
+recurs: a connection's first job of a size, and its second, go inline,
+the second asking for a lease that the later ones use.  One lease holds
+one job at a time.  A refused request leaves the job inline and gives
+back the pool's idle leases of other sizes, so a connection whose jobs
+change shape trades old leases for new ones.  ``report.transport`` says
+which path a job took (``"shm"`` or ``"tcp"``).  A reconnect drops the
 pool: leases belong to one connection.
 
 ``submit_many`` pipelines K jobs over one connection (all requests
@@ -59,6 +64,7 @@ import random
 import socket
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import SpecificationError
@@ -163,10 +169,15 @@ class StencilClient:
         self.max_frame = max_frame
         self._sock: socket.socket | None = None
         #: The connection's leases (id -> attached segment), the free ones
-        #: by size, and whether the server refused one.
+        #: by size, the lease sizes its jobs have needed, the sizes of the
+        #: lease requests not yet answered (in order), and whether a
+        #: granted lease could not be attached (a loopback tunnel to
+        #: another host: stop asking).
         self._leases: dict = {}
         self._free: dict[int, list[int]] = {}
-        self._refused = False
+        self._seen: set[int] = set()
+        self._asked: deque[int] = deque()
+        self._remote = False
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -180,7 +191,9 @@ class StencilClient:
             _close_segment(shm, False)
         self._leases.clear()
         self._free.clear()
-        self._refused = False
+        self._seen.clear()
+        self._asked.clear()
+        self._remote = False
 
     def __enter__(self) -> "StencilClient":
         return self
@@ -260,9 +273,12 @@ class StencilClient:
                 last_error = exc
                 continue
             except BaseException:
-                if any(j.lease is not None for j in pending.values()):
-                    # Jobs still run in this connection's leases: a new
-                    # job must not be sent into one.
+                if self._asked or any(
+                    j.lease is not None for j in pending.values()
+                ):
+                    # Jobs still run in this connection's leases (a new
+                    # job must not be sent into one), or lease answers
+                    # are still on their way.
                     self.close()
                 raise
         unanswered = [j for j in pending.values() if j.report is None]
@@ -304,14 +320,18 @@ class StencilClient:
         server errors propagate (or mark busy jobs for re-send)."""
         sock = self._connect(deadline)
         unanswered = [j for j in pending.values() if j.report is None]
-        sizes = [j.stage for j in unanswered if j.stage]
-        if sizes:
-            sock.settimeout(self._remaining(deadline))
-            self._reserve(sock, sizes)
         for job in unanswered:
             sock.settimeout(self._remaining(deadline))
             protocol.send_parts(sock, self._frame(job))
-        while any(j.report is None for j in pending.values()):
+        # A lease pays only when it is reused, so a job that went inline
+        # for want of a free lease asks for one once its size recurs on
+        # this connection — after the submits, off their path.
+        inline = [j.stage for j in unanswered if j.stage and j.lease is None]
+        self._ask(
+            sock, [s for s in inline if s in self._seen or inline.count(s) > 1]
+        )
+        self._seen.update(j.stage for j in unanswered if j.stage)
+        while self._asked or any(j.report is None for j in pending.values()):
             sock.settimeout(self._remaining(deadline))
             try:
                 ftype, payload = protocol.recv_frame(
@@ -325,6 +345,9 @@ class StencilClient:
             msg = protocol.unpack(
                 payload, {lid: shm.buf for lid, shm in self._leases.items()}
             )
+            if ftype == T_LEASE_OK and isinstance(msg, dict) and self._asked:
+                self._granted(sock, msg)
+                continue
             if not isinstance(msg, dict) or "key" not in msg:
                 self.close()
                 raise ConnectionError("response without a job key")
@@ -392,44 +415,49 @@ class StencilClient:
             stage=job.lease,
         )
 
-    def _reserve(self, sock: socket.socket, sizes: list[int]) -> None:
-        """Make the pool hold a free lease for each of ``sizes``, asking
-        the server for the missing ones in one pipelined round trip —
-        before any submit of the attempt, while no answer is due.  Stops
-        asking once the server refuses, is not a loopback peer, or names
-        a segment this host cannot attach (a loopback tunnel to another
-        host)."""
-        if self._refused or not is_loopback(sock.getpeername()):
+    def _ask(self, sock: socket.socket, sizes: list[int], release=()) -> None:
+        """Ask the server for a lease of each of ``sizes`` (unless the
+        server is not on this host), giving back the free leases
+        ``release`` first.  The answers come with the jobs' responses
+        (:meth:`_granted`)."""
+        if not sizes or self._remote or not is_loopback(sock.getpeername()):
             return
-        want: list[int] = []
-        for size in sorted(set(sizes)):
-            short = sizes.count(size) - len(self._free.get(size, ()))
-            want += [size] * short
-        for size in want:
-            protocol.send_parts(sock, protocol.frame_parts(T_LEASE, {"size": size}))
-        for size in want:
-            ftype, payload = protocol.recv_frame(sock, max_frame=self.max_frame)
-            msg = protocol.unpack(payload)
-            if ftype != T_LEASE_OK or not isinstance(msg, dict):
-                self.close()
-                raise ConnectionError(
-                    f"lease request answered with frame type {ftype}"
-                )
-            lid, name = msg.get("lease"), msg.get("name")
-            shm = None
-            if lid is not None and isinstance(name, str) and name.startswith(LEASE_PREFIX):
-                try:
-                    shm = _attach_segment(name)
-                except (OSError, ValueError):
-                    pass
-            if shm is not None and shm.size < size:
+        for size in sorted(sizes):
+            ask = {"size": size, "release": list(release)}
+            protocol.send_parts(sock, protocol.frame_parts(T_LEASE, ask))
+            self._asked.append(size)
+            release = ()
+
+    def _granted(self, sock: socket.socket, msg: dict) -> None:
+        """Take the answer to the oldest lease request.  A granted lease
+        joins the pool.  A refused one gives back the free leases of other
+        sizes and asks once more: a connection whose jobs change shape
+        trades its old leases for new ones instead of sending inline for
+        good."""
+        size = self._asked.popleft()
+        lid, name = msg.get("lease"), msg.get("name")
+        if lid is None:
+            others = [i for s, ids in self._free.items() if s != size for i in ids]
+            if size and others:
+                for i in others:
+                    _close_segment(self._leases.pop(i), False)
+                self._free = {size: self._free.get(size, [])}
+                self._ask(sock, [size], release=others)
+            return
+        shm = None
+        if isinstance(name, str) and name.startswith(LEASE_PREFIX):
+            try:
+                shm = _attach_segment(name)
+            except (OSError, ValueError):
+                pass
+        if shm is None or shm.size < size:
+            if shm is not None:
                 _close_segment(shm, False)
-                shm = None
-            if shm is None:
-                self._refused = True
-                continue
-            self._leases[lid] = shm
-            self._free.setdefault(size, []).append(lid)
+            self._ask(sock, [0], release=[lid])
+            self._remote = True
+            return
+        self._leases[lid] = shm
+        self._free.setdefault(size, []).append(lid)
 
     # -- plumbing ----------------------------------------------------------
     def _connect(self, deadline: float | None) -> socket.socket:

@@ -15,14 +15,16 @@ retries — so this module treats each as a first-class design input:
 * **same-host leases** — a loopback peer may ask for a lease
   (``T_LEASE``): a shared-memory segment, named :data:`LEASE_PREFIX`
   plus a random token, created for that one connection within
-  :data:`LEASE_BYTES`.  A SUBMIT whose grids sit in one runs in place on
-  the server's mapping, and its RESULT refers to the same regions with
-  no bytes.  A lease holds one job at a time and serves only its own
+  :data:`CONN_LEASE_BYTES` per connection and :data:`LEASE_BYTES` over
+  the server.  A SUBMIT whose grids sit in one runs in place on the
+  server's mapping, and its RESULT refers to the same regions with no
+  bytes.  A lease holds one job at a time and serves only its own
   connection; ids are unique across connections.  Submitting into it
   again expires the journal entry of the job it held (typed
-  ``expired``); closing the connection waits for the job running in it,
-  copies its journaled result into private memory and unlinks the
-  segment.  Any other peer, or a refusal, goes inline over TCP.
+  ``expired``).  Giving it back (a later ``T_LEASE``'s ``release``) or
+  closing the connection (after the job running in it) copies its
+  journaled result into private memory and unlinks the segment.  Any
+  other peer, or a refusal, goes inline over TCP.
 * **idempotent replay** — every submit carries a client idempotency
   key; completed responses live in a **result journal**, LRU-bounded
   both by entry count (``journal_limit``) and by result-array bytes
@@ -59,7 +61,6 @@ quick scripts all share it.
 from __future__ import annotations
 
 import asyncio
-import gc
 import itertools
 import math
 import secrets
@@ -104,9 +105,14 @@ JOURNAL_LIMIT = 256
 #: count: a completed entry's size is the sum of its out-of-band buffers.
 JOURNAL_BYTES = 1 << 30
 
-#: Bound on the lease bytes one connection holds at once; a lease request
-#: past it is refused and the job goes inline.
+#: Bound on the lease bytes the server holds at once over all its
+#: connections (they are pages of ``/dev/shm``, so RAM the journal bound
+#: does not see); a lease request past it is refused and the job goes
+#: inline.
 LEASE_BYTES = 1 << 28
+
+#: Bound on the lease bytes one connection holds at once.
+CONN_LEASE_BYTES = 1 << 26
 
 #: Every lease segment's name starts with this (``/dev/shm/repro_lease_*``
 #: on Linux), so a leak is easy to find.
@@ -129,6 +135,7 @@ class _Lease:
     """A shared segment issued to one connection."""
 
     shm: object
+    size: int
     #: The submit task running a job in it (at most one).
     job: asyncio.Task | None = None
     #: The key whose journaled result lives in it.
@@ -382,6 +389,8 @@ class NetServer:
         self._leased: dict[str, _Lease] = {}
         #: Lease ids are unique across the server's connections.
         self._lease_ids = itertools.count(1)
+        #: The bytes of every lease issued and not yet unlinked.
+        self._lease_bytes = 0
         self._inflight: set[asyncio.Task] = set()
         self._conn_tasks: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
@@ -488,8 +497,8 @@ class NetServer:
                     await self._send(writer, lock, T_HEALTH_OK, self._health())
                 elif ftype == T_LEASE:
                     try:
-                        answer = self._issue(conn, payload)
-                    except protocol.ProtocolError as exc:
+                        answer = await self._issue(conn, payload)
+                    except (protocol.ProtocolError, SpecificationError) as exc:
                         self.stats["protocol_errors"] += 1
                         await self._send(
                             writer, lock, T_ERROR, error_payload(None, exc)
@@ -522,28 +531,57 @@ class NetServer:
             await self._release(conn)
 
     # -- leases ------------------------------------------------------------
-    def _issue(self, conn: _FrameConnection, payload: bytearray) -> dict:
-        """Answer a ``T_LEASE``: create a segment for this connection, or
-        refuse (the client then sends inline)."""
+    async def _issue(self, conn: _FrameConnection, payload: bytearray) -> dict:
+        """Answer a ``T_LEASE``: unlink the idle leases it gives back, then
+        create a segment of ``size`` bytes for this connection (none for
+        0) or refuse it (the client then sends inline).  Segments are
+        made and unlinked on a worker thread: reserving 16 MB of pages
+        takes milliseconds the other connections' jobs must not wait."""
         msg = protocol.unpack(payload)
-        size = msg.get("size") if isinstance(msg, dict) else None
-        if type(size) is not int or size <= 0:
+        if not isinstance(msg, dict):
+            raise protocol.ProtocolError("a lease request is a dict")
+        size, release = msg.get("size", 0), msg.get("release", [])
+        if type(size) is not int or size < 0:
             raise protocol.ProtocolError(f"lease request for {size!r} bytes")
-        held = sum(len(lease.shm.buf) for lease in conn.leases.values())
+        if not isinstance(release, list) or not all(
+            type(lid) is int
+            and lid in conn.leases
+            and conn.leases[lid].job is None
+            for lid in release
+        ):
+            raise protocol.ProtocolError(
+                f"release of {release!r}: not idle leases of this connection"
+            )
+        for lid in set(release):
+            await self._drop(conn.leases.pop(lid))
+        if not size:
+            return {"lease": None, "reason": "nothing asked"}
+        held = sum(lease.size for lease in conn.leases.values())
         if not is_loopback(conn.transport.get_extra_info("peername")):
             reason = "leases go only to peers on this host"
         elif self._draining:
             reason = "server draining"
-        elif held + size > LEASE_BYTES:
-            reason = f"the connection holds {held} of {LEASE_BYTES} lease bytes"
+        elif held + size > CONN_LEASE_BYTES:
+            reason = (
+                f"the connection holds {held} of {CONN_LEASE_BYTES} lease bytes"
+            )
+        elif self._lease_bytes + size > LEASE_BYTES:
+            reason = (
+                f"the server holds {self._lease_bytes} of {LEASE_BYTES} "
+                f"lease bytes"
+            )
         else:
+            self._lease_bytes += size  # held while the segment is made
             try:
-                shm = _create_segment(LEASE_PREFIX + secrets.token_hex(8), size)
+                shm = await asyncio.to_thread(
+                    _create_segment, LEASE_PREFIX + secrets.token_hex(8), size
+                )
             except OSError as exc:
+                self._lease_bytes -= size
                 reason = f"no segment: {exc}"
             else:
                 lid = next(self._lease_ids)
-                conn.leases[lid] = _Lease(shm)
+                conn.leases[lid] = _Lease(shm, size)
                 self.stats["leases"] += 1
                 return {"lease": lid, "name": shm.name, "size": size}
         self.stats["leases_refused"] += 1
@@ -568,29 +606,26 @@ class NetServer:
         self._completed[key] = 0
 
     async def _release(self, conn: _FrameConnection) -> None:
-        """Give back a closed connection's leases: wait for the jobs
-        running in them, copy their journaled results to private memory
-        (a retry on a new connection replays the same bits inline), then
-        unlink the segments."""
+        """Give back a closed connection's leases once the jobs running
+        in them are done."""
         leases = list(conn.leases.values())
         conn.leases.clear()
         jobs = [lease.job for lease in leases if lease.job is not None]
         if jobs:
             await asyncio.wait(jobs)
-        stuck = []
         for lease in leases:
-            if self._leased.get(lease.holder) is lease:
-                _, body = self._journal[lease.holder]
-                body["arrays"] = {n: a.copy() for n, a in body["arrays"].items()}
-                del self._leased[lease.holder]
-            if not _close_segment(lease.shm, True):
-                stuck.append(lease.shm)
-        if stuck:
-            # A finished job's problem can hold views of its lease in a
-            # reference cycle; collect it so the mapping closes now.
-            gc.collect()
-            for shm in stuck:
-                _close_segment(shm, False)
+            await self._drop(lease)
+
+    async def _drop(self, lease: _Lease) -> None:
+        """Unlink an idle lease, first copying the journaled result it
+        holds to private memory: a retry on any connection replays the
+        same bits inline."""
+        if self._leased.get(lease.holder) is lease:
+            _, body = self._journal[lease.holder]
+            body["arrays"] = {n: a.copy() for n, a in body["arrays"].items()}
+            del self._leased[lease.holder]
+        await asyncio.to_thread(_close_segment, lease.shm, True)
+        self._lease_bytes -= lease.size
 
     def _health(self) -> dict:
         server = self.server

@@ -76,13 +76,18 @@ Frame types:
                 payload allowed).
 ``T_HEALTH_OK`` server -> client: ``{"accepting", "draining",
                 "pending_jobs", "pending_points", "stats", ...}``.
-``T_LEASE``     client -> server: ``{"size"}`` — ask for a lease of
-                ``size`` bytes on this connection.
+``T_LEASE``     client -> server: ``{"size", "release"}`` — give back
+                the idle leases of this connection listed in
+                ``release`` (ids), then ask for a lease of ``size``
+                bytes (0: none).  Releasing a lease that is not this
+                connection's, or has a job in flight, is a protocol
+                error.
 ``T_LEASE_OK``  server -> client: ``{"lease", "name", "size"}`` — the
                 lease id and its segment's name, or ``{"lease": None,
                 "reason"}`` when the server refuses (a peer that is not
-                on this host, the connection's lease byte bound, a
-                draining server); the client then sends inline.
+                on this host, the connection's or the server's lease
+                byte bound, a draining server); the client then sends
+                inline.
 ==============  =========================================================
 
 A SUBMIT may put its grids in a lease; the server runs the job in place

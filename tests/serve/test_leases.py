@@ -6,6 +6,10 @@ carries only the pickle meta, the server runs the job in place and the
 RESULT refers to the same regions.  Asserted here:
 
 * a leased job is bitwise a local run, and one lease serves many jobs;
+* a connection asks for a lease only once a size recurs on it (a lease
+  pays only when reused), so a one-job connection never makes one;
+* leases are bounded per connection and over the whole server, and a
+  connection whose jobs change shape trades its old lease for a new one;
 * with the lease refused (a peer that is not on this host) a large job
   goes inline over TCP through partial sends and the in-place receive,
   still bitwise;
@@ -33,7 +37,7 @@ import pytest
 
 from repro import RunOptions
 from repro.apps.heat import build_heat
-from repro.language.array import _attach_segment, _close_segment
+from repro.language.array import _attach_segment, _close_segment, _create_segment
 from repro.serve import LoopbackServer, ServeOptions, StencilClient, net, protocol
 from repro.serve.protocol import (
     T_ERROR,
@@ -126,36 +130,61 @@ def _expect_refusal(sock, code):
     return error
 
 
+def _submit_each(client, apps):
+    return [client.submit(a.stencil, a.steps, a.kernel) for a in apps]
+
+
 def _serves_another_client(lb, seed=7):
-    app = _build(seed)
+    """A second client still gets leased service: its third job of one
+    size runs in the lease its second one asked for."""
+    apps = [_build(seed + i) for i in range(3)]
     with _client(lb) as client:
-        report = client.submit(app.stencil, app.steps, app.kernel)
-    assert report.transport == "shm"
-    assert np.array_equal(app.result(), _ref(seed))
+        reports = _submit_each(client, apps)
+    assert [r.transport for r in reports] == ["tcp", "tcp", "shm"]
+    for i, app in enumerate(apps):
+        assert np.array_equal(app.result(), _ref(seed + i))
 
 
 # -- the leased path -------------------------------------------------------
 
 
 def test_large_jobs_run_in_one_reused_lease_bitwise():
+    # The first job of a size goes inline; the second, its size now
+    # recurring, goes inline too and asks for a lease; the rest reuse it.
     with LoopbackServer(_options()) as lb:
-        apps = [_build(s) for s in range(4)]
+        apps = [_build(s) for s in range(5)]
         with _client(lb) as client:
-            reports = [client.submit(a.stencil, a.steps, a.kernel) for a in apps]
-        assert [r.transport for r in reports] == ["shm"] * 4
+            reports = _submit_each(client, apps)
+        assert [r.transport for r in reports] == ["tcp", "tcp"] + ["shm"] * 3
         assert lb.net.stats["leases"] == 1  # created once, reused
-        assert lb.server.stats["completed"] == 4
+        assert lb.server.stats["completed"] == 5
+    for seed, app in enumerate(apps):
+        assert np.array_equal(app.result(), _ref(seed))
+
+
+def test_one_job_connections_never_make_a_lease():
+    with LoopbackServer(_options()) as lb:
+        apps = [_build(s) for s in range(3)]
+        for app in apps:
+            with _client(lb) as client:
+                report = client.submit(app.stencil, app.steps, app.kernel)
+            assert report.transport == "tcp"
+        assert lb.net.stats["leases"] == lb.net.stats["leases_refused"] == 0
     for seed, app in enumerate(apps):
         assert np.array_equal(app.result(), _ref(seed))
 
 
 def test_pipelined_large_jobs_take_one_lease_each():
+    # A burst of one size recurs within itself: its inline jobs ask for a
+    # lease each, and the next burst runs in them.
     with LoopbackServer(_options(max_batch=8, batch_window=0.05)) as lb:
         apps = [_build(s) for s in range(3)]
+        jobs = [(a.stencil, a.steps, a.kernel) for a in apps]
         with _client(lb) as client:
-            reports = client.submit_many([(a.stencil, a.steps, a.kernel) for a in apps])
-            again = client.submit_many([(a.stencil, a.steps, a.kernel) for a in apps])
-        assert {r.transport for r in reports + again} == {"shm"}
+            reports = client.submit_many(jobs)
+            again = client.submit_many(jobs)
+        assert {r.transport for r in reports} == {"tcp"}
+        assert {r.transport for r in again} == {"shm"}
         assert lb.net.stats["leases"] == 3
         assert lb.server.stats["completed"] == 6
 
@@ -176,41 +205,99 @@ def test_refused_lease_sends_large_job_inline_bitwise(monkeypatch):
     with LoopbackServer(_options()) as lb:
         apps = [_build(s, (512, 512)) for s in range(2)]
         with _client(lb) as client:
-            reports = [client.submit(a.stencil, a.steps, a.kernel) for a in apps]
+            reports = _submit_each(client, apps)
         assert [r.transport for r in reports] == ["tcp", "tcp"]
         assert lb.net.stats["leases"] == 0
-        assert lb.net.stats["leases_refused"] == 1  # asked once per connection
+        assert lb.net.stats["leases_refused"] == 1  # asked when the size recurred
     for seed, app in enumerate(apps):
         assert np.array_equal(app.result(), _ref(seed, (512, 512)))
 
 
-def test_lease_requests_past_the_byte_bound_are_refused(monkeypatch):
-    monkeypatch.setattr(net, "LEASE_BYTES", 1 << 20)
+def _ask(sock, size, release=()):
+    """Send one lease request on a raw connection; the server's answer."""
+    ask = {"size": size, "release": list(release)}
+    protocol.send_parts(sock, protocol.frame_parts(T_LEASE, ask))
+    ftype, payload = protocol.recv_frame(sock)
+    assert ftype == T_LEASE_OK
+    return protocol.unpack(payload)
+
+
+def test_lease_requests_past_the_connection_bound_are_refused(monkeypatch):
+    monkeypatch.setattr(net, "CONN_LEASE_BYTES", 1 << 20)
     with LoopbackServer(_options()) as lb:
         sock = _raw(lb)
         try:
             lid, shm = _lease(sock, 1 << 19)
             _close_segment(shm, False)
-            protocol.send_parts(
-                sock, protocol.frame_parts(T_LEASE, {"size": 1 << 20})
-            )
-            ftype, payload = protocol.recv_frame(sock)
-            answer = protocol.unpack(payload)
-            assert ftype == T_LEASE_OK and answer["lease"] is None
-            assert "lease bytes" in answer["reason"]
+            answer = _ask(sock, 1 << 20)
+            assert answer["lease"] is None
+            assert "connection holds" in answer["reason"]
+            # Giving the first lease back makes room for the second.
+            assert _ask(sock, 1 << 20, release=[lid])["lease"] is not None
         finally:
             sock.close()
         assert lb.net.stats["leases_refused"] == 1
+        assert lb.net.stats["leases"] == 2
+
+
+def test_lease_bytes_are_bounded_over_all_connections(monkeypatch):
+    monkeypatch.setattr(net, "LEASE_BYTES", 1 << 20)
+    with LoopbackServer(_options()) as lb:
+        first, second = _raw(lb), _raw(lb)
+        try:
+            lid, shm = _lease(first, 3 << 18)
+            _close_segment(shm, False)
+            answer = _ask(second, 1 << 19)
+            assert answer["lease"] is None
+            assert "server holds" in answer["reason"]
+            first.close()
+            # The closed connection's lease is unlinked and its bytes
+            # return to the server.
+            deadline = time.monotonic() + 10
+            while lb.net._lease_bytes and time.monotonic() < deadline:
+                time.sleep(0.01)
+            lid, shm = _lease(second, 1 << 19)
+            _close_segment(shm, False)
+        finally:
+            first.close()
+            second.close()
+
+
+def test_a_connection_trades_its_lease_when_the_shape_changes(monkeypatch):
+    # Room for one lease of either shape: the second shape's request is
+    # refused, the client gives its idle lease of the first shape back
+    # and asks again, so the new shape still runs in shared memory.
+    small, large = (160, 160), (192, 192)
+    monkeypatch.setattr(net, "CONN_LEASE_BYTES", 700_000)
+    with LoopbackServer(_options()) as lb:
+        with _client(lb) as client:
+            # Back to the first shape, already seen: its first job asks.
+            for sizes, transports in (
+                (small, ["tcp", "tcp", "shm"]),
+                (large, ["tcp", "tcp", "shm"]),
+                (small, ["tcp", "shm", "shm"]),
+            ):
+                apps = [_build(s, sizes) for s in range(3)]
+                reports = _submit_each(client, apps)
+                assert [r.transport for r in reports] == transports
+                for seed, app in enumerate(apps):
+                    assert np.array_equal(app.result(), _ref(seed, sizes))
+                assert len(client._leases) == 1
+        assert lb.net.stats["leases"] == 3
+        assert lb.net.stats["leases_refused"] == 2
+    assert lb.net._lease_bytes == 0
 
 
 def test_client_sends_a_shared_array_by_value():
-    with LoopbackServer(_options()) as lb:
-        for sizes in ((16, 16), LARGE):
+    with LoopbackServer(_options()) as lb, _client(lb) as client:
+        for sizes, transport in (((16, 16), "tcp"), (LARGE, "shm")):
+            # Two jobs first: a large size then has a lease.
+            _submit_each(client, [_build(s, sizes) for s in range(2)])
             app = _build(3, sizes)
             app.stencil.arrays["u"].share()
             try:
-                with _client(lb) as client:
-                    client.submit(app.stencil, app.steps, app.kernel)
+                report = client.submit(app.stencil, app.steps, app.kernel)
+                assert report.transport == transport
                 assert np.array_equal(app.result(), _ref(3, sizes))
             finally:
                 app.stencil.arrays["u"].unshare()
@@ -239,10 +326,107 @@ def test_shared_array_descriptor_submit_is_refused():
             finally:
                 sock.close()
             _serves_another_client(lb)
-            assert lb.server.stats["submitted"] == 1
+            assert lb.server.stats["submitted"] == 3
         assert np.array_equal(arr.data, before)
     finally:
         arr.unshare()
+
+
+def test_lease_request_carrying_a_descriptor_is_refused():
+    """The wire's other entry point that unpickles: a LEASE frame whose
+    pickle holds a shared-array descriptor is refused as ``invalid`` and
+    closes only its connection."""
+    app = _build(0, (16, 16))
+    arr = app.stencil.arrays["u"]
+    arr.share()
+    try:
+        before = arr.data.copy()
+        meta = pickle.dumps({"size": 1 << 20, "grid": arr}, protocol=5)
+        payload = protocol.TABLE.pack(len(meta), 0) + meta
+        with LoopbackServer(_options()) as lb:
+            sock = _raw(lb)
+            try:
+                sock.sendall(protocol.encode_frame(T_LEASE, payload))
+                error = _expect_refusal(sock, "invalid")
+                assert "shared-memory descriptor" in error["message"]
+            finally:
+                sock.close()
+            _serves_another_client(lb)
+            assert lb.net.stats["protocol_errors"] == 1
+            assert lb.net.stats["leases"] == 1  # the second client's only
+        assert np.array_equal(arr.data, before)
+    finally:
+        arr.unshare()
+
+
+@pytest.mark.parametrize("case", ["unissued", "other-connection", "busy"])
+def test_releasing_a_lease_that_is_not_idle_and_ours_is_refused(case):
+    with LoopbackServer(_options(batch_window=0.5)) as lb:
+        sock, other = _raw(lb), _raw(lb)
+        lid, shm = _lease(sock)
+        other_lid, other_shm = _lease(other)
+        try:
+            if case == "busy":
+                protocol.send_parts(
+                    sock, _leased_frame(_msg(_build(0), "busy"), lid, shm)
+                )
+            target = {"unissued": lid + 1000, "other-connection": other_lid,
+                      "busy": lid}[case]
+            ask = {"size": 0, "release": [target]}
+            protocol.send_parts(sock, protocol.frame_parts(T_LEASE, ask))
+            error = _expect_refusal(sock, "protocol")
+            assert "not idle leases of this connection" in error["message"]
+            # The other connection still holds its lease.
+            assert _ask(other, 0, release=[other_lid])["lease"] is None
+        finally:
+            _close_segment(shm, False)
+            _close_segment(other_shm, False)
+            sock.close()
+            other.close()
+        _serves_another_client(lb)
+        assert lb.net.stats["protocol_errors"] == 1
+    assert lb.server.stats["completed"] == 3 + (case == "busy")
+
+
+def test_tracked_segments_stay_tracked_while_leases_come_and_go(monkeypatch):
+    """Lease segments are made and unlinked with the resource tracker
+    muted (Python < 3.13 patches its module functions for that), on the
+    serving loop's worker threads, while a supervised run shares and
+    unshares tracked grids on others.  A tracked create or unlink must
+    never fall inside another thread's mute: the tracker would miss the
+    segment (a crash leaks it) or keep a name already gone."""
+    from multiprocessing import resource_tracker
+
+    calls: list[tuple[str, str]] = []
+    monkeypatch.setattr(
+        resource_tracker, "register", lambda name, rtype: calls.append(("+", name))
+    )
+    monkeypatch.setattr(
+        resource_tracker, "unregister", lambda name, rtype: calls.append(("-", name))
+    )
+    rounds = 300
+    stop = threading.Event()
+
+    def leases():
+        while not stop.is_set():
+            shm = _create_segment(f"{net.LEASE_PREFIX}probe_{os.getpid()}", 1 << 16)
+            _close_segment(shm, True)
+
+    arr = _build(0, (64, 64)).stencil.arrays["u"]
+    names = []
+    thread = threading.Thread(target=leases)
+    thread.start()
+    try:
+        for _ in range(rounds):
+            arr.share()
+            names.append(arr._shm._name)
+            arr.unshare()
+    finally:
+        stop.set()
+        thread.join()
+    assert sorted(calls) == sorted(
+        [("+", n) for n in names] + [("-", n) for n in names]
+    )
 
 
 def _refused_leased_submit(lb, case):
@@ -296,7 +480,7 @@ def test_leased_submit_breaking_a_rule_is_refused(case):
     with LoopbackServer(_options()) as lb:
         _refused_leased_submit(lb, case)
         _serves_another_client(lb)
-        assert lb.server.stats["submitted"] == 1
+        assert lb.server.stats["submitted"] == 3
         assert lb.net.stats["protocol_errors"] == 1
 
 
@@ -321,7 +505,7 @@ def test_second_submit_into_a_busy_lease_is_refused():
             sock.close()
         _serves_another_client(lb)
     # The drain finished the first job: accepted work runs exactly once.
-    assert lb.server.stats["completed"] == 2
+    assert lb.server.stats["completed"] == 4
 
 
 # -- journal and lifetime --------------------------------------------------
@@ -420,6 +604,8 @@ def test_drain_with_a_leased_job_in_flight_leaves_nothing_behind():
     out: dict = {}
     lb = LoopbackServer(_options(batch_window=0.5)).start()
     client = _client(lb)
+    # Two jobs of the size first, so the third runs in a lease.
+    _submit_each(client, [_build(s) for s in range(2)])
 
     def submit():
         out["report"] = client.submit(app.stencil, app.steps, app.kernel)
@@ -428,9 +614,9 @@ def test_drain_with_a_leased_job_in_flight_leaves_nothing_behind():
     thread.start()
     try:
         deadline = time.monotonic() + 10
-        while lb.server.stats["submitted"] < 1 and time.monotonic() < deadline:
+        while lb.server.stats["submitted"] < 3 and time.monotonic() < deadline:
             time.sleep(0.005)
-        assert lb.server.stats["completed"] == 0  # still in its batch window
+        assert lb.server.stats["completed"] == 2  # still in its batch window
         assert _segments() - segments
     finally:
         lb.stop()

@@ -111,27 +111,40 @@ LEASED_SITES = ("net.accept", "net.torn", "net.drop", "net.slow")
 
 @pytest.mark.parametrize("site", LEASED_SITES, ids=lambda s: s.split(".")[1])
 def test_leased_jobs_exactly_once_bitwise(site):
-    # Jobs larger than the server's staging buffer go through a lease: a
-    # torn or dropped RESULT (which carries lease references, no bytes)
-    # closes the connection, the server releases its leases, and the
-    # retry on a new connection replays the journaled result inline.
-    K = 2
+    # Jobs larger than the server's staging buffer run in a lease once
+    # their size recurs on a connection, so the fault is armed after two
+    # of them: it hits the RESULT of a leased job, which carries lease
+    # references and no bytes.  A torn or dropped one closes the
+    # connection, the server releases its lease, and the retry on a new
+    # connection replays the journaled result inline.  net.accept hits
+    # the first connection instead; leasing starts again on the retry's.
+    K = 4
     sizes = (160, 160)
-    with LoopbackServer(_serve_options(max_batch=8)) as lb:
+    apps = [build_heat(sizes, 4, seed=s) for s in range(K)]
+    with LoopbackServer(_serve_options(max_batch=8)) as lb, StencilClient(
+        lb.host, lb.port, retries=8, backoff=0.02, request_timeout=60.0
+    ) as client:
+        plan = faults.FaultPlan()
+        plan.add(site, times=1)
         try:
-            plan = faults.FaultPlan()
-            plan.add(site, times=1)
-            faults.install(plan)
-            apps = [build_heat(sizes, 4, seed=s) for s in range(K)]
-            reports = _run_jobs(lb, apps)
+            if site == "net.accept":
+                faults.install(plan)
+            reports = [client.submit(a.stencil, a.steps, a.kernel) for a in apps[:2]]
+            if site != "net.accept":
+                faults.install(plan)
+            reports += [client.submit(a.stencil, a.steps, a.kernel) for a in apps[2:]]
         finally:
             faults.clear()
         assert lb.server.stats["completed"] == K
         assert lb.net.stats["wire_faults"] == 1
         assert lb.net.stats["leases"] >= 1
-        assert {rep.transport for rep in reports} == {"shm"}
-        if site != "net.slow":
-            assert any(rep.attempts > 1 for rep in reports)
+        if site == "net.accept":
+            assert reports[0].attempts > 1
+            assert [r.transport for r in reports] == ["tcp", "tcp", "shm", "shm"]
+        elif site == "net.slow":
+            assert [r.transport for r in reports[2:]] == ["shm", "shm"]
+        else:
+            assert reports[2].attempts > 1 and reports[2].replayed
     for seed, app in enumerate(apps):
         ref = build_heat(sizes, 4, seed=seed)
         ref.run(mode=MODE)
