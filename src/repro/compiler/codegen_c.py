@@ -159,19 +159,27 @@ static inline double f64_bits(unsigned long long u) {
 """
 
 
+#: ``(REPRO_NO_CC, CC, PATH)`` -> what :func:`find_c_compiler` found
+#: under them: every run asks, and each search stats the ``PATH``.
+_FOUND_CC: dict[tuple, str | None] = {}
+
+
 def find_c_compiler() -> str | None:
     """Path of a usable C compiler, or None.
 
     ``REPRO_NO_CC`` (any non-empty value) forces None — the hook CI's
     no-toolchain job leg uses to prove the ``c`` mode degrades cleanly
-    on machines without a compiler.
+    on machines without a compiler.  Memoized per process on the three
+    variables it reads, so changing any of them searches again.
     """
-    if os.environ.get("REPRO_NO_CC"):
-        return None
-    for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if cand and shutil.which(cand):
-            return cand
-    return None
+    env = os.environ
+    key = (env.get("REPRO_NO_CC"), env.get("CC"), env.get("PATH"))
+    if key not in _FOUND_CC:
+        _FOUND_CC[key] = None if key[0] else next(
+            (c for c in (key[1], "cc", "gcc", "clang") if c and shutil.which(c)),
+            None,
+        )
+    return _FOUND_CC[key]
 
 
 #: cc path -> one-line identity ("basename|version banner|isa:..."),

@@ -10,9 +10,13 @@ infrastructure:
 
 * **admission/batching** — submitted jobs are grouped by problem
   signature (and time range); a group launches when it reaches
-  ``max_batch`` or its ``batch_window`` expires, and runs through the
-  local driver (:func:`repro.trap.driver.execute_problem`) under the
-  server's ``ServeOptions.run``, as ONE run: every generated
+  ``max_batch``, when the last job of a burst that joined it arrives
+  (a :class:`~repro.serve.client.StencilClient` marks the last SUBMIT
+  of every burst of two or more), or, for jobs that are not marked
+  (a single ``submit``, raw frames), when its ``batch_window``
+  expires.  It runs through the local driver
+  (:func:`repro.trap.driver.execute_problem`) under the server's
+  ``ServeOptions.run``, as ONE run: every generated
   clone runs over a stack of jobs (a local run is a batch of one), so K
   small jobs cost one GIL-released call per region instead of K, under
   the executor, workers and walk threads a local run of one job would

@@ -55,6 +55,13 @@ pool: leases belong to one connection.
 ship before the first response is awaited), which is what lets the
 server batch same-signature remote jobs into one compiled dispatch —
 the network analogue of ``asyncio.gather`` over ``submit`` coroutines.
+Every attempt of a burst of two or more jobs marks its last SUBMIT
+(``"last": True``), so the server runs the burst when that frame
+arrives rather than when its batch window expires.  The gain needs the
+burst's jobs to arrive on one connection.  A single ``submit`` is not
+marked: its job waits out the window, where same-signature jobs of
+other connections join it (many clients of one job each would
+otherwise run as as many batches of one).
 """
 
 from __future__ import annotations
@@ -215,7 +222,9 @@ class StencilClient:
 
         Results land in ``stencil``'s arrays exactly as a local
         ``stencil.run`` would leave them.  ``timeout`` overrides the
-        client's ``request_timeout`` for this call.
+        client's ``request_timeout`` for this call.  The job is not
+        marked as a burst's end: it waits out the server's
+        ``batch_window`` for same-signature jobs of other connections.
         """
         return self.submit_many([(stencil, steps, kernel)], timeout=timeout)[0]
 
@@ -227,9 +236,12 @@ class StencilClient:
     ) -> list[RunReport]:
         """Pipeline K jobs over one connection; block until all reports.
 
-        All submit frames ship before the first response is read, so
-        same-signature jobs reach the server inside one batch window
-        and run as one batched compiled dispatch.  Retries (connection
+        All submit frames ship before the first response is read, and
+        the last of two or more is marked as the end of the burst, so
+        the server
+        runs the burst as soon as that frame arrives: same-signature
+        jobs run as one batched compiled dispatch, with no wait for the
+        server's ``batch_window``.  Retries (connection
         loss, torn frames, busy) re-send only the still-unanswered
         jobs, under the same idempotency keys — answered jobs are never
         re-requested, executed jobs are never re-executed.  The first
@@ -239,10 +251,12 @@ class StencilClient:
         deadline = (time.monotonic() + budget) if budget is not None else None
         pending: dict[str, _PendingJob] = {}
         order: list[str] = []
-        for stencil, steps, kernel in jobs:
+        for i, (stencil, steps, kernel) in enumerate(jobs):
             problem = stencil.prepare(steps, kernel)
             key = uuid.uuid4().hex
             msg = {"key": key, "deadline": budget, "problem": problem}
+            if 1 < len(jobs) == i + 1:
+                msg["last"] = True
             frame = protocol.frame_parts(T_SUBMIT, msg)
             stage = 0
             if sum(len(p) for p in frame) > _STAGE:
@@ -314,12 +328,19 @@ class StencilClient:
         deadline: float | None,
         attempt: int,
     ) -> None:
-        """One wire attempt: (re)send every unanswered job, then read
-        responses until all are answered.  Raises a retryable error
+        """One wire attempt: (re)send every unanswered job, the last one
+        marked as the end of the burst, then read responses until all
+        are answered.  Raises a retryable error
         (``ConnectionError``/``TimeoutError``) on wire trouble; typed
         server errors propagate (or mark busy jobs for re-send)."""
         sock = self._connect(deadline)
         unanswered = [j for j in pending.values() if j.report is None]
+        last = unanswered[-1]
+        if len(pending) > 1 and "last" not in last.msg:
+            # The burst's end moved (the jobs after it were answered):
+            # mark this one.  It stays last until it is answered.
+            last.msg["last"] = True
+            last.frame = protocol.frame_parts(T_SUBMIT, last.msg)
         for job in unanswered:
             sock.settimeout(self._remaining(deadline))
             protocol.send_parts(sock, self._frame(job))

@@ -32,6 +32,14 @@ retries — so this module treats each as a first-class design input:
   the recorded response instead of executing the job again.  Accepted
   jobs execute exactly once (within the journal's capacity),
   bitwise-identical to a local run.
+* **burst flush** — a SUBMIT may say it ends its connection's burst
+  (``"last": True``; anything but a bool is a malformed submit).  Each
+  SUBMIT's handler is a task and admits its job before its first real
+  await, so jobs are admitted in frame order and the marked one comes
+  last: it launches every still-queued signature group the burst
+  joined (:meth:`~repro.serve.server.StencilServer.submit_problem`),
+  admitted, refused or replayed from the journal.  ``batch_window`` is
+  the fallback for frames that do not mark.
 * **deadline propagation** — a submit's remaining time budget rides in
   the frame; a job still queued past it is shed with a typed
   ``expired`` error before dispatch (:class:`~repro.serve.server.
@@ -231,6 +239,10 @@ class _FrameConnection(
         self.task: asyncio.Task | None = None
         #: The leases issued to this connection, by id.
         self.leases: dict[int, _Lease] = {}
+        #: The signature groups its open burst of submits joined, by
+        #: signature (see
+        #: :meth:`~repro.serve.server.StencilServer.submit_problem`).
+        self.burst: dict = {}
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -324,13 +336,17 @@ class _FrameConnection(
 
 
 def _parse_submit(payload: bytearray, leases) -> tuple:
-    """A SUBMIT's ``(key, problem, deadline)``; raises on anything else."""
+    """A SUBMIT's ``(key, problem, deadline, last)``; raises on anything
+    else."""
     msg = protocol.unpack(payload, leases)
     key = msg["key"]
     problem = msg["problem"]
     deadline = msg.get("deadline")
+    last = msg.get("last", False)
     if not isinstance(key, str) or not isinstance(problem, Problem):
         raise TypeError("a submit needs a str key and a Problem")
+    if not isinstance(last, bool):
+        raise TypeError(f"last {last!r} is not a bool")
     if deadline is not None and not (
         isinstance(deadline, Real) and math.isfinite(deadline)
     ):
@@ -340,7 +356,7 @@ def _parse_submit(payload: bytearray, leases) -> tuple:
             "a job runs under the server's run options; "
             "a submit may not carry its own"
         )
-    return key, problem, deadline
+    return key, problem, deadline, last
 
 
 class NetServer:
@@ -649,7 +665,7 @@ class NetServer:
         self.stats["requests"] += 1
         claim = _Claim(conn.leases)
         try:
-            key, problem, deadline = _parse_submit(payload, claim)
+            key, problem, deadline, last = _parse_submit(payload, claim)
         except (protocol.ProtocolError, KeyError, TypeError, SpecificationError) as exc:
             # Garbage inside a well-formed frame, a lease this submit may
             # not use, a grid that breaks the layout contract or arrives
@@ -676,7 +692,10 @@ class NetServer:
             # A retry of a job we have already seen: replay, never
             # re-execute.  An in-flight duplicate awaits the SAME
             # execution; a completed one replays the recorded response.
+            # Either still ends its connection's burst.
             self.stats["replayed"] += 1
+            if last:
+                self.server.end_burst(conn.burst)
             if isinstance(entry, asyncio.Future):
                 ftype, body = await entry
             else:
@@ -699,7 +718,9 @@ class NetServer:
         if lease is not None:
             lease.job = asyncio.current_task()
         try:
-            report = await self.server.submit_problem(problem, timeout=deadline)
+            report = await self.server.submit_problem(
+                problem, timeout=deadline, burst=conn.burst, last=last
+            )
         except (ServerBusy, ServerClosed, JobExpired, SpecificationError) as exc:
             # Pre-execution rejection: NOT journaled — a later retry
             # deserves a fresh admission decision.

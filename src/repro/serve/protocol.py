@@ -45,9 +45,15 @@ knows no leases.  Arrays always cross by value: a shared
 segment descriptor in a received pickle is refused as ``invalid``
 (:func:`~repro.language.array.arrays_by_value`), so the only memory a
 frame can point at is a lease the server issued to that connection.
-Both endpoints are this library — pickle runs what a stream names, so
-the transport is for *trusted* peers on a controlled network, exactly
-like the supervised-worker pipes; never expose it to untrusted input.
+
+A received pickle may name only the wire types (:data:`WIRE_GLOBALS`):
+the ``repro`` expression, language and report classes and NumPy's
+array and dtype reconstructors.  Any other global — ``os.system``, a
+``SharedMemory`` that would attach a segment by name, any module-level
+function, a ``PythonBoundary`` and its callable — is refused as
+``invalid`` before anything is called.  A wire type can still be built
+with hostile field values, so the transport remains meant for peers on a
+controlled network.
 
 Frame types:
 
@@ -58,7 +64,10 @@ Frame types:
                 ``deadline`` is the remaining time budget in seconds at
                 send time (``None`` = no deadline) and ``problem`` is a
                 prepared :class:`~repro.language.stencil.Problem`
-                carrying the full input state.  The job runs under the
+                carrying the full input state.  An optional ``"last":
+                True`` ends the connection's burst: the server runs
+                the groups it joined now, not when their batch window
+                expires.  The job runs under the
                 server's run options; a submit that carries its own
                 ``options`` is refused as ``invalid``.
 ``T_RESULT``    server -> client: ``{"key", "report", "arrays",
@@ -111,6 +120,7 @@ the retry safe.
 
 from __future__ import annotations
 
+import io
 import ipaddress
 import pickle
 import struct
@@ -119,7 +129,16 @@ import socket
 import numpy as np
 
 from repro.errors import SpecificationError
-from repro.language.array import arrays_by_value
+from repro.expr import nodes
+from repro.language import boundary
+from repro.language.array import ConstArray, PochoirArray, arrays_by_value
+from repro.language.shape import Shape
+from repro.language.stencil import Problem, RunOptions, RunReport
+
+try:
+    from numpy._core import multiarray as _np_multiarray, numeric as _np_numeric
+except ImportError:  # NumPy 1.x
+    from numpy.core import multiarray as _np_multiarray, numeric as _np_numeric
 
 MAGIC = b"RPS2"
 
@@ -161,6 +180,46 @@ ALIGN = 64
 
 #: Cap on the iovecs handed to one ``sendmsg`` (Linux's ``IOV_MAX``).
 _IOV_MAX = 1024
+
+
+def _wire_globals() -> dict[tuple[str, str], object]:
+    classes = (
+        Problem, RunReport, RunOptions, Shape, PochoirArray, ConstArray,
+        boundary.PeriodicBoundary, boundary.NeumannBoundary,
+        boundary.ConstantBoundary, boundary.DirichletBoundary,
+        boundary.MixedBoundary,
+        nodes.Axis, nodes.AffineIndex, nodes.Const, nodes.Param,
+        nodes.IndexValue, nodes.GridRead, nodes.GridWrite,
+        nodes.ConstArrayRead, nodes.LocalRead, nodes.BinOp, nodes.UnOp,
+        nodes.Compare, nodes.BoolOp, nodes.NotOp, nodes.Where, nodes.Call,
+        nodes.Assign, nodes.Let,
+        np.ndarray, np.dtype,
+    )
+    table: dict[tuple[str, str], object] = {
+        (cls.__module__, cls.__qualname__): cls for cls in classes
+    }
+    # NumPy's reconstructors, under the module names of NumPy 1 and 2.
+    for core in ("numpy.core", "numpy._core"):
+        table[core + ".numeric", "_frombuffer"] = _np_numeric._frombuffer
+        table[core + ".multiarray", "_reconstruct"] = _np_multiarray._reconstruct
+        table[core + ".multiarray", "scalar"] = _np_multiarray.scalar
+    return table
+
+
+#: ``(module, name)`` -> object: every global a received pickle may name.
+WIRE_GLOBALS = _wire_globals()
+
+
+class _WireUnpickler(pickle.Unpickler):
+    """Resolves the globals of :data:`WIRE_GLOBALS` and refuses the rest."""
+
+    def find_class(self, module: str, name: str) -> object:
+        try:
+            return WIRE_GLOBALS[module, name]
+        except KeyError:
+            raise SpecificationError(
+                f"a frame may not name {module}.{name}: not a wire type"
+            ) from None
 
 
 class ProtocolError(RuntimeError):
@@ -273,8 +332,9 @@ def pack(obj: object) -> bytes:
 
 def unpack(payload, leases=None) -> object:
     """Deserialize one frame payload (raises ProtocolError on garbage,
-    and SpecificationError for a grid that breaks the layout contract or
-    arrives as a shared-memory descriptor).
+    and SpecificationError for a global outside :data:`WIRE_GLOBALS` or
+    a grid that breaks the layout contract or arrives as a shared-memory
+    descriptor).
 
     Inline arrays come back as writable views into ``payload`` when it is
     writable (the ``bytearray`` a frame was received into); a read-only
@@ -342,7 +402,7 @@ def unpack(payload, leases=None) -> object:
     meta = view[meta_start:meta_start + meta_len]
     try:
         with arrays_by_value():
-            return pickle.loads(meta, buffers=buffers)
+            return _WireUnpickler(io.BytesIO(meta), buffers=buffers).load()
     except SpecificationError:
         raise
     except Exception as exc:

@@ -79,8 +79,13 @@ class ServeOptions:
         it fills.  ``1`` disables batching without disabling the server.
     ``batch_window``
         Seconds an incomplete group lingers for same-signature
-        companions before flushing — the classic batching latency/
-        throughput trade, spent only when traffic is sparse.
+        companions before flushing: the fallback for submitters that do
+        not say where their burst ends (in-process :meth:`StencilServer.
+        submit`, raw frames, a client's single ``submit``).  A
+        :class:`~repro.serve.client.StencilClient` marks the last job of
+        each burst of two or more, and that job launches the burst's
+        groups at once (see
+        :meth:`StencilServer.submit_problem`).
     ``max_pending``
         Admission bound on jobs in the system (queued + running).
         Submissions beyond it raise :class:`ServerBusy`.
@@ -303,6 +308,8 @@ class StencilServer:
         *,
         timeout: float | None = None,
         stencil: Stencil | None = None,
+        burst: dict | None = None,
+        last: bool = False,
     ) -> RunReport:
         """Submit an already-prepared :class:`Problem` (the remote path).
 
@@ -310,7 +317,39 @@ class StencilServer:
         prepared problem carrying its own arrays, so there is no local
         stencil to advance — pass ``stencil`` only when there is one
         whose cursor should move after the run (``submit`` does).
+
+        ``burst`` is a dict the submitter keeps for its open burst of
+        jobs (the front-end keeps one per connection): an admitted job
+        records its signature group there.  A ``last`` job ends the
+        burst: once it is admitted or refused, every group in ``burst``
+        that is still queued launches (and ``burst`` empties) instead of
+        waiting out ``batch_window``.
         """
+        if burst is None:
+            burst = {}
+        try:
+            future = self._admit(problem, timeout, stencil, burst)
+        finally:
+            if last:
+                self.end_burst(burst)
+        return await future
+
+    def end_burst(self, burst: dict) -> None:
+        """Launch the still-queued signature groups in ``burst`` (see
+        :meth:`submit_problem`) and empty it."""
+        for key, group in burst.items():
+            if self._pending.get(key) is group:  # else it launched already
+                self._flush(key)
+        burst.clear()
+
+    def _admit(
+        self,
+        problem: Problem,
+        timeout: float | None,
+        stencil: Stencil | None,
+        burst: dict,
+    ) -> asyncio.Future:
+        """Queue one job (or raise why not); the future of its report."""
         if self._closed or self._draining:
             raise ServerClosed("server is draining; resubmit elsewhere")
         if self._loop is None:
@@ -351,6 +390,9 @@ class StencilServer:
         self._in_system_points += points
         group = self._pending.setdefault(key, [])
         group.append(job)
+        for k in [k for k, g in burst.items() if self._pending.get(k) is not g]:
+            del burst[k]  # groups that launched: the record stays bounded
+        burst[key] = group
         if timeout is not None:
             job.expiry = self._loop.call_later(
                 timeout, self._expire_queued, key, job
@@ -361,7 +403,7 @@ class StencilServer:
             self._flush_handles[key] = self._loop.call_later(
                 self.options.batch_window, self._flush, key
             )
-        return await job.future
+        return job.future
 
     def _release_job(self, job: _Job) -> None:
         """Drop one job from the in-system accounting (exactly once)."""

@@ -385,6 +385,26 @@ class TestVectorizedLeaf:
 
 
 class TestNoCompilerGate:
+    def test_the_search_is_memoized_on_its_environment(self, monkeypatch):
+        """Every run asks for the compiler: the ``PATH`` search runs once
+        per ``(REPRO_NO_CC, CC, PATH)``, and changing any of them is seen."""
+        searched = []
+        which = shutil.which
+        monkeypatch.setattr(
+            shutil, "which", lambda cmd: searched.append(cmd) or which(cmd)
+        )
+        monkeypatch.setenv("CC", "repro-no-such-cc")
+        found = find_c_compiler()
+        assert searched and searched[0] == "repro-no-such-cc"
+        searched.clear()
+        assert find_c_compiler() == found
+        assert searched == []
+        monkeypatch.setenv("REPRO_NO_CC", "1")
+        assert find_c_compiler() is None
+        monkeypatch.delenv("REPRO_NO_CC")
+        monkeypatch.setenv("PATH", "")
+        assert find_c_compiler() is None
+
     def test_repro_no_cc_hides_the_toolchain(self, monkeypatch):
         """The CI no-toolchain leg sets REPRO_NO_CC to prove degradation;
         the gate must make every discovery path report 'no compiler'."""

@@ -594,15 +594,28 @@ def _children() -> set[int]:
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
-def test_drain_with_a_leased_job_in_flight_leaves_nothing_behind():
+def test_drain_with_a_leased_job_in_flight_leaves_nothing_behind(monkeypatch):
     from multiprocessing import resource_tracker
+
+    from repro.trap import driver
 
     children = _children()
     tracker = resource_tracker._resource_tracker._pid
     segments = _segments()
     app = _build(5)
     out: dict = {}
-    lb = LoopbackServer(_options(batch_window=0.5)).start()
+    # The third run (the leased job) waits in the server's worker thread
+    # until the drain has begun.
+    real, runs, release = driver.execute_problem, [], threading.Event()
+
+    def held(problems, options):
+        runs.append(len(problems))
+        if len(runs) > 2:
+            release.wait(30)
+        return real(problems, options)
+
+    monkeypatch.setattr(driver, "execute_problem", held)
+    lb = LoopbackServer(_options()).start()
     client = _client(lb)
     # Two jobs of the size first, so the third runs in a lease.
     _submit_each(client, [_build(s) for s in range(2)])
@@ -614,11 +627,16 @@ def test_drain_with_a_leased_job_in_flight_leaves_nothing_behind():
     thread.start()
     try:
         deadline = time.monotonic() + 10
-        while lb.server.stats["submitted"] < 3 and time.monotonic() < deadline:
+        while len(runs) < 3 and time.monotonic() < deadline:
             time.sleep(0.005)
-        assert lb.server.stats["completed"] == 2  # still in its batch window
+        assert lb.server.stats["completed"] == 2  # the third is in flight
         assert _segments() - segments
+        threading.Thread(target=lb.stop, daemon=True).start()
+        while not lb.net._draining and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert lb.net._draining
     finally:
+        release.set()
         lb.stop()
         thread.join(timeout=30)
         client.close()

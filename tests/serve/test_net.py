@@ -7,24 +7,33 @@ took.  Around that core: health probes answer, deadlines shed typed,
 ``ServerBusy`` crosses the wire with its backpressure fields, malformed
 or oversized frames poison one connection but never the server, and the
 bounded result journal deduplicates retried idempotency keys so a job
-executes exactly once.  A hostile buffer table gets a typed answer and
-kills only its own connection; a client refuses result arrays that do
-not fit its stencil.
+executes exactly once.  A hostile buffer table, or a pickle naming a
+global outside the wire types (``os.system``, ``SharedMemory``, any
+function), gets a typed answer and kills only its own connection; a
+client refuses result arrays that do not fit its stencil.  A client
+marks the last job of each burst of two or more, and the server runs
+the burst when that job arrives instead of waiting out its batch
+window; a lone job still waits for other connections' companions.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 import socket
 import struct
+import sys
 import threading
+from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 import pytest
 
-from repro import RunOptions
+from repro import PythonBoundary, RunOptions
 from repro.apps.heat import build_heat
+from repro.errors import SpecificationError
 from repro.language.stencil import RunReport
+from repro.resilience import faults
 from repro.serve import (
     DeadlineExceeded,
     JobExpired,
@@ -62,7 +71,7 @@ def _raw(lb, timeout=15.0):
     return sock
 
 
-def _submit_frame(app, key, *, deadline=None, options=None):
+def _submit_frame(app, key, *, deadline=None, options=None, **extra):
     problem = app.stencil.prepare(app.steps, app.kernel)
     frame = protocol.encode_frame(
         T_SUBMIT,
@@ -72,6 +81,7 @@ def _submit_frame(app, key, *, deadline=None, options=None):
                 "deadline": deadline,
                 "problem": problem,
                 "options": options,
+                **extra,
             }
         ),
     )
@@ -112,6 +122,112 @@ def test_submit_many_pipelines_into_one_batched_dispatch():
             assert rep.transport == "tcp"
         for s, app in enumerate(apps):
             assert np.array_equal(app.result(), _ref(s))
+
+
+# -- a burst runs when its last job arrives, not when the window expires --
+#
+# Every test here runs under a 30 s batch window and a 10 s client budget:
+# a burst left to wait for the window fails with DeadlineExceeded.
+
+_NO_WINDOW = ServeOptions(
+    max_batch=16, batch_window=30.0, run=RunOptions(mode=MODE)
+)
+
+
+def test_a_marked_burst_runs_as_one_batch_without_the_window():
+    K = 8
+    with LoopbackServer(_NO_WINDOW) as lb:
+        apps = [_build(s) for s in range(K)]
+        with _client(lb, request_timeout=10.0) as client:
+            reports = client.submit_many(
+                [(a.stencil, a.steps, a.kernel) for a in apps]
+            )
+            assert lb.server.stats["batches"] == 1
+            assert lb.server.stats["batched_jobs"] == K
+            assert [r.batch_size for r in reports] == [K] * K
+    for s, app in enumerate(apps):
+        assert np.array_equal(app.result(), _ref(s))
+
+
+def test_single_submits_of_two_connections_share_the_window():
+    # A one-job submit is not marked: it waits out the window, where a
+    # same-signature job of another connection joins its batch.
+    opts = ServeOptions(max_batch=16, batch_window=1.0, run=RunOptions(mode=MODE))
+    apps = [_build(s) for s in range(2)]
+    reports = [None, None]
+    with LoopbackServer(opts) as lb:
+        def submit(i):
+            with _client(lb, request_timeout=10.0) as client:
+                app = apps[i]
+                reports[i] = client.submit(app.stencil, app.steps, app.kernel)
+
+        threads = [threading.Thread(target=submit, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert lb.server.stats["batches"] == 1
+        assert lb.server.stats["batched_jobs"] == 2
+    assert [r.batch_size for r in reports] == [2, 2]
+    for s, app in enumerate(apps):
+        assert np.array_equal(app.result(), _ref(s))
+
+
+def test_a_mixed_signature_burst_flushes_every_group_it_touched():
+    # The marked job flushes its own group and the other signature's.
+    cases = [(size, seed) for seed in range(2) for size in ((16, 16), (12, 12))]
+    apps = [build_heat(size, 4, seed=seed) for size, seed in cases]
+    with LoopbackServer(_NO_WINDOW) as lb:
+        with _client(lb, request_timeout=10.0) as client:
+            reports = client.submit_many(
+                [(a.stencil, a.steps, a.kernel) for a in apps]
+            )
+        assert lb.server.stats["batches"] == 2
+        assert lb.server.stats["batched_jobs"] == 4
+    assert [r.batch_size for r in reports] == [2] * 4
+    for app, (size, seed) in zip(apps, cases):
+        ref = build_heat(size, 4, seed=seed)
+        ref.run(mode=MODE)
+        assert np.array_equal(app.result(), ref.result())
+
+
+def test_a_dropped_answer_to_the_marked_job_is_resent_and_runs_once():
+    K = 4
+    with LoopbackServer(_NO_WINDOW) as lb:
+        apps = [_build(s) for s in range(K)]
+        with _client(lb, request_timeout=10.0) as client:
+            # Answers go out in job order: the K-th is the marked job's.
+            with faults.injected("net.drop", times=1, skip=K - 1):
+                reports = client.submit_many(
+                    [(a.stencil, a.steps, a.kernel) for a in apps]
+                )
+        assert lb.server.stats["completed"] == K
+        assert lb.net.stats["wire_faults"] == 1
+    assert [r.replayed for r in reports] == [False] * (K - 1) + [True]
+    assert reports[-1].attempts == 2
+    for s, app in enumerate(apps):
+        assert np.array_equal(app.result(), _ref(s))
+
+
+def test_a_marked_job_answered_from_the_journal_still_ends_the_burst():
+    with LoopbackServer(_NO_WINDOW) as lb:
+        _, done = _submit_frame(_build(0), "done", last=True)
+        _, waiting = _submit_frame(_build(1), "waiting")
+        sock = _raw(lb, timeout=10.0)
+        try:
+            sock.sendall(done)
+            assert protocol.recv_frame(sock)[0] == T_RESULT
+            # An unmarked job, then a retry of the finished marked one.
+            sock.sendall(waiting + done)
+            answers = [
+                protocol.unpack(protocol.recv_frame(sock)[1]) for _ in range(2)
+            ]
+        finally:
+            sock.close()
+        assert {a["key"]: a["replayed"] for a in answers} == {
+            "done": True, "waiting": False
+        }
+        assert lb.server.stats["completed"] == 2
 
 
 def test_no_toolchain_remote_jobs_batch_on_numpy(monkeypatch):
@@ -247,13 +363,13 @@ def test_client_connection_refused_after_retries():
 # -- malformed input poisons one connection, never the server -------------
 
 
-def _assert_poisoned_then_healthy(lb, bad_bytes):
+def _assert_poisoned_then_healthy(lb, bad_bytes, code="protocol"):
     sock = _raw(lb)
     try:
         sock.sendall(bad_bytes)
         ftype, payload = protocol.recv_frame(sock)
         assert ftype == T_ERROR
-        assert protocol.unpack(payload)["code"] == "protocol"
+        assert protocol.unpack(payload)["code"] == code
         # The connection is dead: the server hung up after answering.
         with pytest.raises((ConnectionError, TimeoutError, OSError)):
             protocol.recv_frame(sock)
@@ -291,8 +407,13 @@ def test_garbage_payload_in_valid_frame_poisons_connection_only():
         {"problem": "not a Problem"},
         {"deadline": float("nan")},
         {"deadline": "1"},
+        {"last": 1},
+        {"last": None},
     ],
-    ids=["list-key", "problem", "nan-deadline", "str-deadline"],
+    ids=[
+        "list-key", "problem", "nan-deadline", "str-deadline", "int-last",
+        "none-last",
+    ],
 )
 def test_malformed_submit_fields_poison_connection_only(field):
     # A list key would raise in the journal lookup and leave the client
@@ -325,6 +446,71 @@ def test_submit_carrying_run_options_is_refused_before_admission():
         assert error["code"] == "invalid"
         assert "server's run options" in error["message"]
         assert lb.server.stats["submitted"] == 0
+
+
+class _Calls:
+    """Pickles as a call ``fn(*args)``: what a hostile peer can send."""
+
+    def __init__(self, fn, *args):
+        self.fn, self.args = fn, args
+
+    def __reduce__(self):
+        return self.fn, self.args
+
+
+def _edge(reader, t, *point):
+    return 0.0
+
+
+def _foreign_submit(case) -> dict:
+    """A SUBMIT whose pickle names a global outside the wire types."""
+    msg = {"key": f"hostile-{case}", "deadline": None}
+    if case == "os-system":
+        return {**msg, "problem": _Calls(os.system, "exit 3")}
+    if case == "shared-memory":
+        return {**msg, "problem": _Calls(SharedMemory, "repro_lease_forged")}
+    if case == "function":
+        return {**msg, "problem": build_heat}
+    app = build_heat((16, 16), 4)
+    app.stencil.arrays["u"].register_boundary(PythonBoundary(_edge))
+    return {**msg, "problem": app.stencil.prepare(app.steps, app.kernel)}
+
+
+_FOREIGN = ["os-system", "shared-memory", "function", "python-boundary"]
+
+
+@pytest.mark.parametrize("case", _FOREIGN)
+def test_a_global_outside_the_wire_types_is_refused_uncalled(case, monkeypatch):
+    payload = bytearray(protocol.pack(_foreign_submit(case)))
+    called = []
+    # What the pickle names for ``os.system``: its defining module's.
+    monkeypatch.setattr(
+        sys.modules[os.system.__module__], "system", lambda *a: called.append(a)
+    )
+    with pytest.raises(SpecificationError, match="not a wire type"):
+        protocol.unpack(payload)
+    assert not called
+
+
+@pytest.mark.parametrize("case", _FOREIGN)
+def test_a_frame_naming_a_foreign_global_poisons_its_connection_only(case):
+    with LoopbackServer(ServeOptions(run=RunOptions(mode=MODE))) as lb:
+        with _client(lb) as neighbour:
+            apps = [_build(s) for s in range(2)]
+            neighbour.submit(apps[0].stencil, apps[0].steps, apps[0].kernel)
+            frame = protocol.encode_frame(
+                T_SUBMIT, protocol.pack(_foreign_submit(case))
+            )
+            _assert_poisoned_then_healthy(lb, frame, code="invalid")
+            # The neighbour's connection was never touched.
+            report = neighbour.submit(
+                apps[1].stencil, apps[1].steps, apps[1].kernel
+            )
+        assert report.attempts == 1
+        assert lb.net.stats["connections"] == 3
+        assert lb.server.stats["submitted"] == 3
+    for s, app in enumerate(apps):
+        assert np.array_equal(app.result(), _ref(s))
 
 
 def _hostile_payload(case):

@@ -5,7 +5,9 @@ from them), a payload received into a writable buffer must unpickle into
 arrays that are views of it (the server runs the job there), and a
 read-only payload must still give writable arrays.  A buffer placed in
 a lease travels as a lease entry and comes back as a view into the
-lease, and a shared array crosses by value.  Around that: the
+lease, and a shared array crosses by value.  A received pickle may
+name only the wire types, and every app's SUBMIT and RESULT round-trips
+through them.  Around that: the
 buffer table tiles the payload exactly at 64-byte-aligned offsets, an
 ``RPS1`` peer is refused typed, and ``send_parts`` survives partial
 ``sendmsg`` writes.
@@ -20,6 +22,8 @@ import numpy as np
 import pytest
 
 from repro.apps.heat import build_heat
+from repro.apps.registry import available_apps, build
+from repro.language.stencil import problem_signature
 from repro.serve import protocol
 from repro.serve.protocol import T_RESULT, T_SUBMIT
 
@@ -151,6 +155,24 @@ def test_shared_array_crosses_the_wire_by_value():
         assert not np.shares_memory(out.data, arr.data)
     finally:
         arr.unshare()
+
+
+@pytest.mark.parametrize("name", available_apps())
+def test_every_app_round_trips_through_the_wire_types(name):
+    app = build(name, "tiny")
+    problem = app.stencil.prepare(app.steps, app.kernel)
+    msg = {"key": "k", "deadline": 1.5, "problem": problem, "last": True}
+    got = protocol.unpack(bytearray(protocol.pack(msg)))
+    assert problem_signature(got["problem"]) == problem_signature(problem)
+    for arr_name, arr in problem.arrays.items():
+        assert np.array_equal(got["problem"].arrays[arr_name].data, arr.data)
+    report = app.run(mode="split_pointer")
+    arrays = {n: a.data for n, a in app.stencil.arrays.items()}
+    result = {"key": "k", "report": report, "arrays": arrays, "replayed": False}
+    got = protocol.unpack(bytearray(protocol.pack(result)))
+    assert got["report"] == report
+    for arr_name, data in arrays.items():
+        assert np.array_equal(got["arrays"][arr_name], data)
 
 
 def test_version_one_peer_gets_bad_magic():

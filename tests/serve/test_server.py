@@ -626,3 +626,27 @@ def test_serve_options_validation():
                 checkpoint=CheckpointPolicy(dir="/tmp/x", every_dt=4)
             )
         )
+
+
+def test_a_burst_record_keeps_only_queued_groups():
+    # A submitter that never marks its bursts must not grow its record:
+    # each admission forgets the groups that launched.  A marked job
+    # launches only groups still queued under the record's own entry.
+    app = build_heat((16, 16), 4, seed=0)
+
+    async def main():
+        opts = ServeOptions(max_batch=1, run=RunOptions(mode="split_pointer"))
+        async with StencilServer(opts) as srv:
+            burst: dict = {}
+            for _ in range(20):
+                await srv.submit_problem(
+                    app.stencil.prepare(app.steps, app.kernel),
+                    stencil=app.stencil,
+                    burst=burst,
+                )
+                assert len(burst) <= 1
+            srv.end_burst(burst)
+            assert burst == {}
+            assert srv.stats["batches"] == 20
+
+    asyncio.run(main())
