@@ -202,20 +202,25 @@ def _attach_segment(name: str):
     return _untracked_segment(name=name)
 
 
-def _create_segment(name: str, size: int):
-    """Create the shared segment ``name`` of ``size`` bytes, untracked
-    (its creator unlinks it with :func:`_close_segment`, and no tracker
-    process is started), with its pages reserved up front: a full
-    ``/dev/shm`` fails here with ``OSError`` rather than with a SIGBUS at
-    the first write to a page it could not back."""
-    shm = _untracked_segment(name=name, create=True, size=size)
+def _reserved(shm):
+    """``shm``, just created, with its pages reserved up front: a full
+    ``/dev/shm`` fails here with ``OSError`` (the segment unlinked)
+    rather than with a SIGBUS at the first write to a page it could not
+    back."""
     try:
         if hasattr(os, "posix_fallocate"):
-            os.posix_fallocate(shm._fd, 0, size)
+            os.posix_fallocate(shm._fd, 0, shm.size)
     except BaseException:
         _close_segment(shm, True)
         raise
     return shm
+
+
+def _create_segment(name: str, size: int):
+    """Create the shared segment ``name`` of ``size`` bytes, untracked
+    (its creator unlinks it with :func:`_close_segment`, and no tracker
+    process is started), its pages reserved (:func:`_reserved`)."""
+    return _reserved(_untracked_segment(name=name, create=True, size=size))
 
 
 def _close_segment(shm, owner: bool) -> bool:
@@ -312,6 +317,7 @@ class PochoirArray:
 
         with _TRACKER_SHIM_LOCK:  # tracked: see the lock's comment
             shm = shared_memory.SharedMemory(create=True, size=self.data.nbytes)
+        shm = _reserved(shm)
         view = np.ndarray(self.data.shape, dtype=np.float64, buffer=shm.buf)
         view[...] = self.data
         self.data = view

@@ -36,10 +36,11 @@ stencil's (unknown name, or not the array's grid layout) raises
 peer) and a job's inline frame would be larger than the server's
 staging buffer (:data:`repro.serve.net._STAGE`), the job's grids can go
 through a **lease** instead of the socket: a shared-memory segment the
-server creates for this connection (``T_LEASE``).  The client copies
-the grids into it, the submit frame carries only the pickle meta, the
-server runs the job in place, and the result refers to the same
-regions; the client copies it out as above.  A lease pays only when it
+server creates for this connection (``T_LEASE``).  The client writes the
+job's whole inline payload into it and sends a pointer SUBMIT (the lease
+and the payload's length); the server runs the job in place, and its
+RESULT carries only the report: the client unpacks its own payload
+again and copies the results out of it as above.  A lease pays only when it
 is reused (creating and first filling a segment costs about what the
 socket does; refilling one costs a tenth), so the connection keeps its
 leases in a pool keyed by size, and asks for one only once a size
@@ -96,6 +97,21 @@ from repro.serve.protocol import (
 from repro.serve.server import JobExpired, ServerBusy, ServerClosed
 
 
+def _length(frame: list) -> int:
+    """The payload length of a frame given as parts."""
+    return sum(len(p) for p in frame) - protocol.HEADER.size
+
+
+def _lease_size(frame: list) -> int:
+    """The lease size a submit frame's payload needs, in whole pages so
+    that jobs of one shape share a pool size, or 0 when the frame fits
+    the server's staging buffer."""
+    size = _length(frame)
+    if size + protocol.HEADER.size <= _STAGE:
+        return 0
+    return size + -size % mmap.PAGESIZE
+
+
 def error_to_exception(msg: dict) -> Exception:
     """Rebuild the typed exception a ``T_ERROR`` payload describes."""
     code = msg.get("code")
@@ -129,9 +145,8 @@ class _PendingJob:
     #: frame_parts``: header bytes, then views of the live arrays.
     msg: dict
     frame: list
-    #: The lease size its grids need, or 0 when its frame fits the
-    #: server's staging buffer.
-    stage: int
+    #: The lease size its payload needs (:func:`_lease_size`).
+    lease_size: int
     #: The lease of this connection it is in, until its answer arrives.
     lease: int | None = None
     #: How it was last sent: ``"shm"`` (in a lease) or ``"tcp"``.
@@ -258,16 +273,9 @@ class StencilClient:
             if 1 < len(jobs) == i + 1:
                 msg["last"] = True
             frame = protocol.frame_parts(T_SUBMIT, msg)
-            stage = 0
-            if sum(len(p) for p in frame) > _STAGE:
-                # The inline buffers with their padding: an upper bound on
-                # what they take in a lease, rounded to whole pages so
-                # jobs of one shape share a pool size.
-                stage = sum(len(p) for p in frame[1:])
-                stage += -stage % mmap.PAGESIZE
             pending[key] = _PendingJob(
                 key=key, stencil=stencil, problem=problem, msg=msg,
-                frame=frame, stage=stage,
+                frame=frame, lease_size=_lease_size(frame),
             )
             order.append(key)
 
@@ -341,17 +349,20 @@ class StencilClient:
             # mark this one.  It stays last until it is answered.
             last.msg["last"] = True
             last.frame = protocol.frame_parts(T_SUBMIT, last.msg)
+            last.lease_size = _lease_size(last.frame)
         for job in unanswered:
             sock.settimeout(self._remaining(deadline))
             protocol.send_parts(sock, self._frame(job))
         # A lease pays only when it is reused, so a job that went inline
         # for want of a free lease asks for one once its size recurs on
         # this connection — after the submits, off their path.
-        inline = [j.stage for j in unanswered if j.stage and j.lease is None]
+        inline = [
+            j.lease_size for j in unanswered if j.lease_size and j.lease is None
+        ]
         self._ask(
             sock, [s for s in inline if s in self._seen or inline.count(s) > 1]
         )
-        self._seen.update(j.stage for j in unanswered if j.stage)
+        self._seen.update(j.lease_size for j in unanswered if j.lease_size)
         while self._asked or any(j.report is None for j in pending.values()):
             sock.settimeout(self._remaining(deadline))
             try:
@@ -363,9 +374,7 @@ class StencilClient:
                 # connection and let the retry loop rebuild it.
                 self.close()
                 raise ConnectionError("garbled response stream") from None
-            msg = protocol.unpack(
-                payload, {lid: shm.buf for lid, shm in self._leases.items()}
-            )
+            msg = protocol.unpack(payload)
             if ftype == T_LEASE_OK and isinstance(msg, dict) and self._asked:
                 self._granted(sock, msg)
                 continue
@@ -375,11 +384,21 @@ class StencilClient:
             job = pending.get(msg["key"])
             if job is None or job.report is not None:
                 continue  # stale duplicate (an earlier attempt's answer)
-            if job.lease is not None and ftype in (T_RESULT, T_ERROR):
+            lease = job.lease
+            if lease is not None and ftype in (T_RESULT, T_ERROR):
                 # The server frees a lease before it answers the job in it.
-                self._free.setdefault(job.stage, []).append(job.lease)
+                self._free.setdefault(job.lease_size, []).append(lease)
                 job.lease = None
             if ftype == T_RESULT:
+                if lease is not None and not msg.get("replayed"):
+                    # The job ran in place on its payload in the lease.
+                    payload = protocol.unpack(
+                        self._leases[lease].buf[:_length(job.frame)]
+                    )
+                    msg["arrays"] = {
+                        name: arr.data
+                        for name, arr in payload["problem"].arrays.items()
+                    }
                 self._apply_result(job, msg, attempt)
             elif ftype == T_ERROR:
                 exc = error_to_exception(msg)
@@ -421,20 +440,21 @@ class StencilClient:
 
     # -- leases ------------------------------------------------------------
     def _frame(self, job: _PendingJob) -> list:
-        """The job's submit frame for this connection: in a free lease of
-        its size when there is one, else inline."""
-        free = self._free.get(job.stage) if job.stage else None
+        """The job's submit frame for this connection: a pointer to its
+        payload, written into a free lease of its size when there is one,
+        else the inline frame."""
+        free = self._free.get(job.lease_size) if job.lease_size else None
         job.lease = free.pop() if free else None
         if job.lease is None:
             job.transport = "tcp"
             return job.frame
         job.transport = "shm"
-        return protocol.frame_parts(
-            T_SUBMIT,
-            job.msg,
-            {job.lease: self._leases[job.lease].buf},
-            stage=job.lease,
-        )
+        buf, at = self._leases[job.lease].buf, 0
+        head = memoryview(job.frame[0])[protocol.HEADER.size:]
+        for part in (head, *job.frame[1:]):
+            buf[at:at + len(part)] = part
+            at += len(part)
+        return protocol.frame_parts(T_SUBMIT, {"lease": job.lease, "length": at})
 
     def _ask(self, sock: socket.socket, sizes: list[int], release=()) -> None:
         """Ask the server for a lease of each of ``sizes`` (unless the

@@ -16,15 +16,17 @@ retries — so this module treats each as a first-class design input:
   (``T_LEASE``): a shared-memory segment, named :data:`LEASE_PREFIX`
   plus a random token, created for that one connection within
   :data:`CONN_LEASE_BYTES` per connection and :data:`LEASE_BYTES` over
-  the server.  A SUBMIT whose grids sit in one runs in place on the
-  server's mapping, and its RESULT refers to the same regions with no
-  bytes.  A lease holds one job at a time and serves only its own
-  connection; ids are unique across connections.  Submitting into it
-  again expires the journal entry of the job it held (typed
-  ``expired``).  Giving it back (a later ``T_LEASE``'s ``release``) or
-  closing the connection (after the job running in it) copies its
-  journaled result into private memory and unlinks the segment.  Any
-  other peer, or a refusal, goes inline over TCP.
+  the server.  A pointer SUBMIT names a lease and a length: the job's
+  whole payload sits there, unpacks as an inline one would and runs in
+  place on the server's mapping, and its RESULT carries no arrays (the
+  client reads them from the lease).  A lease holds one job at a time
+  and serves only its own connection; ids are unique across
+  connections.  Submitting into it again expires the journal entry of
+  the job it held (typed ``expired``).  Giving it back (a later
+  ``T_LEASE``'s ``release``) or closing the connection (after the job
+  running in it) copies its journaled result into private memory and
+  unlinks the segment.  Any other peer, or a refusal, goes inline over
+  TCP.
 * **idempotent replay** — every submit carries a client idempotency
   key; completed responses live in a **result journal**, LRU-bounded
   both by entry count (``journal_limit``) and by result-array bytes
@@ -48,10 +50,11 @@ retries — so this module treats each as a first-class design input:
   crosses the wire with its ``pending_jobs``/``pending_points``/
   ``retry_after`` fields so clients back off intelligently.
 * **poisoned connections, healthy server** — a malformed or oversized
-  frame, a submit naming a lease its connection does not hold (or a busy
-  one, or a region outside it) and a grid sent as a shared-memory
-  descriptor draw a best-effort typed error and close *that*
-  connection; other connections and the server are untouched.
+  frame, a pointer to a lease its connection does not hold (or a busy
+  one, or a length outside it, or a leased payload that is a pointer
+  again) and a grid sent as a shared-memory descriptor draw a
+  best-effort typed error and close *that* connection; other
+  connections and the server are untouched.
 * **graceful drain** — SIGTERM (via :meth:`NetServer.
   install_signal_handlers`) stops admitting, finishes every accepted
   remote job, flushes its response, then closes listeners and
@@ -148,31 +151,6 @@ class _Lease:
     job: asyncio.Task | None = None
     #: The key whose journaled result lives in it.
     holder: str | None = None
-
-
-class _Claim:
-    """The lease table one SUBMIT unpacks against
-    (:func:`repro.serve.protocol.unpack`): the connection's leases by id.
-    Refuses an id the connection does not hold, a lease with a job in
-    flight and a second lease (a job lives in one), and records the lease
-    the frame used."""
-
-    def __init__(self, leases: dict[int, _Lease]):
-        self.leases = leases
-        self.lease: _Lease | None = None
-
-    def __getitem__(self, lid: int):
-        lease = self.leases.get(lid)
-        if lease is None:
-            raise protocol.ProtocolError(
-                f"lease {lid} was not issued to this connection"
-            )
-        if lease.job is not None:
-            raise protocol.ProtocolError(f"lease {lid} already has a job in flight")
-        if self.lease is not None:
-            raise protocol.ProtocolError("a submit puts its buffers in one lease")
-        self.lease = lease
-        return lease.shm.buf
 
 
 def error_payload(key: str | None, exc: BaseException) -> dict:
@@ -335,10 +313,29 @@ class _FrameConnection(
         return item
 
 
-def _parse_submit(payload: bytearray, leases) -> tuple:
-    """A SUBMIT's ``(key, problem, deadline, last)``; raises on anything
-    else."""
-    msg = protocol.unpack(payload, leases)
+def _parse_submit(payload: bytearray, leases: dict[int, _Lease]) -> tuple:
+    """A SUBMIT's ``(key, problem, deadline, last, lease)``; raises on
+    anything else.  ``lease`` is the one a pointer SUBMIT names, its
+    payload read from there: a lease of ``leases`` with no job in flight,
+    holding the pointer's ``length``."""
+    msg = protocol.unpack(payload)
+    lease = None
+    if isinstance(msg, dict) and "lease" in msg:
+        lid, length = msg["lease"], msg.get("length")
+        lease = leases.get(lid)
+        if lease is None:
+            raise protocol.ProtocolError(
+                f"lease {lid!r} was not issued to this connection"
+            )
+        if lease.job is not None:
+            raise protocol.ProtocolError(f"lease {lid} already has a job in flight")
+        if type(length) is not int or not 0 < length <= lease.size:
+            raise protocol.ProtocolError(
+                f"a payload of {length!r} bytes in lease {lid} of {lease.size}"
+            )
+        msg = protocol.unpack(lease.shm.buf[:length])
+        if isinstance(msg, dict) and "lease" in msg:
+            raise protocol.ProtocolError("a leased payload may not be a pointer")
     key = msg["key"]
     problem = msg["problem"]
     deadline = msg.get("deadline")
@@ -356,7 +353,7 @@ def _parse_submit(payload: bytearray, leases) -> tuple:
             "a job runs under the server's run options; "
             "a submit may not carry its own"
         )
-    return key, problem, deadline, last
+    return key, problem, deadline, last, lease
 
 
 class NetServer:
@@ -663,14 +660,15 @@ class NetServer:
         lock: asyncio.Lock,
     ) -> None:
         self.stats["requests"] += 1
-        claim = _Claim(conn.leases)
         try:
-            key, problem, deadline, last = _parse_submit(payload, claim)
+            key, problem, deadline, last, lease = _parse_submit(
+                payload, conn.leases
+            )
         except (protocol.ProtocolError, KeyError, TypeError, SpecificationError) as exc:
-            # Garbage inside a well-formed frame, a lease this submit may
-            # not use, a grid that breaks the layout contract or arrives
-            # as a shared-memory descriptor, or per-job run options (typed
-            # ``invalid``): same poison rule.
+            # Garbage inside a well-formed frame (or a lease), a lease this
+            # submit may not use, a grid that breaks the layout contract or
+            # arrives as a shared-memory descriptor, or per-job run options
+            # (typed ``invalid``): same poison rule.
             if not isinstance(exc, SpecificationError):
                 exc = protocol.ProtocolError(f"malformed submit: {exc}")
             refusal = error_payload(None, exc)
@@ -683,7 +681,6 @@ class NetServer:
             await self._send(writer, lock, T_ERROR, refusal)
             await self._close_writer(writer)
             return
-        lease = claim.lease
         if lease is not None:
             self._reuse(lease)
 
@@ -717,6 +714,7 @@ class NetServer:
         self._journal[key] = flight
         if lease is not None:
             lease.job = asyncio.current_task()
+            grids = {name: arr.data for name, arr in problem.arrays.items()}
         try:
             report = await self.server.submit_problem(
                 problem, timeout=deadline, burst=conn.burst, last=last
@@ -744,17 +742,22 @@ class NetServer:
             return
         report.transport = "tcp" if lease is None else "shm"
         arrays = {name: arr.data for name, arr in problem.arrays.items()}
-        response = (
-            T_RESULT,
-            {"key": key, "report": report, "arrays": arrays, "replayed": False},
-        )
+        if lease is not None:
+            # The client reads the results from its payload in the lease
+            # (the live RESULT carries none); a run that moved a grid (the
+            # supervised executor's share and unshare) left them elsewhere.
+            for name, data in arrays.items():
+                if data is not grids[name]:
+                    grids[name][...] = data
+            arrays = grids
+        body = {"key": key, "report": report, "arrays": arrays, "replayed": False}
         # Holder first: if the journal evicts this very entry, it forgets
         # the holder too.
         self._free(lease, key)
-        self._record(key, response, flight)
-        await self._send(
-            writer, lock, *response, leases=conn.leases, inject=True
-        )
+        self._record(key, (T_RESULT, body), flight)
+        if lease is not None:
+            body = {**body, "arrays": {}}
+        await self._send(writer, lock, T_RESULT, body, inject=True)
 
     def _free(self, lease: _Lease | None, holder: str | None = None) -> None:
         """End the job in ``lease`` — before the response goes out, so
@@ -797,22 +800,16 @@ class NetServer:
         ftype: int,
         body: dict,
         *,
-        leases: dict[int, _Lease] | None = None,
         inject: bool = False,
     ) -> None:
         """Serialize, then write under the connection's write lock; apply
         armed ``net.*`` response faults (submit responses only).
 
-        Arrays that lie in one of the connection's ``leases`` go as lease
-        entries, with no bytes.  A frame under :data:`_WRITE_SLICE` goes
-        out as one joined write; a larger one part by part, its buffers
-        straight from the arrays in slices of at most that size.
+        A frame under :data:`_WRITE_SLICE` goes out as one joined write; a
+        larger one part by part, its buffers straight from the arrays in
+        slices of at most that size.
         """
-        parts = protocol.frame_parts(
-            ftype,
-            body,
-            {lid: lease.shm.buf for lid, lease in (leases or {}).items()},
-        )
+        parts = protocol.frame_parts(ftype, body)
         size = sum(len(p) for p in parts)
         async with lock:
             try:

@@ -9,42 +9,31 @@ is a **length-prefixed frame**::
     | 4 B   | 1 B  | 4 B (BE) | `length` bytes |
     +-------+------+----------+----------------+
 
-``magic`` is ``b"RPS2"`` (protocol version 2; the lease frames and
-entries below were added without a bump, since an inline-only frame is
-byte-identical to before); ``type`` is one of the ``T_*`` constants
-below; ``length`` is the payload size in bytes.  The payload is one
-Python object pickled at protocol 5 with its array buffers **out of
-band** (:func:`pack_parts`)::
+``magic`` is ``b"RPS2"`` (protocol version 2; the lease frames below
+were added without a bump, since every other frame is byte-identical to
+before); ``type`` is one of the ``T_*`` constants below; ``length`` is
+the payload size in bytes.  The payload is one Python object pickled at
+protocol 5 with its array buffers **out of band** (:func:`pack_parts`)::
 
-    +----------+-------+-------------------+------+---------------------+
-    | meta_len | n_buf | entry x n_buf     | meta | inline buffers      |
-    | u32 (BE) | u32   | (see below)       | pkl  | each 64-B aligned   |
-    +----------+-------+-------------------+------+---------------------+
+    +----------+-------+--------------+------+---------------------+
+    | meta_len | n_buf | size x n_buf | meta | buffers             |
+    | u32 (BE) | u32   | u64 (BE)     | pkl  | each 64-B aligned   |
+    +----------+-------+--------------+------+---------------------+
 
 ``meta`` is the pickle stream without the array bytes.  Each buffer's
-table entry says where its bytes live:
+table entry is its size; its bytes follow the meta, starting at the next
+payload offset that is a multiple of :data:`ALIGN` (zero padding in
+between), and the last buffer ends exactly at ``length``.  A sender
+writes them straight from the live arrays; a receiver reads the payload
+into one writable buffer and :func:`unpack` returns arrays that are
+views into it, so a grid crosses the wire with no copy at either end.
 
-* **inline** — one u64 (BE), the buffer's size.  The bytes follow the
-  meta, starting at the next payload offset that is a multiple of
-  :data:`ALIGN` (zero padding in between), and the last inline buffer
-  ends exactly at ``length``.  A sender writes them straight from the
-  live arrays; a receiver reads the payload into one writable buffer and
-  :func:`unpack` returns arrays that are views into it, so a grid
-  crosses the wire with no copy at either end.
-* **leased** — three u64s: ``LEASED | size`` (the top bit set), a lease
-  id and an offset.  The bytes are already in that **lease**: a
-  shared-memory segment the server created for this one connection
-  (``T_LEASE``), mapped by both ends.  The frame carries none of them,
-  and :func:`unpack` returns a view into the receiver's mapping.  The
-  offset is a multiple of :data:`ALIGN`, the buffer ends inside the
-  lease, and no two buffers of a frame overlap.
-
-A frame whose entries are all inline is exactly the frame of a peer that
-knows no leases.  Arrays always cross by value: a shared
+Arrays always cross by value: a shared
 :class:`~repro.language.array.PochoirArray` pickles its bytes, and a
 segment descriptor in a received pickle is refused as ``invalid``
 (:func:`~repro.language.array.arrays_by_value`), so the only memory a
-frame can point at is a lease the server issued to that connection.
+payload can sit in is the frame itself or a lease the server issued to
+that connection (below).
 
 A received pickle may name only the wire types (:data:`WIRE_GLOBALS`):
 the ``repro`` expression, language and report classes and NumPy's
@@ -70,9 +59,12 @@ Frame types:
                 expires.  The job runs under the
                 server's run options; a submit that carries its own
                 ``options`` is refused as ``invalid``.
+                Or a **pointer** ``{"lease", "length"}``: the job's
+                payload is the first ``length`` bytes of that lease.
 ``T_RESULT``    server -> client: ``{"key", "report", "arrays",
                 "replayed"}`` — the job's ``RunReport``, every result
-                array's modular buffer (an ndarray), and whether the
+                array's modular buffer (an ndarray; none in the live
+                RESULT of a job sent through a lease), and whether the
                 response was served from the idempotent result journal
                 instead of a fresh execution.
 ``T_ERROR``     server -> client: ``{"key", "code", "message", ...}`` —
@@ -99,13 +91,20 @@ Frame types:
                 inline.
 ==============  =========================================================
 
-A SUBMIT may put its grids in a lease; the server runs the job in place
-on its mapping of the lease, and the RESULT refers to the same regions.
+**Leases.**  A lease is a shared-memory segment the server created for
+one connection (``T_LEASE``), mapped by both ends: a second channel for
+a whole SUBMIT payload.  The client writes the payload it would have
+sent inline into the lease, from offset 0, and sends a pointer; the
+server unpacks the lease's bytes exactly as an inline payload (the
+grids are views into its mapping and the job runs on them in place).
+The live RESULT of such a job carries the report and no arrays: the
+client reads the results from its own payload, unpacking it again.
 
 Robustness contract: a reader that sees a bad magic (an ``RPS1`` peer
 included), an unknown type, a length beyond its ``max_frame`` bound, or
-a payload whose buffer table does not tile it exactly (or names a
-lease the connection does not hold, or a busy one) raises
+a payload whose buffer table does not tile it exactly (or a pointer to
+a lease the connection does not hold, a busy one, a length outside it,
+or a leased payload that is itself a pointer) raises
 :class:`ProtocolError` — the server answers with a best-effort
 ``T_ERROR`` frame and closes **that connection only** (a malformed
 peer poisons its own connection, never the server); the client treats
@@ -166,14 +165,8 @@ MAX_FRAME = 256 * 1024 * 1024
 #: entry follows).
 TABLE = struct.Struct("!II")
 
-#: An inline buffer's entry: its size.
+#: A buffer's entry: its size.
 _U64 = struct.Struct("!Q")
-
-#: A leased buffer's entry: ``LEASED | size``, lease id, offset.
-_LEASE_ENTRY = struct.Struct("!QQQ")
-
-#: The size-word flag of a lease entry.
-LEASED = 1 << 63
 
 #: Every out-of-band buffer starts at a payload offset divisible by this.
 ALIGN = 64
@@ -254,35 +247,21 @@ class DeadlineExceeded(RuntimeError):
     """
 
 
-def _address(buf) -> int:
-    """The address of a buffer's first byte."""
-    return np.frombuffer(buf, dtype=np.uint8).__array_interface__["data"][0]
-
-
-def pack_parts(obj: object, leases=None, *, stage: int | None = None) -> list:
+def pack_parts(obj: object) -> list:
     """Serialize one frame payload as wire-ready parts, never joined.
 
     The first part holds the buffer table and the meta pickle; every
-    inline out-of-band buffer follows as a ``memoryview`` of the object's
-    own memory (``PickleBuffer.raw()``), preceded by zero padding where
-    its offset needs aligning.  The views stay live: send before mutating
-    the arrays they show.
-
-    ``leases`` maps lease ids to the writable buffers of this
-    connection's leases.  A buffer that lies inside one of them is sent
-    as a lease entry, with no bytes.  With ``stage`` (one of those ids),
-    every other buffer is first copied into that lease, packed from its
-    start at aligned offsets, and sent the same way.
+    out-of-band buffer follows as a ``memoryview`` of the object's own
+    memory (``PickleBuffer.raw()``), preceded by zero padding where its
+    offset needs aligning.  The views stay live: send (or copy) before
+    mutating the arrays they show.
     """
     buffers: list[pickle.PickleBuffer] = []
     with arrays_by_value():
         meta = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
     views = [buf.raw() for buf in buffers]
-    if leases:
-        table, views = _place(views, leases, stage)
-    else:
-        table = struct.pack(f"!{len(views)}Q", *(v.nbytes for v in views))
-    parts: list = [TABLE.pack(len(meta), len(buffers)) + table + meta]
+    table = struct.pack(f"!{len(views)}Q", *(v.nbytes for v in views))
+    parts: list = [TABLE.pack(len(meta), len(views)) + table + meta]
     offset = len(parts[0])
     for view in views:
         pad = -offset % ALIGN
@@ -293,56 +272,21 @@ def pack_parts(obj: object, leases=None, *, stage: int | None = None) -> list:
     return parts
 
 
-def _place(views: list, leases, stage: int | None) -> tuple[bytes, list]:
-    """The table entries of ``views`` given a connection's ``leases``
-    (see :func:`pack_parts`), and the views that stay inline."""
-    regions = {
-        lid: (_address(buf), memoryview(buf).cast("B"))
-        for lid, buf in leases.items()
-    }
-    free = 0
-    entries: list[bytes] = []
-    inline: list = []
-    for view in views:
-        n = view.nbytes
-        placed = None
-        if n:
-            at = _address(view)
-            for lid, (base, region) in regions.items():
-                if base <= at and at + n <= base + region.nbytes:
-                    placed = (lid, at - base)
-                    break
-            if placed is None and stage is not None:
-                free += -free % ALIGN
-                regions[stage][1][free:free + n] = view
-                placed, free = (stage, free), free + n
-        if placed is None:
-            entries.append(_U64.pack(n))
-            inline.append(view)
-        else:
-            entries.append(_LEASE_ENTRY.pack(LEASED | n, *placed))
-    return b"".join(entries), inline
-
-
 def pack(obj: object) -> bytes:
     """Serialize one frame payload into one ``bytes`` (joined
     :func:`pack_parts`)."""
     return b"".join(pack_parts(obj))
 
 
-def unpack(payload, leases=None) -> object:
+def unpack(payload) -> object:
     """Deserialize one frame payload (raises ProtocolError on garbage,
     and SpecificationError for a global outside :data:`WIRE_GLOBALS` or
     a grid that breaks the layout contract or arrives as a shared-memory
     descriptor).
 
-    Inline arrays come back as writable views into ``payload`` when it is
-    writable (the ``bytearray`` a frame was received into); a read-only
-    payload is first copied once into a new buffer.  A lease entry is
-    looked up in ``leases`` (lease id -> writable buffer; the lookup may
-    raise ProtocolError to refuse a lease) and comes back as a view into
-    that lease.  A lease entry must start at an aligned offset, end
-    inside its lease and overlap no other buffer of the frame.
+    Arrays come back as writable views into ``payload`` when it is
+    writable (the ``bytearray`` a frame was received into, or a lease's
+    mapping); a read-only payload is first copied once into a new buffer.
     """
     view = memoryview(payload)
     if view.readonly:
@@ -351,84 +295,32 @@ def unpack(payload, leases=None) -> object:
     if size < TABLE.size:
         raise ProtocolError(f"payload of {size} bytes has no buffer table")
     meta_len, n_buf = TABLE.unpack_from(view)
-    if TABLE.size + _U64.size * n_buf > size:
-        raise ProtocolError(
-            f"buffer table of {n_buf} entries overruns a {size}-byte payload"
-        )
-    entries = struct.unpack_from(f"!{n_buf}Q", view, TABLE.size)
-    pos = TABLE.size + _U64.size * n_buf
-    if any(word & LEASED for word in entries):
-        entries, pos = _lease_table(view, n_buf)
-    meta_start = pos
+    meta_start = TABLE.size + _U64.size * n_buf
     offset = meta_start + meta_len
     if offset > size:
         raise ProtocolError(
-            f"meta of {meta_len} bytes overruns a {size}-byte payload"
+            f"buffer table of {n_buf} entries and meta of {meta_len} bytes "
+            f"overrun a {size}-byte payload"
         )
     buffers = []
-    spans: dict[int, list] = {}
-    regions: dict[int, memoryview] = {}
-    for entry in entries:
-        if isinstance(entry, int):
-            start = offset + (-offset % ALIGN)
-            offset = start + entry
-            buffers.append(view[start:offset])
-            continue
-        n, lid, at = entry
-        if lid not in regions:
-            if leases is None:
-                raise ProtocolError(f"lease {lid} named on a connection without leases")
-            try:
-                regions[lid] = memoryview(leases[lid]).cast("B")
-            except KeyError:
-                raise ProtocolError(f"lease {lid} is not held here") from None
-        region = regions[lid]
-        if at % ALIGN or at + n > region.nbytes:
-            raise ProtocolError(
-                f"buffer of {n} bytes at offset {at} does not fit lease {lid} "
-                f"of {region.nbytes} bytes"
-            )
-        spans.setdefault(lid, []).append((at, at + n))
-        buffers.append(region[at:at + n])
+    for n in struct.unpack_from(f"!{n_buf}Q", view, TABLE.size):
+        start = offset + (-offset % ALIGN)
+        offset = start + n
+        buffers.append(view[start:offset])
     if offset != size:
         raise ProtocolError(
             f"buffer table covers {offset} bytes of a {size}-byte payload"
         )
-    for lid, ranges in spans.items():
-        ranges.sort()
-        for (_, end), (start, _) in zip(ranges, ranges[1:]):
-            if start < end:
-                raise ProtocolError(f"buffers overlap in lease {lid}")
-    meta = view[meta_start:meta_start + meta_len]
+    # BytesIO copies the meta: a peer that writes to a shared payload
+    # while it is parsed cannot change what the unpickler reads.
+    meta = io.BytesIO(view[meta_start:meta_start + meta_len])
     try:
         with arrays_by_value():
-            return _WireUnpickler(io.BytesIO(meta), buffers=buffers).load()
+            return _WireUnpickler(meta, buffers=buffers).load()
     except SpecificationError:
         raise
     except Exception as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from None
-
-
-def _lease_table(view: memoryview, n_buf: int) -> tuple[list, int]:
-    """Parse a buffer table holding lease entries: each entry is a size
-    or a ``(size, lease, offset)``; returns them and the meta's start."""
-    size = view.nbytes
-    entries: list = []
-    pos = TABLE.size
-    for _ in range(n_buf):
-        if pos + _U64.size > size:
-            raise ProtocolError(f"buffer table overruns a {size}-byte payload")
-        (word,) = _U64.unpack_from(view, pos)
-        if word & LEASED:
-            if pos + _LEASE_ENTRY.size > size:
-                raise ProtocolError(f"lease entry overruns a {size}-byte payload")
-            word, lid, at = _LEASE_ENTRY.unpack_from(view, pos)
-            entries.append((word & ~LEASED, lid, at))
-            pos += _LEASE_ENTRY.size
-        else:
-            entries.append(word)
-            pos += _U64.size
-    return entries, pos
 
 
 def is_loopback(peername) -> bool:
@@ -451,13 +343,10 @@ def encode_frame(ftype: int, payload: bytes) -> bytes:
     return _header(ftype, len(payload)) + payload
 
 
-def frame_parts(
-    ftype: int, obj: object, leases=None, *, stage: int | None = None
-) -> list:
+def frame_parts(ftype: int, obj: object) -> list:
     """One wire-ready frame as parts: the frame header joined to the
-    first part of :func:`pack_parts` (which places the buffers), then
-    the inline buffer views."""
-    parts = pack_parts(obj, leases, stage=stage)
+    first part of :func:`pack_parts`, then the buffer views."""
+    parts = pack_parts(obj)
     parts[0] = _header(ftype, sum(len(p) for p in parts)) + parts[0]
     return parts
 

@@ -18,29 +18,33 @@ from repro import (
 from repro.compiler.pipeline import available_modes
 
 
-#: Where a served lease's segment lives while it exists (Linux).
-_LEASE_SEGMENTS = "/dev/shm/repro_lease_*"
+#: Shared-memory segments no test may leave behind (Linux): a served
+#: lease's, and a supervised run's shared grid (``PochoirArray.share``).
+_SEGMENTS = ("/dev/shm/repro_lease_*", "/dev/shm/psm_*")
+
+
+def _segments() -> set[str]:
+    return {path for pattern in _SEGMENTS for path in glob.glob(pattern)}
 
 
 def pytest_sessionstart(session):
-    session.config.stash[_LEASES_BEFORE] = set(glob.glob(_LEASE_SEGMENTS))
+    session.config.stash[_SEGMENTS_BEFORE] = _segments()
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Fail the session if a served lease's segment outlived it: every
-    server-created segment must be unlinked when its connection ends."""
+    """Fail the session if a segment created during it outlived it: every
+    server-created lease must be unlinked when its connection ends, and
+    every shared grid when its run ends."""
     from repro.serve.net import LEASE_PREFIX
 
-    assert _LEASE_SEGMENTS == f"/dev/shm/{LEASE_PREFIX}*"
-    left = set(glob.glob(_LEASE_SEGMENTS)) - session.config.stash.get(
-        _LEASES_BEFORE, set()
-    )
+    assert _SEGMENTS[0] == f"/dev/shm/{LEASE_PREFIX}*"
+    left = _segments() - session.config.stash.get(_SEGMENTS_BEFORE, set())
     if left:
-        print(f"\nlease segments left behind: {sorted(left)}")
+        print(f"\nshared-memory segments left behind: {sorted(left)}")
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
-_LEASES_BEFORE = pytest.StashKey[set]()
+_SEGMENTS_BEFORE = pytest.StashKey[set]()
 
 
 def has_c_backend() -> bool:

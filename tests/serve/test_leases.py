@@ -1,11 +1,14 @@
 """Same-host handoff: a large job's grids travel in a server-issued lease.
 
 A lease is a shared-memory segment the server creates for one
-connection.  The client copies a large job's grids into it, the SUBMIT
-carries only the pickle meta, the server runs the job in place and the
-RESULT refers to the same regions.  Asserted here:
+connection.  The client writes a large job's whole SUBMIT payload into
+it and sends a pointer (the lease and the payload's length); the server
+unpacks the payload there, runs the job in place, and its RESULT carries
+only the report.  Asserted here:
 
-* a leased job is bitwise a local run, and one lease serves many jobs;
+* a leased job is bitwise a local run, and one lease serves many jobs:
+  its SUBMIT frame on the socket is a pointer of a few hundred bytes and
+  its RESULT has no out-of-band buffer;
 * a connection asks for a lease only once a size recurs on it (a lease
   pays only when reused), so a one-job connection never makes one;
 * leases are bounded per connection and over the whole server, and a
@@ -15,9 +18,11 @@ RESULT refers to the same regions.  Asserted here:
   still bitwise;
 * no socket input makes the server attach, read or write memory it did
   not issue to that connection: a shared-array descriptor, an unissued
-  lease, another connection's lease, a region outside the lease,
-  overlapping buffers and a second job into a busy lease each get a
-  typed refusal that closes only that connection;
+  lease, another connection's lease, a length outside the lease, a
+  leased payload that points again and a second job into a busy lease
+  each get a typed refusal that closes only that connection, and a
+  seeded mutation sweep of leased submits gets a result or a typed error
+  each;
 * reusing a lease expires the journal entry of the job it held, and a
   drain with a leased job in flight leaves no segment and no process.
 """
@@ -27,8 +32,8 @@ from __future__ import annotations
 import glob
 import os
 import pickle
+import random
 import socket
-import struct
 import threading
 import time
 
@@ -67,7 +72,8 @@ def _ref(seed, sizes=LARGE):
 def _options(**kw):
     kw.setdefault("max_batch", 4)
     kw.setdefault("batch_window", 0.01)
-    return ServeOptions(run=RunOptions(mode=MODE), **kw)
+    kw.setdefault("run", RunOptions(mode=MODE))
+    return ServeOptions(**kw)
 
 
 def _client(lb, **kw):
@@ -100,24 +106,20 @@ def _msg(app, key, **extra):
     return {"key": key, "deadline": None, "problem": problem, **extra}
 
 
+def _pointer(lid, length):
+    return protocol.frame_parts(T_SUBMIT, {"lease": lid, "length": length})
+
+
+def _put(shm, msg):
+    """Write ``msg``'s payload into a lease mapping; its length."""
+    payload = protocol.pack(msg)
+    shm.buf[:len(payload)] = payload
+    return len(payload)
+
+
 def _leased_frame(msg, lid, shm):
-    return protocol.frame_parts(T_SUBMIT, msg, {lid: shm.buf}, stage=lid)
-
-
-def _patched(frame, index, *, size=None, lid=None, at=None):
-    """The joined frame with lease entry ``index`` rewritten (every entry
-    of the frame is leased: 24 bytes each, after the table head)."""
-    data = bytearray(b"".join(frame))
-    pos = protocol.HEADER.size + protocol.TABLE.size + 24 * index
-    word, old_lid, old_at = struct.unpack_from("!QQQ", data, pos)
-    if size is not None:
-        word = protocol.LEASED | size
-    struct.pack_into(
-        "!QQQ", data, pos, word,
-        old_lid if lid is None else lid,
-        old_at if at is None else at,
-    )
-    return bytes(data)
+    """A pointer SUBMIT to ``msg``'s payload, written into lease ``lid``."""
+    return _pointer(lid, _put(shm, msg))
 
 
 def _expect_refusal(sock, code):
@@ -158,6 +160,54 @@ def test_large_jobs_run_in_one_reused_lease_bitwise():
         assert [r.transport for r in reports] == ["tcp", "tcp"] + ["shm"] * 3
         assert lb.net.stats["leases"] == 1  # created once, reused
         assert lb.server.stats["completed"] == 5
+    for seed, app in enumerate(apps):
+        assert np.array_equal(app.result(), _ref(seed))
+
+
+def test_large_solo_jobs_send_a_pointer_and_get_a_bare_result(monkeypatch):
+    """The shape of a served 1024x1024 heat job (16.8 MB of grid) on one
+    reused connection: from the third job on, the SUBMIT on the socket
+    is a pointer of at most 256 bytes and the RESULT has no out-of-band
+    buffer; every result is bitwise a local run."""
+    sent, received = [], []
+    send, recv = protocol.send_parts, protocol.recv_frame
+
+    def spy_send(sock, parts):
+        sent.append(b"".join(parts))
+        send(sock, parts)
+
+    def spy_recv(sock, **kw):
+        received.append(recv(sock, **kw))
+        return received[-1]
+
+    monkeypatch.setattr(protocol, "send_parts", spy_send)
+    monkeypatch.setattr(protocol, "recv_frame", spy_recv)
+    sizes = (1024, 1024)
+    with LoopbackServer(_options()) as lb, _client(lb) as client:
+        for seed in range(4):
+            app = _build(seed, sizes)
+            del sent[:], received[:]
+            report = client.submit(app.stencil, app.steps, app.kernel)
+            (submit,) = [f for f in sent if f[4] == T_SUBMIT]
+            (result,) = [p for ftype, p in received if ftype == T_RESULT]
+            if seed >= 2:
+                assert report.transport == "shm"
+                assert len(submit) <= 256
+                assert protocol.TABLE.unpack_from(result)[1] == 0
+            assert np.array_equal(app.result(), _ref(seed, sizes))
+        assert lb.net.stats["leases"] == 1
+
+
+def test_a_supervised_run_leaves_its_result_in_the_lease():
+    # The procs executor moves the grids into segments of its own and
+    # back to private memory; the server copies the results into the
+    # lease, where the client reads them.
+    opts = _options(run=RunOptions(mode=MODE, executor="procs", n_workers=2))
+    with LoopbackServer(opts) as lb, _client(lb) as client:
+        apps = [_build(s) for s in range(3)]
+        reports = _submit_each(client, apps)
+    assert [r.transport for r in reports] == ["tcp", "tcp", "shm"]
+    assert {r.executor for r in reports} == {"procs"}
     for seed, app in enumerate(apps):
         assert np.array_equal(app.result(), _ref(seed))
 
@@ -435,27 +485,21 @@ def _refused_leased_submit(lb, case):
     lid, shm = _lease(sock)
     other = None
     try:
+        length = _put(shm, _msg(_build(0, (16, 16)), "x"))
         if case == "unissued":
-            frame = _patched(_leased_frame(_msg(_build(0), "x"), lid, shm), 0,
-                             lid=lid + 1000)
+            frame = _pointer(lid + 1000, length)
         elif case == "other-connection":
             other = _raw(lb)
             other_lid, other_shm = _lease(other)
-            frame = b"".join(_leased_frame(_msg(_build(0), "x"), other_lid, other_shm))
+            frame = _leased_frame(_msg(_build(0, (16, 16)), "x"), other_lid, other_shm)
             _close_segment(other_shm, False)
         elif case == "offset-out-of-range":
-            frame = _patched(_leased_frame(_msg(_build(0), "x"), lid, shm), 0,
-                             at=shm.size - 64)
-        elif case == "size-out-of-range":
-            frame = _patched(_leased_frame(_msg(_build(0), "x"), lid, shm), 0,
-                             size=shm.size + 8)
-        elif case == "misaligned":
-            frame = _patched(_leased_frame(_msg(_build(0), "x"), lid, shm), 0, at=8)
+            # The payload's last buffer reaches past the pointer's length.
+            frame = _pointer(lid, length - 64)
         else:
-            assert case == "overlapping"
-            msg = _msg(_build(0), "x", pad=np.arange(64.0))
-            frame = _patched(_leased_frame(msg, lid, shm), 1, at=0)
-        sock.sendall(frame)
+            assert case == "size-out-of-range"
+            frame = _pointer(lid, shm.size + 8)
+        protocol.send_parts(sock, frame)
         error = _expect_refusal(sock, "protocol")
     finally:
         _close_segment(shm, False)
@@ -470,8 +514,6 @@ LEASE_REFUSALS = [
     "other-connection",
     "offset-out-of-range",
     "size-out-of-range",
-    "misaligned",
-    "overlapping",
 ]
 
 
@@ -491,13 +533,9 @@ def test_second_submit_into_a_busy_lease_is_refused():
         try:
             first = _leased_frame(_msg(_build(0), "first"), lid, shm)
             protocol.send_parts(sock, first)
-            # The server copies nothing on a refusal, so this frame may be
-            # built without touching the lease the first job runs in.
-            second = protocol.frame_parts(
-                T_SUBMIT, _msg(_build(1), "second"), {lid: bytearray(shm.size)},
-                stage=lid,
-            )
-            protocol.send_parts(sock, second)
+            # The server reads nothing from a busy lease, so the second
+            # pointer may name the first job's payload.
+            protocol.send_parts(sock, first)
             error = _expect_refusal(sock, "protocol")
             assert "in flight" in error["message"]
         finally:
@@ -506,6 +544,93 @@ def test_second_submit_into_a_busy_lease_is_refused():
         _serves_another_client(lb)
     # The drain finished the first job: accepted work runs exactly once.
     assert lb.server.stats["completed"] == 4
+
+
+def _mutated_submits(seed=46, flips=24):
+    """A derandomized sweep of leased SUBMITs broken one way each:
+    ``(case, target, length, payload)``.  ``target`` names the lease the
+    pointer goes to (``own``, ``unissued``, ``other`` or ``busy``), and
+    ``payload`` is written into it first.  Half the flips hit the buffer
+    table, half the meta."""
+    rng = random.Random(seed)
+    app = _build(0, (16, 16))
+
+    def payload(key):
+        return bytearray(protocol.pack(_msg(app, key, last=True)))
+
+    meta_len, n_buf = protocol.TABLE.unpack_from(payload("k"))
+    table = protocol.TABLE.size + 8 * n_buf
+    cases = []
+    for i in range(flips):
+        data = payload(f"flip{i}")
+        pos = rng.randrange(*((0, table) if i % 2 else (table, table + meta_len)))
+        data[pos] ^= rng.randrange(1, 256)
+        cases.append((f"flip@{pos}", "own", len(data), data))
+    data = payload("named")
+    n = len(data)
+    pointer = protocol.pack({"lease": 1, "length": n})
+    return cases + [
+        ("length-0", "own", 0, data),
+        ("length-past-the-lease", "own", (1 << 16) + 1, data),
+        ("length-float", "own", float(n), data),
+        ("length-str", "own", str(n), data),
+        ("pointer-in-the-lease", "own", len(pointer), pointer),
+        ("unissued", "unissued", n, data),
+        ("other-connection", "other", n, data),
+        ("busy", "busy", n, data),
+    ]
+
+
+def test_mutated_leased_submits_get_a_result_or_a_typed_error():
+    """Each mutation runs on its own connection and is answered with a
+    RESULT or a typed ``T_ERROR``; the server stays up for a second
+    client and unlinks every lease.  The volume bound refuses a flip that
+    inflates a job's steps or sizes as ``busy`` instead of running it."""
+    before = _segments()
+    codes = {"protocol", "invalid", "busy", "expired", "internal"}
+    answers = {}
+    opts = ServeOptions(
+        max_batch=4, batch_window=0.3, max_pending_points=1 << 20,
+        run=RunOptions(mode="split_pointer"),
+    )
+    with LoopbackServer(opts) as lb:
+        # One neighbour connection holds a lease through the whole sweep.
+        other = _raw(lb)
+        other_lid, other_shm = _lease(other, 1 << 16)
+        for case, target, length, data in _mutated_submits():
+            # A flip may make a valid job that runs long: wait for it.
+            sock = _raw(lb, timeout=60.0)
+            lid, shm = _lease(sock, 1 << 16)
+            try:
+                if target == "busy":
+                    # A job in flight in the lease: unmarked, it waits out
+                    # the batch window, and its payload stays as it is.
+                    queued = _msg(_build(1, (16, 16)), "queued")
+                    protocol.send_parts(sock, _leased_frame(queued, lid, shm))
+                else:
+                    into = other_shm if target == "other" else shm
+                    into.buf[:len(data)] = data
+                pointer = {"own": lid, "busy": lid, "other": other_lid,
+                           "unissued": other_lid + 1000}[target]
+                protocol.send_parts(sock, _pointer(pointer, length))
+                ftype, reply = protocol.recv_frame(sock)
+                answer = protocol.unpack(reply)
+                assert ftype in (T_RESULT, T_ERROR), case
+                assert ftype == T_RESULT or answer["code"] in codes, (case, answer)
+                answers[case] = "result" if ftype == T_RESULT else answer["code"]
+                del answer
+            finally:
+                _close_segment(shm, False)
+                sock.close()
+        # The neighbour was poisoned by none of it: its lease is still its
+        # own and idle, so giving it back is answered.
+        _close_segment(other_shm, False)
+        assert _ask(other, 0, release=[other_lid])["lease"] is None
+        other.close()
+        _serves_another_client(lb)
+    assert _segments() == before
+    named = [case for case, *_ in _mutated_submits() if not case.startswith("flip")]
+    assert {answers[case] for case in named} == {"protocol"}
 
 
 # -- journal and lifetime --------------------------------------------------
@@ -517,17 +642,17 @@ def test_reusing_a_lease_expires_the_job_it_held():
         lid, shm = _lease(sock)
         try:
             for key, seed in (("a", 0), ("b", 1)):
-                protocol.send_parts(
-                    sock, _leased_frame(_msg(_build(seed), key), lid, shm)
-                )
+                length = _put(shm, _msg(_build(seed), key))
+                protocol.send_parts(sock, _pointer(lid, length))
                 ftype, reply = protocol.recv_frame(sock)
                 assert ftype == T_RESULT
-                result = protocol.unpack(reply, {lid: shm.buf})
+                result = protocol.unpack(reply)
                 assert result["report"].transport == "shm"
-                assert np.array_equal(
-                    result["arrays"]["u"][_build(seed).steps % 2], _ref(seed)
-                )
-                del result
+                assert result["arrays"] == {}
+                # The job ran in place on its payload in the lease.
+                data = protocol.unpack(shm.buf[:length])["problem"].arrays["u"].data
+                assert np.array_equal(data[_build(seed).steps % 2], _ref(seed))
+                del result, data
             # "a"'s result was overwritten by "b"'s input: a retry of "a"
             # must neither re-execute it nor replay "b"'s bytes.
             retry = _raw(lb)

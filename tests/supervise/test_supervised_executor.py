@@ -155,6 +155,31 @@ def test_shm_unavailable_degrades_to_dag():
     )
 
 
+def test_full_shm_degrades_to_dag_and_leaves_no_segment(monkeypatch):
+    """A full ``/dev/shm``: reserving a shared grid's pages fails with
+    ENOSPC (instead of a SIGBUS when the grid is copied in), the run
+    completes in-process, and the segment is unlinked."""
+    import errno
+    import glob
+    import os
+
+    from repro import run_phase1
+
+    def full(fd, offset, size):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    before = set(glob.glob("/dev/shm/psm_*"))
+    monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+    app = build("heat2d", scale="tiny")
+    report = app.run(executor="procs", n_workers=2, mode="split_pointer")
+    assert report.executor == "dag"
+    assert "supervise:shm-unavailable->dag" in report.degradations
+    ref = build("heat2d", scale="tiny")
+    run_phase1(ref.stencil, ref.steps, ref.kernel)
+    np.testing.assert_array_equal(app.result(), ref.result())
+    assert set(glob.glob("/dev/shm/psm_*")) <= before
+
+
 @pytest.mark.skipif(not has_c_backend(), reason="needs a C toolchain")
 def test_worker_binds_exactly_the_drivers_mode(monkeypatch):
     """A worker that cannot build the driver's mode raises (and so fails
